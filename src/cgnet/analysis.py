@@ -47,9 +47,14 @@ class LayerRecord:
 
 def merge_layer_records(acc, new):
     """Concatenate two record lists from consecutive batches."""
+    if len(acc) != len(new):
+        raise ConfigurationError(
+            f"cannot merge record lists of {len(acc)} and {len(new)} layers")
     merged = []
     for a, b in zip(acc, new):
-        assert a.name == b.name
+        if a.name != b.name:
+            raise ConfigurationError(
+                f"cannot merge records of layer {b.name!r} into layer {a.name!r}")
         m = LayerRecord(a.name, a.kind, a.gated, a.c_in, a.c_out, a.kernel_size,
                         a.groups, a.gate_kind, a.tau_c, a.h_out, a.w_out,
                         a.n_samples + b.n_samples, a.stride, a.padding)

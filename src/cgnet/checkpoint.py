@@ -70,6 +70,8 @@ def read_container(path):
             off += 2
             name = blob[off:off + nlen].decode("utf-8")
             off += nlen
+            if name in out:
+                raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
             code, ndim = struct.unpack_from("<BB", blob, off)
             off += 2
             if code not in _DTYPES:

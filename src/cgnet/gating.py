@@ -2,12 +2,17 @@
 
 A gated layer splits its input channels into G groups. For output group i
 the base path convolves input group i (an ordinary grouped convolution);
-the remaining channels form the conditional path, which is computed only
-at output positions where the gate fires. The gate thresholds the
-normalized base-path partial sum against a learnable per-output-channel
-threshold; at inference the normalizer folds into the threshold (the
-merged gate), so the whole mechanism costs one comparison per activation
-plus one per channel when the channel-wise gate is enabled.
+the remaining channels form the conditional path, whose contribution is
+kept only at output positions where the gate fires. The gate thresholds
+the normalized base-path partial sum against a learnable
+per-output-channel threshold; at inference the normalizer folds into the
+threshold (the merged gate), so the whole mechanism costs one comparison
+per activation plus one per channel when the channel-wise gate is enabled.
+
+On the CPU the conditional path is not skipped: inference computes the
+full sum densely from the same im2col as the base path and selects it
+afterwards. The skipped conditional MACs are accounted in CgLayerCost,
+which is what the FLOP-reduction figures report.
 
 Weight layout:
   * w_p is (c_out, c_in/G, k, k): the grouped-conv base weights, so output
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
-                 StateError, _as_batch, activation, conv2d)
+                 StateError, _as_batch, activation, bn_forward, im2col)
 
 GATE_KINDS = ("single_sided", "two_sided")
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
@@ -307,7 +312,6 @@ def gate_forward(partial_sum, gate: GateState, cfg: CgLayerConfig,
     """
     if not training:
         return merged_gate(partial_sum, gate, cfg)
-    from .nn import bn_forward
     xb, batched = _as_batch(partial_sum)
     xhat, _ = bn_forward(xb, gate.bn, training=True, affine=False,
                          update_running=update_running)
@@ -352,7 +356,7 @@ def pruning_ratio(dm: DecisionMap):
 # Block forward (inference)
 # ---------------------------------------------------------------------------
 
-def _count_cost(cfg: CgLayerConfig, dm: DecisionMap, n, ho, wo):
+def _count_cost(cfg: CgLayerConfig, d_eff, channel_mask, n, ho, wo):
     spec = cfg.conv
     G = cfg.groups
     k2 = spec.kernel_size ** 2
@@ -364,7 +368,7 @@ def _count_cost(cfg: CgLayerConfig, dm: DecisionMap, n, ho, wo):
     cost.base_macs = n * c_out * pos * base_per_pos
     cost.cond_macs_total = n * c_out * pos * cond_per_pos
     cost.dense_macs = n * c_out * pos * c_in * k2
-    cost.cond_macs_executed = int(round(dm.effective().sum())) * cond_per_pos
+    cost.cond_macs_executed = int(round(d_eff.sum())) * cond_per_pos
     gate_cmp = pos * c_out
     if cfg.gate == "two_sided":
         gate_cmp *= 2
@@ -377,7 +381,7 @@ def _count_cost(cfg: CgLayerConfig, dm: DecisionMap, n, ho, wo):
     w_r_per_channel = (c_in - c_in // G) * k2
     cost.weight_values_total = n * c_out * c_in * k2
     cost.weight_values_accessed = (n * w_p_vals
-                                   + int(round(dm.channel_mask.sum())) * w_r_per_channel)
+                                   + int(round(channel_mask.sum())) * w_r_per_channel)
     return cost
 
 
@@ -386,10 +390,17 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
     """Gated inference forward pass.
 
     Returns (y, DecisionMap, CgLayerCost). Where the effective decision is
-    0 the output is f(BN1(base partial sum)); where it is 1 the conditional
-    path is added and BN2 applies. The channel-wise gate zeroes whole
-    channels' conditional work and their W_r accesses. Decision maps and
-    counters refer to pre-shuffle channel order.
+    0 the output is f(BN1(base partial sum)); where it is 1 it is
+    f(BN2(full sum)). The channel-wise gate zeroes whole channels'
+    conditional work and their W_r accesses. Decision maps and counters
+    refer to pre-shuffle channel order.
+
+    One padded im2col of the input feeds two GEMMs: the base partial sums
+    (one batched matmul of each output group's W_p rows against its input
+    group's rows) and the full sum (the dense kernel reassembled from
+    W_p and W_r). The full sum is computed at every position and selected
+    afterwards, so the skipped conditional MACs are accounted in
+    CgLayerCost but not skipped on the CPU.
     """
     if require_frozen and not params.gate.frozen:
         raise StateError("inference requires frozen gate/BN statistics "
@@ -397,38 +408,34 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
     xb, batched = _as_batch(x)
     spec = cfg.conv
     G = cfg.groups
+    if xb.shape[1] != spec.in_channels:
+        raise ConfigurationError(
+            f"input has {xb.shape[1]} channels, spec expects {spec.in_channels}")
     n = xb.shape[0]
-    base_spec = ConvSpec(spec.in_channels, spec.out_channels, spec.kernel_size,
-                         spec.stride, spec.padding, groups=G)
-    p = conv2d(xb, params.w_p, base_spec)
-    ho, wo = p.shape[2], p.shape[3]
+    c_out = spec.out_channels
+    ho, wo = spec.out_hw(xb.shape[2], xb.shape[3])
+    cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
+    kk = cols.shape[1]
+    w_p = params.w_p.reshape(G, c_out // G, kk // G)
+    p = np.matmul(w_p, cols.reshape(n, G, kk // G, ho * wo)).reshape(n, c_out, ho, wo)
+    if G == 1:
+        full = p
+    else:
+        w = assemble_dense_weight(params.w_p, params.w_r, G).reshape(c_out, kk)
+        full = np.matmul(w, cols).reshape(n, c_out, ho, wo)
 
     d = merged_gate(p, params.gate, cfg)
     mask = channel_gate(d, cfg.tau_c) if cfg.tau_c > 0.0 else np.ones(d.shape[:2])
     dm = DecisionMap(d, mask)
-    d_eff = dm.effective()
+    # with tau_c == 0 every channel is kept, so d is already the effective map
+    d_eff = dm.effective() if cfg.tau_c > 0.0 else d
 
-    # canonical order (x - mean) * scale + shift, mirrored by the scalar oracle
-    y_base = (p - _per_c(params.bn1.running_mean)[None]) * _per_c(
-        params.gamma / np.sqrt(params.bn1.running_var + params.bn1.eps))[None] \
-        + _per_c(params.beta)[None]
-
-    if spec.in_channels - spec.in_channels // G > 0:
-        w_cond = conditional_weight_scatter(params.w_r, G, spec.in_channels)
-        dense_spec = ConvSpec(spec.in_channels, spec.out_channels, spec.kernel_size,
-                              spec.stride, spec.padding, groups=1)
-        r = conv2d(xb, w_cond, dense_spec)
-    else:
-        r = np.zeros_like(p)
-    y_full = ((p + r) - _per_c(params.bn2.running_mean)[None]) * _per_c(
-        params.gamma / np.sqrt(params.bn2.running_var + params.bn2.eps))[None] \
-        + _per_c(params.beta)[None]
-
-    pre = np.where(d_eff == 1.0, y_full, y_base)
+    pre, _ = bn_forward(p, params.bn1)
+    np.copyto(pre, bn_forward(full, params.bn2)[0], where=d_eff == 1.0)
     y = activation(pre, cfg.activation)
     if cfg.shuffle:
         y = channel_shuffle(y, G)
-    cost = _count_cost(cfg, dm, n, ho, wo)
+    cost = _count_cost(cfg, d_eff, mask, n, ho, wo)
     if not batched:
         y = y[0]
         dm = DecisionMap(dm.d[0], dm.channel_mask[0])

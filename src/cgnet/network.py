@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, gating, training
+from .checkpoint import CONFIG_RECORD
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, shuffle_permutation)
 from .nn import (ConfigurationError, ConvSpec, BatchNormState, activation,
@@ -471,7 +472,16 @@ class Network:
             layer.freeze_delta = True
 
     def set_delta(self, value):
-        for layer in self.gated_layers():
+        """Set every gate's one-sided threshold. A two-sided gate thresholds
+        a band (delta_low, delta_high) that one value does not define, so
+        a network with one raises instead of silently ignoring the value."""
+        layers = self.gated_layers()
+        two_sided = [layer.name for layer in layers if layer.cfg.gate == "two_sided"]
+        if two_sided:
+            raise ConfigurationError(
+                f"set_delta sets one-sided thresholds; layer(s) {', '.join(two_sided)} "
+                f"have two-sided gates")
+        for layer in layers:
             layer.params.gate.delta[:] = value
 
     def shift_delta(self, offset):
@@ -517,6 +527,11 @@ class Network:
         return items
 
     def load_state_tensors(self, tensors):
+        expected = {name for layer in self.layers for name, _ in layer.state_items()}
+        unexpected = sorted(set(tensors) - expected - {"__frozen__", CONFIG_RECORD})
+        if unexpected:
+            raise ConfigurationError(
+                f"checkpoint has unexpected tensor(s) {', '.join(map(repr, unexpected))}")
         frozen = True
         if "__frozen__" in tensors:
             frozen = bool(tensors["__frozen__"][0])

@@ -107,8 +107,13 @@ def _check_conv(x, w, spec):
             f"weight shape {w.shape} does not match spec {spec.weight_shape}")
 
 
-def _im2col(xp, k, stride, ho, wo):
+def im2col(x, k, stride=1, padding=0):
+    """Zero-pad (n, c, h, w) by ``padding`` on each side and lay out every
+    k x k window as one column: returns (n, c*k*k, ho*wo) with rows ordered
+    (channel, ky, kx), so a channel group's rows are a contiguous slice."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
     n, c, hp, wp = xp.shape
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     sn, sc, sh, sw = xp.strides
     win = as_strided(xp, (n, c, k, k, ho, wo),
                      (sn, sc, sh, sw, stride * sh, stride * sw))
@@ -132,17 +137,16 @@ def conv2d_forward(x, w, spec: ConvSpec):
     n, c, h, wd = xb.shape
     k, s, p, g = spec.kernel_size, spec.stride, spec.padding, spec.groups
     ho, wo = spec.out_hw(h, wd)
-    xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p))) if p else xb
     cg_in = c // g
     cg_out = spec.out_channels // g
     y = np.empty((n, spec.out_channels, ho * wo))
     cols = []
     for gi in range(g):
-        cg = _im2col(xp[:, gi * cg_in:(gi + 1) * cg_in], k, s, ho, wo)
+        cg = im2col(xb[:, gi * cg_in:(gi + 1) * cg_in], k, s, p)
         wm = w[gi * cg_out:(gi + 1) * cg_out].reshape(cg_out, -1)
         y[:, gi * cg_out:(gi + 1) * cg_out] = np.matmul(wm, cg)
         cols.append(cg)
-    ctx = ConvCtx(spec, w, cols, xb.shape, xp.shape[2:], (ho, wo))
+    ctx = ConvCtx(spec, w, cols, xb.shape, (h + 2 * p, wd + 2 * p), (ho, wo))
     return y.reshape(n, spec.out_channels, ho, wo), ctx
 
 
@@ -295,7 +299,9 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True,
         if affine:
             scale = st.gamma / np.sqrt(st.running_var + st.eps)
         shift = st.beta if affine else np.zeros_like(st.running_mean)
-        y = (xb - _per_channel(st.running_mean)) * _per_channel(scale) + _per_channel(shift)
+        y = xb - _per_channel(st.running_mean)
+        y *= _per_channel(scale)
+        y += _per_channel(shift)
     return (y if batched else y[0]), ctx
 
 

@@ -10,7 +10,7 @@ from cgnet.analysis import (CostReport, aggregate_intensity, count_flops,
                             write_pgm)
 from cgnet.gating import DecisionMap
 from cgnet.network import build_model
-from cgnet.nn import ConvSpec
+from cgnet.nn import ConfigurationError, ConvSpec
 
 from _oracles import pearson, rel_err
 
@@ -272,3 +272,17 @@ class TestPruningRatioAggregate:
             kernel_size=3, groups=1, gate_kind="", tau_c=0.0, h_out=4, w_out=4,
             n_samples=2)
         assert network_pruning_ratio([gated, ungated]) == 1.0
+
+
+class TestMergeLayerRecords:
+    def test_length_mismatch_rejected(self):
+        a = make_record(np.zeros((1, 4, 4, 4)), name="L0")
+        b = make_record(np.zeros((1, 4, 4, 4)), name="L1")
+        with pytest.raises(ConfigurationError, match="2 and 1 layers"):
+            analysis.merge_layer_records([a, b], [a])
+
+    def test_name_mismatch_rejected(self):
+        a = make_record(np.zeros((1, 4, 4, 4)), name="L0")
+        b = make_record(np.zeros((1, 4, 4, 4)), name="L1")
+        with pytest.raises(ConfigurationError, match="'L1' into layer 'L0'"):
+            analysis.merge_layer_records([a], [b])

@@ -9,6 +9,7 @@ from cgnet import checkpoint
 from cgnet.checkpoint import (CheckpointError, load_model, read_container,
                               save_model, write_container)
 from cgnet.network import build_model
+from cgnet.nn import ConfigurationError
 
 
 class TestContainer:
@@ -56,6 +57,13 @@ class TestContainer:
             read_container(path)
 
 
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.cgn"
+        write_container(path, [("a", np.array([1.0])), ("a", np.array([2.0]))])
+        with pytest.raises(CheckpointError, match="duplicate tensor name 'a'"):
+            read_container(path)
+
+
 class TestModelCheckpoint:
     def model_cfg(self):
         return {
@@ -92,6 +100,17 @@ class TestModelCheckpoint:
         model.freeze_gates()
         save_model(path, model)
         assert load_model(path).gated_layers()[0].params.gate.frozen
+
+    def test_unexpected_tensor_rejected(self, tmp_path, rng):
+        model = build_model(self.model_cfg(), rng)
+        model.freeze_gates()
+        path = tmp_path / "model.cgn"
+        save_model(path, model)
+        tensors = read_container(path)
+        tensors["L01.w_extra"] = np.zeros(3)
+        write_container(path, tensors)
+        with pytest.raises(ConfigurationError, match="unexpected tensor.*'L01.w_extra'"):
+            load_model(path)
 
     def test_save_is_deterministic(self, tmp_path, rng):
         model = build_model(self.model_cfg(), rng)

@@ -14,7 +14,7 @@ from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap, GateState,
                           shuffle_permutation, split_dense_weight, split_grouped)
 from cgnet.nn import ConfigurationError, ConvSpec, StateError
 
-from _oracles import rel_err
+from _oracles import dense_masked_block_forward, rel_err
 
 
 def make_cfg(c_in=8, c_out=8, k=3, G=4, act="relu", tau_c=0.0, shuffle=False,
@@ -350,6 +350,43 @@ class TestBlockInference:
         cfg_ns = make_cfg(shuffle=False)
         y_ns, _, _ = cg_block_forward_inference(x, params, cfg_ns)
         np.testing.assert_array_equal(y, y_ns[shuffle_permutation(8, 4)])
+
+
+class TestBlockInferenceOracle:
+    """The shared-im2col inference path against the dense-then-masked oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), batched=st.booleans(),
+           G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 2),
+           per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
+           tau_c=st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
+           gate=st.sampled_from(["single_sided", "two_sided"]),
+           # binary_sign is left out: a 1e-16 change of a pre-activation
+           # near 0 would flip its output by 2
+           act=st.sampled_from(["relu", "tanh", "sigmoid"]), shuffle=st.booleans())
+    def test_matches_dense_masked_oracle(self, seed, n, batched, G, per_in, per_out, k,
+                                         stride, pad, hw, tau_c, gate, act, shuffle):
+        rng = np.random.default_rng(seed)
+        cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
+                            groups=G, activation=act, gate=gate, tau_c=tau_c,
+                            shuffle=shuffle)
+        params = make_params(cfg, rng)
+        c_out = cfg.conv.out_channels
+        params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
+        if gate == "two_sided":
+            params.gate.delta_high[:] = np.abs(rng.standard_normal(c_out)) * 0.8
+            params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
+        shape = (cfg.conv.in_channels,) + hw
+        x = rng.standard_normal((n,) + shape if batched else shape)
+        y, dm, cost = cg_block_forward_inference(x, params, cfg)
+        y_ref, dm_ref, cost_ref = dense_masked_block_forward(x, params, cfg)
+        assert y.shape == y_ref.shape
+        np.testing.assert_allclose(y, y_ref, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(dm.d, dm_ref.d)
+        np.testing.assert_array_equal(dm.channel_mask, dm_ref.channel_mask)
+        assert cost == cost_ref
 
 
 class TestPruningRatio:

@@ -105,6 +105,16 @@ class TestDenseEquivalence:
         yd, _ = dense.forward_infer(x)
         assert np.array_equal(np.argmax(yg, axis=1), np.argmax(yd, axis=1))
 
+    def test_set_delta_rejects_two_sided_layers(self, rng):
+        cfg = vgg_ish_cfg()
+        cfg["layers"][4]["activation"] = "tanh"  # two-sided gate on L04
+        model = build_model(cfg, rng)
+        before = [layer.params.gate.delta.copy() for layer in model.gated_layers()]
+        with pytest.raises(ConfigurationError, match="L04"):
+            model.set_delta(1e6)
+        for layer, delta in zip(model.gated_layers(), before):
+            np.testing.assert_array_equal(layer.params.gate.delta, delta)
+
 
 class TestGradientChaining:
     def test_network_fd_with_stable_gates(self, rng):
