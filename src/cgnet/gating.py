@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
-                 StateError, _as_batch, activation, bn_forward, im2col)
+                 StateError, _as_batch, _per_channel, activation, bn_forward, im2col)
 
 GATE_KINDS = ("single_sided", "two_sided")
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
@@ -258,31 +258,6 @@ def split_dense_weight(w, G):
     return w_p, w_r
 
 
-def conditional_weight_scatter(w_r, G, c_in):
-    """Embed W_r into a dense (c_out, c_in, k, k) kernel with zero blocks at
-    each output group's base columns; conv with it computes the whole
-    conditional path in one call."""
-    c_out, _, k, _ = w_r.shape
-    w = np.zeros((c_out, c_in, k, k))
-    cpg_out = c_out // G
-    for i in range(G):
-        rows = slice(i * cpg_out, (i + 1) * cpg_out)
-        w[rows][:, complement_indices(c_in, G, i)] = w_r[rows]
-    return w
-
-
-def conditional_grad_gather(dw_dense, G):
-    """Inverse of conditional_weight_scatter for gradients."""
-    c_out, c_in = dw_dense.shape[0], dw_dense.shape[1]
-    cpg_out = c_out // G
-    k = dw_dense.shape[2]
-    dw_r = np.zeros((c_out, c_in - c_in // G, k, k))
-    for i in range(G):
-        rows = slice(i * cpg_out, (i + 1) * cpg_out)
-        dw_r[rows] = dw_dense[rows][:, complement_indices(c_in, G, i)]
-    return dw_r
-
-
 # ---------------------------------------------------------------------------
 # Gate functions
 # ---------------------------------------------------------------------------
@@ -292,15 +267,11 @@ def heaviside(x):
     return (np.asarray(x, dtype=np.float64) >= 0.0).astype(np.float64)
 
 
-def _per_c(v):
-    return np.asarray(v)[:, None, None]
-
-
 def _threshold_decisions(xhat, gate: GateState, cfg: CgLayerConfig):
     if cfg.gate == "single_sided":
-        return heaviside(xhat - _per_c(gate.delta))
-    return (heaviside(_per_c(gate.delta_high) - xhat)
-            * heaviside(xhat - _per_c(gate.delta_low)))
+        return heaviside(xhat - _per_channel(gate.delta))
+    return (heaviside(_per_channel(gate.delta_high) - xhat)
+            * heaviside(xhat - _per_channel(gate.delta_low)))
 
 
 def gate_forward(partial_sum, gate: GateState, cfg: CgLayerConfig,
@@ -327,11 +298,11 @@ def merged_gate(partial_sum, gate: GateState, cfg: CgLayerConfig = None):
     mean = gate.bn.running_mean
     two_sided = gate.delta_high is not None and (cfg is None or cfg.gate == "two_sided")
     if two_sided:
-        hi = _per_c(gate.delta_high * sigma + mean)
-        lo = _per_c(gate.delta_low * sigma + mean)
+        hi = _per_channel(gate.delta_high * sigma + mean)
+        lo = _per_channel(gate.delta_low * sigma + mean)
         d = heaviside(hi - xb) * heaviside(xb - lo)
     else:
-        thr = _per_c(gate.delta * sigma + mean)
+        thr = _per_channel(gate.delta * sigma + mean)
         d = heaviside(xb - thr)
     return d if batched else d[0]
 
@@ -385,6 +356,34 @@ def _count_cost(cfg: CgLayerConfig, d_eff, channel_mask, n, ho, wo):
     return cost
 
 
+def shared_im2col_sums(xb, params: CgBlockParams, cfg: CgLayerConfig):
+    """One padded im2col of the batch ``xb`` feeding two GEMMs.
+
+    The base partial sums p are one batched matmul of each output group's
+    W_p rows against its input group's rows; the full sum is one matmul
+    with the dense kernel reassembled from W_p and W_r (for G == 1 the full
+    sum is p). Returns (cols, w, p, full): cols is (n, c_in*k*k, ho*wo),
+    w the dense kernel as (c_out, c_in*k*k), p and full (n, c_out, ho, wo).
+    The kernel is assembled on every call, so it never goes stale after a
+    weight update.
+    """
+    spec = cfg.conv
+    G = cfg.groups
+    if xb.shape[1] != spec.in_channels:
+        raise ConfigurationError(
+            f"input has {xb.shape[1]} channels, spec expects {spec.in_channels}")
+    n = xb.shape[0]
+    c_out = spec.out_channels
+    ho, wo = spec.out_hw(xb.shape[2], xb.shape[3])
+    cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
+    kk = cols.shape[1]
+    w_p = params.w_p.reshape(G, c_out // G, kk // G)
+    p = np.matmul(w_p, cols.reshape(n, G, kk // G, ho * wo)).reshape(n, c_out, ho, wo)
+    w = assemble_dense_weight(params.w_p, params.w_r, G).reshape(c_out, kk)
+    full = p if G == 1 else np.matmul(w, cols).reshape(n, c_out, ho, wo)
+    return cols, w, p, full
+
+
 def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
                                require_frozen=True):
     """Gated inference forward pass.
@@ -406,23 +405,8 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
         raise StateError("inference requires frozen gate/BN statistics "
                          "(train first or load a finalized checkpoint)")
     xb, batched = _as_batch(x)
-    spec = cfg.conv
-    G = cfg.groups
-    if xb.shape[1] != spec.in_channels:
-        raise ConfigurationError(
-            f"input has {xb.shape[1]} channels, spec expects {spec.in_channels}")
-    n = xb.shape[0]
-    c_out = spec.out_channels
-    ho, wo = spec.out_hw(xb.shape[2], xb.shape[3])
-    cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
-    kk = cols.shape[1]
-    w_p = params.w_p.reshape(G, c_out // G, kk // G)
-    p = np.matmul(w_p, cols.reshape(n, G, kk // G, ho * wo)).reshape(n, c_out, ho, wo)
-    if G == 1:
-        full = p
-    else:
-        w = assemble_dense_weight(params.w_p, params.w_r, G).reshape(c_out, kk)
-        full = np.matmul(w, cols).reshape(n, c_out, ho, wo)
+    _, _, p, full = shared_im2col_sums(xb, params, cfg)
+    n, _, ho, wo = p.shape
 
     d = merged_gate(p, params.gate, cfg)
     mask = channel_gate(d, cfg.tau_c) if cfg.tau_c > 0.0 else np.ones(d.shape[:2])
@@ -434,7 +418,7 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
     np.copyto(pre, bn_forward(full, params.bn2)[0], where=d_eff == 1.0)
     y = activation(pre, cfg.activation)
     if cfg.shuffle:
-        y = channel_shuffle(y, G)
+        y = channel_shuffle(y, cfg.groups)
     cost = _count_cost(cfg, d_eff, mask, n, ho, wo)
     if not batched:
         y = y[0]

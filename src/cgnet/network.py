@@ -532,9 +532,7 @@ class Network:
         if unexpected:
             raise ConfigurationError(
                 f"checkpoint has unexpected tensor(s) {', '.join(map(repr, unexpected))}")
-        frozen = True
-        if "__frozen__" in tensors:
-            frozen = bool(tensors["__frozen__"][0])
+        frozen = "__frozen__" in tensors and bool(tensors["__frozen__"][0])
         for layer in self.layers:
             for name, arr in layer.state_items():
                 if name not in tensors:

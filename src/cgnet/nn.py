@@ -94,7 +94,6 @@ class ConvCtx:
     w: np.ndarray
     cols: list            # per group: (n, cg_in*k*k, ho*wo)
     x_shape: tuple
-    padded_hw: tuple
     out_hw: tuple
 
 
@@ -120,13 +119,19 @@ def im2col(x, k, stride=1, padding=0):
     return np.ascontiguousarray(win).reshape(n, c * k * k, ho * wo)
 
 
-def _col2im(dcols, n, c, hp, wp, k, stride, ho, wo):
+def col2im(dcols, x_shape, k, stride=1, padding=0):
+    """Adjoint of ``im2col``: scatter-add (n, c*k*k, ho*wo) column gradients
+    back onto the (n, c, h, w) input they were read from. ``dcols`` may be
+    any strided view with that shape."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     dx = np.zeros((n, c, hp, wp))
     dc = dcols.reshape(n, c, k, k, ho, wo)
     for i in range(k):
         for j in range(k):
             dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dc[:, :, i, j]
-    return dx
+    return dx[:, :, padding:hp - padding, padding:wp - padding] if padding else dx
 
 
 def conv2d_forward(x, w, spec: ConvSpec):
@@ -146,7 +151,7 @@ def conv2d_forward(x, w, spec: ConvSpec):
         wm = w[gi * cg_out:(gi + 1) * cg_out].reshape(cg_out, -1)
         y[:, gi * cg_out:(gi + 1) * cg_out] = np.matmul(wm, cg)
         cols.append(cg)
-    ctx = ConvCtx(spec, w, cols, xb.shape, (h + 2 * p, wd + 2 * p), (ho, wo))
+    ctx = ConvCtx(spec, w, cols, xb.shape, (ho, wo))
     return y.reshape(n, spec.out_channels, ho, wo), ctx
 
 
@@ -163,24 +168,22 @@ def conv2d_backward(ctx: ConvCtx, dy):
         raise StateError("conv backward called without a cached forward context")
     spec = ctx.spec
     n = ctx.x_shape[0]
-    k, s, p, g = spec.kernel_size, spec.stride, spec.padding, spec.groups
+    k, g = spec.kernel_size, spec.groups
     ho, wo = ctx.out_hw
-    hp, wp = ctx.padded_hw
     cg_in = spec.in_channels // g
     cg_out = spec.out_channels // g
     dyb = np.asarray(dy, dtype=np.float64).reshape(n, spec.out_channels, ho * wo)
     dw = np.empty_like(ctx.w)
-    dxp = np.empty((n, spec.in_channels, hp, wp))
+    dx = np.empty(ctx.x_shape)
+    group_shape = (n, cg_in) + tuple(ctx.x_shape[2:])
     for gi in range(g):
         dym = dyb[:, gi * cg_out:(gi + 1) * cg_out]
         cols = ctx.cols[gi]
         dw[gi * cg_out:(gi + 1) * cg_out] = (
-            np.einsum("nol,nkl->ok", dym, cols).reshape(cg_out, cg_in, k, k))
+            np.tensordot(dym, cols, ([0, 2], [0, 2])).reshape(cg_out, cg_in, k, k))
         wm = ctx.w[gi * cg_out:(gi + 1) * cg_out].reshape(cg_out, -1)
-        dcols = np.matmul(wm.T, dym)
-        dxp[:, gi * cg_in:(gi + 1) * cg_in] = _col2im(
-            dcols, n, cg_in, hp, wp, k, s, ho, wo)
-    dx = dxp[:, :, p:hp - p, p:wp - p] if p else dxp
+        dx[:, gi * cg_in:(gi + 1) * cg_in] = col2im(
+            np.matmul(wm.T, dym), group_shape, k, spec.stride, spec.padding)
     return dx, dw
 
 
@@ -258,6 +261,8 @@ class BnCtx:
     inv_std: np.ndarray       # (c,)
     gamma: np.ndarray | None  # None when affine=False
     count: int
+    mean: np.ndarray          # (c,) batch mean
+    var: np.ndarray           # (c,) biased batch variance
 
 
 def _per_channel(v):
@@ -286,14 +291,12 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True,
         mean = xb.mean(axis=(0, 2, 3))
         var = xb.var(axis=(0, 2, 3))
         if update_running:
-            m = st.momentum
-            st.running_mean[:] = m * st.running_mean + (1.0 - m) * mean
-            st.running_var[:] = m * st.running_var + (1.0 - m) * var
+            bn_update_running(st, mean, var)
         inv_std = 1.0 / np.sqrt(var + st.eps)
         xhat = (xb - _per_channel(mean)) * _per_channel(inv_std)
         y = _per_channel(st.gamma) * xhat + _per_channel(st.beta) if affine else xhat
         if want_ctx:
-            ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count)
+            ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
     else:
         scale = 1.0 / np.sqrt(st.running_var + st.eps)
         if affine:
@@ -305,6 +308,13 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True,
     return (y if batched else y[0]), ctx
 
 
+def bn_update_running(st: BatchNormState, mean, var):
+    """Fold one batch's mean and biased variance into the running stats."""
+    m = st.momentum
+    st.running_mean[:] = m * st.running_mean + (1.0 - m) * mean
+    st.running_var[:] = m * st.running_var + (1.0 - m) * var
+
+
 def batchnorm_forward(x, st: BatchNormState, training=False, affine=True,
                       update_running=True):
     y, _ = bn_forward(x, st, training, affine, update_running)
@@ -312,24 +322,25 @@ def batchnorm_forward(x, st: BatchNormState, training=False, affine=True,
 
 
 def batchnorm_backward(ctx: BnCtx, dy):
-    """Gradients through training-mode BN; returns (dx, dgamma, dbeta)."""
+    """Gradients through training-mode BN; returns (dx, dgamma, dbeta).
+
+    With s = gamma*inv_std (inv_std alone when affine=False) and m elements
+    per channel: dx = s * (dy - sum(dy)/m - xhat*sum(dy*xhat)/m).
+    """
     if ctx is None:
         raise StateError("BN backward called without a cached forward context")
     dyb, _ = _as_batch(dy)
     axes = (0, 2, 3)
-    if ctx.gamma is not None:
-        dgamma = (dyb * ctx.xhat).sum(axis=axes)
-        dbeta = dyb.sum(axis=axes)
-        dxhat = dyb * _per_channel(ctx.gamma)
-    else:
-        dgamma = dbeta = None
-        dxhat = dyb
     m = float(ctx.count)
-    sum_dxhat = dxhat.sum(axis=axes)
-    sum_dxhat_xhat = (dxhat * ctx.xhat).sum(axis=axes)
-    dx = (_per_channel(ctx.inv_std) / m) * (
-        m * dxhat - _per_channel(sum_dxhat) - ctx.xhat * _per_channel(sum_dxhat_xhat))
-    return dx, dgamma, dbeta
+    sum_dy = dyb.sum(axis=axes)
+    sum_dy_xhat = (dyb * ctx.xhat).sum(axis=axes)
+    scale = ctx.inv_std if ctx.gamma is None else ctx.gamma * ctx.inv_std
+    dx = dyb * _per_channel(scale)
+    dx -= _per_channel(scale * sum_dy / m)
+    dx -= ctx.xhat * _per_channel(scale * sum_dy_xhat / m)
+    if ctx.gamma is None:
+        return dx, None, None
+    return dx, sum_dy_xhat, sum_dy
 
 
 def bn_inference_affine(st: BatchNormState, gamma=None, beta=None):
@@ -345,6 +356,11 @@ def bn_inference_affine(st: BatchNormState, gamma=None, beta=None):
 # Activations
 # ---------------------------------------------------------------------------
 
+def sigmoid(z):
+    """Logistic function as 0.5 + 0.5*tanh(z/2): no overflow for any z."""
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(z, dtype=np.float64))
+
+
 def activation(x, kind):
     """Elementwise activation. binary_sign maps x >= 0 to +1, else -1."""
     x = np.asarray(x, dtype=np.float64)
@@ -353,7 +369,7 @@ def activation(x, kind):
     if kind == "tanh":
         return np.tanh(x)
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
+        return sigmoid(x)
     if kind == "binary_sign":
         return np.where(x >= 0.0, 1.0, -1.0)
     if kind == "identity":
@@ -370,7 +386,7 @@ def activation_grad(pre, kind):
         t = np.tanh(pre)
         return 1.0 - t * t
     if kind == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-pre))
+        s = sigmoid(pre)
         return s * (1.0 - s)
     if kind == "binary_sign":
         return (np.abs(pre) <= 1.0).astype(np.float64)

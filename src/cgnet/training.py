@@ -1,14 +1,17 @@
 """Training-time graph of the gating block and the associated losses.
 
-During training both paths are computed densely everywhere (skipping is an
-inference-time saving). The forward combines them through the hard binary
-decision d:
+During training both paths are computed at every position (skipping is an
+inference-time saving), from one padded im2col of the input shared by the
+base partial sum and the full sum. The forward combines them through the
+hard binary decision d:
 
     y = f( (J - d) o BN1(p)  +  d o BN2(p + r) )
 
 with p the base partial sum, r the conditional sum, and d obtained by
 thresholding the affine-free normalization of p. The two batch norms keep
-separate statistics but share gamma/beta.
+separate statistics but share gamma/beta. BN1 and the gate normalizer see
+the same p, so p is normalized once and both keep their running stats from
+that one batch mean and variance.
 
 The gate is not differentiable, so gradients toward the thresholds and the
 gate input use a smooth sigmoid surrogate s~ = sigma(eps*(x^_g - delta))
@@ -21,15 +24,15 @@ mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gating import (CgBlockParams, CgLayerConfig, conditional_grad_gather,
-                     conditional_weight_scatter, heaviside)
-from .nn import (ConfigurationError, ConvSpec, StateError, _as_batch,
+from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
+                     assemble_dense_weight, shared_im2col_sums, split_dense_weight)
+from .nn import (ConfigurationError, StateError, _as_batch, _per_channel,
                  activation, activation_grad, batchnorm_backward, bn_forward,
-                 conv2d_backward, conv2d_forward, softmax)
+                 bn_update_running, col2im, sigmoid, softmax)
 
 
 class TrainingDiverged(RuntimeError):
@@ -77,11 +80,11 @@ class Schedule:
 class CgTrainContext:
     cfg: CgLayerConfig
     params: CgBlockParams
-    ctx_p: object
-    ctx_r: object
-    bn1_ctx: object
+    x_shape: tuple
+    cols: np.ndarray          # (n, c_in*k*k, ho*wo), shared by both paths
+    w: np.ndarray             # dense kernel (c_out, c_in*k*k) of the full sum
     bn2_ctx: object
-    bng_ctx: object
+    bng_ctx: object           # the one normalization of p (BN1 and gate)
     xhat_p: np.ndarray
     xhat_full: np.ndarray
     xhat_g: np.ndarray
@@ -104,68 +107,54 @@ class CgBlockGrads:
     dx: np.ndarray
 
 
-def _sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _pc(v):
-    return np.asarray(v)[:, None, None]
-
-
 def _surrogate(xhat_g, params: CgBlockParams, cfg: CgLayerConfig):
     """Smooth gate value and its factor tensors."""
     eps = cfg.epsilon
     g = params.gate
     if cfg.gate == "single_sided":
-        s = _sigmoid(eps * (xhat_g - _pc(g.delta)))
+        s = sigmoid(eps * (xhat_g - _per_channel(g.delta)))
         return s, (s,)
-    a = _sigmoid(eps * (_pc(g.delta_high) - xhat_g))
-    b = _sigmoid(eps * (xhat_g - _pc(g.delta_low)))
+    a = sigmoid(eps * (_per_channel(g.delta_high) - xhat_g))
+    b = sigmoid(eps * (xhat_g - _per_channel(g.delta_low)))
     return a * b, (a, b)
 
 
 def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
                            update_running=True, soft_gate=False):
-    """Training forward pass; returns (y, CgTrainContext)."""
+    """Training forward pass; returns (y, CgTrainContext).
+
+    One padded im2col of the input feeds the base partial sum p (one
+    batched matmul over the G groups) and the full sum (one matmul with the
+    dense kernel reassembled from W_p and W_r); the backward reuses it.
+    p is normalized once with batch statistics: that normalization is the
+    gate input x^_g, BN1's output is gamma*x^_g + beta, and the batch mean
+    and variance update the running stats of both BN1 and the gate
+    normalizer, which must therefore agree in eps and momentum.
+    """
+    bn1, bng = params.bn1, params.gate.bn
+    if bn1.eps != bng.eps or bn1.momentum != bng.momentum:
+        raise ConfigurationError(
+            f"bn1 (eps={bn1.eps}, momentum={bn1.momentum}) and the gate normalizer "
+            f"(eps={bng.eps}, momentum={bng.momentum}) share one normalization of "
+            f"the partial sum and must agree in eps and momentum")
     xb, _ = _as_batch(x)
-    spec = cfg.conv
-    G = cfg.groups
-    base_spec = ConvSpec(spec.in_channels, spec.out_channels, spec.kernel_size,
-                         spec.stride, spec.padding, groups=G)
-    p, ctx_p = conv2d_forward(xb, params.w_p, base_spec)
+    cols, w, p, full = shared_im2col_sums(xb, params, cfg)
 
-    c_r = spec.in_channels - spec.in_channels // G
-    if c_r > 0:
-        w_cond = conditional_weight_scatter(params.w_r, G, spec.in_channels)
-        r, ctx_r = conv2d_forward(xb, w_cond, spec)
-    else:
-        r, ctx_r = np.zeros_like(p), None
-    full = p + r
-
-    xhat_p, bn1_ctx = bn_forward(p, params.bn1, training=True,
+    xhat_g, bng_ctx = bn_forward(p, bng, training=True, affine=False,
                                  update_running=update_running, want_ctx=True)
+    if update_running:
+        bn_update_running(bn1, bng_ctx.mean, bng_ctx.var)
+    xhat_p = _per_channel(params.gamma) * xhat_g + _per_channel(params.beta)
     xhat_full, bn2_ctx = bn_forward(full, params.bn2, training=True,
                                     update_running=update_running, want_ctx=True)
-    xhat_g, bng_ctx = bn_forward(p, params.gate.bn, training=True, affine=False,
-                                 update_running=update_running, want_ctx=True)
 
-    if cfg.gate == "single_sided":
-        d = heaviside(xhat_g - _pc(params.gate.delta))
-    else:
-        d = (heaviside(_pc(params.gate.delta_high) - xhat_g)
-             * heaviside(xhat_g - _pc(params.gate.delta_low)))
+    d = _threshold_decisions(xhat_g, params.gate, cfg)
     stilde, sig_parts = _surrogate(xhat_g, params, cfg)
     mask = stilde if soft_gate else d
 
     pre = (1.0 - mask) * xhat_p + mask * xhat_full
     y = activation(pre, cfg.activation)
-    ctx = CgTrainContext(cfg, params, ctx_p, ctx_r, bn1_ctx, bn2_ctx, bng_ctx,
+    ctx = CgTrainContext(cfg, params, xb.shape, cols, w, bn2_ctx, bng_ctx,
                          xhat_p, xhat_full, xhat_g, d, mask, pre, sig_parts,
                          soft_gate)
     return y, ctx
@@ -176,7 +165,10 @@ def cg_block_backward(ctx: CgTrainContext, dy):
 
     The selection masks are constants; the threshold and gate-input
     gradients come from the sigmoid surrogate, with the per-element
-    identity d(x^_g) = -d(delta) before the channel reduction.
+    identity d(x^_g) = -d(delta) before the channel reduction. BN backward
+    is linear in its upstream gradient, so BN1 and the gate normalizer,
+    which share one normalization of p, take one backward call. The weight
+    and input gradients reuse the forward's im2col and run one col2im.
     """
     if ctx is None:
         raise StateError("block backward called without a forward context")
@@ -193,7 +185,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         (s,) = ctx.sig_parts
         dsig = eps * s * (1.0 - s)
         dxhat_g = ds * dsig
-        ddelta = -(ds * dsig).sum(axis=(0, 2, 3))
+        ddelta = -dxhat_g.sum(axis=(0, 2, 3))
         ddelta_high = ddelta_low = None
     else:
         a, b = ctx.sig_parts
@@ -202,20 +194,34 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         ddelta_low = (ds * (-eps * a * b * (1.0 - b))).sum(axis=(0, 2, 3))
         ddelta = None
 
-    dp1, dg1, db1 = batchnorm_backward(ctx.bn1_ctx, dxhat_p)
-    dfull, dg2, db2 = batchnorm_backward(ctx.bn2_ctx, dxhat_full)
-    dpg, _, _ = batchnorm_backward(ctx.bng_ctx, dxhat_g)
-    dgamma = dg1 + dg2
-    dbeta = db1 + db2
+    dfull, dgamma, dbeta = batchnorm_backward(ctx.bn2_ctx, dxhat_full)
+    dgamma = (dxhat_p * ctx.xhat_g).sum(axis=(0, 2, 3)) + dgamma
+    dbeta = dxhat_p.sum(axis=(0, 2, 3)) + dbeta
+    # BN1 and gate BN share x^_g, so their input gradients add up front
+    dp, _, _ = batchnorm_backward(
+        ctx.bng_ctx, dxhat_p * _per_channel(params.gamma) + dxhat_g)
 
-    dp = dp1 + dpg + dfull
-    dx, dw_p = conv2d_backward(ctx.ctx_p, dp)
-    if ctx.ctx_r is not None:
-        dx_cond, dw_cond = conv2d_backward(ctx.ctx_r, dfull)
-        dw_r = conditional_grad_gather(dw_cond, cfg.groups)
-        dx = dx + dx_cond
-    else:
-        dw_r = np.zeros_like(params.w_r)
+    # [full; p] = [W; blockdiag(W_p)] @ cols, so with the two upstream
+    # gradients stacked as rows of one (2*c_out, n*ho*wo) matrix, the weight
+    # gradients are one GEMM against cols and the column gradient one GEMM
+    # against the stacked kernel.
+    G, spec = cfg.groups, cfg.conv
+    k = spec.kernel_size
+    n, c_out = dp.shape[:2]
+    kk = ctx.cols.shape[1]
+    stacked = np.empty((2, c_out, n, dp.shape[2] * dp.shape[3]))
+    stacked[0] = dfull.reshape(n, c_out, -1).transpose(1, 0, 2)
+    stacked[1] = dp.reshape(n, c_out, -1).transpose(1, 0, 2)
+    stacked = stacked.reshape(2 * c_out, -1)
+    cols_t = ctx.cols.transpose(0, 2, 1).reshape(-1, kk)
+    dw = (stacked @ cols_t).reshape(2, c_out, spec.in_channels, k, k)
+    dw_p, dw_r = split_dense_weight(dw[0], G)
+    dw_p += split_dense_weight(dw[1], G)[0]
+
+    w_base = assemble_dense_weight(params.w_p, np.zeros_like(params.w_r), G)
+    kernel = np.concatenate([ctx.w, w_base.reshape(c_out, kk)])
+    dcols = (kernel.T @ stacked).reshape(kk, n, -1)
+    dx = col2im(dcols.transpose(1, 0, 2), ctx.x_shape, k, spec.stride, spec.padding)
     return CgBlockGrads(dw_p, dw_r, dgamma, dbeta, ddelta,
                         ddelta_high, ddelta_low, dx)
 

@@ -7,7 +7,7 @@ check.
 
 import numpy as np
 
-from cgnet import gating, nn
+from cgnet import gating, nn, training
 
 
 def finite_difference(f, x, step=1e-3):
@@ -53,6 +53,19 @@ def pearson(a, b):
     return float((am @ bm) / np.sqrt((am @ am) * (bm @ bm)))
 
 
+def conditional_weight_scatter(w_r, G, c_in):
+    """Embed W_r into a dense (c_out, c_in, k, k) kernel with zero blocks at
+    each output group's base columns; conv with it computes the whole
+    conditional path in one call."""
+    c_out, _, k, _ = w_r.shape
+    w = np.zeros((c_out, c_in, k, k))
+    cpg_out = c_out // G
+    for i in range(G):
+        rows = slice(i * cpg_out, (i + 1) * cpg_out)
+        w[rows][:, gating.complement_indices(c_in, G, i)] = w_r[rows]
+    return w
+
+
 def dense_masked_block_forward(x, params, cfg):
     """Gated inference computed the slow, obvious way.
 
@@ -70,7 +83,7 @@ def dense_masked_block_forward(x, params, cfg):
     p = nn.conv2d(xb, params.w_p, grouped)
     n, _, ho, wo = p.shape
     if c_in - c_in // G:
-        r = nn.conv2d(xb, gating.conditional_weight_scatter(params.w_r, G, c_in), spec)
+        r = nn.conv2d(xb, conditional_weight_scatter(params.w_r, G, c_in), spec)
     else:
         r = np.zeros_like(p)
 
@@ -106,3 +119,99 @@ def dense_masked_block_forward(x, params, cfg):
         n_samples=n)
     dm = gating.DecisionMap(d, mask) if batched else gating.DecisionMap(d[0], mask[0])
     return (y if batched else y[0]), dm, cost
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def two_conv_block_train(x, params, cfg, dy, update_running=True, soft_gate=False):
+    """Training forward and backward of a gated block, computed with two
+    convolutions.
+
+    The base partial sum is a grouped ``conv2d_forward`` on W_p and the
+    conditional sum a dense one on W_r scattered into a kernel with zero
+    blocks; BN1, BN2 and the gate normalizer each run their own
+    ``bn_forward`` and ``batchnorm_backward``; each convolution has its own
+    ``conv2d_backward``, and dW_r is gathered from the dense kernel's
+    gradient. Updates the running stats of ``params`` when
+    ``update_running``. Returns (y, d, CgBlockGrads) for upstream gradient
+    ``dy``.
+    """
+    xb, _ = nn._as_batch(x)
+    spec = cfg.conv
+    G = cfg.groups
+    c_in = spec.in_channels
+    base_spec = nn.ConvSpec(c_in, spec.out_channels, spec.kernel_size,
+                            spec.stride, spec.padding, groups=G)
+    p, ctx_p = nn.conv2d_forward(xb, params.w_p, base_spec)
+    if c_in - c_in // G:
+        r, ctx_r = nn.conv2d_forward(xb, conditional_weight_scatter(params.w_r, G, c_in),
+                                     spec)
+    else:
+        r, ctx_r = np.zeros_like(p), None
+    full = p + r
+
+    xhat_p, bn1_ctx = nn.bn_forward(p, params.bn1, training=True,
+                                    update_running=update_running, want_ctx=True)
+    xhat_full, bn2_ctx = nn.bn_forward(full, params.bn2, training=True,
+                                       update_running=update_running, want_ctx=True)
+    xhat_g, bng_ctx = nn.bn_forward(p, params.gate.bn, training=True, affine=False,
+                                    update_running=update_running, want_ctx=True)
+
+    def pc(v):
+        return np.asarray(v)[:, None, None]
+
+    def step(v):
+        return (v >= 0.0).astype(np.float64)
+
+    eps = cfg.epsilon
+    gate = params.gate
+    if cfg.gate == "single_sided":
+        d = step(xhat_g - pc(gate.delta))
+        s = _masked_sigmoid(eps * (xhat_g - pc(gate.delta)))
+        stilde = s
+    else:
+        d = step(pc(gate.delta_high) - xhat_g) * step(xhat_g - pc(gate.delta_low))
+        a = _masked_sigmoid(eps * (pc(gate.delta_high) - xhat_g))
+        b = _masked_sigmoid(eps * (xhat_g - pc(gate.delta_low)))
+        stilde = a * b
+    mask = stilde if soft_gate else d
+    pre = (1.0 - mask) * xhat_p + mask * xhat_full
+    y = nn.activation(pre, cfg.activation)
+
+    dpre = nn._as_batch(dy)[0] * nn.activation_grad(pre, cfg.activation)
+    dxhat_p = dpre * (1.0 - mask)
+    dxhat_full = dpre * mask
+    ds = dpre * (xhat_full - xhat_p)
+    if cfg.gate == "single_sided":
+        dsig = eps * s * (1.0 - s)
+        dxhat_g = ds * dsig
+        ddelta = -(ds * dsig).sum(axis=(0, 2, 3))
+        ddelta_high = ddelta_low = None
+    else:
+        dxhat_g = ds * (eps * a * b * (a - b))
+        ddelta_high = (ds * (eps * a * (1.0 - a) * b)).sum(axis=(0, 2, 3))
+        ddelta_low = (ds * (-eps * a * b * (1.0 - b))).sum(axis=(0, 2, 3))
+        ddelta = None
+
+    dp1, dg1, db1 = nn.batchnorm_backward(bn1_ctx, dxhat_p)
+    dfull, dg2, db2 = nn.batchnorm_backward(bn2_ctx, dxhat_full)
+    dpg, _, _ = nn.batchnorm_backward(bng_ctx, dxhat_g)
+    dx, dw_p = nn.conv2d_backward(ctx_p, dp1 + dpg + dfull)
+    dw_r = np.zeros_like(params.w_r)
+    if ctx_r is not None:
+        dx_cond, dw_cond = nn.conv2d_backward(ctx_r, dfull)
+        dx = dx + dx_cond
+        cpg_out = spec.out_channels // G
+        for i in range(G):
+            rows = slice(i * cpg_out, (i + 1) * cpg_out)
+            dw_r[rows] = dw_cond[rows][:, gating.complement_indices(c_in, G, i)]
+    grads = training.CgBlockGrads(dw_p, dw_r, dg1 + dg2, db1 + db2, ddelta,
+                                  ddelta_high, ddelta_low, dx)
+    return y, d, grads

@@ -101,6 +101,16 @@ class TestModelCheckpoint:
         save_model(path, model)
         assert load_model(path).gated_layers()[0].params.gate.frozen
 
+    def test_missing_frozen_flag_loads_unfrozen(self, tmp_path, rng):
+        model = build_model(self.model_cfg(), rng)
+        model.freeze_gates()
+        path = tmp_path / "model.cgn"
+        save_model(path, model)
+        tensors = read_container(path)
+        del tensors["__frozen__"]
+        write_container(path, tensors)
+        assert not any(l.params.gate.frozen for l in load_model(path).gated_layers())
+
     def test_unexpected_tensor_rejected(self, tmp_path, rng):
         model = build_model(self.model_cfg(), rng)
         model.freeze_gates()

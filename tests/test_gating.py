@@ -14,7 +14,7 @@ from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap, GateState,
                           shuffle_permutation, split_dense_weight, split_grouped)
 from cgnet.nn import ConfigurationError, ConvSpec, StateError
 
-from _oracles import dense_masked_block_forward, rel_err
+from _oracles import conditional_weight_scatter, dense_masked_block_forward, rel_err
 
 
 def make_cfg(c_in=8, c_out=8, k=3, G=4, act="relu", tau_c=0.0, shuffle=False,
@@ -215,7 +215,7 @@ class TestWeightPartition:
         w_p, w_r = split_dense_weight(w, G)
         dense = nn.conv2d(x, w, ConvSpec(8, 8, 3, padding=1))
         base = nn.conv2d(x, w_p, ConvSpec(8, 8, 3, padding=1, groups=G))
-        w_cond = gating.conditional_weight_scatter(w_r, G, 8)
+        w_cond = conditional_weight_scatter(w_r, G, 8)
         cond = nn.conv2d(x, w_cond, ConvSpec(8, 8, 3, padding=1))
         assert rel_err(base + cond, dense) < 1e-12
 

@@ -1,5 +1,7 @@
 """Numeric substrate: convolution, BN, activations, pooling, FC, SGD."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +209,20 @@ class TestActivations:
             return float((nn.activation(x, kind) * proj).sum())
 
         check_grad(loss, x, proj * nn.activation_grad(x, kind))
+
+    def test_sigmoid_saturates_without_overflow(self):
+        x = np.array([-1000.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = nn.activation(x, "sigmoid")
+            g = nn.activation_grad(x, "sigmoid")
+        np.testing.assert_array_equal(y, [0.0, 1.0])
+        np.testing.assert_array_equal(g, [0.0, 0.0])
+
+    def test_sigmoid_matches_logistic(self):
+        x = np.linspace(-40.0, 40.0, 801)
+        np.testing.assert_allclose(nn.sigmoid(x), 1.0 / (1.0 + np.exp(-x)),
+                                   rtol=0.0, atol=1e-15)
 
     def test_binary_sign_ste_window(self):
         g = nn.activation_grad(np.array([-2.0, -0.5, 0.5, 2.0]), "binary_sign")

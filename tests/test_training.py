@@ -1,7 +1,10 @@
 """Training graph: dual BN, surrogate gate gradients, losses, train loop."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgnet import gating, nn, training
 from cgnet.data import synthetic_dataset, train_val_split
@@ -13,7 +16,7 @@ from cgnet.training import (LossConfig, Schedule, cg_block_backward,
                             sparsity_loss_flops, sparsity_loss_target,
                             train_network)
 
-from _oracles import check_grad, finite_difference, rel_err
+from _oracles import check_grad, finite_difference, rel_err, two_conv_block_train
 
 
 def make_cfg(c_in=4, c_out=4, k=3, G=2, act="identity", pad=1, eps_sharp=4.0,
@@ -202,6 +205,76 @@ class TestBackward:
         g = cg_block_backward(ctx, rng.standard_normal(y.shape))
         assert params.w_r.shape[1] == 0
         assert g.dw_r.shape == params.w_r.shape
+
+
+class TestBlockTrainOracle:
+    """The shared-im2col training block against the two-convolution oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), batched=st.booleans(),
+           G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 2),
+           per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
+           gate=st.sampled_from(["single_sided", "two_sided"]),
+           # binary_sign is left out: a 1e-16 change of a pre-activation
+           # near 0 would flip its output by 2
+           act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
+           soft_gate=st.booleans())
+    def test_matches_two_conv_oracle(self, seed, n, batched, G, per_in, per_out, k,
+                                     stride, pad, hw, gate, act, soft_gate):
+        rng = np.random.default_rng(seed)
+        cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
+                            groups=G, activation=act, gate=gate)
+        params = make_params(cfg, rng)
+        c_out = cfg.conv.out_channels
+        for bn in (params.bn1, params.bn2, params.gate.bn):
+            bn.running_mean[:] = rng.standard_normal(c_out)
+            bn.running_var[:] = rng.uniform(0.5, 2.0, c_out)
+        params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
+        if gate == "two_sided":
+            params.gate.delta_high[:] = np.abs(rng.standard_normal(c_out)) * 0.8
+            params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
+        shape = (cfg.conv.in_channels,) + hw
+        x = rng.standard_normal((n,) + shape if batched else shape)
+        ho, wo = cfg.conv.out_hw(*hw)
+        dy = rng.standard_normal((x.shape[0] if batched else 1, c_out, ho, wo))
+        ref_params = copy.deepcopy(params)
+
+        y, ctx = cg_block_forward_train(x, params, cfg, soft_gate=soft_gate)
+        g = cg_block_backward(ctx, dy)
+        y_ref, d_ref, g_ref = two_conv_block_train(x, ref_params, cfg, dy,
+                                                   soft_gate=soft_gate)
+        assert y.shape == y_ref.shape
+        assert rel_err(y, y_ref) < 1e-10
+        np.testing.assert_array_equal(ctx.d, d_ref)
+        # x, dy and the weights are O(1), so every gradient sums O(1) terms.
+        # A gradient can still cancel to ~1e-5 (G == 1 with one input tap
+        # makes BN scale-invariant in W_p), leaving only rounding of those
+        # terms; the 1e-3 floor compares such a field absolutely.
+        for name in ("dw_p", "dw_r", "dgamma", "dbeta", "ddelta", "ddelta_high",
+                     "ddelta_low", "dx"):
+            got, want = getattr(g, name), getattr(g_ref, name)
+            if want is None:
+                assert got is None, name
+                continue
+            assert got.shape == want.shape, name
+            assert rel_err(got, want, floor=1e-3) < 1e-10, name
+        for bn in ("bn1", "bn2"):
+            for stat in ("running_mean", "running_var"):
+                assert rel_err(getattr(getattr(params, bn), stat),
+                               getattr(getattr(ref_params, bn), stat)) < 1e-10, (bn, stat)
+        for stat in ("running_mean", "running_var"):
+            assert rel_err(getattr(params.gate.bn, stat),
+                           getattr(ref_params.gate.bn, stat)) < 1e-10, stat
+
+    @pytest.mark.parametrize("field,value", [("eps", 1e-3), ("momentum", 0.5)])
+    def test_bn1_and_gate_normalizer_must_agree(self, rng, field, value):
+        cfg = make_cfg()
+        params = make_params(cfg, rng)
+        setattr(params.gate.bn, field, value)
+        with pytest.raises(nn.ConfigurationError, match="gate normalizer"):
+            cg_block_forward_train(rng.standard_normal((2, 4, 4, 4)), params, cfg)
 
 
 class TestSparsityLosses:
