@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,41 +40,29 @@ class LayerRecord:
     stride: int = 1
     padding: int = 0
     dm: DecisionMap | None = None
-    counters: object = None
     x_in: np.ndarray | None = None
     w_dense: np.ndarray | None = None
 
 
-def merge_layer_records(acc, new):
-    """Concatenate two record lists from consecutive batches."""
-    if len(acc) != len(new):
-        raise ConfigurationError(
-            f"cannot merge record lists of {len(acc)} and {len(new)} layers")
-    merged = []
-    for a, b in zip(acc, new):
-        if a.name != b.name:
+def merge_layer_records(*record_lists):
+    """Concatenate the record lists of consecutive batches into one list."""
+    first = record_lists[0]
+    for other in record_lists[1:]:
+        if len(other) != len(first):
             raise ConfigurationError(
-                f"cannot merge records of layer {b.name!r} into layer {a.name!r}")
-        m = LayerRecord(a.name, a.kind, a.gated, a.c_in, a.c_out, a.kernel_size,
-                        a.groups, a.gate_kind, a.tau_c, a.h_out, a.w_out,
-                        a.n_samples + b.n_samples, a.stride, a.padding)
-        if a.dm is not None:
-            m.dm = DecisionMap(np.concatenate([a.dm.d, b.dm.d]),
-                               np.concatenate([a.dm.channel_mask, b.dm.channel_mask]))
-        if a.x_in is not None:
-            m.x_in = np.concatenate([a.x_in, b.x_in])
-            m.w_dense = a.w_dense
-        if a.counters is not None:
-            from .gating import CgLayerCost
-            c = CgLayerCost()
-            for f in ("base_macs", "cond_macs_executed", "cond_macs_total",
-                      "dense_macs", "comparisons", "weight_values_accessed",
-                      "weight_values_total", "n_samples"):
-                setattr(c, f, getattr(a.counters, f) + getattr(b.counters, f))
-            c.thresholds = a.counters.thresholds
-            merged.append(m)
-            m.counters = c
-            continue
+                f"cannot merge record lists of {len(first)} and {len(other)} layers")
+        for a, b in zip(first, other):
+            if a.name != b.name:
+                raise ConfigurationError(
+                    f"cannot merge records of layer {b.name!r} into layer {a.name!r}")
+    merged = []
+    for recs in zip(*record_lists):
+        m = replace(recs[0], n_samples=sum(r.n_samples for r in recs))
+        if m.dm is not None:
+            m.dm = DecisionMap(np.concatenate([r.dm.d for r in recs]),
+                               np.concatenate([r.dm.channel_mask for r in recs]))
+        if m.x_in is not None:
+            m.x_in = np.concatenate([r.x_in for r in recs])
         merged.append(m)
     return merged
 
@@ -165,60 +153,41 @@ class CostReport:
         }
 
 
-def _layer_flops(rec: LayerRecord):
-    """Independent per-layer MAC arithmetic from dims and decisions."""
+def cost_line(rec: LayerRecord) -> CostLine:
+    """MACs, gate comparisons and weight accesses of one layer record.
+
+    An ungated layer runs all its MACs as base work. A gated layer runs its
+    base path (c_in/G input channels) everywhere and the other channels
+    only where the effective decision is 1; it compares once per output
+    activation (twice for a band), plus once per channel with the
+    channel-wise gate, and reads W_r only for the channels that gate keeps.
+    """
     k2 = rec.kernel_size ** 2
-    pos = rec.h_out * rec.w_out
-    n = rec.n_samples
-    dense = n * rec.c_out * pos * rec.c_in * k2
+    n, pos = rec.n_samples, rec.h_out * rec.w_out
+    weights = n * rec.c_out * rec.c_in * k2
     if not rec.gated:
-        return dense, 0, 0, 0
-    base_in = rec.c_in // rec.groups
-    base = n * rec.c_out * pos * base_in * k2
-    cond_per_pos = (rec.c_in - base_in) * k2
-    executed = int(round(rec.dm.effective().sum())) * cond_per_pos
+        return CostLine(rec.name, weights * pos, 0, 0, 0, weights, weights)
+    base_k = (rec.c_in // rec.groups) * k2
+    cond_k = rec.c_in * k2 - base_k
     comparisons = n * pos * rec.c_out * (2 if rec.gate_kind == "two_sided" else 1)
     if rec.tau_c > 0.0:
         comparisons += n * rec.c_out
-    return base, executed, dense - base, comparisons
-
-
-def count_weight_accesses(records):
-    """Weight values touched per (sample, layer); returns per-layer
-    (accessed, total) pairs keyed by layer name."""
-    out = {}
-    for rec in records:
-        k2 = rec.kernel_size ** 2
-        n = rec.n_samples
-        total = n * rec.c_out * rec.c_in * k2
-        if not rec.gated:
-            out[rec.name] = (total, total)
-            continue
-        base_in = rec.c_in // rec.groups
-        w_p_vals = rec.c_out * base_in * k2
-        w_r_per_channel = (rec.c_in - base_in) * k2
-        kept_channels = int(round(rec.dm.channel_mask.sum()))
-        accessed = n * w_p_vals + kept_channels * w_r_per_channel
-        out[rec.name] = (accessed, total)
-    return out
+    return CostLine(
+        rec.name,
+        base_flops=n * rec.c_out * pos * base_k,
+        conditional_flops_executed=int(round(rec.dm.effective().sum())) * cond_k,
+        conditional_flops_total=n * rec.c_out * pos * cond_k,
+        gate_comparisons=comparisons,
+        weight_values_accessed=(n * rec.c_out * base_k
+                                + int(round(rec.dm.channel_mask.sum())) * cond_k),
+        weight_values_total=weights)
 
 
 def count_flops(records) -> CostReport:
-    """Aggregate a CostReport from layer records (independent arithmetic,
-    cross-checked against the blocks' own counters by the test suite)."""
+    """Aggregate a CostReport from layer records, one ``cost_line`` each."""
     if not records:
         raise ConfigurationError("no layer records; run a collecting forward pass first")
-    accesses = count_weight_accesses(records)
-    lines = []
-    for rec in records:
-        base, executed, cond_total, comparisons = _layer_flops(rec)
-        if not rec.gated:
-            base, executed, cond_total = base, 0, 0
-            lines.append(CostLine(rec.name, base, 0, 0, 0, *accesses[rec.name]))
-        else:
-            lines.append(CostLine(rec.name, base, executed, cond_total,
-                                  comparisons, *accesses[rec.name]))
-    return CostReport(lines, records[0].n_samples)
+    return CostReport([cost_line(rec) for rec in records], records[0].n_samples)
 
 
 def network_pruning_ratio(records):

@@ -178,6 +178,16 @@ def _load_eval_model(args, cfg, config_dir):
     return model
 
 
+def _frozen_flag(model):
+    """Whether the model's gate statistics are frozen; warns on stderr when
+    not, since eval and analyze then run on unfinished running stats."""
+    frozen = model.gates_frozen()
+    if not frozen:
+        print("cg: warning: gate statistics are not frozen; results use the "
+              "running statistics of an unfinished training run", file=sys.stderr)
+    return frozen
+
+
 def cmd_eval(args):
     from . import analysis
     from .training import evaluate
@@ -188,11 +198,13 @@ def cmd_eval(args):
     config_dir = Path(args.config).parent
     _, val_ds = _load_data(cfg, seed, config_dir)
     model = _load_eval_model(args, cfg, config_dir)
+    frozen = _frozen_flag(model)
 
     acc, _, records = evaluate(model, val_ds.images, val_ds.labels, collect=True)
     report = analysis.count_flops(records)
     analysis.write_cost_csv(out / "cost_report.csv", report)
     analysis.write_summary_json(out / "eval_summary.json", report, extra={
+        "frozen": frozen,
         "accuracy": acc,
         "pruning_ratio": analysis.network_pruning_ratio(records),
         "n_eval_samples": len(val_ds.labels)})
@@ -210,6 +222,7 @@ def cmd_analyze(args):
     config_dir = Path(args.config).parent
     _, val_ds = _load_data(cfg, seed, config_dir)
     model = _load_eval_model(args, cfg, config_dir)
+    frozen = _frozen_flag(model)
 
     n_inputs = int(cfg.get("num_inputs", 64))
     images = val_ds.images[:n_inputs]
@@ -233,6 +246,7 @@ def cmd_analyze(args):
     report = analysis.count_flops(records)
     analysis.write_cost_csv(out / "cost_report.csv", report)
     analysis.write_summary_json(out / "analyze_summary.json", report, extra={
+        "frozen": frozen,
         "correlation_means": {repr(e): corr[e]["mean"] for e in etas}})
     for e in etas:
         print(f"eta {e:.3f}: mean partial/final correlation {corr[e]['mean']:.4f}")

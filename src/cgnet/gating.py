@@ -11,8 +11,9 @@ per activation plus one per channel when the channel-wise gate is enabled.
 
 On the CPU the conditional path is not skipped: inference computes the
 full sum densely from the same im2col as the base path and selects it
-afterwards. The skipped conditional MACs are accounted in CgLayerCost,
-which is what the FLOP-reduction figures report.
+afterwards. The skipped conditional MACs are accounted by
+``analysis.count_flops`` from the decision maps the block returns, which
+is what the FLOP-reduction figures report.
 
 Weight layout:
   * w_p is (c_out, c_in/G, k, k): the grouped-conv base weights, so output
@@ -53,7 +54,6 @@ class CgLayerConfig:
     groups: int = 4
     activation: str = "relu"
     gate: str = ""
-    target_threshold: float = 2.0
     tau_c: float = 0.0
     epsilon: float = 4.0
     shuffle: bool = False
@@ -123,21 +123,6 @@ class DecisionMap:
 
 
 @dataclass
-class CgLayerCost:
-    """Raw per-layer counters, accumulated over the samples of one pass."""
-
-    base_macs: int = 0
-    cond_macs_executed: int = 0
-    cond_macs_total: int = 0
-    dense_macs: int = 0
-    comparisons: int = 0
-    thresholds: int = 0
-    weight_values_accessed: int = 0
-    weight_values_total: int = 0
-    n_samples: int = 0
-
-
-@dataclass
 class CgBlockParams:
     """Weights, dual batch norm and gate state of one gating block.
 
@@ -184,22 +169,6 @@ def complement_indices(c_in, G, i):
     per = c_in // G
     idx = [np.arange(j * per, (j + 1) * per) for j in range(G) if j != i]
     return np.concatenate(idx) if idx else np.empty(0, dtype=int)
-
-
-def split_grouped(x, G):
-    """Per-output-group views (x_p^i, x_r^i) of the input channels."""
-    xb, batched = _as_batch(x)
-    c_in = xb.shape[1]
-    if c_in % G:
-        raise ConfigurationError(f"{c_in} input channels not divisible by G={G}")
-    out = []
-    for i in range(G):
-        xp = xb[:, base_indices(c_in, G, i)]
-        xr = xb[:, complement_indices(c_in, G, i)]
-        if not batched:
-            xp, xr = xp[0], xr[0]
-        out.append((xp, xr))
-    return out
 
 
 def shuffle_permutation(c, G):
@@ -267,43 +236,33 @@ def heaviside(x):
     return (np.asarray(x, dtype=np.float64) >= 0.0).astype(np.float64)
 
 
-def _threshold_decisions(xhat, gate: GateState, cfg: CgLayerConfig):
-    if cfg.gate == "single_sided":
-        return heaviside(xhat - _per_channel(gate.delta))
-    return (heaviside(_per_channel(gate.delta_high) - xhat)
-            * heaviside(xhat - _per_channel(gate.delta_low)))
+def gate_bounds(gate: GateState, kind):
+    """(lo, hi) thresholds of a gate: (delta, None) for the one-sided gate,
+    (delta_low, delta_high) for the two-sided band."""
+    if kind == "single_sided":
+        return gate.delta, None
+    return gate.delta_low, gate.delta_high
 
 
-def gate_forward(partial_sum, gate: GateState, cfg: CgLayerConfig,
-                 training=True, update_running=True):
-    """Binary decisions from the base-path partial sum.
-
-    Training mode normalizes with the affine-free gate BN (batch
-    statistics) and thresholds; inference mode uses the merged gate.
-    """
-    if not training:
-        return merged_gate(partial_sum, gate, cfg)
-    xb, batched = _as_batch(partial_sum)
-    xhat, _ = bn_forward(xb, gate.bn, training=True, affine=False,
-                         update_running=update_running)
-    d = _threshold_decisions(xhat, gate, cfg)
-    return d if batched else d[0]
+def _threshold_decisions(x, lo, hi=None):
+    """theta(x - lo), times theta(hi - x) for a band; lo and hi are
+    per-channel thresholds."""
+    d = heaviside(x - _per_channel(lo))
+    if hi is not None:
+        d *= heaviside(_per_channel(hi) - x)
+    return d
 
 
-def merged_gate(partial_sum, gate: GateState, cfg: CgLayerConfig = None):
+def merged_gate(partial_sum, gate: GateState, cfg: CgLayerConfig):
     """Inference gate with the normalizer folded into the thresholds:
-    d = theta(x - delta*sqrt(Var+eps) - E), per output channel."""
+    d = theta(x - delta*sqrt(Var+eps) - E), per output channel; the edges
+    of a two-sided band fold the same way."""
     xb, batched = _as_batch(partial_sum)
     sigma = np.sqrt(gate.bn.running_var + gate.bn.eps)
     mean = gate.bn.running_mean
-    two_sided = gate.delta_high is not None and (cfg is None or cfg.gate == "two_sided")
-    if two_sided:
-        hi = _per_channel(gate.delta_high * sigma + mean)
-        lo = _per_channel(gate.delta_low * sigma + mean)
-        d = heaviside(hi - xb) * heaviside(xb - lo)
-    else:
-        thr = _per_channel(gate.delta * sigma + mean)
-        d = heaviside(xb - thr)
+    lo, hi = gate_bounds(gate, cfg.gate)
+    d = _threshold_decisions(xb, lo * sigma + mean,
+                             None if hi is None else hi * sigma + mean)
     return d if batched else d[0]
 
 
@@ -318,43 +277,9 @@ def channel_gate(d, tau_c):
     return heaviside(taken - tau_c * hw)
 
 
-def pruning_ratio(dm: DecisionMap):
-    """Fraction of output activations whose conditional path is skipped."""
-    return float(1.0 - dm.effective().mean())
-
-
 # ---------------------------------------------------------------------------
 # Block forward (inference)
 # ---------------------------------------------------------------------------
-
-def _count_cost(cfg: CgLayerConfig, d_eff, channel_mask, n, ho, wo):
-    spec = cfg.conv
-    G = cfg.groups
-    k2 = spec.kernel_size ** 2
-    c_in, c_out = spec.in_channels, spec.out_channels
-    base_per_pos = (c_in // G) * k2
-    cond_per_pos = (c_in - c_in // G) * k2
-    pos = ho * wo
-    cost = CgLayerCost(n_samples=n)
-    cost.base_macs = n * c_out * pos * base_per_pos
-    cost.cond_macs_total = n * c_out * pos * cond_per_pos
-    cost.dense_macs = n * c_out * pos * c_in * k2
-    cost.cond_macs_executed = int(round(d_eff.sum())) * cond_per_pos
-    gate_cmp = pos * c_out
-    if cfg.gate == "two_sided":
-        gate_cmp *= 2
-    cost.comparisons = n * gate_cmp
-    cost.thresholds = c_out * (2 if cfg.gate == "two_sided" else 1)
-    if cfg.tau_c > 0.0:
-        cost.comparisons += n * c_out
-        cost.thresholds += 1
-    w_p_vals = c_out * (c_in // G) * k2
-    w_r_per_channel = (c_in - c_in // G) * k2
-    cost.weight_values_total = n * c_out * c_in * k2
-    cost.weight_values_accessed = (n * w_p_vals
-                                   + int(round(channel_mask.sum())) * w_r_per_channel)
-    return cost
-
 
 def shared_im2col_sums(xb, params: CgBlockParams, cfg: CgLayerConfig):
     """One padded im2col of the batch ``xb`` feeding two GEMMs.
@@ -388,26 +313,23 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
                                require_frozen=True):
     """Gated inference forward pass.
 
-    Returns (y, DecisionMap, CgLayerCost). Where the effective decision is
-    0 the output is f(BN1(base partial sum)); where it is 1 it is
-    f(BN2(full sum)). The channel-wise gate zeroes whole channels'
-    conditional work and their W_r accesses. Decision maps and counters
-    refer to pre-shuffle channel order.
+    Returns (y, DecisionMap). Where the effective decision is 0 the output
+    is f(BN1(base partial sum)); where it is 1 it is f(BN2(full sum)). The
+    channel-wise gate zeroes whole channels' conditional work and their
+    W_r accesses. Decision maps refer to pre-shuffle channel order.
 
     One padded im2col of the input feeds two GEMMs: the base partial sums
     (one batched matmul of each output group's W_p rows against its input
     group's rows) and the full sum (the dense kernel reassembled from
     W_p and W_r). The full sum is computed at every position and selected
-    afterwards, so the skipped conditional MACs are accounted in
-    CgLayerCost but not skipped on the CPU.
+    afterwards, so the skipped conditional MACs are accounted by
+    ``analysis.count_flops`` but not skipped on the CPU.
     """
     if require_frozen and not params.gate.frozen:
         raise StateError("inference requires frozen gate/BN statistics "
                          "(train first or load a finalized checkpoint)")
     xb, batched = _as_batch(x)
     _, _, p, full = shared_im2col_sums(xb, params, cfg)
-    n, _, ho, wo = p.shape
-
     d = merged_gate(p, params.gate, cfg)
     mask = channel_gate(d, cfg.tau_c) if cfg.tau_c > 0.0 else np.ones(d.shape[:2])
     dm = DecisionMap(d, mask)
@@ -419,8 +341,7 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
     y = activation(pre, cfg.activation)
     if cfg.shuffle:
         y = channel_shuffle(y, cfg.groups)
-    cost = _count_cost(cfg, d_eff, mask, n, ho, wo)
     if not batched:
         y = y[0]
         dm = DecisionMap(dm.d[0], dm.channel_mask[0])
-    return y, dm, cost
+    return y, dm

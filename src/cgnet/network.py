@@ -3,8 +3,9 @@
 A network is an ordered list of layers, each owning its parameters,
 gradient buffers and optimizer velocities. Training uses the layers'
 ``forward_train``/``backward`` pair; evaluation uses ``forward_infer``,
-which can collect per-layer records (dims, decision maps, counters,
-optionally captured inputs) for the analysis and performance models.
+which returns ``(y, records)``: a list of per-layer records (dims,
+decision maps, optionally captured inputs) for the analysis and
+performance models, empty unless collecting.
 """
 
 from __future__ import annotations
@@ -77,17 +78,16 @@ class ConvBlock:
         y = activation(y, self.act)
         if self.shuffle_groups:
             y = channel_shuffle(y, self.shuffle_groups)
-        rec = None
-        if collect:
-            rec = analysis.LayerRecord(
-                name=self.name, kind="conv", gated=False,
-                c_in=self.spec.in_channels, c_out=self.spec.out_channels,
-                kernel_size=self.spec.kernel_size, groups=1, gate_kind="",
-                tau_c=0.0, h_out=h_out, w_out=w_out, n_samples=n,
-                stride=self.spec.stride, padding=self.spec.padding,
-                x_in=np.asarray(x) if capture else None,
-                w_dense=self.w if capture and self.spec.groups == 1 else None)
-        return y, rec
+        if not collect:
+            return y, []
+        return y, [analysis.LayerRecord(
+            name=self.name, kind="conv", gated=False,
+            c_in=self.spec.in_channels, c_out=self.spec.out_channels,
+            kernel_size=self.spec.kernel_size, groups=1, gate_kind="",
+            tau_c=0.0, h_out=h_out, w_out=w_out, n_samples=n,
+            stride=self.spec.stride, padding=self.spec.padding,
+            x_in=np.asarray(x) if capture else None,
+            w_dense=self.w if capture and self.spec.groups == 1 else None)]
 
     def param_groups(self):
         return [(f"{self.name}.w", self.w, self.g_w, True),
@@ -150,25 +150,23 @@ class CgConvBlock:
         return g.dx
 
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
-        y, dm, cost = gating.cg_block_forward_inference(
+        y, dm = gating.cg_block_forward_inference(
             x, self.params, self.cfg, require_frozen=require_frozen)
-        rec = None
-        if collect:
-            xb = np.asarray(x)
-            spec = self.cfg.conv
-            rec = analysis.LayerRecord(
-                name=self.name, kind="cg_conv", gated=True,
-                c_in=spec.in_channels, c_out=spec.out_channels,
-                kernel_size=spec.kernel_size, groups=self.cfg.groups,
-                gate_kind=self.cfg.gate, tau_c=self.cfg.tau_c,
-                h_out=dm.d.shape[-2], w_out=dm.d.shape[-1],
-                n_samples=xb.shape[0] if xb.ndim == 4 else 1,
-                stride=spec.stride, padding=spec.padding,
-                dm=dm, counters=cost,
-                x_in=xb if capture else None,
-                w_dense=assemble_dense_weight(self.params.w_p, self.params.w_r,
-                                              self.cfg.groups) if capture else None)
-        return y, rec
+        if not collect:
+            return y, []
+        xb = np.asarray(x)
+        spec = self.cfg.conv
+        return y, [analysis.LayerRecord(
+            name=self.name, kind="cg_conv", gated=True,
+            c_in=spec.in_channels, c_out=spec.out_channels,
+            kernel_size=spec.kernel_size, groups=self.cfg.groups,
+            gate_kind=self.cfg.gate, tau_c=self.cfg.tau_c,
+            h_out=dm.d.shape[-2], w_out=dm.d.shape[-1],
+            n_samples=xb.shape[0] if xb.ndim == 4 else 1,
+            stride=spec.stride, padding=spec.padding, dm=dm,
+            x_in=xb if capture else None,
+            w_dense=assemble_dense_weight(self.params.w_p, self.params.w_r,
+                                          self.cfg.groups) if capture else None)]
 
     def param_groups(self):
         groups = [(f"{self.name}.w_p", self.params.w_p, self.g_w_p, True),
@@ -223,7 +221,21 @@ class CgConvBlock:
         return blk
 
 
-class MaxPool:
+class ParameterFreeLayer:
+    """A layer without parameters or state: empty parameter groups, no
+    gradients to zero and nothing to checkpoint."""
+
+    def param_groups(self):
+        return []
+
+    def zero_grads(self):
+        pass
+
+    def state_items(self):
+        return []
+
+
+class MaxPool(ParameterFreeLayer):
     def __init__(self, k=2, name="maxpool"):
         self.k, self.name = k, name
 
@@ -236,16 +248,7 @@ class MaxPool:
 
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
         y, _ = maxpool2d_forward(x, self.k)
-        return y, None
-
-    def param_groups(self):
-        return []
-
-    def zero_grads(self):
-        pass
-
-    def state_items(self):
-        return []
+        return y, []
 
 
 class AvgPool(MaxPool):
@@ -258,10 +261,10 @@ class AvgPool(MaxPool):
 
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
         y, _ = avgpool2d_forward(x, self.k)
-        return y, None
+        return y, []
 
 
-class Flatten:
+class Flatten(ParameterFreeLayer):
     def __init__(self, name="flatten"):
         self.name = name
 
@@ -273,16 +276,7 @@ class Flatten:
         return dy.reshape(self._shape)
 
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
-        return x.reshape(x.shape[0], -1), None
-
-    def param_groups(self):
-        return []
-
-    def zero_grads(self):
-        pass
-
-    def state_items(self):
-        return []
+        return x.reshape(x.shape[0], -1), []
 
 
 class LinearHead:
@@ -307,14 +301,13 @@ class LinearHead:
 
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
         y, _ = linear_forward(x, self.w)
-        rec = None
-        if collect:
-            rec = analysis.LayerRecord(
-                name=self.name, kind="linear", gated=False,
-                c_in=self.in_features, c_out=self.out_features,
-                kernel_size=1, groups=1, gate_kind="", tau_c=0.0,
-                h_out=1, w_out=1, n_samples=x.shape[0])
-        return y, rec
+        if not collect:
+            return y, []
+        return y, [analysis.LayerRecord(
+            name=self.name, kind="linear", gated=False,
+            c_in=self.in_features, c_out=self.out_features,
+            kernel_size=1, groups=1, gate_kind="", tau_c=0.0,
+            h_out=1, w_out=1, n_samples=x.shape[0])]
 
     def param_groups(self):
         return [(f"{self.name}.w", self.w, self.g_w, True)]
@@ -348,21 +341,15 @@ class ResidualBlock:
         return dx + dsc
 
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
-        recs = []
-        h, r = self.a.forward_infer(x, collect, capture, require_frozen)
-        if r is not None:
-            recs.append(r)
+        h, recs = self.a.forward_infer(x, collect, capture, require_frozen)
         h, r = self.b.forward_infer(h, collect, capture, require_frozen)
-        if r is not None:
-            recs.append(r)
+        recs += r
         if self.shortcut is None:
             sc = x
         else:
             sc, r = self.shortcut.forward_infer(x, collect, capture, require_frozen)
-            if r is not None:
-                recs.append(r)
-        y = activation(h + sc, "relu")
-        return y, (recs if collect else None)
+            recs += r
+        return activation(h + sc, "relu"), recs
 
     def sublayers(self):
         subs = [self.a, self.b]
@@ -404,14 +391,10 @@ class Network:
         return d
 
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
-        records = [] if collect else None
+        records = []
         for layer in self.layers:
-            x, rec = layer.forward_infer(x, collect, capture, require_frozen)
-            if collect and rec is not None:
-                if isinstance(rec, list):
-                    records.extend(rec)
-                else:
-                    records.append(rec)
+            x, recs = layer.forward_infer(x, collect, capture, require_frozen)
+            records += recs
         return x, records
 
     # -- parameters ----------------------------------------------------------
@@ -456,6 +439,10 @@ class Network:
             else:
                 vals.append(0.5 * (gate.delta_high - gate.delta_low))
         return float(np.concatenate(vals).mean()) if vals else 0.0
+
+    def gates_frozen(self):
+        """Whether every gate's statistics are frozen (True without gates)."""
+        return all(layer.params.gate.frozen for layer in self.gated_layers())
 
     def freeze_gates(self):
         for layer in self.gated_layers():
@@ -521,9 +508,7 @@ class Network:
         items = []
         for layer in self.layers:
             items.extend(layer.state_items())
-        frozen = all(l.params.gate.frozen for l in self.gated_layers()) \
-            if self.gated_layers() else True
-        items.append(("__frozen__", np.array([1 if frozen else 0], dtype=np.int64)))
+        items.append(("__frozen__", np.array([int(self.gates_frozen())], dtype=np.int64)))
         return items
 
     def load_state_tensors(self, tensors):
@@ -559,7 +544,6 @@ def _cg_config(spec, layer_cfg, defaults):
         groups=int(get("groups", 4)),
         activation=get("activation", "relu"),
         gate=get("gate", ""),
-        target_threshold=float(get("target_threshold", 2.0)),
         tau_c=float(get("tau_c", 0.0)),
         epsilon=float(get("epsilon", 4.0)),
         shuffle=bool(get("shuffle", False)),

@@ -1,9 +1,9 @@
 """Minimal numeric substrate for the channel gating engine.
 
-Dense and grouped 2-D convolution (im2col fast path plus a naive
-direct-loop reference that serves as the correctness oracle), batch
-normalization, activations, pooling, fully-connected layers,
-softmax / cross-entropy, and SGD with momentum.
+Dense and grouped 2-D convolution via im2col (the test suite checks it
+against a naive direct-loop oracle), batch normalization, activations,
+pooling, fully-connected layers, softmax / cross-entropy, and SGD with
+momentum.
 
 Conventions:
   * everything is float64 numpy;
@@ -17,7 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -187,35 +187,6 @@ def conv2d_backward(ctx: ConvCtx, dy):
     return dx, dw
 
 
-def conv2d_reference(x, w, spec: ConvSpec):
-    """Naive direct-loop convolution. Slow; the oracle for conv2d."""
-    xb, batched = _as_batch(x)
-    w = np.asarray(w, dtype=np.float64)
-    _check_conv(xb, w, spec)
-    n, c, h, wd = xb.shape
-    k, s, p, g = spec.kernel_size, spec.stride, spec.padding, spec.groups
-    ho, wo = spec.out_hw(h, wd)
-    cg_in = c // g
-    cg_out = spec.out_channels // g
-    y = np.zeros((n, spec.out_channels, ho, wo))
-    for ni in range(n):
-        for oc in range(spec.out_channels):
-            gi = oc // cg_out
-            for oy in range(ho):
-                for ox in range(wo):
-                    acc = 0.0
-                    for ic in range(cg_in):
-                        for ky in range(k):
-                            for kx in range(k):
-                                iy = oy * s + ky - p
-                                ix = ox * s + kx - p
-                                if 0 <= iy < h and 0 <= ix < wd:
-                                    acc += (xb[ni, gi * cg_in + ic, iy, ix]
-                                            * w[oc, ic, ky, kx])
-                    y[ni, oc, oy, ox] = acc
-    return y if batched else y[0]
-
-
 # ---------------------------------------------------------------------------
 # Batch normalization
 # ---------------------------------------------------------------------------
@@ -289,11 +260,13 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True,
         if count == 0:
             raise DegenerateInputError("batch normalization over zero elements per channel")
         mean = xb.mean(axis=(0, 2, 3))
-        var = xb.var(axis=(0, 2, 3))
+        # the centred batch gives the variance and, scaled in place, xhat
+        xhat = xb - _per_channel(mean)
+        var = (xhat * xhat).mean(axis=(0, 2, 3))
         if update_running:
             bn_update_running(st, mean, var)
         inv_std = 1.0 / np.sqrt(var + st.eps)
-        xhat = (xb - _per_channel(mean)) * _per_channel(inv_std)
+        xhat *= _per_channel(inv_std)
         y = _per_channel(st.gamma) * xhat + _per_channel(st.beta) if affine else xhat
         if want_ctx:
             ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
@@ -313,12 +286,6 @@ def bn_update_running(st: BatchNormState, mean, var):
     m = st.momentum
     st.running_mean[:] = m * st.running_mean + (1.0 - m) * mean
     st.running_var[:] = m * st.running_var + (1.0 - m) * var
-
-
-def batchnorm_forward(x, st: BatchNormState, training=False, affine=True,
-                      update_running=True):
-    y, _ = bn_forward(x, st, training, affine, update_running)
-    return y
 
 
 def batchnorm_backward(ctx: BnCtx, dy):
@@ -341,15 +308,6 @@ def batchnorm_backward(ctx: BnCtx, dy):
     if ctx.gamma is None:
         return dx, None, None
     return dx, sum_dy_xhat, sum_dy
-
-
-def bn_inference_affine(st: BatchNormState, gamma=None, beta=None):
-    """Per-channel (scale, shift) of the frozen-stats BN transform."""
-    g = st.gamma if gamma is None else gamma
-    b = st.beta if beta is None else beta
-    scale = g / np.sqrt(st.running_var + st.eps)
-    shift = b - st.running_mean * scale
-    return scale, shift
 
 
 # ---------------------------------------------------------------------------

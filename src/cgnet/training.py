@@ -28,11 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
-                     assemble_dense_weight, shared_im2col_sums, split_dense_weight)
-from .nn import (ConfigurationError, StateError, _as_batch, _per_channel,
+                     assemble_dense_weight, gate_bounds, shared_im2col_sums,
+                     split_dense_weight)
+from .nn import (ConfigurationError, StateError, _as_batch, _per_channel, accuracy,
                  activation, activation_grad, batchnorm_backward, bn_forward,
-                 bn_update_running, col2im, sigmoid, softmax)
+                 bn_update_running, col2im, cross_entropy, sigmoid, softmax)
 
 
 class TrainingDiverged(RuntimeError):
@@ -148,7 +150,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
     xhat_full, bn2_ctx = bn_forward(full, params.bn2, training=True,
                                     update_running=update_running, want_ctx=True)
 
-    d = _threshold_decisions(xhat_g, params.gate, cfg)
+    d = _threshold_decisions(xhat_g, *gate_bounds(params.gate, cfg.gate))
     stilde, sig_parts = _surrogate(xhat_g, params, cfg)
     mask = stilde if soft_gate else d
 
@@ -354,24 +356,19 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
 
 
 def evaluate(model, images, labels, batch_size=256, collect=False):
-    """Inference-mode accuracy plus (optionally) per-layer records."""
-    from .nn import accuracy
+    """Inference-mode accuracy plus (optionally) per-layer records; the
+    batches' record lists are merged once at the end."""
     n = images.shape[0]
     logits_all = []
-    records = None
+    record_lists = []
     for i in range(0, n, batch_size):
         logits, recs = model.forward_infer(images[i:i + batch_size],
                                            collect=collect, require_frozen=False)
         logits_all.append(logits)
-        if collect:
-            records = recs if records is None else _merge_records(records, recs)
+        record_lists.append(recs)
+    records = analysis.merge_layer_records(*record_lists) if collect else None
     logits = np.concatenate(logits_all, axis=0)
     return accuracy(logits, labels), logits, records
-
-
-def _merge_records(acc, new):
-    from .analysis import merge_layer_records
-    return merge_layer_records(acc, new)
 
 
 def train_network(model, train_images, train_labels, val_images, val_labels,
@@ -383,9 +380,6 @@ def train_network(model, train_images, train_labels, val_images, val_labels,
     partial sums); the sparsity weight warms up linearly; gate/BN running
     statistics are frozen when training ends.
     """
-    from . import analysis
-    from .nn import cross_entropy
-
     if loss_cfg.kd_enabled and teacher is None:
         raise ConfigurationError("KD enabled but no teacher model supplied")
     n = train_images.shape[0]

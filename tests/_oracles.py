@@ -53,6 +53,59 @@ def pearson(a, b):
     return float((am @ bm) / np.sqrt((am @ am) * (bm @ bm)))
 
 
+def conv2d_reference(x, w, spec):
+    """Naive direct-loop grouped convolution; the oracle for ``nn.conv2d``."""
+    xb, batched = nn._as_batch(x)
+    n, c, h, wd = xb.shape
+    k, s, p, g = spec.kernel_size, spec.stride, spec.padding, spec.groups
+    ho, wo = spec.out_hw(h, wd)
+    cg_in = c // g
+    cg_out = spec.out_channels // g
+    y = np.zeros((n, spec.out_channels, ho, wo))
+    for ni in range(n):
+        for oc in range(spec.out_channels):
+            gi = oc // cg_out
+            for oy in range(ho):
+                for ox in range(wo):
+                    acc = 0.0
+                    for ic in range(cg_in):
+                        for ky in range(k):
+                            for kx in range(k):
+                                iy = oy * s + ky - p
+                                ix = ox * s + kx - p
+                                if 0 <= iy < h and 0 <= ix < wd:
+                                    acc += (xb[ni, gi * cg_in + ic, iy, ix]
+                                            * w[oc, ic, ky, kx])
+                    y[ni, oc, oy, ox] = acc
+    return y if batched else y[0]
+
+
+def bn_inference_affine(st):
+    """Per-channel (scale, shift) of the frozen-stats BN transform."""
+    scale = st.gamma / np.sqrt(st.running_var + st.eps)
+    return scale, st.beta - st.running_mean * scale
+
+
+def split_grouped(x, G):
+    """Per-output-group views (x_p^i, x_r^i) of the input channels: input
+    group i and, in ascending order, all the others."""
+    xb, batched = nn._as_batch(x)
+    c_in = xb.shape[1]
+    if c_in % G:
+        raise nn.ConfigurationError(f"{c_in} input channels not divisible by G={G}")
+    out = []
+    for i in range(G):
+        xp = xb[:, gating.base_indices(c_in, G, i)]
+        xr = xb[:, gating.complement_indices(c_in, G, i)]
+        out.append((xp, xr) if batched else (xp[0], xr[0]))
+    return out
+
+
+def pruning_ratio(dm):
+    """Fraction of output activations whose conditional path is skipped."""
+    return float(1.0 - dm.effective().mean())
+
+
 def conditional_weight_scatter(w_r, G, c_in):
     """Embed W_r into a dense (c_out, c_in, k, k) kernel with zero blocks at
     each output group's base columns; conv with it computes the whole
@@ -71,9 +124,12 @@ def dense_masked_block_forward(x, params, cfg):
 
     The base partial sum is a grouped ``conv2d`` on W_p, the conditional
     path a dense ``conv2d`` on W_r scattered into a kernel with zero blocks
-    at each output group's base columns; both BN branches are evaluated
-    everywhere and ``np.where`` selects between them. Returns
-    (y, DecisionMap, CgLayerCost) like ``cg_block_forward_inference``.
+    at each output group's base columns. The gate compares the partial sum
+    with ``delta*sqrt(var+eps)+mean`` of the frozen gate statistics (both
+    band edges for a two-sided gate); both BN branches are evaluated
+    everywhere and ``np.where`` selects between them. Returns (y,
+    DecisionMap, costs), with costs a dict keyed by ``CostLine`` field
+    names, counted here from the decisions.
     """
     xb, batched = nn._as_batch(x)
     spec = cfg.conv
@@ -87,8 +143,21 @@ def dense_masked_block_forward(x, params, cfg):
     else:
         r = np.zeros_like(p)
 
-    d = gating.merged_gate(p, params.gate, cfg)
-    mask = gating.channel_gate(d, cfg.tau_c) if cfg.tau_c > 0.0 else np.ones((n, c_out))
+    gate = params.gate
+    sigma = np.sqrt(gate.bn.running_var + gate.bn.eps)
+
+    def threshold(delta):
+        return (delta * sigma + gate.bn.running_mean)[:, None, None]
+
+    if cfg.gate == "single_sided":
+        take = p >= threshold(gate.delta)
+    else:
+        take = (p >= threshold(gate.delta_low)) & (p <= threshold(gate.delta_high))
+    d = take.astype(np.float64)
+    if cfg.tau_c > 0.0:
+        mask = (d.sum(axis=(2, 3)) >= cfg.tau_c * ho * wo).astype(np.float64)
+    else:
+        mask = np.ones((n, c_out))
     d_eff = d * mask[..., None, None]
 
     def bn(v, st):
@@ -106,19 +175,17 @@ def dense_masked_block_forward(x, params, cfg):
     k2 = k * k
     base_in, cond_in = c_in // G, c_in - c_in // G
     acts = n * c_out * ho * wo
-    cost = gating.CgLayerCost(
-        base_macs=acts * base_in * k2,
-        cond_macs_executed=int(d_eff.sum()) * cond_in * k2,
-        cond_macs_total=acts * cond_in * k2,
-        dense_macs=acts * c_in * k2,
-        comparisons=acts * two + n * c_out * channel,
-        thresholds=c_out * two + channel,
-        weight_values_accessed=(n * c_out * base_in * k2
-                                + int(mask.sum()) * cond_in * k2),
-        weight_values_total=n * c_out * c_in * k2,
-        n_samples=n)
+    costs = {
+        "base_flops": acts * base_in * k2,
+        "conditional_flops_executed": int(d_eff.sum()) * cond_in * k2,
+        "conditional_flops_total": acts * cond_in * k2,
+        "gate_comparisons": acts * two + n * c_out * channel,
+        "weight_values_accessed": (n * c_out * base_in * k2
+                                   + int(mask.sum()) * cond_in * k2),
+        "weight_values_total": n * c_out * c_in * k2,
+    }
     dm = gating.DecisionMap(d, mask) if batched else gating.DecisionMap(d[0], mask[0])
-    return (y if batched else y[0]), dm, cost
+    return (y if batched else y[0]), dm, costs
 
 
 def _masked_sigmoid(z):

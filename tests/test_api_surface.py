@@ -1,0 +1,54 @@
+"""Every public name in ``src/cgnet`` has a caller outside the test suite.
+
+A public top-level function or class, or a public method, that neither the
+package nor the benchmark harness uses is either dead or serves only the
+tests; test-only helpers belong in ``tests/_oracles.py``. A name counts as
+used when it appears as a name or an attribute anywhere in ``src/cgnet`` or
+``cgbench``; its own definition does not count.
+"""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "cgnet"
+USERS = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "cgbench").glob("*.py"))
+
+# The format writers sit beside their loaders in cgnet.data and define the
+# on-disk formats the loaders read; the tests round-trip through them.
+EXEMPT = {"write_idx_file", "write_raw_chw"}
+
+
+def public_definitions(path):
+    """(qualified name, name) of public top-level functions and classes and
+    of public methods of top-level classes."""
+    tree = ast.parse(path.read_text())
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def used_names():
+    names = set()
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    used = used_names()
+    unused = [f"{path.stem}.{qual}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qual, name in public_definitions(path)
+              if name not in used and name not in EXEMPT]
+    assert not unused, f"public names nothing in src/cgnet or cgbench uses: {unused}"

@@ -129,6 +129,33 @@ class TestEval:
         assert "checkpoint" in r.stderr and "not found" in r.stderr
 
 
+class TestFrozenFlag:
+    def test_frozen_checkpoint_recorded(self, tiny_run, tmp_path):
+        cfg = eval_cfg(tiny_run, tmp_path, num_inputs=16, etas=[0.5, 1.0])
+        r = run_cg(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")], cwd=REPO)
+        assert r.returncode == 0, r.stderr
+        assert "warning" not in r.stderr
+        assert json.loads((tmp_path / "e" / "eval_summary.json").read_text())["frozen"] is True
+
+    def test_unfrozen_checkpoint_warns_and_is_recorded(self, tmp_path):
+        from cgnet import checkpoint
+        from cgnet.network import build_model
+        model = build_model(json.loads(TINY.read_text())["model"],
+                            np.random.default_rng(4))
+        ckpt = tmp_path / "unfrozen.cgn"
+        checkpoint.save_model(ckpt, model)
+        cfg = eval_cfg(tmp_path, tmp_path, checkpoint=str(ckpt), num_inputs=16,
+                       etas=[0.5, 1.0])
+        for cmd, summary in (("eval", "eval_summary.json"),
+                             ("analyze", "analyze_summary.json")):
+            out = tmp_path / cmd
+            r = run_cg([cmd, "--config", str(cfg), "--out", str(out)], cwd=REPO)
+            assert r.returncode == 0, r.stderr
+            warnings = [line for line in r.stderr.splitlines() if "not frozen" in line]
+            assert len(warnings) == 1, r.stderr
+            assert json.loads((out / summary).read_text())["frozen"] is False
+
+
 class TestAnalyzePerf:
     def test_analyze_writes_artifacts(self, tiny_run, tmp_path):
         cfg = eval_cfg(tiny_run, tmp_path, num_inputs=16, etas=[0.5, 1.0])

@@ -1,20 +1,22 @@
 """Gating block: gate variants, grouping, decision maps, inference path."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgnet import gating, nn
+from cgnet import analysis, gating, nn
 from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap, GateState,
                           assemble_dense_weight, channel_gate, channel_shuffle,
                           cg_block_forward_inference, complement_indices,
-                          gate_forward, heaviside, merged_gate, pruning_ratio,
-                          shuffle_permutation, split_dense_weight, split_grouped)
+                          heaviside, merged_gate, shuffle_permutation,
+                          split_dense_weight)
 from cgnet.nn import ConfigurationError, ConvSpec, StateError
 
-from _oracles import conditional_weight_scatter, dense_masked_block_forward, rel_err
+from _oracles import (conditional_weight_scatter, dense_masked_block_forward,
+                      pruning_ratio, rel_err, split_grouped)
 
 
 def make_cfg(c_in=8, c_out=8, k=3, G=4, act="relu", tau_c=0.0, shuffle=False,
@@ -33,6 +35,27 @@ def make_params(cfg, rng, randomize_stats=True):
         p.beta[:] = rng.standard_normal(len(p.beta)) * 0.2
     p.gate.frozen = True
     return p
+
+
+def block_costs(dm, cfg):
+    """``count_flops`` on a record built from the block's decision map, as a
+    dict keyed like the oracle's costs."""
+    spec = cfg.conv
+    rec = analysis.LayerRecord(
+        name="L", kind="cg_conv", gated=True, c_in=spec.in_channels,
+        c_out=spec.out_channels, kernel_size=spec.kernel_size, groups=cfg.groups,
+        gate_kind=cfg.gate, tau_c=cfg.tau_c, h_out=dm.d.shape[-2],
+        w_out=dm.d.shape[-1], n_samples=dm.d.shape[0] if dm.d.ndim == 4 else 1,
+        dm=dm)
+    costs = asdict(analysis.count_flops([rec]).lines[0])
+    del costs["name"]
+    return costs
+
+
+def train_gate(p, gate, cfg):
+    """Training-mode decisions: batch-normalize p, then threshold."""
+    xhat, _ = nn.bn_forward(p, gate.bn, training=True, affine=False)
+    return gating._threshold_decisions(xhat, *gating.gate_bounds(gate, cfg.gate))
 
 
 class TestSplitGrouped:
@@ -93,25 +116,17 @@ class TestGateForward:
         gate = GateState.create(cfg)
         p = rng.standard_normal((2, 8, 4, 4))
         gate.delta[:] = -1e6
-        assert gate_forward(p, gate, cfg).min() == 1.0
+        assert train_gate(p, gate, cfg).min() == 1.0
         gate.delta[:] = 1e6
-        assert gate_forward(p, gate, cfg).max() == 0.0
+        assert train_gate(p, gate, cfg).max() == 0.0
 
     def test_monte_carlo_take_fraction(self, rng):
         # P(x >= Delta) with Delta=0 on normalized partials is one half
         cfg = make_cfg(c_out=4)
         gate = GateState.create(CgLayerConfig(ConvSpec(8, 4, 3), groups=4))
         p = rng.standard_normal((100, 4, 25, 10))  # 10^5 values per channel
-        d = gate_forward(p, gate, cfg)
+        d = train_gate(p, gate, cfg)
         assert abs(d.mean() - 0.5) < 0.02
-
-    def test_inference_mode_is_merged_gate(self, rng):
-        cfg = make_cfg()
-        params = make_params(cfg, rng)
-        p = rng.standard_normal((3, 8, 5, 5))
-        np.testing.assert_array_equal(
-            gate_forward(p, params.gate, cfg, training=False),
-            merged_gate(p, params.gate, cfg))
 
 
 class TestMergedGate:
@@ -156,7 +171,7 @@ class TestMergedGate:
         x = np.array([[[[-1.0, -0.5, 0.0, 0.5, 1.0]]]] * 1).reshape(1, 1, 1, 5)
         g2 = GateState(np.zeros(1), nn.BatchNormState.create(1),
                        delta_high=np.array([0.5]), delta_low=np.array([-0.5]))
-        d = merged_gate(x, g2)
+        d = merged_gate(x, g2, cfg)
         # eps shifts the +/-0.5 thresholds outward by ~2.5e-6, boundaries taken
         np.testing.assert_array_equal(d.ravel(), [0, 1, 1, 1, 0])
 
@@ -234,15 +249,16 @@ class TestBlockInference:
         params = make_params(cfg, rng)
         params.gate.delta[:] = -1e6
         x = rng.standard_normal((2, 8, 6, 6))
-        y, dm, cost = cg_block_forward_inference(x, params, cfg)
+        y, dm = cg_block_forward_inference(x, params, cfg)
         w = assemble_dense_weight(params.w_p, params.w_r, cfg.groups)
         full = nn.conv2d(x, w, cfg.conv)
-        ref = nn.batchnorm_forward(full, params.bn2)
+        ref = nn.bn_forward(full, params.bn2)[0]
         ref = nn.activation(ref, "relu")
         assert rel_err(y, ref) < 1e-5
         assert dm.d.min() == 1.0
-        assert cost.cond_macs_executed == cost.cond_macs_total
-        assert cost.cond_macs_total == cost.dense_macs - cost.base_macs
+        cost = block_costs(dm, cfg)
+        assert cost == dense_masked_block_forward(x, params, cfg)[2]
+        assert cost["conditional_flops_executed"] == cost["conditional_flops_total"]
 
     def test_none_take_limit_matches_grouped(self, rng):
         # Delta = +1e6: y == f(BN1(grouped conv)), zero conditional FLOPs
@@ -250,12 +266,14 @@ class TestBlockInference:
         params = make_params(cfg, rng)
         params.gate.delta[:] = 1e6
         x = rng.standard_normal((2, 8, 6, 6))
-        y, dm, cost = cg_block_forward_inference(x, params, cfg)
+        y, dm = cg_block_forward_inference(x, params, cfg)
         grouped = nn.conv2d(x, params.w_p,
                             ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
-        ref = nn.activation(nn.batchnorm_forward(grouped, params.bn1), "relu")
+        ref = nn.activation(nn.bn_forward(grouped, params.bn1)[0], "relu")
         assert rel_err(y, ref) < 1e-5
-        assert cost.cond_macs_executed == 0
+        cost = block_costs(dm, cfg)
+        assert cost == dense_masked_block_forward(x, params, cfg)[2]
+        assert cost["conditional_flops_executed"] == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scalar_per_activation_oracle(self, seed):
@@ -269,7 +287,7 @@ class TestBlockInference:
         params.w_r[:] = rng.integers(-3, 4, params.w_r.shape)
         params.gate.delta[:] = rng.standard_normal(4) * 0.5
         x = rng.integers(-3, 4, (4, 5, 5)).astype(float)
-        y, dm, _ = cg_block_forward_inference(x, params, cfg)
+        y, dm = cg_block_forward_inference(x, params, cfg)
         w_dense = assemble_dense_weight(params.w_p, params.w_r, cfg.groups)
         spec = cfg.conv
         ho, wo = spec.out_hw(5, 5)
@@ -310,7 +328,7 @@ class TestBlockInference:
         prev = -1.0
         for shift in np.linspace(-3, 3, 13):
             params.gate.delta[:] = shift
-            _, dm, _ = cg_block_forward_inference(x, params, cfg)
+            _, dm = cg_block_forward_inference(x, params, cfg)
             pr = pruning_ratio(dm)
             assert pr >= prev - 1e-12
             prev = pr
@@ -319,24 +337,26 @@ class TestBlockInference:
         cfg = make_cfg(tau_c=0.1)
         params = make_params(cfg, rng)
         x = rng.standard_normal((3, 8, 6, 6))
-        _, _, cost = cg_block_forward_inference(x, params, cfg)
+        _, dm = cg_block_forward_inference(x, params, cfg)
         ho = wo = 6
-        assert cost.comparisons == 3 * (ho * wo + 1) * 8
-        assert cost.thresholds == 8 + 1
+        cost = block_costs(dm, cfg)
+        assert cost == dense_masked_block_forward(x, params, cfg)[2]
+        assert cost["gate_comparisons"] == 3 * (ho * wo + 1) * 8
         cfg0 = make_cfg(tau_c=0.0)
-        _, _, cost0 = cg_block_forward_inference(x, params, cfg0)
-        assert cost0.comparisons == 3 * ho * wo * 8
-        assert cost0.thresholds == 8
+        _, dm0 = cg_block_forward_inference(x, params, cfg0)
+        cost0 = block_costs(dm0, cfg0)
+        assert cost0 == dense_masked_block_forward(x, params, cfg0)[2]
+        assert cost0["gate_comparisons"] == 3 * ho * wo * 8
 
     def test_channel_mask_consistency(self, rng):
         # masked-off channels carry exactly the base-path output
         cfg = make_cfg(tau_c=0.6)
         params = make_params(cfg, rng)
         x = rng.standard_normal((8, 6, 6))
-        y, dm, _ = cg_block_forward_inference(x, params, cfg)
+        y, dm = cg_block_forward_inference(x, params, cfg)
         grouped = nn.conv2d(x, params.w_p,
                             ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
-        base = nn.activation(nn.batchnorm_forward(grouped, params.bn1), "relu")
+        base = nn.activation(nn.bn_forward(grouped, params.bn1)[0], "relu")
         assert dm.channel_mask.min() == 0.0, "test wants at least one masked channel"
         for c in range(8):
             if dm.channel_mask[c] == 0.0:
@@ -346,9 +366,9 @@ class TestBlockInference:
         cfg = make_cfg(shuffle=True)
         params = make_params(cfg, rng)
         x = rng.standard_normal((8, 6, 6))
-        y, _, _ = cg_block_forward_inference(x, params, cfg)
+        y, _ = cg_block_forward_inference(x, params, cfg)
         cfg_ns = make_cfg(shuffle=False)
-        y_ns, _, _ = cg_block_forward_inference(x, params, cfg_ns)
+        y_ns, _ = cg_block_forward_inference(x, params, cfg_ns)
         np.testing.assert_array_equal(y, y_ns[shuffle_permutation(8, 4)])
 
 
@@ -380,13 +400,13 @@ class TestBlockInferenceOracle:
             params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
         shape = (cfg.conv.in_channels,) + hw
         x = rng.standard_normal((n,) + shape if batched else shape)
-        y, dm, cost = cg_block_forward_inference(x, params, cfg)
+        y, dm = cg_block_forward_inference(x, params, cfg)
         y_ref, dm_ref, cost_ref = dense_masked_block_forward(x, params, cfg)
         assert y.shape == y_ref.shape
         np.testing.assert_allclose(y, y_ref, rtol=0.0, atol=1e-10)
         np.testing.assert_array_equal(dm.d, dm_ref.d)
         np.testing.assert_array_equal(dm.channel_mask, dm_ref.channel_mask)
-        assert cost == cost_ref
+        assert block_costs(dm, cfg) == cost_ref
 
 
 class TestPruningRatio:

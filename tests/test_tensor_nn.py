@@ -10,7 +10,8 @@ from cgnet import nn
 from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
                       DegenerateInputError)
 
-from _oracles import check_grad, finite_difference, rel_err
+from _oracles import (bn_inference_affine, check_grad, conv2d_reference,
+                      finite_difference, rel_err)
 
 
 class TestConvSpec:
@@ -47,7 +48,7 @@ class TestConv2d:
         w = rng.standard_normal((6, 4, 3, 3))
         spec = ConvSpec(4, 6, 3)
         fast = nn.conv2d(x, w, spec)
-        ref = nn.conv2d_reference(x, w, spec)
+        ref = conv2d_reference(x, w, spec)
         assert rel_err(fast, ref) < 1e-5
 
     @pytest.mark.parametrize("stride,padding,groups", [(1, 1, 1), (2, 1, 2), (1, 0, 4)])
@@ -55,7 +56,7 @@ class TestConv2d:
         x = rng.standard_normal((2, 8, 7, 9))
         w = rng.standard_normal((8, 8 // groups, 3, 3))
         spec = ConvSpec(8, 8, 3, stride=stride, padding=padding, groups=groups)
-        assert rel_err(nn.conv2d(x, w, spec), nn.conv2d_reference(x, w, spec)) < 1e-5
+        assert rel_err(nn.conv2d(x, w, spec), conv2d_reference(x, w, spec)) < 1e-5
 
     def test_grouped_equals_independent_convs(self, rng):
         # block-diagonal property: grouped conv == per-group dense convs, exact
@@ -107,16 +108,25 @@ class TestBatchNorm:
     def test_normalizes_to_zero_mean_unit_var(self, rng):
         x = 5.0 + 2.0 * rng.standard_normal((8, 3, 6, 6))
         st = BatchNormState.create(3)
-        y = nn.batchnorm_forward(x, st, training=True, affine=False)
+        y = nn.bn_forward(x, st, training=True, affine=False)[0]
         assert np.allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-5)
         assert np.allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
+
+    @pytest.mark.parametrize("shape", [(8, 3, 6, 6), (64, 16, 16, 16), (1, 2, 1, 1),
+                                       (5, 7, 3, 9), (32, 64, 4, 4)])
+    def test_batch_stats_equal_numpy(self, rng, shape):
+        x = 3.0 + rng.standard_normal(shape) * 2.0
+        _, ctx = nn.bn_forward(x, BatchNormState.create(shape[1]), training=True,
+                               want_ctx=True)
+        np.testing.assert_array_equal(ctx.mean, x.mean(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(ctx.var, x.var(axis=(0, 2, 3)))
 
     def test_affine_shifts_and_scales(self, rng):
         x = rng.standard_normal((16, 2, 8, 8))
         st = BatchNormState.create(2)
         st.gamma[:] = 2.0
         st.beta[:] = 3.0
-        y = nn.batchnorm_forward(x, st, training=True)
+        y = nn.bn_forward(x, st, training=True)[0]
         assert np.allclose(y.mean(axis=(0, 2, 3)), 3.0, atol=1e-5)
         assert np.allclose(y.std(axis=(0, 2, 3)), 2.0, atol=1e-4)
 
@@ -127,7 +137,7 @@ class TestBatchNorm:
         st.running_mean[:] = rng.standard_normal(3)
         st.running_var[:] = rng.uniform(0.1, 2.0, 3)
         x = rng.standard_normal((2, 3, 4, 4))
-        y = nn.batchnorm_forward(x, st, training=False)
+        y = nn.bn_forward(x, st, training=False)[0]
         for n in range(2):
             for c in range(3):
                 scale = st.gamma[c] / np.sqrt(st.running_var[c] + st.eps)
@@ -141,14 +151,14 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 2, 3, 3)) + 1.0
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        nn.batchnorm_forward(x, st, training=True)
+        nn.bn_forward(x, st, training=True)
         assert np.allclose(st.running_mean, 0.1 * mean)
         assert np.allclose(st.running_var, 0.9 * 1.0 + 0.1 * var)
 
     def test_degenerate_input_error(self):
         st = BatchNormState.create(2)
         with pytest.raises(DegenerateInputError):
-            nn.batchnorm_forward(np.zeros((0, 2, 3, 3)), st, training=True)
+            nn.bn_forward(np.zeros((0, 2, 3, 3)), st, training=True)
 
     def test_double_apply_is_single_affine(self, rng):
         # frozen-stats BN is scale-and-shift; two applications compose
@@ -160,9 +170,9 @@ class TestBatchNorm:
             s.running_mean[:] = rng.standard_normal(3)
             s.running_var[:] = rng.uniform(0.5, 2.0, 3)
         x = rng.standard_normal((2, 3, 5, 5))
-        y = nn.batchnorm_forward(nn.batchnorm_forward(x, st1), st2)
-        a1, b1 = nn.bn_inference_affine(st1)
-        a2, b2 = nn.bn_inference_affine(st2)
+        y = nn.bn_forward(nn.bn_forward(x, st1)[0], st2)[0]
+        a1, b1 = bn_inference_affine(st1)
+        a2, b2 = bn_inference_affine(st2)
         composed = x * (a1 * a2)[:, None, None] + (b1 * a2 + b2)[:, None, None]
         assert np.allclose(y, composed, atol=1e-6)
 
@@ -173,8 +183,8 @@ class TestBatchNorm:
         proj = rng.standard_normal(x.shape)
 
         def loss():
-            y = nn.batchnorm_forward(x, st, training=True, affine=affine,
-                                     update_running=False)
+            y, _ = nn.bn_forward(x, st, training=True, affine=affine,
+                                 update_running=False)
             return float((y * proj).sum())
 
         _, ctx = nn.bn_forward(x, st, training=True, affine=affine,

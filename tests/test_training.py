@@ -387,6 +387,28 @@ def toy_model_cfg(num_classes=2, cg=True):
     }
 
 
+class TestEvaluate:
+    def test_batched_records_equal_one_collecting_pass(self):
+        # three batches (7, 7, 6) merged once give the records of one pass
+        rng = np.random.default_rng(12)
+        model = build_model(toy_model_cfg(), np.random.default_rng(13))
+        x = rng.standard_normal((20, 1, 12, 12))
+        labels = rng.integers(0, 2, 20)
+        model.forward_train(x)
+        model.freeze_gates()
+        _, logits, records = training.evaluate(model, x, labels, batch_size=7,
+                                               collect=True)
+        want_logits, want = model.forward_infer(x, collect=True)
+        np.testing.assert_allclose(logits, want_logits, rtol=0.0, atol=1e-12)
+        assert [r.name for r in records] == [r.name for r in want]
+        for got, ref in zip(records, want):
+            assert got.n_samples == ref.n_samples == 20
+            if ref.dm is not None:
+                np.testing.assert_array_equal(got.dm.d, ref.dm.d)
+                np.testing.assert_array_equal(got.dm.channel_mask, ref.dm.channel_mask)
+        assert sum(r.dm is not None for r in records) == 2
+
+
 class TestTrainLoop:
     def test_toy_run_reaches_full_accuracy_with_pruning(self):
         rng = np.random.default_rng(3)
