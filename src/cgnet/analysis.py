@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gating import DecisionMap, split_dense_weight
-from .nn import ConfigurationError, ConvSpec, conv2d
+from .gating import DecisionMap, shared_im2col_sums, split_dense_weight
+from .nn import ConfigurationError, ConvSpec, _as_batch
 
 
 @dataclass
@@ -175,7 +175,7 @@ def cost_line(rec: LayerRecord) -> CostLine:
     return CostLine(
         rec.name,
         base_flops=n * rec.c_out * pos * base_k,
-        conditional_flops_executed=int(round(rec.dm.effective().sum())) * cond_k,
+        conditional_flops_executed=rec.dm.taken() * cond_k,
         conditional_flops_total=n * rec.c_out * pos * cond_k,
         gate_comparisons=comparisons,
         weight_values_accessed=(n * rec.c_out * base_k
@@ -192,11 +192,11 @@ def count_flops(records) -> CostReport:
 
 def network_pruning_ratio(records):
     """Fraction of gated output activations whose conditional path was skipped."""
-    taken = 0.0
+    taken = 0
     total = 0
     for rec in records:
         if rec.gated:
-            taken += rec.dm.effective().sum()
+            taken += rec.dm.taken()
             total += rec.dm.d.size
     return float(1.0 - taken / total) if total else 0.0
 
@@ -223,8 +223,9 @@ def partial_final_correlation(model, images, etas=(0.125, 0.25, 0.5, 1.0)):
     The model's conv layers are re-grouped for each eta (G = 1/eta) from
     their assembled dense kernels, so any trained model can be swept.
     Layers whose channel counts do not divide, and degenerate zero-variance
-    layers, are skipped with a warning. Returns
-    {eta: {"layers": {name: r}, "mean": r}}.
+    layers, are skipped with a warning. The sums come from
+    ``gating.shared_im2col_sums``, the routine the gated layers run.
+    Returns {eta: {"layers": {name: r}, "mean": r}}.
     """
     _, records = model.forward_infer(images, collect=True, capture=True,
                                      require_frozen=False)
@@ -242,11 +243,9 @@ def partial_final_correlation(model, images, etas=(0.125, 0.25, 0.5, 1.0)):
                 continue
             spec = ConvSpec(rec.c_in, rec.c_out, rec.kernel_size,
                             stride=rec.stride, padding=rec.padding)
-            final = conv2d(rec.x_in, rec.w_dense, spec)
-            w_p, _ = split_dense_weight(rec.w_dense, G)
-            gspec = ConvSpec(rec.c_in, rec.c_out, rec.kernel_size,
-                             stride=rec.stride, padding=rec.padding, groups=G)
-            partial = conv2d(rec.x_in, w_p, gspec)
+            w_p, w_r = split_dense_weight(rec.w_dense, G)
+            _, _, partial, final = shared_im2col_sums(_as_batch(rec.x_in)[0], w_p, w_r,
+                                                      spec, G)
             r = _pearson(partial, final)
             if r is None:
                 warnings.warn(f"{rec.name}: zero-variance sums at eta={eta}; skipped")

@@ -14,7 +14,10 @@ Byte layout, all integers little-endian:
 
 Model checkpoints store every tensor of the network plus one uint8
 record named "__config__" holding the canonical JSON of the model
-configuration, so a checkpoint is self-describing.
+configuration, so a checkpoint is self-describing. A gated layer's
+"<layer>.gate_mean"/"<layer>.gate_var" records are BN1's running stats,
+written a second time beside "<layer>.bn1_mean"/"<layer>.bn1_var"; loading
+rejects a checkpoint in which the two copies differ.
 """
 
 from __future__ import annotations

@@ -180,7 +180,7 @@ def _load_eval_model(args, cfg, config_dir):
 
 def _frozen_flag(model):
     """Whether the model's gate statistics are frozen; warns on stderr when
-    not, since eval and analyze then run on unfinished running stats."""
+    not, since the command then runs on unfinished running stats."""
     frozen = model.gates_frozen()
     if not frozen:
         print("cg: warning: gate statistics are not frozen; results use the "
@@ -188,17 +188,24 @@ def _frozen_flag(model):
     return frozen
 
 
-def cmd_eval(args):
-    from . import analysis
-    from .training import evaluate
-
+def _checkpoint_command(args):
+    """Shared prologue of eval, analyze and perf: config, output directory,
+    validation split and checkpoint. Returns (cfg, out, val_ds, model,
+    frozen)."""
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg)
     out = _resolve_out(args, cfg)
     config_dir = Path(args.config).parent
     _, val_ds = _load_data(cfg, seed, config_dir)
     model = _load_eval_model(args, cfg, config_dir)
-    frozen = _frozen_flag(model)
+    return cfg, out, val_ds, model, _frozen_flag(model)
+
+
+def cmd_eval(args):
+    from . import analysis
+    from .training import evaluate
+
+    _, out, val_ds, model, frozen = _checkpoint_command(args)
 
     acc, _, records = evaluate(model, val_ds.images, val_ds.labels, collect=True)
     report = analysis.count_flops(records)
@@ -216,13 +223,7 @@ def cmd_eval(args):
 
 def cmd_analyze(args):
     from . import analysis
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    config_dir = Path(args.config).parent
-    _, val_ds = _load_data(cfg, seed, config_dir)
-    model = _load_eval_model(args, cfg, config_dir)
-    frozen = _frozen_flag(model)
+    cfg, out, val_ds, model, frozen = _checkpoint_command(args)
 
     n_inputs = int(cfg.get("num_inputs", 64))
     images = val_ds.images[:n_inputs]
@@ -257,12 +258,7 @@ def cmd_analyze(args):
 
 def cmd_perf(args):
     from . import analysis, perf
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
-    config_dir = Path(args.config).parent
-    _, val_ds = _load_data(cfg, seed, config_dir)
-    model = _load_eval_model(args, cfg, config_dir)
+    cfg, out, val_ds, model, _ = _checkpoint_command(args)
 
     n_inputs = int(cfg.get("num_inputs", 32))
     images = val_ds.images[:n_inputs]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
-                 StateError, _as_batch, _per_channel, activation, bn_forward, im2col)
+                 _as_batch, _per_channel, activation, bn_forward, im2col)
 
 GATE_KINDS = ("single_sided", "two_sided")
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
@@ -86,10 +86,14 @@ class CgLayerConfig:
 
 @dataclass
 class GateState:
-    """Learnable thresholds plus gate-input normalization statistics."""
+    """Learnable thresholds of the gate and whether its statistics are frozen.
+
+    The gate input is the partial sum normalized with BN1's statistics (batch
+    statistics in training, BN1's running stats at inference), so the gate
+    keeps no normalizer of its own.
+    """
 
     delta: np.ndarray
-    bn: BatchNormState                    # affine-free normalizer of partial sums
     delta_high: np.ndarray | None = None  # two-sided only
     delta_low: np.ndarray | None = None
     frozen: bool = False
@@ -97,7 +101,7 @@ class GateState:
     @classmethod
     def create(cls, cfg: CgLayerConfig):
         c = cfg.conv.out_channels
-        st = cls(np.zeros(c), BatchNormState.create(c))
+        st = cls(np.zeros(c))
         if cfg.gate == "two_sided":
             st.delta_high = np.full(c, cfg.band_init)
             st.delta_low = np.full(c, -cfg.band_init)
@@ -121,13 +125,20 @@ class DecisionMap:
     def effective(self):
         return self.d * self.channel_mask[..., None, None]
 
+    def taken(self):
+        """Number of effective decisions that are 1, without building the
+        effective map."""
+        hw = self.d.shape[-2:]
+        return int(np.einsum("khw,k->", self.d.reshape(-1, *hw), self.channel_mask.ravel()))
+
 
 @dataclass
 class CgBlockParams:
     """Weights, dual batch norm and gate state of one gating block.
 
     bn1 (base path) and bn2 (combined path) keep separate running
-    statistics but reference the same gamma/beta arrays.
+    statistics but reference the same gamma/beta arrays; bn1's statistics
+    also normalize the gate input.
     """
 
     w_p: np.ndarray
@@ -253,14 +264,15 @@ def _threshold_decisions(x, lo, hi=None):
     return d
 
 
-def merged_gate(partial_sum, gate: GateState, cfg: CgLayerConfig):
-    """Inference gate with the normalizer folded into the thresholds:
+def merged_gate(partial_sum, params: CgBlockParams, cfg: CgLayerConfig):
+    """Inference gate with BN1's running stats folded into the thresholds:
     d = theta(x - delta*sqrt(Var+eps) - E), per output channel; the edges
     of a two-sided band fold the same way."""
     xb, batched = _as_batch(partial_sum)
-    sigma = np.sqrt(gate.bn.running_var + gate.bn.eps)
-    mean = gate.bn.running_mean
-    lo, hi = gate_bounds(gate, cfg.gate)
+    bn1 = params.bn1
+    sigma = np.sqrt(bn1.running_var + bn1.eps)
+    mean = bn1.running_mean
+    lo, hi = gate_bounds(params.gate, cfg.gate)
     d = _threshold_decisions(xb, lo * sigma + mean,
                              None if hi is None else hi * sigma + mean)
     return d if batched else d[0]
@@ -281,19 +293,18 @@ def channel_gate(d, tau_c):
 # Block forward (inference)
 # ---------------------------------------------------------------------------
 
-def shared_im2col_sums(xb, params: CgBlockParams, cfg: CgLayerConfig):
+def shared_im2col_sums(xb, w_p, w_r, spec: ConvSpec, G):
     """One padded im2col of the batch ``xb`` feeding two GEMMs.
 
     The base partial sums p are one batched matmul of each output group's
     W_p rows against its input group's rows; the full sum is one matmul
     with the dense kernel reassembled from W_p and W_r (for G == 1 the full
-    sum is p). Returns (cols, w, p, full): cols is (n, c_in*k*k, ho*wo),
-    w the dense kernel as (c_out, c_in*k*k), p and full (n, c_out, ho, wo).
-    The kernel is assembled on every call, so it never goes stale after a
-    weight update.
+    sum is p). ``spec`` is the dense convolution and G the group count.
+    Returns (cols, w, p, full): cols is (n, c_in*k*k, ho*wo), w the dense
+    kernel as (c_out, c_in*k*k), p and full (n, c_out, ho, wo). The kernel
+    is assembled on every call, so it never goes stale after a weight
+    update.
     """
-    spec = cfg.conv
-    G = cfg.groups
     if xb.shape[1] != spec.in_channels:
         raise ConfigurationError(
             f"input has {xb.shape[1]} channels, spec expects {spec.in_channels}")
@@ -302,15 +313,14 @@ def shared_im2col_sums(xb, params: CgBlockParams, cfg: CgLayerConfig):
     ho, wo = spec.out_hw(xb.shape[2], xb.shape[3])
     cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
     kk = cols.shape[1]
-    w_p = params.w_p.reshape(G, c_out // G, kk // G)
-    p = np.matmul(w_p, cols.reshape(n, G, kk // G, ho * wo)).reshape(n, c_out, ho, wo)
-    w = assemble_dense_weight(params.w_p, params.w_r, G).reshape(c_out, kk)
+    w_grouped = w_p.reshape(G, c_out // G, kk // G)
+    p = np.matmul(w_grouped, cols.reshape(n, G, kk // G, ho * wo)).reshape(n, c_out, ho, wo)
+    w = assemble_dense_weight(w_p, w_r, G).reshape(c_out, kk)
     full = p if G == 1 else np.matmul(w, cols).reshape(n, c_out, ho, wo)
     return cols, w, p, full
 
 
-def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
-                               require_frozen=True):
+def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     """Gated inference forward pass.
 
     Returns (y, DecisionMap). Where the effective decision is 0 the output
@@ -323,14 +333,13 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
     group's rows) and the full sum (the dense kernel reassembled from
     W_p and W_r). The full sum is computed at every position and selected
     afterwards, so the skipped conditional MACs are accounted by
-    ``analysis.count_flops`` but not skipped on the CPU.
+    ``analysis.count_flops`` but not skipped on the CPU. It runs on whatever
+    running stats the block holds; ``Network.forward_infer`` checks that
+    they are frozen.
     """
-    if require_frozen and not params.gate.frozen:
-        raise StateError("inference requires frozen gate/BN statistics "
-                         "(train first or load a finalized checkpoint)")
     xb, batched = _as_batch(x)
-    _, _, p, full = shared_im2col_sums(xb, params, cfg)
-    d = merged_gate(p, params.gate, cfg)
+    _, _, p, full = shared_im2col_sums(xb, params.w_p, params.w_r, cfg.conv, cfg.groups)
+    d = merged_gate(p, params, cfg)
     mask = channel_gate(d, cfg.tau_c) if cfg.tau_c > 0.0 else np.ones(d.shape[:2])
     dm = DecisionMap(d, mask)
     # with tau_c == 0 every channel is kept, so d is already the effective map

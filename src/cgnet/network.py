@@ -1,16 +1,24 @@
 """Model composition: layer objects, the network container, config builder.
 
-A network is an ordered list of layers, each owning its parameters,
-gradient buffers and optimizer velocities. Training uses the layers'
-``forward_train``/``backward`` pair; evaluation uses ``forward_infer``,
-which returns ``(y, records)``: a list of per-layer records (dims,
-decision maps, optionally captured inputs) for the analysis and
-performance models, empty unless collecting.
+A network is an ordered list of layers, each owning its parameters and
+gradient buffers; the network keeps the optimizer velocities. Every layer
+speaks one protocol:
+
+  * ``forward_train(x)`` runs in training mode: batch statistics, running
+    stats updated, the context for ``backward`` kept;
+  * ``backward(dy)`` accumulates into the layer's gradient buffers and
+    returns the input gradient;
+  * ``forward_infer(x, collect, capture)`` returns ``(y, records)``: a list
+    of per-layer records (dims, decision maps, optionally captured inputs)
+    for the analysis and performance models, empty unless collecting;
+  * ``param_groups()`` lists (name, param, grad, weight_decay) and
+    ``state_items()`` the (name, array) pairs a checkpoint holds.
+
+``Network`` alone zeroes gradients (those ``param_groups`` lists) and
+checks before inference that the gate statistics are frozen.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +26,7 @@ from . import analysis, gating, training
 from .checkpoint import CONFIG_RECORD
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, shuffle_permutation)
-from .nn import (ConfigurationError, ConvSpec, BatchNormState, activation,
+from .nn import (ConfigurationError, ConvSpec, BatchNormState, StateError, activation,
                  activation_grad, batchnorm_backward, bn_forward,
                  conv2d_backward, conv2d_forward, linear_backward,
                  linear_forward, maxpool2d_forward, avgpool2d_forward,
@@ -46,12 +54,10 @@ class ConvBlock:
         self.g_w = np.zeros_like(self.w)
         self.g_gamma = np.zeros_like(self.bn.gamma)
         self.g_beta = np.zeros_like(self.bn.beta)
-        self._vel = {}
 
-    def forward_train(self, x, update_running=True):
+    def forward_train(self, x):
         y, self._conv_ctx = conv2d_forward(x, self.w, self.spec)
-        y, self._bn_ctx = bn_forward(y, self.bn, training=True,
-                                     update_running=update_running, want_ctx=True)
+        y, self._bn_ctx = bn_forward(y, self.bn, training=True)
         self._pre = y
         y = activation(y, self.act)
         if self.shuffle_groups:
@@ -70,7 +76,7 @@ class ConvBlock:
         self.g_w += dw
         return dx
 
-    def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
+    def forward_infer(self, x, collect=False, capture=False):
         y, _ = conv2d_forward(x, self.w, self.spec)
         h_out, w_out = y.shape[2], y.shape[3]
         n = y.shape[0]
@@ -94,11 +100,6 @@ class ConvBlock:
                 (f"{self.name}.gamma", self.bn.gamma, self.g_gamma, False),
                 (f"{self.name}.beta", self.bn.beta, self.g_beta, False)]
 
-    def zero_grads(self):
-        self.g_w[:] = 0
-        self.g_gamma[:] = 0
-        self.g_beta[:] = 0
-
     def state_items(self):
         return [(f"{self.name}.w", self.w),
                 (f"{self.name}.gamma", self.bn.gamma),
@@ -120,14 +121,14 @@ class CgConvBlock:
         self.g_w_r = np.zeros_like(self.params.w_r)
         self.g_gamma = np.zeros_like(self.params.gamma)
         self.g_beta = np.zeros_like(self.params.beta)
-        self.g_delta = np.zeros_like(self.params.gate.delta)
-        if cfg.gate == "two_sided":
+        if cfg.gate == "single_sided":
+            self.g_delta = np.zeros_like(self.params.gate.delta)
+        else:
             self.g_delta_high = np.zeros_like(self.params.gate.delta_high)
             self.g_delta_low = np.zeros_like(self.params.gate.delta_low)
 
-    def forward_train(self, x, update_running=True):
-        y, self.ctx = training.cg_block_forward_train(
-            x, self.params, self.cfg, update_running=update_running)
+    def forward_train(self, x):
+        y, self.ctx = training.cg_block_forward_train(x, self.params, self.cfg)
         if self.cfg.shuffle:
             y = channel_shuffle(y, self.cfg.groups)
         return y
@@ -149,9 +150,8 @@ class CgConvBlock:
                 self.g_delta_low += g.ddelta_low
         return g.dx
 
-    def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
-        y, dm = gating.cg_block_forward_inference(
-            x, self.params, self.cfg, require_frozen=require_frozen)
+    def forward_infer(self, x, collect=False, capture=False):
+        y, dm = gating.cg_block_forward_inference(x, self.params, self.cfg)
         if not collect:
             return y, []
         xb = np.asarray(x)
@@ -183,11 +183,9 @@ class CgConvBlock:
                            self.g_delta_low, False))
         return groups
 
-    def zero_grads(self):
-        for _, _, g, _ in self.param_groups():
-            g[:] = 0
-
     def state_items(self):
+        # gate_mean/gate_var name BN1's arrays a second time: the records
+        # stay for readers of the checkpoint format
         p = self.params
         items = [(f"{self.name}.w_p", p.w_p),
                  (f"{self.name}.w_r", p.w_r),
@@ -197,8 +195,8 @@ class CgConvBlock:
                  (f"{self.name}.bn1_var", p.bn1.running_var),
                  (f"{self.name}.bn2_mean", p.bn2.running_mean),
                  (f"{self.name}.bn2_var", p.bn2.running_var),
-                 (f"{self.name}.gate_mean", p.gate.bn.running_mean),
-                 (f"{self.name}.gate_var", p.gate.bn.running_var),
+                 (f"{self.name}.gate_mean", p.bn1.running_mean),
+                 (f"{self.name}.gate_var", p.bn1.running_var),
                  (f"{self.name}.delta", p.gate.delta)]
         if self.cfg.gate == "two_sided":
             items.append((f"{self.name}.delta_high", p.gate.delta_high))
@@ -217,19 +215,15 @@ class CgConvBlock:
                                 self.params.bn2.running_mean.copy(),
                                 self.params.bn2.running_var.copy(),
                                 self.params.bn2.momentum, self.params.bn2.eps)
-        blk.g_w = np.zeros_like(blk.w)
         return blk
 
 
 class ParameterFreeLayer:
-    """A layer without parameters or state: empty parameter groups, no
-    gradients to zero and nothing to checkpoint."""
+    """A layer without parameters or state: empty parameter groups and
+    nothing to checkpoint."""
 
     def param_groups(self):
         return []
-
-    def zero_grads(self):
-        pass
 
     def state_items(self):
         return []
@@ -239,14 +233,14 @@ class MaxPool(ParameterFreeLayer):
     def __init__(self, k=2, name="maxpool"):
         self.k, self.name = k, name
 
-    def forward_train(self, x, update_running=True):
+    def forward_train(self, x):
         y, self._ctx = maxpool2d_forward(x, self.k)
         return y
 
     def backward(self, dy):
         return pool2d_backward(self._ctx, dy)
 
-    def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
+    def forward_infer(self, x, collect=False, capture=False):
         y, _ = maxpool2d_forward(x, self.k)
         return y, []
 
@@ -255,11 +249,11 @@ class AvgPool(MaxPool):
     def __init__(self, k=2, name="avgpool"):
         super().__init__(k, name)
 
-    def forward_train(self, x, update_running=True):
+    def forward_train(self, x):
         y, self._ctx = avgpool2d_forward(x, self.k)
         return y
 
-    def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
+    def forward_infer(self, x, collect=False, capture=False):
         y, _ = avgpool2d_forward(x, self.k)
         return y, []
 
@@ -268,14 +262,14 @@ class Flatten(ParameterFreeLayer):
     def __init__(self, name="flatten"):
         self.name = name
 
-    def forward_train(self, x, update_running=True):
+    def forward_train(self, x):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy):
         return dy.reshape(self._shape)
 
-    def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
+    def forward_infer(self, x, collect=False, capture=False):
         return x.reshape(x.shape[0], -1), []
 
 
@@ -290,7 +284,7 @@ class LinearHead:
             if rng is not None else np.zeros((out_features, in_features))
         self.g_w = np.zeros_like(self.w)
 
-    def forward_train(self, x, update_running=True):
+    def forward_train(self, x):
         y, self._ctx = linear_forward(x, self.w)
         return y
 
@@ -299,7 +293,7 @@ class LinearHead:
         self.g_w += dw
         return dx
 
-    def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
+    def forward_infer(self, x, collect=False, capture=False):
         y, _ = linear_forward(x, self.w)
         if not collect:
             return y, []
@@ -312,9 +306,6 @@ class LinearHead:
     def param_groups(self):
         return [(f"{self.name}.w", self.w, self.g_w, True)]
 
-    def zero_grads(self):
-        self.g_w[:] = 0
-
     def state_items(self):
         return [(f"{self.name}.w", self.w)]
 
@@ -326,10 +317,10 @@ class ResidualBlock:
         self.a, self.b, self.shortcut = a, b, shortcut
         self.name = name
 
-    def forward_train(self, x, update_running=True):
-        h = self.a.forward_train(x, update_running)
-        h = self.b.forward_train(h, update_running)
-        sc = x if self.shortcut is None else self.shortcut.forward_train(x, update_running)
+    def forward_train(self, x):
+        h = self.a.forward_train(x)
+        h = self.b.forward_train(h)
+        sc = x if self.shortcut is None else self.shortcut.forward_train(x)
         self._pre = h + sc
         return activation(self._pre, "relu")
 
@@ -340,14 +331,14 @@ class ResidualBlock:
         dsc = dpre if self.shortcut is None else self.shortcut.backward(dpre)
         return dx + dsc
 
-    def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
-        h, recs = self.a.forward_infer(x, collect, capture, require_frozen)
-        h, r = self.b.forward_infer(h, collect, capture, require_frozen)
+    def forward_infer(self, x, collect=False, capture=False):
+        h, recs = self.a.forward_infer(x, collect, capture)
+        h, r = self.b.forward_infer(h, collect, capture)
         recs += r
         if self.shortcut is None:
             sc = x
         else:
-            sc, r = self.shortcut.forward_infer(x, collect, capture, require_frozen)
+            sc, r = self.shortcut.forward_infer(x, collect, capture)
             recs += r
         return activation(h + sc, "relu"), recs
 
@@ -359,10 +350,6 @@ class ResidualBlock:
 
     def param_groups(self):
         return [g for s in self.sublayers() for g in s.param_groups()]
-
-    def zero_grads(self):
-        for s in self.sublayers():
-            s.zero_grads()
 
     def state_items(self):
         return [i for s in self.sublayers() for i in s.state_items()]
@@ -379,9 +366,9 @@ class Network:
         self._vel = None
 
     # -- passes ------------------------------------------------------------
-    def forward_train(self, x, update_running=True):
+    def forward_train(self, x):
         for layer in self.layers:
-            x = layer.forward_train(x, update_running)
+            x = layer.forward_train(x)
         return x
 
     def backward(self, dlogits):
@@ -391,9 +378,15 @@ class Network:
         return d
 
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
+        """Inference pass; returns (logits, records). Raises ``StateError``
+        when the gate statistics are not frozen unless ``require_frozen`` is
+        False."""
+        if require_frozen and not self.gates_frozen():
+            raise StateError("inference requires frozen gate/BN statistics "
+                             "(train first or load a finalized checkpoint)")
         records = []
         for layer in self.layers:
-            x, recs = layer.forward_infer(x, collect, capture, require_frozen)
+            x, recs = layer.forward_infer(x, collect, capture)
             records += recs
         return x, records
 
@@ -402,8 +395,8 @@ class Network:
         return [g for layer in self.layers for g in layer.param_groups()]
 
     def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
+        for _, _, g, _ in self.param_groups():
+            g[:] = 0
 
     def sgd_step(self, lr, momentum=0.0, weight_decay=0.0):
         groups = self.param_groups()
@@ -518,6 +511,7 @@ class Network:
             raise ConfigurationError(
                 f"checkpoint has unexpected tensor(s) {', '.join(map(repr, unexpected))}")
         frozen = "__frozen__" in tensors and bool(tensors["__frozen__"][0])
+        loaded = {}   # id of an array -> name of the record loaded into it
         for layer in self.layers:
             for name, arr in layer.state_items():
                 if name not in tensors:
@@ -527,6 +521,11 @@ class Network:
                     raise ConfigurationError(
                         f"checkpoint tensor {name!r} has shape {src.shape}, "
                         f"model expects {arr.shape}")
+                first = loaded.setdefault(id(arr), name)
+                if first != name and not np.array_equal(arr, src, equal_nan=True):
+                    raise ConfigurationError(
+                        f"checkpoint tensors {first!r} and {name!r} load into one "
+                        f"array of the model but differ")
                 arr[:] = src
         for layer in self.gated_layers():
             layer.params.gate.frozen = frozen

@@ -240,14 +240,15 @@ def _per_channel(v):
     return np.asarray(v)[:, None, None]
 
 
-def bn_forward(x, st: BatchNormState, training=False, affine=True,
-               update_running=True, want_ctx=False):
-    """Batch normalization over (n|,c,h,w); returns (y, ctx-or-None).
+def bn_forward(x, st: BatchNormState, training=False, affine=True):
+    """Batch normalization over (n|,c,h,w); returns (y, ctx).
 
-    Inference applies, per channel and in exactly this order,
+    Training mode normalizes with the batch statistics, folds them into the
+    running stats and returns the ``BnCtx`` the backward needs. Inference
+    applies, per channel and in exactly this order,
     ``(x - mean) * scale + shift`` with ``scale = gamma / sqrt(var + eps)``
-    (gamma omitted when affine=False); the scalar oracle in the tests
-    mirrors that sequence.
+    (gamma omitted when affine=False) and returns ctx None; the scalar
+    oracle in the tests mirrors that sequence.
     """
     xb, batched = _as_batch(x)
     if xb.shape[1] != len(st.gamma):
@@ -263,13 +264,13 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True,
         # the centred batch gives the variance and, scaled in place, xhat
         xhat = xb - _per_channel(mean)
         var = (xhat * xhat).mean(axis=(0, 2, 3))
-        if update_running:
-            bn_update_running(st, mean, var)
+        m = st.momentum
+        st.running_mean[:] = m * st.running_mean + (1.0 - m) * mean
+        st.running_var[:] = m * st.running_var + (1.0 - m) * var
         inv_std = 1.0 / np.sqrt(var + st.eps)
         xhat *= _per_channel(inv_std)
         y = _per_channel(st.gamma) * xhat + _per_channel(st.beta) if affine else xhat
-        if want_ctx:
-            ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
+        ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
     else:
         scale = 1.0 / np.sqrt(st.running_var + st.eps)
         if affine:
@@ -279,13 +280,6 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True,
         y *= _per_channel(scale)
         y += _per_channel(shift)
     return (y if batched else y[0]), ctx
-
-
-def bn_update_running(st: BatchNormState, mean, var):
-    """Fold one batch's mean and biased variance into the running stats."""
-    m = st.momentum
-    st.running_mean[:] = m * st.running_mean + (1.0 - m) * mean
-    st.running_var[:] = m * st.running_var + (1.0 - m) * var
 
 
 def batchnorm_backward(ctx: BnCtx, dy):

@@ -9,9 +9,9 @@ hard binary decision d:
 
 with p the base partial sum, r the conditional sum, and d obtained by
 thresholding the affine-free normalization of p. The two batch norms keep
-separate statistics but share gamma/beta. BN1 and the gate normalizer see
-the same p, so p is normalized once and both keep their running stats from
-that one batch mean and variance.
+separate statistics but share gamma/beta. The gate input is BN1's
+normalization of p before its affine step, so p is normalized once and
+BN1's running stats are the gate's: there is one copy of them.
 
 The gate is not differentiable, so gradients toward the thresholds and the
 gate input use a smooth sigmoid surrogate s~ = sigma(eps*(x^_g - delta))
@@ -34,7 +34,7 @@ from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
                      split_dense_weight)
 from .nn import (ConfigurationError, StateError, _as_batch, _per_channel, accuracy,
                  activation, activation_grad, batchnorm_backward, bn_forward,
-                 bn_update_running, col2im, cross_entropy, sigmoid, softmax)
+                 col2im, cross_entropy, sigmoid, softmax)
 
 
 class TrainingDiverged(RuntimeError):
@@ -86,7 +86,7 @@ class CgTrainContext:
     cols: np.ndarray          # (n, c_in*k*k, ho*wo), shared by both paths
     w: np.ndarray             # dense kernel (c_out, c_in*k*k) of the full sum
     bn2_ctx: object
-    bng_ctx: object           # the one normalization of p (BN1 and gate)
+    bn1_ctx: object           # the one normalization of p (BN1 and gate)
     xhat_p: np.ndarray
     xhat_full: np.ndarray
     xhat_g: np.ndarray
@@ -122,33 +122,22 @@ def _surrogate(xhat_g, params: CgBlockParams, cfg: CgLayerConfig):
 
 
 def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
-                           update_running=True, soft_gate=False):
+                           soft_gate=False):
     """Training forward pass; returns (y, CgTrainContext).
 
     One padded im2col of the input feeds the base partial sum p (one
     batched matmul over the G groups) and the full sum (one matmul with the
     dense kernel reassembled from W_p and W_r); the backward reuses it.
-    p is normalized once with batch statistics: that normalization is the
-    gate input x^_g, BN1's output is gamma*x^_g + beta, and the batch mean
-    and variance update the running stats of both BN1 and the gate
-    normalizer, which must therefore agree in eps and momentum.
+    p is normalized once with batch statistics, which also update BN1's
+    running stats: that normalization is the gate input x^_g, and BN1's
+    output is gamma*x^_g + beta.
     """
-    bn1, bng = params.bn1, params.gate.bn
-    if bn1.eps != bng.eps or bn1.momentum != bng.momentum:
-        raise ConfigurationError(
-            f"bn1 (eps={bn1.eps}, momentum={bn1.momentum}) and the gate normalizer "
-            f"(eps={bng.eps}, momentum={bng.momentum}) share one normalization of "
-            f"the partial sum and must agree in eps and momentum")
     xb, _ = _as_batch(x)
-    cols, w, p, full = shared_im2col_sums(xb, params, cfg)
+    cols, w, p, full = shared_im2col_sums(xb, params.w_p, params.w_r, cfg.conv, cfg.groups)
 
-    xhat_g, bng_ctx = bn_forward(p, bng, training=True, affine=False,
-                                 update_running=update_running, want_ctx=True)
-    if update_running:
-        bn_update_running(bn1, bng_ctx.mean, bng_ctx.var)
+    xhat_g, bn1_ctx = bn_forward(p, params.bn1, training=True, affine=False)
     xhat_p = _per_channel(params.gamma) * xhat_g + _per_channel(params.beta)
-    xhat_full, bn2_ctx = bn_forward(full, params.bn2, training=True,
-                                    update_running=update_running, want_ctx=True)
+    xhat_full, bn2_ctx = bn_forward(full, params.bn2, training=True)
 
     d = _threshold_decisions(xhat_g, *gate_bounds(params.gate, cfg.gate))
     stilde, sig_parts = _surrogate(xhat_g, params, cfg)
@@ -156,7 +145,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
 
     pre = (1.0 - mask) * xhat_p + mask * xhat_full
     y = activation(pre, cfg.activation)
-    ctx = CgTrainContext(cfg, params, xb.shape, cols, w, bn2_ctx, bng_ctx,
+    ctx = CgTrainContext(cfg, params, xb.shape, cols, w, bn2_ctx, bn1_ctx,
                          xhat_p, xhat_full, xhat_g, d, mask, pre, sig_parts,
                          soft_gate)
     return y, ctx
@@ -168,8 +157,8 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     The selection masks are constants; the threshold and gate-input
     gradients come from the sigmoid surrogate, with the per-element
     identity d(x^_g) = -d(delta) before the channel reduction. BN backward
-    is linear in its upstream gradient, so BN1 and the gate normalizer,
-    which share one normalization of p, take one backward call. The weight
+    is linear in its upstream gradient, so BN1 and the gate input, which
+    share one normalization of p, take one backward call. The weight
     and input gradients reuse the forward's im2col and run one col2im.
     """
     if ctx is None:
@@ -199,9 +188,9 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     dfull, dgamma, dbeta = batchnorm_backward(ctx.bn2_ctx, dxhat_full)
     dgamma = (dxhat_p * ctx.xhat_g).sum(axis=(0, 2, 3)) + dgamma
     dbeta = dxhat_p.sum(axis=(0, 2, 3)) + dbeta
-    # BN1 and gate BN share x^_g, so their input gradients add up front
+    # BN1 and the gate share x^_g, so their input gradients add up front
     dp, _, _ = batchnorm_backward(
-        ctx.bng_ctx, dxhat_p * _per_channel(params.gamma) + dxhat_g)
+        ctx.bn1_ctx, dxhat_p * _per_channel(params.gamma) + dxhat_g)
 
     # [full; p] = [W; blockdiag(W_p)] @ cols, so with the two upstream
     # gradients stacked as rows of one (2*c_out, n*ho*wo) matrix, the weight

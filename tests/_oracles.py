@@ -143,11 +143,11 @@ def dense_masked_block_forward(x, params, cfg):
     else:
         r = np.zeros_like(p)
 
-    gate = params.gate
-    sigma = np.sqrt(gate.bn.running_var + gate.bn.eps)
+    gate, bn1 = params.gate, params.bn1
+    sigma = np.sqrt(bn1.running_var + bn1.eps)
 
     def threshold(delta):
-        return (delta * sigma + gate.bn.running_mean)[:, None, None]
+        return (delta * sigma + bn1.running_mean)[:, None, None]
 
     if cfg.gate == "single_sided":
         take = p >= threshold(gate.delta)
@@ -197,18 +197,18 @@ def _masked_sigmoid(z):
     return out
 
 
-def two_conv_block_train(x, params, cfg, dy, update_running=True, soft_gate=False):
+def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     """Training forward and backward of a gated block, computed with two
     convolutions.
 
     The base partial sum is a grouped ``conv2d_forward`` on W_p and the
     conditional sum a dense one on W_r scattered into a kernel with zero
     blocks; BN1, BN2 and the gate normalizer each run their own
-    ``bn_forward`` and ``batchnorm_backward``; each convolution has its own
+    ``bn_forward`` and ``batchnorm_backward``, the gate normalizer on a copy
+    of BN1's state, whose statistics it shares; each convolution has its own
     ``conv2d_backward``, and dW_r is gathered from the dense kernel's
-    gradient. Updates the running stats of ``params`` when
-    ``update_running``. Returns (y, d, CgBlockGrads) for upstream gradient
-    ``dy``.
+    gradient. Updates the running stats of ``params``. Returns (y, d,
+    CgBlockGrads) for upstream gradient ``dy``.
     """
     xb, _ = nn._as_batch(x)
     spec = cfg.conv
@@ -224,12 +224,9 @@ def two_conv_block_train(x, params, cfg, dy, update_running=True, soft_gate=Fals
         r, ctx_r = np.zeros_like(p), None
     full = p + r
 
-    xhat_p, bn1_ctx = nn.bn_forward(p, params.bn1, training=True,
-                                    update_running=update_running, want_ctx=True)
-    xhat_full, bn2_ctx = nn.bn_forward(full, params.bn2, training=True,
-                                       update_running=update_running, want_ctx=True)
-    xhat_g, bng_ctx = nn.bn_forward(p, params.gate.bn, training=True, affine=False,
-                                    update_running=update_running, want_ctx=True)
+    xhat_g, bng_ctx = nn.bn_forward(p, params.bn1.copy(), training=True, affine=False)
+    xhat_p, bn1_ctx = nn.bn_forward(p, params.bn1, training=True)
+    xhat_full, bn2_ctx = nn.bn_forward(full, params.bn2, training=True)
 
     def pc(v):
         return np.asarray(v)[:, None, None]

@@ -129,3 +129,27 @@ class TestModelCheckpoint:
         save_model(p1, model)
         save_model(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_gate_records_are_bn1_stats(self, tmp_path, rng):
+        model = build_model(self.model_cfg(), rng)
+        model.forward_train(rng.standard_normal((4, 1, 8, 8)))
+        model.freeze_gates()
+        path = tmp_path / "model.cgn"
+        save_model(path, model)
+        tensors = read_container(path)
+        stats = model.gated_layers()[0].params.bn1
+        assert np.any(stats.running_mean != 0.0)
+        for stat in ("mean", "var"):
+            np.testing.assert_array_equal(tensors[f"L01.gate_{stat}"],
+                                          tensors[f"L01.bn1_{stat}"])
+
+    def test_gate_record_differing_from_bn1_rejected(self, tmp_path, rng):
+        model = build_model(self.model_cfg(), rng)
+        model.freeze_gates()
+        path = tmp_path / "model.cgn"
+        save_model(path, model)
+        tensors = read_container(path)
+        tensors["L01.gate_mean"][3] += 0.25
+        write_container(path, tensors)
+        with pytest.raises(ConfigurationError, match="'L01.bn1_mean' and 'L01.gate_mean'"):
+            load_model(path)

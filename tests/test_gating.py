@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgnet import analysis, gating, nn
-from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap, GateState,
+from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
                           assemble_dense_weight, channel_gate, channel_shuffle,
                           cg_block_forward_inference, complement_indices,
                           heaviside, merged_gate, shuffle_permutation,
                           split_dense_weight)
-from cgnet.nn import ConfigurationError, ConvSpec, StateError
+from cgnet.nn import ConfigurationError, ConvSpec
 
 from _oracles import (conditional_weight_scatter, dense_masked_block_forward,
                       pruning_ratio, rel_err, split_grouped)
@@ -28,7 +28,7 @@ def make_cfg(c_in=8, c_out=8, k=3, G=4, act="relu", tau_c=0.0, shuffle=False,
 def make_params(cfg, rng, randomize_stats=True):
     p = CgBlockParams.init(cfg, rng)
     if randomize_stats:
-        for bn in (p.bn1, p.bn2, p.gate.bn):
+        for bn in (p.bn1, p.bn2):
             bn.running_mean[:] = rng.standard_normal(len(bn.running_mean)) * 0.3
             bn.running_var[:] = rng.uniform(0.5, 2.0, len(bn.running_var))
         p.gamma[:] = rng.uniform(0.5, 1.5, len(p.gamma))
@@ -52,10 +52,15 @@ def block_costs(dm, cfg):
     return costs
 
 
-def train_gate(p, gate, cfg):
+def gate_params(cfg):
+    """Block parameters with identity BN stats; the weights are not used."""
+    return CgBlockParams.init(cfg, np.random.default_rng(0))
+
+
+def train_gate(p, params, cfg):
     """Training-mode decisions: batch-normalize p, then threshold."""
-    xhat, _ = nn.bn_forward(p, gate.bn, training=True, affine=False)
-    return gating._threshold_decisions(xhat, *gating.gate_bounds(gate, cfg.gate))
+    xhat, _ = nn.bn_forward(p, params.bn1, training=True, affine=False)
+    return gating._threshold_decisions(xhat, *gating.gate_bounds(params.gate, cfg.gate))
 
 
 class TestSplitGrouped:
@@ -113,65 +118,64 @@ class TestHeaviside:
 class TestGateForward:
     def test_extreme_thresholds(self, rng):
         cfg = make_cfg()
-        gate = GateState.create(cfg)
+        params = gate_params(cfg)
         p = rng.standard_normal((2, 8, 4, 4))
-        gate.delta[:] = -1e6
-        assert train_gate(p, gate, cfg).min() == 1.0
-        gate.delta[:] = 1e6
-        assert train_gate(p, gate, cfg).max() == 0.0
+        params.gate.delta[:] = -1e6
+        assert train_gate(p, params, cfg).min() == 1.0
+        params.gate.delta[:] = 1e6
+        assert train_gate(p, params, cfg).max() == 0.0
 
     def test_monte_carlo_take_fraction(self, rng):
         # P(x >= Delta) with Delta=0 on normalized partials is one half
         cfg = make_cfg(c_out=4)
-        gate = GateState.create(CgLayerConfig(ConvSpec(8, 4, 3), groups=4))
+        params = gate_params(CgLayerConfig(ConvSpec(8, 4, 3), groups=4))
         p = rng.standard_normal((100, 4, 25, 10))  # 10^5 values per channel
-        d = train_gate(p, gate, cfg)
+        d = train_gate(p, params, cfg)
         assert abs(d.mean() - 0.5) < 0.02
 
 
 class TestMergedGate:
     def test_identity_stats(self, rng):
         cfg = make_cfg()
-        gate = GateState.create(cfg)
+        params = gate_params(cfg)
         # E=0, Var=1, Delta=0: decisions equal heaviside up to the eps term
         p = rng.standard_normal((8, 6, 6))
         p = p[np.newaxis]
-        np.testing.assert_array_equal(merged_gate(p, gate, cfg), heaviside(p))
+        np.testing.assert_array_equal(merged_gate(p, params, cfg), heaviside(p))
 
     def test_hand_evaluation(self):
         cfg = make_cfg(c_in=4, c_out=1, G=1)
-        gate = GateState.create(cfg)
-        gate.bn.running_mean[:] = 2.0
-        gate.bn.running_var[:] = 4.0
-        gate.delta[:] = 1.0
+        params = gate_params(cfg)
+        params.bn1.running_mean[:] = 2.0
+        params.bn1.running_var[:] = 4.0
+        params.gate.delta[:] = 1.0
         # theta(4 - 1*2 - 2) = theta(0) = 1 (eps negligible at this magnitude)
         x = np.full((1, 1, 1), 4.0 + 1e-4)
-        assert merged_gate(x, gate, cfg)[0, 0, 0] == 1.0
+        assert merged_gate(x, params, cfg)[0, 0, 0] == 1.0
 
     def test_equals_normalize_then_threshold(self, rng):
         # two-path equivalence oracle over 10^4 random cases
         cfg = make_cfg(c_out=8)
-        gate = GateState.create(cfg)
-        gate.bn.running_mean[:] = rng.standard_normal(8)
-        gate.bn.running_var[:] = rng.uniform(0.1, 3.0, 8)
+        params = gate_params(cfg)
+        bn1, gate = params.bn1, params.gate
+        bn1.running_mean[:] = rng.standard_normal(8)
+        bn1.running_var[:] = rng.uniform(0.1, 3.0, 8)
         gate.delta[:] = rng.standard_normal(8)
         x = rng.standard_normal((125, 8, 10, 1)) * 2.0
-        got = merged_gate(x, gate, cfg)
-        sigma = np.sqrt(gate.bn.running_var + gate.bn.eps)
-        xhat = (x - gate.bn.running_mean[:, None, None]) / sigma[:, None, None]
+        got = merged_gate(x, params, cfg)
+        sigma = np.sqrt(bn1.running_var + bn1.eps)
+        xhat = (x - bn1.running_mean[:, None, None]) / sigma[:, None, None]
         want = heaviside(xhat - gate.delta[:, None, None])
         np.testing.assert_array_equal(got, want)
 
     def test_two_sided_band(self, rng):
-        cfg = make_cfg(act="tanh")
+        cfg = make_cfg(c_in=4, c_out=1, G=1, act="tanh")
         assert cfg.gate == "two_sided"
-        gate = GateState.create(cfg)
-        gate.delta_high[:] = 0.5
-        gate.delta_low[:] = -0.5
+        params = gate_params(cfg)
+        params.gate.delta_high[:] = 0.5
+        params.gate.delta_low[:] = -0.5
         x = np.array([[[[-1.0, -0.5, 0.0, 0.5, 1.0]]]] * 1).reshape(1, 1, 1, 5)
-        g2 = GateState(np.zeros(1), nn.BatchNormState.create(1),
-                       delta_high=np.array([0.5]), delta_low=np.array([-0.5]))
-        d = merged_gate(x, g2, cfg)
+        d = merged_gate(x, params, cfg)
         # eps shifts the +/-0.5 thresholds outward by ~2.5e-6, boundaries taken
         np.testing.assert_array_equal(d.ravel(), [0, 1, 1, 1, 0])
 
@@ -236,13 +240,6 @@ class TestWeightPartition:
 
 
 class TestBlockInference:
-    def test_requires_frozen_stats(self, rng):
-        cfg = make_cfg()
-        params = make_params(cfg, rng)
-        params.gate.frozen = False
-        with pytest.raises(StateError):
-            cg_block_forward_inference(rng.standard_normal((8, 6, 6)), params, cfg)
-
     def test_all_take_limit_matches_dense(self, rng):
         # Delta = -1e6, tau_c = 0: y == f(BN2(full dense conv))
         cfg = make_cfg()
@@ -294,8 +291,8 @@ class TestBlockInference:
         for oc in range(4):
             gi = oc // (4 // cfg.groups)
             base_ch = gating.base_indices(4, cfg.groups, gi)
-            sigma = math.sqrt(params.gate.bn.running_var[oc] + params.gate.bn.eps)
-            thr = params.gate.delta[oc] * sigma + params.gate.bn.running_mean[oc]
+            sigma = math.sqrt(params.bn1.running_var[oc] + params.bn1.eps)
+            thr = params.gate.delta[oc] * sigma + params.bn1.running_mean[oc]
             s1 = params.gamma[oc] / math.sqrt(params.bn1.running_var[oc] + params.bn1.eps)
             s2 = params.gamma[oc] / math.sqrt(params.bn2.running_var[oc] + params.bn2.eps)
             for oy in range(ho):

@@ -5,7 +5,7 @@ import pytest
 
 from cgnet import nn
 from cgnet.network import build_model
-from cgnet.nn import ConfigurationError
+from cgnet.nn import ConfigurationError, StateError
 
 from _oracles import check_grad, rel_err
 
@@ -84,7 +84,7 @@ class TestDenseEquivalence:
         model = build_model(cfg_fn(), rng)
         # non-trivial running stats so the equivalence is not vacuous
         for layer in model.gated_layers():
-            for bn in (layer.params.bn1, layer.params.bn2, layer.params.gate.bn):
+            for bn in (layer.params.bn1, layer.params.bn2):
                 bn.running_mean[:] = rng.standard_normal(len(bn.running_mean)) * 0.2
                 bn.running_var[:] = rng.uniform(0.5, 1.5, len(bn.running_var))
         model.set_force_open()
@@ -138,10 +138,10 @@ class TestGradientChaining:
         labels = np.array([0, 2])
 
         def loss():
-            logits = model.forward_train(x, update_running=False)
+            logits = model.forward_train(x)
             return nn.cross_entropy(logits, labels)[0]
 
-        logits = model.forward_train(x, update_running=False)
+        logits = model.forward_train(x)
         _, dlogits = nn.cross_entropy(logits, labels)
         model.zero_grads()
         model.backward(dlogits)
@@ -170,10 +170,10 @@ class TestGradientChaining:
         labels = np.array([1, 0])
 
         def loss():
-            logits = model.forward_train(x, update_running=False)
+            logits = model.forward_train(x)
             return nn.cross_entropy(logits, labels)[0]
 
-        logits = model.forward_train(x, update_running=False)
+        logits = model.forward_train(x)
         _, dlogits = nn.cross_entropy(logits, labels)
         model.zero_grads()
         model.backward(dlogits)
@@ -185,12 +185,33 @@ class TestGradientChaining:
     def test_shuffle_backward_is_inverse(self, rng):
         model = build_model(vgg_ish_cfg(), rng)
         x = rng.standard_normal((2, 1, 16, 16))
-        logits = model.forward_train(x, update_running=False)
+        logits = model.forward_train(x)
         dlogits = rng.standard_normal(logits.shape)
         model.zero_grads()
         dx = model.backward(dlogits)
         assert dx.shape == x.shape
         assert np.all(np.isfinite(dx))
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_zero_grads_clears_every_buffer(self, rng, cfg_fn):
+        model = build_model(cfg_fn(), rng)
+        x = rng.standard_normal((2, 1, 16, 16))
+        model.backward(rng.standard_normal(model.forward_train(x).shape))
+        assert all(np.any(g) for _, _, g, _ in model.param_groups())
+        model.zero_grads()
+        assert all(not np.any(g) for _, _, g, _ in model.param_groups())
+
+
+class TestFrozenGuard:
+    def test_requires_frozen_stats(self, rng):
+        model = build_model(vgg_ish_cfg(), rng)
+        x = rng.standard_normal((2, 1, 16, 16))
+        with pytest.raises(StateError, match="frozen"):
+            model.forward_infer(x)
+        logits, _ = model.forward_infer(x, require_frozen=False)
+        assert logits.shape == (2, 4)
+        dense_logits, _ = model.to_dense().forward_infer(x)
+        assert dense_logits.shape == (2, 4)
 
 
 class TestStateRoundtrip:

@@ -116,8 +116,7 @@ class TestBatchNorm:
                                        (5, 7, 3, 9), (32, 64, 4, 4)])
     def test_batch_stats_equal_numpy(self, rng, shape):
         x = 3.0 + rng.standard_normal(shape) * 2.0
-        _, ctx = nn.bn_forward(x, BatchNormState.create(shape[1]), training=True,
-                               want_ctx=True)
+        _, ctx = nn.bn_forward(x, BatchNormState.create(shape[1]), training=True)
         np.testing.assert_array_equal(ctx.mean, x.mean(axis=(0, 2, 3)))
         np.testing.assert_array_equal(ctx.var, x.var(axis=(0, 2, 3)))
 
@@ -183,12 +182,10 @@ class TestBatchNorm:
         proj = rng.standard_normal(x.shape)
 
         def loss():
-            y, _ = nn.bn_forward(x, st, training=True, affine=affine,
-                                 update_running=False)
+            y, _ = nn.bn_forward(x, st, training=True, affine=affine)
             return float((y * proj).sum())
 
-        _, ctx = nn.bn_forward(x, st, training=True, affine=affine,
-                               update_running=False, want_ctx=True)
+        _, ctx = nn.bn_forward(x, st, training=True, affine=affine)
         dx, dgamma, dbeta = nn.batchnorm_backward(ctx, proj)
         check_grad(loss, x, dx)
         if affine:

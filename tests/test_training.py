@@ -38,7 +38,7 @@ class TestForwardTrain:
         params = make_params(cfg, rng)
         params.gate.delta[:] = -1e6
         x = rng.standard_normal((3, 4, 5, 5))
-        y, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        y, ctx = cg_block_forward_train(x, params, cfg)
         np.testing.assert_array_equal(ctx.d, 1.0)
         np.testing.assert_array_equal(y, nn.activation(ctx.xhat_full, "relu"))
 
@@ -47,7 +47,7 @@ class TestForwardTrain:
         params = make_params(cfg, rng)
         params.gate.delta[:] = 1e6
         x = rng.standard_normal((3, 4, 5, 5))
-        y, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        y, ctx = cg_block_forward_train(x, params, cfg)
         np.testing.assert_array_equal(ctx.d, 0.0)
         np.testing.assert_array_equal(y, nn.activation(ctx.xhat_p, "relu"))
 
@@ -56,13 +56,13 @@ class TestForwardTrain:
         params = make_params(cfg, rng)
         params.gate.delta[:] = rng.standard_normal(4) * 0.5
         x = rng.standard_normal((4, 4, 5, 5))
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         base_spec = ConvSpec(4, 4, 3, padding=1, groups=cfg.groups)
         p = nn.conv2d(x, params.w_p, base_spec)
         mean = p.mean(axis=(0, 2, 3))
         var = p.var(axis=(0, 2, 3))
         for c in range(4):
-            xhat = (p[:, c] - mean[c]) / np.sqrt(var[c] + params.gate.bn.eps)
+            xhat = (p[:, c] - mean[c]) / np.sqrt(var[c] + params.bn1.eps)
             want = (xhat >= params.gate.delta[c]).astype(float)
             np.testing.assert_array_equal(ctx.d[:, c], want)
 
@@ -71,7 +71,7 @@ class TestForwardTrain:
         params = make_params(cfg, rng)
         params.gate.delta[:] = 0.3
         x = rng.standard_normal((2, 4, 4, 4))
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         np.testing.assert_array_equal(
             ctx.d, gating.heaviside(ctx.xhat_g - params.gate.delta[:, None, None]))
 
@@ -87,12 +87,10 @@ class TestBackward:
         proj = rng.standard_normal((2, 4, 4, 4))
 
         def loss():
-            y, _ = cg_block_forward_train(x, params, cfg,
-                                          update_running=False, soft_gate=True)
+            y, _ = cg_block_forward_train(x, params, cfg, soft_gate=True)
             return float((y * proj).sum())
 
-        _, ctx = cg_block_forward_train(x, params, cfg,
-                                        update_running=False, soft_gate=True)
+        _, ctx = cg_block_forward_train(x, params, cfg, soft_gate=True)
         g = cg_block_backward(ctx, proj)
         check_grad(loss, params.w_p, g.dw_p)
         check_grad(loss, params.w_r, g.dw_r)
@@ -113,12 +111,10 @@ class TestBackward:
         proj = rng.standard_normal((2, 4, 4, 4))
 
         def loss():
-            y, _ = cg_block_forward_train(x, params, cfg,
-                                          update_running=False, soft_gate=True)
+            y, _ = cg_block_forward_train(x, params, cfg, soft_gate=True)
             return float((y * proj).sum())
 
-        _, ctx = cg_block_forward_train(x, params, cfg,
-                                        update_running=False, soft_gate=True)
+        _, ctx = cg_block_forward_train(x, params, cfg, soft_gate=True)
         g = cg_block_backward(ctx, proj)
         check_grad(loss, params.gate.delta_high, g.ddelta_high)
         check_grad(loss, params.gate.delta_low, g.ddelta_low)
@@ -130,7 +126,7 @@ class TestBackward:
         params = make_params(cfg, rng)
         params.gate.delta[:] = 50.0  # far from any normalized partial sum
         x = rng.standard_normal((2, 4, 4, 4))
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         g = cg_block_backward(ctx, rng.standard_normal((2, 4, 4, 4)))
         assert np.all(np.abs(g.ddelta) < 1e-6)
 
@@ -140,7 +136,7 @@ class TestBackward:
         params = make_params(cfg, rng)
         params.w_r[:] = 0.0
         x = rng.standard_normal((2, 4, 4, 4))
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         g = cg_block_backward(ctx, rng.standard_normal((2, 4, 4, 4)))
         np.testing.assert_array_equal(g.ddelta, 0.0)
 
@@ -150,7 +146,7 @@ class TestBackward:
         params = make_params(cfg, rng)
         x = rng.standard_normal((2, 4, 4, 4))
         proj = rng.standard_normal((2, 4, 4, 4))
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         dpre = proj * nn.activation_grad(ctx.pre, cfg.activation)
         ds = dpre * (ctx.xhat_full - ctx.xhat_p)
         (s,) = ctx.sig_parts
@@ -164,12 +160,11 @@ class TestBackward:
         params.gate.delta[:] = 0.0
         while True:
             x = rng.standard_normal((2, 4, 4, 4))
-            _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+            _, ctx = cg_block_forward_train(x, params, cfg)
             if np.abs(ctx.xhat_g - params.gate.delta[:, None, None]).min() > 0.01:
                 break
-        y_hard, _ = cg_block_forward_train(x, params, cfg, update_running=False)
-        y_soft, _ = cg_block_forward_train(x, params, cfg, update_running=False,
-                                           soft_gate=True)
+        y_hard, _ = cg_block_forward_train(x, params, cfg)
+        y_soft, _ = cg_block_forward_train(x, params, cfg, soft_gate=True)
         assert np.abs(y_hard - y_soft).max() < 1e-3
 
     def test_force_open_gradients_match_dense_network(self, rng):
@@ -179,7 +174,7 @@ class TestBackward:
         params.gate.delta[:] = -1e6
         x = rng.standard_normal((3, 4, 5, 5))
         proj = rng.standard_normal((3, 4, 5, 5))
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         g = cg_block_backward(ctx, proj)
 
         dense = ConvBlock(ConvSpec(4, 4, 3, padding=1), act="relu", rng=rng)
@@ -188,7 +183,7 @@ class TestBackward:
                                   params.bn2.running_mean.copy(),
                                   params.bn2.running_var.copy())
         dense.g_w = np.zeros_like(dense.w)
-        dense.forward_train(x, update_running=False)
+        dense.forward_train(x)
         dx_dense = dense.backward(proj)
         dw_assembled = gating.assemble_dense_weight(g.dw_p, g.dw_r, cfg.groups)
         assert rel_err(dw_assembled, dense.g_w) < 1e-5
@@ -201,7 +196,7 @@ class TestBackward:
         cfg = make_cfg(G=1)
         params = make_params(cfg, rng)
         x = rng.standard_normal((2, 4, 4, 4))
-        y, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        y, ctx = cg_block_forward_train(x, params, cfg)
         g = cg_block_backward(ctx, rng.standard_normal(y.shape))
         assert params.w_r.shape[1] == 0
         assert g.dw_r.shape == params.w_r.shape
@@ -228,7 +223,7 @@ class TestBlockTrainOracle:
                             groups=G, activation=act, gate=gate)
         params = make_params(cfg, rng)
         c_out = cfg.conv.out_channels
-        for bn in (params.bn1, params.bn2, params.gate.bn):
+        for bn in (params.bn1, params.bn2):
             bn.running_mean[:] = rng.standard_normal(c_out)
             bn.running_var[:] = rng.uniform(0.5, 2.0, c_out)
         params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
@@ -264,17 +259,6 @@ class TestBlockTrainOracle:
             for stat in ("running_mean", "running_var"):
                 assert rel_err(getattr(getattr(params, bn), stat),
                                getattr(getattr(ref_params, bn), stat)) < 1e-10, (bn, stat)
-        for stat in ("running_mean", "running_var"):
-            assert rel_err(getattr(params.gate.bn, stat),
-                           getattr(ref_params.gate.bn, stat)) < 1e-10, stat
-
-    @pytest.mark.parametrize("field,value", [("eps", 1e-3), ("momentum", 0.5)])
-    def test_bn1_and_gate_normalizer_must_agree(self, rng, field, value):
-        cfg = make_cfg()
-        params = make_params(cfg, rng)
-        setattr(params.gate.bn, field, value)
-        with pytest.raises(nn.ConfigurationError, match="gate normalizer"):
-            cg_block_forward_train(rng.standard_normal((2, 4, 4, 4)), params, cfg)
 
 
 class TestSparsityLosses:
@@ -303,7 +287,7 @@ class TestSparsityLosses:
         params = make_params(cfg, rng)
         params.gate.delta[:] = -1e6  # s~ == 1 everywhere -> (J - s~) == 0
         x = rng.standard_normal((2, 4, 4, 4))
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         loss, grads = sparsity_loss_flops([ctx], 1.0)
         assert loss == 0.0
 
@@ -314,7 +298,7 @@ class TestSparsityLosses:
         params = CgBlockParams.init(cfg, rng)
         params.gate.delta[:] = 1e6  # s~ == 0 everywhere
         x = rng.standard_normal((1, 8, 4, 4))
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         loss, _ = sparsity_loss_flops([ctx], 1.0)
         inner = 8 * 4 * 4
         want = (inner * 2 * 9 * 4 * 4 * 8) ** 2
@@ -327,10 +311,10 @@ class TestSparsityLosses:
         x = rng.standard_normal((2, 4, 4, 4))
 
         def loss():
-            _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+            _, ctx = cg_block_forward_train(x, params, cfg)
             return sparsity_loss_flops([ctx], 1e-9)[0]
 
-        _, ctx = cg_block_forward_train(x, params, cfg, update_running=False)
+        _, ctx = cg_block_forward_train(x, params, cfg)
         _, (g,) = sparsity_loss_flops([ctx], 1e-9)
         check_grad(loss, params.gate.delta, g, step=1e-4)
 
