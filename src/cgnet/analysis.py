@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gating import DecisionMap, shared_im2col_sums, split_dense_weight
+from .gating import DecisionMap, grouped_partial_sums, shared_im2col_sums
 from .nn import ConfigurationError, ConvSpec, _as_batch
 
 
@@ -221,41 +221,41 @@ def partial_final_correlation(model, images, etas=(0.125, 0.25, 0.5, 1.0)):
     """Pearson correlation between base-path partial sums and final sums.
 
     The model's conv layers are re-grouped for each eta (G = 1/eta) from
-    their assembled dense kernels, so any trained model can be swept.
-    Layers whose channel counts do not divide, and degenerate zero-variance
-    layers, are skipped with a warning. The sums come from
-    ``gating.shared_im2col_sums``, the routine the gated layers run.
+    their dense kernels, so any trained model can be swept. Layers whose
+    channel counts do not divide, and degenerate zero-variance layers, are
+    skipped with a warning. Each layer's im2col and full sum are computed
+    once, by ``gating.shared_im2col_sums``, the routine the gated layers
+    run; only the grouped partial sum is computed per eta.
     Returns {eta: {"layers": {name: r}, "mean": r}}.
     """
-    _, records = model.forward_infer(images, collect=True, capture=True,
-                                     require_frozen=False)
-    results = {}
-    for eta in etas:
-        G = int(round(1.0 / eta))
+    groups = {eta: int(round(1.0 / eta)) for eta in etas}
+    for eta, G in groups.items():
         if abs(1.0 / G - eta) > 1e-9:
             raise ConfigurationError(f"eta {eta} is not 1/G for integer G")
-        per_layer = {}
-        for rec in records:
-            if rec.kind not in ("conv", "cg_conv") or rec.w_dense is None:
-                continue
+    _, records = model.forward_infer(images, collect=True, capture=True,
+                                     require_frozen=False)
+    per_eta = {eta: {} for eta in etas}
+    for rec in records:
+        if rec.kind not in ("conv", "cg_conv") or rec.w_dense is None:
+            continue
+        spec = ConvSpec(rec.c_in, rec.c_out, rec.kernel_size,
+                        stride=rec.stride, padding=rec.padding)
+        cols, _, final = shared_im2col_sums(_as_batch(rec.x_in)[0], rec.w_dense, spec, 1)
+        for eta, G in groups.items():
             if rec.c_in % G or rec.c_out % G:
                 warnings.warn(f"{rec.name}: channels not divisible by G={G}; skipped")
                 continue
-            spec = ConvSpec(rec.c_in, rec.c_out, rec.kernel_size,
-                            stride=rec.stride, padding=rec.padding)
-            w_p, w_r = split_dense_weight(rec.w_dense, G)
-            _, _, partial, final = shared_im2col_sums(_as_batch(rec.x_in)[0], w_p, w_r,
-                                                      spec, G)
+            partial = final if G == 1 else grouped_partial_sums(cols, rec.w_dense, G)
             r = _pearson(partial, final)
             if r is None:
                 warnings.warn(f"{rec.name}: zero-variance sums at eta={eta}; skipped")
                 continue
-            per_layer[rec.name] = r
+            per_eta[eta][rec.name] = r
+    for eta, per_layer in per_eta.items():
         if not per_layer:
             raise ConfigurationError(f"no layer admits regrouping at eta={eta}")
-        results[eta] = {"layers": per_layer,
-                        "mean": float(np.mean(list(per_layer.values())))}
-    return results
+    return {eta: {"layers": per_layer, "mean": float(np.mean(list(per_layer.values())))}
+            for eta, per_layer in per_eta.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,15 @@ Byte layout, all integers little-endian:
 
 Model checkpoints store every tensor of the network plus one uint8
 record named "__config__" holding the canonical JSON of the model
-configuration, so a checkpoint is self-describing. A gated layer's
-"<layer>.gate_mean"/"<layer>.gate_var" records are BN1's running stats,
-written a second time beside "<layer>.bn1_mean"/"<layer>.bn1_var"; loading
-rejects a checkpoint in which the two copies differ.
+configuration, so a checkpoint is self-describing. A gated layer holds
+one dense kernel W; the format stores it as its split for the layer's G
+channel groups: "<layer>.w_p" (c_out, c_in/G, k, k) holds output group i's
+weights on input group i, and "<layer>.w_r" (c_out, c_in - c_in/G, k, k)
+their weights on the other input groups in ascending order. Loading
+assembles W from the two. A gated layer's "<layer>.gate_mean" and
+"<layer>.gate_var" records are BN1's running stats, written a second time
+beside "<layer>.bn1_mean"/"<layer>.bn1_var"; loading rejects a checkpoint
+in which the two copies differ.
 """
 
 from __future__ import annotations

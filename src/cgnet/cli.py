@@ -258,7 +258,7 @@ def cmd_analyze(args):
 
 def cmd_perf(args):
     from . import analysis, perf
-    cfg, out, val_ds, model, _ = _checkpoint_command(args)
+    cfg, out, val_ds, model, frozen = _checkpoint_command(args)
 
     n_inputs = int(cfg.get("num_inputs", 32))
     images = val_ds.images[:n_inputs]
@@ -269,7 +269,7 @@ def cmd_perf(args):
         fill_drain_per_tile=_get(cfg, "array.fill_drain_per_tile", None))
     report = perf.model_network_speedup(records, array)
     flops = analysis.count_flops(records)
-    perf.write_breakdown_csv(out / "perf_breakdown.csv", report)
+    perf.write_breakdown_csv(out / "perf_breakdown.csv", report, frozen)
     print(f"modeled speedup {report.speedup:.3f}x  "
           f"(theoretical flop_reduction {flops.flop_reduction:.3f}x, "
           f"array {array.rows}x{array.cols})")

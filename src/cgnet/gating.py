@@ -15,12 +15,15 @@ afterwards. The skipped conditional MACs are accounted by
 ``analysis.count_flops`` from the decision maps the block returns, which
 is what the FLOP-reduction figures report.
 
-Weight layout:
-  * w_p is (c_out, c_in/G, k, k): the grouped-conv base weights, so output
-    group i's rows read input group i;
-  * w_r is (c_out, c_in - c_in/G, k, k): per output channel, the weights
-    for the complement input channels in ascending group order with the
-    base group removed.
+Weight layout: a gated layer holds one dense kernel W (c_out, c_in, k, k).
+Output group i's rows over input group i's channels are W_p, the base
+path's weights; the rest of those rows are W_r, the conditional path's.
+The base GEMM reads W_p through ``base_blocks``, a writable view of W's
+diagonal blocks, and the full sum runs on W itself, so no copy of the
+kernel exists that a weight update could leave stale. Only the checkpoint
+format stores the split: ``<layer>.w_p`` is (c_out, c_in/G, k, k) and
+``<layer>.w_r`` (c_out, c_in - c_in/G, k, k), per output channel the
+complement input channels in ascending group order.
 """
 
 from __future__ import annotations
@@ -134,15 +137,14 @@ class DecisionMap:
 
 @dataclass
 class CgBlockParams:
-    """Weights, dual batch norm and gate state of one gating block.
+    """Dense kernel, dual batch norm and gate state of one gating block.
 
     bn1 (base path) and bn2 (combined path) keep separate running
     statistics but reference the same gamma/beta arrays; bn1's statistics
     also normalize the gate input.
     """
 
-    w_p: np.ndarray
-    w_r: np.ndarray
+    w: np.ndarray             # (c_out, c_in, k, k)
     gamma: np.ndarray
     beta: np.ndarray
     bn1: BatchNormState
@@ -156,31 +158,20 @@ class CgBlockParams:
         c_in, c_out, k = spec.in_channels, spec.out_channels, spec.kernel_size
         fan_in = c_in * k * k
         std = np.sqrt(2.0 / fan_in)
+        # drawing W_p, then W_r, fixes the rng stream of seeded models
         w_p = rng.normal(0.0, std, (c_out, c_in // G, k, k))
         w_r = rng.normal(0.0, std, (c_out, c_in - c_in // G, k, k))
         gamma = np.ones(c_out)
         beta = np.zeros(c_out)
         bn1 = BatchNormState(gamma, beta, np.zeros(c_out), np.ones(c_out))
         bn2 = BatchNormState(gamma, beta, np.zeros(c_out), np.ones(c_out))
-        return cls(w_p, w_r, gamma, beta, bn1, bn2, GateState.create(cfg))
+        return cls(assemble_dense_weight(w_p, w_r, G), gamma, beta, bn1, bn2,
+                   GateState.create(cfg))
 
 
 # ---------------------------------------------------------------------------
-# Grouping helpers
+# Channel shuffle
 # ---------------------------------------------------------------------------
-
-def base_indices(c_in, G, i):
-    per = c_in // G
-    return np.arange(i * per, (i + 1) * per)
-
-
-def complement_indices(c_in, G, i):
-    """Input channels of the conditional path for output group i:
-    all groups except i, in ascending group order."""
-    per = c_in // G
-    idx = [np.arange(j * per, (j + 1) * per) for j in range(G) if j != i]
-    return np.concatenate(idx) if idx else np.empty(0, dtype=int)
-
 
 def shuffle_permutation(c, G):
     """Interleaving permutation: output channel (group g, offset j) moves to
@@ -202,40 +193,38 @@ def channel_shuffle(x, G):
 
 
 # ---------------------------------------------------------------------------
-# Dense <-> partitioned weight conversion
+# Dense kernel: its base blocks and the checkpoint's (W_p, W_r) split
 # ---------------------------------------------------------------------------
 
+def base_blocks(w, G):
+    """Writable view of the diagonal blocks of a C-contiguous kernel whose
+    first axis is c_out and whose other axes flatten to (c_in, k, k):
+    (G, c_out/G, c_in/G*k*k), block i being output group i's rows over input
+    group i's channels (W_p)."""
+    return np.einsum("gigj->gij", w.reshape(G, w.shape[0] // G, G, -1))
+
+
 def assemble_dense_weight(w_p, w_r, G):
-    """Reassemble the dense kernel W from the (W_p, W_r) partition."""
-    c_out, cpg_in = w_p.shape[0], w_p.shape[1]
-    c_in = cpg_in * G
-    k = w_p.shape[2]
-    w = np.zeros((c_out, c_in, k, k))
-    cpg_out = c_out // G
-    for i in range(G):
-        rows = slice(i * cpg_out, (i + 1) * cpg_out)
-        w[rows][:, base_indices(c_in, G, i)] = w_p[rows]
-        if w_r.shape[1]:
-            w[rows][:, complement_indices(c_in, G, i)] = w_r[rows]
-    return w
+    """The dense kernel W from its (W_p, W_r) split for G groups: output
+    group i's input groups are W_r's in ascending order, with W_p's block
+    inserted at position i."""
+    c_out, per, kk = w_p.shape[0], w_p.shape[1], w_p.shape[2:]
+    w_p = w_p.reshape(G, c_out // G, 1, per, *kk)
+    w_r = w_r.reshape(G, c_out // G, G - 1, per, *kk)
+    w = np.stack([np.concatenate([r[:, :i], p, r[:, i:]], axis=1)
+                  for i, (p, r) in enumerate(zip(w_p, w_r))])
+    return w.reshape(c_out, G * per, *kk)
 
 
 def split_dense_weight(w, G):
-    """Partition a dense kernel into (W_p, W_r) for G groups."""
-    c_out, c_in = w.shape[0], w.shape[1]
+    """The (W_p, W_r) split of a dense kernel for G groups."""
+    c_out, c_in, kk = w.shape[0], w.shape[1], w.shape[2:]
     if c_out % G or c_in % G:
         raise ConfigurationError(f"kernel {w.shape} not divisible into {G} groups")
-    k = w.shape[2]
-    cpg_in = c_in // G
-    cpg_out = c_out // G
-    w_p = np.zeros((c_out, cpg_in, k, k))
-    w_r = np.zeros((c_out, c_in - cpg_in, k, k))
-    for i in range(G):
-        rows = slice(i * cpg_out, (i + 1) * cpg_out)
-        w_p[rows] = w[rows][:, base_indices(c_in, G, i)]
-        if c_in - cpg_in:
-            w_r[rows] = w[rows][:, complement_indices(c_in, G, i)]
-    return w_p, w_r
+    blocks = w.reshape(G, c_out // G, G, c_in // G, *kk)
+    w_r = np.stack([np.delete(b, i, axis=1) for i, b in enumerate(blocks)])
+    return (base_blocks(w, G).reshape(c_out, c_in // G, *kk),
+            w_r.reshape(c_out, c_in - c_in // G, *kk))
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +282,21 @@ def channel_gate(d, tau_c):
 # Block forward (inference)
 # ---------------------------------------------------------------------------
 
-def shared_im2col_sums(xb, w_p, w_r, spec: ConvSpec, G):
-    """One padded im2col of the batch ``xb`` feeding two GEMMs.
+def grouped_partial_sums(cols, w, G):
+    """Base partial sums from im2col columns ``cols`` (n, c_in*k*k, L): one
+    batched matmul of each output group's W_p block of the dense kernel
+    ``w`` against its input group's rows; returns (n, c_out, L)."""
+    n, kk, length = cols.shape
+    return np.matmul(base_blocks(w, G),
+                     cols.reshape(n, G, kk // G, length)).reshape(n, w.shape[0], length)
 
-    The base partial sums p are one batched matmul of each output group's
-    W_p rows against its input group's rows; the full sum is one matmul
-    with the dense kernel reassembled from W_p and W_r (for G == 1 the full
-    sum is p). ``spec`` is the dense convolution and G the group count.
-    Returns (cols, w, p, full): cols is (n, c_in*k*k, ho*wo), w the dense
-    kernel as (c_out, c_in*k*k), p and full (n, c_out, ho, wo). The kernel
-    is assembled on every call, so it never goes stale after a weight
-    update.
+
+def shared_im2col_sums(xb, w, spec: ConvSpec, G):
+    """One padded im2col of the batch ``xb`` feeding two GEMMs on the dense
+    kernel ``w``: the grouped base partial sums p and the full sum (for
+    G == 1 the full sum is p). ``spec`` is the dense convolution and G the
+    group count. Returns (cols, p, full): cols is (n, c_in*k*k, ho*wo), p
+    and full (n, c_out, ho, wo).
     """
     if xb.shape[1] != spec.in_channels:
         raise ConfigurationError(
@@ -312,12 +305,9 @@ def shared_im2col_sums(xb, w_p, w_r, spec: ConvSpec, G):
     c_out = spec.out_channels
     ho, wo = spec.out_hw(xb.shape[2], xb.shape[3])
     cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
-    kk = cols.shape[1]
-    w_grouped = w_p.reshape(G, c_out // G, kk // G)
-    p = np.matmul(w_grouped, cols.reshape(n, G, kk // G, ho * wo)).reshape(n, c_out, ho, wo)
-    w = assemble_dense_weight(w_p, w_r, G).reshape(c_out, kk)
-    full = p if G == 1 else np.matmul(w, cols).reshape(n, c_out, ho, wo)
-    return cols, w, p, full
+    p = grouped_partial_sums(cols, w, G).reshape(n, c_out, ho, wo)
+    full = p if G == 1 else np.matmul(w.reshape(c_out, -1), cols).reshape(n, c_out, ho, wo)
+    return cols, p, full
 
 
 def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
@@ -328,17 +318,16 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     channel-wise gate zeroes whole channels' conditional work and their
     W_r accesses. Decision maps refer to pre-shuffle channel order.
 
-    One padded im2col of the input feeds two GEMMs: the base partial sums
-    (one batched matmul of each output group's W_p rows against its input
-    group's rows) and the full sum (the dense kernel reassembled from
-    W_p and W_r). The full sum is computed at every position and selected
-    afterwards, so the skipped conditional MACs are accounted by
-    ``analysis.count_flops`` but not skipped on the CPU. It runs on whatever
-    running stats the block holds; ``Network.forward_infer`` checks that
-    they are frozen.
+    One padded im2col of the input feeds two GEMMs on the dense kernel W:
+    the base partial sums (one batched matmul of each output group's W_p
+    block against its input group's rows) and the full sum. The full sum
+    is computed at every position and selected afterwards, so the skipped
+    conditional MACs are accounted by ``analysis.count_flops`` but not
+    skipped on the CPU. It runs on whatever running stats the block holds;
+    ``Network.forward_infer`` checks that they are frozen.
     """
     xb, batched = _as_batch(x)
-    _, _, p, full = shared_im2col_sums(xb, params.w_p, params.w_r, cfg.conv, cfg.groups)
+    _, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
     d = merged_gate(p, params, cfg)
     mask = channel_gate(d, cfg.tau_c) if cfg.tau_c > 0.0 else np.ones(d.shape[:2])
     dm = DecisionMap(d, mask)

@@ -12,7 +12,9 @@ speaks one protocol:
     of per-layer records (dims, decision maps, optionally captured inputs)
     for the analysis and performance models, empty unless collecting;
   * ``param_groups()`` lists (name, param, grad, weight_decay) and
-    ``state_items()`` the (name, array) pairs a checkpoint holds.
+    ``state_items()`` the (name, array) pairs a checkpoint holds; loading
+    writes into those arrays, except that a gated layer's kernel records
+    are copies of W's split, from which ``load_kernel`` assembles W.
 
 ``Network`` alone zeroes gradients (those ``param_groups`` lists) and
 checks before inference that the gate statistics are frozen.
@@ -25,7 +27,7 @@ import numpy as np
 from . import analysis, gating, training
 from .checkpoint import CONFIG_RECORD
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
-                     channel_shuffle, shuffle_permutation)
+                     channel_shuffle, shuffle_permutation, split_dense_weight)
 from .nn import (ConfigurationError, ConvSpec, BatchNormState, StateError, activation,
                  activation_grad, batchnorm_backward, bn_forward,
                  conv2d_backward, conv2d_forward, linear_backward,
@@ -117,8 +119,7 @@ class CgConvBlock:
         self.params = CgBlockParams.init(cfg, rng or np.random.default_rng(0))
         self.freeze_delta = False
         self.ctx = None
-        self.g_w_p = np.zeros_like(self.params.w_p)
-        self.g_w_r = np.zeros_like(self.params.w_r)
+        self.g_w = np.zeros_like(self.params.w)
         self.g_gamma = np.zeros_like(self.params.gamma)
         self.g_beta = np.zeros_like(self.params.beta)
         if cfg.gate == "single_sided":
@@ -138,8 +139,7 @@ class CgConvBlock:
             perm = shuffle_permutation(self.cfg.conv.out_channels, self.cfg.groups)
             dy = dy[:, np.argsort(perm)]
         g = training.cg_block_backward(self.ctx, dy)
-        self.g_w_p += g.dw_p
-        self.g_w_r += g.dw_r
+        self.g_w += g.dw
         self.g_gamma += g.dgamma
         self.g_beta += g.dbeta
         if not self.freeze_delta:
@@ -165,12 +165,10 @@ class CgConvBlock:
             n_samples=xb.shape[0] if xb.ndim == 4 else 1,
             stride=spec.stride, padding=spec.padding, dm=dm,
             x_in=xb if capture else None,
-            w_dense=assemble_dense_weight(self.params.w_p, self.params.w_r,
-                                          self.cfg.groups) if capture else None)]
+            w_dense=self.params.w if capture else None)]
 
     def param_groups(self):
-        groups = [(f"{self.name}.w_p", self.params.w_p, self.g_w_p, True),
-                  (f"{self.name}.w_r", self.params.w_r, self.g_w_r, True),
+        groups = [(f"{self.name}.w", self.params.w, self.g_w, True),
                   (f"{self.name}.gamma", self.params.gamma, self.g_gamma, False),
                   (f"{self.name}.beta", self.params.beta, self.g_beta, False)]
         if self.cfg.gate == "single_sided":
@@ -184,11 +182,12 @@ class CgConvBlock:
         return groups
 
     def state_items(self):
-        # gate_mean/gate_var name BN1's arrays a second time: the records
-        # stay for readers of the checkpoint format
+        # The format stores W as its (W_p, W_r) split, and gate_mean/gate_var
+        # name BN1's arrays a second time: the records stay for its readers.
         p = self.params
-        items = [(f"{self.name}.w_p", p.w_p),
-                 (f"{self.name}.w_r", p.w_r),
+        w_p, w_r = split_dense_weight(p.w, self.cfg.groups)
+        items = [(f"{self.name}.w_p", w_p),
+                 (f"{self.name}.w_r", w_r),
                  (f"{self.name}.gamma", p.gamma),
                  (f"{self.name}.beta", p.beta),
                  (f"{self.name}.bn1_mean", p.bn1.running_mean),
@@ -203,14 +202,18 @@ class CgConvBlock:
             items.append((f"{self.name}.delta_low", p.gate.delta_low))
         return items
 
+    def load_kernel(self, tensors):
+        """Assemble W from a checkpoint's (W_p, W_r) records."""
+        self.params.w[:] = assemble_dense_weight(
+            tensors[f"{self.name}.w_p"], tensors[f"{self.name}.w_r"], self.cfg.groups)
+
     def to_dense(self):
-        """Dense equivalent: the all-take path (assembled W, BN2 stats)."""
+        """Dense equivalent: the all-take path (a copy of W, BN2 stats)."""
         spec = self.cfg.conv
         blk = ConvBlock(spec, act=self.cfg.activation,
                         shuffle_groups=self.cfg.groups if self.cfg.shuffle else 0,
                         name=self.name)
-        blk.w = assemble_dense_weight(self.params.w_p, self.params.w_r,
-                                      self.cfg.groups)
+        blk.w = self.params.w.copy()
         blk.bn = BatchNormState(self.params.gamma.copy(), self.params.beta.copy(),
                                 self.params.bn2.running_mean.copy(),
                                 self.params.bn2.running_var.copy(),
@@ -505,29 +508,32 @@ class Network:
         return items
 
     def load_state_tensors(self, tensors):
-        expected = {name for layer in self.layers for name, _ in layer.state_items()}
-        unexpected = sorted(set(tensors) - expected - {"__frozen__", CONFIG_RECORD})
+        # built once: the kernel records are temporary copies, and the alias
+        # check below needs every array alive so that no id is reused
+        items = [item for layer in self.layers for item in layer.state_items()]
+        unexpected = sorted(set(tensors) - {name for name, _ in items}
+                            - {"__frozen__", CONFIG_RECORD})
         if unexpected:
             raise ConfigurationError(
                 f"checkpoint has unexpected tensor(s) {', '.join(map(repr, unexpected))}")
         frozen = "__frozen__" in tensors and bool(tensors["__frozen__"][0])
         loaded = {}   # id of an array -> name of the record loaded into it
-        for layer in self.layers:
-            for name, arr in layer.state_items():
-                if name not in tensors:
-                    raise ConfigurationError(f"checkpoint is missing tensor {name!r}")
-                src = tensors[name]
-                if src.shape != arr.shape:
-                    raise ConfigurationError(
-                        f"checkpoint tensor {name!r} has shape {src.shape}, "
-                        f"model expects {arr.shape}")
-                first = loaded.setdefault(id(arr), name)
-                if first != name and not np.array_equal(arr, src, equal_nan=True):
-                    raise ConfigurationError(
-                        f"checkpoint tensors {first!r} and {name!r} load into one "
-                        f"array of the model but differ")
-                arr[:] = src
+        for name, arr in items:
+            if name not in tensors:
+                raise ConfigurationError(f"checkpoint is missing tensor {name!r}")
+            src = tensors[name]
+            if src.shape != arr.shape:
+                raise ConfigurationError(
+                    f"checkpoint tensor {name!r} has shape {src.shape}, "
+                    f"model expects {arr.shape}")
+            first = loaded.setdefault(id(arr), name)
+            if first != name and not np.array_equal(arr, src, equal_nan=True):
+                raise ConfigurationError(
+                    f"checkpoint tensors {first!r} and {name!r} load into one "
+                    f"array of the model but differ")
+            arr[:] = src
         for layer in self.gated_layers():
+            layer.load_kernel(tensors)
             layer.params.gate.frozen = frozen
 
 

@@ -67,7 +67,6 @@ class LayerCycles:
     base_cycles: float
     theoretical_cycles: float
     utilization: float
-    live_lane_fraction: float
 
     @property
     def speedup(self):
@@ -89,7 +88,7 @@ def _live_lanes(d_eff, cols):
     lanes[-1] = pos - (n_vec - 1) * cols
     live_lane_total = int((live * lanes).sum())
     executed = int(vec.sum())
-    return live_lane_total, executed, n * c * n_vec
+    return live_lane_total, executed
 
 
 def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
@@ -111,7 +110,7 @@ def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
     if not rec.gated:
         ideal = N * K / R
         return LayerCycles(rec.name, dense_cycles, dense_cycles, dense_cycles,
-                           ideal, ideal / dense_cycles, 1.0)
+                           ideal, ideal / dense_cycles)
 
     base_in = rec.c_in // rec.groups
     K_p = base_in * k2
@@ -119,14 +118,13 @@ def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
     d_eff = rec.dm.effective()
     if d_eff.ndim == 3:
         d_eff = d_eff[None]
-    live_lanes, executed, _ = _live_lanes(d_eff, cfg.cols)
+    live_lanes, executed = _live_lanes(d_eff, cfg.cols)
     base_cycles = N * K_p / R + fill
     gated_cycles = base_cycles + live_lanes * K_r / R
     ideal_macs = N * K_p + executed * K_r
     theoretical = ideal_macs / R
     return LayerCycles(rec.name, dense_cycles, gated_cycles, base_cycles,
-                       theoretical, ideal_macs / (gated_cycles * R),
-                       live_lanes / N)
+                       theoretical, ideal_macs / (gated_cycles * R))
 
 
 @dataclass
@@ -165,10 +163,11 @@ def model_network_speedup(records, cfg: ArrayConfig) -> PerfReport:
     return PerfReport([model_layer_cycles(r, cfg) for r in records], cfg)
 
 
-def write_breakdown_csv(path, report: PerfReport):
+def write_breakdown_csv(path, report: PerfReport, frozen):
+    """Per-layer rows under a header naming the array and the frozen flag."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow([f"# array rows={report.array.rows} cols={report.array.cols} "
-                    f"fill_drain={report.array.fill_drain} "
+                    f"fill_drain={report.array.fill_drain} frozen={frozen} "
                     "(model defaults, not hardware measurements)"])
         w.writerows(report.to_csv_rows())

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
-                     assemble_dense_weight, gate_bounds, shared_im2col_sums,
-                     split_dense_weight)
+                     base_blocks, gate_bounds, shared_im2col_sums)
 from .nn import (ConfigurationError, StateError, _as_batch, _per_channel, accuracy,
                  activation, activation_grad, batchnorm_backward, bn_forward,
                  col2im, cross_entropy, sigmoid, softmax)
@@ -84,7 +83,6 @@ class CgTrainContext:
     params: CgBlockParams
     x_shape: tuple
     cols: np.ndarray          # (n, c_in*k*k, ho*wo), shared by both paths
-    w: np.ndarray             # dense kernel (c_out, c_in*k*k) of the full sum
     bn2_ctx: object
     bn1_ctx: object           # the one normalization of p (BN1 and gate)
     xhat_p: np.ndarray
@@ -94,13 +92,11 @@ class CgTrainContext:
     mask: np.ndarray          # d (hard) or s~ (soft_gate)
     pre: np.ndarray
     sig_parts: tuple          # single-sided: (s~,); two-sided: (A, B)
-    soft: bool
 
 
 @dataclass
 class CgBlockGrads:
-    dw_p: np.ndarray
-    dw_r: np.ndarray
+    dw: np.ndarray            # gradient of the dense kernel W
     dgamma: np.ndarray
     dbeta: np.ndarray
     ddelta: np.ndarray | None
@@ -126,14 +122,14 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
     """Training forward pass; returns (y, CgTrainContext).
 
     One padded im2col of the input feeds the base partial sum p (one
-    batched matmul over the G groups) and the full sum (one matmul with the
-    dense kernel reassembled from W_p and W_r); the backward reuses it.
+    batched matmul over W's G diagonal blocks) and the full sum (one matmul
+    with W); the backward reuses it.
     p is normalized once with batch statistics, which also update BN1's
     running stats: that normalization is the gate input x^_g, and BN1's
     output is gamma*x^_g + beta.
     """
     xb, _ = _as_batch(x)
-    cols, w, p, full = shared_im2col_sums(xb, params.w_p, params.w_r, cfg.conv, cfg.groups)
+    cols, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
 
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, training=True, affine=False)
     xhat_p = _per_channel(params.gamma) * xhat_g + _per_channel(params.beta)
@@ -145,9 +141,8 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
 
     pre = (1.0 - mask) * xhat_p + mask * xhat_full
     y = activation(pre, cfg.activation)
-    ctx = CgTrainContext(cfg, params, xb.shape, cols, w, bn2_ctx, bn1_ctx,
-                         xhat_p, xhat_full, xhat_g, d, mask, pre, sig_parts,
-                         soft_gate)
+    ctx = CgTrainContext(cfg, params, xb.shape, cols, bn2_ctx, bn1_ctx,
+                         xhat_p, xhat_full, xhat_g, d, mask, pre, sig_parts)
     return y, ctx
 
 
@@ -195,7 +190,8 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     # [full; p] = [W; blockdiag(W_p)] @ cols, so with the two upstream
     # gradients stacked as rows of one (2*c_out, n*ho*wo) matrix, the weight
     # gradients are one GEMM against cols and the column gradient one GEMM
-    # against the stacked kernel.
+    # against the stacked kernel. p's gradient reaches only W's diagonal
+    # blocks.
     G, spec = cfg.groups, cfg.conv
     k = spec.kernel_size
     n, c_out = dp.shape[:2]
@@ -206,15 +202,14 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     stacked = stacked.reshape(2 * c_out, -1)
     cols_t = ctx.cols.transpose(0, 2, 1).reshape(-1, kk)
     dw = (stacked @ cols_t).reshape(2, c_out, spec.in_channels, k, k)
-    dw_p, dw_r = split_dense_weight(dw[0], G)
-    dw_p += split_dense_weight(dw[1], G)[0]
+    base_blocks(dw[0], G)[...] += base_blocks(dw[1], G)
 
-    w_base = assemble_dense_weight(params.w_p, np.zeros_like(params.w_r), G)
-    kernel = np.concatenate([ctx.w, w_base.reshape(c_out, kk)])
-    dcols = (kernel.T @ stacked).reshape(kk, n, -1)
+    kernel = np.zeros((2, c_out, kk))
+    kernel[0] = params.w.reshape(c_out, kk)
+    base_blocks(kernel[1], G)[...] = base_blocks(params.w, G)
+    dcols = (kernel.reshape(2 * c_out, kk).T @ stacked).reshape(kk, n, -1)
     dx = col2im(dcols.transpose(1, 0, 2), ctx.x_shape, k, spec.stride, spec.padding)
-    return CgBlockGrads(dw_p, dw_r, dgamma, dbeta, ddelta,
-                        ddelta_high, ddelta_low, dx)
+    return CgBlockGrads(dw[0], dgamma, dbeta, ddelta, ddelta_high, ddelta_low, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +341,9 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
 
 def evaluate(model, images, labels, batch_size=256, collect=False):
     """Inference-mode accuracy plus (optionally) per-layer records; the
-    batches' record lists are merged once at the end."""
+    batches' record lists are merged once at the end. Raises ``StateError``
+    when a logit is not finite: a NaN partial sum fails every gate
+    comparison and would otherwise be counted as pruning."""
     n = images.shape[0]
     logits_all = []
     record_lists = []
@@ -355,8 +352,11 @@ def evaluate(model, images, labels, batch_size=256, collect=False):
                                            collect=collect, require_frozen=False)
         logits_all.append(logits)
         record_lists.append(recs)
-    records = analysis.merge_layer_records(*record_lists) if collect else None
     logits = np.concatenate(logits_all, axis=0)
+    if not np.all(np.isfinite(logits)):
+        raise StateError(f"{np.count_nonzero(~np.isfinite(logits))} of {logits.size} logits "
+                         f"are not finite; the model's weights or statistics hold NaN or inf")
+    records = analysis.merge_layer_records(*record_lists) if collect else None
     return accuracy(logits, labels), logits, records
 
 

@@ -86,45 +86,42 @@ def bn_inference_affine(st):
     return scale, st.beta - st.running_mean * scale
 
 
-def split_grouped(x, G):
-    """Per-output-group views (x_p^i, x_r^i) of the input channels: input
-    group i and, in ascending order, all the others."""
-    xb, batched = nn._as_batch(x)
-    c_in = xb.shape[1]
-    if c_in % G:
-        raise nn.ConfigurationError(f"{c_in} input channels not divisible by G={G}")
-    out = []
-    for i in range(G):
-        xp = xb[:, gating.base_indices(c_in, G, i)]
-        xr = xb[:, gating.complement_indices(c_in, G, i)]
-        out.append((xp, xr) if batched else (xp[0], xr[0]))
-    return out
-
-
 def pruning_ratio(dm):
     """Fraction of output activations whose conditional path is skipped."""
     return float(1.0 - dm.effective().mean())
 
 
-def conditional_weight_scatter(w_r, G, c_in):
-    """Embed W_r into a dense (c_out, c_in, k, k) kernel with zero blocks at
-    each output group's base columns; conv with it computes the whole
-    conditional path in one call."""
-    c_out, _, k, _ = w_r.shape
-    w = np.zeros((c_out, c_in, k, k))
-    cpg_out = c_out // G
+def kernel_split(w, G):
+    """(W_p, W_r) of a dense (c_out, c_in, k, k) kernel by plain slicing:
+    output group i's rows over input group i's channels, and over the other
+    input groups in ascending order."""
+    c_out, c_in = w.shape[:2]
+    cpo, cpi = c_out // G, c_in // G
+    w_p, w_r = [], []
     for i in range(G):
-        rows = slice(i * cpg_out, (i + 1) * cpg_out)
-        w[rows][:, gating.complement_indices(c_in, G, i)] = w_r[rows]
-    return w
+        rows = w[i * cpo:(i + 1) * cpo]
+        w_p.append(rows[:, i * cpi:(i + 1) * cpi])
+        w_r.append(np.concatenate([rows[:, :i * cpi], rows[:, (i + 1) * cpi:]], axis=1))
+    return np.concatenate(w_p), np.concatenate(w_r)
+
+
+def conditional_kernel(w, G):
+    """The dense kernel with each output group's base block zeroed; conv
+    with it computes the whole conditional path in one call."""
+    c_out, c_in = w.shape[:2]
+    cpo, cpi = c_out // G, c_in // G
+    wc = w.copy()
+    for i in range(G):
+        wc[i * cpo:(i + 1) * cpo, i * cpi:(i + 1) * cpi] = 0.0
+    return wc
 
 
 def dense_masked_block_forward(x, params, cfg):
     """Gated inference computed the slow, obvious way.
 
-    The base partial sum is a grouped ``conv2d`` on W_p, the conditional
-    path a dense ``conv2d`` on W_r scattered into a kernel with zero blocks
-    at each output group's base columns. The gate compares the partial sum
+    The base partial sum is a grouped ``conv2d`` on W_p sliced from the
+    dense kernel, the conditional path a dense ``conv2d`` on the kernel with
+    each output group's base block zeroed. The gate compares the partial sum
     with ``delta*sqrt(var+eps)+mean`` of the frozen gate statistics (both
     band edges for a two-sided gate); both BN branches are evaluated
     everywhere and ``np.where`` selects between them. Returns (y,
@@ -136,10 +133,10 @@ def dense_masked_block_forward(x, params, cfg):
     G = cfg.groups
     c_in, c_out, k = spec.in_channels, spec.out_channels, spec.kernel_size
     grouped = nn.ConvSpec(c_in, c_out, k, spec.stride, spec.padding, groups=G)
-    p = nn.conv2d(xb, params.w_p, grouped)
+    p = nn.conv2d(xb, kernel_split(params.w, G)[0], grouped)
     n, _, ho, wo = p.shape
     if c_in - c_in // G:
-        r = nn.conv2d(xb, conditional_weight_scatter(params.w_r, G, c_in), spec)
+        r = nn.conv2d(xb, conditional_kernel(params.w, G), spec)
     else:
         r = np.zeros_like(p)
 
@@ -201,14 +198,15 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     """Training forward and backward of a gated block, computed with two
     convolutions.
 
-    The base partial sum is a grouped ``conv2d_forward`` on W_p and the
-    conditional sum a dense one on W_r scattered into a kernel with zero
-    blocks; BN1, BN2 and the gate normalizer each run their own
-    ``bn_forward`` and ``batchnorm_backward``, the gate normalizer on a copy
-    of BN1's state, whose statistics it shares; each convolution has its own
-    ``conv2d_backward``, and dW_r is gathered from the dense kernel's
-    gradient. Updates the running stats of ``params``. Returns (y, d,
-    CgBlockGrads) for upstream gradient ``dy``.
+    The base partial sum is a grouped ``conv2d_forward`` on W_p sliced from
+    the dense kernel and the conditional sum a dense one on the kernel with
+    its base blocks zeroed; BN1, BN2 and the gate normalizer each run their
+    own ``bn_forward`` and ``batchnorm_backward``, the gate normalizer on a
+    copy of BN1's state, whose statistics it shares; each convolution has
+    its own ``conv2d_backward``. dW takes its base blocks from the grouped
+    convolution's gradient and the rest from the dense one's. Updates the
+    running stats of ``params``. Returns (y, d, CgBlockGrads) for upstream
+    gradient ``dy``.
     """
     xb, _ = nn._as_batch(x)
     spec = cfg.conv
@@ -216,10 +214,9 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     c_in = spec.in_channels
     base_spec = nn.ConvSpec(c_in, spec.out_channels, spec.kernel_size,
                             spec.stride, spec.padding, groups=G)
-    p, ctx_p = nn.conv2d_forward(xb, params.w_p, base_spec)
+    p, ctx_p = nn.conv2d_forward(xb, kernel_split(params.w, G)[0], base_spec)
     if c_in - c_in // G:
-        r, ctx_r = nn.conv2d_forward(xb, conditional_weight_scatter(params.w_r, G, c_in),
-                                     spec)
+        r, ctx_r = nn.conv2d_forward(xb, conditional_kernel(params.w, G), spec)
     else:
         r, ctx_r = np.zeros_like(p), None
     full = p + r
@@ -268,14 +265,13 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     dfull, dg2, db2 = nn.batchnorm_backward(bn2_ctx, dxhat_full)
     dpg, _, _ = nn.batchnorm_backward(bng_ctx, dxhat_g)
     dx, dw_p = nn.conv2d_backward(ctx_p, dp1 + dpg + dfull)
-    dw_r = np.zeros_like(params.w_r)
+    dw = np.zeros_like(params.w)
     if ctx_r is not None:
-        dx_cond, dw_cond = nn.conv2d_backward(ctx_r, dfull)
+        dx_cond, dw = nn.conv2d_backward(ctx_r, dfull)
         dx = dx + dx_cond
-        cpg_out = spec.out_channels // G
-        for i in range(G):
-            rows = slice(i * cpg_out, (i + 1) * cpg_out)
-            dw_r[rows] = dw_cond[rows][:, gating.complement_indices(c_in, G, i)]
-    grads = training.CgBlockGrads(dw_p, dw_r, dg1 + dg2, db1 + db2, ddelta,
+    cpo, cpi = spec.out_channels // G, c_in // G
+    for i in range(G):
+        dw[i * cpo:(i + 1) * cpo, i * cpi:(i + 1) * cpi] = dw_p[i * cpo:(i + 1) * cpo]
+    grads = training.CgBlockGrads(dw, dg1 + dg2, db1 + db2, ddelta,
                                   ddelta_high, ddelta_low, dx)
     return y, d, grads

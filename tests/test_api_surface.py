@@ -1,10 +1,16 @@
-"""Every public name in ``src/cgnet`` has a caller outside the test suite.
+"""Every public name in ``src/cgnet`` has a caller outside the test suite,
+and every dataclass field has a reader.
 
 A public top-level function or class, or a public method, that neither the
 package nor the benchmark harness uses is either dead or serves only the
 tests; test-only helpers belong in ``tests/_oracles.py``. A name counts as
 used when it appears as a name or an attribute anywhere in ``src/cgnet`` or
 ``cgbench``; its own definition does not count.
+
+A dataclass field counts as read when its name is loaded as an attribute,
+or appears as a string constant (``getattr``), anywhere in ``src/cgnet``,
+``cgbench`` or ``tests``. Constructor arguments and assignments do not
+count: a field that is only ever written is dead.
 """
 
 import ast
@@ -13,6 +19,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "cgnet"
 USERS = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "cgbench").glob("*.py"))
+READERS = USERS + sorted((REPO / "tests").glob("*.py"))
 
 # The format writers sit beside their loaders in cgnet.data and define the
 # on-disk formats the loaders read; the tests round-trip through them.
@@ -52,3 +59,38 @@ def test_every_public_name_is_used_outside_the_tests():
               for qual, name in public_definitions(path)
               if name not in used and name not in EXEMPT]
     assert not unused, f"public names nothing in src/cgnet or cgbench uses: {unused}"
+
+
+def dataclass_fields(path):
+    """(qualified name, field name) of the annotated fields of every class
+    the file decorates with ``dataclass``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def read_names():
+    names = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    read = read_names()
+    unread = [f"{path.stem}.{qual}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qual, name in dataclass_fields(path)
+              if name not in read]
+    assert not unread, f"dataclass fields nothing in src/cgnet, cgbench or tests reads: {unread}"

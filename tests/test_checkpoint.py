@@ -11,6 +11,8 @@ from cgnet.checkpoint import (CheckpointError, load_model, read_container,
 from cgnet.network import build_model
 from cgnet.nn import ConfigurationError
 
+from _oracles import kernel_split
+
 
 class TestContainer:
     def test_roundtrip(self, tmp_path, rng):
@@ -121,6 +123,36 @@ class TestModelCheckpoint:
         write_container(path, tensors)
         with pytest.raises(ConfigurationError, match="unexpected tensor.*'L01.w_extra'"):
             load_model(path)
+
+    @pytest.mark.parametrize("G", [1, 2, 4])
+    def test_kernel_records_split_w_and_reload_restores_it(self, tmp_path, rng, G):
+        # several gated layers, so a load holds several split copies at once
+        cfg = {
+            "input_shape": [4, 8, 8],
+            "num_classes": 3,
+            "cg_defaults": {"groups": G},
+            "layers": [
+                {"type": "cg_conv", "out_channels": 8, "kernel_size": 3, "padding": 1},
+                {"type": "cg_conv", "out_channels": 8, "kernel_size": 3, "padding": 1},
+                {"type": "maxpool", "kernel_size": 2},
+                {"type": "cg_conv", "out_channels": 16, "kernel_size": 3, "padding": 1},
+                {"type": "avgpool", "kernel_size": 4},
+                {"type": "flatten"},
+                {"type": "linear", "out_features": 3},
+            ],
+        }
+        model = build_model(cfg, rng)
+        model.freeze_gates()
+        path = tmp_path / "model.cgn"
+        save_model(path, model)
+        tensors = read_container(path)
+        for layer in model.gated_layers():
+            w_p, w_r = kernel_split(layer.params.w, G)
+            np.testing.assert_array_equal(tensors[f"{layer.name}.w_p"], w_p)
+            np.testing.assert_array_equal(tensors[f"{layer.name}.w_r"], w_r)
+        back = load_model(path)
+        for layer, loaded in zip(model.gated_layers(), back.gated_layers()):
+            assert loaded.params.w.tobytes() == layer.params.w.tobytes()
 
     def test_save_is_deterministic(self, tmp_path, rng):
         model = build_model(self.model_cfg(), rng)

@@ -136,6 +136,10 @@ class TestFrozenFlag:
         assert r.returncode == 0, r.stderr
         assert "warning" not in r.stderr
         assert json.loads((tmp_path / "e" / "eval_summary.json").read_text())["frozen"] is True
+        r = run_cg(["perf", "--config", str(cfg), "--out", str(tmp_path / "p")], cwd=REPO)
+        assert r.returncode == 0, r.stderr
+        header = (tmp_path / "p" / "perf_breakdown.csv").read_text().splitlines()[0]
+        assert " frozen=True " in header
 
     def test_unfrozen_checkpoint_warns_and_is_recorded(self, tmp_path):
         from cgnet import checkpoint
@@ -155,6 +159,20 @@ class TestFrozenFlag:
             assert len(warnings) == 1, r.stderr
             if summary is not None:
                 assert json.loads((out / summary).read_text())["frozen"] is False
+        header = (tmp_path / "perf" / "perf_breakdown.csv").read_text().splitlines()[0]
+        assert " frozen=False " in header
+
+    def test_nan_kernel_fails_eval(self, tiny_run, tmp_path):
+        from cgnet import checkpoint
+        tensors = checkpoint.read_container(tiny_run / "checkpoint.cgn")
+        tensors["L01.w_p"][0, 0, 1, 1] = np.nan
+        ckpt = tmp_path / "nan.cgn"
+        checkpoint.write_container(ckpt, tensors)
+        cfg = eval_cfg(tiny_run, tmp_path, checkpoint=str(ckpt))
+        r = run_cg(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")], cwd=REPO)
+        assert r.returncode == 2, r.stdout
+        assert "not finite" in r.stderr
+        assert not (tmp_path / "e" / "eval_summary.json").exists()
 
 
 class TestAnalyzePerf:

@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from cgnet import analysis, gating, nn
 from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
                           assemble_dense_weight, channel_gate, channel_shuffle,
-                          cg_block_forward_inference, complement_indices,
-                          heaviside, merged_gate, shuffle_permutation,
-                          split_dense_weight)
+                          cg_block_forward_inference, heaviside, merged_gate,
+                          shuffle_permutation, split_dense_weight)
 from cgnet.nn import ConfigurationError, ConvSpec
 
-from _oracles import (conditional_weight_scatter, dense_masked_block_forward,
-                      pruning_ratio, rel_err, split_grouped)
+from _oracles import (conditional_kernel, dense_masked_block_forward, kernel_split,
+                      pruning_ratio, rel_err)
 
 
 def make_cfg(c_in=8, c_out=8, k=3, G=4, act="relu", tau_c=0.0, shuffle=False,
@@ -63,38 +62,39 @@ def train_gate(p, params, cfg):
     return gating._threshold_decisions(xhat, *gating.gate_bounds(params.gate, cfg.gate))
 
 
+def input_channel_kernel(c_out, c_in):
+    """A kernel whose every weight holds the index of its input channel."""
+    return np.arange(c_in)[None, :, None, None] * np.ones((c_out, c_in, 1, 1))
+
+
 class TestSplitGrouped:
+    """The (W_p, W_r) split of the checkpoint format, read as the input
+    channels each output group's base and conditional paths see."""
+
     def test_spec_example(self, rng):
-        x = np.arange(8)[:, None, None] * np.ones((8, 2, 2))
-        parts = split_grouped(x, 4)
-        xp, xr = parts[2]
-        np.testing.assert_array_equal(xp[:, 0, 0], [4, 5])
-        np.testing.assert_array_equal(xr[:, 0, 0], [0, 1, 2, 3, 6, 7])
+        # output group 2 of 4 (rows 4..5) over 8 input channels
+        w_p, w_r = split_dense_weight(input_channel_kernel(8, 8), 4)
+        np.testing.assert_array_equal(w_p[4, :, 0, 0], [4, 5])
+        np.testing.assert_array_equal(w_r[4, :, 0, 0], [0, 1, 2, 3, 6, 7])
 
     def test_degenerate_single_group(self, rng):
-        x = rng.standard_normal((4, 3, 3))
-        [(xp, xr)] = split_grouped(x, 1)
-        np.testing.assert_array_equal(xp, x)
-        assert xr.shape[0] == 0
+        w = rng.standard_normal((4, 3, 3, 3))
+        w_p, w_r = split_dense_weight(w, 1)
+        np.testing.assert_array_equal(w_p, w)
+        assert w_r.shape[1] == 0
 
     @pytest.mark.parametrize("G", [2, 4, 8])
     def test_unbiased_selection_counts(self, G):
-        # each input channel is base input exactly once, conditional G-1 times
+        # over the G output groups, each input channel is base input exactly
+        # once and conditional input G-1 times
         c_in = 16
-        x = np.arange(c_in)[:, None, None] * np.ones((c_in, 1, 1))
-        base_counts = np.zeros(c_in, dtype=int)
-        cond_counts = np.zeros(c_in, dtype=int)
-        for xp, xr in split_grouped(x, G):
-            for ch in xp[:, 0, 0].astype(int):
-                base_counts[ch] += 1
-            for ch in xr[:, 0, 0].astype(int):
-                cond_counts[ch] += 1
-        assert np.all(base_counts == 1)
-        assert np.all(cond_counts == G - 1)
+        w_p, w_r = split_dense_weight(input_channel_kernel(G, c_in), G)
+        assert np.all(np.bincount(w_p.ravel().astype(int), minlength=c_in) == 1)
+        assert np.all(np.bincount(w_r.ravel().astype(int), minlength=c_in) == G - 1)
 
     def test_divisibility_error(self):
         with pytest.raises(ConfigurationError):
-            split_grouped(np.zeros((6, 2, 2)), 4)
+            split_dense_weight(np.zeros((4, 6, 1, 1)), 4)
 
 
 class TestHeaviside:
@@ -224,6 +224,9 @@ class TestWeightPartition:
     def test_roundtrip(self, rng, G):
         w = rng.standard_normal((8, 8, 3, 3))
         w_p, w_r = split_dense_weight(w, G)
+        want_p, want_r = kernel_split(w, G)
+        np.testing.assert_array_equal(w_p, want_p)
+        np.testing.assert_array_equal(w_r, want_r)
         np.testing.assert_array_equal(assemble_dense_weight(w_p, w_r, G), w)
 
     def test_decomposition_identity(self, rng):
@@ -231,11 +234,10 @@ class TestWeightPartition:
         G = 4
         w = rng.standard_normal((8, 8, 3, 3))
         x = rng.standard_normal((8, 6, 6))
-        w_p, w_r = split_dense_weight(w, G)
+        w_p, _ = split_dense_weight(w, G)
         dense = nn.conv2d(x, w, ConvSpec(8, 8, 3, padding=1))
         base = nn.conv2d(x, w_p, ConvSpec(8, 8, 3, padding=1, groups=G))
-        w_cond = conditional_weight_scatter(w_r, G, 8)
-        cond = nn.conv2d(x, w_cond, ConvSpec(8, 8, 3, padding=1))
+        cond = nn.conv2d(x, conditional_kernel(w, G), ConvSpec(8, 8, 3, padding=1))
         assert rel_err(base + cond, dense) < 1e-12
 
 
@@ -247,8 +249,7 @@ class TestBlockInference:
         params.gate.delta[:] = -1e6
         x = rng.standard_normal((2, 8, 6, 6))
         y, dm = cg_block_forward_inference(x, params, cfg)
-        w = assemble_dense_weight(params.w_p, params.w_r, cfg.groups)
-        full = nn.conv2d(x, w, cfg.conv)
+        full = nn.conv2d(x, params.w, cfg.conv)
         ref = nn.bn_forward(full, params.bn2)[0]
         ref = nn.activation(ref, "relu")
         assert rel_err(y, ref) < 1e-5
@@ -264,7 +265,7 @@ class TestBlockInference:
         params.gate.delta[:] = 1e6
         x = rng.standard_normal((2, 8, 6, 6))
         y, dm = cg_block_forward_inference(x, params, cfg)
-        grouped = nn.conv2d(x, params.w_p,
+        grouped = nn.conv2d(x, kernel_split(params.w, cfg.groups)[0],
                             ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
         ref = nn.activation(nn.bn_forward(grouped, params.bn1)[0], "relu")
         assert rel_err(y, ref) < 1e-5
@@ -280,17 +281,16 @@ class TestBlockInference:
         rng = np.random.default_rng(seed)
         cfg = make_cfg(c_in=4, c_out=4, G=2, pad=1)
         params = make_params(cfg, rng)
-        params.w_p[:] = rng.integers(-3, 4, params.w_p.shape)
-        params.w_r[:] = rng.integers(-3, 4, params.w_r.shape)
+        params.w[:] = rng.integers(-3, 4, params.w.shape)
         params.gate.delta[:] = rng.standard_normal(4) * 0.5
         x = rng.integers(-3, 4, (4, 5, 5)).astype(float)
         y, dm = cg_block_forward_inference(x, params, cfg)
-        w_dense = assemble_dense_weight(params.w_p, params.w_r, cfg.groups)
         spec = cfg.conv
         ho, wo = spec.out_hw(5, 5)
         for oc in range(4):
             gi = oc // (4 // cfg.groups)
-            base_ch = gating.base_indices(4, cfg.groups, gi)
+            per = 4 // cfg.groups
+            base_ch = range(gi * per, (gi + 1) * per)
             sigma = math.sqrt(params.bn1.running_var[oc] + params.bn1.eps)
             thr = params.gate.delta[oc] * sigma + params.bn1.running_mean[oc]
             s1 = params.gamma[oc] / math.sqrt(params.bn1.running_var[oc] + params.bn1.eps)
@@ -305,10 +305,9 @@ class TestBlockInference:
                                 iy, ix = oy + ky - 1, ox + kx - 1
                                 if 0 <= iy < 5 and 0 <= ix < 5:
                                     v = x[ic, iy, ix]
-                                    full += v * w_dense[oc, ic, ky, kx]
+                                    full += v * params.w[oc, ic, ky, kx]
                                     if ic in base_ch:
-                                        pcol = np.where(base_ch == ic)[0][0]
-                                        partial += v * params.w_p[oc, pcol, ky, kx]
+                                        partial += v * params.w[oc, ic, ky, kx]
                     take = 1.0 if partial >= thr else 0.0
                     assert take == dm.d[oc, oy, ox]
                     if take:
@@ -351,7 +350,7 @@ class TestBlockInference:
         params = make_params(cfg, rng)
         x = rng.standard_normal((8, 6, 6))
         y, dm = cg_block_forward_inference(x, params, cfg)
-        grouped = nn.conv2d(x, params.w_p,
+        grouped = nn.conv2d(x, kernel_split(params.w, cfg.groups)[0],
                             ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
         base = nn.activation(nn.bn_forward(grouped, params.bn1)[0], "relu")
         assert dm.channel_mask.min() == 0.0, "test wants at least one masked channel"

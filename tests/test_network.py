@@ -105,6 +105,20 @@ class TestDenseEquivalence:
         yd, _ = dense.forward_infer(x)
         assert np.array_equal(np.argmax(yg, axis=1), np.argmax(yd, axis=1))
 
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_dense_twin_shares_no_memory_with_the_kernel(self, rng, cfg_fn):
+        model = build_model(cfg_fn(), rng)
+        twins = {}
+        for layer in model.to_dense().layers:
+            for sub in layer.sublayers() if hasattr(layer, "sublayers") else [layer]:
+                twins[sub.name] = sub
+        for layer in model.gated_layers():
+            twin = twins[layer.name]
+            np.testing.assert_array_equal(twin.w, layer.params.w)
+            assert not np.shares_memory(twin.w, layer.params.w)
+            twin.w += 1.0
+            assert not np.array_equal(twin.w, layer.params.w)
+
     def test_set_delta_rejects_two_sided_layers(self, rng):
         cfg = vgg_ish_cfg()
         cfg["layers"][4]["activation"] = "tanh"  # two-sided gate on L04
@@ -146,8 +160,7 @@ class TestGradientChaining:
         model.zero_grads()
         model.backward(dlogits)
         cg = model.layers[0]
-        check_grad(loss, cg.params.w_p, cg.g_w_p)
-        check_grad(loss, cg.params.w_r, cg.g_w_r)
+        check_grad(loss, cg.params.w, cg.g_w)
         check_grad(loss, cg.params.gamma, cg.g_gamma)
         head = model.layers[-1]
         check_grad(loss, head.w, head.g_w)
@@ -178,8 +191,8 @@ class TestGradientChaining:
         model.zero_grads()
         model.backward(dlogits)
         res = model.layers[0]
-        check_grad(loss, res.a.params.w_p, res.a.g_w_p)
-        check_grad(loss, res.b.params.w_r, res.b.g_w_r)
+        check_grad(loss, res.a.params.w, res.a.g_w)
+        check_grad(loss, res.b.params.w, res.b.g_w)
         check_grad(loss, res.shortcut.w, res.shortcut.g_w)
 
     def test_shuffle_backward_is_inverse(self, rng):

@@ -16,7 +16,8 @@ from cgnet.training import (LossConfig, Schedule, cg_block_backward,
                             sparsity_loss_flops, sparsity_loss_target,
                             train_network)
 
-from _oracles import check_grad, finite_difference, rel_err, two_conv_block_train
+from _oracles import (check_grad, conditional_kernel, finite_difference, kernel_split,
+                      rel_err, two_conv_block_train)
 
 
 def make_cfg(c_in=4, c_out=4, k=3, G=2, act="identity", pad=1, eps_sharp=4.0,
@@ -58,7 +59,7 @@ class TestForwardTrain:
         x = rng.standard_normal((4, 4, 5, 5))
         _, ctx = cg_block_forward_train(x, params, cfg)
         base_spec = ConvSpec(4, 4, 3, padding=1, groups=cfg.groups)
-        p = nn.conv2d(x, params.w_p, base_spec)
+        p = nn.conv2d(x, kernel_split(params.w, cfg.groups)[0], base_spec)
         mean = p.mean(axis=(0, 2, 3))
         var = p.var(axis=(0, 2, 3))
         for c in range(4):
@@ -92,8 +93,7 @@ class TestBackward:
 
         _, ctx = cg_block_forward_train(x, params, cfg, soft_gate=True)
         g = cg_block_backward(ctx, proj)
-        check_grad(loss, params.w_p, g.dw_p)
-        check_grad(loss, params.w_r, g.dw_r)
+        check_grad(loss, params.w, g.dw)
         check_grad(loss, params.gamma, g.dgamma)
         check_grad(loss, params.beta, g.dbeta)
         check_grad(loss, params.gate.delta, g.ddelta)
@@ -118,7 +118,7 @@ class TestBackward:
         g = cg_block_backward(ctx, proj)
         check_grad(loss, params.gate.delta_high, g.ddelta_high)
         check_grad(loss, params.gate.delta_low, g.ddelta_low)
-        check_grad(loss, params.w_p, g.dw_p)
+        check_grad(loss, params.w, g.dw)
         check_grad(loss, x, g.dx)
 
     def test_saturated_sigmoid_kills_delta_grad(self, rng):
@@ -134,7 +134,7 @@ class TestBackward:
         # W_r == 0 makes both paths equal, so the gate has nothing to learn
         cfg = make_cfg()
         params = make_params(cfg, rng)
-        params.w_r[:] = 0.0
+        params.w[:] -= conditional_kernel(params.w, cfg.groups)
         x = rng.standard_normal((2, 4, 4, 4))
         _, ctx = cg_block_forward_train(x, params, cfg)
         g = cg_block_backward(ctx, rng.standard_normal((2, 4, 4, 4)))
@@ -178,15 +178,14 @@ class TestBackward:
         g = cg_block_backward(ctx, proj)
 
         dense = ConvBlock(ConvSpec(4, 4, 3, padding=1), act="relu", rng=rng)
-        dense.w = gating.assemble_dense_weight(params.w_p, params.w_r, cfg.groups)
+        dense.w = params.w.copy()
         dense.bn = BatchNormState(params.gamma.copy(), params.beta.copy(),
                                   params.bn2.running_mean.copy(),
                                   params.bn2.running_var.copy())
         dense.g_w = np.zeros_like(dense.w)
         dense.forward_train(x)
         dx_dense = dense.backward(proj)
-        dw_assembled = gating.assemble_dense_weight(g.dw_p, g.dw_r, cfg.groups)
-        assert rel_err(dw_assembled, dense.g_w) < 1e-5
+        assert rel_err(g.dw, dense.g_w) < 1e-5
         assert rel_err(g.dgamma, dense.g_gamma) < 1e-5
         assert rel_err(g.dbeta, dense.g_beta) < 1e-5
         assert rel_err(g.dx, dx_dense) < 1e-5
@@ -198,8 +197,8 @@ class TestBackward:
         x = rng.standard_normal((2, 4, 4, 4))
         y, ctx = cg_block_forward_train(x, params, cfg)
         g = cg_block_backward(ctx, rng.standard_normal(y.shape))
-        assert params.w_r.shape[1] == 0
-        assert g.dw_r.shape == params.w_r.shape
+        assert kernel_split(params.w, 1)[1].shape[1] == 0
+        assert g.dw.shape == params.w.shape
 
 
 class TestBlockTrainOracle:
@@ -247,7 +246,7 @@ class TestBlockTrainOracle:
         # A gradient can still cancel to ~1e-5 (G == 1 with one input tap
         # makes BN scale-invariant in W_p), leaving only rounding of those
         # terms; the 1e-3 floor compares such a field absolutely.
-        for name in ("dw_p", "dw_r", "dgamma", "dbeta", "ddelta", "ddelta_high",
+        for name in ("dw", "dgamma", "dbeta", "ddelta", "ddelta_high",
                      "ddelta_low", "dx"):
             got, want = getattr(g, name), getattr(g_ref, name)
             if want is None:
@@ -391,6 +390,19 @@ class TestEvaluate:
                 np.testing.assert_array_equal(got.dm.d, ref.dm.d)
                 np.testing.assert_array_equal(got.dm.channel_mask, ref.dm.channel_mask)
         assert sum(r.dm is not None for r in records) == 2
+
+
+    def test_non_finite_logits_raise(self):
+        # a NaN partial sum fails every gate comparison, so without the check
+        # a poisoned kernel reads as pruning instead of an error
+        rng = np.random.default_rng(12)
+        model = build_model(toy_model_cfg(), np.random.default_rng(13))
+        x = rng.standard_normal((6, 1, 12, 12))
+        model.forward_train(x)
+        model.freeze_gates()
+        model.gated_layers()[0].params.w[0, 0, 1, 1] = np.nan
+        with pytest.raises(nn.StateError, match="not finite"):
+            training.evaluate(model, x, rng.integers(0, 2, 6), collect=True)
 
 
 class TestTrainLoop:
