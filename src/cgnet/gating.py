@@ -8,12 +8,16 @@ the normalized base-path partial sum against a learnable
 per-output-channel threshold; at inference the normalizer folds into the
 threshold (the merged gate), so the whole mechanism costs one comparison
 per activation plus one per channel when the channel-wise gate is enabled.
+Decisions are bool arrays, the result of that comparison; training casts
+them to float where it multiplies by them.
 
 On the CPU the conditional path is not skipped: inference computes the
 full sum densely from the same im2col as the base path and selects it
-afterwards. The skipped conditional MACs are accounted by
-``analysis.count_flops`` from the decision maps the block returns, which
-is what the FLOP-reduction figures report.
+afterwards. The epilogue works in place on the two GEMM outputs (BN1 on
+the partial sum, BN2 on the full sum, the selection, the activation), so
+it allocates no float temporaries. The skipped conditional MACs are
+accounted by ``analysis.count_flops`` from the decision maps the block
+returns, which is what the FLOP-reduction figures report.
 
 Weight layout: a gated layer holds one dense kernel W (c_out, c_in, k, k).
 Output group i's rows over input group i's channels are W_p, the base
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
-                 _as_batch, _per_channel, activation, bn_forward, im2col)
+                 _as_batch, _per_channel, activation, bn_inference, im2col)
 
 GATE_KINDS = ("single_sided", "two_sided")
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
@@ -120,19 +124,23 @@ class GateState:
 
 @dataclass
 class DecisionMap:
-    """Binary decisions d over (channel, y, x), plus the channel-wise mask."""
+    """Gate decisions d over (channel, y, x), plus the channel-wise mask.
 
-    d: np.ndarray             # (n|,c,h,w) in {0,1}
-    channel_mask: np.ndarray  # (n|,c) in {0,1}
+    The gated layers record d as bool and the mask as float64 in {0, 1};
+    every reader also accepts d as float64 in {0, 1} and a bool mask.
+    """
+
+    d: np.ndarray             # (n|,c,h,w), True where the gate fired
+    channel_mask: np.ndarray  # (n|,c), 1 where the channel-wise gate kept the channel
 
     def effective(self):
         return self.d * self.channel_mask[..., None, None]
 
     def taken(self):
         """Number of effective decisions that are 1, without building the
-        effective map."""
-        hw = self.d.shape[-2:]
-        return int(np.einsum("khw,k->", self.d.reshape(-1, *hw), self.channel_mask.ravel()))
+        effective map: per channel the fired count, times the mask."""
+        fired = np.count_nonzero(self.d, axis=(-2, -1))
+        return int(fired.ravel() @ self.channel_mask.ravel())
 
 
 @dataclass
@@ -245,18 +253,20 @@ def gate_bounds(gate: GateState, kind):
 
 
 def _threshold_decisions(x, lo, hi=None):
-    """theta(x - lo), times theta(hi - x) for a band; lo and hi are
-    per-channel thresholds."""
-    d = heaviside(x - _per_channel(lo))
+    """Boolean decisions x >= lo, and-ed with x <= hi for a band; lo and hi
+    are per-channel thresholds. For finite x this is theta(x - lo) (times
+    theta(hi - x)): the difference of two distinct finite doubles is never
+    0, so it is >= 0 exactly where x >= lo."""
+    d = x >= _per_channel(lo)
     if hi is not None:
-        d *= heaviside(_per_channel(hi) - x)
+        d &= x <= _per_channel(hi)
     return d
 
 
 def merged_gate(partial_sum, params: CgBlockParams, cfg: CgLayerConfig):
     """Inference gate with BN1's running stats folded into the thresholds:
-    d = theta(x - delta*sqrt(Var+eps) - E), per output channel; the edges
-    of a two-sided band fold the same way."""
+    the bool d = x >= delta*sqrt(Var+eps) + E, per output channel; the
+    edges of a two-sided band fold the same way."""
     xb, batched = _as_batch(partial_sum)
     bn1 = params.bn1
     sigma = np.sqrt(bn1.running_var + bn1.eps)
@@ -268,13 +278,14 @@ def merged_gate(partial_sum, params: CgBlockParams, cfg: CgLayerConfig):
 
 
 def channel_gate(d, tau_c):
-    """Per-channel mask: channel survives iff its taking fraction of
-    activations is >= tau_c (boundary inclusive via theta)."""
-    d = np.asarray(d, dtype=np.float64)
+    """Per-channel mask (float64 in {0, 1}): channel survives iff its
+    taking fraction of activations is >= tau_c (boundary inclusive via
+    theta). ``d`` is bool or in {0, 1}."""
+    d = np.asarray(d)
     if d.ndim not in (3, 4):
         raise ConfigurationError(f"decision tensor must be rank 3 or 4, got {d.shape}")
     hw = d.shape[-1] * d.shape[-2]
-    taken = d.sum(axis=(-1, -2))
+    taken = np.count_nonzero(d, axis=(-2, -1))
     return heaviside(taken - tau_c * hw)
 
 
@@ -323,23 +334,29 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     block against its input group's rows) and the full sum. The full sum
     is computed at every position and selected afterwards, so the skipped
     conditional MACs are accounted by ``analysis.count_flops`` but not
-    skipped on the CPU. It runs on whatever running stats the block holds;
+    skipped on the CPU. The epilogue works in place on the two GEMM
+    outputs: BN1 on p, BN2 on the full sum, the selection and the
+    activation. It runs on whatever running stats the block holds;
     ``Network.forward_infer`` checks that they are frozen.
     """
     xb, batched = _as_batch(x)
     _, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
+    if full is p:
+        full = p.copy()   # G == 1: BN1 below must not normalize the full sum
     d = merged_gate(p, params, cfg)
-    mask = channel_gate(d, cfg.tau_c) if cfg.tau_c > 0.0 else np.ones(d.shape[:2])
-    dm = DecisionMap(d, mask)
-    # with tau_c == 0 every channel is kept, so d is already the effective map
-    d_eff = dm.effective() if cfg.tau_c > 0.0 else d
+    if cfg.tau_c > 0.0:
+        mask = channel_gate(d, cfg.tau_c)
+        take = d & (mask == 1.0)[..., None, None]
+    else:
+        # every channel is kept, so d is already the effective map
+        mask = np.ones(d.shape[:2])
+        take = d
 
-    pre, _ = bn_forward(p, params.bn1)
-    np.copyto(pre, bn_forward(full, params.bn2)[0], where=d_eff == 1.0)
-    y = activation(pre, cfg.activation)
+    pre = bn_inference(p, params.bn1, out=p)
+    np.copyto(pre, bn_inference(full, params.bn2, out=full), where=take)
+    y = activation(pre, cfg.activation, out=pre)
     if cfg.shuffle:
         y = channel_shuffle(y, cfg.groups)
     if not batched:
-        y = y[0]
-        dm = DecisionMap(dm.d[0], dm.channel_mask[0])
-    return y, dm
+        return y[0], DecisionMap(d[0], mask[0])
+    return y, DecisionMap(d, mask)

@@ -31,7 +31,7 @@ from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
 from .nn import (ConfigurationError, ConvSpec, BatchNormState, StateError, activation,
                  activation_grad, batchnorm_backward, bn_forward,
                  conv2d_backward, conv2d_forward, linear_backward,
-                 linear_forward, maxpool2d_forward, avgpool2d_forward,
+                 linear_forward, maxpool2d, maxpool2d_forward, avgpool2d_forward,
                  pool2d_backward, sgd_step)
 
 
@@ -244,8 +244,7 @@ class MaxPool(ParameterFreeLayer):
         return pool2d_backward(self._ctx, dy)
 
     def forward_infer(self, x, collect=False, capture=False):
-        y, _ = maxpool2d_forward(x, self.k)
-        return y, []
+        return maxpool2d(x, self.k), []
 
 
 class AvgPool(MaxPool):
@@ -383,7 +382,8 @@ class Network:
     def forward_infer(self, x, collect=False, capture=False, require_frozen=True):
         """Inference pass; returns (logits, records). Raises ``StateError``
         when the gate statistics are not frozen unless ``require_frozen`` is
-        False."""
+        False, and when a logit is not finite: a NaN partial sum fails every
+        gate comparison, so its decisions would count as pruning."""
         if require_frozen and not self.gates_frozen():
             raise StateError("inference requires frozen gate/BN statistics "
                              "(train first or load a finalized checkpoint)")
@@ -391,6 +391,9 @@ class Network:
         for layer in self.layers:
             x, recs = layer.forward_infer(x, collect, capture)
             records += recs
+        if not np.all(np.isfinite(x)):
+            raise StateError(f"{np.count_nonzero(~np.isfinite(x))} of {x.size} logits "
+                             f"are not finite; the model's weights or statistics hold NaN or inf")
         return x, records
 
     # -- parameters ----------------------------------------------------------

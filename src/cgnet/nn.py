@@ -245,10 +245,8 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True):
 
     Training mode normalizes with the batch statistics, folds them into the
     running stats and returns the ``BnCtx`` the backward needs. Inference
-    applies, per channel and in exactly this order,
-    ``(x - mean) * scale + shift`` with ``scale = gamma / sqrt(var + eps)``
-    (gamma omitted when affine=False) and returns ctx None; the scalar
-    oracle in the tests mirrors that sequence.
+    is ``bn_inference`` and returns ctx None; the scalar oracle in the tests
+    mirrors its sequence of operations.
     """
     xb, batched = _as_batch(x)
     if xb.shape[1] != len(st.gamma):
@@ -272,14 +270,23 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True):
         y = _per_channel(st.gamma) * xhat + _per_channel(st.beta) if affine else xhat
         ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
     else:
-        scale = 1.0 / np.sqrt(st.running_var + st.eps)
-        if affine:
-            scale = st.gamma / np.sqrt(st.running_var + st.eps)
-        shift = st.beta if affine else np.zeros_like(st.running_mean)
-        y = xb - _per_channel(st.running_mean)
-        y *= _per_channel(scale)
-        y += _per_channel(shift)
+        y = bn_inference(xb, st, affine)
     return (y if batched else y[0]), ctx
+
+
+def bn_inference(x, st: BatchNormState, affine=True, out=None):
+    """Frozen-statistics batch normalization of (n, c, h, w) ``x``, written
+    into ``out`` when given (``out`` may be ``x``): per channel and in
+    exactly this order ``(x - mean) * scale + shift``, with
+    ``scale = gamma / sqrt(var + eps)`` (gamma omitted when affine=False)."""
+    scale = 1.0 / np.sqrt(st.running_var + st.eps)
+    if affine:
+        scale = st.gamma / np.sqrt(st.running_var + st.eps)
+    shift = st.beta if affine else np.zeros_like(st.running_mean)
+    y = np.subtract(x, _per_channel(st.running_mean), out=out)
+    y *= _per_channel(scale)
+    y += _per_channel(shift)
+    return y
 
 
 def batchnorm_backward(ctx: BnCtx, dy):
@@ -313,20 +320,26 @@ def sigmoid(z):
     return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(z, dtype=np.float64))
 
 
-def activation(x, kind):
-    """Elementwise activation. binary_sign maps x >= 0 to +1, else -1."""
+def activation(x, kind, out=None):
+    """Elementwise activation, written into ``out`` when given (``out`` may
+    be ``x``). binary_sign maps x >= 0 to +1, else -1."""
     x = np.asarray(x, dtype=np.float64)
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "binary_sign":
-        return np.where(x >= 0.0, 1.0, -1.0)
-    if kind == "identity":
-        return x.copy()
-    raise ConfigurationError(f"unknown activation kind {kind!r}")
+        y = sigmoid(x)
+    elif kind == "binary_sign":
+        y = np.where(x >= 0.0, 1.0, -1.0)
+    elif kind == "identity":
+        y = x.copy() if out is None else x
+    else:
+        raise ConfigurationError(f"unknown activation kind {kind!r}")
+    if out is None or y is out:
+        return y
+    out[...] = y
+    return out
 
 
 def activation_grad(pre, kind):
@@ -356,42 +369,77 @@ class PoolCtx:
     kind: str
     k: int
     in_shape: tuple
-    argmax: np.ndarray | None
+    argmax: np.ndarray | None  # max: window position ky*k + kx of each output
 
 
-def _pool_windows(xb, k):
-    n, c, h, w = xb.shape
+def _pool_shape(shape, k):
+    n, c, h, w = shape
     if h % k or w % k:
         raise ConfigurationError(f"pooling needs spatial dims divisible by {k}, got {h}x{w}")
-    ho, wo = h // k, w // k
-    return xb.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, ho, wo, k * k), ho, wo
+    return n, c, h // k, w // k
+
+
+def _pool_views(xb, k):
+    """The k*k strided views (n, c, h/k, w/k) of a batch, one per window
+    position, in row-major (ky, kx) order."""
+    _pool_shape(xb.shape, k)
+    return [xb[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
+
+def maxpool2d(x, k=2):
+    """Inference max pooling: a running ``np.maximum`` over the window
+    positions' strided views. The running result is the second operand, so
+    where two values compare equal (+0 and -0) numpy's maximum keeps the
+    earlier position, as ``maxpool2d_forward`` does; NaN propagates."""
+    xb, _ = _as_batch(x)
+    views = _pool_views(xb, k)
+    y = views[0].copy()
+    for v in views[1:]:
+        np.maximum(v, y, out=y)
+    return y
 
 
 def maxpool2d_forward(x, k=2):
+    """Training max pooling; returns (y, ctx) with the first maximal window
+    position of every output, as ``argmax`` over the window would pick it
+    (a NaN counts as maximal)."""
     xb, _ = _as_batch(x)
-    win, ho, wo = _pool_windows(xb, k)
-    idx = win.argmax(axis=-1)
-    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    views = _pool_views(xb, k)
+    y = views[0].copy()
+    idx = np.zeros(y.shape, dtype=np.intp)
+    for t, v in enumerate(views[1:], 1):
+        # v wins where it is larger or the first NaN: not v <= y, unless y is NaN
+        better = np.less_equal(v, y)
+        np.logical_not(better, out=better)
+        better &= y == y
+        y = np.where(better, v, y)
+        idx = np.where(better, t, idx)
     return y, PoolCtx("max", k, xb.shape, idx)
 
 
 def avgpool2d_forward(x, k=2):
     xb, _ = _as_batch(x)
-    win, ho, wo = _pool_windows(xb, k)
+    n, c, ho, wo = _pool_shape(xb.shape, k)
+    win = xb.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, ho, wo, k * k)
     return win.mean(axis=-1), PoolCtx("avg", k, xb.shape, None)
 
 
 def pool2d_backward(ctx: PoolCtx, dy):
-    n, c, h, w = ctx.in_shape
+    """Input gradient of a pooling layer. Max pooling writes each upstream
+    value to its window's recorded position and exact zeros elsewhere,
+    through the same strided views as the forward pass."""
     k = ctx.k
-    ho, wo = h // k, w // k
-    dwin = np.zeros((n, c, ho, wo, k * k))
     dyb = np.asarray(dy, dtype=np.float64)
     if ctx.kind == "max":
-        np.put_along_axis(dwin, ctx.argmax[..., None], dyb[..., None], axis=-1)
-    else:
-        dwin += dyb[..., None] / (k * k)
+        dx = np.empty(ctx.in_shape)
+        for t, view in enumerate(_pool_views(dx, k)):
+            view[...] = np.where(ctx.argmax == t, dyb, 0.0)
+        return dx
+    n, c, h, w = ctx.in_shape
+    ho, wo = h // k, w // k
+    dwin = np.zeros((n, c, ho, wo, k * k))
+    dwin += dyb[..., None] / (k * k)
     return dwin.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
 
 

@@ -88,8 +88,8 @@ class CgTrainContext:
     xhat_p: np.ndarray
     xhat_full: np.ndarray
     xhat_g: np.ndarray
-    d: np.ndarray
-    mask: np.ndarray          # d (hard) or s~ (soft_gate)
+    d: np.ndarray             # bool decisions
+    mask: np.ndarray          # d as float64 (hard) or s~ (soft_gate)
     pre: np.ndarray
     sig_parts: tuple          # single-sided: (s~,); two-sided: (A, B)
 
@@ -137,7 +137,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
 
     d = _threshold_decisions(xhat_g, *gate_bounds(params.gate, cfg.gate))
     stilde, sig_parts = _surrogate(xhat_g, params, cfg)
-    mask = stilde if soft_gate else d
+    mask = stilde if soft_gate else d.astype(np.float64)
 
     pre = (1.0 - mask) * xhat_p + mask * xhat_full
     y = activation(pre, cfg.activation)
@@ -341,9 +341,8 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
 
 def evaluate(model, images, labels, batch_size=256, collect=False):
     """Inference-mode accuracy plus (optionally) per-layer records; the
-    batches' record lists are merged once at the end. Raises ``StateError``
-    when a logit is not finite: a NaN partial sum fails every gate
-    comparison and would otherwise be counted as pruning."""
+    batches' record lists are merged once at the end. ``forward_infer``
+    raises ``StateError`` on a logit that is not finite."""
     n = images.shape[0]
     logits_all = []
     record_lists = []
@@ -353,9 +352,6 @@ def evaluate(model, images, labels, batch_size=256, collect=False):
         logits_all.append(logits)
         record_lists.append(recs)
     logits = np.concatenate(logits_all, axis=0)
-    if not np.all(np.isfinite(logits)):
-        raise StateError(f"{np.count_nonzero(~np.isfinite(logits))} of {logits.size} logits "
-                         f"are not finite; the model's weights or statistics hold NaN or inf")
     records = analysis.merge_layer_records(*record_lists) if collect else None
     return accuracy(logits, labels), logits, records
 

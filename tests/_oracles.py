@@ -80,6 +80,31 @@ def conv2d_reference(x, w, spec):
     return y if batched else y[0]
 
 
+def maxpool2d_reference(x, k):
+    """Max pooling by copying every k x k window into a last axis of length
+    k*k (a transposed reshape), then ``argmax`` and ``take_along_axis``:
+    ties go to the first window position. Returns (y, argmax)."""
+    xb, _ = nn._as_batch(x)
+    n, c, h, w = xb.shape
+    ho, wo = h // k, w // k
+    win = xb.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, ho, wo, k * k)
+    idx = win.argmax(axis=-1)
+    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    return y, idx
+
+
+def maxpool2d_backward_reference(argmax, in_shape, k, dy):
+    """Input gradient of ``maxpool2d_reference``: ``put_along_axis`` of dy
+    at each window's argmax into zeros, then the reshape transposed back."""
+    n, c, h, w = in_shape
+    ho, wo = h // k, w // k
+    dwin = np.zeros((n, c, ho, wo, k * k))
+    dyb = np.asarray(dy, dtype=np.float64)
+    np.put_along_axis(dwin, argmax[..., None], dyb[..., None], axis=-1)
+    return dwin.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+
 def bn_inference_affine(st):
     """Per-channel (scale, shift) of the frozen-stats BN transform."""
     scale = st.gamma / np.sqrt(st.running_var + st.eps)

@@ -1,9 +1,11 @@
 """Cost accounting: FLOP/weight oracles, correlation, intensity maps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cgnet import analysis, nn
+from cgnet import analysis, nn, perf
 from cgnet.analysis import (CostReport, aggregate_intensity, count_flops,
                             intensity_map, network_pruning_ratio,
                             partial_final_correlation, write_pgm)
@@ -283,3 +285,73 @@ class TestMergeLayerRecords:
         b = make_record(np.zeros((1, 4, 4, 4)), name="L1")
         with pytest.raises(ConfigurationError, match="'L1' into layer 'L0'"):
             analysis.merge_layer_records([a], [b])
+
+
+class TestBoolDecisionMaps:
+    """The gated layers record bool decisions; every reader of decision
+    maps gives the same result for the same map stored as float64, with a
+    float or a bool channel mask."""
+
+    CONFIG = {
+        "input_shape": [4, 8, 8],
+        "num_classes": 4,
+        "cg_defaults": {"groups": 2},
+        "layers": [
+            {"type": "cg_conv", "out_channels": 8, "kernel_size": 3, "padding": 1},
+            {"type": "maxpool", "kernel_size": 2},
+            {"type": "cg_conv", "out_channels": 8, "kernel_size": 3, "padding": 1,
+             "activation": "tanh", "groups": 4},
+            {"type": "residual", "out_channels": 8},
+            {"type": "flatten"},
+            {"type": "linear", "out_features": 4},
+        ],
+    }
+
+    @staticmethod
+    def as_maps(records, d_dtype, mask_dtype):
+        return [replace(r, dm=DecisionMap(r.dm.d.astype(d_dtype),
+                                          r.dm.channel_mask.astype(mask_dtype)))
+                if r.dm is not None else r for r in records]
+
+    @pytest.mark.parametrize("mask_dtype", [np.float64, bool])
+    @pytest.mark.parametrize("tau_c", [0.0, 0.3])
+    def test_bool_and_float_maps_agree(self, tau_c, mask_dtype):
+        rng = np.random.default_rng(12)
+        model = build_model(self.CONFIG, rng)
+        x = rng.standard_normal((6, 4, 8, 8))
+        model.forward_train(x)
+        model.freeze_gates()
+        model.set_tau_c(tau_c)
+        for layer in model.gated_layers():
+            gate = layer.params.gate
+            gate.delta[:] = rng.normal(0.0, 0.8, gate.delta.shape)
+            if gate.delta_high is not None:
+                gate.delta_high[:] = rng.uniform(0.0, 1.0, gate.delta.shape)
+                gate.delta_low[:] = -rng.uniform(0.0, 1.0, gate.delta.shape)
+        _, records = model.forward_infer(x, collect=True)
+        gated = [r for r in records if r.gated]
+        assert len(gated) == 4
+        assert all(r.dm.d.dtype == bool for r in gated)
+        masks = np.concatenate([r.dm.channel_mask.ravel() for r in gated])
+        assert (masks == 0.0).any() == (tau_c > 0.0)
+        assert 0.0 < network_pruning_ratio(records) < 1.0
+
+        by_dtype = []
+        for d_dtype in (bool, np.float64):
+            recs = self.as_maps(records, d_dtype, mask_dtype)
+            merged = analysis.merge_layer_records(recs, recs)
+            assert all(r.dm.d.dtype == d_dtype for r in merged if r.gated)
+            by_dtype.append((
+                count_flops(merged).to_json_dict(),
+                network_pruning_ratio(merged),
+                perf.model_network_speedup(merged, perf.ArrayConfig(rows=4, cols=4)).layers,
+                [intensity_map(r, s) for r in merged if r.gated for s in range(12)],
+                aggregate_intensity(merged, (8, 8), 5)))
+        (flops_b, ratio_b, cycles_b, maps_b, agg_b), (flops_f, ratio_f, cycles_f,
+                                                      maps_f, agg_f) = by_dtype
+        assert flops_b == flops_f
+        assert ratio_b == ratio_f
+        assert cycles_b == cycles_f
+        for a, b in zip(maps_b, maps_f):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(agg_b, agg_f)

@@ -163,16 +163,21 @@ class TestFrozenFlag:
         assert " frozen=False " in header
 
     def test_nan_kernel_fails_eval(self, tiny_run, tmp_path):
+        """eval, analyze and perf all refuse a checkpoint whose kernel holds
+        a NaN, before writing any artifact."""
         from cgnet import checkpoint
         tensors = checkpoint.read_container(tiny_run / "checkpoint.cgn")
         tensors["L01.w_p"][0, 0, 1, 1] = np.nan
         ckpt = tmp_path / "nan.cgn"
         checkpoint.write_container(ckpt, tensors)
-        cfg = eval_cfg(tiny_run, tmp_path, checkpoint=str(ckpt))
-        r = run_cg(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")], cwd=REPO)
-        assert r.returncode == 2, r.stdout
-        assert "not finite" in r.stderr
-        assert not (tmp_path / "e" / "eval_summary.json").exists()
+        cfg = eval_cfg(tiny_run, tmp_path, checkpoint=str(ckpt), num_inputs=16,
+                       etas=[0.5, 1.0])
+        for cmd in ("eval", "analyze", "perf"):
+            out = tmp_path / cmd
+            r = run_cg([cmd, "--config", str(cfg), "--out", str(out)], cwd=REPO)
+            assert r.returncode == 2, (cmd, r.stdout)
+            assert "not finite" in r.stderr, (cmd, r.stderr)
+            assert not any(out.iterdir()), (cmd, sorted(out.iterdir()))
 
 
 class TestAnalyzePerf:

@@ -405,6 +405,36 @@ class TestBlockInferenceOracle:
         assert block_costs(dm, cfg) == cost_ref
 
 
+class TestBlockInferenceWritesNoInput:
+    """The in-place epilogue writes only arrays the block allocated itself."""
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("G", [1, 2, 4])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])   # with k == 1 im2col returns a view of x
+    def test_input_and_params_unchanged(self, G, shuffle, batched, k, rng):
+        gate = "two_sided" if G == 2 else "single_sided"
+        cfg = CgLayerConfig(ConvSpec(8, 8, k, padding=k // 2), groups=G,
+                            activation="tanh" if G == 2 else "relu", gate=gate,
+                            tau_c=0.2, shuffle=shuffle)
+        p = make_params(cfg, rng)
+        p.gate.delta[:] = rng.standard_normal(8) * 0.5
+        x = rng.standard_normal((2, 8, 5, 5) if batched else (8, 5, 5))
+        arrays = {"x": x, "w": p.w, "gamma": p.gamma, "beta": p.beta,
+                  "bn1_mean": p.bn1.running_mean, "bn1_var": p.bn1.running_var,
+                  "bn2_mean": p.bn2.running_mean, "bn2_var": p.bn2.running_var,
+                  "delta": p.gate.delta}
+        if gate == "two_sided":
+            arrays["delta_high"] = p.gate.delta_high
+            arrays["delta_low"] = p.gate.delta_low
+        before = {name: a.copy() for name, a in arrays.items()}
+        y, dm = cg_block_forward_inference(x, p, cfg)
+        for name, a in arrays.items():
+            assert a.tobytes() == before[name].tobytes(), name
+            assert not np.shares_memory(y, a), name
+            assert not np.shares_memory(dm.d, a), name
+
+
 class TestPruningRatio:
     def test_limits(self):
         ones = DecisionMap(np.ones((3, 4, 4)), np.ones(3))

@@ -11,7 +11,8 @@ from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
                       DegenerateInputError)
 
 from _oracles import (bn_inference_affine, check_grad, conv2d_reference,
-                      finite_difference, rel_err)
+                      finite_difference, maxpool2d_backward_reference,
+                      maxpool2d_reference, rel_err)
 
 
 class TestConvSpec:
@@ -205,6 +206,19 @@ class TestActivations:
         np.testing.assert_array_equal(
             nn.activation(np.array([-0.3, 0.0]), "binary_sign"), [-1.0, 1.0])
 
+    @pytest.mark.parametrize("kind", nn.ACTIVATION_KINDS)
+    def test_out_equals_fresh_result(self, kind, rng):
+        x = rng.standard_normal((2, 3, 4, 4))
+        x[0, 0, 0, :2] = [0.0, -0.0]
+        want = nn.activation(x, kind)
+        assert not np.shares_memory(want, x)
+        in_place = x.copy()
+        for src, out in ((in_place, in_place), (x, np.empty_like(x))):
+            got = nn.activation(src, kind, out=out)
+            assert got is out
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid", "identity"])
     def test_grad_finite_difference(self, rng, kind):
         # draw away from relu's kink so central differences are valid
@@ -265,6 +279,44 @@ class TestPooling:
     def test_indivisible_shape_rejected(self):
         with pytest.raises(ConfigurationError):
             nn.maxpool2d_forward(np.zeros((1, 1, 5, 5)), 2)
+        with pytest.raises(ConfigurationError):
+            nn.maxpool2d(np.zeros((1, 1, 4, 6)), 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([2, 3, 4]), n=st.integers(1, 3),
+           c=st.integers(1, 3), ho=st.integers(1, 4), wo=st.integers(1, 4))
+    def test_matches_reshape_argmax_oracle(self, data, k, n, c, ho, wo):
+        """Both max poolings and the backward equal the reshape/argmax
+        oracle bitwise, sign of zero included, on inputs full of ties: ReLU
+        zeros, -0.0 beside 0.0, repeated values and infinities."""
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
+        shape = (n, c, k * ho, k * wo)
+        x = np.array(data.draw(st.lists(values, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape))))).reshape(shape)
+        dy = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf,
+                                                          np.nan]),
+                                         min_size=n * c * ho * wo,
+                                         max_size=n * c * ho * wo))).reshape(n, c, ho, wo)
+
+        def same(a, b):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+        y_ref, idx_ref = maxpool2d_reference(x, k)
+        y, ctx = nn.maxpool2d_forward(x, k)
+        same(y, y_ref)
+        np.testing.assert_array_equal(ctx.argmax, idx_ref)
+        same(nn.maxpool2d(x, k), y_ref)
+        same(nn.pool2d_backward(ctx, dy),
+             maxpool2d_backward_reference(idx_ref, x.shape, k, dy))
+
+    def test_nan_is_maximal_like_argmax(self):
+        x = np.array([[1.0, np.nan], [np.nan, 5.0]])[None, None]
+        y_ref, idx_ref = maxpool2d_reference(x, 2)
+        y, ctx = nn.maxpool2d_forward(x, 2)
+        np.testing.assert_array_equal(ctx.argmax, idx_ref)
+        assert np.isnan(y).all() and np.isnan(nn.maxpool2d(x, 2)).all()
 
 
 class TestLinearAndLoss:
