@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gating import DecisionMap, grouped_partial_sums, shared_im2col_sums
-from .nn import ConfigurationError, ConvSpec, _as_batch
+from .nn import ConfigurationError, ConvSpec
 
 
 @dataclass
@@ -45,7 +45,9 @@ class LayerRecord:
 
 
 def merge_layer_records(*record_lists):
-    """Concatenate the record lists of consecutive batches into one list."""
+    """Concatenate the record lists of consecutive batches into one list.
+    Only the decision maps concatenate: captured inputs are read from one
+    collecting pass's own records, which are never merged."""
     first = record_lists[0]
     for other in record_lists[1:]:
         if len(other) != len(first):
@@ -61,8 +63,6 @@ def merge_layer_records(*record_lists):
         if m.dm is not None:
             m.dm = DecisionMap(np.concatenate([r.dm.d for r in recs]),
                                np.concatenate([r.dm.channel_mask for r in recs]))
-        if m.x_in is not None:
-            m.x_in = np.concatenate([r.x_in for r in recs])
         merged.append(m)
     return merged
 
@@ -179,7 +179,7 @@ def cost_line(rec: LayerRecord) -> CostLine:
         conditional_flops_total=n * rec.c_out * pos * cond_k,
         gate_comparisons=comparisons,
         weight_values_accessed=(n * rec.c_out * base_k
-                                + int(round(rec.dm.channel_mask.sum())) * cond_k),
+                                + int(np.count_nonzero(rec.dm.channel_mask)) * cond_k),
         weight_values_total=weights)
 
 
@@ -217,11 +217,13 @@ def _pearson(a, b):
     return float((am @ bm) / np.sqrt(va * vb))
 
 
-def partial_final_correlation(model, images, etas=(0.125, 0.25, 0.5, 1.0)):
+def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
     """Pearson correlation between base-path partial sums and final sums.
 
-    The model's conv layers are re-grouped for each eta (G = 1/eta) from
-    their dense kernels, so any trained model can be swept. Layers whose
+    ``records`` come from one ``forward_infer(collect=True, capture=True)``
+    pass, whose captured inputs and dense kernels this reads. The conv
+    layers are re-grouped for each eta (G = 1/eta) from their dense
+    kernels, so any trained model can be swept. Layers whose
     channel counts do not divide, and degenerate zero-variance layers, are
     skipped with a warning. Each layer's im2col and full sum are computed
     once, by ``gating.shared_im2col_sums``, the routine the gated layers
@@ -232,15 +234,13 @@ def partial_final_correlation(model, images, etas=(0.125, 0.25, 0.5, 1.0)):
     for eta, G in groups.items():
         if abs(1.0 / G - eta) > 1e-9:
             raise ConfigurationError(f"eta {eta} is not 1/G for integer G")
-    _, records = model.forward_infer(images, collect=True, capture=True,
-                                     require_frozen=False)
     per_eta = {eta: {} for eta in etas}
     for rec in records:
         if rec.kind not in ("conv", "cg_conv") or rec.w_dense is None:
             continue
         spec = ConvSpec(rec.c_in, rec.c_out, rec.kernel_size,
                         stride=rec.stride, padding=rec.padding)
-        cols, _, final = shared_im2col_sums(_as_batch(rec.x_in)[0], rec.w_dense, spec, 1)
+        cols, _, final = shared_im2col_sums(rec.x_in, rec.w_dense, spec, 1)
         for eta, G in groups.items():
             if rec.c_in % G or rec.c_out % G:
                 warnings.warn(f"{rec.name}: channels not divisible by G={G}; skipped")
@@ -263,13 +263,11 @@ def partial_final_correlation(model, images, etas=(0.125, 0.25, 0.5, 1.0)):
 # ---------------------------------------------------------------------------
 
 def intensity_map(rec: LayerRecord, sample=0):
-    """Per-position mean of effective decisions over output channels."""
+    """Per-position mean of one sample's effective decisions over output
+    channels."""
     if rec.dm is None:
         raise ConfigurationError(f"{rec.name} carries no decision map")
-    eff = rec.dm.effective()
-    if eff.ndim == 4:
-        eff = eff[sample]
-    return eff.mean(axis=0)
+    return rec.dm.effective()[sample].mean(axis=0)
 
 
 def _upsample_nearest(m, hw):

@@ -79,14 +79,22 @@ def _resolve_seed(args, cfg):
 
 
 def _load_data(cfg, seed, config_dir):
-    """Dataset from config, split into (train, val) with a derived seed."""
+    """Dataset from config, split into (train, val) with a derived seed.
+    ``val_fraction`` must lie in [0, 1] and leave a validation sample."""
     import numpy as np
     from .data import load_dataset, train_val_split
+    from .nn import ConfigurationError
+    val_fraction = float(cfg.get("val_fraction", 0.1))
+    if not 0.0 <= val_fraction <= 1.0:
+        raise ConfigurationError(f"val_fraction: must be in [0, 1], got {val_fraction}")
     data_cfg = _get(cfg, "data", kind=dict)
     ds = load_dataset(data_cfg, base_dir=config_dir)
-    val_fraction = float(cfg.get("val_fraction", 0.1))
     split_rng = np.random.default_rng([seed, 17])
-    return train_val_split(ds, val_fraction, split_rng)
+    train_ds, val_ds = train_val_split(ds, val_fraction, split_rng)
+    if not len(val_ds):
+        raise ConfigurationError(
+            f"val_fraction: {val_fraction} of {len(ds)} samples leaves no validation sample")
+    return train_ds, val_ds
 
 
 def _write_metrics_csv(path, history):
@@ -110,6 +118,10 @@ def cmd_train(args):
     out = _resolve_out(args, cfg)
     config_dir = Path(args.config).parent
     train_ds, val_ds = _load_data(cfg, seed, config_dir)
+    if not len(train_ds):
+        from .nn import ConfigurationError
+        raise ConfigurationError(
+            f"val_fraction: {cfg.get('val_fraction', 0.1)} leaves no training sample")
 
     model = build_model(_get(cfg, "model", kind=dict), np.random.default_rng([seed, 11]))
     if cfg.get("force_open", False):
@@ -201,6 +213,15 @@ def _checkpoint_command(args):
     return cfg, out, val_ds, model, _frozen_flag(model)
 
 
+def _analyzed_inputs(cfg, val_ds, default):
+    """The first ``num_inputs`` validation images; ``num_inputs`` must be >= 1."""
+    from .nn import ConfigurationError
+    n_inputs = int(cfg.get("num_inputs", default))
+    if n_inputs < 1:
+        raise ConfigurationError(f"num_inputs: must be >= 1, got {n_inputs}")
+    return val_ds.images[:n_inputs]
+
+
 def cmd_eval(args):
     from . import analysis
     from .training import evaluate
@@ -225,14 +246,18 @@ def cmd_analyze(args):
     from . import analysis
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
 
-    n_inputs = int(cfg.get("num_inputs", 64))
-    images = val_ds.images[:n_inputs]
-    labels = val_ds.labels[:n_inputs]
-
-    logits, records = model.forward_infer(images, collect=True,
-                                          require_frozen=False)
-    gated = [r for r in records if r.gated]
+    images = _analyzed_inputs(cfg, val_ds, 64)
     sample = int(cfg.get("intensity_sample", 0))
+    if not 0 <= sample < len(images):
+        from .nn import ConfigurationError
+        raise ConfigurationError(
+            f"intensity_sample: must be in [0, {len(images)}), got {sample}")
+
+    # one collecting pass feeds the intensity maps, the cost report and,
+    # through its captured inputs, the correlation study
+    _, records = model.forward_infer(images, collect=True, capture=True,
+                                     require_frozen=False)
+    gated = [r for r in records if r.gated]
     for rec in gated:
         analysis.write_pgm(out / f"intensity_{rec.name}.pgm",
                            analysis.intensity_map(rec, sample))
@@ -241,7 +266,7 @@ def cmd_analyze(args):
                        analysis.aggregate_intensity(gated, input_hw, sample))
 
     etas = [float(e) for e in cfg.get("etas", [0.125, 0.25, 0.5, 1.0])]
-    corr = analysis.partial_final_correlation(model, images, etas)
+    corr = analysis.partial_final_correlation(records, etas)
     analysis.write_correlation_csv(out / "correlation.csv", corr)
 
     report = analysis.count_flops(records)
@@ -260,8 +285,7 @@ def cmd_perf(args):
     from . import analysis, perf
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
 
-    n_inputs = int(cfg.get("num_inputs", 32))
-    images = val_ds.images[:n_inputs]
+    images = _analyzed_inputs(cfg, val_ds, 32)
     _, records = model.forward_infer(images, collect=True, require_frozen=False)
     array = perf.ArrayConfig(
         rows=int(_get(cfg, "array.rows", 16, int)),

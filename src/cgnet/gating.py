@@ -8,8 +8,9 @@ the normalized base-path partial sum against a learnable
 per-output-channel threshold; at inference the normalizer folds into the
 threshold (the merged gate), so the whole mechanism costs one comparison
 per activation plus one per channel when the channel-wise gate is enabled.
-Decisions are bool arrays, the result of that comparison; training casts
-them to float where it multiplies by them.
+Decisions and channel masks are bool arrays, the results of those
+comparisons; training casts the decisions to float where it multiplies by
+them.
 
 On the CPU the conditional path is not skipped: inference computes the
 full sum densely from the same im2col as the base path and selects it
@@ -124,22 +125,19 @@ class GateState:
 
 @dataclass
 class DecisionMap:
-    """Gate decisions d over (channel, y, x), plus the channel-wise mask.
+    """Gate decisions d over (sample, channel, y, x), plus the channel-wise
+    mask; both are bool."""
 
-    The gated layers record d as bool and the mask as float64 in {0, 1};
-    every reader also accepts d as float64 in {0, 1} and a bool mask.
-    """
-
-    d: np.ndarray             # (n|,c,h,w), True where the gate fired
-    channel_mask: np.ndarray  # (n|,c), 1 where the channel-wise gate kept the channel
+    d: np.ndarray             # (n, c, h, w), True where the gate fired
+    channel_mask: np.ndarray  # (n, c), True where the channel-wise gate kept the channel
 
     def effective(self):
-        return self.d * self.channel_mask[..., None, None]
+        return self.d & self.channel_mask[..., None, None]
 
     def taken(self):
-        """Number of effective decisions that are 1, without building the
-        effective map: per channel the fired count, times the mask."""
-        fired = np.count_nonzero(self.d, axis=(-2, -1))
+        """Number of effective decisions that are True, without building
+        the effective map: per channel the fired count, times the mask."""
+        fired = np.count_nonzero(self.d, axis=(2, 3))
         return int(fired.ravel() @ self.channel_mask.ravel())
 
 
@@ -195,9 +193,7 @@ def shuffle_permutation(c, G):
 
 
 def channel_shuffle(x, G):
-    xb, batched = _as_batch(x)
-    y = xb[:, shuffle_permutation(xb.shape[1], G)]
-    return y if batched else y[0]
+    return x[:, shuffle_permutation(x.shape[1], G)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +235,6 @@ def split_dense_weight(w, G):
 # Gate functions
 # ---------------------------------------------------------------------------
 
-def heaviside(x):
-    """theta(x): 1 where x >= 0, else 0 (boundary inclusive)."""
-    return (np.asarray(x, dtype=np.float64) >= 0.0).astype(np.float64)
-
-
 def gate_bounds(gate: GateState, kind):
     """(lo, hi) thresholds of a gate: (delta, None) for the one-sided gate,
     (delta_low, delta_high) for the two-sided band."""
@@ -267,26 +258,19 @@ def merged_gate(partial_sum, params: CgBlockParams, cfg: CgLayerConfig):
     """Inference gate with BN1's running stats folded into the thresholds:
     the bool d = x >= delta*sqrt(Var+eps) + E, per output channel; the
     edges of a two-sided band fold the same way."""
-    xb, batched = _as_batch(partial_sum)
     bn1 = params.bn1
     sigma = np.sqrt(bn1.running_var + bn1.eps)
     mean = bn1.running_mean
     lo, hi = gate_bounds(params.gate, cfg.gate)
-    d = _threshold_decisions(xb, lo * sigma + mean,
-                             None if hi is None else hi * sigma + mean)
-    return d if batched else d[0]
+    return _threshold_decisions(partial_sum, lo * sigma + mean,
+                                None if hi is None else hi * sigma + mean)
 
 
 def channel_gate(d, tau_c):
-    """Per-channel mask (float64 in {0, 1}): channel survives iff its
-    taking fraction of activations is >= tau_c (boundary inclusive via
-    theta). ``d`` is bool or in {0, 1}."""
-    d = np.asarray(d)
-    if d.ndim not in (3, 4):
-        raise ConfigurationError(f"decision tensor must be rank 3 or 4, got {d.shape}")
-    hw = d.shape[-1] * d.shape[-2]
-    taken = np.count_nonzero(d, axis=(-2, -1))
-    return heaviside(taken - tau_c * hw)
+    """Bool (n, c) mask of an (n, c, h, w) decision map: a channel survives
+    iff its taking fraction of activations is >= tau_c (boundary
+    inclusive)."""
+    return np.count_nonzero(d, axis=(2, 3)) >= tau_c * (d.shape[2] * d.shape[3])
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +323,16 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     activation. It runs on whatever running stats the block holds;
     ``Network.forward_infer`` checks that they are frozen.
     """
-    xb, batched = _as_batch(x)
-    _, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
+    _, p, full = shared_im2col_sums(_as_batch(x), params.w, cfg.conv, cfg.groups)
     if full is p:
         full = p.copy()   # G == 1: BN1 below must not normalize the full sum
     d = merged_gate(p, params, cfg)
     if cfg.tau_c > 0.0:
         mask = channel_gate(d, cfg.tau_c)
-        take = d & (mask == 1.0)[..., None, None]
+        take = d & mask[..., None, None]
     else:
         # every channel is kept, so d is already the effective map
-        mask = np.ones(d.shape[:2])
+        mask = np.ones(d.shape[:2], dtype=bool)
         take = d
 
     pre = bn_inference(p, params.bn1, out=p)
@@ -357,6 +340,4 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     y = activation(pre, cfg.activation, out=pre)
     if cfg.shuffle:
         y = channel_shuffle(y, cfg.groups)
-    if not batched:
-        return y[0], DecisionMap(d[0], mask[0])
     return y, DecisionMap(d, mask)

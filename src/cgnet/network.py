@@ -154,17 +154,15 @@ class CgConvBlock:
         y, dm = gating.cg_block_forward_inference(x, self.params, self.cfg)
         if not collect:
             return y, []
-        xb = np.asarray(x)
         spec = self.cfg.conv
         return y, [analysis.LayerRecord(
             name=self.name, kind="cg_conv", gated=True,
             c_in=spec.in_channels, c_out=spec.out_channels,
             kernel_size=spec.kernel_size, groups=self.cfg.groups,
             gate_kind=self.cfg.gate, tau_c=self.cfg.tau_c,
-            h_out=dm.d.shape[-2], w_out=dm.d.shape[-1],
-            n_samples=xb.shape[0] if xb.ndim == 4 else 1,
+            h_out=dm.d.shape[2], w_out=dm.d.shape[3], n_samples=dm.d.shape[0],
             stride=spec.stride, padding=spec.padding, dm=dm,
-            x_in=xb if capture else None,
+            x_in=x if capture else None,
             w_dense=self.params.w if capture else None)]
 
     def param_groups(self):

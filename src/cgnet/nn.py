@@ -7,9 +7,8 @@ momentum.
 
 Conventions:
   * everything is float64 numpy;
-  * a feature map is (channel, height, width), a batch is
-    (batch, channel, height, width); most entry points accept either
-    and treat rank-3 input as a batch of one;
+  * activations are batches (batch, channel, height, width); the entry
+    points raise ConfigurationError on any other rank;
   * conv weights are (out_channel, in_channel/groups, kh, kw), row
     major, so channel groups are contiguous slices;
   * convolutions carry no bias (batch normalization absorbs it).
@@ -39,13 +38,11 @@ ACTIVATION_KINDS = ("relu", "tanh", "sigmoid", "binary_sign", "identity")
 
 
 def _as_batch(x):
-    """Promote (c,h,w) to (1,c,h,w); return (batch, was_batched)."""
+    """x as a float64 (n, c, h, w) batch; any other rank raises."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[None], False
-    if x.ndim == 4:
-        return x, True
-    raise ConfigurationError(f"expected rank-3 or rank-4 feature tensor, got shape {x.shape}")
+    if x.ndim != 4:
+        raise ConfigurationError(f"expected an (n, c, h, w) batch, got shape {x.shape}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +132,8 @@ def col2im(dcols, x_shape, k, stride=1, padding=0):
 
 
 def conv2d_forward(x, w, spec: ConvSpec):
-    """Grouped 2-D cross-correlation via im2col; returns (y, ctx) batched."""
-    xb, _ = _as_batch(x)
+    """Grouped 2-D cross-correlation via im2col; returns (y, ctx)."""
+    xb = _as_batch(x)
     w = np.asarray(w, dtype=np.float64)
     _check_conv(xb, w, spec)
     n, c, h, wd = xb.shape
@@ -156,10 +153,9 @@ def conv2d_forward(x, w, spec: ConvSpec):
 
 
 def conv2d(x, w, spec: ConvSpec):
-    """Grouped 2-D cross-correlation. Accepts (c,h,w) or (n,c,h,w)."""
-    xb, batched = _as_batch(x)
-    y, _ = conv2d_forward(xb, w, spec)
-    return y if batched else y[0]
+    """Grouped 2-D cross-correlation of an (n, c, h, w) batch."""
+    y, _ = conv2d_forward(x, w, spec)
+    return y
 
 
 def conv2d_backward(ctx: ConvCtx, dy):
@@ -241,14 +237,14 @@ def _per_channel(v):
 
 
 def bn_forward(x, st: BatchNormState, training=False, affine=True):
-    """Batch normalization over (n|,c,h,w); returns (y, ctx).
+    """Batch normalization over (n, c, h, w); returns (y, ctx).
 
     Training mode normalizes with the batch statistics, folds them into the
     running stats and returns the ``BnCtx`` the backward needs. Inference
     is ``bn_inference`` and returns ctx None; the scalar oracle in the tests
     mirrors its sequence of operations.
     """
-    xb, batched = _as_batch(x)
+    xb = _as_batch(x)
     if xb.shape[1] != len(st.gamma):
         raise ConfigurationError(
             f"input has {xb.shape[1]} channels, BN state has {len(st.gamma)}")
@@ -271,7 +267,7 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True):
         ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
     else:
         y = bn_inference(xb, st, affine)
-    return (y if batched else y[0]), ctx
+    return y, ctx
 
 
 def bn_inference(x, st: BatchNormState, affine=True, out=None):
@@ -297,7 +293,7 @@ def batchnorm_backward(ctx: BnCtx, dy):
     """
     if ctx is None:
         raise StateError("BN backward called without a cached forward context")
-    dyb, _ = _as_batch(dy)
+    dyb = _as_batch(dy)
     axes = (0, 2, 3)
     m = float(ctx.count)
     sum_dy = dyb.sum(axis=axes)
@@ -391,7 +387,7 @@ def maxpool2d(x, k=2):
     positions' strided views. The running result is the second operand, so
     where two values compare equal (+0 and -0) numpy's maximum keeps the
     earlier position, as ``maxpool2d_forward`` does; NaN propagates."""
-    xb, _ = _as_batch(x)
+    xb = _as_batch(x)
     views = _pool_views(xb, k)
     y = views[0].copy()
     for v in views[1:]:
@@ -403,7 +399,7 @@ def maxpool2d_forward(x, k=2):
     """Training max pooling; returns (y, ctx) with the first maximal window
     position of every output, as ``argmax`` over the window would pick it
     (a NaN counts as maximal)."""
-    xb, _ = _as_batch(x)
+    xb = _as_batch(x)
     views = _pool_views(xb, k)
     y = views[0].copy()
     idx = np.zeros(y.shape, dtype=np.intp)
@@ -418,7 +414,7 @@ def maxpool2d_forward(x, k=2):
 
 
 def avgpool2d_forward(x, k=2):
-    xb, _ = _as_batch(x)
+    xb = _as_batch(x)
     n, c, ho, wo = _pool_shape(xb.shape, k)
     win = xb.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
         n, c, ho, wo, k * k)

@@ -15,7 +15,7 @@ mechanism (dead lanes of a live vector still occupy PEs). Scheduling:
     dense_cycles = N*K/R + T*F
     gated_cycles = N*K_p/R + W_L*K_r/R + T*F
 
-with R = rows*cols*macs_per_pe, K_p/K_r the base/conditional reduction
+with R = rows*cols, K_p/K_r the base/conditional reduction
 lengths, W_L the lane count of live vectors, T = ceil(V/rows) output
 tiles and F the fill/drain latency per tile. Fill/drain is charged once
 per output tile on both sides: the gate decision is available when the
@@ -41,7 +41,6 @@ from .nn import ConfigurationError
 class ArrayConfig:
     rows: int = 16
     cols: int = 16
-    macs_per_pe_per_cycle: int = 1
     fill_drain_per_tile: int | None = None   # None -> rows + cols
 
     def __post_init__(self):
@@ -56,7 +55,7 @@ class ArrayConfig:
 
     @property
     def throughput(self):
-        return self.rows * self.cols * self.macs_per_pe_per_cycle
+        return self.rows * self.cols
 
 
 @dataclass
@@ -75,13 +74,13 @@ class LayerCycles:
 
 def _live_lanes(d_eff, cols):
     """Total real lanes of vectors with at least one live lane, plus the
-    number of live (executed) lanes, for one (n,c,h,w) decision stack."""
+    number of live (executed) lanes, for one bool (n,c,h,w) decision stack."""
     n, c, h, w = d_eff.shape
     pos = h * w
     n_vec = -(-pos // cols)
     flat = d_eff.reshape(n, c, pos)
     padded = np.zeros((n, c, n_vec * cols), dtype=bool)
-    padded[:, :, :pos] = flat > 0.0
+    padded[:, :, :pos] = flat
     vec = padded.reshape(n, c, n_vec, cols)
     live = vec.any(axis=-1)
     lanes = np.full(n_vec, cols, dtype=np.int64)
@@ -115,10 +114,7 @@ def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
     base_in = rec.c_in // rec.groups
     K_p = base_in * k2
     K_r = K - K_p
-    d_eff = rec.dm.effective()
-    if d_eff.ndim == 3:
-        d_eff = d_eff[None]
-    live_lanes, executed = _live_lanes(d_eff, cfg.cols)
+    live_lanes, executed = _live_lanes(rec.dm.effective(), cfg.cols)
     base_cycles = N * K_p / R + fill
     gated_cycles = base_cycles + live_lanes * K_r / R
     ideal_macs = N * K_p + executed * K_r

@@ -128,7 +128,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
     running stats: that normalization is the gate input x^_g, and BN1's
     output is gamma*x^_g + beta.
     """
-    xb, _ = _as_batch(x)
+    xb = _as_batch(x)
     cols, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
 
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, training=True, affine=False)
@@ -160,8 +160,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         raise StateError("block backward called without a forward context")
     cfg, params = ctx.cfg, ctx.params
     eps = cfg.epsilon
-    dyb, _ = _as_batch(dy)
-    dpre = dyb * activation_grad(ctx.pre, cfg.activation)
+    dpre = _as_batch(dy) * activation_grad(ctx.pre, cfg.activation)
 
     dxhat_p = dpre * (1.0 - ctx.mask)
     dxhat_full = dpre * ctx.mask

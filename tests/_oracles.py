@@ -44,6 +44,11 @@ def check_grad(f, x, analytic, step=1e-3, tol=1e-3):
     return err
 
 
+def heaviside(x):
+    """theta(x): 1.0 where x >= 0, else 0.0 (boundary inclusive)."""
+    return (np.asarray(x, dtype=np.float64) >= 0.0).astype(np.float64)
+
+
 def pearson(a, b):
     """Plain two-pass Pearson correlation of two flat samples."""
     a = np.asarray(a, dtype=np.float64).ravel()
@@ -54,8 +59,9 @@ def pearson(a, b):
 
 
 def conv2d_reference(x, w, spec):
-    """Naive direct-loop grouped convolution; the oracle for ``nn.conv2d``."""
-    xb, batched = nn._as_batch(x)
+    """Naive direct-loop grouped convolution of an (n, c, h, w) batch; the
+    oracle for ``nn.conv2d``."""
+    xb = np.asarray(x, dtype=np.float64)
     n, c, h, wd = xb.shape
     k, s, p, g = spec.kernel_size, spec.stride, spec.padding, spec.groups
     ho, wo = spec.out_hw(h, wd)
@@ -77,14 +83,14 @@ def conv2d_reference(x, w, spec):
                                     acc += (xb[ni, gi * cg_in + ic, iy, ix]
                                             * w[oc, ic, ky, kx])
                     y[ni, oc, oy, ox] = acc
-    return y if batched else y[0]
+    return y
 
 
 def maxpool2d_reference(x, k):
     """Max pooling by copying every k x k window into a last axis of length
     k*k (a transposed reshape), then ``argmax`` and ``take_along_axis``:
     ties go to the first window position. Returns (y, argmax)."""
-    xb, _ = nn._as_batch(x)
+    xb = np.asarray(x, dtype=np.float64)
     n, c, h, w = xb.shape
     ho, wo = h // k, w // k
     win = xb.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
@@ -142,18 +148,19 @@ def conditional_kernel(w, G):
 
 
 def dense_masked_block_forward(x, params, cfg):
-    """Gated inference computed the slow, obvious way.
+    """Gated inference of an (n, c, h, w) batch computed the slow, obvious
+    way.
 
     The base partial sum is a grouped ``conv2d`` on W_p sliced from the
     dense kernel, the conditional path a dense ``conv2d`` on the kernel with
     each output group's base block zeroed. The gate compares the partial sum
     with ``delta*sqrt(var+eps)+mean`` of the frozen gate statistics (both
     band edges for a two-sided gate); both BN branches are evaluated
-    everywhere and ``np.where`` selects between them. Returns (y,
+    everywhere and ``np.where`` selects between them. Returns (y, a bool
     DecisionMap, costs), with costs a dict keyed by ``CostLine`` field
-    names, counted here from the decisions.
+    names, counted here from the decisions as float64.
     """
-    xb, batched = nn._as_batch(x)
+    xb = np.asarray(x, dtype=np.float64)
     spec = cfg.conv
     G = cfg.groups
     c_in, c_out, k = spec.in_channels, spec.out_channels, spec.kernel_size
@@ -206,8 +213,7 @@ def dense_masked_block_forward(x, params, cfg):
                                    + int(mask.sum()) * cond_in * k2),
         "weight_values_total": n * c_out * c_in * k2,
     }
-    dm = gating.DecisionMap(d, mask) if batched else gating.DecisionMap(d[0], mask[0])
-    return (y if batched else y[0]), dm, costs
+    return y, gating.DecisionMap(take, mask == 1.0), costs
 
 
 def _masked_sigmoid(z):
@@ -233,7 +239,7 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     running stats of ``params``. Returns (y, d, CgBlockGrads) for upstream
     gradient ``dy``.
     """
-    xb, _ = nn._as_batch(x)
+    xb = np.asarray(x, dtype=np.float64)
     spec = cfg.conv
     G = cfg.groups
     c_in = spec.in_channels
@@ -271,7 +277,7 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     pre = (1.0 - mask) * xhat_p + mask * xhat_full
     y = nn.activation(pre, cfg.activation)
 
-    dpre = nn._as_batch(dy)[0] * nn.activation_grad(pre, cfg.activation)
+    dpre = np.asarray(dy, dtype=np.float64) * nn.activation_grad(pre, cfg.activation)
     dxhat_p = dpre * (1.0 - mask)
     dxhat_full = dpre * mask
     ds = dpre * (xhat_full - xhat_p)

@@ -1,7 +1,5 @@
 """Cost accounting: FLOP/weight oracles, correlation, intensity maps."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,13 +16,13 @@ from _oracles import dense_masked_block_forward, pearson, rel_err
 
 def make_record(d, mask=None, c_in=8, groups=4, k=3, tau_c=0.0,
                 gate_kind="single_sided", name="L0"):
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim == 3:
-        d = d[None]
+    """A gated layer's record of the (n, c, h, w) decisions ``d``, stored
+    as bool like the gated layers store them."""
+    d = np.asarray(d, dtype=bool)
     n, c_out, h, w = d.shape
     if mask is None:
         mask = np.ones((n, c_out))
-    dm = DecisionMap(d, np.asarray(mask, dtype=np.float64))
+    dm = DecisionMap(d, np.asarray(mask, dtype=bool))
     return analysis.LayerRecord(
         name=name, kind="cg_conv", gated=True, c_in=c_in, c_out=c_out,
         kernel_size=k, groups=groups, gate_kind=gate_kind, tau_c=tau_c,
@@ -45,7 +43,7 @@ def instrumented_mac_count(rec):
                 for x in range(rec.w_out):
                     for _ in range(base_in):
                         base += k2
-                    if d_eff[s, c, y, x] == 1.0:
+                    if d_eff[s, c, y, x]:
                         for _ in range(cond_in):
                             cond += k2
     return base, cond
@@ -60,7 +58,7 @@ def brute_force_weight_accesses(rec):
     for s in range(rec.n_samples):
         for c in range(rec.c_out):
             total += base_in * k2
-            if rec.dm.channel_mask[s, c] == 1.0:
+            if rec.dm.channel_mask[s, c]:
                 total += cond_in * k2
     return total
 
@@ -87,9 +85,9 @@ class TestCountFlops:
         h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         G = int(rng.choice([2, 4]))
         c_in = G * int(rng.integers(1, 4))
-        d = (rng.random((n, c_out * G // G, h, w)) < rng.random()).astype(float)
-        d = (rng.random((n, c_out, h, w)) < rng.random()).astype(float)
-        mask = (rng.random((n, c_out)) < 0.8).astype(float)
+        d = rng.random((n, c_out * G // G, h, w)) < rng.random()
+        d = rng.random((n, c_out, h, w)) < rng.random()
+        mask = rng.random((n, c_out)) < 0.8
         rec = make_record(d, mask, c_in=c_in, groups=G,
                           k=int(rng.choice([1, 3])), tau_c=0.05)
         line = count_flops([rec]).lines[0]
@@ -101,7 +99,7 @@ class TestCountFlops:
     def test_accounting_identity(self, rng):
         for seed in range(5):
             r = np.random.default_rng(seed)
-            d = (r.random((2, 8, 5, 5)) < r.random()).astype(float)
+            d = r.random((2, 8, 5, 5)) < r.random()
             rec = make_record(d, c_in=16, groups=4)
             line = count_flops([rec]).lines[0]
             assert line.base_flops + line.conditional_flops_total == line.dense_flops
@@ -155,6 +153,11 @@ class TestCountFlops:
             prev = fr
 
 
+def captured_records(model, x):
+    """Records of one collecting pass that captures every layer's input."""
+    return model.forward_infer(x, collect=True, capture=True)[1]
+
+
 class TestCorrelation:
     def small_model(self, rng):
         cfg = {
@@ -178,7 +181,7 @@ class TestCorrelation:
     def test_eta_one_is_exact_unity(self, rng):
         model = self.small_model(rng)
         x = rng.standard_normal((4, 8, 8, 8))
-        corr = partial_final_correlation(model, x, etas=(1.0,))
+        corr = partial_final_correlation(captured_records(model, x), etas=(1.0,))
         assert abs(corr[1.0]["mean"] - 1.0) < 1e-12
 
     def test_iid_sqrt_eta_relation(self, rng):
@@ -197,7 +200,8 @@ class TestCorrelation:
     def test_monotone_in_eta_for_random_model(self, rng):
         model = self.small_model(rng)
         x = rng.standard_normal((8, 8, 8, 8))
-        corr = partial_final_correlation(model, x, etas=(0.125, 0.25, 0.5, 1.0))
+        corr = partial_final_correlation(captured_records(model, x),
+                                         etas=(0.125, 0.25, 0.5, 1.0))
         means = [corr[e]["mean"] for e in (0.125, 0.25, 0.5, 1.0)]
         assert means[0] < means[1] < means[2] < means[3]
 
@@ -220,7 +224,7 @@ class TestCorrelation:
         model.freeze_gates()
         x = rng.standard_normal((2, 6, 6, 6))
         with pytest.warns(UserWarning, match="not divisible"):
-            corr = partial_final_correlation(model, x, etas=(1 / 3,))
+            corr = partial_final_correlation(captured_records(model, x), etas=(1 / 3,))
         assert "L00" in corr[1 / 3]["layers"]
         assert "L01" not in corr[1 / 3]["layers"]
 
@@ -231,14 +235,14 @@ class TestIntensity:
         np.testing.assert_array_equal(intensity_map(rec), np.ones((6, 6)))
 
     def test_half_channels(self):
-        d = np.zeros((1, 4, 5, 5))
-        d[0, :2] = 1.0
+        d = np.zeros((1, 4, 5, 5), dtype=bool)
+        d[0, :2] = True
         rec = make_record(d)
         np.testing.assert_array_equal(intensity_map(rec), np.full((5, 5), 0.5))
 
     def test_scalar_triple_loop_oracle(self, rng):
-        d = (rng.random((2, 6, 5, 4)) < 0.4).astype(float)
-        mask = (rng.random((2, 6)) < 0.8).astype(float)
+        d = rng.random((2, 6, 5, 4)) < 0.4
+        mask = rng.random((2, 6)) < 0.8
         rec = make_record(d, mask)
         got = intensity_map(rec, sample=1)
         for y in range(5):
@@ -288,9 +292,9 @@ class TestMergeLayerRecords:
 
 
 class TestBoolDecisionMaps:
-    """The gated layers record bool decisions; every reader of decision
-    maps gives the same result for the same map stored as float64, with a
-    float or a bool channel mask."""
+    """The gated layers record bool decisions and bool channel masks; every
+    reader of decision maps gives what a float64 recount of the same maps
+    gives, the arithmetic the readers ran on float maps."""
 
     CONFIG = {
         "input_shape": [4, 8, 8],
@@ -307,15 +311,8 @@ class TestBoolDecisionMaps:
         ],
     }
 
-    @staticmethod
-    def as_maps(records, d_dtype, mask_dtype):
-        return [replace(r, dm=DecisionMap(r.dm.d.astype(d_dtype),
-                                          r.dm.channel_mask.astype(mask_dtype)))
-                if r.dm is not None else r for r in records]
-
-    @pytest.mark.parametrize("mask_dtype", [np.float64, bool])
     @pytest.mark.parametrize("tau_c", [0.0, 0.3])
-    def test_bool_and_float_maps_agree(self, tau_c, mask_dtype):
+    def test_readers_match_float_recount(self, tau_c):
         rng = np.random.default_rng(12)
         model = build_model(self.CONFIG, rng)
         x = rng.standard_normal((6, 4, 8, 8))
@@ -329,29 +326,39 @@ class TestBoolDecisionMaps:
                 gate.delta_high[:] = rng.uniform(0.0, 1.0, gate.delta.shape)
                 gate.delta_low[:] = -rng.uniform(0.0, 1.0, gate.delta.shape)
         _, records = model.forward_infer(x, collect=True)
-        gated = [r for r in records if r.gated]
+        merged = analysis.merge_layer_records(records, records)
+        gated = [r for r in merged if r.gated]
         assert len(gated) == 4
-        assert all(r.dm.d.dtype == bool for r in gated)
+        assert all(r.dm.d.dtype == bool and r.dm.channel_mask.dtype == bool
+                   for r in gated)
         masks = np.concatenate([r.dm.channel_mask.ravel() for r in gated])
-        assert (masks == 0.0).any() == (tau_c > 0.0)
-        assert 0.0 < network_pruning_ratio(records) < 1.0
+        assert (~masks).any() == (tau_c > 0.0)
 
-        by_dtype = []
-        for d_dtype in (bool, np.float64):
-            recs = self.as_maps(records, d_dtype, mask_dtype)
-            merged = analysis.merge_layer_records(recs, recs)
-            assert all(r.dm.d.dtype == d_dtype for r in merged if r.gated)
-            by_dtype.append((
-                count_flops(merged).to_json_dict(),
-                network_pruning_ratio(merged),
-                perf.model_network_speedup(merged, perf.ArrayConfig(rows=4, cols=4)).layers,
-                [intensity_map(r, s) for r in merged if r.gated for s in range(12)],
-                aggregate_intensity(merged, (8, 8), 5)))
-        (flops_b, ratio_b, cycles_b, maps_b, agg_b), (flops_f, ratio_f, cycles_f,
-                                                      maps_f, agg_f) = by_dtype
-        assert flops_b == flops_f
-        assert ratio_b == ratio_f
-        assert cycles_b == cycles_f
-        for a, b in zip(maps_b, maps_f):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(agg_b, agg_f)
+        array = perf.ArrayConfig(rows=4, cols=4)
+        lines = {l.name: l for l in count_flops(merged).lines}
+        taken = total = 0.0
+        maps = []
+        for rec in gated:
+            mask = rec.dm.channel_mask.astype(np.float64)
+            eff = rec.dm.d.astype(np.float64) * mask[..., None, None]
+            taken += eff.sum()
+            total += eff.size
+            base_k = rec.c_in // rec.groups * rec.kernel_size ** 2
+            cond_k = rec.c_in * rec.kernel_size ** 2 - base_k
+            line = lines[rec.name]
+            assert line.conditional_flops_executed == int(eff.sum()) * cond_k
+            assert line.weight_values_accessed == (
+                rec.n_samples * rec.c_out * base_k + int(mask.sum()) * cond_k)
+            cycles = perf.model_layer_cycles(rec, array)
+            n_acts = rec.n_samples * rec.c_out * rec.h_out * rec.w_out
+            assert cycles.theoretical_cycles == (
+                (n_acts * base_k + int(eff.sum()) * cond_k) / array.throughput)
+            for s in range(12):
+                np.testing.assert_array_equal(intensity_map(rec, s), eff[s].mean(axis=0))
+            m = eff[5].mean(axis=0)
+            maps.append(np.kron(m, np.ones((8 // m.shape[0], 8 // m.shape[1]))))
+        ratio = network_pruning_ratio(merged)
+        assert 0.0 < ratio < 1.0
+        assert ratio == 1.0 - taken / total
+        np.testing.assert_array_equal(aggregate_intensity(merged, (8, 8), 5),
+                                      np.mean(maps, axis=0))

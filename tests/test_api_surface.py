@@ -94,3 +94,30 @@ def test_every_dataclass_field_is_read():
               for qual, name in dataclass_fields(path)
               if name not in read]
     assert not unread, f"dataclass fields nothing in src/cgnet, cgbench or tests reads: {unread}"
+
+
+def test_oracles_name_no_private_cgnet_attribute():
+    """The oracles stay independent of the implementation: they use no
+    private helper of ``cgnet``, neither imported nor as a module attribute."""
+    tree = ast.parse((REPO / "tests" / "_oracles.py").read_text())
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cgnet"):
+            for alias in node.names:
+                if node.module == "cgnet":
+                    modules.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cgnet"):
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                private.append(f"{ast.unparse(node.value)}.{node.attr}")
+    assert not private, f"tests/_oracles.py names private cgnet attributes: {private}"

@@ -193,6 +193,22 @@ class TestAnalyzePerf:
         assert corr[0] == "eta,layer,pearson_r"
         assert any("__mean__" in line for line in corr)
 
+    def test_analyze_runs_one_forward_pass(self, tiny_run, tmp_path, monkeypatch):
+        # intensity maps, costs and correlation all read one collecting pass
+        from cgnet.network import Network
+        calls = []
+        forward_infer = Network.forward_infer
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs)
+            return forward_infer(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "forward_infer", counted)
+        cfg = eval_cfg(tiny_run, tmp_path, num_inputs=16, etas=[0.5, 1.0])
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert len(calls) == 1
+        assert calls[0]["collect"] and calls[0]["capture"]
+
     def test_perf_writes_breakdown(self, tiny_run, tmp_path):
         cfg = eval_cfg(tiny_run, tmp_path, num_inputs=16,
                        array={"rows": 8, "cols": 8, "fill_drain_per_tile": None})
@@ -206,3 +222,38 @@ class TestAnalyzePerf:
         speedup = float(last[4])
         dense, gated = float(last[1]), float(last[2])
         assert speedup == pytest.approx(dense / gated, rel=1e-12)
+
+
+class TestConfigRanges:
+    """Out-of-range values of the split and of the analyzed inputs fail
+    with exit 2, naming the key, before any artifact is written."""
+
+    @pytest.mark.parametrize("cmd,key,value", [
+        ("eval", "val_fraction", -0.5),
+        ("eval", "val_fraction", 1.5),
+        ("eval", "val_fraction", 0.0),
+        ("train", "val_fraction", 1.0),
+        ("analyze", "num_inputs", 0),
+        ("analyze", "num_inputs", -5),
+        ("analyze", "intensity_sample", -1),
+        ("analyze", "intensity_sample", 500),
+    ])
+    def test_out_of_range_rejected(self, tiny_run, tmp_path, capsys, cmd, key, value):
+        if cmd == "train":
+            cfg = json.loads(TINY.read_text())
+            cfg[key] = value
+            path = tmp_path / "train.json"
+            path.write_text(json.dumps(cfg))
+        else:
+            path = eval_cfg(tiny_run, tmp_path, etas=[0.5, 1.0], **{key: value})
+        out = tmp_path / "out"
+        assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
+        assert f"{key}:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_whole_dataset_validates(self, tiny_run, tmp_path):
+        # val_fraction 1.0 leaves no training split, which eval does not need
+        cfg = eval_cfg(tiny_run, tmp_path, val_fraction=1.0)
+        assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+        summary = json.loads((tmp_path / "e" / "eval_summary.json").read_text())
+        assert summary["n_eval_samples"] == 240

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from cgnet import analysis, gating, nn
 from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
                           assemble_dense_weight, channel_gate, channel_shuffle,
-                          cg_block_forward_inference, heaviside, merged_gate,
+                          cg_block_forward_inference, merged_gate,
                           shuffle_permutation, split_dense_weight)
 from cgnet.nn import ConfigurationError, ConvSpec
 
-from _oracles import (conditional_kernel, dense_masked_block_forward, kernel_split,
-                      pruning_ratio, rel_err)
+from _oracles import (conditional_kernel, dense_masked_block_forward, heaviside,
+                      kernel_split, pruning_ratio, rel_err)
 
 
 def make_cfg(c_in=8, c_out=8, k=3, G=4, act="relu", tau_c=0.0, shuffle=False,
@@ -43,9 +43,8 @@ def block_costs(dm, cfg):
     rec = analysis.LayerRecord(
         name="L", kind="cg_conv", gated=True, c_in=spec.in_channels,
         c_out=spec.out_channels, kernel_size=spec.kernel_size, groups=cfg.groups,
-        gate_kind=cfg.gate, tau_c=cfg.tau_c, h_out=dm.d.shape[-2],
-        w_out=dm.d.shape[-1], n_samples=dm.d.shape[0] if dm.d.ndim == 4 else 1,
-        dm=dm)
+        gate_kind=cfg.gate, tau_c=cfg.tau_c, h_out=dm.d.shape[2],
+        w_out=dm.d.shape[3], n_samples=dm.d.shape[0], dm=dm)
     costs = asdict(analysis.count_flops([rec]).lines[0])
     del costs["name"]
     return costs
@@ -98,6 +97,8 @@ class TestSplitGrouped:
 
 
 class TestHeaviside:
+    """The oracles' step function, which the gate tests compare against."""
+
     def test_boundary_inclusive(self):
         np.testing.assert_array_equal(
             heaviside(np.array([-0.1, 0.0, 0.1])), [0.0, 1.0, 1.0])
@@ -139,8 +140,7 @@ class TestMergedGate:
         cfg = make_cfg()
         params = gate_params(cfg)
         # E=0, Var=1, Delta=0: decisions equal heaviside up to the eps term
-        p = rng.standard_normal((8, 6, 6))
-        p = p[np.newaxis]
+        p = rng.standard_normal((1, 8, 6, 6))
         np.testing.assert_array_equal(merged_gate(p, params, cfg), heaviside(p))
 
     def test_hand_evaluation(self):
@@ -150,8 +150,8 @@ class TestMergedGate:
         params.bn1.running_var[:] = 4.0
         params.gate.delta[:] = 1.0
         # theta(4 - 1*2 - 2) = theta(0) = 1 (eps negligible at this magnitude)
-        x = np.full((1, 1, 1), 4.0 + 1e-4)
-        assert merged_gate(x, params, cfg)[0, 0, 0] == 1.0
+        x = np.full((1, 1, 1, 1), 4.0 + 1e-4)
+        assert merged_gate(x, params, cfg)[0, 0, 0, 0]
 
     def test_equals_normalize_then_threshold(self, rng):
         # two-path equivalence oracle over 10^4 random cases
@@ -182,36 +182,36 @@ class TestMergedGate:
 
 class TestChannelGate:
     def test_tau_zero_keeps_everything(self):
-        d = np.zeros((4, 8, 8))
-        np.testing.assert_array_equal(channel_gate(d, 0.0), np.ones(4))
+        d = np.zeros((1, 4, 8, 8), dtype=bool)
+        np.testing.assert_array_equal(channel_gate(d, 0.0), np.ones((1, 4), dtype=bool))
 
     def test_all_zero_decisions_masked(self):
-        d = np.zeros((4, 8, 8))
-        np.testing.assert_array_equal(channel_gate(d, 0.05), np.zeros(4))
+        d = np.zeros((1, 4, 8, 8), dtype=bool)
+        np.testing.assert_array_equal(channel_gate(d, 0.05), np.zeros((1, 4), dtype=bool))
 
     def test_boundary_inclusive_hand_count(self):
         # 8x8 map with exactly 4 ones at tau_c=4/64: sum - tau*64 = 0 -> kept
-        d = np.zeros((1, 8, 8))
-        d[0, [0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+        d = np.zeros((1, 1, 8, 8), dtype=bool)
+        d[0, 0, [0, 1, 2, 3], [0, 1, 2, 3]] = True
         assert d.sum() == 4  # brute-force verified count
-        assert channel_gate(d, 0.0625)[0] == 1.0
-        assert channel_gate(d, 0.0625 + 1e-9)[0] == 0.0
+        assert channel_gate(d, 0.0625)[0, 0]
+        assert not channel_gate(d, 0.0625 + 1e-9)[0, 0]
 
     def test_batched(self, rng):
-        d = (rng.random((5, 3, 4, 4)) < 0.3).astype(float)
+        d = rng.random((5, 3, 4, 4)) < 0.3
         m = channel_gate(d, 0.25)
-        assert m.shape == (5, 3)
+        assert m.shape == (5, 3) and m.dtype == bool
         for n in range(5):
             for c in range(3):
-                assert m[n, c] == (1.0 if d[n, c].sum() >= 0.25 * 16 else 0.0)
+                assert m[n, c] == (d[n, c].sum() >= 0.25 * 16)
 
 
 class TestShuffle:
     def test_interleave_positions(self):
-        x = np.arange(8.0)[:, None, None] * np.ones((8, 1, 1))
+        x = np.arange(8.0)[None, :, None, None] * np.ones((1, 8, 1, 1))
         y = channel_shuffle(x, 4)
         # channel at (group g, offset j) moves to j*G + g
-        np.testing.assert_array_equal(y[:, 0, 0], [0, 2, 4, 6, 1, 3, 5, 7])
+        np.testing.assert_array_equal(y[0, :, 0, 0], [0, 2, 4, 6, 1, 3, 5, 7])
 
     @given(st.integers(1, 4), st.integers(1, 4))
     def test_permutation_bijective(self, G, per):
@@ -233,7 +233,7 @@ class TestWeightPartition:
         # W*x == W_p*x_p + W_r*x_r summed over output groups
         G = 4
         w = rng.standard_normal((8, 8, 3, 3))
-        x = rng.standard_normal((8, 6, 6))
+        x = rng.standard_normal((1, 8, 6, 6))
         w_p, _ = split_dense_weight(w, G)
         dense = nn.conv2d(x, w, ConvSpec(8, 8, 3, padding=1))
         base = nn.conv2d(x, w_p, ConvSpec(8, 8, 3, padding=1, groups=G))
@@ -253,7 +253,7 @@ class TestBlockInference:
         ref = nn.bn_forward(full, params.bn2)[0]
         ref = nn.activation(ref, "relu")
         assert rel_err(y, ref) < 1e-5
-        assert dm.d.min() == 1.0
+        assert dm.d.all()
         cost = block_costs(dm, cfg)
         assert cost == dense_masked_block_forward(x, params, cfg)[2]
         assert cost["conditional_flops_executed"] == cost["conditional_flops_total"]
@@ -283,7 +283,7 @@ class TestBlockInference:
         params = make_params(cfg, rng)
         params.w[:] = rng.integers(-3, 4, params.w.shape)
         params.gate.delta[:] = rng.standard_normal(4) * 0.5
-        x = rng.integers(-3, 4, (4, 5, 5)).astype(float)
+        x = rng.integers(-3, 4, (1, 4, 5, 5)).astype(float)
         y, dm = cg_block_forward_inference(x, params, cfg)
         spec = cfg.conv
         ho, wo = spec.out_hw(5, 5)
@@ -304,18 +304,18 @@ class TestBlockInference:
                             for kx in range(3):
                                 iy, ix = oy + ky - 1, ox + kx - 1
                                 if 0 <= iy < 5 and 0 <= ix < 5:
-                                    v = x[ic, iy, ix]
+                                    v = x[0, ic, iy, ix]
                                     full += v * params.w[oc, ic, ky, kx]
                                     if ic in base_ch:
                                         partial += v * params.w[oc, ic, ky, kx]
-                    take = 1.0 if partial >= thr else 0.0
-                    assert take == dm.d[oc, oy, ox]
+                    take = partial >= thr
+                    assert take == dm.d[0, oc, oy, ox]
                     if take:
                         pre = (full - params.bn2.running_mean[oc]) * s2 + params.beta[oc]
                     else:
                         pre = (partial - params.bn1.running_mean[oc]) * s1 + params.beta[oc]
                     want = max(pre, 0.0)
-                    assert y[oc, oy, ox] == want
+                    assert y[0, oc, oy, ox] == want
 
     def test_monotone_pruning_in_delta(self, rng):
         cfg = make_cfg()
@@ -348,31 +348,31 @@ class TestBlockInference:
         # masked-off channels carry exactly the base-path output
         cfg = make_cfg(tau_c=0.6)
         params = make_params(cfg, rng)
-        x = rng.standard_normal((8, 6, 6))
+        x = rng.standard_normal((1, 8, 6, 6))
         y, dm = cg_block_forward_inference(x, params, cfg)
         grouped = nn.conv2d(x, kernel_split(params.w, cfg.groups)[0],
                             ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
         base = nn.activation(nn.bn_forward(grouped, params.bn1)[0], "relu")
-        assert dm.channel_mask.min() == 0.0, "test wants at least one masked channel"
+        assert not dm.channel_mask.all(), "test wants at least one masked channel"
         for c in range(8):
-            if dm.channel_mask[c] == 0.0:
-                np.testing.assert_array_equal(y[c], base[c])
+            if not dm.channel_mask[0, c]:
+                np.testing.assert_array_equal(y[0, c], base[0, c])
 
     def test_shuffle_applied_to_output(self, rng):
         cfg = make_cfg(shuffle=True)
         params = make_params(cfg, rng)
-        x = rng.standard_normal((8, 6, 6))
+        x = rng.standard_normal((1, 8, 6, 6))
         y, _ = cg_block_forward_inference(x, params, cfg)
         cfg_ns = make_cfg(shuffle=False)
         y_ns, _ = cg_block_forward_inference(x, params, cfg_ns)
-        np.testing.assert_array_equal(y, y_ns[shuffle_permutation(8, 4)])
+        np.testing.assert_array_equal(y, y_ns[:, shuffle_permutation(8, 4)])
 
 
 class TestBlockInferenceOracle:
     """The shared-im2col inference path against the dense-then-masked oracle."""
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), batched=st.booleans(),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
            G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 2),
            per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
            stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
@@ -382,7 +382,7 @@ class TestBlockInferenceOracle:
            # binary_sign is left out: a 1e-16 change of a pre-activation
            # near 0 would flip its output by 2
            act=st.sampled_from(["relu", "tanh", "sigmoid"]), shuffle=st.booleans())
-    def test_matches_dense_masked_oracle(self, seed, n, batched, G, per_in, per_out, k,
+    def test_matches_dense_masked_oracle(self, seed, n, G, per_in, per_out, k,
                                          stride, pad, hw, tau_c, gate, act, shuffle):
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
@@ -394,8 +394,7 @@ class TestBlockInferenceOracle:
         if gate == "two_sided":
             params.gate.delta_high[:] = np.abs(rng.standard_normal(c_out)) * 0.8
             params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
-        shape = (cfg.conv.in_channels,) + hw
-        x = rng.standard_normal((n,) + shape if batched else shape)
+        x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
         y, dm = cg_block_forward_inference(x, params, cfg)
         y_ref, dm_ref, cost_ref = dense_masked_block_forward(x, params, cfg)
         assert y.shape == y_ref.shape
@@ -410,16 +409,16 @@ class TestBlockInferenceWritesNoInput:
 
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("G", [1, 2, 4])
-    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("several", [False, True])   # one sample, or two
     @pytest.mark.parametrize("k", [1, 3])   # with k == 1 im2col returns a view of x
-    def test_input_and_params_unchanged(self, G, shuffle, batched, k, rng):
+    def test_input_and_params_unchanged(self, G, shuffle, several, k, rng):
         gate = "two_sided" if G == 2 else "single_sided"
         cfg = CgLayerConfig(ConvSpec(8, 8, k, padding=k // 2), groups=G,
                             activation="tanh" if G == 2 else "relu", gate=gate,
                             tau_c=0.2, shuffle=shuffle)
         p = make_params(cfg, rng)
         p.gate.delta[:] = rng.standard_normal(8) * 0.5
-        x = rng.standard_normal((2, 8, 5, 5) if batched else (8, 5, 5))
+        x = rng.standard_normal((2 if several else 1, 8, 5, 5))
         arrays = {"x": x, "w": p.w, "gamma": p.gamma, "beta": p.beta,
                   "bn1_mean": p.bn1.running_mean, "bn1_var": p.bn1.running_var,
                   "bn2_mean": p.bn2.running_mean, "bn2_var": p.bn2.running_var,
@@ -437,17 +436,18 @@ class TestBlockInferenceWritesNoInput:
 
 class TestPruningRatio:
     def test_limits(self):
-        ones = DecisionMap(np.ones((3, 4, 4)), np.ones(3))
-        zeros = DecisionMap(np.zeros((3, 4, 4)), np.ones(3))
+        keep = np.ones((1, 3), dtype=bool)
+        ones = DecisionMap(np.ones((1, 3, 4, 4), dtype=bool), keep)
+        zeros = DecisionMap(np.zeros((1, 3, 4, 4), dtype=bool), keep)
         assert pruning_ratio(ones) == 0.0
         assert pruning_ratio(zeros) == 1.0
 
     def test_half(self):
-        d = np.zeros((2, 4, 4))
-        d[0] = 1.0
-        assert pruning_ratio(DecisionMap(d, np.ones(2))) == 0.5
+        d = np.zeros((1, 2, 4, 4), dtype=bool)
+        d[0, 0] = True
+        assert pruning_ratio(DecisionMap(d, np.ones((1, 2), dtype=bool))) == 0.5
 
     def test_channel_mask_zeroes_count_as_pruned(self):
-        d = np.ones((2, 4, 4))
-        mask = np.array([1.0, 0.0])
+        d = np.ones((1, 2, 4, 4), dtype=bool)
+        mask = np.array([[True, False]])
         assert pruning_ratio(DecisionMap(d, mask)) == 0.5

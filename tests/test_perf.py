@@ -10,11 +10,10 @@ from cgnet.perf import (ArrayConfig, model_layer_cycles, model_network_speedup)
 
 
 def make_record(d, c_in=32, groups=4, k=3, tau_c=0.0, name="L"):
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim == 3:
-        d = d[None]
+    """A gated layer's record of the (n, c, h, w) decisions ``d`` as bool."""
+    d = np.asarray(d, dtype=bool)
     n, c_out, h, w = d.shape
-    dm = DecisionMap(d, np.ones((n, c_out)))
+    dm = DecisionMap(d, np.ones((n, c_out), dtype=bool))
     return LayerRecord(name=name, kind="cg_conv", gated=True, c_in=c_in,
                        c_out=c_out, kernel_size=k, groups=groups, gate_kind="single_sided",
                        tau_c=tau_c, h_out=h, w_out=w, n_samples=n, dm=dm)
@@ -36,10 +35,8 @@ def cycles_by_enumeration(rec, cfg):
     K = rec.c_in * k2
     K_p = (rec.c_in // rec.groups) * k2
     K_r = K - K_p
-    R = cfg.rows * cfg.cols * cfg.macs_per_pe_per_cycle
+    R = cfg.rows * cfg.cols   # one MAC per PE per cycle
     d = rec.dm.effective()
-    if d.ndim == 3:
-        d = d[None]
     n, c_out, h, w = d.shape
     pos = h * w
     lanes_total = 0
@@ -52,7 +49,7 @@ def cycles_by_enumeration(rec, cfg):
                 chunk = flat[start:start + cfg.cols]
                 vectors += 1
                 lanes_total += len(chunk)
-                if np.any(chunk > 0):
+                if chunk.any():
                     live_lane_total += len(chunk)
     tiles = -(-vectors // cfg.rows)
     fill = tiles * cfg.fill_drain

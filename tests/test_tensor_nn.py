@@ -31,21 +31,21 @@ class TestConvSpec:
 
 class TestConv2d:
     def test_scalar_product(self):
-        # 1x1x1 input [2], 1x1x1x1 weight [3] -> [6]
-        y = nn.conv2d(np.array([[[2.0]]]), np.array([[[[3.0]]]]), ConvSpec(1, 1, 1))
-        assert y.shape == (1, 1, 1)
-        assert y[0, 0, 0] == 6.0
+        # 1x1x1x1 input [2], 1x1x1x1 weight [3] -> [6]
+        y = nn.conv2d(np.array([[[[2.0]]]]), np.array([[[[3.0]]]]), ConvSpec(1, 1, 1))
+        assert y.shape == (1, 1, 1, 1)
+        assert y[0, 0, 0, 0] == 6.0
 
     def test_all_ones_padded_overlap(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
         y = nn.conv2d(x, w, ConvSpec(1, 1, 3, padding=1))
-        assert y[0, 1, 1] == 9.0
+        assert y[0, 0, 1, 1] == 9.0
         for cy, cx in [(0, 0), (0, 2), (2, 0), (2, 2)]:
-            assert y[0, cy, cx] == 4.0
+            assert y[0, 0, cy, cx] == 4.0
 
     def test_matches_reference_oracle(self, rng):
-        x = rng.standard_normal((4, 8, 8))
+        x = rng.standard_normal((1, 4, 8, 8))
         w = rng.standard_normal((6, 4, 3, 3))
         spec = ConvSpec(4, 6, 3)
         fast = nn.conv2d(x, w, spec)
@@ -74,7 +74,7 @@ class TestConv2d:
 
     def test_shape_mismatch_is_configuration_error(self, rng):
         with pytest.raises(ConfigurationError):
-            nn.conv2d(rng.standard_normal((3, 5, 5)),
+            nn.conv2d(rng.standard_normal((1, 3, 5, 5)),
                       rng.standard_normal((2, 4, 3, 3)), ConvSpec(4, 2, 3))
 
     def test_identity_kernel_backward_alignment(self):
@@ -397,7 +397,7 @@ def test_conv_finite_outputs_property(cin_g, G, pad, stride, data):
         spec.out_hw(h, h)
     except ConfigurationError:
         return
-    x = rng.standard_normal((cin, h, h))
+    x = rng.standard_normal((1, cin, h, h))
     w = rng.standard_normal(spec.weight_shape)
     y = nn.conv2d(x, w, spec)
     assert np.all(np.isfinite(y))

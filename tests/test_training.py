@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgnet import gating, nn, training
+from cgnet import nn, training
 from cgnet.data import synthetic_dataset, train_val_split
 from cgnet.gating import CgBlockParams, CgLayerConfig
 from cgnet.network import ConvBlock, build_model
@@ -16,8 +16,8 @@ from cgnet.training import (LossConfig, Schedule, cg_block_backward,
                             sparsity_loss_flops, sparsity_loss_target,
                             train_network)
 
-from _oracles import (check_grad, conditional_kernel, finite_difference, kernel_split,
-                      rel_err, two_conv_block_train)
+from _oracles import (check_grad, conditional_kernel, finite_difference, heaviside,
+                      kernel_split, rel_err, two_conv_block_train)
 
 
 def make_cfg(c_in=4, c_out=4, k=3, G=2, act="identity", pad=1, eps_sharp=4.0,
@@ -74,7 +74,7 @@ class TestForwardTrain:
         x = rng.standard_normal((2, 4, 4, 4))
         _, ctx = cg_block_forward_train(x, params, cfg)
         np.testing.assert_array_equal(
-            ctx.d, gating.heaviside(ctx.xhat_g - params.gate.delta[:, None, None]))
+            ctx.d, heaviside(ctx.xhat_g - params.gate.delta[:, None, None]))
 
 
 class TestBackward:
@@ -205,7 +205,7 @@ class TestBlockTrainOracle:
     """The shared-im2col training block against the two-convolution oracle."""
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), batched=st.booleans(),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
            G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 2),
            per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
            stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
@@ -215,7 +215,7 @@ class TestBlockTrainOracle:
            # near 0 would flip its output by 2
            act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
            soft_gate=st.booleans())
-    def test_matches_two_conv_oracle(self, seed, n, batched, G, per_in, per_out, k,
+    def test_matches_two_conv_oracle(self, seed, n, G, per_in, per_out, k,
                                      stride, pad, hw, gate, act, soft_gate):
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
@@ -229,10 +229,9 @@ class TestBlockTrainOracle:
         if gate == "two_sided":
             params.gate.delta_high[:] = np.abs(rng.standard_normal(c_out)) * 0.8
             params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
-        shape = (cfg.conv.in_channels,) + hw
-        x = rng.standard_normal((n,) + shape if batched else shape)
+        x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
         ho, wo = cfg.conv.out_hw(*hw)
-        dy = rng.standard_normal((x.shape[0] if batched else 1, c_out, ho, wo))
+        dy = rng.standard_normal((n, c_out, ho, wo))
         ref_params = copy.deepcopy(params)
 
         y, ctx = cg_block_forward_train(x, params, cfg, soft_gate=soft_gate)
