@@ -293,8 +293,9 @@ class TestMergeLayerRecords:
 
 class TestBoolDecisionMaps:
     """The gated layers record bool decisions and bool channel masks; every
-    reader of decision maps gives what a float64 recount of the same maps
-    gives, the arithmetic the readers ran on float maps."""
+    reader of decision maps gives what a recount of the same maps gives,
+    whether the recount runs on bool maps or on float64 maps (the
+    arithmetic the readers ran on float maps)."""
 
     CONFIG = {
         "input_shape": [4, 8, 8],
@@ -311,8 +312,9 @@ class TestBoolDecisionMaps:
         ],
     }
 
+    @pytest.mark.parametrize("recount_dtype", [np.float64, bool])
     @pytest.mark.parametrize("tau_c", [0.0, 0.3])
-    def test_readers_match_float_recount(self, tau_c):
+    def test_bool_and_float_maps_agree(self, tau_c, recount_dtype):
         rng = np.random.default_rng(12)
         model = build_model(self.CONFIG, rng)
         x = rng.standard_normal((6, 4, 8, 8))
@@ -339,8 +341,9 @@ class TestBoolDecisionMaps:
         taken = total = 0.0
         maps = []
         for rec in gated:
-            mask = rec.dm.channel_mask.astype(np.float64)
-            eff = rec.dm.d.astype(np.float64) * mask[..., None, None]
+            mask = rec.dm.channel_mask.astype(recount_dtype)
+            eff = rec.dm.d.astype(recount_dtype) * mask[..., None, None]
+            assert eff.dtype == recount_dtype
             taken += eff.sum()
             total += eff.size
             base_k = rec.c_in // rec.groups * rec.kernel_size ** 2
