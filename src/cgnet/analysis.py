@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gating import DecisionMap, grouped_partial_sums, shared_im2col_sums
-from .nn import ConfigurationError, ConvSpec
+from .nn import ConfigurationError, ConvSpec, _chwn
 
 
 @dataclass
@@ -241,6 +241,8 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
         spec = ConvSpec(rec.c_in, rec.c_out, rec.kernel_size,
                         stride=rec.stride, padding=rec.padding)
         cols, _, final = shared_im2col_sums(rec.x_in, rec.w_dense, spec, 1)
+        # the (c_out, ho*wo*n) rows grouped_partial_sums returns
+        final = _chwn(final).reshape(rec.c_out, -1)
         for eta, G in groups.items():
             if rec.c_in % G or rec.c_out % G:
                 warnings.warn(f"{rec.name}: channels not divisible by G={G}; skipped")

@@ -53,6 +53,9 @@ def _load_config(path):
 
 
 def _get(cfg, path, default=_REQUIRED, kind=None):
+    """The config value at the dotted ``path``, or ``default`` when it is
+    absent; a present value must be an instance of ``kind`` (a type or a
+    tuple of types) when given."""
     from .nn import ConfigurationError
     node = cfg
     for part in path.split("."):
@@ -61,10 +64,19 @@ def _get(cfg, path, default=_REQUIRED, kind=None):
                 raise ConfigurationError(f"{path}: required field missing")
             return default
         node = node[part]
-    if kind is not None and not isinstance(node, kind):
-        names = kind[0].__name__ if isinstance(kind, tuple) else kind.__name__
-        raise ConfigurationError(f"{path}: expected {names}, got {type(node).__name__}")
-    return node
+    return _checked(path, node, kind)
+
+
+def _checked(path, value, kind):
+    """``value`` if it is an instance of ``kind``; JSON true and false are
+    not numbers, although Python's bool is an int."""
+    from .nn import ConfigurationError
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if kind is not None and (not isinstance(value, kinds)
+                             or isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ConfigurationError(f"{path}: expected {names}, got {type(value).__name__}")
+    return value
 
 
 def _resolve_out(args, cfg):
@@ -75,7 +87,7 @@ def _resolve_out(args, cfg):
 
 
 def _resolve_seed(args, cfg):
-    return args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    return args.seed if args.seed is not None else _get(cfg, "seed", 0, int)
 
 
 def _load_data(cfg, seed, config_dir):
@@ -84,7 +96,7 @@ def _load_data(cfg, seed, config_dir):
     import numpy as np
     from .data import load_dataset, train_val_split
     from .nn import ConfigurationError
-    val_fraction = float(cfg.get("val_fraction", 0.1))
+    val_fraction = float(_get(cfg, "val_fraction", 0.1, (int, float)))
     if not 0.0 <= val_fraction <= 1.0:
         raise ConfigurationError(f"val_fraction: must be in [0, 1], got {val_fraction}")
     data_cfg = _get(cfg, "data", kind=dict)
@@ -181,12 +193,12 @@ def _load_eval_model(args, cfg, config_dir):
     if not path.exists():
         raise ConfigurationError(f"checkpoint: file not found: {path}")
     model = checkpoint.load_model(path)
-    if cfg.get("delta_override") is not None:
-        model.set_delta(float(cfg["delta_override"]))
-    if cfg.get("tau_c_override") is not None:
-        model.set_tau_c(float(cfg["tau_c_override"]))
-    if cfg.get("delta_shift") is not None:
-        model.shift_delta(float(cfg["delta_shift"]))
+    for key, apply in (("delta_override", model.set_delta),
+                       ("tau_c_override", model.set_tau_c),
+                       ("delta_shift", model.shift_delta)):
+        value = _get(cfg, key, None, (int, float, type(None)))
+        if value is not None:
+            apply(float(value))
     return model
 
 
@@ -216,7 +228,7 @@ def _checkpoint_command(args):
 def _analyzed_inputs(cfg, val_ds, default):
     """The first ``num_inputs`` validation images; ``num_inputs`` must be >= 1."""
     from .nn import ConfigurationError
-    n_inputs = int(cfg.get("num_inputs", default))
+    n_inputs = _get(cfg, "num_inputs", default, int)
     if n_inputs < 1:
         raise ConfigurationError(f"num_inputs: must be >= 1, got {n_inputs}")
     return val_ds.images[:n_inputs]
@@ -247,11 +259,13 @@ def cmd_analyze(args):
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
 
     images = _analyzed_inputs(cfg, val_ds, 64)
-    sample = int(cfg.get("intensity_sample", 0))
+    sample = _get(cfg, "intensity_sample", 0, int)
     if not 0 <= sample < len(images):
         from .nn import ConfigurationError
         raise ConfigurationError(
             f"intensity_sample: must be in [0, {len(images)}), got {sample}")
+    etas = [float(_checked(f"etas[{i}]", e, (int, float)))
+            for i, e in enumerate(_get(cfg, "etas", [0.125, 0.25, 0.5, 1.0], list))]
 
     # one collecting pass feeds the intensity maps, the cost report and,
     # through its captured inputs, the correlation study
@@ -265,7 +279,6 @@ def cmd_analyze(args):
     analysis.write_pgm(out / "intensity_aggregate.pgm",
                        analysis.aggregate_intensity(gated, input_hw, sample))
 
-    etas = [float(e) for e in cfg.get("etas", [0.125, 0.25, 0.5, 1.0])]
     corr = analysis.partial_final_correlation(records, etas)
     analysis.write_correlation_csv(out / "correlation.csv", corr)
 
@@ -290,7 +303,8 @@ def cmd_perf(args):
     array = perf.ArrayConfig(
         rows=int(_get(cfg, "array.rows", 16, int)),
         cols=int(_get(cfg, "array.cols", 16, int)),
-        fill_drain_per_tile=_get(cfg, "array.fill_drain_per_tile", None))
+        fill_drain_per_tile=_get(cfg, "array.fill_drain_per_tile", None,
+                                 (int, type(None))))
     report = perf.model_network_speedup(records, array)
     flops = analysis.count_flops(records)
     perf.write_breakdown_csv(out / "perf_breakdown.csv", report, frozen)

@@ -13,10 +13,12 @@ comparisons; training casts the decisions to float where it multiplies by
 them.
 
 On the CPU the conditional path is not skipped: inference computes the
-full sum densely from the same im2col as the base path and selects it
-afterwards. The epilogue works in place on the two GEMM outputs (BN1 on
-the partial sum, BN2 on the full sum, the selection, the activation), so
-it allocates no float temporaries. The skipped conditional MACs are
+full sum densely from the same im2col columns as the base path and selects
+it afterwards. Both GEMMs write (c_out, ho*wo*n) rows, which are the
+(c, h, w, n) memory of the (n, c, h, w) batches the block works on. The
+epilogue works in place on the two GEMM outputs (BN1 on the partial sum,
+BN2 on the full sum, the selection, the activation), so it allocates no
+float temporaries. The skipped conditional MACs are
 accounted by ``analysis.count_flops`` from the decision maps the block
 returns, which is what the FLOP-reduction figures report.
 
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
-                 _as_batch, _per_channel, activation, bn_inference, im2col)
+                 _as_batch, _batch, _chwn, _per_channel, activation, bn_inference,
+                 im2col)
 
 GATE_KINDS = ("single_sided", "two_sided")
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
@@ -184,16 +187,14 @@ def shuffle_permutation(c, G):
     position j*G + g (transpose of the group x offset grid)."""
     if c % G:
         raise ConfigurationError(f"{c} channels not divisible by G={G}")
-    per = c // G
-    perm = np.empty(c, dtype=int)
-    for g in range(G):
-        for j in range(per):
-            perm[j * G + g] = g * per + j
-    return perm
+    return np.arange(c).reshape(G, c // G).T.ravel()
 
 
 def channel_shuffle(x, G):
-    return x[:, shuffle_permutation(x.shape[1], G)]
+    """The channels of an (n, c, h, w) batch in ``shuffle_permutation``
+    order, indexed along axis 0 of its (c, h, w, n) view so that the result
+    keeps that memory order. The c/G-group shuffle undoes the G-group one."""
+    return _chwn(x)[shuffle_permutation(x.shape[1], G)].transpose(3, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +279,29 @@ def channel_gate(d, tau_c):
 # ---------------------------------------------------------------------------
 
 def grouped_partial_sums(cols, w, G):
-    """Base partial sums from im2col columns ``cols`` (n, c_in*k*k, L): one
+    """Base partial sums from im2col columns ``cols`` (c_in*k*k, M): one
     batched matmul of each output group's W_p block of the dense kernel
-    ``w`` against its input group's rows; returns (n, c_out, L)."""
-    n, kk, length = cols.shape
-    return np.matmul(base_blocks(w, G),
-                     cols.reshape(n, G, kk // G, length)).reshape(n, w.shape[0], length)
+    ``w`` against its input group's rows; returns (c_out, M)."""
+    kk, m = cols.shape
+    return np.matmul(base_blocks(w, G), cols.reshape(G, kk // G, m)).reshape(-1, m)
 
 
 def shared_im2col_sums(xb, w, spec: ConvSpec, G):
     """One padded im2col of the batch ``xb`` feeding two GEMMs on the dense
     kernel ``w``: the grouped base partial sums p and the full sum (for
     G == 1 the full sum is p). ``spec`` is the dense convolution and G the
-    group count. Returns (cols, p, full): cols is (n, c_in*k*k, ho*wo), p
-    and full (n, c_out, ho, wo).
+    group count. Returns (cols, p, full): cols is (c_in*k*k, ho*wo*n), p
+    and full are (n, c_out, ho, wo) batches over the GEMMs' (c_out, ho*wo*n)
+    outputs.
     """
     if xb.shape[1] != spec.in_channels:
         raise ConfigurationError(
             f"input has {xb.shape[1]} channels, spec expects {spec.in_channels}")
     n = xb.shape[0]
-    c_out = spec.out_channels
     ho, wo = spec.out_hw(xb.shape[2], xb.shape[3])
     cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
-    p = grouped_partial_sums(cols, w, G).reshape(n, c_out, ho, wo)
-    full = p if G == 1 else np.matmul(w.reshape(c_out, -1), cols).reshape(n, c_out, ho, wo)
+    p = _batch(grouped_partial_sums(cols, w, G), n, ho, wo)
+    full = p if G == 1 else _batch(w.reshape(spec.out_channels, -1) @ cols, n, ho, wo)
     return cols, p, full
 
 
@@ -325,7 +325,7 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     """
     _, p, full = shared_im2col_sums(_as_batch(x), params.w, cfg.conv, cfg.groups)
     if full is p:
-        full = p.copy()   # G == 1: BN1 below must not normalize the full sum
+        full = p.copy(order="K")   # G == 1: BN1 below must not normalize the full sum
     d = merged_gate(p, params, cfg)
     if cfg.tau_c > 0.0:
         mask = channel_gate(d, cfg.tau_c)

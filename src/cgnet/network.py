@@ -27,7 +27,7 @@ import numpy as np
 from . import analysis, gating, training
 from .checkpoint import CONFIG_RECORD
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
-                     channel_shuffle, shuffle_permutation, split_dense_weight)
+                     channel_shuffle, split_dense_weight)
 from .nn import (ConfigurationError, ConvSpec, BatchNormState, StateError, activation,
                  activation_grad, batchnorm_backward, bn_forward,
                  conv2d_backward, conv2d_forward, linear_backward,
@@ -67,9 +67,8 @@ class ConvBlock:
         return y
 
     def backward(self, dy):
-        if self.shuffle_groups:
-            perm = shuffle_permutation(self.spec.out_channels, self.shuffle_groups)
-            dy = dy[:, np.argsort(perm)]
+        if self.shuffle_groups:   # undo the forward's shuffle
+            dy = channel_shuffle(dy, self.spec.out_channels // self.shuffle_groups)
         dpre = dy * activation_grad(self._pre, self.act)
         dbn, dgamma, dbeta = batchnorm_backward(self._bn_ctx, dpre)
         self.g_gamma += dgamma
@@ -135,9 +134,8 @@ class CgConvBlock:
         return y
 
     def backward(self, dy):
-        if self.cfg.shuffle:
-            perm = shuffle_permutation(self.cfg.conv.out_channels, self.cfg.groups)
-            dy = dy[:, np.argsort(perm)]
+        if self.cfg.shuffle:   # undo the forward's shuffle
+            dy = channel_shuffle(dy, self.cfg.conv.out_channels // self.cfg.groups)
         g = training.cg_block_backward(self.ctx, dy)
         self.g_w += g.dw
         self.g_gamma += g.dgamma

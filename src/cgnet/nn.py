@@ -7,8 +7,13 @@ momentum.
 
 Conventions:
   * everything is float64 numpy;
-  * activations are batches (batch, channel, height, width); the entry
-    points raise ConfigurationError on any other rank;
+  * activations are batches of shape (batch, channel, height, width); the
+    entry points raise ConfigurationError on any other rank;
+  * the entry points read batches of any strides, and the batches they
+    return lay their memory out as (channel, height, width, batch): the
+    sample index is innermost, so ``_chwn(x)`` is a free C-contiguous view,
+    im2col copies whole rows of samples and a GEMM on its columns writes
+    the output's memory directly;
   * conv weights are (out_channel, in_channel/groups, kh, kw), row
     major, so channel groups are contiguous slices;
   * convolutions carry no bias (batch normalization absorbs it).
@@ -43,6 +48,18 @@ def _as_batch(x):
     if x.ndim != 4:
         raise ConfigurationError(f"expected an (n, c, h, w) batch, got shape {x.shape}")
     return x
+
+
+def _chwn(x):
+    """The (c, h, w, n) view of an (n, c, h, w) batch; C-contiguous for the
+    batches this module returns."""
+    return x.transpose(1, 2, 3, 0)
+
+
+def _batch(a, n, h, w):
+    """The (n, c, h, w) batch whose memory is ``a``, a C-contiguous array
+    that reshapes to (c, h, w, n), such as a GEMM's (c, h*w*n) output."""
+    return a.reshape(-1, h, w, n).transpose(3, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +106,8 @@ class ConvSpec:
 class ConvCtx:
     spec: ConvSpec
     w: np.ndarray
-    cols: list            # per group: (n, cg_in*k*k, ho*wo)
+    cols: np.ndarray      # im2col of the input: (c_in*k*k, ho*wo*n)
     x_shape: tuple
-    out_hw: tuple
 
 
 def _check_conv(x, w, spec):
@@ -104,52 +120,54 @@ def _check_conv(x, w, spec):
 
 
 def im2col(x, k, stride=1, padding=0):
-    """Zero-pad (n, c, h, w) by ``padding`` on each side and lay out every
-    k x k window as one column: returns (n, c*k*k, ho*wo) with rows ordered
-    (channel, ky, kx), so a channel group's rows are a contiguous slice."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    n, c, hp, wp = xp.shape
+    """Lay out every k x k window of the (n, c, h, w) batch ``x`` (any
+    strides), zero-padded by ``padding`` on each side, as one column:
+    returns (c*k*k, ho*wo*n). Rows are ordered (channel, ky, kx), so a
+    channel group's rows are a contiguous slice; columns are ordered
+    (y, x, sample), so ``W @ cols`` is the (c, h, w, n) memory of the
+    output batch. Padding copies into a zeroed (c, hp, wp, n) buffer."""
+    n, c, h, w = x.shape
+    xp = _chwn(x)
+    if padding:
+        xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
+        xp[:, padding:padding + h, padding:padding + w] = _chwn(x)
+    _, hp, wp, _ = xp.shape
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
-    sn, sc, sh, sw = xp.strides
-    win = as_strided(xp, (n, c, k, k, ho, wo),
-                     (sn, sc, sh, sw, stride * sh, stride * sw))
-    return np.ascontiguousarray(win).reshape(n, c * k * k, ho * wo)
+    sc, sh, sw, sn = xp.strides
+    win = as_strided(xp, (c, k, k, ho, wo, n),
+                     (sc, sh, sw, stride * sh, stride * sw, sn))
+    return np.ascontiguousarray(win).reshape(c * k * k, ho * wo * n)
 
 
 def col2im(dcols, x_shape, k, stride=1, padding=0):
-    """Adjoint of ``im2col``: scatter-add (n, c*k*k, ho*wo) column gradients
-    back onto the (n, c, h, w) input they were read from. ``dcols`` may be
-    any strided view with that shape."""
+    """Adjoint of ``im2col``: scatter-add (c*k*k, ho*wo*n) column gradients
+    into a zeroed (c, hp, wp, n) buffer and return the (n, c, h, w) batch
+    they were read from. ``dcols`` may be any array of that shape."""
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
-    dx = np.zeros((n, c, hp, wp))
-    dc = dcols.reshape(n, c, k, k, ho, wo)
+    dx = np.zeros((c, hp, wp, n))
+    dc = dcols.reshape(c, k, k, ho, wo, n)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dc[:, :, i, j]
-    return dx[:, :, padding:hp - padding, padding:wp - padding] if padding else dx
+            dx[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dc[:, i, j]
+    return dx[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2)
 
 
 def conv2d_forward(x, w, spec: ConvSpec):
-    """Grouped 2-D cross-correlation via im2col; returns (y, ctx)."""
+    """Grouped 2-D cross-correlation via im2col; returns (y, ctx). The
+    groups run as one batched matmul of each group's kernel rows against
+    its input channels' rows of the columns."""
     xb = _as_batch(x)
     w = np.asarray(w, dtype=np.float64)
     _check_conv(xb, w, spec)
-    n, c, h, wd = xb.shape
-    k, s, p, g = spec.kernel_size, spec.stride, spec.padding, spec.groups
+    n, _, h, wd = xb.shape
+    g = spec.groups
     ho, wo = spec.out_hw(h, wd)
-    cg_in = c // g
-    cg_out = spec.out_channels // g
-    y = np.empty((n, spec.out_channels, ho * wo))
-    cols = []
-    for gi in range(g):
-        cg = im2col(xb[:, gi * cg_in:(gi + 1) * cg_in], k, s, p)
-        wm = w[gi * cg_out:(gi + 1) * cg_out].reshape(cg_out, -1)
-        y[:, gi * cg_out:(gi + 1) * cg_out] = np.matmul(wm, cg)
-        cols.append(cg)
-    ctx = ConvCtx(spec, w, cols, xb.shape, (ho, wo))
-    return y.reshape(n, spec.out_channels, ho, wo), ctx
+    cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
+    y = np.matmul(w.reshape(g, spec.out_channels // g, -1),
+                  cols.reshape(g, -1, cols.shape[1]))
+    return _batch(y, n, ho, wo), ConvCtx(spec, w, cols, xb.shape)
 
 
 def conv2d(x, w, spec: ConvSpec):
@@ -163,23 +181,13 @@ def conv2d_backward(ctx: ConvCtx, dy):
     if ctx.cols is None:
         raise StateError("conv backward called without a cached forward context")
     spec = ctx.spec
-    n = ctx.x_shape[0]
-    k, g = spec.kernel_size, spec.groups
-    ho, wo = ctx.out_hw
-    cg_in = spec.in_channels // g
-    cg_out = spec.out_channels // g
-    dyb = np.asarray(dy, dtype=np.float64).reshape(n, spec.out_channels, ho * wo)
-    dw = np.empty_like(ctx.w)
-    dx = np.empty(ctx.x_shape)
-    group_shape = (n, cg_in) + tuple(ctx.x_shape[2:])
-    for gi in range(g):
-        dym = dyb[:, gi * cg_out:(gi + 1) * cg_out]
-        cols = ctx.cols[gi]
-        dw[gi * cg_out:(gi + 1) * cg_out] = (
-            np.tensordot(dym, cols, ([0, 2], [0, 2])).reshape(cg_out, cg_in, k, k))
-        wm = ctx.w[gi * cg_out:(gi + 1) * cg_out].reshape(cg_out, -1)
-        dx[:, gi * cg_in:(gi + 1) * cg_in] = col2im(
-            np.matmul(wm.T, dym), group_shape, k, spec.stride, spec.padding)
+    g = spec.groups
+    dym = _chwn(np.asarray(dy, dtype=np.float64)).reshape(g, spec.out_channels // g, -1)
+    cols = ctx.cols.reshape(g, -1, ctx.cols.shape[1])
+    wm = ctx.w.reshape(g, spec.out_channels // g, -1)
+    dw = np.matmul(dym, cols.transpose(0, 2, 1)).reshape(ctx.w.shape)
+    dx = col2im(np.matmul(wm.transpose(0, 2, 1), dym), ctx.x_shape,
+                spec.kernel_size, spec.stride, spec.padding)
     return dx, dw
 
 
@@ -329,7 +337,7 @@ def activation(x, kind, out=None):
     elif kind == "binary_sign":
         y = np.where(x >= 0.0, 1.0, -1.0)
     elif kind == "identity":
-        y = x.copy() if out is None else x
+        y = x.copy(order="K") if out is None else x
     else:
         raise ConfigurationError(f"unknown activation kind {kind!r}")
     if out is None or y is out:
@@ -389,7 +397,7 @@ def maxpool2d(x, k=2):
     earlier position, as ``maxpool2d_forward`` does; NaN propagates."""
     xb = _as_batch(x)
     views = _pool_views(xb, k)
-    y = views[0].copy()
+    y = views[0].copy(order="K")
     for v in views[1:]:
         np.maximum(v, y, out=y)
     return y
@@ -401,8 +409,8 @@ def maxpool2d_forward(x, k=2):
     (a NaN counts as maximal)."""
     xb = _as_batch(x)
     views = _pool_views(xb, k)
-    y = views[0].copy()
-    idx = np.zeros(y.shape, dtype=np.intp)
+    y = views[0].copy(order="K")
+    idx = np.zeros_like(y, dtype=np.intp)
     for t, v in enumerate(views[1:], 1):
         # v wins where it is larger or the first NaN: not v <= y, unless y is NaN
         better = np.less_equal(v, y)
@@ -416,9 +424,8 @@ def maxpool2d_forward(x, k=2):
 def avgpool2d_forward(x, k=2):
     xb = _as_batch(x)
     n, c, ho, wo = _pool_shape(xb.shape, k)
-    win = xb.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, ho, wo, k * k)
-    return win.mean(axis=-1), PoolCtx("avg", k, xb.shape, None)
+    y = _chwn(xb).reshape(c, ho, k, wo, k, n).mean(axis=(2, 4))
+    return y.transpose(3, 0, 1, 2), PoolCtx("avg", k, xb.shape, None)
 
 
 def pool2d_backward(ctx: PoolCtx, dy):
@@ -427,16 +434,15 @@ def pool2d_backward(ctx: PoolCtx, dy):
     through the same strided views as the forward pass."""
     k = ctx.k
     dyb = np.asarray(dy, dtype=np.float64)
+    n, c, h, w = ctx.in_shape
     if ctx.kind == "max":
-        dx = np.empty(ctx.in_shape)
+        dx = _batch(np.empty((c, h, w, n)), n, h, w)
         for t, view in enumerate(_pool_views(dx, k)):
             view[...] = np.where(ctx.argmax == t, dyb, 0.0)
         return dx
-    n, c, h, w = ctx.in_shape
-    ho, wo = h // k, w // k
-    dwin = np.zeros((n, c, ho, wo, k * k))
-    dwin += dyb[..., None] / (k * k)
-    return dwin.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    dwin = np.empty((c, h // k, k, w // k, k, n))
+    dwin[...] = (_chwn(dyb) / (k * k))[:, :, None, :, None]
+    return _batch(dwin, n, h, w)
 
 
 # ---------------------------------------------------------------------------

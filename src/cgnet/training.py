@@ -31,9 +31,9 @@ import numpy as np
 from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
                      base_blocks, gate_bounds, shared_im2col_sums)
-from .nn import (ConfigurationError, StateError, _as_batch, _per_channel, accuracy,
-                 activation, activation_grad, batchnorm_backward, bn_forward,
-                 col2im, cross_entropy, sigmoid, softmax)
+from .nn import (ConfigurationError, StateError, _as_batch, _chwn, _per_channel,
+                 accuracy, activation, activation_grad, batchnorm_backward,
+                 bn_forward, col2im, cross_entropy, sigmoid, softmax)
 
 
 class TrainingDiverged(RuntimeError):
@@ -82,7 +82,7 @@ class CgTrainContext:
     cfg: CgLayerConfig
     params: CgBlockParams
     x_shape: tuple
-    cols: np.ndarray          # (n, c_in*k*k, ho*wo), shared by both paths
+    cols: np.ndarray          # (c_in*k*k, ho*wo*n), shared by both paths
     bn2_ctx: object
     bn1_ctx: object           # the one normalization of p (BN1 and gate)
     xhat_p: np.ndarray
@@ -187,27 +187,24 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         ctx.bn1_ctx, dxhat_p * _per_channel(params.gamma) + dxhat_g)
 
     # [full; p] = [W; blockdiag(W_p)] @ cols, so with the two upstream
-    # gradients stacked as rows of one (2*c_out, n*ho*wo) matrix, the weight
+    # gradients stacked as rows of one (2*c_out, ho*wo*n) matrix, the weight
     # gradients are one GEMM against cols and the column gradient one GEMM
     # against the stacked kernel. p's gradient reaches only W's diagonal
     # blocks.
     G, spec = cfg.groups, cfg.conv
     k = spec.kernel_size
-    n, c_out = dp.shape[:2]
-    kk = ctx.cols.shape[1]
-    stacked = np.empty((2, c_out, n, dp.shape[2] * dp.shape[3]))
-    stacked[0] = dfull.reshape(n, c_out, -1).transpose(1, 0, 2)
-    stacked[1] = dp.reshape(n, c_out, -1).transpose(1, 0, 2)
-    stacked = stacked.reshape(2 * c_out, -1)
-    cols_t = ctx.cols.transpose(0, 2, 1).reshape(-1, kk)
-    dw = (stacked @ cols_t).reshape(2, c_out, spec.in_channels, k, k)
+    c_out = dp.shape[1]
+    kk = ctx.cols.shape[0]
+    stacked = np.concatenate([_chwn(dfull).reshape(c_out, -1),
+                              _chwn(dp).reshape(c_out, -1)])
+    dw = (stacked @ ctx.cols.T).reshape(2, c_out, spec.in_channels, k, k)
     base_blocks(dw[0], G)[...] += base_blocks(dw[1], G)
 
     kernel = np.zeros((2, c_out, kk))
     kernel[0] = params.w.reshape(c_out, kk)
     base_blocks(kernel[1], G)[...] = base_blocks(params.w, G)
-    dcols = (kernel.reshape(2 * c_out, kk).T @ stacked).reshape(kk, n, -1)
-    dx = col2im(dcols.transpose(1, 0, 2), ctx.x_shape, k, spec.stride, spec.padding)
+    dcols = kernel.reshape(2 * c_out, kk).T @ stacked
+    dx = col2im(dcols, ctx.x_shape, k, spec.stride, spec.padding)
     return CgBlockGrads(dw[0], dgamma, dbeta, ddelta, ddelta_high, ddelta_low, dx)
 
 

@@ -251,6 +251,34 @@ class TestConfigRanges:
         assert f"{key}:" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("cmd,key,extra", [
+        ("train", "seed", {"seed": "abc"}),
+        ("train", "val_fraction", {"val_fraction": "abc"}),
+        ("eval", "seed", {"seed": 1.5}),
+        ("eval", "delta_override", {"delta_override": "abc"}),
+        ("eval", "tau_c_override", {"tau_c_override": "abc"}),
+        ("eval", "delta_shift", {"delta_shift": [1.0]}),
+        ("analyze", "num_inputs", {"num_inputs": "ten"}),
+        ("analyze", "num_inputs", {"num_inputs": 2.0}),
+        ("analyze", "num_inputs", {"num_inputs": True}),
+        ("analyze", "intensity_sample", {"intensity_sample": "abc"}),
+        ("analyze", "etas", {"etas": "abc"}),
+        ("analyze", "etas[1]", {"etas": [0.5, "abc"]}),
+        ("analyze", "etas[1]", {"etas": [0.5, True]}),
+        ("perf", "array.fill_drain_per_tile", {"array": {"fill_drain_per_tile": "abc"}}),
+    ])
+    def test_non_numeric_rejected(self, tiny_run, tmp_path, capsys, cmd, key, extra):
+        if cmd == "train":
+            cfg = {**json.loads(TINY.read_text()), **extra}
+            path = tmp_path / "train.json"
+            path.write_text(json.dumps(cfg))
+        else:
+            path = eval_cfg(tiny_run, tmp_path, **{"etas": [0.5, 1.0], **extra})
+        out = tmp_path / "out"
+        assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
+        assert f"{key}: expected" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_whole_dataset_validates(self, tiny_run, tmp_path):
         # val_fraction 1.0 leaves no training split, which eval does not need
         cfg = eval_cfg(tiny_run, tmp_path, val_fraction=1.0)

@@ -1,0 +1,102 @@
+"""Activation memory order: every (n, c, h, w) batch a layer returns, and
+every decision map, lays its memory out as (c, h, w, n).
+
+A stray C-order ``.copy()``, ``np.pad`` or fancy index on the activation
+path still gives correct values, so no numeric test notices it; it only
+costs the speed of the sample-innermost layout. This guard does notice it.
+"""
+
+import numpy as np
+import pytest
+
+from cgnet.network import CgConvBlock, build_model
+
+
+def vgg_cfg():
+    return {
+        "input_shape": [2, 12, 12],
+        "num_classes": 3,
+        "cg_defaults": {"groups": 2, "tau_c": 0.2},
+        "layers": [
+            {"type": "conv", "out_channels": 4, "kernel_size": 3, "padding": 1,
+             "shuffle_groups": 2},
+            {"type": "cg_conv", "out_channels": 6, "kernel_size": 3, "padding": 1,
+             "shuffle": True},
+            {"type": "maxpool", "kernel_size": 2},
+            {"type": "cg_conv", "out_channels": 8, "kernel_size": 3, "stride": 2,
+             "padding": 1, "activation": "tanh"},
+            {"type": "cg_conv", "out_channels": 8, "kernel_size": 1, "groups": 1},
+            {"type": "avgpool", "kernel_size": 3},
+            {"type": "flatten"},
+            {"type": "linear", "out_features": 3},
+        ],
+    }
+
+
+def resnet_cfg():
+    return {
+        "input_shape": [1, 8, 8],
+        "num_classes": 3,
+        "cg_defaults": {"groups": 2, "tau_c": 0.3, "shuffle": True},
+        "layers": [
+            {"type": "conv", "out_channels": 4, "kernel_size": 3, "padding": 1},
+            {"type": "residual", "out_channels": 4},
+            {"type": "residual", "out_channels": 6, "stride": 2},
+            {"type": "residual", "out_channels": 6, "cg": False},
+            {"type": "avgpool", "kernel_size": 4},
+            {"type": "flatten"},
+            {"type": "linear", "out_features": 3},
+        ],
+    }
+
+
+def layers_of(model):
+    """Every layer, residual blocks followed by their sublayers."""
+    for layer in model.layers:
+        yield layer
+        if hasattr(layer, "sublayers"):
+            yield from layer.sublayers()
+
+
+def record_outputs(model, method, outputs):
+    """Wrap ``method`` of every layer object to append its outputs."""
+    for layer in layers_of(model):
+        def wrapped(*args, _f=getattr(layer, method), _name=layer.name, **kw):
+            out = _f(*args, **kw)
+            y = out[0] if isinstance(out, tuple) else out
+            outputs.append((_name, y))
+            return out
+        setattr(layer, method, wrapped)
+
+
+def assert_sample_innermost(name, a):
+    assert a.ndim == 4, name
+    assert a.transpose(1, 2, 3, 0).flags.c_contiguous, \
+        f"{name}: strides {a.strides} of shape {a.shape} are not (c, h, w, n) order"
+
+
+@pytest.mark.parametrize("cfg", [vgg_cfg, resnet_cfg])
+def test_batches_and_decision_maps_are_sample_innermost(cfg):
+    rng = np.random.default_rng(3)
+    model = build_model(cfg(), rng)
+    x = rng.standard_normal((3,) + model.input_shape)   # C-ordered input
+
+    outputs = []
+    record_outputs(model, "forward_train", outputs)
+    model.forward_train(x)
+    gated = [layer for layer in layers_of(model) if isinstance(layer, CgConvBlock)]
+    assert gated
+    for layer in gated:
+        assert_sample_innermost(f"{layer.name} training decisions", layer.ctx.d)
+    model.freeze_gates()
+    record_outputs(model, "forward_infer", outputs)
+    _, records = model.forward_infer(x, collect=True)
+
+    batches = [(name, y) for name, y in outputs if y.ndim == 4]
+    assert len(batches) == 2 * (len(list(layers_of(model))) - 2)
+    for name, y in batches:
+        assert_sample_innermost(name, y)
+    maps = [rec for rec in records if rec.dm is not None]
+    assert len(maps) == len(gated)
+    for rec in maps:
+        assert_sample_innermost(f"{rec.name} decisions", rec.dm.d)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cgnet import nn
 from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
@@ -103,6 +103,55 @@ class TestConv2d:
         dx, dw = nn.conv2d_backward(ctx, proj)
         check_grad(loss, x, dx)
         check_grad(loss, w, dw)
+
+
+def sample_innermost(x):
+    """A copy of the (n, c, h, w) batch x whose memory is (c, h, w, n)."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+im2col_cases = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), c=st.integers(1, 3),
+    h=st.integers(1, 6), w=st.integers(1, 6), k=st.integers(1, 3),
+    stride=st.integers(1, 3), padding=st.integers(0, 2))
+
+
+class TestIm2col:
+    """im2col's column layout, its independence of the input's memory
+    order, and col2im as its adjoint."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**im2col_cases)
+    def test_columns_for_either_memory_order(self, seed, n, c, h, w, k, stride, padding):
+        assume(h + 2 * padding >= k and w + 2 * padding >= k)
+        x = np.random.default_rng(seed).standard_normal((n, c, h, w))
+        cols = nn.im2col(x, k, stride, padding)
+        np.testing.assert_array_equal(nn.im2col(sample_innermost(x), k, stride, padding), cols)
+        # row (channel, ky, kx), column (y, x, sample) holds
+        # x_pad[sample, channel, stride*y + ky, stride*x + kx]
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (w + 2 * padding - k) // stride + 1
+        want = np.empty((c, k, k, ho, wo, n))
+        for ky in range(k):
+            for kx in range(k):
+                win = xp[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
+                want[:, ky, kx] = win.transpose(1, 2, 3, 0)
+        np.testing.assert_array_equal(cols, want.reshape(c * k * k, ho * wo * n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**im2col_cases)
+    def test_col2im_is_the_adjoint(self, seed, n, c, h, w, k, stride, padding):
+        assume(h + 2 * padding >= k and w + 2 * padding >= k)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        cols = nn.im2col(x, k, stride, padding)
+        dcols = rng.standard_normal(cols.shape)
+        dx = nn.col2im(dcols, x.shape, k, stride, padding)
+        assert dx.shape == x.shape
+        lhs = float(np.vdot(cols, dcols))
+        rhs = float(np.vdot(x, dx))
+        assert abs(lhs - rhs) <= 1e-12 * (np.abs(cols).sum() * np.abs(dcols).max() + 1.0)
 
 
 class TestBatchNorm:
