@@ -136,14 +136,14 @@ def cmd_train(args):
             f"val_fraction: {cfg.get('val_fraction', 0.1)} leaves no training sample")
 
     model = build_model(_get(cfg, "model", kind=dict), np.random.default_rng([seed, 11]))
-    if cfg.get("force_open", False):
+    if _get(cfg, "force_open", False, bool):
         model.set_force_open()
 
     loss_cfg = LossConfig(
         sparsity=_get(cfg, "loss.sparsity", "target_threshold", str),
         lam=float(_get(cfg, "loss.lambda", 1e-4, (int, float))),
         target=float(_get(cfg, "loss.target", 2.0, (int, float))),
-        kd_enabled=bool(_get(cfg, "loss.kd.enabled", False)),
+        kd_enabled=_get(cfg, "loss.kd.enabled", False, bool),
         kd_temperature=float(_get(cfg, "loss.kd.temperature", 1.0, (int, float))),
         kd_mix=float(_get(cfg, "loss.kd.mix", 0.5, (int, float))),
         teacher_checkpoint=_get(cfg, "loss.kd.teacher_checkpoint", None))

@@ -90,10 +90,6 @@ class CgLayerConfig:
         if self.epsilon <= 0.0:
             raise ConfigurationError("epsilon must be positive")
 
-    @property
-    def eta(self):
-        return 1.0 / self.groups
-
 
 @dataclass
 class GateState:
@@ -117,6 +113,12 @@ class GateState:
             st.delta_high = np.full(c, cfg.band_init)
             st.delta_low = np.full(c, -cfg.band_init)
         return st
+
+    def thresholds(self):
+        """(name, array) of the learned thresholds: delta, or the band's edges."""
+        if self.delta_high is None:
+            return [("delta", self.delta)]
+        return [("delta_high", self.delta_high), ("delta_low", self.delta_low)]
 
     def clamp_band(self):
         """Enforce delta_high >= delta_low after a training step."""

@@ -14,13 +14,21 @@ speaks one protocol:
   * ``param_groups()`` lists (name, param, grad, weight_decay) and
     ``state_items()`` the (name, array) pairs a checkpoint holds; loading
     writes into those arrays, except that a gated layer's kernel records
-    are copies of W's split, from which ``load_kernel`` assembles W.
+    are copies of W's split, from which ``load_kernel`` assembles W;
+  * ``to_dense()`` returns a fresh dense equivalent: a gated layer its
+    all-take ``ConvBlock``, a residual block a block of its sublayers'
+    twins, any other layer a deep copy.
 
-``Network`` alone zeroes gradients (those ``param_groups`` lists) and
-checks before inference that the gate statistics are frozen.
+``Network.leaves()`` lists the layers in execution order with each residual
+block replaced by its sublayers; the parameter, state and gate walks go
+through it, so a residual block lists no parameters or state itself.
+``Network`` alone zeroes gradients and steps SGD over those ``param_groups``
+lists, and checks before inference that the gate statistics are frozen.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -41,6 +49,8 @@ def _he_init(rng, shape, fan_in):
 
 class ConvBlock:
     """Dense convolution + batch norm + activation (+ optional shuffle)."""
+
+    to_dense = copy.deepcopy   # a dense layer is its own dense equivalent
 
     def __init__(self, spec: ConvSpec, act="relu", shuffle_groups=0, rng=None,
                  name="conv"):
@@ -121,11 +131,8 @@ class CgConvBlock:
         self.g_w = np.zeros_like(self.params.w)
         self.g_gamma = np.zeros_like(self.params.gamma)
         self.g_beta = np.zeros_like(self.params.beta)
-        if cfg.gate == "single_sided":
-            self.g_delta = np.zeros_like(self.params.gate.delta)
-        else:
-            self.g_delta_high = np.zeros_like(self.params.gate.delta_high)
-            self.g_delta_low = np.zeros_like(self.params.gate.delta_low)
+        self.g_thresholds = {key: np.zeros_like(t)
+                             for key, t in self.params.gate.thresholds()}
 
     def forward_train(self, x):
         y, self.ctx = training.cg_block_forward_train(x, self.params, self.cfg)
@@ -141,11 +148,8 @@ class CgConvBlock:
         self.g_gamma += g.dgamma
         self.g_beta += g.dbeta
         if not self.freeze_delta:
-            if g.ddelta is not None:
-                self.g_delta += g.ddelta
-            if g.ddelta_high is not None:
-                self.g_delta_high += g.ddelta_high
-                self.g_delta_low += g.ddelta_low
+            for key, g_t in self.g_thresholds.items():
+                g_t += getattr(g, f"d{key}")
         return g.dx
 
     def forward_infer(self, x, collect=False, capture=False):
@@ -164,39 +168,30 @@ class CgConvBlock:
             w_dense=self.params.w if capture else None)]
 
     def param_groups(self):
-        groups = [(f"{self.name}.w", self.params.w, self.g_w, True),
-                  (f"{self.name}.gamma", self.params.gamma, self.g_gamma, False),
-                  (f"{self.name}.beta", self.params.beta, self.g_beta, False)]
-        if self.cfg.gate == "single_sided":
-            groups.append((f"{self.name}.delta", self.params.gate.delta,
-                           self.g_delta, False))
-        else:
-            groups.append((f"{self.name}.delta_high", self.params.gate.delta_high,
-                           self.g_delta_high, False))
-            groups.append((f"{self.name}.delta_low", self.params.gate.delta_low,
-                           self.g_delta_low, False))
-        return groups
+        return [(f"{self.name}.w", self.params.w, self.g_w, True),
+                (f"{self.name}.gamma", self.params.gamma, self.g_gamma, False),
+                (f"{self.name}.beta", self.params.beta, self.g_beta, False)] + \
+               [(f"{self.name}.{key}", t, self.g_thresholds[key], False)
+                for key, t in self.params.gate.thresholds()]
 
     def state_items(self):
-        # The format stores W as its (W_p, W_r) split, and gate_mean/gate_var
-        # name BN1's arrays a second time: the records stay for its readers.
+        # The format stores W as its (W_p, W_r) split, gate_mean/gate_var
+        # name BN1's arrays a second time and delta is there for both gate
+        # kinds: the records stay for its readers.
         p = self.params
         w_p, w_r = split_dense_weight(p.w, self.cfg.groups)
-        items = [(f"{self.name}.w_p", w_p),
-                 (f"{self.name}.w_r", w_r),
-                 (f"{self.name}.gamma", p.gamma),
-                 (f"{self.name}.beta", p.beta),
-                 (f"{self.name}.bn1_mean", p.bn1.running_mean),
-                 (f"{self.name}.bn1_var", p.bn1.running_var),
-                 (f"{self.name}.bn2_mean", p.bn2.running_mean),
-                 (f"{self.name}.bn2_var", p.bn2.running_var),
-                 (f"{self.name}.gate_mean", p.bn1.running_mean),
-                 (f"{self.name}.gate_var", p.bn1.running_var),
-                 (f"{self.name}.delta", p.gate.delta)]
-        if self.cfg.gate == "two_sided":
-            items.append((f"{self.name}.delta_high", p.gate.delta_high))
-            items.append((f"{self.name}.delta_low", p.gate.delta_low))
-        return items
+        return [(f"{self.name}.w_p", w_p),
+                (f"{self.name}.w_r", w_r),
+                (f"{self.name}.gamma", p.gamma),
+                (f"{self.name}.beta", p.beta),
+                (f"{self.name}.bn1_mean", p.bn1.running_mean),
+                (f"{self.name}.bn1_var", p.bn1.running_var),
+                (f"{self.name}.bn2_mean", p.bn2.running_mean),
+                (f"{self.name}.bn2_var", p.bn2.running_var),
+                (f"{self.name}.gate_mean", p.bn1.running_mean),
+                (f"{self.name}.gate_var", p.bn1.running_var),
+                (f"{self.name}.delta", p.gate.delta)] + \
+               [(f"{self.name}.{key}", t) for key, t in p.gate.thresholds() if key != "delta"]
 
     def load_kernel(self, tensors):
         """Assemble W from a checkpoint's (W_p, W_r) records."""
@@ -220,6 +215,8 @@ class CgConvBlock:
 class ParameterFreeLayer:
     """A layer without parameters or state: empty parameter groups and
     nothing to checkpoint."""
+
+    to_dense = copy.deepcopy
 
     def param_groups(self):
         return []
@@ -273,6 +270,8 @@ class Flatten(ParameterFreeLayer):
 
 class LinearHead:
     """Final fully-connected classifier (no bias, like every conv here)."""
+
+    to_dense = copy.deepcopy
 
     def __init__(self, in_features, out_features, rng=None, name="linear"):
         self.in_features = in_features
@@ -346,11 +345,9 @@ class ResidualBlock:
             subs.append(self.shortcut)
         return subs
 
-    def param_groups(self):
-        return [g for s in self.sublayers() for g in s.param_groups()]
-
-    def state_items(self):
-        return [i for s in self.sublayers() for i in s.state_items()]
+    def to_dense(self):
+        sc = None if self.shortcut is None else self.shortcut.to_dense()
+        return ResidualBlock(self.a.to_dense(), self.b.to_dense(), sc, self.name)
 
 
 class Network:
@@ -392,9 +389,14 @@ class Network:
                              f"are not finite; the model's weights or statistics hold NaN or inf")
         return x, records
 
+    def leaves(self):
+        """Layers in execution order, a residual block replaced by its sublayers."""
+        return [leaf for layer in self.layers for leaf in
+                (layer.sublayers() if isinstance(layer, ResidualBlock) else [layer])]
+
     # -- parameters ----------------------------------------------------------
     def param_groups(self):
-        return [g for layer in self.layers for g in layer.param_groups()]
+        return [g for leaf in self.leaves() for g in leaf.param_groups()]
 
     def zero_grads(self):
         for _, _, g, _ in self.param_groups():
@@ -404,26 +406,13 @@ class Network:
         groups = self.param_groups()
         if self._vel is None:
             self._vel = {name: np.zeros_like(p) for name, p, _, _ in groups}
-        wd_p, wd_g, wd_v = [], [], []
-        plain_p, plain_g, plain_v = [], [], []
-        for name, p, g, wd in groups:
-            (wd_p if wd else plain_p).append(p)
-            (wd_g if wd else plain_g).append(g)
-            (wd_v if wd else plain_v).append(self._vel[name])
-        sgd_step(wd_p, wd_g, wd_v, lr, momentum, weight_decay)
-        sgd_step(plain_p, plain_g, plain_v, lr, momentum, 0.0)
+        sgd_step(groups, self._vel, lr, momentum, weight_decay)
         for layer in self.gated_layers():
             layer.params.gate.clamp_band()
 
     # -- gating access -------------------------------------------------------
     def gated_layers(self):
-        out = []
-        for layer in self.layers:
-            if isinstance(layer, CgConvBlock):
-                out.append(layer)
-            elif isinstance(layer, ResidualBlock):
-                out.extend(s for s in layer.sublayers() if isinstance(s, CgConvBlock))
-        return out
+        return [leaf for leaf in self.leaves() if isinstance(leaf, CgConvBlock)]
 
     def mean_delta(self):
         vals = []
@@ -475,41 +464,26 @@ class Network:
                 gate.delta_low += offset
 
     def set_tau_c(self, value):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigurationError(f"tau_c must be in [0, 1], got {value}")
         for layer in self.gated_layers():
             layer.cfg.tau_c = value
 
     # -- conversion / serialization -------------------------------------------
     def to_dense(self):
         """Network with every gating block replaced by its dense equivalent."""
-        import copy
-        new_layers = []
-        for layer in self.layers:
-            if isinstance(layer, CgConvBlock):
-                new_layers.append(layer.to_dense())
-            elif isinstance(layer, ResidualBlock):
-                subs = [s.to_dense() if isinstance(s, CgConvBlock) else copy.deepcopy(s)
-                        for s in (layer.a, layer.b)]
-                sc = layer.shortcut
-                if isinstance(sc, CgConvBlock):
-                    sc = sc.to_dense()
-                elif sc is not None:
-                    sc = copy.deepcopy(sc)
-                new_layers.append(ResidualBlock(subs[0], subs[1], sc, layer.name))
-            else:
-                new_layers.append(copy.deepcopy(layer))
-        return Network(new_layers, self.input_shape, self.num_classes, dict(self.config))
+        return Network([layer.to_dense() for layer in self.layers],
+                       self.input_shape, self.num_classes, dict(self.config))
 
     def state_tensors(self):
-        items = []
-        for layer in self.layers:
-            items.extend(layer.state_items())
+        items = [item for leaf in self.leaves() for item in leaf.state_items()]
         items.append(("__frozen__", np.array([int(self.gates_frozen())], dtype=np.int64)))
         return items
 
     def load_state_tensors(self, tensors):
         # built once: the kernel records are temporary copies, and the alias
         # check below needs every array alive so that no id is reused
-        items = [item for layer in self.layers for item in layer.state_items()]
+        items = [item for leaf in self.leaves() for item in leaf.state_items()]
         unexpected = sorted(set(tensors) - {name for name, _ in items}
                             - {"__frozen__", CONFIG_RECORD})
         if unexpected:
@@ -540,72 +514,95 @@ class Network:
 # Builder
 # ---------------------------------------------------------------------------
 
-def _cg_config(spec, layer_cfg, defaults):
-    def get(key, fallback):
-        return layer_cfg.get(key, defaults.get(key, fallback))
+_REQUIRED = object()
+
+
+def _reader(where, *sources):
+    """``get(key, kind, default)``: the field from the first source that has
+    it, converted by ``kind`` (None keeps it as is; a bool must be one). A
+    missing or unconvertible field raises ``ConfigurationError`` naming
+    ``where.key``."""
+    def get(key, kind, default=_REQUIRED):
+        value = next((src[key] for src in sources if key in src), default)
+        if value is _REQUIRED:
+            raise ConfigurationError(f"{where}.{key}: required field missing")
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigurationError(f"{where}.{key}: expected true or false, got {value!r}")
+        if kind is None:
+            return value
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
+    return get
+
+
+def _cg_config(spec, get):
     return CgLayerConfig(
         conv=spec,
-        groups=int(get("groups", 4)),
-        activation=get("activation", "relu"),
-        gate=get("gate", ""),
-        tau_c=float(get("tau_c", 0.0)),
-        epsilon=float(get("epsilon", 4.0)),
-        shuffle=bool(get("shuffle", False)),
-        band_init=float(get("band_init", 2.0)))
+        groups=get("groups", int, 4),
+        activation=get("activation", None, "relu"),
+        gate=get("gate", None, ""),
+        tau_c=get("tau_c", float, 0.0),
+        epsilon=get("epsilon", float, 4.0),
+        shuffle=get("shuffle", bool, False),
+        band_init=get("band_init", float, 2.0))
 
 
 def build_model(model_cfg: dict, rng) -> Network:
-    """Construct a Network from the config's model section."""
-    try:
-        input_shape = tuple(model_cfg["input_shape"])
-        num_classes = int(model_cfg["num_classes"])
-        layer_specs = model_cfg["layers"]
-    except KeyError as e:
-        raise ConfigurationError(f"model.{e.args[0]}: required field missing") from None
+    """Construct a Network from the config's model section; a missing or
+    malformed field raises ``ConfigurationError`` naming it."""
+    top = _reader("model", model_cfg)
+    input_shape = top("input_shape", None)
+    num_classes = top("num_classes", int)
+    layer_specs = top("layers", None)
+    if not (isinstance(input_shape, (list, tuple)) and len(input_shape) == 3
+            and all(type(v) is int for v in input_shape)):
+        raise ConfigurationError(f"model.input_shape: expected [c, h, w], got {input_shape!r}")
+    input_shape = tuple(input_shape)
     defaults = model_cfg.get("cg_defaults", {})
     c, h, w = input_shape
     layers = []
     for i, lc in enumerate(layer_specs):
         name = f"L{i:02d}"
+        where = f"model.layers[{i}]"
+        get = _reader(where, lc)
         kind = lc.get("type")
-        if kind == "conv":
-            spec = ConvSpec(c, int(lc["out_channels"]), int(lc["kernel_size"]),
-                            int(lc.get("stride", 1)), int(lc.get("padding", 0)))
-            layers.append(ConvBlock(spec, lc.get("activation", "relu"),
-                                    int(lc.get("shuffle_groups", 0)), rng, name))
-            h, w = spec.out_hw(h, w)
-            c = spec.out_channels
-        elif kind == "cg_conv":
-            spec = ConvSpec(c, int(lc["out_channels"]), int(lc["kernel_size"]),
-                            int(lc.get("stride", 1)), int(lc.get("padding", 0)))
-            cfg = _cg_config(spec, lc, defaults)
-            layers.append(CgConvBlock(cfg, rng, name))
+        if kind in ("conv", "cg_conv"):
+            spec = ConvSpec(c, get("out_channels", int), get("kernel_size", int),
+                            get("stride", int, 1), get("padding", int, 0))
+            if kind == "conv":
+                layers.append(ConvBlock(spec, lc.get("activation", "relu"),
+                                        get("shuffle_groups", int, 0), rng, name))
+            else:
+                cfg = _cg_config(spec, _reader(where, lc, defaults))
+                layers.append(CgConvBlock(cfg, rng, name))
             h, w = spec.out_hw(h, w)
             c = spec.out_channels
         elif kind in ("maxpool", "avgpool"):
-            k = int(lc.get("kernel_size", 2))
+            k = get("kernel_size", int, 2)
             layers.append((MaxPool if kind == "maxpool" else AvgPool)(k, name))
             if h % k or w % k:
                 raise ConfigurationError(
-                    f"model.layers[{i}]: pooling over {h}x{w} not divisible by {k}")
+                    f"{where}: pooling over {h}x{w} not divisible by {k}")
             h, w = h // k, w // k
         elif kind == "flatten":
             layers.append(Flatten(name))
         elif kind == "linear":
             feat = c * h * w if layers and isinstance(layers[-1], Flatten) else c
-            layers.append(LinearHead(feat, int(lc["out_features"]), rng, name))
-            c, h, w = int(lc["out_features"]), 1, 1
+            layers.append(LinearHead(feat, get("out_features", int), rng, name))
+            c, h, w = layers[-1].out_features, 1, 1
         elif kind == "residual":
-            out_c = int(lc["out_channels"])
-            stride = int(lc.get("stride", 1))
-            use_cg = bool(lc.get("cg", True))
+            out_c = get("out_channels", int)
+            stride = get("stride", int, 1)
             spec_a = ConvSpec(c, out_c, 3, stride, 1)
             spec_b = ConvSpec(out_c, out_c, 3, 1, 1)
-            if use_cg:
-                a = CgConvBlock(_cg_config(spec_a, lc, defaults), rng, f"{name}a")
-                cfg_b = dict(lc)
-                cfg_b["activation"] = "identity"
-                b = CgConvBlock(_cg_config(spec_b, cfg_b, defaults), rng, f"{name}b")
+            if get("cg", bool, True):
+                a = CgConvBlock(_cg_config(spec_a, _reader(where, lc, defaults)),
+                                rng, f"{name}a")
+                get_b = _reader(where, {"activation": "identity"}, lc, defaults)
+                b = CgConvBlock(_cg_config(spec_b, get_b), rng, f"{name}b")
             else:
                 a = ConvBlock(spec_a, "relu", 0, rng, f"{name}a")
                 b = ConvBlock(spec_b, "identity", 0, rng, f"{name}b")
@@ -617,7 +614,7 @@ def build_model(model_cfg: dict, rng) -> Network:
             h, w = spec_a.out_hw(h, w)
             c = out_c
         else:
-            raise ConfigurationError(f"model.layers[{i}].type: unknown layer type {kind!r}")
+            raise ConfigurationError(f"{where}.type: unknown layer type {kind!r}")
     last = layers[-1] if layers else None
     if not isinstance(last, LinearHead) or last.out_features != num_classes:
         raise ConfigurationError(

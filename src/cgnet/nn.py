@@ -178,8 +178,6 @@ def conv2d(x, w, spec: ConvSpec):
 
 def conv2d_backward(ctx: ConvCtx, dy):
     """Gradients of conv2d; returns (dx, dw)."""
-    if ctx.cols is None:
-        raise StateError("conv backward called without a cached forward context")
     spec = ctx.spec
     g = spec.groups
     dym = _chwn(np.asarray(dy, dtype=np.float64)).reshape(g, spec.out_channels // g, -1)
@@ -248,9 +246,10 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True):
     """Batch normalization over (n, c, h, w); returns (y, ctx).
 
     Training mode normalizes with the batch statistics, folds them into the
-    running stats and returns the ``BnCtx`` the backward needs. Inference
-    is ``bn_inference`` and returns ctx None; the scalar oracle in the tests
-    mirrors its sequence of operations.
+    running stats and returns the ``BnCtx`` the backward needs; there
+    ``affine=False`` returns the normalized batch without gamma and beta.
+    Inference is ``bn_inference``, always affine, and returns ctx None; the
+    scalar oracle in the tests mirrors its sequence of operations.
     """
     xb = _as_batch(x)
     if xb.shape[1] != len(st.gamma):
@@ -274,22 +273,19 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True):
         y = _per_channel(st.gamma) * xhat + _per_channel(st.beta) if affine else xhat
         ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
     else:
-        y = bn_inference(xb, st, affine)
+        y = bn_inference(xb, st)
     return y, ctx
 
 
-def bn_inference(x, st: BatchNormState, affine=True, out=None):
+def bn_inference(x, st: BatchNormState, out=None):
     """Frozen-statistics batch normalization of (n, c, h, w) ``x``, written
     into ``out`` when given (``out`` may be ``x``): per channel and in
-    exactly this order ``(x - mean) * scale + shift``, with
-    ``scale = gamma / sqrt(var + eps)`` (gamma omitted when affine=False)."""
-    scale = 1.0 / np.sqrt(st.running_var + st.eps)
-    if affine:
-        scale = st.gamma / np.sqrt(st.running_var + st.eps)
-    shift = st.beta if affine else np.zeros_like(st.running_mean)
+    exactly this order ``(x - mean) * scale + beta``, with
+    ``scale = gamma / sqrt(var + eps)``."""
+    scale = st.gamma / np.sqrt(st.running_var + st.eps)
     y = np.subtract(x, _per_channel(st.running_mean), out=out)
     y *= _per_channel(scale)
-    y += _per_channel(shift)
+    y += _per_channel(st.beta)
     return y
 
 
@@ -491,18 +487,19 @@ def accuracy(logits, labels):
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def sgd_step(params, grads, velocities, lr, momentum=0.0, weight_decay=0.0):
-    """In-place SGD with momentum:
-    v <- momentum*v + grad + weight_decay*param;  param <- param - lr*v.
+def sgd_step(groups, velocities, lr, momentum=0.0, weight_decay=0.0):
+    """In-place SGD with momentum over ``(name, param, grad, decays)`` groups,
+    as ``param_groups()`` lists them, and their velocities by name:
+    v <- momentum*v + grad (+ weight_decay*param where decays);
+    param <- param - lr*v.
     """
-    if not (len(params) == len(grads) == len(velocities)):
-        raise ConfigurationError("params/grads/velocities length mismatch")
-    for p, g, v in zip(params, grads, velocities):
+    for name, p, g, decays in groups:
+        v = velocities[name]
         if p.shape != g.shape or p.shape != v.shape:
-            raise ConfigurationError(f"sgd shape mismatch: {p.shape} vs {g.shape} vs {v.shape}")
+            raise ConfigurationError(
+                f"sgd shape mismatch for {name}: {p.shape} vs {g.shape} vs {v.shape}")
         v *= momentum
         v += g
-        if weight_decay:
+        if decays and weight_decay:
             v += weight_decay * p
         p -= lr * v
-    return params

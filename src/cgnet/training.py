@@ -317,21 +317,21 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
             gate = layer.params.gate
             if layer.cfg.gate == "single_sided":
                 part, (g,) = sparsity_loss_target([gate.delta], loss_cfg.target, lam)
-                layer.g_delta += g
+                layer.g_thresholds["delta"] += g
             else:
                 # band edges pulled inward by T from the initial half-width
                 t_hi = layer.cfg.band_init - loss_cfg.target
                 part_h, (gh,) = sparsity_loss_target([gate.delta_high], t_hi, lam)
                 part_l, (gl,) = sparsity_loss_target([gate.delta_low], -t_hi, lam)
-                layer.g_delta_high += gh
-                layer.g_delta_low += gl
+                layer.g_thresholds["delta_high"] += gh
+                layer.g_thresholds["delta_low"] += gl
                 part = part_h + part_l
             loss += part
         return loss
     ctxs = [l.ctx for l in layers if l.cfg.gate == "single_sided"]
     loss, grads = sparsity_loss_flops(ctxs, lam)
     for layer, g in zip([l for l in layers if l.cfg.gate == "single_sided"], grads):
-        layer.g_delta += g
+        layer.g_thresholds["delta"] += g
     return loss
 
 

@@ -3,9 +3,11 @@ and every dataclass field has a reader.
 
 A public top-level function or class, or a public method, that neither the
 package nor the benchmark harness uses is either dead or serves only the
-tests; test-only helpers belong in ``tests/_oracles.py``. A name counts as
-used when it appears as a name or an attribute anywhere in ``src/cgnet`` or
-``cgbench``; its own definition does not count.
+tests; test-only helpers belong in ``tests/_oracles.py``. A top-level name
+counts as used when it appears as a name or an attribute anywhere in
+``src/cgnet`` or ``cgbench``; a method or property only when it is accessed
+as an attribute there, since a local variable of the same name does not call
+it. Its own definition does not count.
 
 A dataclass field counts as read when its name is loaded as an attribute,
 or appears as a string constant (``getattr``), anywhere in ``src/cgnet``,
@@ -27,37 +29,39 @@ EXEMPT = {"write_idx_file", "write_raw_chw"}
 
 
 def public_definitions(path):
-    """(qualified name, name) of public top-level functions and classes and
-    of public methods of top-level classes."""
+    """(qualified name, name, is_member) of public top-level functions and
+    classes and of public methods (properties too) of top-level classes."""
     tree = ast.parse(path.read_text())
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, defs) or node.name.startswith("_"):
             continue
-        yield node.name, node.name
+        yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, True
 
 
 def used_names():
-    names = set()
+    """(names, attributes) that appear anywhere in the package or harness."""
+    names, attrs = set(), set()
     for path in USERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    used = used_names()
+    names, attrs = used_names()
     unused = [f"{path.stem}.{qual}"
               for path in sorted(PACKAGE.glob("*.py"))
-              for qual, name in public_definitions(path)
-              if name not in used and name not in EXEMPT]
+              for qual, name, is_member in public_definitions(path)
+              if name not in (attrs if is_member else names | attrs)
+              and name not in EXEMPT]
     assert not unused, f"public names nothing in src/cgnet or cgbench uses: {unused}"
 
 

@@ -225,8 +225,9 @@ class TestAnalyzePerf:
 
 
 class TestConfigRanges:
-    """Out-of-range values of the split and of the analyzed inputs fail
-    with exit 2, naming the key, before any artifact is written."""
+    """Out-of-range or malformed values of the split, the analyzed inputs,
+    the overrides, the boolean switches and the model section fail with
+    exit 2, naming the key, before any artifact is written."""
 
     @pytest.mark.parametrize("cmd,key,value", [
         ("eval", "val_fraction", -0.5),
@@ -266,6 +267,8 @@ class TestConfigRanges:
         ("analyze", "etas[1]", {"etas": [0.5, "abc"]}),
         ("analyze", "etas[1]", {"etas": [0.5, True]}),
         ("perf", "array.fill_drain_per_tile", {"array": {"fill_drain_per_tile": "abc"}}),
+        ("train", "force_open", {"force_open": "false"}),
+        ("train", "loss.kd.enabled", {"loss": {"kd": {"enabled": "no"}}}),
     ])
     def test_non_numeric_rejected(self, tiny_run, tmp_path, capsys, cmd, key, extra):
         if cmd == "train":
@@ -277,6 +280,30 @@ class TestConfigRanges:
         out = tmp_path / "out"
         assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
         assert f"{key}: expected" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_tau_c_override_out_of_range_rejected(self, tiny_run, tmp_path, capsys):
+        path = eval_cfg(tiny_run, tmp_path, tau_c_override=5)
+        out = tmp_path / "out"
+        assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == 2
+        assert "tau_c must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda m: m["layers"][1].pop("out_channels"), "model.layers[1].out_channels"),
+        (lambda m: m["layers"][1].update(out_channels="abc"), "model.layers[1].out_channels"),
+        (lambda m: m["cg_defaults"].update(groups="four"), "model.layers[1].groups"),
+        (lambda m: m["layers"][1].update(shuffle="false"), "model.layers[1].shuffle"),
+        (lambda m: m.update(input_shape=[1, 8]), "model.input_shape"),
+    ])
+    def test_malformed_model_section_rejected(self, tmp_path, capsys, edit, field):
+        cfg = json.loads(TINY.read_text())
+        edit(cfg["model"])
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{field}: " in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_whole_dataset_validates(self, tiny_run, tmp_path):

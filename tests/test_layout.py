@@ -51,11 +51,8 @@ def resnet_cfg():
 
 
 def layers_of(model):
-    """Every layer, residual blocks followed by their sublayers."""
-    for layer in model.layers:
-        yield layer
-        if hasattr(layer, "sublayers"):
-            yield from layer.sublayers()
+    """Every layer and every leaf: residual blocks and their sublayers."""
+    return list({id(layer): layer for layer in model.layers + model.leaves()}.values())
 
 
 def record_outputs(model, method, outputs):

@@ -77,6 +77,89 @@ class TestBuilder:
         with pytest.raises(ConfigurationError, match="linear head"):
             build_model(cfg, rng)
 
+    @pytest.mark.parametrize("cfg_fn,edit,field", [
+        (vgg_ish_cfg, lambda m: m["layers"][0].pop("out_channels"),
+         "model.layers[0].out_channels: required"),
+        (vgg_ish_cfg, lambda m: m["layers"][2].update(out_channels="abc"),
+         "model.layers[2].out_channels: expected int"),
+        (vgg_ish_cfg, lambda m: m["layers"][7].update(out_features="four"),
+         "model.layers[7].out_features: expected int"),
+        (vgg_ish_cfg, lambda m: m["cg_defaults"].update(groups="four"),
+         "model.layers[2].groups: expected int"),
+        (vgg_ish_cfg, lambda m: m["layers"][2].update(shuffle="false"),
+         "model.layers[2].shuffle: expected true or false"),
+        (vgg_ish_cfg, lambda m: m.update(input_shape=[1, 16]), "model.input_shape: expected"),
+        (vgg_ish_cfg, lambda m: m.update(input_shape="1x16x16"), "model.input_shape: expected"),
+        (vgg_ish_cfg, lambda m: m.update(input_shape=[1, 16.0, 16]), "model.input_shape: expected"),
+        (resnet_ish_cfg, lambda m: m["layers"][1].pop("out_channels"),
+         "model.layers[1].out_channels: required"),
+        (resnet_ish_cfg, lambda m: m["layers"][1].update(cg="false"),
+         "model.layers[1].cg: expected true or false"),
+        (resnet_ish_cfg, lambda m: m["cg_defaults"].update(shuffle=1),
+         "model.layers[1].shuffle: expected true or false"),
+    ])
+    def test_malformed_field_named(self, rng, cfg_fn, edit, field):
+        cfg = cfg_fn()
+        edit(cfg)
+        with pytest.raises(ConfigurationError) as err:
+            build_model(cfg, rng)
+        assert field in str(err.value)
+
+    def test_set_tau_c_out_of_range_writes_no_layer(self, rng):
+        model = build_model(vgg_ish_cfg(), rng)
+        for value in (5.0, -0.1, float("nan")):
+            with pytest.raises(ConfigurationError, match="tau_c"):
+                model.set_tau_c(value)
+            assert all(layer.cfg.tau_c == 0.0 for layer in model.gated_layers())
+        model.set_tau_c(1.0)
+        assert all(layer.cfg.tau_c == 1.0 for layer in model.gated_layers())
+
+
+def with_shuffle(cfg_fn):
+    cfg = cfg_fn()
+    cfg["cg_defaults"]["shuffle"] = True
+    return cfg
+
+
+def arrays(model):
+    """Every state tensor, parameter and gradient buffer of ``model``."""
+    return [a for _, a in model.state_tensors()] + \
+           [a for _, p, g, _ in model.param_groups() for a in (p, g)]
+
+
+class TestLayerWalk:
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_leaves_run_in_execution_order(self, rng, cfg_fn):
+        model = build_model(with_shuffle(cfg_fn), rng)
+        calls = []
+        for leaf in model.leaves():
+            def wrapped(x, _f=leaf.forward_train, _name=leaf.name):
+                calls.append(_name)
+                return _f(x)
+            leaf.forward_train = wrapped
+        model.forward_train(rng.standard_normal((2, 1, 16, 16)))
+        assert calls == [leaf.name for leaf in model.leaves()]
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_leaves_order_parameter_and_state_names(self, rng, cfg_fn):
+        model = build_model(with_shuffle(cfg_fn), rng)
+        leaves = [leaf.name for leaf in model.leaves()]
+        for names in ([name for name, *_ in model.param_groups()],
+                      [name for name, _ in model.state_tensors()][:-1]):
+            owners = list(dict.fromkeys(name.split(".")[0] for name in names))
+            assert owners == [leaf for leaf in leaves if leaf in owners]
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_dense_twin_shares_no_layer_and_no_memory(self, rng, cfg_fn):
+        model = build_model(with_shuffle(cfg_fn), rng)
+        model.forward_train(rng.standard_normal((2, 1, 16, 16)))
+        dense = model.to_dense()
+        assert [t.name for t in dense.leaves()] == [s.name for s in model.leaves()]
+        for twin in dense.layers + dense.leaves():
+            assert not any(twin is src for src in model.layers + model.leaves()), twin.name
+        for a in arrays(dense):
+            assert not any(np.shares_memory(a, b) for b in arrays(model))
+
 
 class TestDenseEquivalence:
     @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
@@ -108,10 +191,7 @@ class TestDenseEquivalence:
     @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
     def test_dense_twin_shares_no_memory_with_the_kernel(self, rng, cfg_fn):
         model = build_model(cfg_fn(), rng)
-        twins = {}
-        for layer in model.to_dense().layers:
-            for sub in layer.sublayers() if hasattr(layer, "sublayers") else [layer]:
-                twins[sub.name] = sub
+        twins = {twin.name: twin for twin in model.to_dense().leaves()}
         for layer in model.gated_layers():
             twin = twins[layer.name]
             np.testing.assert_array_equal(twin.w, layer.params.w)

@@ -405,32 +405,41 @@ class TestLinearAndLoss:
 
 class TestSgd:
     def test_single_step_no_momentum(self):
-        p = [np.array([1.0])]
-        nn.sgd_step(p, [np.array([1.0])], [np.zeros(1)], lr=0.1)
-        assert np.allclose(p[0], 0.9)
+        p = np.array([1.0])
+        nn.sgd_step([("p", p, np.array([1.0]), True)], {"p": np.zeros(1)}, lr=0.1)
+        assert np.allclose(p, 0.9)
 
     def test_two_steps_with_momentum(self):
-        p = [np.array([0.0])]
-        v = [np.zeros(1)]
-        nn.sgd_step(p, [np.array([1.0])], v, lr=0.1, momentum=0.9)
-        assert np.allclose(p[0], -0.1)
-        nn.sgd_step(p, [np.array([1.0])], v, lr=0.1, momentum=0.9)
-        assert np.allclose(p[0], -0.29)
+        p = np.array([0.0])
+        v = {"p": np.zeros(1)}
+        nn.sgd_step([("p", p, np.array([1.0]), True)], v, lr=0.1, momentum=0.9)
+        assert np.allclose(p, -0.1)
+        nn.sgd_step([("p", p, np.array([1.0]), True)], v, lr=0.1, momentum=0.9)
+        assert np.allclose(p, -0.29)
 
     def test_matches_scalar_reference_over_100_steps(self, rng):
         # independent scalar re-implementation of the update rule
-        p = [rng.standard_normal(3)]
-        v = [np.zeros(3)]
-        ref_p = p[0].copy()
+        p = rng.standard_normal(3)
+        v = {"p": np.zeros(3)}
+        ref_p = p.copy()
         ref_v = np.zeros(3)
         lr, mom, wd = 0.05, 0.9, 1e-2
         for _ in range(100):
             g = rng.standard_normal(3)
-            nn.sgd_step(p, [g.copy()], v, lr=lr, momentum=mom, weight_decay=wd)
+            nn.sgd_step([("p", p, g.copy(), True)], v, lr=lr, momentum=mom,
+                        weight_decay=wd)
             for i in range(3):
                 ref_v[i] = mom * ref_v[i] + g[i] + wd * ref_p[i]
                 ref_p[i] = ref_p[i] - lr * ref_v[i]
-        assert rel_err(p[0], ref_p) < 1e-12
+        assert rel_err(p, ref_p) < 1e-12
+
+    def test_weight_decay_skips_groups_that_do_not_decay(self):
+        p, q = np.array([2.0]), np.array([2.0])
+        v = {"p": np.zeros(1), "q": np.zeros(1)}
+        nn.sgd_step([("p", p, np.array([1.0]), True), ("q", q, np.array([1.0]), False)],
+                    v, lr=0.1, momentum=0.9, weight_decay=0.5)
+        assert np.allclose(p, 2.0 - 0.1 * (1.0 + 0.5 * 2.0))
+        assert np.allclose(q, 2.0 - 0.1 * 1.0)
 
 
 @settings(max_examples=25, deadline=None)
