@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,13 +70,16 @@ def _get(cfg, path, default=_REQUIRED, kind=None):
 
 def _checked(path, value, kind):
     """``value`` if it is an instance of ``kind``; JSON true and false are
-    not numbers, although Python's bool is an int."""
+    not numbers, although Python's bool is an int. A float must be finite:
+    Python's ``json`` reads NaN, Infinity and overflowing literals."""
     from .nn import ConfigurationError
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if kind is not None and (not isinstance(value, kinds)
                              or isinstance(value, bool) and bool not in kinds):
         names = " or ".join(k.__name__ for k in kinds)
         raise ConfigurationError(f"{path}: expected {names}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
     return value
 
 
@@ -153,7 +157,9 @@ def cmd_train(args):
         lr=float(_get(cfg, "optimizer.lr", _REQUIRED, (int, float))),
         momentum=float(_get(cfg, "optimizer.momentum", 0.9, (int, float))),
         weight_decay=float(_get(cfg, "optimizer.weight_decay", 1e-4, (int, float))),
-        lr_decay_epochs=tuple(_get(cfg, "optimizer.lr_decay_epochs", [], list)),
+        lr_decay_epochs=tuple(
+            _checked(f"optimizer.lr_decay_epochs[{i}]", e, (int, float))
+            for i, e in enumerate(_get(cfg, "optimizer.lr_decay_epochs", [], list))),
         lr_decay_factor=float(_get(cfg, "optimizer.lr_decay_factor", 0.1, (int, float))),
         lambda_warmup_frac=float(_get(cfg, "optimizer.lambda_warmup_frac", 0.1,
                                       (int, float))))
@@ -226,12 +232,13 @@ def _checkpoint_command(args):
 
 
 def _analyzed_inputs(cfg, val_ds, default):
-    """The first ``num_inputs`` validation images; ``num_inputs`` must be >= 1."""
+    """The first ``num_inputs`` validation images and their labels;
+    ``num_inputs`` must be >= 1."""
     from .nn import ConfigurationError
     n_inputs = _get(cfg, "num_inputs", default, int)
     if n_inputs < 1:
         raise ConfigurationError(f"num_inputs: must be >= 1, got {n_inputs}")
-    return val_ds.images[:n_inputs]
+    return val_ds.images[:n_inputs], val_ds.labels[:n_inputs]
 
 
 def cmd_eval(args):
@@ -258,7 +265,7 @@ def cmd_analyze(args):
     from . import analysis
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
 
-    images = _analyzed_inputs(cfg, val_ds, 64)
+    images, _ = _analyzed_inputs(cfg, val_ds, 64)
     sample = _get(cfg, "intensity_sample", 0, int)
     if not 0 <= sample < len(images):
         from .nn import ConfigurationError
@@ -296,10 +303,11 @@ def cmd_analyze(args):
 
 def cmd_perf(args):
     from . import analysis, perf
+    from .training import evaluate
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
 
-    images = _analyzed_inputs(cfg, val_ds, 32)
-    _, records = model.forward_infer(images, collect=True, require_frozen=False)
+    # batched, so memory does not grow with num_inputs
+    _, _, records = evaluate(model, *_analyzed_inputs(cfg, val_ds, 32), collect=True)
     array = perf.ArrayConfig(
         rows=int(_get(cfg, "array.rows", 16, int)),
         cols=int(_get(cfg, "array.cols", 16, int)),

@@ -87,8 +87,10 @@ class CgLayerConfig:
             raise ConfigurationError(f"unknown gate kind {self.gate!r}")
         if not 0.0 <= self.tau_c <= 1.0:
             raise ConfigurationError("tau_c must be in [0,1]")
-        if self.epsilon <= 0.0:
-            raise ConfigurationError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not np.isfinite(self.band_init):
+            raise ConfigurationError(f"band_init must be finite, got {self.band_init}")
 
 
 @dataclass

@@ -5,9 +5,11 @@ gradient buffers; the network keeps the optimizer velocities. Every layer
 speaks one protocol:
 
   * ``forward_train(x)`` runs in training mode: batch statistics, running
-    stats updated, the context for ``backward`` kept;
+    stats updated, and the layer's one attribute ``ctx`` set to what its
+    ``backward`` needs;
   * ``backward(dy)`` accumulates into the layer's gradient buffers and
-    returns the input gradient;
+    returns the input gradient; it raises ``StateError`` when ``ctx`` is
+    None;
   * ``forward_infer(x, collect, capture)`` returns ``(y, records)``: a list
     of per-layer records (dims, decision maps, optionally captured inputs)
     for the analysis and performance models, empty unless collecting;
@@ -17,7 +19,14 @@ speaks one protocol:
     are copies of W's split, from which ``load_kernel`` assembles W;
   * ``to_dense()`` returns a fresh dense equivalent: a gated layer its
     all-take ``ConvBlock``, a residual block a block of its sublayers'
-    twins, any other layer a deep copy.
+    twins, any other layer a deep copy. It copies parameters and running
+    statistics, never a context.
+
+A context lives from one ``forward_train`` to the next, across steps:
+``apply_sparsity_loss`` reads the gated layers' contexts after ``backward``,
+and freeing them at every step would only fault their pages in again.
+``Network.freeze_gates()`` ends training and drops every context (residual
+blocks and their sublayers included), so a finished model holds no batch.
 
 ``Network.leaves()`` lists the layers in execution order with each residual
 block replaced by its sublayers; the parameter, state and gate walks go
@@ -47,10 +56,26 @@ def _he_init(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
 
 
-class ConvBlock:
-    """Dense convolution + batch norm + activation (+ optional shuffle)."""
+class Layer:
+    """What every layer shares: the training context ``ctx`` and, for a
+    layer that is its own dense equivalent, ``to_dense`` as a deep copy."""
 
-    to_dense = copy.deepcopy   # a dense layer is its own dense equivalent
+    ctx = None
+
+    def _saved_ctx(self):
+        """The context of the last ``forward_train``; ``StateError`` if none."""
+        if self.ctx is None:
+            raise StateError(f"{self.name}: backward needs the context of a forward_train "
+                             f"(freeze_gates releases it)")
+        return self.ctx
+
+    def to_dense(self):
+        # the memo maps the context to None, so the copy holds none
+        return copy.deepcopy(self, {id(self.ctx): None})
+
+
+class ConvBlock(Layer):
+    """Dense convolution + batch norm + activation (+ optional shuffle)."""
 
     def __init__(self, spec: ConvSpec, act="relu", shuffle_groups=0, rng=None,
                  name="conv"):
@@ -68,22 +93,23 @@ class ConvBlock:
         self.g_beta = np.zeros_like(self.bn.beta)
 
     def forward_train(self, x):
-        y, self._conv_ctx = conv2d_forward(x, self.w, self.spec)
-        y, self._bn_ctx = bn_forward(y, self.bn, training=True)
-        self._pre = y
-        y = activation(y, self.act)
+        y, conv_ctx = conv2d_forward(x, self.w, self.spec)
+        pre, bn_ctx = bn_forward(y, self.bn, training=True)
+        self.ctx = (conv_ctx, bn_ctx, pre)
+        y = activation(pre, self.act)
         if self.shuffle_groups:
             y = channel_shuffle(y, self.shuffle_groups)
         return y
 
     def backward(self, dy):
+        conv_ctx, bn_ctx, pre = self._saved_ctx()
         if self.shuffle_groups:   # undo the forward's shuffle
             dy = channel_shuffle(dy, self.spec.out_channels // self.shuffle_groups)
-        dpre = dy * activation_grad(self._pre, self.act)
-        dbn, dgamma, dbeta = batchnorm_backward(self._bn_ctx, dpre)
+        dpre = dy * activation_grad(pre, self.act)
+        dbn, dgamma, dbeta = batchnorm_backward(bn_ctx, dpre)
         self.g_gamma += dgamma
         self.g_beta += dbeta
-        dx, dw = conv2d_backward(self._conv_ctx, dbn)
+        dx, dw = conv2d_backward(conv_ctx, dbn)
         self.g_w += dw
         return dx
 
@@ -119,7 +145,7 @@ class ConvBlock:
                 (f"{self.name}.running_var", self.bn.running_var)]
 
 
-class CgConvBlock:
+class CgConvBlock(Layer):
     """A channel gating block as a network layer."""
 
     def __init__(self, cfg: CgLayerConfig, rng=None, name="cg"):
@@ -127,7 +153,6 @@ class CgConvBlock:
         self.name = name
         self.params = CgBlockParams.init(cfg, rng or np.random.default_rng(0))
         self.freeze_delta = False
-        self.ctx = None
         self.g_w = np.zeros_like(self.params.w)
         self.g_gamma = np.zeros_like(self.params.gamma)
         self.g_beta = np.zeros_like(self.params.beta)
@@ -141,9 +166,10 @@ class CgConvBlock:
         return y
 
     def backward(self, dy):
+        ctx = self._saved_ctx()
         if self.cfg.shuffle:   # undo the forward's shuffle
             dy = channel_shuffle(dy, self.cfg.conv.out_channels // self.cfg.groups)
-        g = training.cg_block_backward(self.ctx, dy)
+        g = training.cg_block_backward(ctx, dy)
         self.g_w += g.dw
         self.g_gamma += g.dgamma
         self.g_beta += g.dbeta
@@ -212,11 +238,9 @@ class CgConvBlock:
         return blk
 
 
-class ParameterFreeLayer:
+class ParameterFreeLayer(Layer):
     """A layer without parameters or state: empty parameter groups and
     nothing to checkpoint."""
-
-    to_dense = copy.deepcopy
 
     def param_groups(self):
         return []
@@ -230,11 +254,11 @@ class MaxPool(ParameterFreeLayer):
         self.k, self.name = k, name
 
     def forward_train(self, x):
-        y, self._ctx = maxpool2d_forward(x, self.k)
+        y, self.ctx = maxpool2d_forward(x, self.k)
         return y
 
     def backward(self, dy):
-        return pool2d_backward(self._ctx, dy)
+        return pool2d_backward(self._saved_ctx(), dy)
 
     def forward_infer(self, x, collect=False, capture=False):
         return maxpool2d(x, self.k), []
@@ -245,7 +269,7 @@ class AvgPool(MaxPool):
         super().__init__(k, name)
 
     def forward_train(self, x):
-        y, self._ctx = avgpool2d_forward(x, self.k)
+        y, self.ctx = avgpool2d_forward(x, self.k)
         return y
 
     def forward_infer(self, x, collect=False, capture=False):
@@ -258,20 +282,18 @@ class Flatten(ParameterFreeLayer):
         self.name = name
 
     def forward_train(self, x):
-        self._shape = x.shape
+        self.ctx = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy):
-        return dy.reshape(self._shape)
+        return dy.reshape(self._saved_ctx())
 
     def forward_infer(self, x, collect=False, capture=False):
         return x.reshape(x.shape[0], -1), []
 
 
-class LinearHead:
+class LinearHead(Layer):
     """Final fully-connected classifier (no bias, like every conv here)."""
-
-    to_dense = copy.deepcopy
 
     def __init__(self, in_features, out_features, rng=None, name="linear"):
         self.in_features = in_features
@@ -282,11 +304,11 @@ class LinearHead:
         self.g_w = np.zeros_like(self.w)
 
     def forward_train(self, x):
-        y, self._ctx = linear_forward(x, self.w)
+        y, self.ctx = linear_forward(x, self.w)
         return y
 
     def backward(self, dy):
-        dx, dw = linear_backward(self._ctx, self.w, dy)
+        dx, dw = linear_backward(self._saved_ctx(), self.w, dy)
         self.g_w += dw
         return dx
 
@@ -307,7 +329,7 @@ class LinearHead:
         return [(f"{self.name}.w", self.w)]
 
 
-class ResidualBlock:
+class ResidualBlock(Layer):
     """Two conv blocks (gated or dense) plus a shortcut; ReLU after the add."""
 
     def __init__(self, a, b, shortcut=None, name="res"):
@@ -318,11 +340,11 @@ class ResidualBlock:
         h = self.a.forward_train(x)
         h = self.b.forward_train(h)
         sc = x if self.shortcut is None else self.shortcut.forward_train(x)
-        self._pre = h + sc
-        return activation(self._pre, "relu")
+        self.ctx = h + sc
+        return activation(self.ctx, "relu")
 
     def backward(self, dy):
-        dpre = dy * activation_grad(self._pre, "relu")
+        dpre = dy * activation_grad(self._saved_ctx(), "relu")
         dh = self.b.backward(dpre)
         dx = self.a.backward(dh)
         dsc = dpre if self.shortcut is None else self.shortcut.backward(dpre)
@@ -429,8 +451,16 @@ class Network:
         return all(layer.params.gate.frozen for layer in self.gated_layers())
 
     def freeze_gates(self):
+        """End training: freeze every gate's statistics and drop the contexts."""
         for layer in self.gated_layers():
             layer.params.gate.frozen = True
+        self.drop_contexts()
+
+    def drop_contexts(self):
+        """Release every layer's training context, residual blocks and their
+        sublayers included; ``backward`` raises until the next ``forward_train``."""
+        for layer in self.layers + self.leaves():
+            layer.ctx = None
 
     def set_force_open(self):
         """Force every gate fully open and stop threshold learning."""
@@ -519,9 +549,9 @@ _REQUIRED = object()
 
 def _reader(where, *sources):
     """``get(key, kind, default)``: the field from the first source that has
-    it, converted by ``kind`` (None keeps it as is; a bool must be one). A
-    missing or unconvertible field raises ``ConfigurationError`` naming
-    ``where.key``."""
+    it, converted by ``kind`` (None keeps it as is; a bool must be one; a
+    float must be finite). A missing or unconvertible field raises
+    ``ConfigurationError`` naming ``where.key``."""
     def get(key, kind, default=_REQUIRED):
         value = next((src[key] for src in sources if key in src), default)
         if value is _REQUIRED:
@@ -531,10 +561,13 @@ def _reader(where, *sources):
         if kind is None:
             return value
         try:
-            return kind(value)
-        except (TypeError, ValueError):
+            value = kind(value)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(
                 f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
+        if kind is float and not np.isfinite(value):
+            raise ConfigurationError(f"{where}.{key}: expected a finite number, got {value!r}")
+        return value
     return get
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
                      base_blocks, gate_bounds, shared_im2col_sums)
-from .nn import (ConfigurationError, StateError, _as_batch, _chwn, _per_channel,
+from .nn import (ConfigurationError, _as_batch, _chwn, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward,
                  bn_forward, col2im, cross_entropy, sigmoid, softmax)
 
@@ -156,8 +156,6 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     share one normalization of p, take one backward call. The weight
     and input gradients reuse the forward's im2col and run one col2im.
     """
-    if ctx is None:
-        raise StateError("block backward called without a forward context")
     cfg, params = ctx.cfg, ctx.params
     eps = cfg.epsilon
     dpre = _as_batch(dy) * activation_grad(ctx.pre, cfg.activation)
@@ -358,7 +356,8 @@ def train_network(model, train_images, train_labels, val_images, val_labels,
     """SGD training loop; returns the per-epoch history (list of dicts).
 
     Thresholds start at 0 (gates initially pass about half the normalized
-    partial sums); the sparsity weight warms up linearly; gate/BN running
+    partial sums); the sparsity weight warms up linearly; each epoch's
+    validation runs without the training contexts; gate/BN running
     statistics are frozen when training ends.
     """
     if loss_cfg.kd_enabled and teacher is None:
@@ -392,6 +391,7 @@ def train_network(model, train_images, train_labels, val_images, val_labels,
             epoch_loss += loss
             batches += 1
 
+        model.drop_contexts()   # validation needs none; the next step sets them
         val_acc, _, records = evaluate(model, val_images, val_labels, collect=True)
         report = analysis.count_flops(records)
         row = {

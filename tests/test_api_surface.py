@@ -16,6 +16,8 @@ count: a field that is only ever written is dead.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -125,3 +127,17 @@ def test_oracles_name_no_private_cgnet_attribute():
             if isinstance(root, ast.Name) and root.id in modules:
                 private.append(f"{ast.unparse(node.value)}.{node.attr}")
     assert not private, f"tests/_oracles.py names private cgnet attributes: {private}"
+
+
+def test_traced_functions_resolve():
+    """Every ``(module, function)`` the benchmark's tracer wraps still names
+    a function of ``cgnet``, so a rename fails here, not in a traced run."""
+    tree = ast.parse((REPO / "cgbench" / "tracing.py").read_text())
+    pairs = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED_FUNCTIONS"])
+    assert pairs
+    missing = [f"cgnet.{module}.{name}" for module, name in pairs
+               if not inspect.isfunction(
+                   getattr(importlib.import_module(f"cgnet.{module}"), name, None))]
+    assert not missing, f"cgbench/tracing.py traces functions cgnet lacks: {missing}"

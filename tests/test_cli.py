@@ -269,6 +269,16 @@ class TestConfigRanges:
         ("perf", "array.fill_drain_per_tile", {"array": {"fill_drain_per_tile": "abc"}}),
         ("train", "force_open", {"force_open": "false"}),
         ("train", "loss.kd.enabled", {"loss": {"kd": {"enabled": "no"}}}),
+        # Python's json reads NaN and Infinity; a gate compared against NaN
+        # decides False everywhere and would read as pruning
+        ("eval", "delta_override", {"delta_override": float("nan")}),
+        ("eval", "delta_shift", {"delta_shift": float("nan")}),
+        ("eval", "delta_shift", {"delta_shift": float("-inf")}),
+        ("perf", "delta_override", {"delta_override": float("inf")}),
+        ("analyze", "etas[1]", {"etas": [0.5, float("nan")]}),
+        ("train", "loss.lambda", {"loss": {"lambda": float("nan")}}),
+        ("train", "optimizer.lr_decay_epochs[0]",
+         {"optimizer": {"epochs": 2, "lr": 0.05, "lr_decay_epochs": [float("nan")]}}),
     ])
     def test_non_numeric_rejected(self, tiny_run, tmp_path, capsys, cmd, key, extra):
         if cmd == "train":
@@ -295,6 +305,7 @@ class TestConfigRanges:
         (lambda m: m["cg_defaults"].update(groups="four"), "model.layers[1].groups"),
         (lambda m: m["layers"][1].update(shuffle="false"), "model.layers[1].shuffle"),
         (lambda m: m.update(input_shape=[1, 8]), "model.input_shape"),
+        (lambda m: m["cg_defaults"].update(epsilon=float("nan")), "model.layers[1].epsilon"),
     ])
     def test_malformed_model_section_rejected(self, tmp_path, capsys, edit, field):
         cfg = json.loads(TINY.read_text())

@@ -451,3 +451,13 @@ class TestPruningRatio:
         d = np.ones((1, 2, 4, 4), dtype=bool)
         mask = np.array([[True, False]])
         assert pruning_ratio(DecisionMap(d, mask)) == 0.5
+
+
+class TestLayerConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 0.0),
+        ("band_init", float("nan")), ("band_init", float("-inf")),
+    ])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            CgLayerConfig(ConvSpec(4, 4, 3, padding=1), groups=2, **{field: value})

@@ -1,4 +1,10 @@
-"""Model composition: builder, dense conversion, gradient chaining."""
+"""Model composition: builder, dense conversion, gradient chaining,
+training-context lifetime."""
+
+import gc
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ from cgnet.network import build_model
 from cgnet.nn import ConfigurationError, StateError
 
 from _oracles import check_grad, rel_err
+
+VGG8 = Path(__file__).resolve().parent.parent / "configs" / "vgg8_cg.json"
 
 
 def vgg_ish_cfg():
@@ -97,6 +105,14 @@ class TestBuilder:
          "model.layers[1].cg: expected true or false"),
         (resnet_ish_cfg, lambda m: m["cg_defaults"].update(shuffle=1),
          "model.layers[1].shuffle: expected true or false"),
+        (vgg_ish_cfg, lambda m: m["cg_defaults"].update(epsilon=float("nan")),
+         "model.layers[2].epsilon: expected a finite number"),
+        (vgg_ish_cfg, lambda m: m["layers"][4].update(band_init=float("inf")),
+         "model.layers[4].band_init: expected a finite number"),
+        (vgg_ish_cfg, lambda m: m["layers"][4].update(tau_c=float("-inf")),
+         "model.layers[4].tau_c: expected a finite number"),
+        (vgg_ish_cfg, lambda m: m["layers"][2].update(out_channels=float("inf")),
+         "model.layers[2].out_channels: expected int, got inf"),
     ])
     def test_malformed_field_named(self, rng, cfg_fn, edit, field):
         cfg = cfg_fn()
@@ -318,3 +334,59 @@ class TestStateRoundtrip:
         ya, _ = model.forward_infer(x)
         yb, _ = clone.forward_infer(x)
         np.testing.assert_array_equal(ya, yb)
+
+
+def layer_objects(model):
+    """Every layer object: the top-level layers and the residual sublayers."""
+    return model.layers + model.leaves()
+
+
+class TestContextLifetime:
+    """``forward_train`` sets every layer's ``ctx``, it survives a step,
+    ``freeze_gates`` drops it and ``to_dense`` copies none."""
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_freeze_gates_releases_every_context(self, rng, cfg_fn):
+        model = build_model(cfg_fn(), rng)
+        logits = model.forward_train(rng.standard_normal((2, 1, 16, 16)))
+        assert all(layer.ctx is not None for layer in layer_objects(model))
+        model.freeze_gates()
+        assert all(layer.ctx is None for layer in layer_objects(model))
+        with pytest.raises(StateError, match="forward_train"):
+            model.backward(np.ones_like(logits))
+        for layer in layer_objects(model):
+            with pytest.raises(StateError, match=layer.name):
+                layer.backward(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_dense_twin_copies_no_context(self, rng, cfg_fn):
+        model = build_model(cfg_fn(), rng)
+        x = rng.standard_normal((3, 1, 16, 16))
+        model.forward_train(x)
+        early = model.to_dense()
+        assert all(layer.ctx is None for layer in layer_objects(early))
+        assert all(layer.ctx is not None for layer in layer_objects(model))
+        model.freeze_gates()
+        late = model.to_dense()
+        np.testing.assert_array_equal(early.forward_infer(x)[0], late.forward_infer(x)[0])
+
+    def test_frozen_model_holds_no_batch(self):
+        # one vgg8 batch-64 pass leaves ~60 MB of contexts; a frozen model
+        # keeps its parameters, gradients and running statistics only
+        cfg = json.loads(VGG8.read_text())["model"]
+        x = np.random.default_rng(0).random((64, 1, 16, 16))
+        tracemalloc.start()
+        try:
+            model = build_model(cfg, np.random.default_rng(1))
+            for _ in range(3):
+                model.forward_train(x)
+            model.freeze_gates()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        stats = {id(a): a.nbytes for name, a in model.state_tensors()
+                 if name.endswith(("mean", "var"))}
+        kept = sum(p.nbytes + g.nbytes for _, p, g, _ in model.param_groups()) \
+            + sum(stats.values())
+        assert held <= kept + 512 * 1024, (held, kept)

@@ -405,6 +405,43 @@ class TestEvaluate:
 
 
 class TestTrainLoop:
+    def test_validation_runs_without_contexts(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ds = synthetic_dataset(96, num_classes=2, image_size=12, seed=11)
+        train, val = train_val_split(ds, 0.25, rng)
+        model = build_model(toy_model_cfg(), np.random.default_rng(5))
+        calls = []
+        evaluate = training.evaluate
+
+        def checked(net, *args, **kwargs):
+            assert net is model
+            assert all(layer.ctx is None for layer in model.layers + model.leaves())
+            calls.append(1)
+            return evaluate(net, *args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate", checked)
+        train_network(model, train.images, train.labels, val.images, val.labels,
+                      LossConfig(sparsity="none"), Schedule(epochs=2, batch_size=32), rng)
+        assert len(calls) == 2
+
+    def test_computation_cost_step_reads_contexts_after_backward(self):
+        # apply_sparsity_loss reads the gated layers' ctx after backward, so
+        # the contexts must outlive the backward pass and the step
+        rng = np.random.default_rng(8)
+        model = build_model(toy_model_cfg(), np.random.default_rng(9))
+        x = rng.standard_normal((6, 1, 12, 12))
+        loss, dlogits = nn.cross_entropy(model.forward_train(x), rng.integers(0, 2, 6))
+        model.zero_grads()
+        model.backward(dlogits)
+        deltas = [layer.params.gate.delta.copy() for layer in model.gated_layers()]
+        loss += training.apply_sparsity_loss(
+            model, LossConfig(sparsity="computation_cost", lam=1e-9), 1.0)
+        model.sgd_step(0.05)
+        assert np.isfinite(loss)
+        for layer, before in zip(model.gated_layers(), deltas):
+            assert not np.array_equal(layer.params.gate.delta, before)
+        assert all(layer.ctx is not None for layer in model.layers + model.leaves())
+
     def test_toy_run_reaches_full_accuracy_with_pruning(self):
         rng = np.random.default_rng(3)
         ds = synthetic_dataset(600, num_classes=2, image_size=12, seed=11)
