@@ -6,9 +6,20 @@
     cg perf    --config FILE [...]
 
 Configs are JSON with a ``schema_version`` field; see configs/ for the
-bundled references. The environment variable CG_THREADS caps BLAS worker
-threads; ``--deterministic`` forces single-threaded math so repeated runs
-are bitwise identical.
+bundled references. Every field, in the model and data sections too, is
+read by ``config.read_field`` under one set of rules:
+
+  * an int field takes an integer, never true or false;
+  * a float field takes any finite number and reads it as a float;
+  * a bool field takes only true or false, and a string, list or object
+    field only its own type; a list's entries are checked one by one;
+  * a field whose default is null also takes null.
+
+A missing or malformed field exits 2 naming it (``optimizer.lr``,
+``model.layers[2].groups``, ``etas[1]``) before any artifact is written.
+The environment variable CG_THREADS caps BLAS worker threads;
+``--deterministic`` forces single-threaded math so repeated runs are
+bitwise identical.
 
 Heavy imports happen inside the command handlers so thread limits can be
 applied before numpy loads.
@@ -19,12 +30,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-_REQUIRED = object()
+from .config import ConfigurationError, read_field
 
 
 def _setup_threads(argv):
@@ -37,7 +47,6 @@ def _setup_threads(argv):
 
 
 def _load_config(path):
-    from .nn import ConfigurationError
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"config: file not found: {path}")
@@ -53,45 +62,16 @@ def _load_config(path):
     return cfg
 
 
-def _get(cfg, path, default=_REQUIRED, kind=None):
-    """The config value at the dotted ``path``, or ``default`` when it is
-    absent; a present value must be an instance of ``kind`` (a type or a
-    tuple of types) when given."""
-    from .nn import ConfigurationError
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is _REQUIRED:
-                raise ConfigurationError(f"{path}: required field missing")
-            return default
-        node = node[part]
-    return _checked(path, node, kind)
-
-
-def _checked(path, value, kind):
-    """``value`` if it is an instance of ``kind``; JSON true and false are
-    not numbers, although Python's bool is an int. A float must be finite:
-    Python's ``json`` reads NaN, Infinity and overflowing literals."""
-    from .nn import ConfigurationError
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if kind is not None and (not isinstance(value, kinds)
-                             or isinstance(value, bool) and bool not in kinds):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ConfigurationError(f"{path}: expected {names}, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
-    return value
-
-
 def _resolve_out(args, cfg):
-    out = args.out or cfg.get("output_dir") or "runs/out"
-    path = Path(out)
+    output_dir = read_field("output_dir", cfg, str, None)   # checked under --out too
+    path = Path(args.out or output_dir or "runs/out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _resolve_seed(args, cfg):
-    return args.seed if args.seed is not None else _get(cfg, "seed", 0, int)
+    seed = read_field("seed", cfg, int, 0)
+    return seed if args.seed is None else args.seed
 
 
 def _load_data(cfg, seed, config_dir):
@@ -99,12 +79,10 @@ def _load_data(cfg, seed, config_dir):
     ``val_fraction`` must lie in [0, 1] and leave a validation sample."""
     import numpy as np
     from .data import load_dataset, train_val_split
-    from .nn import ConfigurationError
-    val_fraction = float(_get(cfg, "val_fraction", 0.1, (int, float)))
+    val_fraction = read_field("val_fraction", cfg, float, 0.1)
     if not 0.0 <= val_fraction <= 1.0:
         raise ConfigurationError(f"val_fraction: must be in [0, 1], got {val_fraction}")
-    data_cfg = _get(cfg, "data", kind=dict)
-    ds = load_dataset(data_cfg, base_dir=config_dir)
+    ds = load_dataset(read_field("data", cfg, dict), base_dir=config_dir)
     split_rng = np.random.default_rng([seed, 17])
     train_ds, val_ds = train_val_split(ds, val_fraction, split_rng)
     if not len(val_ds):
@@ -135,38 +113,37 @@ def cmd_train(args):
     config_dir = Path(args.config).parent
     train_ds, val_ds = _load_data(cfg, seed, config_dir)
     if not len(train_ds):
-        from .nn import ConfigurationError
-        raise ConfigurationError(
-            f"val_fraction: {cfg.get('val_fraction', 0.1)} leaves no training sample")
+        val_fraction = read_field("val_fraction", cfg, float, 0.1)
+        raise ConfigurationError(f"val_fraction: {val_fraction} leaves no training sample")
 
-    model = build_model(_get(cfg, "model", kind=dict), np.random.default_rng([seed, 11]))
-    if _get(cfg, "force_open", False, bool):
+    model = build_model(read_field("model", cfg, dict), np.random.default_rng([seed, 11]))
+    if read_field("force_open", cfg, bool, False):
         model.set_force_open()
 
+    loss = read_field("loss", cfg, dict, {})
+    kd = read_field("loss.kd", loss, dict, {})
+    opt = read_field("optimizer", cfg, dict, {})
     loss_cfg = LossConfig(
-        sparsity=_get(cfg, "loss.sparsity", "target_threshold", str),
-        lam=float(_get(cfg, "loss.lambda", 1e-4, (int, float))),
-        target=float(_get(cfg, "loss.target", 2.0, (int, float))),
-        kd_enabled=_get(cfg, "loss.kd.enabled", False, bool),
-        kd_temperature=float(_get(cfg, "loss.kd.temperature", 1.0, (int, float))),
-        kd_mix=float(_get(cfg, "loss.kd.mix", 0.5, (int, float))),
-        teacher_checkpoint=_get(cfg, "loss.kd.teacher_checkpoint", None))
+        sparsity=read_field("loss.sparsity", loss, str, "target_threshold"),
+        lam=read_field("loss.lambda", loss, float, 1e-4),
+        target=read_field("loss.target", loss, float, 2.0),
+        kd_enabled=read_field("loss.kd.enabled", kd, bool, False),
+        kd_temperature=read_field("loss.kd.temperature", kd, float, 1.0),
+        kd_mix=read_field("loss.kd.mix", kd, float, 0.5),
+        teacher_checkpoint=read_field("loss.kd.teacher_checkpoint", kd, str, None))
     schedule = Schedule(
-        epochs=int(_get(cfg, "optimizer.epochs", _REQUIRED, int)),
-        batch_size=int(_get(cfg, "optimizer.batch_size", 64, int)),
-        lr=float(_get(cfg, "optimizer.lr", _REQUIRED, (int, float))),
-        momentum=float(_get(cfg, "optimizer.momentum", 0.9, (int, float))),
-        weight_decay=float(_get(cfg, "optimizer.weight_decay", 1e-4, (int, float))),
-        lr_decay_epochs=tuple(
-            _checked(f"optimizer.lr_decay_epochs[{i}]", e, (int, float))
-            for i, e in enumerate(_get(cfg, "optimizer.lr_decay_epochs", [], list))),
-        lr_decay_factor=float(_get(cfg, "optimizer.lr_decay_factor", 0.1, (int, float))),
-        lambda_warmup_frac=float(_get(cfg, "optimizer.lambda_warmup_frac", 0.1,
-                                      (int, float))))
+        epochs=read_field("optimizer.epochs", opt, int),
+        batch_size=read_field("optimizer.batch_size", opt, int, 64),
+        lr=read_field("optimizer.lr", opt, float),
+        momentum=read_field("optimizer.momentum", opt, float, 0.9),
+        weight_decay=read_field("optimizer.weight_decay", opt, float, 1e-4),
+        lr_decay_epochs=tuple(read_field("optimizer.lr_decay_epochs", opt, list, [],
+                                         each=float)),
+        lr_decay_factor=read_field("optimizer.lr_decay_factor", opt, float, 0.1),
+        lambda_warmup_frac=read_field("optimizer.lambda_warmup_frac", opt, float, 0.1))
     teacher = None
     if loss_cfg.kd_enabled:
         if not loss_cfg.teacher_checkpoint:
-            from .nn import ConfigurationError
             raise ConfigurationError("loss.kd.teacher_checkpoint: required when KD enabled")
         teacher = checkpoint.load_model(config_dir / loss_cfg.teacher_checkpoint)
 
@@ -189,8 +166,8 @@ def cmd_train(args):
 
 def _load_eval_model(args, cfg, config_dir):
     from . import checkpoint
-    from .nn import ConfigurationError
-    ckpt = args.checkpoint or cfg.get("checkpoint")
+    in_config = read_field("checkpoint", cfg, str, None)
+    ckpt = args.checkpoint or in_config
     if not ckpt:
         raise ConfigurationError("checkpoint: required field missing")
     path = Path(ckpt)
@@ -202,9 +179,9 @@ def _load_eval_model(args, cfg, config_dir):
     for key, apply in (("delta_override", model.set_delta),
                        ("tau_c_override", model.set_tau_c),
                        ("delta_shift", model.shift_delta)):
-        value = _get(cfg, key, None, (int, float, type(None)))
+        value = read_field(key, cfg, float, None)
         if value is not None:
-            apply(float(value))
+            apply(value)
     return model
 
 
@@ -234,8 +211,7 @@ def _checkpoint_command(args):
 def _analyzed_inputs(cfg, val_ds, default):
     """The first ``num_inputs`` validation images and their labels;
     ``num_inputs`` must be >= 1."""
-    from .nn import ConfigurationError
-    n_inputs = _get(cfg, "num_inputs", default, int)
+    n_inputs = read_field("num_inputs", cfg, int, default)
     if n_inputs < 1:
         raise ConfigurationError(f"num_inputs: must be >= 1, got {n_inputs}")
     return val_ds.images[:n_inputs], val_ds.labels[:n_inputs]
@@ -266,13 +242,11 @@ def cmd_analyze(args):
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
 
     images, _ = _analyzed_inputs(cfg, val_ds, 64)
-    sample = _get(cfg, "intensity_sample", 0, int)
+    sample = read_field("intensity_sample", cfg, int, 0)
     if not 0 <= sample < len(images):
-        from .nn import ConfigurationError
         raise ConfigurationError(
             f"intensity_sample: must be in [0, {len(images)}), got {sample}")
-    etas = [float(_checked(f"etas[{i}]", e, (int, float)))
-            for i, e in enumerate(_get(cfg, "etas", [0.125, 0.25, 0.5, 1.0], list))]
+    etas = read_field("etas", cfg, list, [0.125, 0.25, 0.5, 1.0], each=float)
 
     # one collecting pass feeds the intensity maps, the cost report and,
     # through its captured inputs, the correlation study
@@ -308,11 +282,11 @@ def cmd_perf(args):
 
     # batched, so memory does not grow with num_inputs
     _, _, records = evaluate(model, *_analyzed_inputs(cfg, val_ds, 32), collect=True)
+    section = read_field("array", cfg, dict, {})
     array = perf.ArrayConfig(
-        rows=int(_get(cfg, "array.rows", 16, int)),
-        cols=int(_get(cfg, "array.cols", 16, int)),
-        fill_drain_per_tile=_get(cfg, "array.fill_drain_per_tile", None,
-                                 (int, type(None))))
+        rows=read_field("array.rows", section, int, 16),
+        cols=read_field("array.cols", section, int, 16),
+        fill_drain_per_tile=read_field("array.fill_drain_per_tile", section, int, None))
     report = perf.model_network_speedup(records, array)
     flops = analysis.count_flops(records)
     perf.write_breakdown_csv(out / "perf_breakdown.csv", report, frozen)
@@ -348,7 +322,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     from .checkpoint import CheckpointError
     from .data import DataFormatError
-    from .nn import ConfigurationError, StateError
+    from .nn import StateError
     from .training import TrainingDiverged
     try:
         return args.fn(args)

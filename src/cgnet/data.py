@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_field
+
 
 class DataFormatError(ValueError):
     """Bad magic, unsupported encoding, or truncated payload."""
@@ -102,7 +104,11 @@ def load_raw_chw(sidecar_path):
     for key in ("count", "channels", "height", "width", "dtype", "data", "labels"):
         if key not in meta:
             raise DataFormatError(f"{sidecar_path}: sidecar missing field {key!r}")
-    n, c, h, w = (int(meta[k]) for k in ("count", "channels", "height", "width"))
+    for key in ("count", "channels", "height", "width", "num_classes"):
+        if key in meta and type(meta[key]) is not int:
+            raise DataFormatError(
+                f"{sidecar_path}: sidecar field {key!r} must be an integer, got {meta[key]!r}")
+    n, c, h, w = (meta[k] for k in ("count", "channels", "height", "width"))
     dtypes = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8"),
               "uint8": np.dtype("u1")}
     if meta["dtype"] not in dtypes:
@@ -121,7 +127,7 @@ def load_raw_chw(sidecar_path):
     if len(lblob) != n:
         raise DataFormatError(f"{labels_path}: {len(lblob)} label bytes, expected {n}")
     labels = np.frombuffer(lblob, dtype=np.uint8).astype(np.int64)
-    num_classes = int(meta.get("num_classes", labels.max() + 1))
+    num_classes = meta.get("num_classes", int(labels.max()) + 1)
     return Dataset(images, labels, num_classes)
 
 
@@ -184,21 +190,23 @@ def train_val_split(ds: Dataset, val_fraction, rng):
 
 
 def load_dataset(data_cfg: dict, base_dir="."):
-    """Dispatch on data.kind: synthetic | idx | raw_chw."""
-    kind = data_cfg.get("kind")
+    """Dispatch on data.kind: synthetic | idx | raw_chw. Each field is read
+    by ``read_field``, so a malformed one raises ``ConfigurationError``."""
+    kind = read_field("data.kind", data_cfg, str)
     base = Path(base_dir)
     if kind == "synthetic":
         return synthetic_dataset(
-            num_samples=int(data_cfg["num_samples"]),
-            num_classes=int(data_cfg.get("num_classes", 8)),
-            image_size=int(data_cfg.get("image_size", 16)),
-            channels=int(data_cfg.get("channels", 1)),
-            noise=float(data_cfg.get("noise", 0.08)),
-            max_shift=int(data_cfg.get("max_shift", 2)),
-            seed=int(data_cfg.get("seed", 0)))
+            num_samples=read_field("data.num_samples", data_cfg, int),
+            num_classes=read_field("data.num_classes", data_cfg, int, 8),
+            image_size=read_field("data.image_size", data_cfg, int, 16),
+            channels=read_field("data.channels", data_cfg, int, 1),
+            noise=read_field("data.noise", data_cfg, float, 0.08),
+            max_shift=read_field("data.max_shift", data_cfg, int, 2),
+            seed=read_field("data.seed", data_cfg, int, 0))
     if kind == "idx":
-        return load_idx_dataset(base / data_cfg["images"], base / data_cfg["labels"],
-                                data_cfg.get("num_classes"))
+        return load_idx_dataset(base / read_field("data.images", data_cfg, str),
+                                base / read_field("data.labels", data_cfg, str),
+                                read_field("data.num_classes", data_cfg, int, None))
     if kind == "raw_chw":
-        return load_raw_chw(base / data_cfg["sidecar"])
+        return load_raw_chw(base / read_field("data.sidecar", data_cfg, str))
     raise DataFormatError(f"data.kind: unknown dataset kind {kind!r}")

@@ -43,10 +43,11 @@ import numpy as np
 
 from . import analysis, gating, training
 from .checkpoint import CONFIG_RECORD
+from .config import read_field
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, split_dense_weight)
-from .nn import (ConfigurationError, ConvSpec, BatchNormState, StateError, activation,
-                 activation_grad, batchnorm_backward, bn_forward,
+from .nn import (ACTIVATION_KINDS, ConfigurationError, ConvSpec, BatchNormState,
+                 StateError, activation, activation_grad, batchnorm_backward, bn_forward,
                  conv2d_backward, conv2d_forward, linear_backward,
                  linear_forward, maxpool2d, maxpool2d_forward, avgpool2d_forward,
                  pool2d_backward, sgd_step)
@@ -544,77 +545,52 @@ class Network:
 # Builder
 # ---------------------------------------------------------------------------
 
-_REQUIRED = object()
-
-
-def _reader(where, *sources):
-    """``get(key, kind, default)``: the field from the first source that has
-    it, converted by ``kind`` (None keeps it as is; a bool must be one; a
-    float must be finite). A missing or unconvertible field raises
-    ``ConfigurationError`` naming ``where.key``."""
-    def get(key, kind, default=_REQUIRED):
-        value = next((src[key] for src in sources if key in src), default)
-        if value is _REQUIRED:
-            raise ConfigurationError(f"{where}.{key}: required field missing")
-        if kind is bool and not isinstance(value, bool):
-            raise ConfigurationError(f"{where}.{key}: expected true or false, got {value!r}")
-        if kind is None:
-            return value
-        try:
-            value = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigurationError(
-                f"{where}.{key}: expected {kind.__name__}, got {value!r}") from None
-        if kind is float and not np.isfinite(value):
-            raise ConfigurationError(f"{where}.{key}: expected a finite number, got {value!r}")
-        return value
-    return get
-
-
-def _cg_config(spec, get):
+def _cg_config(spec, where, sources):
     return CgLayerConfig(
         conv=spec,
-        groups=get("groups", int, 4),
-        activation=get("activation", None, "relu"),
-        gate=get("gate", None, ""),
-        tau_c=get("tau_c", float, 0.0),
-        epsilon=get("epsilon", float, 4.0),
-        shuffle=get("shuffle", bool, False),
-        band_init=get("band_init", float, 2.0))
+        groups=read_field(f"{where}.groups", sources, int, 4),
+        activation=read_field(f"{where}.activation", sources, str, "relu"),
+        gate=read_field(f"{where}.gate", sources, str, ""),
+        tau_c=read_field(f"{where}.tau_c", sources, float, 0.0),
+        epsilon=read_field(f"{where}.epsilon", sources, float, 4.0),
+        shuffle=read_field(f"{where}.shuffle", sources, bool, False),
+        band_init=read_field(f"{where}.band_init", sources, float, 2.0))
 
 
 def build_model(model_cfg: dict, rng) -> Network:
     """Construct a Network from the config's model section; a missing or
-    malformed field raises ``ConfigurationError`` naming it."""
-    top = _reader("model", model_cfg)
-    input_shape = top("input_shape", None)
-    num_classes = top("num_classes", int)
-    layer_specs = top("layers", None)
-    if not (isinstance(input_shape, (list, tuple)) and len(input_shape) == 3
-            and all(type(v) is int for v in input_shape)):
+    malformed field raises ``ConfigurationError`` naming it. A gated
+    layer's fields fall back to ``cg_defaults``."""
+    input_shape = read_field("model.input_shape", model_cfg, list)
+    num_classes = read_field("model.num_classes", model_cfg, int)
+    layer_specs = read_field("model.layers", model_cfg, list, each=dict)
+    if len(input_shape) != 3 or any(type(v) is not int for v in input_shape):
         raise ConfigurationError(f"model.input_shape: expected [c, h, w], got {input_shape!r}")
     input_shape = tuple(input_shape)
-    defaults = model_cfg.get("cg_defaults", {})
+    defaults = read_field("model.cg_defaults", model_cfg, dict, {})
     c, h, w = input_shape
     layers = []
     for i, lc in enumerate(layer_specs):
         name = f"L{i:02d}"
         where = f"model.layers[{i}]"
-        get = _reader(where, lc)
-        kind = lc.get("type")
+        kind = read_field(f"{where}.type", lc, str)
         if kind in ("conv", "cg_conv"):
-            spec = ConvSpec(c, get("out_channels", int), get("kernel_size", int),
-                            get("stride", int, 1), get("padding", int, 0))
+            spec = ConvSpec(c, read_field(f"{where}.out_channels", lc, int),
+                            read_field(f"{where}.kernel_size", lc, int),
+                            read_field(f"{where}.stride", lc, int, 1),
+                            read_field(f"{where}.padding", lc, int, 0))
             if kind == "conv":
-                layers.append(ConvBlock(spec, lc.get("activation", "relu"),
-                                        get("shuffle_groups", int, 0), rng, name))
+                act = read_field(f"{where}.activation", lc, str, "relu")
+                if act not in ACTIVATION_KINDS:
+                    raise ConfigurationError(f"{where}.activation: unknown activation {act!r}")
+                shuffle = read_field(f"{where}.shuffle_groups", lc, int, 0)
+                layers.append(ConvBlock(spec, act, shuffle, rng, name))
             else:
-                cfg = _cg_config(spec, _reader(where, lc, defaults))
-                layers.append(CgConvBlock(cfg, rng, name))
+                layers.append(CgConvBlock(_cg_config(spec, where, (lc, defaults)), rng, name))
             h, w = spec.out_hw(h, w)
             c = spec.out_channels
         elif kind in ("maxpool", "avgpool"):
-            k = get("kernel_size", int, 2)
+            k = read_field(f"{where}.kernel_size", lc, int, 2)
             layers.append((MaxPool if kind == "maxpool" else AvgPool)(k, name))
             if h % k or w % k:
                 raise ConfigurationError(
@@ -624,18 +600,19 @@ def build_model(model_cfg: dict, rng) -> Network:
             layers.append(Flatten(name))
         elif kind == "linear":
             feat = c * h * w if layers and isinstance(layers[-1], Flatten) else c
-            layers.append(LinearHead(feat, get("out_features", int), rng, name))
+            layers.append(LinearHead(feat, read_field(f"{where}.out_features", lc, int),
+                                     rng, name))
             c, h, w = layers[-1].out_features, 1, 1
         elif kind == "residual":
-            out_c = get("out_channels", int)
-            stride = get("stride", int, 1)
+            out_c = read_field(f"{where}.out_channels", lc, int)
+            stride = read_field(f"{where}.stride", lc, int, 1)
             spec_a = ConvSpec(c, out_c, 3, stride, 1)
             spec_b = ConvSpec(out_c, out_c, 3, 1, 1)
-            if get("cg", bool, True):
-                a = CgConvBlock(_cg_config(spec_a, _reader(where, lc, defaults)),
-                                rng, f"{name}a")
-                get_b = _reader(where, {"activation": "identity"}, lc, defaults)
-                b = CgConvBlock(_cg_config(spec_b, get_b), rng, f"{name}b")
+            if read_field(f"{where}.cg", lc, bool, True):
+                a = CgConvBlock(_cg_config(spec_a, where, (lc, defaults)), rng, f"{name}a")
+                b = CgConvBlock(_cg_config(spec_b, where,
+                                           ({"activation": "identity"}, lc, defaults)),
+                                rng, f"{name}b")
             else:
                 a = ConvBlock(spec_a, "relu", 0, rng, f"{name}a")
                 b = ConvBlock(spec_b, "identity", 0, rng, f"{name}b")

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-
-class ConfigurationError(ValueError):
-    """Shapes or hyperparameters are inconsistent."""
+from .config import ConfigurationError
 
 
 class DegenerateInputError(ValueError):

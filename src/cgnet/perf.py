@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import LayerRecord
+from .analysis import LayerRecord, cost_line
 from .nn import ConfigurationError
 
 
@@ -73,54 +73,41 @@ class LayerCycles:
 
 
 def _live_lanes(d_eff, cols):
-    """Total real lanes of vectors with at least one live lane, plus the
-    number of live (executed) lanes, for one bool (n,c,h,w) decision stack."""
+    """Total real lanes of vectors with at least one live lane, for one bool
+    (n,c,h,w) decision stack."""
     n, c, h, w = d_eff.shape
     pos = h * w
     n_vec = -(-pos // cols)
     flat = d_eff.reshape(n, c, pos)
     padded = np.zeros((n, c, n_vec * cols), dtype=bool)
     padded[:, :, :pos] = flat
-    vec = padded.reshape(n, c, n_vec, cols)
-    live = vec.any(axis=-1)
+    live = padded.reshape(n, c, n_vec, cols).any(axis=-1)
     lanes = np.full(n_vec, cols, dtype=np.int64)
     lanes[-1] = pos - (n_vec - 1) * cols
-    live_lane_total = int((live * lanes).sum())
-    executed = int(vec.sum())
-    return live_lane_total, executed
+    return int((live * lanes).sum())
 
 
 def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
-    """Modeled cycles for one layer under the decision maps it recorded."""
+    """Modeled cycles for one layer under the decision maps it recorded; the
+    dense, base and executed MACs are ``analysis.cost_line``'s."""
     if rec.h_out < 1 or rec.w_out < 1 or rec.c_out < 1:
         raise ConfigurationError(f"{rec.name}: zero-dimensional layer")
-    k2 = rec.kernel_size ** 2
-    K = rec.c_in * k2
-    pos = rec.h_out * rec.w_out
-    n = rec.n_samples
-    N = n * rec.c_out * pos
+    line = cost_line(rec)
     R = cfg.throughput
-    n_vec = -(-pos // cfg.cols)
-    vectors = n * rec.c_out * n_vec
-    tiles = -(-vectors // cfg.rows)
-    fill = tiles * cfg.fill_drain
-    dense_cycles = N * K / R + fill
+    vectors = rec.n_samples * rec.c_out * -(-(rec.h_out * rec.w_out) // cfg.cols)
+    fill = -(-vectors // cfg.rows) * cfg.fill_drain
+    dense_cycles = line.dense_flops / R + fill
 
     if not rec.gated:
-        ideal = N * K / R
+        ideal = line.dense_flops / R
         return LayerCycles(rec.name, dense_cycles, dense_cycles, dense_cycles,
                            ideal, ideal / dense_cycles)
 
-    base_in = rec.c_in // rec.groups
-    K_p = base_in * k2
-    K_r = K - K_p
-    live_lanes, executed = _live_lanes(rec.dm.effective(), cfg.cols)
-    base_cycles = N * K_p / R + fill
-    gated_cycles = base_cycles + live_lanes * K_r / R
-    ideal_macs = N * K_p + executed * K_r
-    theoretical = ideal_macs / R
+    K_r = (rec.c_in - rec.c_in // rec.groups) * rec.kernel_size ** 2
+    base_cycles = line.base_flops / R + fill
+    gated_cycles = base_cycles + _live_lanes(rec.dm.effective(), cfg.cols) * K_r / R
     return LayerCycles(rec.name, dense_cycles, gated_cycles, base_cycles,
-                       theoretical, ideal_macs / (gated_cycles * R))
+                       line.executed_flops / R, line.executed_flops / (gated_cycles * R))
 
 
 @dataclass

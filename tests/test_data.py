@@ -80,6 +80,19 @@ class TestRawChw:
         with pytest.raises(DataFormatError, match="bytes"):
             load_raw_chw(sidecar)
 
+    @pytest.mark.parametrize("key,value", [
+        ("count", "abc"), ("channels", 2.5), ("height", True), ("num_classes", 2.0),
+    ])
+    def test_non_integer_field_rejected(self, tmp_path, rng, key, value):
+        ds = Dataset(rng.random((3, 1, 4, 4)), rng.integers(0, 2, 3), 2)
+        sidecar = tmp_path / "s.json"
+        write_raw_chw(sidecar, ds)
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError, match=f"'{key}' must be an integer"):
+            load_raw_chw(sidecar)
+
 
 class TestSynthetic:
     def test_reproducible(self):

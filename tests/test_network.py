@@ -121,6 +121,13 @@ class TestBuilder:
             build_model(cfg, rng)
         assert field in str(err.value)
 
+    def test_unknown_dense_activation_rejected_at_build(self, rng):
+        cfg = vgg_ish_cfg()
+        cfg["layers"][0]["activation"] = "bogus"
+        with pytest.raises(ConfigurationError,
+                           match=r"model\.layers\[0\]\.activation: unknown activation 'bogus'"):
+            build_model(cfg, rng)
+
     def test_set_tau_c_out_of_range_writes_no_layer(self, rng):
         model = build_model(vgg_ish_cfg(), rng)
         for value in (5.0, -0.1, float("nan")):
