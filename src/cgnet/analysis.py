@@ -225,9 +225,11 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
     layers are re-grouped for each eta (G = 1/eta) from their dense
     kernels, so any trained model can be swept. Layers whose
     channel counts do not divide, and degenerate zero-variance layers, are
-    skipped with a warning. Each layer's im2col and full sum are computed
-    once, by ``gating.shared_im2col_sums``, the routine the gated layers
-    run; only the grouped partial sum is computed per eta.
+    skipped with a warning, and so is an eta that admits no layer (it is
+    left out of the result); that no requested eta admits any layer is an
+    error. Each layer's im2col and full sum are computed once, by
+    ``gating.shared_im2col_sums``, the routine the gated layers run; only
+    the grouped partial sum is computed per eta.
     Returns {eta: {"layers": {name: r}, "mean": r}}.
     """
     groups = {eta: int(round(1.0 / eta)) for eta in etas}
@@ -253,9 +255,12 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
                 warnings.warn(f"{rec.name}: zero-variance sums at eta={eta}; skipped")
                 continue
             per_eta[eta][rec.name] = r
-    for eta, per_layer in per_eta.items():
-        if not per_layer:
-            raise ConfigurationError(f"no layer admits regrouping at eta={eta}")
+    empty = [eta for eta, per_layer in per_eta.items() if not per_layer]
+    if empty and len(empty) == len(per_eta):
+        raise ConfigurationError(f"no layer admits regrouping at any eta of {empty}")
+    for eta in empty:
+        warnings.warn(f"no layer admits regrouping at eta={eta}; skipped")
+        del per_eta[eta]
     return {eta: {"layers": per_layer, "mean": float(np.mean(list(per_layer.values())))}
             for eta, per_layer in per_eta.items()}
 

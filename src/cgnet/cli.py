@@ -17,9 +17,11 @@ read by ``config.read_field`` under one set of rules:
 
 A missing or malformed field exits 2 naming it (``optimizer.lr``,
 ``model.layers[2].groups``, ``etas[1]``) before any artifact is written.
-The environment variable CG_THREADS caps BLAS worker threads;
-``--deterministic`` forces single-threaded math so repeated runs are
-bitwise identical.
+The environment variable CG_THREADS caps BLAS worker threads: each of
+OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
+the cap, and a CG_THREADS that is not a positive integer exits 2.
+``--deterministic`` sets all three to 1, whatever was preset, so repeated
+runs are bitwise identical.
 
 Heavy imports happen inside the command handlers so thread limits can be
 applied before numpy loads.
@@ -37,13 +39,34 @@ from pathlib import Path
 from .config import ConfigurationError, read_field
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _positive_int(text):
+    """``text`` as a positive int, or None."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        return None
+    return value if value > 0 else None
+
+
 def _setup_threads(argv):
-    threads = os.environ.get("CG_THREADS")
+    """Set the BLAS thread variables to the smaller of each preset value
+    and the cap: CG_THREADS, or 1 under ``--deterministic``. With neither
+    they are left alone. A CG_THREADS that is not a positive integer is a
+    ``ConfigurationError``, also under ``--deterministic``."""
+    raw = os.environ.get("CG_THREADS", "")   # set but empty counts as unset
+    cap = _positive_int(raw) if raw else None
+    if raw and cap is None:
+        raise ConfigurationError(f"CG_THREADS: expected a positive integer, got {raw!r}")
     if "--deterministic" in argv:
-        threads = "1"
-    if threads:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+        cap = 1
+    if cap is None:
+        return
+    for var in THREAD_VARS:
+        preset = _positive_int(os.environ.get(var))
+        os.environ[var] = str(cap if preset is None else min(preset, cap))
 
 
 def _load_config(path):
@@ -267,8 +290,8 @@ def cmd_analyze(args):
     analysis.write_cost_csv(out / "cost_report.csv", report)
     analysis.write_summary_json(out / "analyze_summary.json", report, extra={
         "frozen": frozen,
-        "correlation_means": {repr(e): corr[e]["mean"] for e in etas}})
-    for e in etas:
+        "correlation_means": {repr(e): entry["mean"] for e, entry in corr.items()}})
+    for e in corr:
         print(f"eta {e:.3f}: mean partial/final correlation {corr[e]['mean']:.4f}")
     print(f"weight_access_reduction {report.weight_access_reduction:.3f}x")
     print(f"wrote intensity maps, correlation.csv and cost_report.csv to {out}")
@@ -318,7 +341,11 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    _setup_threads(argv)
+    try:
+        _setup_threads(argv)
+    except ConfigurationError as e:
+        print(f"cg: error: {e}", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     from .checkpoint import CheckpointError
     from .data import DataFormatError

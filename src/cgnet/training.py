@@ -13,13 +13,21 @@ separate statistics but share gamma/beta. The gate input is BN1's
 normalization of p before its affine step, so p is normalized once and
 BN1's running stats are the gate's: there is one copy of them.
 
+Because gamma/beta are shared, both normalizations run affine-free and the
+combine applies the affine once: pre = gamma*z + beta with
+z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum. The
+training context therefore holds three float arrays of the output's shape
+(x^_g and x^_2 inside the two ``BnCtx``, and ``pre``), the bool d and the
+im2col columns.
+
 The gate is not differentiable, so gradients toward the thresholds and the
 gate input use a smooth sigmoid surrogate s~ = sigma(eps*(x^_g - delta))
-(and the product of two such factors for the two-sided gate). Gradients for
-the two data paths treat d as a constant. ``soft_gate=True`` swaps s~ into
-the combine itself, which makes the whole block differentiable; the test
-suite verifies the analytic gradients against central differences in that
-mode.
+(and the product of two such factors for the two-sided gate), which the
+backward recomputes from x^_g. Gradients for the two data paths treat d as
+a constant. ``soft_gate=True`` swaps s~ into the combine itself,
+z = x^_g + s~*(x^_2 - x^_g), which makes the whole block differentiable;
+the test suite verifies the analytic gradients against central differences
+in that mode.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
                      base_blocks, gate_bounds, shared_im2col_sums)
-from .nn import (ConfigurationError, _as_batch, _chwn, _per_channel,
+from .nn import (BnCtx, ConfigurationError, _as_batch, _chwn, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward,
                  bn_forward, col2im, cross_entropy, sigmoid, softmax)
 
@@ -79,19 +87,26 @@ class Schedule:
 
 @dataclass
 class CgTrainContext:
+    """What ``cg_block_backward`` needs of one training forward.
+
+    Three float arrays of the block output's shape: x^_g and x^_2 inside
+    the two ``BnCtx`` and ``pre``. The decisions are bool, and the
+    surrogate is recomputed from x^_g rather than kept.
+    """
+
     cfg: CgLayerConfig
     params: CgBlockParams
     x_shape: tuple
     cols: np.ndarray          # (c_in*k*k, ho*wo*n), shared by both paths
-    bn2_ctx: object
-    bn1_ctx: object           # the one normalization of p (BN1 and gate)
-    xhat_p: np.ndarray
-    xhat_full: np.ndarray
-    xhat_g: np.ndarray
+    bn1_ctx: BnCtx            # normalization of p: x^_g, the gate input
+    bn2_ctx: BnCtx            # normalization of the full sum: x^_2
     d: np.ndarray             # bool decisions
-    mask: np.ndarray          # d as float64 (hard) or s~ (soft_gate)
-    pre: np.ndarray
-    sig_parts: tuple          # single-sided: (s~,); two-sided: (A, B)
+    pre: np.ndarray           # gamma*z + beta
+    soft_gate: bool
+
+    @property
+    def xhat_g(self):
+        return self.bn1_ctx.xhat
 
 
 @dataclass
@@ -124,65 +139,85 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
     One padded im2col of the input feeds the base partial sum p (one
     batched matmul over W's G diagonal blocks) and the full sum (one matmul
     with W); the backward reuses it.
-    p is normalized once with batch statistics, which also update BN1's
-    running stats: that normalization is the gate input x^_g, and BN1's
-    output is gamma*x^_g + beta.
+    Both sums are normalized affine-free with batch statistics, which also
+    update BN1's and BN2's running stats: x^_g (p's, also the gate input)
+    and x^_2. The paths share gamma/beta, so the combine applies the affine
+    once, to the selected normalization: pre = gamma*z + beta with
+    z = where(d, x^_2, x^_g), or x^_g + s~*(x^_2 - x^_g) under
+    ``soft_gate``.
     """
     xb = _as_batch(x)
     cols, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
 
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, training=True, affine=False)
-    xhat_p = _per_channel(params.gamma) * xhat_g + _per_channel(params.beta)
-    xhat_full, bn2_ctx = bn_forward(full, params.bn2, training=True)
-
+    xhat2, bn2_ctx = bn_forward(full, params.bn2, training=True, affine=False)
     d = _threshold_decisions(xhat_g, *gate_bounds(params.gate, cfg.gate))
-    stilde, sig_parts = _surrogate(xhat_g, params, cfg)
-    mask = stilde if soft_gate else d.astype(np.float64)
-
-    pre = (1.0 - mask) * xhat_p + mask * xhat_full
+    if soft_gate:
+        s, _ = _surrogate(xhat_g, params, cfg)
+        pre = xhat_g + s * (xhat2 - xhat_g)
+    else:
+        pre = np.where(d, xhat2, xhat_g)
+    pre *= _per_channel(params.gamma)
+    pre += _per_channel(params.beta)
     y = activation(pre, cfg.activation)
-    ctx = CgTrainContext(cfg, params, xb.shape, cols, bn2_ctx, bn1_ctx,
-                         xhat_p, xhat_full, xhat_g, d, mask, pre, sig_parts)
-    return y, ctx
+    return y, CgTrainContext(cfg, params, xb.shape, cols, bn1_ctx, bn2_ctx,
+                             d, pre, soft_gate)
 
 
 def cg_block_backward(ctx: CgTrainContext, dy):
     """Gradients of the training block.
 
-    The selection masks are constants; the threshold and gate-input
-    gradients come from the sigmoid surrogate, with the per-element
-    identity d(x^_g) = -d(delta) before the channel reduction. BN backward
-    is linear in its upstream gradient, so BN1 and the gate input, which
-    share one normalization of p, take one backward call. The weight
-    and input gradients reuse the forward's im2col and run one col2im.
+    The combine's mask m is d, or s~ under ``soft_gate``; the data paths
+    treat it as a constant. With pre = gamma*z + beta: dbeta = sum(dpre)
+    and dgamma = sum(dpre*z), summed as m*dpre against x^_2 plus
+    (1 - m)*dpre against x^_g. BN2's upstream gradient is gamma*m*dpre,
+    BN1's gamma*(1 - m)*dpre plus the gate term. The threshold and
+    gate-input gradients come from the sigmoid surrogate, recomputed from
+    x^_g: ds~ = gamma*dpre*(x^_2 - x^_g), with the per-element identity
+    d(x^_g) = -d(delta) before the channel reduction. BN backward is
+    linear in its upstream gradient, so BN1 and the gate input, which share
+    one normalization of p, take one backward call. The weight and input
+    gradients reuse the forward's im2col and run one col2im.
     """
     cfg, params = ctx.cfg, ctx.params
     eps = cfg.epsilon
+    xhat_g, xhat2 = ctx.xhat_g, ctx.bn2_ctx.xhat
+    gamma = _per_channel(params.gamma)
+    axes = (0, 2, 3)
     dpre = _as_batch(dy) * activation_grad(ctx.pre, cfg.activation)
+    s, sig_parts = _surrogate(xhat_g, params, cfg)
+    mask = s if ctx.soft_gate else ctx.d
 
-    dxhat_p = dpre * (1.0 - ctx.mask)
-    dxhat_full = dpre * ctx.mask
-
-    ds = dpre * (ctx.xhat_full - ctx.xhat_p)
+    ds = xhat2 - xhat_g
+    ds *= dpre
+    ds *= gamma
+    dbeta = dpre.sum(axis=axes)
+    # dpre splits into the conditional path's share, m*dpre, and the base
+    # path's, (1 - m)*dpre; sum(dpre*z) is their products with x^_2 and x^_g
+    dxhat2 = dpre * mask
+    dpre -= dxhat2
+    dgamma = (np.einsum("nchw,nchw->c", dpre, xhat_g)
+              + np.einsum("nchw,nchw->c", dxhat2, xhat2))
+    dxhat2 *= gamma
+    dpre *= gamma
     if cfg.gate == "single_sided":
-        (s,) = ctx.sig_parts
-        dsig = eps * s * (1.0 - s)
-        dxhat_g = ds * dsig
-        ddelta = -dxhat_g.sum(axis=(0, 2, 3))
+        dxhat_g = 1.0 - s
+        dxhat_g *= s
+        dxhat_g *= eps
+        dxhat_g *= ds
+        ddelta = -dxhat_g.sum(axis=axes)
         ddelta_high = ddelta_low = None
     else:
-        a, b = ctx.sig_parts
+        a, b = sig_parts
         dxhat_g = ds * (eps * a * b * (a - b))
-        ddelta_high = (ds * (eps * a * (1.0 - a) * b)).sum(axis=(0, 2, 3))
-        ddelta_low = (ds * (-eps * a * b * (1.0 - b))).sum(axis=(0, 2, 3))
+        ddelta_high = (ds * (eps * a * (1.0 - a) * b)).sum(axis=axes)
+        ddelta_low = (ds * (-eps * a * b * (1.0 - b))).sum(axis=axes)
         ddelta = None
-
-    dfull, dgamma, dbeta = batchnorm_backward(ctx.bn2_ctx, dxhat_full)
-    dgamma = (dxhat_p * ctx.xhat_g).sum(axis=(0, 2, 3)) + dgamma
-    dbeta = dxhat_p.sum(axis=(0, 2, 3)) + dbeta
     # BN1 and the gate share x^_g, so their input gradients add up front
-    dp, _, _ = batchnorm_backward(
-        ctx.bn1_ctx, dxhat_p * _per_channel(params.gamma) + dxhat_g)
+    dxhat_g += dpre
+
+    dfull, _, _ = batchnorm_backward(ctx.bn2_ctx, dxhat2)
+    dp, _, _ = batchnorm_backward(ctx.bn1_ctx, dxhat_g)
 
     # [full; p] = [W; blockdiag(W_p)] @ cols, so with the two upstream
     # gradients stacked as rows of one (2*c_out, ho*wo*n) matrix, the weight
@@ -244,7 +279,7 @@ def sparsity_loss_flops(ctxs, lam):
     for ctx in ctxs:
         if ctx.cfg.gate != "single_sided":
             raise ConfigurationError("computation-cost loss supports single-sided gates only")
-        (s,) = ctx.sig_parts
+        s, _ = _surrogate(ctx.xhat_g, ctx.params, ctx.cfg)
         n = s.shape[0]
         eps = ctx.cfg.epsilon
         inners.append(float((1.0 - s).sum()) / n)

@@ -228,6 +228,22 @@ class TestCorrelation:
         assert "L00" in corr[1 / 3]["layers"]
         assert "L01" not in corr[1 / 3]["layers"]
 
+    def test_eta_admitting_no_layer_skipped_with_warning(self, rng):
+        # 8 and 16 channels: G = 3 divides neither layer
+        model = self.small_model(rng)
+        x = rng.standard_normal((2, 8, 8, 8))
+        with pytest.warns(UserWarning, match="no layer admits regrouping"):
+            corr = partial_final_correlation(captured_records(model, x),
+                                             etas=(1 / 3, 0.5, 1.0))
+        assert list(corr) == [0.5, 1.0]
+
+    def test_no_eta_admitting_any_layer_raises(self, rng):
+        model = self.small_model(rng)
+        x = rng.standard_normal((2, 8, 8, 8))
+        with pytest.warns(UserWarning, match="not divisible"), \
+                pytest.raises(ConfigurationError, match="no layer admits regrouping"):
+            partial_final_correlation(captured_records(model, x), etas=(1 / 3, 1 / 6))
+
 
 class TestIntensity:
     def test_all_ones_uniform(self):

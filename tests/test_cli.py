@@ -1,6 +1,7 @@
 """CLI harness: smoke runs, determinism, error paths."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -80,6 +81,45 @@ def eval_cfg(tiny_run, tmp_path, **extra):
     p = tmp_path / "eval.json"
     p.write_text(json.dumps(cfg))
     return p
+
+
+class TestThreads:
+    @pytest.fixture
+    def env(self, monkeypatch):
+        """An environment without CG_THREADS or any BLAS thread variable;
+        every change to them is undone after the test."""
+        for var in ("CG_THREADS",) + cli.THREAD_VARS:
+            monkeypatch.setenv(var, "0")
+            monkeypatch.delenv(var)
+        return monkeypatch
+
+    def threads(self):
+        return [os.environ.get(var) for var in cli.THREAD_VARS]
+
+    def test_deterministic_overrides_presets(self, env):
+        env.setenv("OPENBLAS_NUM_THREADS", "4")
+        env.setenv("CG_THREADS", "3")
+        cli._setup_threads(["train", "--config", "c.json", "--deterministic"])
+        assert self.threads() == ["1", "1", "1"]
+
+    def test_cap_lowers_presets_above_it(self, env):
+        env.setenv("CG_THREADS", "2")
+        env.setenv("OPENBLAS_NUM_THREADS", "4")
+        env.setenv("OMP_NUM_THREADS", "1")
+        cli._setup_threads(["train", "--config", "c.json"])
+        assert self.threads() == ["2", "1", "2"]
+
+    def test_no_cap_leaves_presets(self, env):
+        env.setenv("OPENBLAS_NUM_THREADS", "4")
+        cli._setup_threads(["train", "--config", "c.json"])
+        assert self.threads() == ["4", None, None]
+
+    @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5"])
+    def test_malformed_cap_exits_2(self, env, capsys, bad):
+        env.setenv("CG_THREADS", bad)
+        assert cli.main(["train", "--config", str(TINY), "--deterministic"]) == 2
+        assert "CG_THREADS" in capsys.readouterr().err
+        assert self.threads() == [None, None, None]
 
 
 class TestEval:
@@ -192,6 +232,23 @@ class TestAnalyzePerf:
         corr = (out / "correlation.csv").read_text().splitlines()
         assert corr[0] == "eta,layer,pearson_r"
         assert any("__mean__" in line for line in corr)
+
+    def test_analyze_tiny_config_skips_eta_admitting_no_layer(self, tiny_run, tmp_path,
+                                                              capsys):
+        # the tiny gated layer has 4 input channels, so the default eta 0.125
+        # (G = 8) admits no layer while 0.25, 0.5 and 1.0 do
+        out = tmp_path / "a"
+        with pytest.warns(UserWarning, match="no layer admits regrouping at eta=0.125"):
+            rc = cli.main(["analyze", "--config", str(TINY), "--out", str(out),
+                           "--checkpoint", str(tiny_run / "checkpoint.cgn")])
+        assert rc == 0
+        etas = {line.split(",")[0]
+                for line in (out / "correlation.csv").read_text().splitlines()[1:]}
+        assert etas == {"0.25", "0.5", "1.0"}
+        means = json.loads((out / "analyze_summary.json").read_text())["correlation_means"]
+        assert sorted(means) == ["0.25", "0.5", "1.0"]
+        stdout = capsys.readouterr().out
+        assert "eta 0.125" not in stdout and "eta 0.250" in stdout
 
     def test_analyze_runs_one_forward_pass(self, tiny_run, tmp_path, monkeypatch):
         # intensity maps, costs and correlation all read one collecting pass

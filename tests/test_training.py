@@ -1,6 +1,7 @@
 """Training graph: dual BN, surrogate gate gradients, losses, train loop."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,6 +34,26 @@ def make_params(cfg, rng):
     return p
 
 
+def affine(params, xhat):
+    """BN's affine step, gamma*xhat + beta, with the block's shared gamma/beta."""
+    return params.gamma[:, None, None] * xhat + params.beta[:, None, None]
+
+
+def context_arrays(obj):
+    """Every array a training context holds, walking its dataclass fields,
+    the ``BnCtx`` ones included, and tuples; the model's parameters and
+    config are not context."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            if f.name not in ("params", "cfg"):
+                yield from context_arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from context_arrays(item)
+
+
 class TestForwardTrain:
     def test_all_take_limit(self, rng):
         cfg = make_cfg(act="relu")
@@ -41,7 +62,7 @@ class TestForwardTrain:
         x = rng.standard_normal((3, 4, 5, 5))
         y, ctx = cg_block_forward_train(x, params, cfg)
         np.testing.assert_array_equal(ctx.d, 1.0)
-        np.testing.assert_array_equal(y, nn.activation(ctx.xhat_full, "relu"))
+        np.testing.assert_array_equal(y, nn.activation(affine(params, ctx.bn2_ctx.xhat), "relu"))
 
     def test_none_take_limit(self, rng):
         cfg = make_cfg(act="relu")
@@ -50,7 +71,31 @@ class TestForwardTrain:
         x = rng.standard_normal((3, 4, 5, 5))
         y, ctx = cg_block_forward_train(x, params, cfg)
         np.testing.assert_array_equal(ctx.d, 0.0)
-        np.testing.assert_array_equal(y, nn.activation(ctx.xhat_p, "relu"))
+        np.testing.assert_array_equal(y, nn.activation(affine(params, ctx.bn1_ctx.xhat), "relu"))
+
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_mixed_decisions_apply_the_shared_affine_once(self, rng, act):
+        # both paths share gamma/beta: y = f(gamma*where(d, x^_2, x^_g) + beta)
+        cfg = make_cfg(act=act)
+        params = make_params(cfg, rng)
+        x = rng.standard_normal((3, 4, 5, 5))
+        y, ctx = cg_block_forward_train(x, params, cfg)
+        assert ctx.d.any() and not ctx.d.all()
+        z = np.where(ctx.d, ctx.bn2_ctx.xhat, ctx.bn1_ctx.xhat)
+        np.testing.assert_array_equal(y, nn.activation(affine(params, z), act))
+
+    @pytest.mark.parametrize("gate", ["single_sided", "two_sided"])
+    @pytest.mark.parametrize("soft_gate", [False, True])
+    def test_context_holds_three_output_sized_float_arrays(self, rng, gate, soft_gate):
+        cfg = make_cfg(c_out=8, gate=gate)
+        params = make_params(cfg, rng)
+        x = rng.standard_normal((3, 4, 5, 5))
+        y, ctx = cg_block_forward_train(x, params, cfg, soft_gate=soft_gate)
+        held = [a for a in context_arrays(ctx)
+                if a.shape == y.shape and a.dtype != bool]
+        assert sorted(map(id, held)) == sorted(map(id, (ctx.bn1_ctx.xhat,
+                                                        ctx.bn2_ctx.xhat, ctx.pre)))
+        assert ctx.d.dtype == bool
 
     def test_decisions_match_scalar_recomputation(self, rng):
         cfg = make_cfg(act="relu")
@@ -148,8 +193,8 @@ class TestBackward:
         proj = rng.standard_normal((2, 4, 4, 4))
         _, ctx = cg_block_forward_train(x, params, cfg)
         dpre = proj * nn.activation_grad(ctx.pre, cfg.activation)
-        ds = dpre * (ctx.xhat_full - ctx.xhat_p)
-        (s,) = ctx.sig_parts
+        ds = dpre * (affine(params, ctx.bn2_ctx.xhat) - affine(params, ctx.bn1_ctx.xhat))
+        s = nn.sigmoid(cfg.epsilon * (ctx.bn1_ctx.xhat - params.gate.delta[:, None, None]))
         elem = ds * (cfg.epsilon * s * (1.0 - s))
         g = cg_block_backward(ctx, proj)
         np.testing.assert_allclose(g.ddelta, -elem.sum(axis=(0, 2, 3)), rtol=1e-12)
