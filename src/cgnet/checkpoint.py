@@ -43,18 +43,34 @@ class CheckpointError(ValueError):
     """Malformed or truncated checkpoint file."""
 
 
+def _record(name, arr):
+    """(encoded name, dtype code, array) of one record; ``CheckpointError``
+    naming it if its name or a dimension does not fit the format. (numpy
+    caps the rank at 64, within the rank field's 255.)"""
+    arr = np.ascontiguousarray(arr)
+    if arr.dtype not in _CODES:
+        arr = arr.astype(np.float64)
+    nb = name.encode("utf-8")
+    if len(nb) > 0xFFFF:
+        raise CheckpointError(f"record {name[:40]!r}...: name is {len(nb)} UTF-8 bytes, "
+                              f"the format holds at most 65535")
+    if any(dim > 0xFFFFFFFF for dim in arr.shape):
+        raise CheckpointError(f"record {name!r}: shape {arr.shape} has a dimension "
+                              f">= 2**32")
+    return nb, _CODES[arr.dtype], arr
+
+
 def write_container(path, tensors):
-    """Write named arrays; ``tensors`` is an ordered iterable of (name, array)."""
+    """Write named arrays; ``tensors`` is an ordered iterable of (name, array).
+    Every record is checked against the format before the file is opened,
+    so a record it cannot hold raises ``CheckpointError`` and writes
+    nothing."""
     items = list(tensors.items()) if isinstance(tensors, dict) else list(tensors)
+    records = [_record(name, arr) for name, arr in items]
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<I", len(items)))
-        for name, arr in items:
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype not in _CODES:
-                arr = arr.astype(np.float64)
-            code = _CODES[arr.dtype]
-            nb = name.encode("utf-8")
+        f.write(struct.pack("<I", len(records)))
+        for nb, code, arr in records:
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)
             f.write(struct.pack("<BB", code, arr.ndim))

@@ -47,10 +47,10 @@ from .config import read_field
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, split_dense_weight)
 from .nn import (ACTIVATION_KINDS, ConfigurationError, ConvSpec, BatchNormState,
-                 StateError, activation, activation_grad, batchnorm_backward, bn_forward,
-                 conv2d_backward, conv2d_forward, linear_backward,
-                 linear_forward, maxpool2d, maxpool2d_forward, avgpool2d_forward,
-                 pool2d_backward, sgd_step)
+                 StateError, _batch, activation, activation_grad, batchnorm_backward,
+                 bn_forward, bn_inference, conv2d_backward, conv2d_forward,
+                 linear_backward, linear_forward, maxpool2d, maxpool2d_forward,
+                 avgpool2d_forward, pool2d_backward, sgd_step)
 
 
 def _he_init(rng, shape, fan_in):
@@ -95,7 +95,7 @@ class ConvBlock(Layer):
 
     def forward_train(self, x):
         y, conv_ctx = conv2d_forward(x, self.w, self.spec)
-        pre, bn_ctx = bn_forward(y, self.bn, training=True)
+        pre, bn_ctx = bn_forward(y, self.bn, training=True, out=y)
         self.ctx = (conv_ctx, bn_ctx, pre)
         y = activation(pre, self.act)
         if self.shuffle_groups:
@@ -118,8 +118,7 @@ class ConvBlock(Layer):
         y, _ = conv2d_forward(x, self.w, self.spec)
         h_out, w_out = y.shape[2], y.shape[3]
         n = y.shape[0]
-        y, _ = bn_forward(y, self.bn, training=False)
-        y = activation(y, self.act)
+        y = activation(bn_inference(y, self.bn, out=y), self.act, out=y)
         if self.shuffle_groups:
             y = channel_shuffle(y, self.shuffle_groups)
         if not collect:
@@ -287,7 +286,9 @@ class Flatten(ParameterFreeLayer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy):
-        return dy.reshape(self._saved_ctx())
+        n, _, h, w = self._saved_ctx()
+        # sample-innermost, as every batch: each column of dy.T is a sample
+        return _batch(np.ascontiguousarray(dy.T), n, h, w)
 
     def forward_infer(self, x, collect=False, capture=False):
         return x.reshape(x.shape[0], -1), []

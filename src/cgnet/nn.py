@@ -14,6 +14,17 @@ Conventions:
     sample index is innermost, so ``_chwn(x)`` is a free C-contiguous view,
     im2col copies whole rows of samples and a GEMM on its columns writes
     the output's memory directly;
+  * a temporary the size of a batch is made with ``np.empty_like`` (or
+    ``zeros_like``) of a batch, which keeps that (c, h, w, n) order; a
+    C-order ``np.empty(shape)`` gives the same values but makes every
+    elementwise pass that mixes it with a batch several times slower;
+  * training kernels take ``out=`` and work in place on buffers their
+    caller owns, such as a GEMM output nothing else reads: a fresh batch
+    costs its page faults on top of the pass that fills it;
+  * a masked select (``np.where``, ``copyto(where=)``) costs more the
+    closer the mask is to half set, since its branches follow the data; a
+    multiply by a bool mask or a bitwise AND costs the same at any firing
+    rate;
   * conv weights are (out_channel, in_channel/groups, kh, kw), row
     major, so channel groups are contiguous slices;
   * convolutions carry no bias (batch normalization absorbs it).
@@ -240,14 +251,17 @@ def _per_channel(v):
     return np.asarray(v)[:, None, None]
 
 
-def bn_forward(x, st: BatchNormState, training=False, affine=True):
+def bn_forward(x, st: BatchNormState, training=False, affine=True, out=None):
     """Batch normalization over (n, c, h, w); returns (y, ctx).
 
     Training mode normalizes with the batch statistics, folds them into the
     running stats and returns the ``BnCtx`` the backward needs; there
     ``affine=False`` returns the normalized batch without gamma and beta.
-    Inference is ``bn_inference``, always affine, and returns ctx None; the
-    scalar oracle in the tests mirrors its sequence of operations.
+    The normalized batch x^ is written into ``out`` when given (``out`` may
+    be ``x``); with ``affine`` the output gamma*x^ + beta is a new batch,
+    since the context keeps x^. Inference is ``bn_inference``, always
+    affine, writes its output into ``out`` and returns ctx None; the scalar
+    oracle in the tests mirrors its sequence of operations.
     """
     xb = _as_batch(x)
     if xb.shape[1] != len(st.gamma):
@@ -261,7 +275,7 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True):
             raise DegenerateInputError("batch normalization over zero elements per channel")
         mean = xb.mean(axis=(0, 2, 3))
         # the centred batch gives the variance and, scaled in place, xhat
-        xhat = xb - _per_channel(mean)
+        xhat = np.subtract(xb, _per_channel(mean), out=out)
         var = (xhat * xhat).mean(axis=(0, 2, 3))
         m = st.momentum
         st.running_mean[:] = m * st.running_mean + (1.0 - m) * mean
@@ -271,7 +285,7 @@ def bn_forward(x, st: BatchNormState, training=False, affine=True):
         y = _per_channel(st.gamma) * xhat + _per_channel(st.beta) if affine else xhat
         ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
     else:
-        y = bn_inference(xb, st)
+        y = bn_inference(xb, st, out=out)
     return y, ctx
 
 
@@ -287,23 +301,27 @@ def bn_inference(x, st: BatchNormState, out=None):
     return y
 
 
-def batchnorm_backward(ctx: BnCtx, dy):
+def batchnorm_backward(ctx: BnCtx, dy, out=None):
     """Gradients through training-mode BN; returns (dx, dgamma, dbeta).
 
     With s = gamma*inv_std (inv_std alone when affine=False) and m elements
-    per channel: dx = s * (dy - sum(dy)/m - xhat*sum(dy*xhat)/m).
+    per channel: dx = s * (dy - mean(dy) - xhat*mean(dy*xhat)), written
+    into ``out`` when given (a batch that does not overlap ``dy``) and into
+    a new batch in xhat's memory order otherwise, with no other temporary.
+    dgamma = sum(dy*xhat) and dbeta = sum(dy) per channel; they are None
+    when affine=False.
     """
     if ctx is None:
         raise StateError("BN backward called without a cached forward context")
     dyb = _as_batch(dy)
-    axes = (0, 2, 3)
     m = float(ctx.count)
-    sum_dy = dyb.sum(axis=axes)
-    sum_dy_xhat = (dyb * ctx.xhat).sum(axis=axes)
+    sum_dy = dyb.sum(axis=(0, 2, 3))
+    sum_dy_xhat = np.einsum("nchw,nchw->c", dyb, ctx.xhat)
     scale = ctx.inv_std if ctx.gamma is None else ctx.gamma * ctx.inv_std
-    dx = dyb * _per_channel(scale)
-    dx -= _per_channel(scale * sum_dy / m)
-    dx -= ctx.xhat * _per_channel(scale * sum_dy_xhat / m)
+    dx = np.multiply(ctx.xhat, _per_channel(sum_dy_xhat / m), out=out)
+    np.subtract(dyb, dx, out=dx)
+    dx -= _per_channel(sum_dy / m)
+    dx *= _per_channel(scale)
     if ctx.gamma is None:
         return dx, None, None
     return dx, sum_dy_xhat, sum_dy
@@ -313,9 +331,14 @@ def batchnorm_backward(ctx: BnCtx, dy):
 # Activations
 # ---------------------------------------------------------------------------
 
-def sigmoid(z):
-    """Logistic function as 0.5 + 0.5*tanh(z/2): no overflow for any z."""
-    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(z, dtype=np.float64))
+def sigmoid(z, out=None):
+    """Logistic function as 0.5 + 0.5*tanh(z/2): no overflow for any z.
+    Written into ``out`` when given (``out`` may be ``z``)."""
+    s = np.multiply(np.asarray(z, dtype=np.float64), 0.5, out=out)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def activation(x, kind, out=None):
@@ -327,8 +350,8 @@ def activation(x, kind, out=None):
     if kind == "tanh":
         return np.tanh(x, out=out)
     if kind == "sigmoid":
-        y = sigmoid(x)
-    elif kind == "binary_sign":
+        return sigmoid(x, out=out)
+    if kind == "binary_sign":
         y = np.where(x >= 0.0, 1.0, -1.0)
     elif kind == "identity":
         y = x.copy(order="K") if out is None else x
@@ -341,18 +364,23 @@ def activation(x, kind, out=None):
 
 
 def activation_grad(pre, kind):
-    """f'(pre). binary_sign uses the straight-through clip window |x| <= 1."""
+    """f'(pre). binary_sign uses the straight-through clip window |x| <= 1.
+    ReLU's and binary_sign's derivatives are 0 or 1 and come as bool masks,
+    so the chain rule's multiply reads them as 1.0 and 0.0 without a float
+    copy."""
     pre = np.asarray(pre, dtype=np.float64)
     if kind == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return pre > 0.0
     if kind == "tanh":
         t = np.tanh(pre)
         return 1.0 - t * t
     if kind == "sigmoid":
         s = sigmoid(pre)
-        return s * (1.0 - s)
+        g = 1.0 - s
+        g *= s
+        return g
     if kind == "binary_sign":
-        return (np.abs(pre) <= 1.0).astype(np.float64)
+        return np.abs(pre) <= 1.0
     if kind == "identity":
         return np.ones_like(pre)
     raise ConfigurationError(f"unknown activation kind {kind!r}")
@@ -400,18 +428,25 @@ def maxpool2d(x, k=2):
 def maxpool2d_forward(x, k=2):
     """Training max pooling; returns (y, ctx) with the first maximal window
     position of every output, as ``argmax`` over the window would pick it
-    (a NaN counts as maximal)."""
+    (a NaN counts as maximal). y is the running ``np.maximum`` of
+    ``maxpool2d``; the positions are kept in the smallest unsigned dtype
+    that holds k*k - 1 and updated without a data-dependent select."""
     xb = _as_batch(x)
     views = _pool_views(xb, k)
     y = views[0].copy(order="K")
-    idx = np.zeros_like(y, dtype=np.intp)
+    idx = np.zeros_like(y, dtype=np.min_scalar_type(k * k - 1))
+    keep = np.empty_like(y, dtype=bool)
+    nan = np.empty_like(keep)
     for t, v in enumerate(views[1:], 1):
-        # v wins where it is larger or the first NaN: not v <= y, unless y is NaN
-        better = np.less_equal(v, y)
-        np.logical_not(better, out=better)
-        better &= y == y
-        y = np.where(better, v, y)
-        idx = np.where(better, t, idx)
+        # the earlier position stays where v <= y or y is already NaN
+        np.less_equal(v, y, out=keep)
+        np.not_equal(y, y, out=nan)
+        keep |= nan
+        np.maximum(v, y, out=y)
+        # idx = t + keep*(idx - t); the unsigned wraparound cancels
+        idx -= t
+        idx *= keep
+        idx += t
     return y, PoolCtx("max", k, xb.shape, idx)
 
 
@@ -424,16 +459,22 @@ def avgpool2d_forward(x, k=2):
 
 def pool2d_backward(ctx: PoolCtx, dy):
     """Input gradient of a pooling layer. Max pooling writes each upstream
-    value to its window's recorded position and exact zeros elsewhere,
-    through the same strided views as the forward pass."""
+    value to its window's recorded position and +0.0 elsewhere: one
+    broadcast compare of the positions against every window offset gives
+    a (c, h/k, k, w/k, k, n) mask of all-ones or all-zeros 64-bit words,
+    the (c, h, w, n) memory of dx, and ANDing it with dy's bits moves
+    every value, signed zeros, infinities and NaN included, unchanged."""
     k = ctx.k
     dyb = np.asarray(dy, dtype=np.float64)
     n, c, h, w = ctx.in_shape
     if ctx.kind == "max":
-        dx = _batch(np.empty((c, h, w, n)), n, h, w)
-        for t, view in enumerate(_pool_views(dx, k)):
-            view[...] = np.where(ctx.argmax == t, dyb, 0.0)
-        return dx
+        ho, wo = h // k, w // k
+        offsets = np.arange(k * k, dtype=ctx.argmax.dtype).reshape(1, 1, k, 1, k, 1)
+        bits = np.empty((c, ho, k, wo, k, n), dtype=np.int64)
+        np.equal(_chwn(ctx.argmax)[:, :, None, :, None], offsets, out=bits)
+        np.negative(bits, out=bits)
+        bits &= _chwn(dyb).view(np.int64)[:, :, None, :, None]
+        return _batch(bits.view(np.float64), n, h, w)
     dwin = np.empty((c, h // k, k, w // k, k, n))
     dwin[...] = (_chwn(dyb) / (k * k))[:, :, None, :, None]
     return _batch(dwin, n, h, w)

@@ -15,10 +15,14 @@ BN1's running stats are the gate's: there is one copy of them.
 
 Because gamma/beta are shared, both normalizations run affine-free and the
 combine applies the affine once: pre = gamma*z + beta with
-z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum. The
-training context therefore holds three float arrays of the output's shape
-(x^_g and x^_2 inside the two ``BnCtx``, and ``pre``), the bool d and the
-im2col columns.
+z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum. Both
+normalizations overwrite their GEMM outputs, so the training context holds
+three float arrays of the output's shape (x^_g and x^_2 inside the two
+``BnCtx``, and ``pre``), the bool d and the im2col columns. In the
+backward, gamma folds into each BN backward's final per-channel scale
+gamma/sqrt(var + eps), which writes its half of the stacked operand of the
+convolution-gradient GEMMs; the elementwise chain before it carries no
+gamma.
 
 The gate is not differentiable, so gradients toward the thresholds and the
 gate input use a smooth sigmoid surrogate s~ = sigma(eps*(x^_g - delta))
@@ -32,14 +36,14 @@ in that mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
                      base_blocks, gate_bounds, shared_im2col_sums)
-from .nn import (BnCtx, ConfigurationError, _as_batch, _chwn, _per_channel,
+from .nn import (BnCtx, ConfigurationError, _as_batch, _batch, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward,
                  bn_forward, col2im, cross_entropy, sigmoid, softmax)
 
@@ -120,15 +124,22 @@ class CgBlockGrads:
     dx: np.ndarray
 
 
+def _sigmoid_factor(lhs, rhs, eps):
+    """sigma(eps*(lhs - rhs)) in one new batch, in x^_g's memory order."""
+    z = np.subtract(lhs, rhs)
+    z *= eps
+    return sigmoid(z, out=z)
+
+
 def _surrogate(xhat_g, params: CgBlockParams, cfg: CgLayerConfig):
     """Smooth gate value and its factor tensors."""
     eps = cfg.epsilon
     g = params.gate
     if cfg.gate == "single_sided":
-        s = sigmoid(eps * (xhat_g - _per_channel(g.delta)))
+        s = _sigmoid_factor(xhat_g, _per_channel(g.delta), eps)
         return s, (s,)
-    a = sigmoid(eps * (_per_channel(g.delta_high) - xhat_g))
-    b = sigmoid(eps * (xhat_g - _per_channel(g.delta_low)))
+    a = _sigmoid_factor(_per_channel(g.delta_high), xhat_g, eps)
+    b = _sigmoid_factor(xhat_g, _per_channel(g.delta_low), eps)
     return a * b, (a, b)
 
 
@@ -139,18 +150,21 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
     One padded im2col of the input feeds the base partial sum p (one
     batched matmul over W's G diagonal blocks) and the full sum (one matmul
     with W); the backward reuses it.
-    Both sums are normalized affine-free with batch statistics, which also
-    update BN1's and BN2's running stats: x^_g (p's, also the gate input)
-    and x^_2. The paths share gamma/beta, so the combine applies the affine
+    Both sums are normalized affine-free with batch statistics, in place in
+    their GEMM outputs, which nothing else reads; this also updates BN1's
+    and BN2's running stats: x^_g (p's, also the gate input) and x^_2. The
+    paths share gamma/beta, so the combine applies the affine
     once, to the selected normalization: pre = gamma*z + beta with
     z = where(d, x^_2, x^_g), or x^_g + s~*(x^_2 - x^_g) under
     ``soft_gate``.
     """
     xb = _as_batch(x)
     cols, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
+    if full is p:
+        full = p.copy(order="K")   # G == 1: BN1 below must not normalize the full sum
 
-    xhat_g, bn1_ctx = bn_forward(p, params.bn1, training=True, affine=False)
-    xhat2, bn2_ctx = bn_forward(full, params.bn2, training=True, affine=False)
+    xhat_g, bn1_ctx = bn_forward(p, params.bn1, training=True, affine=False, out=p)
+    xhat2, bn2_ctx = bn_forward(full, params.bn2, training=True, affine=False, out=full)
     d = _threshold_decisions(xhat_g, *gate_bounds(params.gate, cfg.gate))
     if soft_gate:
         s, _ = _surrogate(xhat_g, params, cfg)
@@ -169,20 +183,26 @@ def cg_block_backward(ctx: CgTrainContext, dy):
 
     The combine's mask m is d, or s~ under ``soft_gate``; the data paths
     treat it as a constant. With pre = gamma*z + beta: dbeta = sum(dpre)
-    and dgamma = sum(dpre*z), summed as m*dpre against x^_2 plus
-    (1 - m)*dpre against x^_g. BN2's upstream gradient is gamma*m*dpre,
-    BN1's gamma*(1 - m)*dpre plus the gate term. The threshold and
-    gate-input gradients come from the sigmoid surrogate, recomputed from
-    x^_g: ds~ = gamma*dpre*(x^_2 - x^_g), with the per-element identity
-    d(x^_g) = -d(delta) before the channel reduction. BN backward is
-    linear in its upstream gradient, so BN1 and the gate input, which share
-    one normalization of p, take one backward call. The weight and input
-    gradients reuse the forward's im2col and run one col2im.
+    and dgamma = sum(dpre*z), the base path's share, (1 - m)*dpre against
+    x^_g, summed here and the conditional path's, m*dpre against x^_2,
+    returned by BN2's backward. The chain below carries no gamma: both BNs
+    take their upstream gradient with respect to the shared affine's
+    output, gamma*x^ + beta, so gamma folds into their backward's final
+    per-channel scale gamma*inv_std. BN2's upstream is m*dpre, BN1's
+    (1 - m)*dpre plus the gate term. The threshold and gate-input
+    gradients come from the sigmoid surrogate, recomputed from x^_g: with
+    ds~ = dpre*(x^_2 - x^_g), d(x^_g) = -d(delta) per element before the
+    channel reduction, and the threshold gradients take gamma after it.
+    BN backward is linear in its upstream gradient, so BN1 and the gate
+    input, which share one normalization of p, take one backward call. The
+    two BN backwards write the two halves of the stacked GEMM operand; the
+    weight and input gradients reuse the forward's im2col and run one
+    col2im.
     """
     cfg, params = ctx.cfg, ctx.params
     eps = cfg.epsilon
     xhat_g, xhat2 = ctx.xhat_g, ctx.bn2_ctx.xhat
-    gamma = _per_channel(params.gamma)
+    gamma = params.gamma
     axes = (0, 2, 3)
     dpre = _as_batch(dy) * activation_grad(ctx.pre, cfg.activation)
     s, sig_parts = _surrogate(xhat_g, params, cfg)
@@ -190,34 +210,29 @@ def cg_block_backward(ctx: CgTrainContext, dy):
 
     ds = xhat2 - xhat_g
     ds *= dpre
-    ds *= gamma
-    dbeta = dpre.sum(axis=axes)
     # dpre splits into the conditional path's share, m*dpre, and the base
     # path's, (1 - m)*dpre; sum(dpre*z) is their products with x^_2 and x^_g
     dxhat2 = dpre * mask
     dpre -= dxhat2
-    dgamma = (np.einsum("nchw,nchw->c", dpre, xhat_g)
-              + np.einsum("nchw,nchw->c", dxhat2, xhat2))
-    dxhat2 *= gamma
-    dpre *= gamma
+    dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
+    dbeta = dpre.sum(axis=axes)
     if cfg.gate == "single_sided":
-        dxhat_g = 1.0 - s
-        dxhat_g *= s
-        dxhat_g *= eps
-        dxhat_g *= ds
-        ddelta = -dxhat_g.sum(axis=axes)
+        # d(s~)/d(x^_g) = eps*s*(1 - s); s is free once dxhat2 is made
+        ds *= s
+        np.subtract(1.0, s, out=s)
+        ds *= s
+        ds *= eps
+        dxhat_g = ds
+        ddelta = -gamma * dxhat_g.sum(axis=axes)
         ddelta_high = ddelta_low = None
     else:
         a, b = sig_parts
         dxhat_g = ds * (eps * a * b * (a - b))
-        ddelta_high = (ds * (eps * a * (1.0 - a) * b)).sum(axis=axes)
-        ddelta_low = (ds * (-eps * a * b * (1.0 - b))).sum(axis=axes)
+        ddelta_high = gamma * (ds * (eps * a * (1.0 - a) * b)).sum(axis=axes)
+        ddelta_low = gamma * (ds * (-eps * a * b * (1.0 - b))).sum(axis=axes)
         ddelta = None
     # BN1 and the gate share x^_g, so their input gradients add up front
     dxhat_g += dpre
-
-    dfull, _, _ = batchnorm_backward(ctx.bn2_ctx, dxhat2)
-    dp, _, _ = batchnorm_backward(ctx.bn1_ctx, dxhat_g)
 
     # [full; p] = [W; blockdiag(W_p)] @ cols, so with the two upstream
     # gradients stacked as rows of one (2*c_out, ho*wo*n) matrix, the weight
@@ -226,10 +241,17 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     # blocks.
     G, spec = cfg.groups, cfg.conv
     k = spec.kernel_size
-    c_out = dp.shape[1]
+    n, c_out, ho, wo = xhat2.shape
     kk = ctx.cols.shape[0]
-    stacked = np.concatenate([_chwn(dfull).reshape(c_out, -1),
-                              _chwn(dp).reshape(c_out, -1)])
+    stacked = np.empty((2 * c_out, ho * wo * n))
+    # each BN backward runs as that of an affine BN with the shared gamma,
+    # whose upstream is the gradient with respect to gamma*x^ + beta
+    _, dgamma2, dbeta2 = batchnorm_backward(replace(ctx.bn2_ctx, gamma=gamma), dxhat2,
+                                            out=_batch(stacked[:c_out], n, ho, wo))
+    batchnorm_backward(replace(ctx.bn1_ctx, gamma=gamma), dxhat_g,
+                       out=_batch(stacked[c_out:], n, ho, wo))
+    dgamma += dgamma2
+    dbeta += dbeta2
     dw = (stacked @ ctx.cols.T).reshape(2, c_out, spec.in_channels, k, k)
     base_blocks(dw[0], G)[...] += base_blocks(dw[1], G)
 

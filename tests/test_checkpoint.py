@@ -58,6 +58,23 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="truncated"):
             read_container(path)
 
+    @pytest.mark.parametrize("bad, match", [
+        (("n" * 65536, np.array([1.0])), "65536 UTF-8 bytes"),
+        (("\u00e9" * 32768, np.array([1.0])), "65536 UTF-8 bytes"),
+        (("wide", np.zeros((0, 2 ** 32))), "record 'wide': shape"),
+    ])
+    def test_record_the_format_cannot_hold_writes_nothing(self, tmp_path, bad, match):
+        # the valid record first: a failure partway would leave its bytes behind
+        path = tmp_path / "t.cgn"
+        with pytest.raises(CheckpointError, match=match):
+            write_container(path, [("ok", np.array([1.0])), bad])
+        assert not path.exists()
+
+    def test_longest_name_roundtrips(self, tmp_path):
+        path = tmp_path / "t.cgn"
+        name = "n" * 65535
+        write_container(path, {name: np.array([2.0])})
+        assert list(read_container(path)) == [name]
 
     def test_duplicate_name_rejected(self, tmp_path):
         path = tmp_path / "dup.cgn"

@@ -1,5 +1,6 @@
-"""Activation memory order: every (n, c, h, w) batch a layer returns, and
-every decision map, lays its memory out as (c, h, w, n).
+"""Activation memory order: every (n, c, h, w) batch a layer returns, its
+backward's input gradient, every decision map and every batch a training
+context keeps lays its memory out as (c, h, w, n).
 
 A stray C-order ``.copy()``, ``np.pad`` or fancy index on the activation
 path still gives correct values, so no numeric test notices it; it only
@@ -9,7 +10,8 @@ costs the speed of the sample-innermost layout. This guard does notice it.
 import numpy as np
 import pytest
 
-from cgnet.network import CgConvBlock, build_model
+from cgnet.network import (CgConvBlock, ConvBlock, MaxPool, ResidualBlock,
+                           build_model)
 
 
 def vgg_cfg():
@@ -66,10 +68,19 @@ def record_outputs(model, method, outputs):
         setattr(layer, method, wrapped)
 
 
-def assert_sample_innermost(name, a):
+def assert_sample_innermost(name, a, window=False):
+    """The (c, h, w, n) view of ``a`` is C-contiguous; with ``window`` it may
+    also be a slice of a larger C-contiguous (c, h', w', n) buffer, as the
+    input gradient of a padded convolution is of col2im's padded one."""
     assert a.ndim == 4, name
-    assert a.transpose(1, 2, 3, 0).flags.c_contiguous, \
-        f"{name}: strides {a.strides} of shape {a.shape} are not (c, h, w, n) order"
+    v = a.transpose(1, 2, 3, 0)
+    if window:
+        sc, sh, sw, sn = v.strides
+        ordered = (sn == a.itemsize and sw == sn * v.shape[3]
+                   and sh >= sw * v.shape[2] and sc >= sh * v.shape[1])
+    else:
+        ordered = v.flags.c_contiguous
+    assert ordered, f"{name}: strides {a.strides} of shape {a.shape} are not (c, h, w, n) order"
 
 
 @pytest.mark.parametrize("cfg", [vgg_cfg, resnet_cfg])
@@ -97,3 +108,42 @@ def test_batches_and_decision_maps_are_sample_innermost(cfg):
     assert len(maps) == len(gated)
     for rec in maps:
         assert_sample_innermost(f"{rec.name} decisions", rec.dm.d)
+
+
+def context_batches(layer):
+    """(label, array) of the batches a layer's training context keeps."""
+    ctx = layer.ctx
+    if isinstance(layer, CgConvBlock):
+        return [("x^_g", ctx.bn1_ctx.xhat), ("x^_2", ctx.bn2_ctx.xhat), ("pre", ctx.pre)]
+    if isinstance(layer, ConvBlock):
+        _, bn_ctx, pre = ctx
+        return [("xhat", bn_ctx.xhat), ("pre", pre)]
+    if isinstance(layer, ResidualBlock):
+        return [("pre", ctx)]
+    if isinstance(layer, MaxPool) and ctx.argmax is not None:
+        return [("argmax", ctx.argmax)]
+    return []
+
+
+@pytest.mark.parametrize("cfg", [vgg_cfg, resnet_cfg])
+def test_training_contexts_and_input_gradients_are_sample_innermost(cfg):
+    rng = np.random.default_rng(4)
+    model = build_model(cfg(), rng)
+    x = rng.standard_normal((3,) + model.input_shape)
+
+    grads = []
+    record_outputs(model, "backward", grads)
+    logits = model.forward_train(x)
+    model.backward(rng.standard_normal(logits.shape))
+
+    kept = [(f"{layer.name} {label}", a) for layer in layers_of(model)
+            for label, a in context_batches(layer)]
+    kinds = {label.split()[-1] for label, _ in kept}
+    assert {"x^_g", "x^_2", "pre", "xhat"} <= kinds
+    assert ("argmax" in kinds) == (cfg is vgg_cfg)
+    for name, a in kept:
+        assert_sample_innermost(name, a)
+    dxs = [(f"{name} dx", dx) for name, dx in grads if dx.ndim == 4]
+    assert len(dxs) == len(layers_of(model)) - 1   # all but the linear head's
+    for name, dx in dxs:
+        assert_sample_innermost(name, dx, window=True)

@@ -299,6 +299,26 @@ class TestActivations:
         np.testing.assert_array_equal(g, [0.0, 1.0, 1.0, 0.0])
 
 
+POOL_GRADS = [0.0, -0.0, 1.5, -2.0, np.inf, np.nan]
+
+
+def assert_pooling_matches_oracle(x, dy, k):
+    """Both max poolings and the backward equal the reshape/argmax oracle
+    bitwise, sign of zero included."""
+    def same(a, b):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+    y_ref, idx_ref = maxpool2d_reference(x, k)
+    y, ctx = nn.maxpool2d_forward(x, k)
+    same(y, y_ref)
+    np.testing.assert_array_equal(ctx.argmax, idx_ref)
+    same(nn.maxpool2d(x, k), y_ref)
+    same(nn.pool2d_backward(ctx, dy),
+         maxpool2d_backward_reference(idx_ref, x.shape, k, dy))
+
+
 class TestPooling:
     def test_maxpool_forward_backward(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
@@ -342,23 +362,22 @@ class TestPooling:
         shape = (n, c, k * ho, k * wo)
         x = np.array(data.draw(st.lists(values, min_size=int(np.prod(shape)),
                                         max_size=int(np.prod(shape))))).reshape(shape)
-        dy = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf,
-                                                          np.nan]),
+        dy = np.array(data.draw(st.lists(st.sampled_from(POOL_GRADS),
                                          min_size=n * c * ho * wo,
                                          max_size=n * c * ho * wo))).reshape(n, c, ho, wo)
+        assert_pooling_matches_oracle(x, dy, k)
 
-        def same(a, b):
-            assert a.shape == b.shape
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
-
-        y_ref, idx_ref = maxpool2d_reference(x, k)
-        y, ctx = nn.maxpool2d_forward(x, k)
-        same(y, y_ref)
-        np.testing.assert_array_equal(ctx.argmax, idx_ref)
-        same(nn.maxpool2d(x, k), y_ref)
-        same(nn.pool2d_backward(ctx, dy),
-             maxpool2d_backward_reference(idx_ref, x.shape, k, dy))
+    def test_window_positions_past_255_match_oracle(self, rng):
+        # k = 17 has 289 window positions: the maxima sit past position 255,
+        # where a uint8 argmax would wrap
+        k, n, c, ho, wo = 17, 2, 2, 2, 1
+        x = rng.choice([0.0, -0.0, -1.0, -np.inf], size=(n, c, k * ho, k * wo))
+        for i, t in enumerate(rng.integers(256, k * k, n * c * ho * wo)):
+            s, oy = divmod(i, ho)
+            x[s // c, s % c, oy * k + t // k, t % k] = 2.5
+        dy = rng.choice(POOL_GRADS, size=(n, c, ho, wo))
+        assert_pooling_matches_oracle(x, dy, k)
+        assert nn.maxpool2d_forward(x, k)[1].argmax.min() >= 256
 
     def test_nan_is_maximal_like_argmax(self):
         x = np.array([[1.0, np.nan], [np.nan, 5.0]])[None, None]
