@@ -302,14 +302,14 @@ def cmd_perf(args):
     from . import analysis, perf
     from .training import evaluate
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
-
-    # batched, so memory does not grow with num_inputs
-    _, _, records = evaluate(model, *_analyzed_inputs(cfg, val_ds, 32), collect=True)
     section = read_field("array", cfg, dict, {})
     array = perf.ArrayConfig(
         rows=read_field("array.rows", section, int, 16),
         cols=read_field("array.cols", section, int, 16),
         fill_drain_per_tile=read_field("array.fill_drain_per_tile", section, int, None))
+
+    # batched, so memory does not grow with num_inputs
+    _, _, records = evaluate(model, *_analyzed_inputs(cfg, val_ds, 32), collect=True)
     report = perf.model_network_speedup(records, array)
     flops = analysis.count_flops(records)
     perf.write_breakdown_csv(out / "perf_breakdown.csv", report, frozen)

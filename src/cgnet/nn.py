@@ -148,19 +148,39 @@ def im2col(x, k, stride=1, padding=0):
     return np.ascontiguousarray(win).reshape(c * k * k, ho * wo * n)
 
 
+def _tap_window(offset, size, out_size, stride, padding):
+    """For the kernel tap at ``offset`` along one axis: the slice of input
+    positions its outputs read inside the unpadded extent ``size``, and
+    the slice of those outputs. Outputs that read padding are clipped."""
+    first = max(0, -(-(padding - offset) // stride))
+    last = min(out_size - 1, (size - 1 + padding - offset) // stride)
+    if last < first:
+        return None
+    start = offset + stride * first - padding
+    return (slice(start, start + stride * (last - first) + 1, stride),
+            slice(first, last + 1))
+
+
 def col2im(dcols, x_shape, k, stride=1, padding=0):
     """Adjoint of ``im2col``: scatter-add (c*k*k, ho*wo*n) column gradients
-    into a zeroed (c, hp, wp, n) buffer and return the (n, c, h, w) batch
-    they were read from. ``dcols`` may be any array of that shape."""
+    into a zeroed (c, h, w, n) buffer and return it as the C-contiguous
+    (n, c, h, w) batch they were read from. Each (ky, kx) tap adds into its
+    window of that buffer clipped to the unpadded extent, so what landed in
+    padding is never written; taps add in (ky, kx) order, the order of a
+    scatter into a padded buffer. ``dcols`` may be any array of that
+    shape."""
     n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
-    dx = np.zeros((c, hp, wp, n))
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    dx = np.zeros((c, h, w, n))
     dc = dcols.reshape(c, k, k, ho, wo, n)
-    for i in range(k):
-        for j in range(k):
-            dx[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dc[:, i, j]
-    return dx[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2)
+    y_taps = [_tap_window(i, h, ho, stride, padding) for i in range(k)]
+    x_taps = [_tap_window(j, w, wo, stride, padding) for j in range(k)]
+    for i, ty in enumerate(y_taps):
+        for j, tx in enumerate(x_taps):
+            if ty is not None and tx is not None:
+                dx[:, ty[0], tx[0]] += dc[:, i, j, ty[1], tx[1]]
+    return dx.transpose(3, 0, 1, 2)
 
 
 def conv2d_forward(x, w, spec: ConvSpec):
@@ -186,13 +206,14 @@ def conv2d(x, w, spec: ConvSpec):
 
 
 def conv2d_backward(ctx: ConvCtx, dy):
-    """Gradients of conv2d; returns (dx, dw)."""
+    """Gradients of conv2d; returns (dx, dw). The weight gradient is
+    (cols @ dy^T)^T, which reads the columns untransposed."""
     spec = ctx.spec
     g = spec.groups
     dym = _chwn(np.asarray(dy, dtype=np.float64)).reshape(g, spec.out_channels // g, -1)
     cols = ctx.cols.reshape(g, -1, ctx.cols.shape[1])
     wm = ctx.w.reshape(g, spec.out_channels // g, -1)
-    dw = np.matmul(dym, cols.transpose(0, 2, 1)).reshape(ctx.w.shape)
+    dw = np.matmul(cols, dym.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(ctx.w.shape)
     dx = col2im(np.matmul(wm.transpose(0, 2, 1), dym), ctx.x_shape,
                 spec.kernel_size, spec.stride, spec.padding)
     return dx, dw

@@ -27,7 +27,11 @@ gamma.
 The gate is not differentiable, so gradients toward the thresholds and the
 gate input use a smooth sigmoid surrogate s~ = sigma(eps*(x^_g - delta))
 (and the product of two such factors for the two-sided gate), which the
-backward recomputes from x^_g. Gradients for the two data paths treat d as
+backward recomputes from x^_g. It is built in tanh form: with
+t = tanh(eps*(x^_g - delta)/2), s~ = 1/2 + t/2 and
+eps*s~*(1 - s~) = (eps/4)*(1 - t^2), so one tanh per factor gives both the
+gate value and its derivative, and a saturated t = +-1 gives exactly zero
+gradient with no overflow. Gradients for the two data paths treat d as
 a constant. ``soft_gate=True`` swaps s~ into the combine itself,
 z = x^_g + s~*(x^_2 - x^_g), which makes the whole block differentiable;
 the test suite verifies the analytic gradients against central differences
@@ -45,7 +49,7 @@ from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
                      base_blocks, gate_bounds, shared_im2col_sums)
 from .nn import (BnCtx, ConfigurationError, _as_batch, _batch, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward,
-                 bn_forward, col2im, cross_entropy, sigmoid, softmax)
+                 bn_forward, col2im, cross_entropy, softmax)
 
 
 class TrainingDiverged(RuntimeError):
@@ -83,6 +87,20 @@ class Schedule:
     lr_decay_epochs: tuple = ()
     lr_decay_factor: float = 0.1
     lambda_warmup_frac: float = 0.1
+
+    def __post_init__(self):
+        # one row per field of the config's optimizer section; NaN fails all
+        for name, ok, rule in (
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("lr", self.lr > 0.0, "> 0"),
+                ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
+                ("lr_decay_factor", self.lr_decay_factor > 0.0, "> 0"),
+                ("lambda_warmup_frac", 0.0 < self.lambda_warmup_frac <= 1.0, "in (0, 1]")):
+            if not ok:
+                raise ConfigurationError(
+                    f"optimizer.{name}: must be {rule}, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +142,40 @@ class CgBlockGrads:
     dx: np.ndarray
 
 
-def _sigmoid_factor(lhs, rhs, eps):
-    """sigma(eps*(lhs - rhs)) in one new batch, in x^_g's memory order."""
-    z = np.subtract(lhs, rhs)
-    z *= eps
-    return sigmoid(z, out=z)
+def _tanh_factor(lhs, rhs, eps):
+    """tanh(eps*(lhs - rhs)/2) in one new batch, in x^_g's memory order."""
+    t = np.subtract(lhs, rhs)
+    t *= 0.5 * eps
+    return np.tanh(t, out=t)
 
 
 def _surrogate(xhat_g, params: CgBlockParams, cfg: CgLayerConfig):
-    """Smooth gate value and its factor tensors."""
+    """tanh factors of the smooth gate, one new batch each:
+    (t,) with t = tanh(eps*(x^_g - delta)/2) for the single-sided gate,
+    (t_a, t_b) = (tanh(eps*(delta_high - x^_g)/2),
+    tanh(eps*(x^_g - delta_low)/2)) for the band. Each factor's sigmoid is
+    1/2 + t/2 (``_smooth_gate``) and its derivative eps*(1 - t*t)/4."""
     eps = cfg.epsilon
     g = params.gate
     if cfg.gate == "single_sided":
-        s = _sigmoid_factor(xhat_g, _per_channel(g.delta), eps)
-        return s, (s,)
-    a = _sigmoid_factor(_per_channel(g.delta_high), xhat_g, eps)
-    b = _sigmoid_factor(xhat_g, _per_channel(g.delta_low), eps)
-    return a * b, (a, b)
+        return (_tanh_factor(xhat_g, _per_channel(g.delta), eps),)
+    return (_tanh_factor(_per_channel(g.delta_high), xhat_g, eps),
+            _tanh_factor(xhat_g, _per_channel(g.delta_low), eps))
+
+
+def _sigmoid_of(t):
+    """1/2 + t/2, the sigmoid whose tanh factor is t, in a new batch."""
+    s = np.multiply(t, 0.5)
+    s += 0.5
+    return s
+
+
+def _smooth_gate(ts):
+    """s~ from ``_surrogate``'s factors: one sigmoid, or the band's product."""
+    s = _sigmoid_of(ts[0])
+    for t in ts[1:]:
+        s *= _sigmoid_of(t)
+    return s
 
 
 def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
@@ -167,7 +202,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
     xhat2, bn2_ctx = bn_forward(full, params.bn2, training=True, affine=False, out=full)
     d = _threshold_decisions(xhat_g, *gate_bounds(params.gate, cfg.gate))
     if soft_gate:
-        s, _ = _surrogate(xhat_g, params, cfg)
+        s = _smooth_gate(_surrogate(xhat_g, params, cfg))
         pre = xhat_g + s * (xhat2 - xhat_g)
     else:
         pre = np.where(d, xhat2, xhat_g)
@@ -190,14 +225,15 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     output, gamma*x^ + beta, so gamma folds into their backward's final
     per-channel scale gamma*inv_std. BN2's upstream is m*dpre, BN1's
     (1 - m)*dpre plus the gate term. The threshold and gate-input
-    gradients come from the sigmoid surrogate, recomputed from x^_g: with
-    ds~ = dpre*(x^_2 - x^_g), d(x^_g) = -d(delta) per element before the
-    channel reduction, and the threshold gradients take gamma after it.
+    gradients come from the surrogate's tanh factors, recomputed from
+    x^_g: with ds~ = dpre*(x^_2 - x^_g), d(x^_g) = -d(delta) per element
+    before the channel reduction, and the threshold gradients take gamma
+    after it.
     BN backward is linear in its upstream gradient, so BN1 and the gate
     input, which share one normalization of p, take one backward call. The
     two BN backwards write the two halves of the stacked GEMM operand; the
-    weight and input gradients reuse the forward's im2col and run one
-    col2im.
+    weight gradients are (cols @ stacked^T)^T, which reads the forward's
+    im2col untransposed, and the input gradient runs one col2im.
     """
     cfg, params = ctx.cfg, ctx.params
     eps = cfg.epsilon
@@ -205,8 +241,8 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     gamma = params.gamma
     axes = (0, 2, 3)
     dpre = _as_batch(dy) * activation_grad(ctx.pre, cfg.activation)
-    s, sig_parts = _surrogate(xhat_g, params, cfg)
-    mask = s if ctx.soft_gate else ctx.d
+    ts = _surrogate(xhat_g, params, cfg)
+    mask = _smooth_gate(ts) if ctx.soft_gate else ctx.d
 
     ds = xhat2 - xhat_g
     ds *= dpre
@@ -217,19 +253,25 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
     dbeta = dpre.sum(axis=axes)
     if cfg.gate == "single_sided":
-        # d(s~)/d(x^_g) = eps*s*(1 - s); s is free once dxhat2 is made
-        ds *= s
-        np.subtract(1.0, s, out=s)
-        ds *= s
-        ds *= eps
+        # d(s~)/d(x^_g) = eps*s~*(1 - s~) = (eps/4)*(1 - t*t)
+        (t,) = ts
+        t *= t
+        np.subtract(1.0, t, out=t)
+        ds *= t
+        ds *= 0.25 * eps
         dxhat_g = ds
         ddelta = -gamma * dxhat_g.sum(axis=axes)
         ddelta_high = ddelta_low = None
     else:
-        a, b = sig_parts
-        dxhat_g = ds * (eps * a * b * (a - b))
-        ddelta_high = gamma * (ds * (eps * a * (1.0 - a) * b)).sum(axis=axes)
-        ddelta_low = gamma * (ds * (-eps * a * b * (1.0 - b))).sum(axis=axes)
+        # s~ = a*b with a = 1/2 + t_a/2, b = 1/2 + t_b/2: d(s~)/d(x^_g) =
+        # eps*a*b*(a - b) = (eps/2)*a*b*(t_a - t_b), d(s~)/d(delta_high) =
+        # eps*a*(1 - a)*b = (eps/4)*(1 - t_a^2)*b, d(s~)/d(delta_low) =
+        # -(eps/4)*a*(1 - t_b^2)
+        ta, tb = ts
+        a, b = _sigmoid_of(ta), _sigmoid_of(tb)
+        dxhat_g = ds * (0.5 * eps * a * b * (ta - tb))
+        ddelta_high = 0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, (1.0 - ta * ta) * b)
+        ddelta_low = -0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, a * (1.0 - tb * tb))
         ddelta = None
     # BN1 and the gate share x^_g, so their input gradients add up front
     dxhat_g += dpre
@@ -252,7 +294,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
                        out=_batch(stacked[c_out:], n, ho, wo))
     dgamma += dgamma2
     dbeta += dbeta2
-    dw = (stacked @ ctx.cols.T).reshape(2, c_out, spec.in_channels, k, k)
+    dw = (ctx.cols @ stacked.T).T.reshape(2, c_out, spec.in_channels, k, k)
     base_blocks(dw[0], G)[...] += base_blocks(dw[1], G)
 
     kernel = np.zeros((2, c_out, kk))
@@ -301,13 +343,14 @@ def sparsity_loss_flops(ctxs, lam):
     for ctx in ctxs:
         if ctx.cfg.gate != "single_sided":
             raise ConfigurationError("computation-cost loss supports single-sided gates only")
-        s, _ = _surrogate(ctx.xhat_g, ctx.params, ctx.cfg)
-        n = s.shape[0]
+        (t,) = _surrogate(ctx.xhat_g, ctx.params, ctx.cfg)
+        n = t.shape[0]
         eps = ctx.cfg.epsilon
-        inners.append(float((1.0 - s).sum()) / n)
-        # d(1-s~)/d(delta) = +eps*s*(1-s), reduced over batch and positions
-        sgrads.append((eps * s * (1.0 - s)).sum(axis=(0, 2, 3)) / n)
-        h_out, w_out = s.shape[2], s.shape[3]
+        inners.append(float((1.0 - _sigmoid_of(t)).sum()) / n)
+        # d(1-s~)/d(delta) = +eps*s~*(1-s~) = (eps/4)*(1 - t*t), reduced
+        # over batch and positions
+        sgrads.append(0.25 * eps * (1.0 - t * t).sum(axis=(0, 2, 3)) / n)
+        h_out, w_out = t.shape[2], t.shape[3]
         factors.append(flops_loss_layer_factor(ctx.cfg, h_out, w_out))
     total = sum(i * f for i, f in zip(inners, factors))
     loss = lam * total * total

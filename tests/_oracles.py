@@ -86,6 +86,32 @@ def conv2d_reference(x, w, spec):
     return y
 
 
+def col2im_reference(dcols, x_shape, k, stride, padding):
+    """Scalar scatter of im2col's column gradients into zeros: the entry at
+    row (channel, ky, kx) and column (y, x, sample) adds into
+    dx[sample, channel, stride*y + ky - padding, stride*x + kx - padding]
+    when that lies inside the input, taps in (ky, kx) order."""
+    n, c, h, w = x_shape
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    dx = np.zeros(x_shape)
+    for ch in range(c):
+        for ky in range(k):
+            for kx in range(k):
+                row = (ch * k + ky) * k + kx
+                for oy in range(ho):
+                    iy = stride * oy + ky - padding
+                    if not 0 <= iy < h:
+                        continue
+                    for ox in range(wo):
+                        ix = stride * ox + kx - padding
+                        if not 0 <= ix < w:
+                            continue
+                        for s in range(n):
+                            dx[s, ch, iy, ix] += dcols[row, (oy * wo + ox) * n + s]
+    return dx
+
+
 def maxpool2d_reference(x, k):
     """Max pooling by copying every k x k window into a last axis of length
     k*k (a transposed reshape), then ``argmax`` and ``take_along_axis``:

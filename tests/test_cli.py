@@ -374,6 +374,32 @@ class TestConfigRanges:
         assert f"{field}: " in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", 0), ("batch_size", -4), ("epochs", 0), ("lr", 0.0),
+        ("lr", -0.05), ("momentum", 1.0), ("momentum", -0.1), ("weight_decay", -1e-4),
+        ("lr_decay_factor", 0.0), ("lambda_warmup_frac", 0.0),
+        ("lambda_warmup_frac", 1.5),
+    ])
+    def test_optimizer_out_of_range_rejected(self, tmp_path, capsys, key, value):
+        # batch_size 0 used to escape as a ValueError from range(), and -4
+        # to train no batch and still write a checkpoint
+        cfg = json.loads(TINY.read_text())
+        cfg["optimizer"][key] = value
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert f"optimizer.{key}:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_fill_drain_rejected(self, tiny_run, tmp_path, capsys):
+        # a negative fill/drain latency made cg perf report negative cycles
+        path = eval_cfg(tiny_run, tmp_path, array={"fill_drain_per_tile": -1})
+        out = tmp_path / "out"
+        assert cli.main(["perf", "--config", str(path), "--out", str(out)]) == 2
+        assert "array.fill_drain_per_tile:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_whole_dataset_validates(self, tiny_run, tmp_path):
         # val_fraction 1.0 leaves no training split, which eval does not need
         cfg = eval_cfg(tiny_run, tmp_path, val_fraction=1.0)

@@ -10,8 +10,8 @@ from cgnet import nn
 from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
                       DegenerateInputError)
 
-from _oracles import (bn_inference_affine, check_grad, conv2d_reference,
-                      finite_difference, maxpool2d_backward_reference,
+from _oracles import (bn_inference_affine, check_grad, col2im_reference,
+                      conv2d_reference, finite_difference, maxpool2d_backward_reference,
                       maxpool2d_reference, rel_err)
 
 
@@ -152,6 +152,19 @@ class TestIm2col:
         lhs = float(np.vdot(cols, dcols))
         rhs = float(np.vdot(x, dx))
         assert abs(lhs - rhs) <= 1e-12 * (np.abs(cols).sum() * np.abs(dcols).max() + 1.0)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(**im2col_cases)
+    def test_col2im_matches_scalar_scatter(self, seed, n, c, h, w, k, stride, padding):
+        # bitwise: every element takes its taps in the oracle's order
+        assume(h + 2 * padding >= k and w + 2 * padding >= k)
+        ho = (h + 2 * padding - k) // stride + 1
+        wo = (w + 2 * padding - k) // stride + 1
+        dcols = np.random.default_rng(seed).standard_normal((c * k * k, ho * wo * n))
+        dx = nn.col2im(dcols, (n, c, h, w), k, stride, padding)
+        want = col2im_reference(dcols, (n, c, h, w), k, stride, padding)
+        np.testing.assert_array_equal(dx.view(np.uint64), want.view(np.uint64))
 
 
 class TestBatchNorm:

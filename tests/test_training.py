@@ -175,6 +175,34 @@ class TestBackward:
         g = cg_block_backward(ctx, rng.standard_normal((2, 4, 4, 4)))
         assert np.all(np.abs(g.ddelta) < 1e-6)
 
+    @pytest.mark.parametrize("soft_gate", [False, True])
+    @pytest.mark.parametrize("gate", ["single_sided", "two_sided"])
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_surrogate_extremes_stay_finite(self, rng, gate, soft_gate, outside):
+        # eps*|x^_g - delta| reaches ~10^3: the tanh factors saturate at +-1
+        # without an overflow, and thresholds outside every normalized sum
+        # (|x^_g| <= sqrt(31) here) get exactly no gradient
+        cfg = make_cfg(act="relu", eps_sharp=500.0, gate=gate)
+        params = make_params(cfg, rng)
+        edge = 8.0 if outside else 0.0
+        if gate == "single_sided":
+            params.gate.delta[:] = edge
+        else:
+            params.gate.delta_high[:] = edge
+            params.gate.delta_low[:] = -edge
+        x = rng.standard_normal((2, 4, 4, 4))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, ctx = cg_block_forward_train(x, params, cfg, soft_gate=soft_gate)
+            assert cfg.epsilon * np.abs(ctx.xhat_g - edge).max() > 1e3
+            g = cg_block_backward(ctx, rng.standard_normal((2, 4, 4, 4)))
+        for name in ("dw", "dgamma", "dbeta", "dx"):
+            assert np.all(np.isfinite(getattr(g, name))), name
+        ddeltas = [g.ddelta] if gate == "single_sided" else [g.ddelta_high, g.ddelta_low]
+        for dd in ddeltas:
+            assert np.all(np.isfinite(dd))
+            if outside:
+                np.testing.assert_array_equal(dd, 0.0)
+
     def test_identical_paths_zero_delta_grad(self, rng):
         # W_r == 0 makes both paths equal, so the gate has nothing to learn
         cfg = make_cfg()
