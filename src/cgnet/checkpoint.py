@@ -111,6 +111,8 @@ def read_container(path):
             out[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
     except struct.error as e:
         raise CheckpointError(f"{path}: truncated checkpoint ({e})") from None
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"{path}: a record name is not UTF-8 ({e})") from None
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return out
@@ -130,7 +132,12 @@ def load_model(path):
     tensors = read_container(path)
     if CONFIG_RECORD not in tensors:
         raise CheckpointError(f"{path}: missing {CONFIG_RECORD} record")
-    cfg = json.loads(tensors[CONFIG_RECORD].tobytes().decode("utf-8"))
+    try:
+        cfg = json.loads(tensors[CONFIG_RECORD].tobytes().decode("utf-8"))
+    except ValueError as e:   # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: {CONFIG_RECORD} record is not UTF-8 JSON ({e})") from None
+    if not isinstance(cfg, dict):
+        raise CheckpointError(f"{path}: {CONFIG_RECORD} record is not a JSON object")
     model = build_model(cfg, rng=None)
     model.load_state_tensors(tensors)
     return model

@@ -83,6 +83,8 @@ def load_idx_dataset(images_path, labels_path, num_classes=None):
         images = images[:, None]
     elif images.ndim != 4:
         raise DataFormatError(f"{images_path}: images must be rank 3 or 4")
+    if labels.size == 0:
+        raise DataFormatError(f"{labels_path}: no labels")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     return Dataset(images.astype(np.float64) / 255.0,
@@ -105,9 +107,9 @@ def load_raw_chw(sidecar_path):
         if key not in meta:
             raise DataFormatError(f"{sidecar_path}: sidecar missing field {key!r}")
     for key in ("count", "channels", "height", "width", "num_classes"):
-        if key in meta and type(meta[key]) is not int:
-            raise DataFormatError(
-                f"{sidecar_path}: sidecar field {key!r} must be an integer, got {meta[key]!r}")
+        if key in meta and (type(meta[key]) is not int or meta[key] < 1):
+            raise DataFormatError(f"{sidecar_path}: sidecar field {key!r} must be an "
+                                  f"integer >= 1, got {meta[key]!r}")
     n, c, h, w = (meta[k] for k in ("count", "channels", "height", "width"))
     dtypes = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8"),
               "uint8": np.dtype("u1")}
@@ -127,7 +129,7 @@ def load_raw_chw(sidecar_path):
     if len(lblob) != n:
         raise DataFormatError(f"{labels_path}: {len(lblob)} label bytes, expected {n}")
     labels = np.frombuffer(lblob, dtype=np.uint8).astype(np.int64)
-    num_classes = meta.get("num_classes", int(labels.max()) + 1)
+    num_classes = meta["num_classes"] if "num_classes" in meta else int(labels.max()) + 1
     return Dataset(images, labels, num_classes)
 
 

@@ -4,9 +4,10 @@ A network is an ordered list of layers, each owning its parameters and
 gradient buffers; the network keeps the optimizer velocities. Every layer
 speaks one protocol:
 
-  * ``forward_train(x)`` runs in training mode: batch statistics, running
-    stats updated, and the layer's one attribute ``ctx`` set to what its
-    ``backward`` needs;
+  * ``forward_train(x)`` runs in training mode: ``nn.bn_forward``
+    normalizes with batch statistics and updates the running stats, the
+    layer applies its own gamma*x^ + beta, and its one attribute ``ctx``
+    holds what its ``backward`` needs;
   * ``backward(dy)`` accumulates into the layer's gradient buffers and
     returns the input gradient; it raises ``StateError`` when ``ctx`` is
     None;
@@ -47,10 +48,10 @@ from .config import read_field
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, split_dense_weight)
 from .nn import (ACTIVATION_KINDS, ConfigurationError, ConvSpec, BatchNormState,
-                 StateError, _batch, activation, activation_grad, batchnorm_backward,
-                 bn_forward, bn_inference, conv2d_backward, conv2d_forward,
-                 linear_backward, linear_forward, maxpool2d, maxpool2d_forward,
-                 avgpool2d_forward, pool2d_backward, sgd_step)
+                 StateError, _batch, _per_channel, activation, activation_grad,
+                 batchnorm_backward, bn_forward, bn_inference, conv2d_backward,
+                 conv2d_forward, linear_backward, linear_forward, maxpool2d,
+                 maxpool2d_forward, avgpool2d_forward, pool2d_backward, sgd_step)
 
 
 def _he_init(rng, shape, fan_in):
@@ -95,7 +96,8 @@ class ConvBlock(Layer):
 
     def forward_train(self, x):
         y, conv_ctx = conv2d_forward(x, self.w, self.spec)
-        pre, bn_ctx = bn_forward(y, self.bn, training=True, out=y)
+        xhat, bn_ctx = bn_forward(y, self.bn, out=y)
+        pre = _per_channel(self.bn.gamma) * xhat + _per_channel(self.bn.beta)
         self.ctx = (conv_ctx, bn_ctx, pre)
         y = activation(pre, self.act)
         if self.shuffle_groups:
@@ -107,7 +109,7 @@ class ConvBlock(Layer):
         if self.shuffle_groups:   # undo the forward's shuffle
             dy = channel_shuffle(dy, self.spec.out_channels // self.shuffle_groups)
         dpre = dy * activation_grad(pre, self.act)
-        dbn, dgamma, dbeta = batchnorm_backward(bn_ctx, dpre)
+        dbn, dgamma, dbeta = batchnorm_backward(bn_ctx, dpre, self.bn.gamma)
         self.g_gamma += dgamma
         self.g_beta += dbeta
         dx, dw = conv2d_backward(conv_ctx, dbn)
@@ -175,7 +177,7 @@ class CgConvBlock(Layer):
         self.g_beta += g.dbeta
         if not self.freeze_delta:
             for key, g_t in self.g_thresholds.items():
-                g_t += getattr(g, f"d{key}")
+                g_t += g.dthresholds[key]
         return g.dx
 
     def forward_infer(self, x, collect=False, capture=False):

@@ -252,62 +252,46 @@ class BatchNormState:
         return cls(np.ones(channels), np.zeros(channels),
                    np.zeros(channels), np.ones(channels), momentum, eps)
 
-    def copy(self):
-        return BatchNormState(self.gamma.copy(), self.beta.copy(),
-                              self.running_mean.copy(), self.running_var.copy(),
-                              self.momentum, self.eps)
-
 
 @dataclass
 class BnCtx:
     xhat: np.ndarray
     inv_std: np.ndarray       # (c,)
-    gamma: np.ndarray | None  # None when affine=False
     count: int
-    mean: np.ndarray          # (c,) batch mean
-    var: np.ndarray           # (c,) biased batch variance
 
 
 def _per_channel(v):
     return np.asarray(v)[:, None, None]
 
 
-def bn_forward(x, st: BatchNormState, training=False, affine=True, out=None):
-    """Batch normalization over (n, c, h, w); returns (y, ctx).
-
-    Training mode normalizes with the batch statistics, folds them into the
-    running stats and returns the ``BnCtx`` the backward needs; there
-    ``affine=False`` returns the normalized batch without gamma and beta.
-    The normalized batch x^ is written into ``out`` when given (``out`` may
-    be ``x``); with ``affine`` the output gamma*x^ + beta is a new batch,
-    since the context keeps x^. Inference is ``bn_inference``, always
-    affine, writes its output into ``out`` and returns ctx None; the scalar
-    oracle in the tests mirrors its sequence of operations.
-    """
+def bn_forward(x, st: BatchNormState, out=None, training=True):
+    """Training-mode batch normalization of (n, c, h, w) ``x`` with its
+    batch statistics, which it folds into the running stats; returns
+    (x^, BnCtx). It applies no affine step: the caller applies
+    gamma*x^ + beta and passes gamma to ``batchnorm_backward``. x^ is
+    written into ``out`` when given (``out`` may be ``x``).
+    ``training=False`` returns ``(bn_inference(x, st, out), None)`` for the
+    benchmark's reference forward; the package calls ``bn_inference``."""
     xb = _as_batch(x)
     if xb.shape[1] != len(st.gamma):
         raise ConfigurationError(
             f"input has {xb.shape[1]} channels, BN state has {len(st.gamma)}")
-    ctx = None
-    if training:
-        n, c, h, w = xb.shape
-        count = n * h * w
-        if count == 0:
-            raise DegenerateInputError("batch normalization over zero elements per channel")
-        mean = xb.mean(axis=(0, 2, 3))
-        # the centred batch gives the variance and, scaled in place, xhat
-        xhat = np.subtract(xb, _per_channel(mean), out=out)
-        var = (xhat * xhat).mean(axis=(0, 2, 3))
-        m = st.momentum
-        st.running_mean[:] = m * st.running_mean + (1.0 - m) * mean
-        st.running_var[:] = m * st.running_var + (1.0 - m) * var
-        inv_std = 1.0 / np.sqrt(var + st.eps)
-        xhat *= _per_channel(inv_std)
-        y = _per_channel(st.gamma) * xhat + _per_channel(st.beta) if affine else xhat
-        ctx = BnCtx(xhat, inv_std, st.gamma if affine else None, count, mean, var)
-    else:
-        y = bn_inference(xb, st, out=out)
-    return y, ctx
+    if not training:
+        return bn_inference(xb, st, out=out), None
+    n, c, h, w = xb.shape
+    count = n * h * w
+    if count == 0:
+        raise DegenerateInputError("batch normalization over zero elements per channel")
+    mean = xb.mean(axis=(0, 2, 3))
+    # the centred batch gives the variance and, scaled in place, xhat
+    xhat = np.subtract(xb, _per_channel(mean), out=out)
+    var = (xhat * xhat).mean(axis=(0, 2, 3))
+    m = st.momentum
+    st.running_mean[:] = m * st.running_mean + (1.0 - m) * mean
+    st.running_var[:] = m * st.running_var + (1.0 - m) * var
+    inv_std = 1.0 / np.sqrt(var + st.eps)
+    xhat *= _per_channel(inv_std)
+    return xhat, BnCtx(xhat, inv_std, count)
 
 
 def bn_inference(x, st: BatchNormState, out=None):
@@ -322,29 +306,25 @@ def bn_inference(x, st: BatchNormState, out=None):
     return y
 
 
-def batchnorm_backward(ctx: BnCtx, dy, out=None):
-    """Gradients through training-mode BN; returns (dx, dgamma, dbeta).
+def batchnorm_backward(ctx: BnCtx, dy, gamma, out=None):
+    """Gradients through training-mode BN followed by the affine step
+    gamma*x^ + beta, for dy the gradient with respect to that step's
+    output; returns (dx, dgamma, dbeta).
 
-    With s = gamma*inv_std (inv_std alone when affine=False) and m elements
-    per channel: dx = s * (dy - mean(dy) - xhat*mean(dy*xhat)), written
-    into ``out`` when given (a batch that does not overlap ``dy``) and into
-    a new batch in xhat's memory order otherwise, with no other temporary.
-    dgamma = sum(dy*xhat) and dbeta = sum(dy) per channel; they are None
-    when affine=False.
+    With s = gamma*inv_std and m elements per channel:
+    dx = s * (dy - mean(dy) - xhat*mean(dy*xhat)), written into ``out``
+    when given (a batch that does not overlap ``dy``) and into a new batch
+    in xhat's memory order otherwise, with no other temporary.
+    dgamma = sum(dy*xhat) and dbeta = sum(dy) per channel.
     """
-    if ctx is None:
-        raise StateError("BN backward called without a cached forward context")
     dyb = _as_batch(dy)
     m = float(ctx.count)
     sum_dy = dyb.sum(axis=(0, 2, 3))
     sum_dy_xhat = np.einsum("nchw,nchw->c", dyb, ctx.xhat)
-    scale = ctx.inv_std if ctx.gamma is None else ctx.gamma * ctx.inv_std
     dx = np.multiply(ctx.xhat, _per_channel(sum_dy_xhat / m), out=out)
     np.subtract(dyb, dx, out=dx)
     dx -= _per_channel(sum_dy / m)
-    dx *= _per_channel(scale)
-    if ctx.gamma is None:
-        return dx, None, None
+    dx *= _per_channel(gamma * ctx.inv_std)
     return dx, sum_dy_xhat, sum_dy
 
 

@@ -66,7 +66,6 @@ class LayerCycles:
     name: str
     dense_cycles: float
     gated_cycles: float
-    base_cycles: float
     theoretical_cycles: float
     utilization: float
 
@@ -103,13 +102,12 @@ def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
 
     if not rec.gated:
         ideal = line.dense_flops / R
-        return LayerCycles(rec.name, dense_cycles, dense_cycles, dense_cycles,
-                           ideal, ideal / dense_cycles)
+        return LayerCycles(rec.name, dense_cycles, dense_cycles, ideal, ideal / dense_cycles)
 
     K_r = (rec.c_in - rec.c_in // rec.groups) * rec.kernel_size ** 2
     base_cycles = line.base_flops / R + fill
     gated_cycles = base_cycles + _live_lanes(rec.dm.effective(), cfg.cols) * K_r / R
-    return LayerCycles(rec.name, dense_cycles, gated_cycles, base_cycles,
+    return LayerCycles(rec.name, dense_cycles, gated_cycles,
                        line.executed_flops / R, line.executed_flops / (gated_cycles * R))
 
 

@@ -32,15 +32,16 @@ t = tanh(eps*(x^_g - delta)/2), s~ = 1/2 + t/2 and
 eps*s~*(1 - s~) = (eps/4)*(1 - t^2), so one tanh per factor gives both the
 gate value and its derivative, and a saturated t = +-1 gives exactly zero
 gradient with no overflow. Gradients for the two data paths treat d as
-a constant. ``soft_gate=True`` swaps s~ into the combine itself,
-z = x^_g + s~*(x^_2 - x^_g), which makes the whole block differentiable;
-the test suite verifies the analytic gradients against central differences
-in that mode.
+a constant. The hard combine is not differentiable, so the test suite
+checks these surrogate gradients against central differences of the soft
+combine z = x^_g + s~*(x^_2 - x^_g), which exists only in its
+two-convolution oracle (``tests/_oracles.two_conv_block_train``); the block
+here matches that oracle's hard mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,11 +125,6 @@ class CgTrainContext:
     bn2_ctx: BnCtx            # normalization of the full sum: x^_2
     d: np.ndarray             # bool decisions
     pre: np.ndarray           # gamma*z + beta
-    soft_gate: bool
-
-    @property
-    def xhat_g(self):
-        return self.bn1_ctx.xhat
 
 
 @dataclass
@@ -136,9 +132,7 @@ class CgBlockGrads:
     dw: np.ndarray            # gradient of the dense kernel W
     dgamma: np.ndarray
     dbeta: np.ndarray
-    ddelta: np.ndarray | None
-    ddelta_high: np.ndarray | None
-    ddelta_low: np.ndarray | None
+    dthresholds: dict         # keyed as GateState.thresholds() names them
     dx: np.ndarray
 
 
@@ -154,7 +148,8 @@ def _surrogate(xhat_g, params: CgBlockParams, cfg: CgLayerConfig):
     (t,) with t = tanh(eps*(x^_g - delta)/2) for the single-sided gate,
     (t_a, t_b) = (tanh(eps*(delta_high - x^_g)/2),
     tanh(eps*(x^_g - delta_low)/2)) for the band. Each factor's sigmoid is
-    1/2 + t/2 (``_smooth_gate``) and its derivative eps*(1 - t*t)/4."""
+    1/2 + t/2 (``_sigmoid_of``), s~ is the sigmoid or the band's product of
+    the two, and each factor's sigmoid derivative is eps*(1 - t*t)/4."""
     eps = cfg.epsilon
     g = params.gate
     if cfg.gate == "single_sided":
@@ -170,16 +165,7 @@ def _sigmoid_of(t):
     return s
 
 
-def _smooth_gate(ts):
-    """s~ from ``_surrogate``'s factors: one sigmoid, or the band's product."""
-    s = _sigmoid_of(ts[0])
-    for t in ts[1:]:
-        s *= _sigmoid_of(t)
-    return s
-
-
-def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
-                           soft_gate=False):
+def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     """Training forward pass; returns (y, CgTrainContext).
 
     One padded im2col of the input feeds the base partial sum p (one
@@ -190,45 +176,39 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig,
     and BN2's running stats: x^_g (p's, also the gate input) and x^_2. The
     paths share gamma/beta, so the combine applies the affine
     once, to the selected normalization: pre = gamma*z + beta with
-    z = where(d, x^_2, x^_g), or x^_g + s~*(x^_2 - x^_g) under
-    ``soft_gate``.
+    z = where(d, x^_2, x^_g).
     """
     xb = _as_batch(x)
     cols, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
     if full is p:
         full = p.copy(order="K")   # G == 1: BN1 below must not normalize the full sum
 
-    xhat_g, bn1_ctx = bn_forward(p, params.bn1, training=True, affine=False, out=p)
-    xhat2, bn2_ctx = bn_forward(full, params.bn2, training=True, affine=False, out=full)
+    xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
+    xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
     d = _threshold_decisions(xhat_g, *gate_bounds(params.gate, cfg.gate))
-    if soft_gate:
-        s = _smooth_gate(_surrogate(xhat_g, params, cfg))
-        pre = xhat_g + s * (xhat2 - xhat_g)
-    else:
-        pre = np.where(d, xhat2, xhat_g)
+    pre = np.where(d, xhat2, xhat_g)
     pre *= _per_channel(params.gamma)
     pre += _per_channel(params.beta)
     y = activation(pre, cfg.activation)
-    return y, CgTrainContext(cfg, params, xb.shape, cols, bn1_ctx, bn2_ctx,
-                             d, pre, soft_gate)
+    return y, CgTrainContext(cfg, params, xb.shape, cols, bn1_ctx, bn2_ctx, d, pre)
 
 
 def cg_block_backward(ctx: CgTrainContext, dy):
     """Gradients of the training block.
 
-    The combine's mask m is d, or s~ under ``soft_gate``; the data paths
-    treat it as a constant. With pre = gamma*z + beta: dbeta = sum(dpre)
-    and dgamma = sum(dpre*z), the base path's share, (1 - m)*dpre against
-    x^_g, summed here and the conditional path's, m*dpre against x^_2,
-    returned by BN2's backward. The chain below carries no gamma: both BNs
-    take their upstream gradient with respect to the shared affine's
-    output, gamma*x^ + beta, so gamma folds into their backward's final
-    per-channel scale gamma*inv_std. BN2's upstream is m*dpre, BN1's
-    (1 - m)*dpre plus the gate term. The threshold and gate-input
-    gradients come from the surrogate's tanh factors, recomputed from
-    x^_g: with ds~ = dpre*(x^_2 - x^_g), d(x^_g) = -d(delta) per element
-    before the channel reduction, and the threshold gradients take gamma
-    after it.
+    The data paths treat the decisions d as a constant. With
+    pre = gamma*z + beta: dbeta = sum(dpre) and dgamma = sum(dpre*z), the
+    base path's share, (1 - d)*dpre against x^_g, summed here and the
+    conditional path's, d*dpre against x^_2, returned by BN2's backward.
+    The chain below carries no gamma: both BNs take their upstream gradient
+    with respect to the shared affine's output, gamma*x^ + beta, so gamma
+    folds into their backward's final per-channel scale gamma*inv_std.
+    BN2's upstream is d*dpre, BN1's (1 - d)*dpre plus the gate term. The
+    threshold and gate-input gradients come from the surrogate's tanh
+    factors, recomputed from x^_g: with ds~ = dpre*(x^_2 - x^_g),
+    d(x^_g) = -d(delta) per element before the channel reduction, and the
+    threshold gradients, keyed as ``GateState.thresholds()`` names them,
+    take gamma after it.
     BN backward is linear in its upstream gradient, so BN1 and the gate
     input, which share one normalization of p, take one backward call. The
     two BN backwards write the two halves of the stacked GEMM operand; the
@@ -237,18 +217,17 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     """
     cfg, params = ctx.cfg, ctx.params
     eps = cfg.epsilon
-    xhat_g, xhat2 = ctx.xhat_g, ctx.bn2_ctx.xhat
+    xhat_g, xhat2 = ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat
     gamma = params.gamma
     axes = (0, 2, 3)
     dpre = _as_batch(dy) * activation_grad(ctx.pre, cfg.activation)
     ts = _surrogate(xhat_g, params, cfg)
-    mask = _smooth_gate(ts) if ctx.soft_gate else ctx.d
 
     ds = xhat2 - xhat_g
     ds *= dpre
-    # dpre splits into the conditional path's share, m*dpre, and the base
-    # path's, (1 - m)*dpre; sum(dpre*z) is their products with x^_2 and x^_g
-    dxhat2 = dpre * mask
+    # dpre splits into the conditional path's share, d*dpre, and the base
+    # path's, (1 - d)*dpre; sum(dpre*z) is their products with x^_2 and x^_g
+    dxhat2 = dpre * ctx.d
     dpre -= dxhat2
     dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
     dbeta = dpre.sum(axis=axes)
@@ -260,8 +239,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         ds *= t
         ds *= 0.25 * eps
         dxhat_g = ds
-        ddelta = -gamma * dxhat_g.sum(axis=axes)
-        ddelta_high = ddelta_low = None
+        dthresholds = {"delta": -gamma * dxhat_g.sum(axis=axes)}
     else:
         # s~ = a*b with a = 1/2 + t_a/2, b = 1/2 + t_b/2: d(s~)/d(x^_g) =
         # eps*a*b*(a - b) = (eps/2)*a*b*(t_a - t_b), d(s~)/d(delta_high) =
@@ -270,9 +248,9 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         ta, tb = ts
         a, b = _sigmoid_of(ta), _sigmoid_of(tb)
         dxhat_g = ds * (0.5 * eps * a * b * (ta - tb))
-        ddelta_high = 0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, (1.0 - ta * ta) * b)
-        ddelta_low = -0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, a * (1.0 - tb * tb))
-        ddelta = None
+        dthresholds = {
+            "delta_high": 0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, (1.0 - ta * ta) * b),
+            "delta_low": -0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, a * (1.0 - tb * tb))}
     # BN1 and the gate share x^_g, so their input gradients add up front
     dxhat_g += dpre
 
@@ -286,12 +264,10 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     n, c_out, ho, wo = xhat2.shape
     kk = ctx.cols.shape[0]
     stacked = np.empty((2 * c_out, ho * wo * n))
-    # each BN backward runs as that of an affine BN with the shared gamma,
-    # whose upstream is the gradient with respect to gamma*x^ + beta
-    _, dgamma2, dbeta2 = batchnorm_backward(replace(ctx.bn2_ctx, gamma=gamma), dxhat2,
+    # each upstream is the gradient with respect to the shared gamma*x^ + beta
+    _, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma,
                                             out=_batch(stacked[:c_out], n, ho, wo))
-    batchnorm_backward(replace(ctx.bn1_ctx, gamma=gamma), dxhat_g,
-                       out=_batch(stacked[c_out:], n, ho, wo))
+    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=_batch(stacked[c_out:], n, ho, wo))
     dgamma += dgamma2
     dbeta += dbeta2
     dw = (ctx.cols @ stacked.T).T.reshape(2, c_out, spec.in_channels, k, k)
@@ -302,7 +278,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     base_blocks(kernel[1], G)[...] = base_blocks(params.w, G)
     dcols = kernel.reshape(2 * c_out, kk).T @ stacked
     dx = col2im(dcols, ctx.x_shape, k, spec.stride, spec.padding)
-    return CgBlockGrads(dw[0], dgamma, dbeta, ddelta, ddelta_high, ddelta_low, dx)
+    return CgBlockGrads(dw[0], dgamma, dbeta, dthresholds, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +319,7 @@ def sparsity_loss_flops(ctxs, lam):
     for ctx in ctxs:
         if ctx.cfg.gate != "single_sided":
             raise ConfigurationError("computation-cost loss supports single-sided gates only")
-        (t,) = _surrogate(ctx.xhat_g, ctx.params, ctx.cfg)
+        (t,) = _surrogate(ctx.bn1_ctx.xhat, ctx.params, ctx.cfg)
         n = t.shape[0]
         eps = ctx.cfg.epsilon
         inners.append(float((1.0 - _sigmoid_of(t)).sum()) / n)

@@ -5,6 +5,8 @@ per path) so they never share code with the implementation paths they
 check.
 """
 
+import copy
+
 import numpy as np
 
 from cgnet import gating, nn, training
@@ -259,11 +261,16 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     the dense kernel and the conditional sum a dense one on the kernel with
     its base blocks zeroed; BN1, BN2 and the gate normalizer each run their
     own ``bn_forward`` and ``batchnorm_backward``, the gate normalizer on a
-    copy of BN1's state, whose statistics it shares; each convolution has
+    copy of BN1's state, whose statistics it shares, and without the affine
+    step, which BN1 and BN2 apply here; each convolution has
     its own ``conv2d_backward``. dW takes its base blocks from the grouped
     convolution's gradient and the rest from the dense one's. Updates the
     running stats of ``params``. Returns (y, d, CgBlockGrads) for upstream
     gradient ``dy``.
+
+    ``soft_gate=True`` combines the two paths through the smooth surrogate
+    s~ instead of d, which makes the block differentiable, so its gradients
+    can be checked against central differences.
     """
     xb = np.asarray(x, dtype=np.float64)
     spec = cfg.conv
@@ -278,12 +285,14 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
         r, ctx_r = np.zeros_like(p), None
     full = p + r
 
-    xhat_g, bng_ctx = nn.bn_forward(p, params.bn1.copy(), training=True, affine=False)
-    xhat_p, bn1_ctx = nn.bn_forward(p, params.bn1, training=True)
-    xhat_full, bn2_ctx = nn.bn_forward(full, params.bn2, training=True)
-
     def pc(v):
         return np.asarray(v)[:, None, None]
+
+    xhat_g, bng_ctx = nn.bn_forward(p, copy.deepcopy(params.bn1))
+    xhat_p, bn1_ctx = nn.bn_forward(p, params.bn1)
+    xhat_full, bn2_ctx = nn.bn_forward(full, params.bn2)
+    xhat_p = pc(params.bn1.gamma) * xhat_p + pc(params.bn1.beta)
+    xhat_full = pc(params.bn2.gamma) * xhat_full + pc(params.bn2.beta)
 
     def step(v):
         return (v >= 0.0).astype(np.float64)
@@ -310,17 +319,15 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     if cfg.gate == "single_sided":
         dsig = eps * s * (1.0 - s)
         dxhat_g = ds * dsig
-        ddelta = -(ds * dsig).sum(axis=(0, 2, 3))
-        ddelta_high = ddelta_low = None
+        dthresholds = {"delta": -(ds * dsig).sum(axis=(0, 2, 3))}
     else:
         dxhat_g = ds * (eps * a * b * (a - b))
-        ddelta_high = (ds * (eps * a * (1.0 - a) * b)).sum(axis=(0, 2, 3))
-        ddelta_low = (ds * (-eps * a * b * (1.0 - b))).sum(axis=(0, 2, 3))
-        ddelta = None
+        dthresholds = {"delta_high": (ds * (eps * a * (1.0 - a) * b)).sum(axis=(0, 2, 3)),
+                       "delta_low": (ds * (-eps * a * b * (1.0 - b))).sum(axis=(0, 2, 3))}
 
-    dp1, dg1, db1 = nn.batchnorm_backward(bn1_ctx, dxhat_p)
-    dfull, dg2, db2 = nn.batchnorm_backward(bn2_ctx, dxhat_full)
-    dpg, _, _ = nn.batchnorm_backward(bng_ctx, dxhat_g)
+    dp1, dg1, db1 = nn.batchnorm_backward(bn1_ctx, dxhat_p, params.bn1.gamma)
+    dfull, dg2, db2 = nn.batchnorm_backward(bn2_ctx, dxhat_full, params.bn2.gamma)
+    dpg, _, _ = nn.batchnorm_backward(bng_ctx, dxhat_g, np.ones(spec.out_channels))
     dx, dw_p = nn.conv2d_backward(ctx_p, dp1 + dpg + dfull)
     dw = np.zeros_like(params.w)
     if ctx_r is not None:
@@ -329,6 +336,5 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     cpo, cpi = spec.out_channels // G, c_in // G
     for i in range(G):
         dw[i * cpo:(i + 1) * cpo, i * cpi:(i + 1) * cpi] = dw_p[i * cpo:(i + 1) * cpo]
-    grads = training.CgBlockGrads(dw, dg1 + dg2, db1 + db2, ddelta,
-                                  ddelta_high, ddelta_low, dx)
+    grads = training.CgBlockGrads(dw, dg1 + dg2, db1 + db2, dthresholds, dx)
     return y, d, grads

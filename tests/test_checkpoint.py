@@ -76,6 +76,15 @@ class TestContainer:
         write_container(path, {name: np.array([2.0])})
         assert list(read_container(path)) == [name]
 
+    def test_name_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "t.cgn"
+        write_container(path, {"ab": np.array([1.0])})
+        blob = bytearray(path.read_bytes())
+        blob[10:12] = b"\xff\xfe"   # the name's two bytes
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="not UTF-8"):
+            read_container(path)
+
     def test_duplicate_name_rejected(self, tmp_path):
         path = tmp_path / "dup.cgn"
         write_container(path, [("a", np.array([1.0])), ("a", np.array([2.0]))])
@@ -129,6 +138,16 @@ class TestModelCheckpoint:
         del tensors["__frozen__"]
         write_container(path, tensors)
         assert not any(l.params.gate.frozen for l in load_model(path).gated_layers())
+
+    @pytest.mark.parametrize("config", [b"{not json", b"\xff\xfe", b"[1, 2]", b'"text"'])
+    def test_config_record_not_a_json_object_rejected(self, tmp_path, rng, config):
+        path = tmp_path / "model.cgn"
+        save_model(path, build_model(self.model_cfg(), rng))
+        tensors = read_container(path)
+        tensors[checkpoint.CONFIG_RECORD] = np.frombuffer(config, dtype=np.uint8).copy()
+        write_container(path, tensors)
+        with pytest.raises(CheckpointError, match="__config__"):
+            load_model(path)
 
     def test_unexpected_tensor_rejected(self, tmp_path, rng):
         model = build_model(self.model_cfg(), rng)

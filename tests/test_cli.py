@@ -169,6 +169,43 @@ class TestEval:
         assert "checkpoint" in r.stderr and "not found" in r.stderr
 
 
+    @pytest.mark.parametrize("corrupt", ["config", "name"])
+    def test_corrupt_checkpoint_exits_2(self, tiny_run, tmp_path, corrupt):
+        from cgnet import checkpoint
+        tensors = checkpoint.read_container(tiny_run / "checkpoint.cgn")
+        if corrupt == "config":
+            tensors[checkpoint.CONFIG_RECORD] = np.frombuffer(b"{", dtype=np.uint8).copy()
+        ckpt = tmp_path / "corrupt.cgn"
+        checkpoint.write_container(ckpt, tensors)
+        if corrupt == "name":   # the first record name's first byte
+            blob = bytearray(ckpt.read_bytes())
+            blob[10] = 0xFF
+            ckpt.write_bytes(bytes(blob))
+        cfg = eval_cfg(tiny_run, tmp_path, checkpoint=str(ckpt))
+        r = run_cg(["eval", "--config", str(cfg), "--out", str(tmp_path / "x")], cwd=REPO)
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert ("__config__" if corrupt == "config" else "not UTF-8") in r.stderr
+
+    @pytest.mark.parametrize("kind", ["idx", "raw_chw"])
+    def test_empty_dataset_exits_2(self, tiny_run, tmp_path, kind):
+        from cgnet.data import Dataset, write_idx_file, write_raw_chw
+        if kind == "idx":
+            write_idx_file(tmp_path / "img.idx", np.zeros((0, 8, 8), dtype=np.uint8))
+            write_idx_file(tmp_path / "lbl.idx", np.zeros(0, dtype=np.uint8))
+            data = {"kind": "idx", "images": "img.idx", "labels": "lbl.idx"}
+        else:
+            write_raw_chw(tmp_path / "set.json",
+                          Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, np.int64), 2))
+            data = {"kind": "raw_chw", "sidecar": "set.json"}
+        cfg = eval_cfg(tiny_run, tmp_path, data=data)
+        r = run_cg(["eval", "--config", str(cfg), "--out", str(tmp_path / "x")], cwd=REPO)
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert ("no labels" if kind == "idx" else "'count' must be an integer >= 1") \
+            in r.stderr
+
+
 class TestFrozenFlag:
     def test_frozen_checkpoint_recorded(self, tiny_run, tmp_path):
         cfg = eval_cfg(tiny_run, tmp_path, num_inputs=16, etas=[0.5, 1.0])

@@ -41,6 +41,14 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="0x0d"):
             load_idx_file(tmp_path / "f.idx")
 
+    @pytest.mark.parametrize("num_classes", [None, 3])
+    def test_empty_label_set_rejected(self, tmp_path, num_classes):
+        ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        write_idx_file(ip, np.zeros((0, 6, 6), dtype=np.uint8))
+        write_idx_file(lp, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(DataFormatError, match="no labels"):
+            load_idx_dataset(ip, lp, num_classes)
+
     def test_truncated_payload(self, tmp_path):
         write_idx_file(tmp_path / "t.idx", np.zeros((4, 4), dtype=np.uint8))
         blob = (tmp_path / "t.idx").read_bytes()
@@ -78,6 +86,18 @@ class TestRawChw:
         meta["count"] = 4
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(DataFormatError, match="bytes"):
+            load_raw_chw(sidecar)
+
+    @pytest.mark.parametrize("num_classes", [None, 3])
+    def test_empty_file_rejected(self, tmp_path, num_classes):
+        sidecar = tmp_path / "empty.json"
+        write_raw_chw(sidecar, Dataset(np.zeros((0, 1, 4, 4)), np.zeros(0, np.int64), 3))
+        meta = json.loads(sidecar.read_text())
+        assert meta["count"] == 0
+        if num_classes is None:
+            del meta["num_classes"]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError, match="'count' must be an integer >= 1, got 0"):
             load_raw_chw(sidecar)
 
     @pytest.mark.parametrize("key,value", [

@@ -57,7 +57,7 @@ def gate_params(cfg):
 
 def train_gate(p, params, cfg):
     """Training-mode decisions: batch-normalize p, then threshold."""
-    xhat, _ = nn.bn_forward(p, params.bn1, training=True, affine=False)
+    xhat, _ = nn.bn_forward(p, params.bn1)
     return gating._threshold_decisions(xhat, *gating.gate_bounds(params.gate, cfg.gate))
 
 
@@ -250,7 +250,7 @@ class TestBlockInference:
         x = rng.standard_normal((2, 8, 6, 6))
         y, dm = cg_block_forward_inference(x, params, cfg)
         full = nn.conv2d(x, params.w, cfg.conv)
-        ref = nn.bn_forward(full, params.bn2)[0]
+        ref = nn.bn_inference(full, params.bn2)
         ref = nn.activation(ref, "relu")
         assert rel_err(y, ref) < 1e-5
         assert dm.d.all()
@@ -267,7 +267,7 @@ class TestBlockInference:
         y, dm = cg_block_forward_inference(x, params, cfg)
         grouped = nn.conv2d(x, kernel_split(params.w, cfg.groups)[0],
                             ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
-        ref = nn.activation(nn.bn_forward(grouped, params.bn1)[0], "relu")
+        ref = nn.activation(nn.bn_inference(grouped, params.bn1), "relu")
         assert rel_err(y, ref) < 1e-5
         cost = block_costs(dm, cfg)
         assert cost == dense_masked_block_forward(x, params, cfg)[2]
@@ -352,7 +352,7 @@ class TestBlockInference:
         y, dm = cg_block_forward_inference(x, params, cfg)
         grouped = nn.conv2d(x, kernel_split(params.w, cfg.groups)[0],
                             ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
-        base = nn.activation(nn.bn_forward(grouped, params.bn1)[0], "relu")
+        base = nn.activation(nn.bn_inference(grouped, params.bn1), "relu")
         assert not dm.channel_mask.all(), "test wants at least one masked channel"
         for c in range(8):
             if not dm.channel_mask[0, c]:

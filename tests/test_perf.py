@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgnet.analysis import LayerRecord
+from cgnet.analysis import LayerRecord, cost_line
 from cgnet.gating import DecisionMap
 from cgnet.perf import (ArrayConfig, model_layer_cycles, model_network_speedup)
 
@@ -65,9 +65,13 @@ class TestLayerCycles:
         assert lc.gated_cycles == lc.dense_cycles
 
     def test_all_zeros_is_base_only(self):
+        # no live lane: only the base path's MACs and the array's fill
         rec = make_record(np.zeros((2, 8, 8, 8)))
-        lc = model_layer_cycles(rec, ArrayConfig())
-        assert lc.gated_cycles == lc.base_cycles
+        cfg = ArrayConfig()
+        lc = model_layer_cycles(rec, cfg)
+        vectors = rec.n_samples * rec.c_out * -(-(rec.h_out * rec.w_out) // cfg.cols)
+        fill = -(-vectors // cfg.rows) * cfg.fill_drain
+        assert lc.gated_cycles == cost_line(rec).base_flops / cfg.throughput + fill
 
     @pytest.mark.parametrize("seed", range(6))
     def test_enumeration_oracle_and_ordering(self, seed):

@@ -171,24 +171,33 @@ class TestBatchNorm:
     def test_normalizes_to_zero_mean_unit_var(self, rng):
         x = 5.0 + 2.0 * rng.standard_normal((8, 3, 6, 6))
         st = BatchNormState.create(3)
-        y = nn.bn_forward(x, st, training=True, affine=False)[0]
+        y = nn.bn_forward(x, st)[0]
         assert np.allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-5)
         assert np.allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
     @pytest.mark.parametrize("shape", [(8, 3, 6, 6), (64, 16, 16, 16), (1, 2, 1, 1),
                                        (5, 7, 3, 9), (32, 64, 4, 4)])
     def test_batch_stats_equal_numpy(self, rng, shape):
+        # the batch statistics show in the running-stat update, which the
+        # same expression recomputes here from numpy's mean and variance
         x = 3.0 + rng.standard_normal(shape) * 2.0
-        _, ctx = nn.bn_forward(x, BatchNormState.create(shape[1]), training=True)
-        np.testing.assert_array_equal(ctx.mean, x.mean(axis=(0, 2, 3)))
-        np.testing.assert_array_equal(ctx.var, x.var(axis=(0, 2, 3)))
+        st = BatchNormState.create(shape[1])
+        st.running_mean[:] = rng.standard_normal(shape[1])
+        st.running_var[:] = rng.uniform(0.5, 2.0, shape[1])
+        m = st.momentum
+        want_mean = m * st.running_mean + (1.0 - m) * x.mean(axis=(0, 2, 3))
+        want_var = m * st.running_var + (1.0 - m) * x.var(axis=(0, 2, 3))
+        nn.bn_forward(x, st)
+        np.testing.assert_array_equal(st.running_mean, want_mean)
+        np.testing.assert_array_equal(st.running_var, want_var)
 
     def test_affine_shifts_and_scales(self, rng):
         x = rng.standard_normal((16, 2, 8, 8))
         st = BatchNormState.create(2)
         st.gamma[:] = 2.0
         st.beta[:] = 3.0
-        y = nn.bn_forward(x, st, training=True)[0]
+        xhat, _ = nn.bn_forward(x, st)
+        y = st.gamma[:, None, None] * xhat + st.beta[:, None, None]
         assert np.allclose(y.mean(axis=(0, 2, 3)), 3.0, atol=1e-5)
         assert np.allclose(y.std(axis=(0, 2, 3)), 2.0, atol=1e-4)
 
@@ -199,7 +208,7 @@ class TestBatchNorm:
         st.running_mean[:] = rng.standard_normal(3)
         st.running_var[:] = rng.uniform(0.1, 2.0, 3)
         x = rng.standard_normal((2, 3, 4, 4))
-        y = nn.bn_forward(x, st, training=False)[0]
+        y = nn.bn_inference(x, st)
         for n in range(2):
             for c in range(3):
                 scale = st.gamma[c] / np.sqrt(st.running_var[c] + st.eps)
@@ -213,14 +222,14 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 2, 3, 3)) + 1.0
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        nn.bn_forward(x, st, training=True)
+        nn.bn_forward(x, st)
         assert np.allclose(st.running_mean, 0.1 * mean)
         assert np.allclose(st.running_var, 0.9 * 1.0 + 0.1 * var)
 
     def test_degenerate_input_error(self):
         st = BatchNormState.create(2)
         with pytest.raises(DegenerateInputError):
-            nn.bn_forward(np.zeros((0, 2, 3, 3)), st, training=True)
+            nn.bn_forward(np.zeros((0, 2, 3, 3)), st)
 
     def test_double_apply_is_single_affine(self, rng):
         # frozen-stats BN is scale-and-shift; two applications compose
@@ -232,7 +241,7 @@ class TestBatchNorm:
             s.running_mean[:] = rng.standard_normal(3)
             s.running_var[:] = rng.uniform(0.5, 2.0, 3)
         x = rng.standard_normal((2, 3, 5, 5))
-        y = nn.bn_forward(nn.bn_forward(x, st1)[0], st2)[0]
+        y = nn.bn_inference(nn.bn_inference(x, st1), st2)
         a1, b1 = bn_inference_affine(st1)
         a2, b2 = bn_inference_affine(st2)
         composed = x * (a1 * a2)[:, None, None] + (b1 * a2 + b2)[:, None, None]
@@ -240,16 +249,22 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("affine", [True, False])
     def test_backward_finite_difference(self, rng, affine):
+        # without the caller's affine step, the backward takes gamma = 1
         x = rng.standard_normal((3, 2, 4, 4))
         st = BatchNormState.create(2)
+        st.gamma[:] = rng.uniform(0.5, 1.5, 2)
+        st.beta[:] = rng.standard_normal(2)
         proj = rng.standard_normal(x.shape)
 
         def loss():
-            y, _ = nn.bn_forward(x, st, training=True, affine=affine)
+            y, _ = nn.bn_forward(x, st)
+            if affine:
+                y = st.gamma[:, None, None] * y + st.beta[:, None, None]
             return float((y * proj).sum())
 
-        _, ctx = nn.bn_forward(x, st, training=True, affine=affine)
-        dx, dgamma, dbeta = nn.batchnorm_backward(ctx, proj)
+        _, ctx = nn.bn_forward(x, st)
+        gamma = st.gamma if affine else np.ones(2)
+        dx, dgamma, dbeta = nn.batchnorm_backward(ctx, proj, gamma)
         check_grad(loss, x, dx)
         if affine:
             check_grad(loss, st.gamma, dgamma)
