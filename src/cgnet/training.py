@@ -20,9 +20,11 @@ normalizations overwrite their GEMM outputs, so the training context holds
 three float arrays of the output's shape (x^_g and x^_2 inside the two
 ``BnCtx``, and ``pre``), the bool d and the im2col columns. In the
 backward, gamma folds into each BN backward's final per-channel scale
-gamma/sqrt(var + eps), which writes its half of the stacked operand of the
-convolution-gradient GEMMs; the elementwise chain before it carries no
-gamma.
+gamma/sqrt(var + eps); the elementwise chain before it carries no gamma.
+BN2's backward writes the full sum's upstream gradient dfull and BN1's
+writes p's, dp, each into its own GEMM operand. p reads only W's diagonal
+blocks, so the convolution-gradient GEMMs run once per input group, on dfull
+with dp added into that group's rows: the dense MAC count, no more.
 
 The gate is not differentiable, so gradients toward the thresholds and the
 gate input use a smooth sigmoid surrogate s~ = sigma(eps*(x^_g - delta))
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
-                     base_blocks, gate_bounds, shared_im2col_sums)
+                     gate_bounds, shared_im2col_sums)
 from .nn import (BnCtx, ConfigurationError, _as_batch, _batch, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward,
                  bn_forward, col2im, cross_entropy, softmax)
@@ -102,6 +104,10 @@ class Schedule:
             if not ok:
                 raise ConfigurationError(
                     f"optimizer.{name}: must be {rule}, got {getattr(self, name)}")
+        # a negative entry would decay the rate from epoch 0
+        for i, e in enumerate(self.lr_decay_epochs):
+            if not e >= 0:
+                raise ConfigurationError(f"optimizer.lr_decay_epochs[{i}]: must be >= 0, got {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +216,13 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     threshold gradients, keyed as ``GateState.thresholds()`` names them,
     take gamma after it.
     BN backward is linear in its upstream gradient, so BN1 and the gate
-    input, which share one normalization of p, take one backward call. The
-    two BN backwards write the two halves of the stacked GEMM operand; the
-    weight gradients are (cols @ stacked^T)^T, which reads the forward's
-    im2col untransposed, and the input gradient runs one col2im.
+    input, which share one normalization of p, take one backward call.
+    BN2's backward writes dfull and BN1's dp. Per input group h, D_h is
+    dfull with dp added into output group h's rows, and one GEMM pair gives
+    that group's weight and column gradients:
+    dW[:, h]^T = cols_h @ D_h^T, which reads the forward's im2col
+    untransposed, and dcols_h = W[:, h]^T @ D_h. The input gradient runs
+    one col2im.
     """
     cfg, params = ctx.cfg, ctx.params
     eps = cfg.epsilon
@@ -223,11 +232,19 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     dpre = _as_batch(dy) * activation_grad(ctx.pre, cfg.activation)
     ts = _surrogate(xhat_g, params, cfg)
 
+    n, c_out, ho, wo = xhat2.shape
+    cols = ctx.cols
+    kk, m = cols.shape
+    # the upstream gradients of the full sum and of p, as (c_out, ho*wo*n)
+    # GEMM operands
+    dfull, dp = np.empty((c_out, m)), np.empty((c_out, m))
+
     ds = xhat2 - xhat_g
     ds *= dpre
     # dpre splits into the conditional path's share, d*dpre, and the base
-    # path's, (1 - d)*dpre; sum(dpre*z) is their products with x^_2 and x^_g
-    dxhat2 = dpre * ctx.d
+    # path's, (1 - d)*dpre; sum(dpre*z) is their products with x^_2 and x^_g.
+    # d*dpre lives in dp's buffer until BN1's backward overwrites it.
+    dxhat2 = np.multiply(dpre, ctx.d, out=_batch(dp, n, ho, wo))
     dpre -= dxhat2
     dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
     dbeta = dpre.sum(axis=axes)
@@ -254,31 +271,36 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     # BN1 and the gate share x^_g, so their input gradients add up front
     dxhat_g += dpre
 
-    # [full; p] = [W; blockdiag(W_p)] @ cols, so with the two upstream
-    # gradients stacked as rows of one (2*c_out, ho*wo*n) matrix, the weight
-    # gradients are one GEMM against cols and the column gradient one GEMM
-    # against the stacked kernel. p's gradient reaches only W's diagonal
-    # blocks.
-    G, spec = cfg.groups, cfg.conv
-    k = spec.kernel_size
-    n, c_out, ho, wo = xhat2.shape
-    kk = ctx.cols.shape[0]
-    stacked = np.empty((2 * c_out, ho * wo * n))
     # each upstream is the gradient with respect to the shared gamma*x^ + beta
     _, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma,
-                                            out=_batch(stacked[:c_out], n, ho, wo))
-    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=_batch(stacked[c_out:], n, ho, wo))
+                                            out=_batch(dfull, n, ho, wo))
+    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=_batch(dp, n, ho, wo))
     dgamma += dgamma2
     dbeta += dbeta2
-    dw = (ctx.cols @ stacked.T).T.reshape(2, c_out, spec.in_channels, k, k)
-    base_blocks(dw[0], G)[...] += base_blocks(dw[1], G)
 
-    kernel = np.zeros((2, c_out, kk))
-    kernel[0] = params.w.reshape(c_out, kk)
-    base_blocks(kernel[1], G)[...] = base_blocks(params.w, G)
-    dcols = kernel.reshape(2 * c_out, kk).T @ stacked
-    dx = col2im(dcols, ctx.x_shape, k, spec.stride, spec.padding)
-    return CgBlockGrads(dw[0], dgamma, dbeta, dthresholds, dx)
+    # p = blockdiag(W_p) @ cols, so p's gradient reaches only W's diagonal
+    # blocks, and the G GEMM pairs on the D_h do the dense MAC count. D_h is
+    # built in dfull's memory: output group h's rows are saved before and
+    # copied back after its GEMMs (but for the last group), an exact
+    # restore where a subtract would not be.
+    G, spec = cfg.groups, cfg.conv
+    w = params.w.reshape(c_out, kk)
+    rows_out, rows_in = c_out // G, kk // G
+    dwt = np.empty((kk, c_out))
+    dcols = np.empty((kk, m))
+    saved = np.empty((rows_out, m)) if G > 1 else None
+    for h in range(G):
+        own, ins = slice(h * rows_out, (h + 1) * rows_out), slice(h * rows_in, (h + 1) * rows_in)
+        restore = h < G - 1
+        if restore:
+            np.copyto(saved, dfull[own])
+        dfull[own] += dp[own]
+        np.matmul(cols[ins], dfull.T, out=dwt[ins])
+        np.matmul(w[:, ins].T, dfull, out=dcols[ins])
+        if restore:
+            np.copyto(dfull[own], saved)
+    dx = col2im(dcols, ctx.x_shape, spec.kernel_size, spec.stride, spec.padding)
+    return CgBlockGrads(dwt.T.reshape(params.w.shape), dgamma, dbeta, dthresholds, dx)
 
 
 # ---------------------------------------------------------------------------

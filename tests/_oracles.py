@@ -175,6 +175,30 @@ def conditional_kernel(w, G):
     return wc
 
 
+def stacked_conv_grads(cols, w, dfull, dp, G, x_shape, spec):
+    """Weight and input gradients of the training block's two sums over one
+    im2col ``cols``, full = W @ cols and p = blockdiag(W_p) @ cols, from
+    their (c_out, ho*wo*n) upstream gradients ``dfull`` and ``dp``, in the
+    stacked form: the upstreams stacked as one (2*c_out, ho*wo*n) operand,
+    one GEMM against ``cols`` whose second half keeps only W_p's diagonal
+    blocks, added into the first, and one GEMM against the stacked kernel
+    [W; blockdiag(W_p)], zero off those blocks, scattered back by
+    ``col2im_reference``. Returns (dw, dx)."""
+    c_out, kk = dfull.shape[0], cols.shape[0]
+    cpo, cpi = c_out // G, kk // G
+    stacked = np.concatenate([dfull, dp])
+    dw = (cols @ stacked.T).T.reshape(2, c_out, kk)
+    kernel = np.zeros((2, c_out, kk))
+    kernel[0] = w.reshape(c_out, kk)
+    for i in range(G):
+        rows, ins = slice(i * cpo, (i + 1) * cpo), slice(i * cpi, (i + 1) * cpi)
+        dw[0, rows, ins] += dw[1, rows, ins]
+        kernel[1, rows, ins] = kernel[0, rows, ins]
+    dcols = kernel.reshape(2 * c_out, kk).T @ stacked
+    dx = col2im_reference(dcols, x_shape, spec.kernel_size, spec.stride, spec.padding)
+    return dw[0].reshape(w.shape), dx
+
+
 def dense_masked_block_forward(x, params, cfg):
     """Gated inference of an (n, c, h, w) batch computed the slow, obvious
     way.

@@ -415,13 +415,14 @@ class TestConfigRanges:
         ("batch_size", 0), ("batch_size", -4), ("epochs", 0), ("lr", 0.0),
         ("lr", -0.05), ("momentum", 1.0), ("momentum", -0.1), ("weight_decay", -1e-4),
         ("lr_decay_factor", 0.0), ("lambda_warmup_frac", 0.0),
-        ("lambda_warmup_frac", 1.5),
+        ("lambda_warmup_frac", 1.5), ("lr_decay_epochs[1]", [2, -1]),
     ])
     def test_optimizer_out_of_range_rejected(self, tmp_path, capsys, key, value):
-        # batch_size 0 used to escape as a ValueError from range(), and -4
-        # to train no batch and still write a checkpoint
+        # batch_size 0 used to escape as a ValueError from range(), -4 to
+        # train no batch and still write a checkpoint, and a negative decay
+        # epoch to decay the rate from epoch 0
         cfg = json.loads(TINY.read_text())
-        cfg["optimizer"][key] = value
+        cfg["optimizer"][key.partition("[")[0]] = value
         path = tmp_path / "train.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"

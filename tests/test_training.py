@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cgnet import nn, training
 from cgnet.data import synthetic_dataset, train_val_split
@@ -18,7 +18,7 @@ from cgnet.training import (LossConfig, Schedule, cg_block_backward,
                             train_network)
 
 from _oracles import (check_grad, conditional_kernel, finite_difference, heaviside,
-                      kernel_split, rel_err, two_conv_block_train)
+                      kernel_split, rel_err, stacked_conv_grads, two_conv_block_train)
 
 
 def make_cfg(c_in=4, c_out=4, k=3, G=2, act="identity", pad=1, eps_sharp=4.0,
@@ -331,6 +331,77 @@ class TestBlockTrainOracle:
             for stat in ("running_mean", "running_var"):
                 assert rel_err(getattr(getattr(params, bn), stat),
                                getattr(getattr(ref_params, bn), stat)) < 1e-10, (bn, stat)
+
+
+class TestBackwardGemms:
+    """The backward's per-input-group GEMMs against the stacked form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 3),
+           per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
+           gate=st.sampled_from(["single_sided", "two_sided"]))
+    # G == 1, where the one upstream is dfull + dp, and G == c_in (per_in 1)
+    @example(seed=3, n=2, G=1, per_in=2, per_out=2, k=3, stride=1, pad=1, hw=(4, 5),
+             gate="single_sided")
+    @example(seed=4, n=2, G=4, per_in=1, per_out=2, k=3, stride=2, pad=0, hw=(5, 6),
+             gate="two_sided")
+    def test_matches_stacked_oracle(self, seed, n, G, per_in, per_out, k, stride, pad,
+                                    hw, gate):
+        rng = np.random.default_rng(seed)
+        cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
+                            groups=G, activation="relu", gate=gate)
+        params = make_params(cfg, rng)
+        x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
+        y, ctx = cg_block_forward_train(x, params, cfg)
+        # BN2's backward gives dfull and BN1's dp: record each, copied in
+        # the (c_out, ho*wo*n) GEMM layout
+        upstream = {}
+
+        def recording(bn_ctx, dy, gamma, out=None):
+            grads = nn.batchnorm_backward(bn_ctx, dy, gamma, out=out)
+            upstream["full" if bn_ctx is ctx.bn2_ctx else "p"] = \
+                grads[0].transpose(1, 2, 3, 0).reshape(y.shape[1], -1).copy()
+            return grads
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "batchnorm_backward", recording)
+            g = cg_block_backward(ctx, rng.standard_normal(y.shape))
+        dfull, dp = upstream["full"], upstream["p"]
+        args = (G, ctx.x_shape, cfg.conv)
+        dw, dx = stacked_conv_grads(ctx.cols, params.w, dfull, dp, *args)
+        # Errors are relative to the sums of the products' magnitudes, the
+        # scale of GEMM rounding: with G == 1 and one input tap, BN makes
+        # the block invariant to W's scale, so dW is 0 in exact arithmetic
+        # and both forms return rounding of O(1) terms.
+        dw_abs, dx_abs = stacked_conv_grads(np.abs(ctx.cols), np.abs(params.w),
+                                            np.abs(dfull), np.abs(dp), *args)
+        assert np.linalg.norm(g.dw - dw) <= 1e-12 * np.linalg.norm(dw_abs)
+        assert np.linalg.norm(g.dx - dx) <= 1e-12 * np.linalg.norm(dx_abs)
+
+    @pytest.mark.parametrize("G,gate", [(1, "single_sided"), (2, "two_sided"),
+                                        (4, "single_sided")])
+    def test_repeated_backward_is_bitwise_and_leaves_context(self, rng, G, gate):
+        # the fold adds dp into dfull's rows in place and copies them back
+        cfg = make_cfg(c_in=8, c_out=8, G=G, act="relu", gate=gate)
+        params = make_params(cfg, rng)
+        y, ctx = cg_block_forward_train(rng.standard_normal((3, 8, 5, 5)), params, cfg)
+        dy = rng.standard_normal(y.shape)
+        held = {"cols": ctx.cols, "bn1 xhat": ctx.bn1_ctx.xhat,
+                "bn2 xhat": ctx.bn2_ctx.xhat, "pre": ctx.pre, "d": ctx.d}
+        before = {name: a.tobytes() for name, a in held.items()}
+        first = cg_block_backward(ctx, dy)
+        second = cg_block_backward(ctx, dy)
+        for f in dataclasses.fields(training.CgBlockGrads):
+            a, b = getattr(first, f.name), getattr(second, f.name)
+            if isinstance(a, dict):
+                assert a.keys() == b.keys(), f.name
+                a, b = np.stack(list(a.values())), np.stack(list(b.values()))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        for name, a in held.items():
+            assert a.tobytes() == before[name], name
 
 
 class TestSparsityLosses:
