@@ -13,35 +13,37 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .gating import DecisionMap, grouped_partial_sums, shared_im2col_sums
+from .gating import CgLayerConfig, DecisionMap, grouped_partial_sums, shared_im2col_sums
 from .nn import ConfigurationError, ConvSpec, _chwn
 
 
 @dataclass
 class LayerRecord:
-    """What one forward pass reports about one compute layer."""
+    """What one forward pass reports about one compute layer.
+
+    ``spec`` is the layer's dense ``ConvSpec`` (a linear head reports
+    ``ConvSpec(in, out, 1)``) and ``cfg`` its ``CgLayerConfig``, None when
+    the layer is ungated. ``w`` is the layer's own kernel and ``x_in`` its
+    input, captured only by a ``capture`` pass: references, not copies.
+    """
 
     name: str
-    kind: str              # conv | cg_conv | linear
-    gated: bool
-    c_in: int
-    c_out: int
-    kernel_size: int
-    groups: int            # gating groups G (1 when ungated)
-    gate_kind: str
-    tau_c: float
+    spec: ConvSpec
     h_out: int
     w_out: int
     n_samples: int
-    stride: int = 1
-    padding: int = 0
+    cfg: CgLayerConfig | None = None
     dm: DecisionMap | None = None
+    w: np.ndarray | None = None
     x_in: np.ndarray | None = None
-    w_dense: np.ndarray | None = None
+
+    @property
+    def gated(self):
+        return self.cfg is not None
 
 
 def merge_layer_records(*record_lists):
@@ -124,13 +126,8 @@ class CostReport:
         header = ["layer", "base_flops", "conditional_flops_executed",
                   "conditional_flops_total", "dense_flops", "gate_comparisons",
                   "weight_values_accessed", "weight_values_total"]
-        rows = [header]
-        for l in self.lines:
-            rows.append([l.name, l.base_flops, l.conditional_flops_executed,
-                         l.conditional_flops_total, l.dense_flops,
-                         l.gate_comparisons, l.weight_values_accessed,
-                         l.weight_values_total])
-        return rows
+        return [header] + [[l.name] + [getattr(l, key) for key in header[1:]]
+                           for l in self.lines]
 
     def to_json_dict(self):
         return {
@@ -142,14 +139,8 @@ class CostReport:
             "dense_flops_total": self.dense_total,
             "executed_flops_total": self.executed_total,
             "gate_comparisons_total": self.comparisons_total,
-            "layers": {l.name: {
-                "base_flops": l.base_flops,
-                "conditional_flops_executed": l.conditional_flops_executed,
-                "conditional_flops_total": l.conditional_flops_total,
-                "gate_comparisons": l.gate_comparisons,
-                "weight_values_accessed": l.weight_values_accessed,
-                "weight_values_total": l.weight_values_total,
-            } for l in self.lines},
+            "layers": {l.name: {k: v for k, v in asdict(l).items() if k != "name"}
+                       for l in self.lines},
         }
 
 
@@ -162,23 +153,24 @@ def cost_line(rec: LayerRecord) -> CostLine:
     activation (twice for a band), plus once per channel with the
     channel-wise gate, and reads W_r only for the channels that gate keeps.
     """
-    k2 = rec.kernel_size ** 2
-    n, pos = rec.n_samples, rec.h_out * rec.w_out
-    weights = n * rec.c_out * rec.c_in * k2
-    if not rec.gated:
+    spec, cfg = rec.spec, rec.cfg
+    k2 = spec.kernel_size ** 2
+    n, pos, c_out = rec.n_samples, rec.h_out * rec.w_out, spec.out_channels
+    weights = n * c_out * (spec.in_channels // spec.groups) * k2
+    if cfg is None:
         return CostLine(rec.name, weights * pos, 0, 0, 0, weights, weights)
-    base_k = (rec.c_in // rec.groups) * k2
-    cond_k = rec.c_in * k2 - base_k
-    comparisons = n * pos * rec.c_out * (2 if rec.gate_kind == "two_sided" else 1)
-    if rec.tau_c > 0.0:
-        comparisons += n * rec.c_out
+    base_k = (spec.in_channels // cfg.groups) * k2
+    cond_k = spec.in_channels * k2 - base_k
+    comparisons = n * pos * c_out * (2 if cfg.gate == "two_sided" else 1)
+    if cfg.tau_c > 0.0:
+        comparisons += n * c_out
     return CostLine(
         rec.name,
-        base_flops=n * rec.c_out * pos * base_k,
+        base_flops=n * c_out * pos * base_k,
         conditional_flops_executed=rec.dm.taken() * cond_k,
-        conditional_flops_total=n * rec.c_out * pos * cond_k,
+        conditional_flops_total=n * c_out * pos * cond_k,
         gate_comparisons=comparisons,
-        weight_values_accessed=(n * rec.c_out * base_k
+        weight_values_accessed=(n * c_out * base_k
                                 + int(np.count_nonzero(rec.dm.channel_mask)) * cond_k),
         weight_values_total=weights)
 
@@ -221,7 +213,7 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
     """Pearson correlation between base-path partial sums and final sums.
 
     ``records`` come from one ``forward_infer(collect=True, capture=True)``
-    pass, whose captured inputs and dense kernels this reads. The conv
+    pass, whose captured inputs and kernels this reads. The conv
     layers are re-grouped for each eta (G = 1/eta) from their dense
     kernels, so any trained model can be swept. Layers whose
     channel counts do not divide, and degenerate zero-variance layers, are
@@ -238,18 +230,17 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
             raise ConfigurationError(f"eta {eta} is not 1/G for integer G")
     per_eta = {eta: {} for eta in etas}
     for rec in records:
-        if rec.kind not in ("conv", "cg_conv") or rec.w_dense is None:
+        if rec.x_in is None or rec.spec.groups > 1:   # no dense kernel to regroup
             continue
-        spec = ConvSpec(rec.c_in, rec.c_out, rec.kernel_size,
-                        stride=rec.stride, padding=rec.padding)
-        cols, _, final = shared_im2col_sums(rec.x_in, rec.w_dense, spec, 1)
+        spec = rec.spec
+        cols, _, final = shared_im2col_sums(rec.x_in, rec.w, spec, 1)
         # the (c_out, ho*wo*n) rows grouped_partial_sums returns
-        final = _chwn(final).reshape(rec.c_out, -1)
+        final = _chwn(final).reshape(spec.out_channels, -1)
         for eta, G in groups.items():
-            if rec.c_in % G or rec.c_out % G:
+            if spec.in_channels % G or spec.out_channels % G:
                 warnings.warn(f"{rec.name}: channels not divisible by G={G}; skipped")
                 continue
-            partial = final if G == 1 else grouped_partial_sums(cols, rec.w_dense, G)
+            partial = final if G == 1 else grouped_partial_sums(cols, rec.w, G)
             r = _pearson(partial, final)
             if r is None:
                 warnings.warn(f"{rec.name}: zero-variance sums at eta={eta}; skipped")

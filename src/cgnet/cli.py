@@ -114,6 +114,13 @@ def _load_data(cfg, seed, config_dir):
     return train_ds, val_ds
 
 
+def _check_classes(ds, model):
+    """The model must have a logit for every class of the data."""
+    if ds.num_classes > model.num_classes:
+        raise ConfigurationError(f"data.num_classes: the data has {ds.num_classes} classes, "
+                                 f"model.num_classes only {model.num_classes}")
+
+
 def _write_metrics_csv(path, history):
     cols = ["epoch", "train_loss", "val_acc", "mean_delta", "pruning_ratio",
             "flop_reduction"]
@@ -140,6 +147,7 @@ def cmd_train(args):
         raise ConfigurationError(f"val_fraction: {val_fraction} leaves no training sample")
 
     model = build_model(read_field("model", cfg, dict), np.random.default_rng([seed, 11]))
+    _check_classes(train_ds, model)
     if read_field("force_open", cfg, bool, False):
         model.set_force_open()
 
@@ -228,6 +236,7 @@ def _checkpoint_command(args):
     config_dir = Path(args.config).parent
     _, val_ds = _load_data(cfg, seed, config_dir)
     model = _load_eval_model(args, cfg, config_dir)
+    _check_classes(val_ds, model)
     return cfg, out, val_ds, model, _frozen_flag(model)
 
 

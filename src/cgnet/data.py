@@ -30,6 +30,9 @@ class Dataset:
         if self.images.shape[0] != self.labels.shape[0]:
             raise DataFormatError(
                 f"{self.images.shape[0]} images but {self.labels.shape[0]} labels")
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:
+            raise DataFormatError(f"labels must lie in [0, {self.num_classes}), got "
+                                  f"{self.labels.min()} to {self.labels.max()}")
 
     def __len__(self):
         return self.images.shape[0]

@@ -122,6 +122,13 @@ class GateState:
             return [("delta", self.delta)]
         return [("delta_high", self.delta_high), ("delta_low", self.delta_low)]
 
+    def bounds(self):
+        """(lo, hi) thresholds: (delta, None) for the one-sided gate,
+        (delta_low, delta_high) for the two-sided band."""
+        if self.delta_high is None:
+            return self.delta, None
+        return self.delta_low, self.delta_high
+
     def clamp_band(self):
         """Enforce delta_high >= delta_low after a training step."""
         if self.delta_high is not None:
@@ -240,14 +247,6 @@ def split_dense_weight(w, G):
 # Gate functions
 # ---------------------------------------------------------------------------
 
-def gate_bounds(gate: GateState, kind):
-    """(lo, hi) thresholds of a gate: (delta, None) for the one-sided gate,
-    (delta_low, delta_high) for the two-sided band."""
-    if kind == "single_sided":
-        return gate.delta, None
-    return gate.delta_low, gate.delta_high
-
-
 def _threshold_decisions(x, lo, hi=None):
     """Boolean decisions x >= lo, and-ed with x <= hi for a band; lo and hi
     are per-channel thresholds. For finite x this is theta(x - lo) (times
@@ -259,14 +258,14 @@ def _threshold_decisions(x, lo, hi=None):
     return d
 
 
-def merged_gate(partial_sum, params: CgBlockParams, cfg: CgLayerConfig):
+def merged_gate(partial_sum, params: CgBlockParams):
     """Inference gate with BN1's running stats folded into the thresholds:
     the bool d = x >= delta*sqrt(Var+eps) + E, per output channel; the
     edges of a two-sided band fold the same way."""
     bn1 = params.bn1
     sigma = np.sqrt(bn1.running_var + bn1.eps)
     mean = bn1.running_mean
-    lo, hi = gate_bounds(params.gate, cfg.gate)
+    lo, hi = params.gate.bounds()
     return _threshold_decisions(partial_sum, lo * sigma + mean,
                                 None if hi is None else hi * sigma + mean)
 
@@ -330,7 +329,7 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     _, p, full = shared_im2col_sums(_as_batch(x), params.w, cfg.conv, cfg.groups)
     if full is p:
         full = p.copy(order="K")   # G == 1: BN1 below must not normalize the full sum
-    d = merged_gate(p, params, cfg)
+    d = merged_gate(p, params)
     if cfg.tau_c > 0.0:
         mask = channel_gate(d, cfg.tau_c)
         take = d & mask[..., None, None]

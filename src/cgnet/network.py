@@ -11,9 +11,10 @@ speaks one protocol:
   * ``backward(dy)`` accumulates into the layer's gradient buffers and
     returns the input gradient; it raises ``StateError`` when ``ctx`` is
     None;
-  * ``forward_infer(x, collect, capture)`` returns ``(y, records)``: a list
-    of per-layer records (dims, decision maps, optionally captured inputs)
-    for the analysis and performance models, empty unless collecting;
+  * ``forward_infer(x, collect, capture)`` returns ``(y, records)``: empty
+    unless collecting, else one ``analysis.LayerRecord`` per compute layer
+    that references the layer's spec, gate config and kernel and adds its
+    output dims, decision maps and, when capturing, its input;
   * ``param_groups()`` lists (name, param, grad, weight_decay) and
     ``state_items()`` the (name, array) pairs a checkpoint holds; loading
     writes into those arrays, except that a gated layer's kernel records
@@ -118,21 +119,14 @@ class ConvBlock(Layer):
 
     def forward_infer(self, x, collect=False, capture=False):
         y, _ = conv2d_forward(x, self.w, self.spec)
-        h_out, w_out = y.shape[2], y.shape[3]
-        n = y.shape[0]
+        n, _, h_out, w_out = y.shape
         y = activation(bn_inference(y, self.bn, out=y), self.act, out=y)
         if self.shuffle_groups:
             y = channel_shuffle(y, self.shuffle_groups)
         if not collect:
             return y, []
-        return y, [analysis.LayerRecord(
-            name=self.name, kind="conv", gated=False,
-            c_in=self.spec.in_channels, c_out=self.spec.out_channels,
-            kernel_size=self.spec.kernel_size, groups=1, gate_kind="",
-            tau_c=0.0, h_out=h_out, w_out=w_out, n_samples=n,
-            stride=self.spec.stride, padding=self.spec.padding,
-            x_in=np.asarray(x) if capture else None,
-            w_dense=self.w if capture and self.spec.groups == 1 else None)]
+        return y, [analysis.LayerRecord(self.name, self.spec, h_out, w_out, n, w=self.w,
+                                        x_in=x if capture else None)]
 
     def param_groups(self):
         return [(f"{self.name}.w", self.w, self.g_w, True),
@@ -184,16 +178,9 @@ class CgConvBlock(Layer):
         y, dm = gating.cg_block_forward_inference(x, self.params, self.cfg)
         if not collect:
             return y, []
-        spec = self.cfg.conv
-        return y, [analysis.LayerRecord(
-            name=self.name, kind="cg_conv", gated=True,
-            c_in=spec.in_channels, c_out=spec.out_channels,
-            kernel_size=spec.kernel_size, groups=self.cfg.groups,
-            gate_kind=self.cfg.gate, tau_c=self.cfg.tau_c,
-            h_out=dm.d.shape[2], w_out=dm.d.shape[3], n_samples=dm.d.shape[0],
-            stride=spec.stride, padding=spec.padding, dm=dm,
-            x_in=x if capture else None,
-            w_dense=self.params.w if capture else None)]
+        n, _, h_out, w_out = dm.d.shape
+        return y, [analysis.LayerRecord(self.name, self.cfg.conv, h_out, w_out, n, self.cfg, dm,
+                                        w=self.params.w, x_in=x if capture else None)]
 
     def param_groups(self):
         return [(f"{self.name}.w", self.params.w, self.g_w, True),
@@ -228,15 +215,11 @@ class CgConvBlock(Layer):
 
     def to_dense(self):
         """Dense equivalent: the all-take path (a copy of W, BN2 stats)."""
-        spec = self.cfg.conv
-        blk = ConvBlock(spec, act=self.cfg.activation,
-                        shuffle_groups=self.cfg.groups if self.cfg.shuffle else 0,
-                        name=self.name)
-        blk.w = self.params.w.copy()
-        blk.bn = BatchNormState(self.params.gamma.copy(), self.params.beta.copy(),
-                                self.params.bn2.running_mean.copy(),
-                                self.params.bn2.running_var.copy(),
-                                self.params.bn2.momentum, self.params.bn2.eps)
+        cfg, p = self.cfg, self.params
+        blk = ConvBlock(cfg.conv, cfg.activation, cfg.groups if cfg.shuffle else 0, name=self.name)
+        blk.w = p.w.copy()
+        blk.bn = BatchNormState(p.gamma.copy(), p.beta.copy(), p.bn2.running_mean.copy(),
+                                p.bn2.running_var.copy())
         return blk
 
 
@@ -321,10 +304,8 @@ class LinearHead(Layer):
         if not collect:
             return y, []
         return y, [analysis.LayerRecord(
-            name=self.name, kind="linear", gated=False,
-            c_in=self.in_features, c_out=self.out_features,
-            kernel_size=1, groups=1, gate_kind="", tau_c=0.0,
-            h_out=1, w_out=1, n_samples=x.shape[0])]
+            self.name, ConvSpec(self.in_features, self.out_features, 1), 1, 1, x.shape[0],
+            w=self.w)]
 
     def param_groups(self):
         return [(f"{self.name}.w", self.w, self.g_w, True)]
@@ -443,11 +424,8 @@ class Network:
     def mean_delta(self):
         vals = []
         for layer in self.gated_layers():
-            gate = layer.params.gate
-            if layer.cfg.gate == "single_sided":
-                vals.append(gate.delta)
-            else:
-                vals.append(0.5 * (gate.delta_high - gate.delta_low))
+            lo, hi = layer.params.gate.bounds()
+            vals.append(lo if hi is None else 0.5 * (hi - lo))
         return float(np.concatenate(vals).mean()) if vals else 0.0
 
     def gates_frozen(self):
@@ -501,6 +479,7 @@ class Network:
         if not 0.0 <= value <= 1.0:
             raise ConfigurationError(f"tau_c must be in [0, 1], got {value}")
         for layer in self.gated_layers():
+            layer.cfg = copy.copy(layer.cfg)   # records of earlier passes keep their tau_c
             layer.cfg.tau_c = value
 
     # -- conversion / serialization -------------------------------------------

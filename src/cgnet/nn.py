@@ -228,29 +228,29 @@ class BatchNormState:
     """Per-channel batch-norm parameters and running statistics.
 
     Running stats update as  running <- momentum*running + (1-momentum)*batch.
+    ``momentum`` and ``eps`` are class constants: every layer uses the same.
     """
+
+    momentum = 0.9
+    eps = 1e-5
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     def __post_init__(self):
         c = len(self.gamma)
         for name in ("beta", "running_mean", "running_var"):
             if len(getattr(self, name)) != c:
                 raise ConfigurationError(f"BatchNormState.{name} length != channel count {c}")
-        if not 0.0 < self.momentum < 1.0:
-            raise ConfigurationError("BatchNormState.momentum must be in (0,1)")
         if np.any(self.running_var < 0):
             raise ConfigurationError("BatchNormState.running_var entries must be >= 0")
 
     @classmethod
-    def create(cls, channels, momentum=0.9, eps=1e-5):
+    def create(cls, channels):
         return cls(np.ones(channels), np.zeros(channels),
-                   np.zeros(channels), np.ones(channels), momentum, eps)
+                   np.zeros(channels), np.ones(channels))
 
 
 @dataclass

@@ -92,11 +92,11 @@ def _live_lanes(d_eff, cols):
 def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
     """Modeled cycles for one layer under the decision maps it recorded; the
     dense, base and executed MACs are ``analysis.cost_line``'s."""
-    if rec.h_out < 1 or rec.w_out < 1 or rec.c_out < 1:
+    if rec.h_out < 1 or rec.w_out < 1:
         raise ConfigurationError(f"{rec.name}: zero-dimensional layer")
     line = cost_line(rec)
     R = cfg.throughput
-    vectors = rec.n_samples * rec.c_out * -(-(rec.h_out * rec.w_out) // cfg.cols)
+    vectors = rec.n_samples * rec.spec.out_channels * -(-(rec.h_out * rec.w_out) // cfg.cols)
     fill = -(-vectors // cfg.rows) * cfg.fill_drain
     dense_cycles = line.dense_flops / R + fill
 
@@ -104,7 +104,8 @@ def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
         ideal = line.dense_flops / R
         return LayerCycles(rec.name, dense_cycles, dense_cycles, ideal, ideal / dense_cycles)
 
-    K_r = (rec.c_in - rec.c_in // rec.groups) * rec.kernel_size ** 2
+    c_in = rec.spec.in_channels
+    K_r = (c_in - c_in // rec.cfg.groups) * rec.spec.kernel_size ** 2
     base_cycles = line.base_flops / R + fill
     gated_cycles = base_cycles + _live_lanes(rec.dm.effective(), cfg.cols) * K_r / R
     return LayerCycles(rec.name, dense_cycles, gated_cycles,

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
-                     gate_bounds, shared_im2col_sums)
+                     shared_im2col_sums)
 from .nn import (BnCtx, ConfigurationError, _as_batch, _batch, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward,
                  bn_forward, col2im, cross_entropy, softmax)
@@ -191,7 +191,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
 
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
     xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
-    d = _threshold_decisions(xhat_g, *gate_bounds(params.gate, cfg.gate))
+    d = _threshold_decisions(xhat_g, *params.gate.bounds())
     pre = np.where(d, xhat2, xhat_g)
     pre *= _per_channel(params.gamma)
     pre += _per_channel(params.beta)
@@ -307,23 +307,11 @@ def cg_block_backward(ctx: CgTrainContext, dy):
 # Sparsity losses
 # ---------------------------------------------------------------------------
 
-def sparsity_loss_target(deltas, target, lam):
-    """Squared pull of every threshold toward the target T:
-    loss = lam * sum_l sum_c (T - delta)^2, gradient -2*lam*(T - delta)."""
-    loss = 0.0
-    grads = []
-    for d in deltas:
-        diff = target - d
-        loss += lam * float((diff * diff).sum())
-        grads.append(-2.0 * lam * diff)
-    return loss, grads
-
-
-def flops_loss_layer_factor(cfg: CgLayerConfig, h_out, w_out):
-    """Per-layer multiplier of the computation-cost loss term."""
-    spec = cfg.conv
-    return ((spec.in_channels // cfg.groups) * spec.kernel_size ** 2
-            * w_out * h_out * spec.out_channels)
+def sparsity_loss_target(delta, target, lam):
+    """Squared pull of one threshold array toward the target T; returns
+    (lam * sum_c (T - delta)^2, its gradient -2*lam*(T - delta))."""
+    diff = target - delta
+    return lam * float((diff * diff).sum()), -2.0 * lam * diff
 
 
 def sparsity_loss_flops(ctxs, lam):
@@ -335,21 +323,21 @@ def sparsity_loss_flops(ctxs, lam):
     experiments only, single-sided layers only. Per-sample inner sums are
     averaged over the batch; only the thresholds receive gradients.
     """
-    inners = []
-    factors = []
-    sgrads = []
+    inners, factors, sgrads = [], [], []
     for ctx in ctxs:
-        if ctx.cfg.gate != "single_sided":
-            raise ConfigurationError("computation-cost loss supports single-sided gates only")
-        (t,) = _surrogate(ctx.bn1_ctx.xhat, ctx.params, ctx.cfg)
-        n = t.shape[0]
-        eps = ctx.cfg.epsilon
+        cfg, spec = ctx.cfg, ctx.cfg.conv
+        if cfg.gate != "single_sided":
+            raise ConfigurationError(
+                "loss.sparsity: computation_cost supports single-sided gates only")
+        (t,) = _surrogate(ctx.bn1_ctx.xhat, ctx.params, cfg)
+        n, _, h_out, w_out = t.shape
         inners.append(float((1.0 - _sigmoid_of(t)).sum()) / n)
         # d(1-s~)/d(delta) = +eps*s~*(1-s~) = (eps/4)*(1 - t*t), reduced
         # over batch and positions
-        sgrads.append(0.25 * eps * (1.0 - t * t).sum(axis=(0, 2, 3)) / n)
-        h_out, w_out = t.shape[2], t.shape[3]
-        factors.append(flops_loss_layer_factor(ctx.cfg, h_out, w_out))
+        sgrads.append(0.25 * cfg.epsilon * (1.0 - t * t).sum(axis=(0, 2, 3)) / n)
+        # the layer's multiplier eta*c_l*k^2*w'*h'*c_{l+1}
+        factors.append((spec.in_channels // cfg.groups) * spec.kernel_size ** 2
+                       * w_out * h_out * spec.out_channels)
     total = sum(i * f for i, f in zip(inners, factors))
     loss = lam * total * total
     grads = [lam * 2.0 * total * f * g for f, g in zip(factors, sgrads)]
@@ -410,23 +398,18 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
     if loss_cfg.sparsity == "target_threshold":
         loss = 0.0
         for layer in layers:
-            gate = layer.params.gate
-            if layer.cfg.gate == "single_sided":
-                part, (g,) = sparsity_loss_target([gate.delta], loss_cfg.target, lam)
-                layer.g_thresholds["delta"] += g
-            else:
-                # band edges pulled inward by T from the initial half-width
-                t_hi = layer.cfg.band_init - loss_cfg.target
-                part_h, (gh,) = sparsity_loss_target([gate.delta_high], t_hi, lam)
-                part_l, (gl,) = sparsity_loss_target([gate.delta_low], -t_hi, lam)
-                layer.g_thresholds["delta_high"] += gh
-                layer.g_thresholds["delta_low"] += gl
-                part = part_h + part_l
+            # a band's edges are pulled inward by T from the initial half-width
+            edge = layer.cfg.band_init - loss_cfg.target
+            targets = {"delta": loss_cfg.target, "delta_high": edge, "delta_low": -edge}
+            part = 0.0   # a per-layer subtotal: train_loss depends on the sum order
+            for key, t in layer.params.gate.thresholds():
+                term, g = sparsity_loss_target(t, targets[key], lam)
+                layer.g_thresholds[key] += g
+                part += term
             loss += part
         return loss
-    ctxs = [l.ctx for l in layers if l.cfg.gate == "single_sided"]
-    loss, grads = sparsity_loss_flops(ctxs, lam)
-    for layer, g in zip([l for l in layers if l.cfg.gate == "single_sided"], grads):
+    loss, grads = sparsity_loss_flops([l.ctx for l in layers], lam)
+    for layer, g in zip(layers, grads):
         layer.g_thresholds["delta"] += g
     return loss
 

@@ -7,7 +7,7 @@ from cgnet import analysis, nn, perf
 from cgnet.analysis import (CostReport, aggregate_intensity, count_flops,
                             intensity_map, network_pruning_ratio,
                             partial_final_correlation, write_pgm)
-from cgnet.gating import DecisionMap
+from cgnet.gating import CgLayerConfig, DecisionMap
 from cgnet.network import build_model
 from cgnet.nn import ConfigurationError, ConvSpec
 
@@ -23,22 +23,20 @@ def make_record(d, mask=None, c_in=8, groups=4, k=3, tau_c=0.0,
     if mask is None:
         mask = np.ones((n, c_out))
     dm = DecisionMap(d, np.asarray(mask, dtype=bool))
-    return analysis.LayerRecord(
-        name=name, kind="cg_conv", gated=True, c_in=c_in, c_out=c_out,
-        kernel_size=k, groups=groups, gate_kind=gate_kind, tau_c=tau_c,
-        h_out=h, w_out=w, n_samples=n, dm=dm)
+    cfg = CgLayerConfig(ConvSpec(c_in, c_out, k), groups=groups, gate=gate_kind, tau_c=tau_c)
+    return analysis.LayerRecord(name, cfg.conv, h, w, n, cfg, dm)
 
 
 def instrumented_mac_count(rec):
     """Count MACs one by one, the way a skipping implementation would
     execute them (padding taps included, like the analytic convention)."""
-    k2 = rec.kernel_size ** 2
-    base_in = rec.c_in // rec.groups
-    cond_in = rec.c_in - base_in
+    k2 = rec.spec.kernel_size ** 2
+    base_in = rec.spec.in_channels // rec.cfg.groups
+    cond_in = rec.spec.in_channels - base_in
     d_eff = rec.dm.effective()
     base = cond = 0
     for s in range(rec.n_samples):
-        for c in range(rec.c_out):
+        for c in range(rec.spec.out_channels):
             for y in range(rec.h_out):
                 for x in range(rec.w_out):
                     for _ in range(base_in):
@@ -51,12 +49,12 @@ def instrumented_mac_count(rec):
 
 def brute_force_weight_accesses(rec):
     """Recount weight values touched per (sample, layer, channel)."""
-    k2 = rec.kernel_size ** 2
-    base_in = rec.c_in // rec.groups
-    cond_in = rec.c_in - base_in
+    k2 = rec.spec.kernel_size ** 2
+    base_in = rec.spec.in_channels // rec.cfg.groups
+    cond_in = rec.spec.in_channels - base_in
     total = 0
     for s in range(rec.n_samples):
-        for c in range(rec.c_out):
+        for c in range(rec.spec.out_channels):
             total += base_in * k2
             if rec.dm.channel_mask[s, c]:
                 total += cond_in * k2
@@ -76,12 +74,12 @@ class TestCountFlops:
         rec = make_record(np.zeros((2, 8, 4, 4)))
         line = count_flops([rec]).lines[0]
         assert line.executed_flops == line.base_flops
-        assert line.base_flops * rec.groups == line.dense_flops
+        assert line.base_flops * rec.cfg.groups == line.dense_flops
 
     @pytest.mark.parametrize("seed", range(8))
     def test_instrumented_mac_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        n, c_out = int(rng.integers(1, 3)), int(rng.integers(2, 7)) * 2
+        n, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 4)) * 4
         h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         G = int(rng.choice([2, 4]))
         c_in = G * int(rng.integers(1, 4))
@@ -110,6 +108,34 @@ class TestCountFlops:
         rec_off = make_record(d, c_in=8, groups=4, tau_c=0.0)
         assert count_flops([rec_on]).lines[0].gate_comparisons == 3 * (6 * 7 + 1) * 8
         assert count_flops([rec_off]).lines[0].gate_comparisons == 3 * (6 * 7) * 8
+
+    @pytest.mark.parametrize("tau_c", [0.0, 0.25])
+    def test_two_sided_comparisons_from_block(self, rng, tau_c):
+        # a band compares twice per output activation, plus once per
+        # channel with the channel-wise gate
+        from cgnet.network import CgConvBlock
+        cfg = CgLayerConfig(ConvSpec(4, 8, 3, padding=1), groups=2, activation="tanh",
+                            tau_c=tau_c)
+        layer = CgConvBlock(cfg, rng)
+        layer.params.gate.frozen = True
+        n, h, w = 3, 5, 6
+        _, (rec,) = layer.forward_infer(rng.standard_normal((n, 4, h, w)), collect=True)
+        assert rec.cfg.gate == "two_sided"
+        want = 2 * n * 8 * h * w + (n * 8 if tau_c > 0.0 else 0)
+        assert analysis.cost_line(rec).gate_comparisons == want
+
+    def test_grouped_dense_conv(self, rng):
+        # a grouped convolution reads c_in/groups input channels per output,
+        # and the correlation study, which regroups dense kernels, skips it
+        from cgnet.network import ConvBlock
+        blk = ConvBlock(ConvSpec(8, 8, 3, padding=1, groups=2), rng=rng)
+        _, (rec,) = blk.forward_infer(rng.standard_normal((2, 8, 4, 4)), collect=True,
+                                      capture=True)
+        line = analysis.cost_line(rec)
+        assert line.weight_values_total == 2 * 8 * 4 * 9
+        assert line.base_flops == line.dense_flops == 2 * 8 * 16 * 4 * 9
+        with pytest.raises(ConfigurationError, match="no layer admits regrouping"):
+            partial_final_correlation([rec], etas=(1.0,))
 
     def test_matches_block_counters(self, rng):
         # the accounting of the block's decisions and the oracle's own
@@ -259,7 +285,7 @@ class TestIntensity:
     def test_scalar_triple_loop_oracle(self, rng):
         d = rng.random((2, 6, 5, 4)) < 0.4
         mask = rng.random((2, 6)) < 0.8
-        rec = make_record(d, mask)
+        rec = make_record(d, mask, groups=2)
         got = intensity_map(rec, sample=1)
         for y in range(5):
             for x in range(4):
@@ -286,10 +312,7 @@ class TestIntensity:
 class TestPruningRatioAggregate:
     def test_mixed_records(self):
         gated = make_record(np.zeros((2, 4, 4, 4)))
-        ungated = analysis.LayerRecord(
-            name="conv", kind="conv", gated=False, c_in=3, c_out=8,
-            kernel_size=3, groups=1, gate_kind="", tau_c=0.0, h_out=4, w_out=4,
-            n_samples=2)
+        ungated = analysis.LayerRecord("conv", ConvSpec(3, 8, 3), 4, 4, 2)
         assert network_pruning_ratio([gated, ungated]) == 1.0
 
 
@@ -362,14 +385,15 @@ class TestBoolDecisionMaps:
             assert eff.dtype == recount_dtype
             taken += eff.sum()
             total += eff.size
-            base_k = rec.c_in // rec.groups * rec.kernel_size ** 2
-            cond_k = rec.c_in * rec.kernel_size ** 2 - base_k
+            spec = rec.spec
+            base_k = spec.in_channels // rec.cfg.groups * spec.kernel_size ** 2
+            cond_k = spec.in_channels * spec.kernel_size ** 2 - base_k
             line = lines[rec.name]
             assert line.conditional_flops_executed == int(eff.sum()) * cond_k
             assert line.weight_values_accessed == (
-                rec.n_samples * rec.c_out * base_k + int(mask.sum()) * cond_k)
+                rec.n_samples * spec.out_channels * base_k + int(mask.sum()) * cond_k)
             cycles = perf.model_layer_cycles(rec, array)
-            n_acts = rec.n_samples * rec.c_out * rec.h_out * rec.w_out
+            n_acts = rec.n_samples * spec.out_channels * rec.h_out * rec.w_out
             assert cycles.theoretical_cycles == (
                 (n_acts * base_k + int(eff.sum()) * cond_k) / array.throughput)
             for s in range(12):

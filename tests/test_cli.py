@@ -38,15 +38,37 @@ class TestTrain:
         assert len(metrics) == 3  # header + 2 epochs
 
     def test_deterministic_reruns_bitwise_identical(self, tmp_path):
+        # train, then eval, analyze and perf on its checkpoint, twice
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            r = run_cg(["train", "--config", str(TINY), "--out", str(out),
+            r = run_cg(["train", "--config", str(TINY), "--out", str(out / "train"),
                         "--seed", "9", "--deterministic"], cwd=REPO)
             assert r.returncode == 0, r.stderr
+            cfg = eval_cfg(out / "train", out, num_inputs=16, etas=[0.5, 1.0])
+            for cmd in ("eval", "analyze", "perf"):
+                r = run_cg([cmd, "--config", str(cfg), "--out", str(out / cmd),
+                            "--deterministic"], cwd=REPO)
+                assert r.returncode == 0, (cmd, r.stderr)
             outs.append(out)
-        assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
-        assert (outs[0] / "checkpoint.cgn").read_bytes() == (outs[1] / "checkpoint.cgn").read_bytes()
+        artifacts = ["train/metrics.csv", "train/checkpoint.cgn", "eval/eval_summary.json",
+                     "eval/cost_report.csv", "analyze/cost_report.csv",
+                     "analyze/correlation.csv", "perf/perf_breakdown.csv"]
+        pgms = sorted(p.name for p in (outs[0] / "analyze").glob("intensity_*.pgm"))
+        assert "intensity_aggregate.pgm" in pgms and len(pgms) >= 2
+        for rel in artifacts + [f"analyze/{name}" for name in pgms]:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+    def test_computation_cost_loss_rejects_two_sided_gate(self, tmp_path, capsys):
+        # the loss used to skip the two-sided layer, which then trained
+        # with no sparsity gradient at all
+        cfg = json.loads(TINY.read_text())
+        cfg["model"]["layers"][1].update(activation="tanh", gate="two_sided")
+        cfg["loss"]["sparsity"] = "computation_cost"
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "computation_cost supports single-sided gates only" in capsys.readouterr().err
 
     def test_malformed_config_names_field(self, tmp_path):
         cfg = json.loads(TINY.read_text())
@@ -436,6 +458,24 @@ class TestConfigRanges:
         out = tmp_path / "out"
         assert cli.main(["perf", "--config", str(path), "--out", str(out)]) == 2
         assert "array.fill_drain_per_tile:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("cmd", ["train", "eval"])
+    def test_more_data_classes_than_model_classes_rejected(self, tiny_run, tmp_path,
+                                                           capsys, cmd):
+        # a label past the last logit used to end in an IndexError
+        data = dict(json.loads(TINY.read_text())["data"], num_classes=3)
+        if cmd == "train":
+            cfg = json.loads(TINY.read_text())
+            cfg["data"] = data
+            path = tmp_path / "train.json"
+            path.write_text(json.dumps(cfg))
+        else:
+            path = eval_cfg(tiny_run, tmp_path, data=data)
+        out = tmp_path / "out"
+        assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data.num_classes" in err and "model.num_classes" in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_whole_dataset_validates(self, tiny_run, tmp_path):

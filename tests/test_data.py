@@ -49,6 +49,13 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="no labels"):
             load_idx_dataset(ip, lp, num_classes)
 
+    def test_label_outside_num_classes_rejected(self, tmp_path):
+        ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        write_idx_file(ip, np.zeros((3, 6, 6), dtype=np.uint8))
+        write_idx_file(lp, np.array([0, 1, 5], dtype=np.uint8))
+        with pytest.raises(DataFormatError, match=r"labels must lie in \[0, 2\), got 0 to 5"):
+            load_idx_dataset(ip, lp, num_classes=2)
+
     def test_truncated_payload(self, tmp_path):
         write_idx_file(tmp_path / "t.idx", np.zeros((4, 4), dtype=np.uint8))
         blob = (tmp_path / "t.idx").read_bytes()

@@ -39,12 +39,8 @@ def make_params(cfg, rng, randomize_stats=True):
 def block_costs(dm, cfg):
     """``count_flops`` on a record built from the block's decision map, as a
     dict keyed like the oracle's costs."""
-    spec = cfg.conv
-    rec = analysis.LayerRecord(
-        name="L", kind="cg_conv", gated=True, c_in=spec.in_channels,
-        c_out=spec.out_channels, kernel_size=spec.kernel_size, groups=cfg.groups,
-        gate_kind=cfg.gate, tau_c=cfg.tau_c, h_out=dm.d.shape[2],
-        w_out=dm.d.shape[3], n_samples=dm.d.shape[0], dm=dm)
+    n, _, h, w = dm.d.shape
+    rec = analysis.LayerRecord("L", cfg.conv, h, w, n, cfg, dm)
     costs = asdict(analysis.count_flops([rec]).lines[0])
     del costs["name"]
     return costs
@@ -55,10 +51,10 @@ def gate_params(cfg):
     return CgBlockParams.init(cfg, np.random.default_rng(0))
 
 
-def train_gate(p, params, cfg):
+def train_gate(p, params):
     """Training-mode decisions: batch-normalize p, then threshold."""
     xhat, _ = nn.bn_forward(p, params.bn1)
-    return gating._threshold_decisions(xhat, *gating.gate_bounds(params.gate, cfg.gate))
+    return gating._threshold_decisions(xhat, *params.gate.bounds())
 
 
 def input_channel_kernel(c_out, c_in):
@@ -122,16 +118,16 @@ class TestGateForward:
         params = gate_params(cfg)
         p = rng.standard_normal((2, 8, 4, 4))
         params.gate.delta[:] = -1e6
-        assert train_gate(p, params, cfg).min() == 1.0
+        assert train_gate(p, params).min() == 1.0
         params.gate.delta[:] = 1e6
-        assert train_gate(p, params, cfg).max() == 0.0
+        assert train_gate(p, params).max() == 0.0
 
     def test_monte_carlo_take_fraction(self, rng):
         # P(x >= Delta) with Delta=0 on normalized partials is one half
         cfg = make_cfg(c_out=4)
         params = gate_params(CgLayerConfig(ConvSpec(8, 4, 3), groups=4))
         p = rng.standard_normal((100, 4, 25, 10))  # 10^5 values per channel
-        d = train_gate(p, params, cfg)
+        d = train_gate(p, params)
         assert abs(d.mean() - 0.5) < 0.02
 
 
@@ -141,7 +137,7 @@ class TestMergedGate:
         params = gate_params(cfg)
         # E=0, Var=1, Delta=0: decisions equal heaviside up to the eps term
         p = rng.standard_normal((1, 8, 6, 6))
-        np.testing.assert_array_equal(merged_gate(p, params, cfg), heaviside(p))
+        np.testing.assert_array_equal(merged_gate(p, params), heaviside(p))
 
     def test_hand_evaluation(self):
         cfg = make_cfg(c_in=4, c_out=1, G=1)
@@ -151,7 +147,7 @@ class TestMergedGate:
         params.gate.delta[:] = 1.0
         # theta(4 - 1*2 - 2) = theta(0) = 1 (eps negligible at this magnitude)
         x = np.full((1, 1, 1, 1), 4.0 + 1e-4)
-        assert merged_gate(x, params, cfg)[0, 0, 0, 0]
+        assert merged_gate(x, params)[0, 0, 0, 0]
 
     def test_equals_normalize_then_threshold(self, rng):
         # two-path equivalence oracle over 10^4 random cases
@@ -162,7 +158,7 @@ class TestMergedGate:
         bn1.running_var[:] = rng.uniform(0.1, 3.0, 8)
         gate.delta[:] = rng.standard_normal(8)
         x = rng.standard_normal((125, 8, 10, 1)) * 2.0
-        got = merged_gate(x, params, cfg)
+        got = merged_gate(x, params)
         sigma = np.sqrt(bn1.running_var + bn1.eps)
         xhat = (x - bn1.running_mean[:, None, None]) / sigma[:, None, None]
         want = heaviside(xhat - gate.delta[:, None, None])
@@ -175,7 +171,7 @@ class TestMergedGate:
         params.gate.delta_high[:] = 0.5
         params.gate.delta_low[:] = -0.5
         x = np.array([[[[-1.0, -0.5, 0.0, 0.5, 1.0]]]] * 1).reshape(1, 1, 1, 5)
-        d = merged_gate(x, params, cfg)
+        d = merged_gate(x, params)
         # eps shifts the +/-0.5 thresholds outward by ~2.5e-6, boundaries taken
         np.testing.assert_array_equal(d.ravel(), [0, 1, 1, 1, 0])
 

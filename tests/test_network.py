@@ -137,6 +137,21 @@ class TestBuilder:
         model.set_tau_c(1.0)
         assert all(layer.cfg.tau_c == 1.0 for layer in model.gated_layers())
 
+    def test_set_tau_c_leaves_collected_records(self, rng):
+        # a record references its layer's config; a later set_tau_c must not
+        # re-cost it with a tau_c its channel masks were not made with
+        from cgnet import analysis
+        model = build_model(vgg_ish_cfg(), rng)
+        x = rng.standard_normal((4, 1, 16, 16))
+        model.forward_train(x)
+        model.freeze_gates()
+        _, records = model.forward_infer(x, collect=True)
+        before = analysis.count_flops(records).comparisons_total
+        model.set_tau_c(0.5)
+        assert analysis.count_flops(records).comparisons_total == before
+        _, records = model.forward_infer(x, collect=True)
+        assert all(rec.cfg.tau_c == 0.5 for rec in records if rec.gated)
+
 
 def with_shuffle(cfg_fn):
     cfg = cfg_fn()
@@ -397,3 +412,23 @@ class TestContextLifetime:
         kept = sum(p.nbytes + g.nbytes for _, p, g, _ in model.param_groups()) \
             + sum(stats.values())
         assert held <= kept + 512 * 1024, (held, kept)
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_collecting_pass_retains_no_copies(self, rng, cfg_fn):
+        # the records of a collecting evaluation reference each layer's own
+        # kernel and, without capture, hold no input
+        from cgnet.network import CgConvBlock, ConvBlock
+        from cgnet.training import evaluate
+        model = build_model(cfg_fn(), rng)
+        x = rng.standard_normal((6, 1, 16, 16))
+        model.forward_train(x)
+        model.freeze_gates()
+        _, _, records = evaluate(model, x, np.zeros(6, dtype=np.int64), batch_size=4,
+                                 collect=True)
+        kernels = {leaf.name: leaf.params.w if isinstance(leaf, CgConvBlock) else leaf.w
+                   for leaf in model.leaves() if isinstance(leaf, (CgConvBlock, ConvBlock))}
+        convs = [rec for rec in records if rec.name in kernels]
+        assert len(convs) == len(kernels) and any(rec.gated for rec in convs)
+        for rec in convs:
+            assert rec.x_in is None, rec.name
+            assert rec.w is kernels[rec.name], rec.name

@@ -218,7 +218,7 @@ class TestBatchNorm:
                         assert y[n, c, i, j] == want
 
     def test_running_stats_update(self, rng):
-        st = BatchNormState.create(2, momentum=0.9)
+        st = BatchNormState.create(2)
         x = rng.standard_normal((4, 2, 3, 3)) + 1.0
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))

@@ -406,13 +406,13 @@ class TestBackwardGemms:
 
 class TestSparsityLosses:
     def test_target_loss_at_target(self):
-        loss, (g,) = sparsity_loss_target([np.full(5, 2.0)], 2.0, 1.0)
+        loss, g = sparsity_loss_target(np.full(5, 2.0), 2.0, 1.0)
         assert loss == 0.0
         np.testing.assert_array_equal(g, 0.0)
 
     def test_target_loss_hand_case(self):
         # delta=0, T=2, lam=1: loss 4, grad -4
-        loss, (g,) = sparsity_loss_target([np.zeros(1)], 2.0, 1.0)
+        loss, g = sparsity_loss_target(np.zeros(1), 2.0, 1.0)
         assert loss == 4.0
         assert g[0] == -4.0
 
@@ -420,9 +420,9 @@ class TestSparsityLosses:
         delta = rng.standard_normal(6)
 
         def loss():
-            return sparsity_loss_target([delta], 1.5, 0.7)[0]
+            return sparsity_loss_target(delta, 1.5, 0.7)[0]
 
-        _, (g,) = sparsity_loss_target([delta], 1.5, 0.7)
+        _, g = sparsity_loss_target(delta, 1.5, 0.7)
         check_grad(loss, delta, g)
 
     def test_flops_loss_zero_when_all_taking(self, rng):
