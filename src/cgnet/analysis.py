@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .gating import CgLayerConfig, DecisionMap, grouped_partial_sums, shared_im2col_sums
-from .nn import ConfigurationError, ConvSpec, _chwn
+from .gating import CgLayerConfig, DecisionMap, grouped_partial_sums
+from .nn import ConfigurationError, ConvSpec, _chwn, conv2d_forward
 
 
 @dataclass
@@ -219,11 +219,14 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
     channel counts do not divide, and degenerate zero-variance layers, are
     skipped with a warning, and so is an eta that admits no layer (it is
     left out of the result); that no requested eta admits any layer is an
-    error. Each layer's im2col and full sum are computed once, by
-    ``gating.shared_im2col_sums``, the routine the gated layers run; only
-    the grouped partial sum is computed per eta.
+    error, and so is an eta outside (0, 1]. Each layer's dense convolution
+    runs once, in ``nn.conv2d_forward`` as in the gated layers; only the
+    grouped partial sum on its columns is computed per eta.
     Returns {eta: {"layers": {name: r}, "mean": r}}.
     """
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise ConfigurationError(f"etas: eta {eta} is outside (0, 1]")
     groups = {eta: int(round(1.0 / eta)) for eta in etas}
     for eta, G in groups.items():
         if abs(1.0 / G - eta) > 1e-9:
@@ -232,16 +235,13 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
     for rec in records:
         if rec.x_in is None or rec.spec.groups > 1:   # no dense kernel to regroup
             continue
-        spec = rec.spec
-        cols, _, final = shared_im2col_sums(rec.x_in, rec.w, spec, 1)
-        # the (c_out, ho*wo*n) rows grouped_partial_sums returns
-        final = _chwn(final).reshape(spec.out_channels, -1)
+        final, conv = conv2d_forward(rec.x_in, rec.w, rec.spec)
         for eta, G in groups.items():
-            if spec.in_channels % G or spec.out_channels % G:
+            if rec.spec.in_channels % G or rec.spec.out_channels % G:
                 warnings.warn(f"{rec.name}: channels not divisible by G={G}; skipped")
                 continue
-            partial = final if G == 1 else grouped_partial_sums(cols, rec.w, G)
-            r = _pearson(partial, final)
+            # both over their GEMM outputs' (c, h, w, n) memory
+            r = _pearson(_chwn(grouped_partial_sums(conv, G)), _chwn(final))
             if r is None:
                 warnings.warn(f"{rec.name}: zero-variance sums at eta={eta}; skipped")
                 continue

@@ -114,8 +114,12 @@ def _load_data(cfg, seed, config_dir):
     return train_ds, val_ds
 
 
-def _check_classes(ds, model):
-    """The model must have a logit for every class of the data."""
+def _check_data(ds, model):
+    """The model must take the data's (c, h, w) images and have a logit for
+    every class of the data."""
+    if ds.images.shape[1:] != model.input_shape:
+        raise ConfigurationError(f"model.input_shape: the model takes {list(model.input_shape)}, "
+                                 f"the data's images are {list(ds.images.shape[1:])}")
     if ds.num_classes > model.num_classes:
         raise ConfigurationError(f"data.num_classes: the data has {ds.num_classes} classes, "
                                  f"model.num_classes only {model.num_classes}")
@@ -147,7 +151,7 @@ def cmd_train(args):
         raise ConfigurationError(f"val_fraction: {val_fraction} leaves no training sample")
 
     model = build_model(read_field("model", cfg, dict), np.random.default_rng([seed, 11]))
-    _check_classes(train_ds, model)
+    _check_data(train_ds, model)
     if read_field("force_open", cfg, bool, False):
         model.set_force_open()
 
@@ -236,7 +240,7 @@ def _checkpoint_command(args):
     config_dir = Path(args.config).parent
     _, val_ds = _load_data(cfg, seed, config_dir)
     model = _load_eval_model(args, cfg, config_dir)
-    _check_classes(val_ds, model)
+    _check_data(val_ds, model)
     return cfg, out, val_ds, model, _frozen_flag(model)
 
 
@@ -281,9 +285,11 @@ def cmd_analyze(args):
     etas = read_field("etas", cfg, list, [0.125, 0.25, 0.5, 1.0], each=float)
 
     # one collecting pass feeds the intensity maps, the cost report and,
-    # through its captured inputs, the correlation study
+    # through its captured inputs, the correlation study, which runs first
+    # so that a bad eta fails before any artifact is written
     _, records = model.forward_infer(images, collect=True, capture=True,
                                      require_frozen=False)
+    corr = analysis.partial_final_correlation(records, etas)
     gated = [r for r in records if r.gated]
     for rec in gated:
         analysis.write_pgm(out / f"intensity_{rec.name}.pgm",
@@ -292,7 +298,6 @@ def cmd_analyze(args):
     analysis.write_pgm(out / "intensity_aggregate.pgm",
                        analysis.aggregate_intensity(gated, input_hw, sample))
 
-    corr = analysis.partial_final_correlation(records, etas)
     analysis.write_correlation_csv(out / "correlation.csv", corr)
 
     report = analysis.count_flops(records)

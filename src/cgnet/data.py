@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_field
+from .config import ConfigurationError, read_field
 
 
 class DataFormatError(ValueError):
@@ -196,11 +196,12 @@ def train_val_split(ds: Dataset, val_fraction, rng):
 
 def load_dataset(data_cfg: dict, base_dir="."):
     """Dispatch on data.kind: synthetic | idx | raw_chw. Each field is read
-    by ``read_field``, so a malformed one raises ``ConfigurationError``."""
+    by ``read_field``, so a malformed one raises ``ConfigurationError``, and
+    so does a synthetic field below its lower bound."""
     kind = read_field("data.kind", data_cfg, str)
     base = Path(base_dir)
     if kind == "synthetic":
-        return synthetic_dataset(
+        args = dict(
             num_samples=read_field("data.num_samples", data_cfg, int),
             num_classes=read_field("data.num_classes", data_cfg, int, 8),
             image_size=read_field("data.image_size", data_cfg, int, 16),
@@ -208,6 +209,11 @@ def load_dataset(data_cfg: dict, base_dir="."):
             noise=read_field("data.noise", data_cfg, float, 0.08),
             max_shift=read_field("data.max_shift", data_cfg, int, 2),
             seed=read_field("data.seed", data_cfg, int, 0))
+        for name, low in (("num_samples", 1), ("num_classes", 1), ("image_size", 1),
+                          ("channels", 1), ("noise", 0.0), ("max_shift", 0), ("seed", 0)):
+            if args[name] < low:
+                raise ConfigurationError(f"data.{name}: must be >= {low}, got {args[name]}")
+        return synthetic_dataset(**args)
     if kind == "idx":
         return load_idx_dataset(base / read_field("data.images", data_cfg, str),
                                 base / read_field("data.labels", data_cfg, str),

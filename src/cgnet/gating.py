@@ -12,15 +12,16 @@ Decisions and channel masks are bool arrays, the results of those
 comparisons; training casts the decisions to float where it multiplies by
 them.
 
-On the CPU the conditional path is not skipped: inference computes the
-full sum densely from the same im2col columns as the base path and selects
-it afterwards. Both GEMMs write (c_out, ho*wo*n) rows, which are the
-(c, h, w, n) memory of the (n, c, h, w) batches the block works on. The
-epilogue works in place on the two GEMM outputs (BN1 on the partial sum,
-BN2 on the full sum, the selection, the activation), so it allocates no
-float temporaries. The skipped conditional MACs are
-accounted by ``analysis.count_flops`` from the decision maps the block
-returns, which is what the FLOP-reduction figures report.
+On the CPU the conditional path is not skipped: the full sum is the dense
+convolution (``nn.conv2d_forward``), selected afterwards, and the base
+partial sums a grouped GEMM on its im2col columns. Both GEMMs write
+(c_out, ho*wo*n) rows, the (c, h, w, n) memory of the (n, c, h, w)
+batches the block works on. The epilogue works in place on the two GEMM
+outputs (BN1 on the partial sum, BN2 on the full sum, the selection, the
+activation), so it allocates no float temporaries. The skipped
+conditional MACs are accounted by ``analysis.count_flops`` from the
+decision maps the block returns, which is what the FLOP-reduction figures
+report.
 
 Weight layout: a gated layer holds one dense kernel W (c_out, c_in, k, k).
 Output group i's rows over input group i's channels are W_p, the base
@@ -39,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
-                 _as_batch, _batch, _chwn, _per_channel, activation, bn_inference,
-                 im2col)
+from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvCtx, ConvSpec,
+                 _batch, _chwn, _per_channel, activation, bn_inference, conv2d_forward)
 
 GATE_KINDS = ("single_sided", "two_sided")
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
@@ -281,31 +281,15 @@ def channel_gate(d, tau_c):
 # Block forward (inference)
 # ---------------------------------------------------------------------------
 
-def grouped_partial_sums(cols, w, G):
-    """Base partial sums from im2col columns ``cols`` (c_in*k*k, M): one
-    batched matmul of each output group's W_p block of the dense kernel
-    ``w`` against its input group's rows; returns (c_out, M)."""
-    kk, m = cols.shape
-    return np.matmul(base_blocks(w, G), cols.reshape(G, kk // G, m)).reshape(-1, m)
-
-
-def shared_im2col_sums(xb, w, spec: ConvSpec, G):
-    """One padded im2col of the batch ``xb`` feeding two GEMMs on the dense
-    kernel ``w``: the grouped base partial sums p and the full sum (for
-    G == 1 the full sum is p). ``spec`` is the dense convolution and G the
-    group count. Returns (cols, p, full): cols is (c_in*k*k, ho*wo*n), p
-    and full are (n, c_out, ho, wo) batches over the GEMMs' (c_out, ho*wo*n)
-    outputs.
-    """
-    if xb.shape[1] != spec.in_channels:
-        raise ConfigurationError(
-            f"input has {xb.shape[1]} channels, spec expects {spec.in_channels}")
-    n = xb.shape[0]
-    ho, wo = spec.out_hw(xb.shape[2], xb.shape[3])
-    cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
-    p = _batch(grouped_partial_sums(cols, w, G), n, ho, wo)
-    full = p if G == 1 else _batch(w.reshape(spec.out_channels, -1) @ cols, n, ho, wo)
-    return cols, p, full
+def grouped_partial_sums(conv: ConvCtx, G):
+    """Base partial sums of the dense convolution whose context is ``conv``:
+    one batched matmul of each output group's W_p block of ``conv.w``
+    against its input group's rows of ``conv.cols``. Returns p as the
+    (n, c_out, ho, wo) batch over the GEMM's (c_out, ho*wo*n) output."""
+    kk, m = conv.cols.shape
+    n, _, h, w = conv.x_shape
+    p = np.matmul(base_blocks(conv.w, G), conv.cols.reshape(G, kk // G, m))
+    return _batch(p, n, *conv.spec.out_hw(h, w))
 
 
 def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
@@ -316,19 +300,17 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     channel-wise gate zeroes whole channels' conditional work and their
     W_r accesses. Decision maps refer to pre-shuffle channel order.
 
-    One padded im2col of the input feeds two GEMMs on the dense kernel W:
-    the base partial sums (one batched matmul of each output group's W_p
-    block against its input group's rows) and the full sum. The full sum
-    is computed at every position and selected afterwards, so the skipped
-    conditional MACs are accounted by ``analysis.count_flops`` but not
-    skipped on the CPU. The epilogue works in place on the two GEMM
-    outputs: BN1 on p, BN2 on the full sum, the selection and the
-    activation. It runs on whatever running stats the block holds;
-    ``Network.forward_infer`` checks that they are frozen.
+    The full sum is the dense convolution with W (``nn.conv2d_forward``)
+    at every position, selected afterwards: the skipped conditional MACs
+    are accounted by ``analysis.count_flops``, not skipped on the CPU. The
+    base partial sums are a grouped GEMM on its im2col columns. The
+    epilogue works in place on the two GEMM outputs: BN1 on p, BN2 on the
+    full sum, the selection and the activation. It runs on whatever
+    running stats the block holds; ``Network.forward_infer`` checks that
+    they are frozen.
     """
-    _, p, full = shared_im2col_sums(_as_batch(x), params.w, cfg.conv, cfg.groups)
-    if full is p:
-        full = p.copy(order="K")   # G == 1: BN1 below must not normalize the full sum
+    full, conv = conv2d_forward(x, params.w, cfg.conv)
+    p = grouped_partial_sums(conv, cfg.groups)
     d = merged_gate(p, params)
     if cfg.tau_c > 0.0:
         mask = channel_gate(d, cfg.tau_c)

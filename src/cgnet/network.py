@@ -573,6 +573,8 @@ def build_model(model_cfg: dict, rng) -> Network:
             c = spec.out_channels
         elif kind in ("maxpool", "avgpool"):
             k = read_field(f"{where}.kernel_size", lc, int, 2)
+            if k < 1:
+                raise ConfigurationError(f"{where}.kernel_size: must be >= 1, got {k}")
             layers.append((MaxPool if kind == "maxpool" else AvgPool)(k, name))
             if h % k or w % k:
                 raise ConfigurationError(

@@ -1,9 +1,10 @@
 """Training-time graph of the gating block and the associated losses.
 
 During training both paths are computed at every position (skipping is an
-inference-time saving), from one padded im2col of the input shared by the
-base partial sum and the full sum. The forward combines them through the
-hard binary decision d:
+inference-time saving). The full sum is the layer's dense convolution
+(``nn.conv2d_forward``), and the base partial sum a grouped GEMM on that
+call's im2col columns. The forward combines them through the hard binary
+decision d:
 
     y = f( (J - d) o BN1(p)  +  d o BN2(p + r) )
 
@@ -18,7 +19,7 @@ combine applies the affine once: pre = gamma*z + beta with
 z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum. Both
 normalizations overwrite their GEMM outputs, so the training context holds
 three float arrays of the output's shape (x^_g and x^_2 inside the two
-``BnCtx``, and ``pre``), the bool d and the im2col columns. In the
+``BnCtx``, and ``pre``), the bool d and the full sum's ``ConvCtx``. In the
 backward, gamma folds into each BN backward's final per-channel scale
 gamma/sqrt(var + eps); the elementwise chain before it carries no gamma.
 BN2's backward writes the full sum's upstream gradient dfull and BN1's
@@ -49,10 +50,10 @@ import numpy as np
 
 from . import analysis
 from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
-                     shared_im2col_sums)
-from .nn import (BnCtx, ConfigurationError, _as_batch, _batch, _per_channel,
+                     grouped_partial_sums)
+from .nn import (BnCtx, ConfigurationError, ConvCtx, _as_batch, _batch, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward,
-                 bn_forward, col2im, cross_entropy, softmax)
+                 bn_forward, col2im, conv2d_forward, cross_entropy, softmax)
 
 
 class TrainingDiverged(RuntimeError):
@@ -125,8 +126,7 @@ class CgTrainContext:
 
     cfg: CgLayerConfig
     params: CgBlockParams
-    x_shape: tuple
-    cols: np.ndarray          # (c_in*k*k, ho*wo*n), shared by both paths
+    conv: ConvCtx             # the full sum's: cols feed both paths, w is params.w
     bn1_ctx: BnCtx            # normalization of p: x^_g, the gate input
     bn2_ctx: BnCtx            # normalization of the full sum: x^_2
     d: np.ndarray             # bool decisions
@@ -174,9 +174,9 @@ def _sigmoid_of(t):
 def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     """Training forward pass; returns (y, CgTrainContext).
 
-    One padded im2col of the input feeds the base partial sum p (one
-    batched matmul over W's G diagonal blocks) and the full sum (one matmul
-    with W); the backward reuses it.
+    The full sum is the dense convolution with W (``nn.conv2d_forward``);
+    the base partial sum p is one batched matmul over W's G diagonal blocks
+    on its im2col columns, which the backward reuses.
     Both sums are normalized affine-free with batch statistics, in place in
     their GEMM outputs, which nothing else reads; this also updates BN1's
     and BN2's running stats: x^_g (p's, also the gate input) and x^_2. The
@@ -184,11 +184,8 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     once, to the selected normalization: pre = gamma*z + beta with
     z = where(d, x^_2, x^_g).
     """
-    xb = _as_batch(x)
-    cols, p, full = shared_im2col_sums(xb, params.w, cfg.conv, cfg.groups)
-    if full is p:
-        full = p.copy(order="K")   # G == 1: BN1 below must not normalize the full sum
-
+    full, conv = conv2d_forward(x, params.w, cfg.conv)
+    p = grouped_partial_sums(conv, cfg.groups)
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
     xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
     d = _threshold_decisions(xhat_g, *params.gate.bounds())
@@ -196,7 +193,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     pre *= _per_channel(params.gamma)
     pre += _per_channel(params.beta)
     y = activation(pre, cfg.activation)
-    return y, CgTrainContext(cfg, params, xb.shape, cols, bn1_ctx, bn2_ctx, d, pre)
+    return y, CgTrainContext(cfg, params, conv, bn1_ctx, bn2_ctx, d, pre)
 
 
 def cg_block_backward(ctx: CgTrainContext, dy):
@@ -233,7 +230,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     ts = _surrogate(xhat_g, params, cfg)
 
     n, c_out, ho, wo = xhat2.shape
-    cols = ctx.cols
+    cols = ctx.conv.cols
     kk, m = cols.shape
     # the upstream gradients of the full sum and of p, as (c_out, ho*wo*n)
     # GEMM operands
@@ -299,7 +296,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         np.matmul(w[:, ins].T, dfull, out=dcols[ins])
         if restore:
             np.copyto(dfull[own], saved)
-    dx = col2im(dcols, ctx.x_shape, spec.kernel_size, spec.stride, spec.padding)
+    dx = col2im(dcols, ctx.conv.x_shape, spec.kernel_size, spec.stride, spec.padding)
     return CgBlockGrads(dwt.T.reshape(params.w.shape), dgamma, dbeta, dthresholds, dx)
 
 

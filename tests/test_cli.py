@@ -354,6 +354,10 @@ class TestConfigRanges:
         ("analyze", "num_inputs", -5),
         ("analyze", "intensity_sample", -1),
         ("analyze", "intensity_sample", 500),
+        # these used to end in a ZeroDivisionError or a failed reshape
+        ("analyze", "etas", [0.0]),
+        ("analyze", "etas", [2.0]),
+        ("analyze", "etas", [-0.5]),
     ])
     def test_out_of_range_rejected(self, tiny_run, tmp_path, capsys, cmd, key, value):
         if cmd == "train":
@@ -362,7 +366,7 @@ class TestConfigRanges:
             path = tmp_path / "train.json"
             path.write_text(json.dumps(cfg))
         else:
-            path = eval_cfg(tiny_run, tmp_path, etas=[0.5, 1.0], **{key: value})
+            path = eval_cfg(tiny_run, tmp_path, **{"etas": [0.5, 1.0], key: value})
         out = tmp_path / "out"
         assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
         assert f"{key}:" in capsys.readouterr().err

@@ -122,6 +122,12 @@ def _drop(*path):
     (_set("data", "max_shift", value=2.5), "data.max_shift: expected int, got 2.5"),
     (_set("data", "image_size", value=8.5), "data.image_size: expected int, got 8.5"),
     (_drop("data", "num_samples"), "data.num_samples: required field missing"),
+    (_set("data", "channels", value=0), "data.channels: must be >= 1, got 0"),
+    # data of another shape than the model takes
+    (_set("data", "image_size", value=12),
+     "model.input_shape: the model takes [1, 8, 8], the data's images are [1, 12, 12]"),
+    (_set("data", "channels", value=3),
+     "model.input_shape: the model takes [1, 8, 8], the data's images are [3, 8, 8]"),
     # paths
     (_set("output_dir", value=5), "output_dir: expected a string, got 5"),
     (_set("loss", "kd", "teacher_checkpoint", value=5),

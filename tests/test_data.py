@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cgnet.config import ConfigurationError
 from cgnet.data import (DataFormatError, Dataset, load_dataset,
                         load_idx_dataset, load_idx_file, load_raw_chw,
                         synthetic_dataset, train_val_split, write_idx_file,
@@ -150,3 +151,14 @@ class TestSynthetic:
         assert len(ds) == 10
         with pytest.raises(DataFormatError, match="kind"):
             load_dataset({"kind": "parquet"})
+
+    @pytest.mark.parametrize("key,value,rule", [
+        ("num_samples", -5, ">= 1"), ("num_samples", 0, ">= 1"),
+        ("num_classes", 0, ">= 1"), ("image_size", 0, ">= 1"), ("channels", 0, ">= 1"),
+        ("noise", -1.0, ">= 0.0"), ("max_shift", -1, ">= 0"), ("seed", -3, ">= 0"),
+    ])
+    def test_field_below_bound_named(self, key, value, rule):
+        # each of these used to fail inside numpy, or, for channels 0, as a
+        # channel mismatch blamed on the model
+        with pytest.raises(ConfigurationError, match=rf"data\.{key}: must be {rule}, got {value}"):
+            load_dataset({"kind": "synthetic", "num_samples": 10, key: value})

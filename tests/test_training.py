@@ -370,13 +370,13 @@ class TestBackwardGemms:
             mp.setattr(training, "batchnorm_backward", recording)
             g = cg_block_backward(ctx, rng.standard_normal(y.shape))
         dfull, dp = upstream["full"], upstream["p"]
-        args = (G, ctx.x_shape, cfg.conv)
-        dw, dx = stacked_conv_grads(ctx.cols, params.w, dfull, dp, *args)
+        args = (G, ctx.conv.x_shape, cfg.conv)
+        dw, dx = stacked_conv_grads(ctx.conv.cols, params.w, dfull, dp, *args)
         # Errors are relative to the sums of the products' magnitudes, the
         # scale of GEMM rounding: with G == 1 and one input tap, BN makes
         # the block invariant to W's scale, so dW is 0 in exact arithmetic
         # and both forms return rounding of O(1) terms.
-        dw_abs, dx_abs = stacked_conv_grads(np.abs(ctx.cols), np.abs(params.w),
+        dw_abs, dx_abs = stacked_conv_grads(np.abs(ctx.conv.cols), np.abs(params.w),
                                             np.abs(dfull), np.abs(dp), *args)
         assert np.linalg.norm(g.dw - dw) <= 1e-12 * np.linalg.norm(dw_abs)
         assert np.linalg.norm(g.dx - dx) <= 1e-12 * np.linalg.norm(dx_abs)
@@ -389,7 +389,7 @@ class TestBackwardGemms:
         params = make_params(cfg, rng)
         y, ctx = cg_block_forward_train(rng.standard_normal((3, 8, 5, 5)), params, cfg)
         dy = rng.standard_normal(y.shape)
-        held = {"cols": ctx.cols, "bn1 xhat": ctx.bn1_ctx.xhat,
+        held = {"cols": ctx.conv.cols, "bn1 xhat": ctx.bn1_ctx.xhat,
                 "bn2 xhat": ctx.bn2_ctx.xhat, "pre": ctx.pre, "d": ctx.d}
         before = {name: a.tobytes() for name, a in held.items()}
         first = cg_block_backward(ctx, dy)
