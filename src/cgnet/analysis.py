@@ -219,11 +219,14 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
     channel counts do not divide, and degenerate zero-variance layers, are
     skipped with a warning, and so is an eta that admits no layer (it is
     left out of the result); that no requested eta admits any layer is an
-    error, and so is an eta outside (0, 1]. Each layer's dense convolution
-    runs once, in ``nn.conv2d_forward`` as in the gated layers; only the
-    grouped partial sum on its columns is computed per eta.
+    error, and so are an empty ``etas`` and an eta outside (0, 1]. Each
+    layer's dense convolution runs once, in ``nn.conv2d_forward`` as in the
+    gated layers; only the grouped partial sum on its columns is computed
+    per eta.
     Returns {eta: {"layers": {name: r}, "mean": r}}.
     """
+    if not etas:
+        raise ConfigurationError("etas: must list at least one eta")
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise ConfigurationError(f"etas: eta {eta} is outside (0, 1]")

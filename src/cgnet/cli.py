@@ -13,7 +13,8 @@ read by ``config.read_field`` under one set of rules:
   * a float field takes any finite number and reads it as a float;
   * a bool field takes only true or false, and a string, list or object
     field only its own type; a list's entries are checked one by one;
-  * a field whose default is null also takes null.
+  * a field whose default is null also takes null;
+  * a count, size or seed below its lower bound is malformed too.
 
 A missing or malformed field exits 2 naming it (``optimizer.lr``,
 ``model.layers[2].groups``, ``etas[1]``) before any artifact is written.
@@ -247,9 +248,7 @@ def _checkpoint_command(args):
 def _analyzed_inputs(cfg, val_ds, default):
     """The first ``num_inputs`` validation images and their labels;
     ``num_inputs`` must be >= 1."""
-    n_inputs = read_field("num_inputs", cfg, int, default)
-    if n_inputs < 1:
-        raise ConfigurationError(f"num_inputs: must be >= 1, got {n_inputs}")
+    n_inputs = read_field("num_inputs", cfg, int, default, low=1)
     return val_ds.images[:n_inputs], val_ds.labels[:n_inputs]
 
 

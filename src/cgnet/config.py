@@ -26,7 +26,7 @@ def _typed(name, value, kind):
     return value
 
 
-def read_field(name, sources, kind, default=_MISSING, each=None):
+def read_field(name, sources, kind, default=_MISSING, each=None, low=None):
     """The field ``name`` from the first of ``sources`` (a mapping or a
     tuple of mappings) that holds its key, the last dotted part of
     ``name``; ``default`` when none does, and a ``ConfigurationError``
@@ -36,7 +36,7 @@ def read_field(name, sources, kind, default=_MISSING, each=None):
     finite int or float and is returned as a float, and bool, str, list and
     dict take only their own type. JSON null passes where the default is
     None. With ``each``, a list's entries are checked as ``each`` and named
-    ``name[i]``."""
+    ``name[i]``. With ``low``, a number below it is an error."""
     if isinstance(sources, dict):
         sources = (sources,)
     key = name.rpartition(".")[2]
@@ -46,6 +46,8 @@ def read_field(name, sources, kind, default=_MISSING, each=None):
     if value is None and default is None:
         return None
     value = _typed(name, value, kind)
+    if low is not None and value < low:
+        raise ConfigurationError(f"{name}: must be >= {low}, got {value}")
     if each is None:
         return value
     return [_typed(f"{name}[{i}]", v, each) for i, v in enumerate(value)]

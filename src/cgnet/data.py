@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigurationError, read_field
+from .config import read_field
 
 
 class DataFormatError(ValueError):
@@ -161,8 +161,12 @@ def synthetic_dataset(num_samples, num_classes=8, image_size=16, channels=1,
                       noise=0.08, max_shift=2, seed=0):
     """Class-templated pattern images: each class owns a random low-res
     grid placed in the central window; samples are small random shifts of
-    the template plus Gaussian noise, clipped to [0,1]. Deterministic for
-    a fixed seed."""
+    the template plus Gaussian noise, clipped to [0,1].
+
+    Each distinct (class, shift) roll of a template is built once from
+    modular row and column indices, and every sample is taken from those
+    rolls in one gather. The draw order (templates, labels, shifts,
+    noise) is what fixes a seed's bytes."""
     rng = np.random.default_rng(seed)
     margin = max(1, image_size // 4)
     window = image_size - 2 * margin
@@ -175,11 +179,16 @@ def synthetic_dataset(num_samples, num_classes=8, image_size=16, channels=1,
                        -(-window // grid), axis=2)[:, :window, :window]
         templates[cls, :, margin:margin + window, margin:margin + window] = up
     labels = rng.integers(0, num_classes, num_samples)
-    images = np.empty((num_samples, channels, image_size, image_size))
-    shifts = rng.integers(-max_shift, max_shift + 1, (num_samples, 2))
-    for i in range(num_samples):
-        img = np.roll(templates[labels[i]], tuple(shifts[i]), axis=(1, 2))
-        images[i] = img
+    shifts = rng.integers(-max_shift, max_shift + 1, (num_samples, 2)) % image_size
+    keys = (labels * image_size + shifts[:, 0]) * image_size + shifts[:, 1]
+    rolls, sample_roll = np.unique(keys, return_inverse=True)
+    cls, dy, dx = rolls // image_size**2, rolls // image_size % image_size, rolls % image_size
+    # np.roll by s puts source index (j - s) mod size at j
+    rows = (np.arange(image_size) - dy[:, None]) % image_size
+    cols = (np.arange(image_size) - dx[:, None]) % image_size
+    rolled = templates[cls[:, None, None, None], np.arange(channels)[:, None, None],
+                       rows[:, None, :, None], cols[:, None, None, :]]
+    images = rolled[sample_roll]
     images += rng.normal(0.0, noise, images.shape)
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, labels.astype(np.int64), num_classes)
@@ -201,18 +210,15 @@ def load_dataset(data_cfg: dict, base_dir="."):
     kind = read_field("data.kind", data_cfg, str)
     base = Path(base_dir)
     if kind == "synthetic":
+        # below 3 px the template window is empty and every class is noise
         args = dict(
-            num_samples=read_field("data.num_samples", data_cfg, int),
-            num_classes=read_field("data.num_classes", data_cfg, int, 8),
-            image_size=read_field("data.image_size", data_cfg, int, 16),
-            channels=read_field("data.channels", data_cfg, int, 1),
-            noise=read_field("data.noise", data_cfg, float, 0.08),
-            max_shift=read_field("data.max_shift", data_cfg, int, 2),
-            seed=read_field("data.seed", data_cfg, int, 0))
-        for name, low in (("num_samples", 1), ("num_classes", 1), ("image_size", 1),
-                          ("channels", 1), ("noise", 0.0), ("max_shift", 0), ("seed", 0)):
-            if args[name] < low:
-                raise ConfigurationError(f"data.{name}: must be >= {low}, got {args[name]}")
+            num_samples=read_field("data.num_samples", data_cfg, int, low=1),
+            num_classes=read_field("data.num_classes", data_cfg, int, 8, low=1),
+            image_size=read_field("data.image_size", data_cfg, int, 16, low=3),
+            channels=read_field("data.channels", data_cfg, int, 1, low=1),
+            noise=read_field("data.noise", data_cfg, float, 0.08, low=0.0),
+            max_shift=read_field("data.max_shift", data_cfg, int, 2, low=0),
+            seed=read_field("data.seed", data_cfg, int, 0, low=0))
         return synthetic_dataset(**args)
     if kind == "idx":
         return load_idx_dataset(base / read_field("data.images", data_cfg, str),

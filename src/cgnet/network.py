@@ -557,10 +557,10 @@ def build_model(model_cfg: dict, rng) -> Network:
         where = f"model.layers[{i}]"
         kind = read_field(f"{where}.type", lc, str)
         if kind in ("conv", "cg_conv"):
-            spec = ConvSpec(c, read_field(f"{where}.out_channels", lc, int),
-                            read_field(f"{where}.kernel_size", lc, int),
-                            read_field(f"{where}.stride", lc, int, 1),
-                            read_field(f"{where}.padding", lc, int, 0))
+            spec = ConvSpec(c, read_field(f"{where}.out_channels", lc, int, low=1),
+                            read_field(f"{where}.kernel_size", lc, int, low=1),
+                            read_field(f"{where}.stride", lc, int, 1, low=1),
+                            read_field(f"{where}.padding", lc, int, 0, low=0))
             if kind == "conv":
                 act = read_field(f"{where}.activation", lc, str, "relu")
                 if act not in ACTIVATION_KINDS:
@@ -569,12 +569,13 @@ def build_model(model_cfg: dict, rng) -> Network:
                 layers.append(ConvBlock(spec, act, shuffle, rng, name))
             else:
                 layers.append(CgConvBlock(_cg_config(spec, where, (lc, defaults)), rng, name))
-            h, w = spec.out_hw(h, w)
+            try:
+                h, w = spec.out_hw(h, w)
+            except ConfigurationError as e:
+                raise ConfigurationError(f"{where}: {e}") from None
             c = spec.out_channels
         elif kind in ("maxpool", "avgpool"):
-            k = read_field(f"{where}.kernel_size", lc, int, 2)
-            if k < 1:
-                raise ConfigurationError(f"{where}.kernel_size: must be >= 1, got {k}")
+            k = read_field(f"{where}.kernel_size", lc, int, 2, low=1)
             layers.append((MaxPool if kind == "maxpool" else AvgPool)(k, name))
             if h % k or w % k:
                 raise ConfigurationError(
@@ -588,8 +589,8 @@ def build_model(model_cfg: dict, rng) -> Network:
                                      rng, name))
             c, h, w = layers[-1].out_features, 1, 1
         elif kind == "residual":
-            out_c = read_field(f"{where}.out_channels", lc, int)
-            stride = read_field(f"{where}.stride", lc, int, 1)
+            out_c = read_field(f"{where}.out_channels", lc, int, low=1)
+            stride = read_field(f"{where}.stride", lc, int, 1, low=1)
             spec_a = ConvSpec(c, out_c, 3, stride, 1)
             spec_b = ConvSpec(out_c, out_c, 3, 1, 1)
             if read_field(f"{where}.cg", lc, bool, True):

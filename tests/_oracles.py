@@ -362,3 +362,29 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
         dw[i * cpo:(i + 1) * cpo, i * cpi:(i + 1) * cpi] = dw_p[i * cpo:(i + 1) * cpo]
     grads = training.CgBlockGrads(dw, dg1 + dg2, db1 + db2, dthresholds, dx)
     return y, d, grads
+
+
+def synthetic_dataset_reference(num_samples, num_classes=8, image_size=16, channels=1,
+                                noise=0.08, max_shift=2, seed=0):
+    """(images, labels) of ``data.synthetic_dataset`` by one ``np.roll`` of
+    the class template per sample, with the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    margin = max(1, image_size // 4)
+    window = image_size - 2 * margin
+    grid = max(2, window // 2)
+    templates = np.zeros((num_classes, channels, image_size, image_size))
+    for cls in range(num_classes):
+        cells = rng.uniform(0.35, 1.0, (channels, grid, grid))
+        cells *= rng.random((channels, grid, grid)) < 0.55
+        up = np.repeat(np.repeat(cells, -(-window // grid), axis=1),
+                       -(-window // grid), axis=2)[:, :window, :window]
+        templates[cls, :, margin:margin + window, margin:margin + window] = up
+    labels = rng.integers(0, num_classes, num_samples)
+    images = np.empty((num_samples, channels, image_size, image_size))
+    shifts = rng.integers(-max_shift, max_shift + 1, (num_samples, 2))
+    for i in range(num_samples):
+        img = np.roll(templates[labels[i]], tuple(shifts[i]), axis=(1, 2))
+        images[i] = img
+    images += rng.normal(0.0, noise, images.shape)
+    np.clip(images, 0.0, 1.0, out=images)
+    return images, labels

@@ -358,6 +358,8 @@ class TestConfigRanges:
         ("analyze", "etas", [0.0]),
         ("analyze", "etas", [2.0]),
         ("analyze", "etas", [-0.5]),
+        # an empty list used to write a header-only correlation.csv
+        ("analyze", "etas", []),
     ])
     def test_out_of_range_rejected(self, tiny_run, tmp_path, capsys, cmd, key, value):
         if cmd == "train":

@@ -118,6 +118,23 @@ class TestBuilder:
          "model.layers[1].kernel_size: must be >= 1, got 0"),
         (vgg_ish_cfg, lambda m: m["layers"][5].update(kernel_size=-2),
          "model.layers[5].kernel_size: must be >= 1, got -2"),
+        # a conv's shape fields used to fail in ConvSpec without naming the field
+        (vgg_ish_cfg, lambda m: m["layers"][0].update(kernel_size=0),
+         "model.layers[0].kernel_size: must be >= 1, got 0"),
+        (vgg_ish_cfg, lambda m: m["layers"][0].update(out_channels=0),
+         "model.layers[0].out_channels: must be >= 1, got 0"),
+        (vgg_ish_cfg, lambda m: m["layers"][2].update(stride=0),
+         "model.layers[2].stride: must be >= 1, got 0"),
+        (vgg_ish_cfg, lambda m: m["layers"][4].update(padding=-1),
+         "model.layers[4].padding: must be >= 0, got -1"),
+        (resnet_ish_cfg, lambda m: m["layers"][1].update(out_channels=0),
+         "model.layers[1].out_channels: must be >= 1, got 0"),
+        (resnet_ish_cfg, lambda m: m["layers"][2].update(stride=-1),
+         "model.layers[2].stride: must be >= 1, got -1"),
+        (vgg_ish_cfg, lambda m: m["layers"][0].update(kernel_size=20),
+         "model.layers[0]: conv output would be -1x-1 for input 16x16"),
+        (vgg_ish_cfg, lambda m: m["layers"][4].update(kernel_size=7),
+         "model.layers[4]: conv output would be 0x0 for input 4x4"),
     ])
     def test_malformed_field_named(self, rng, cfg_fn, edit, field):
         cfg = cfg_fn()
