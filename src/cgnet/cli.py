@@ -14,10 +14,12 @@ read by ``config.read_field`` under one set of rules:
   * a bool field takes only true or false, and a string, list or object
     field only its own type; a list's entries are checked one by one;
   * a field whose default is null also takes null;
-  * a count, size or seed below its lower bound is malformed too.
+  * a value below its lower bound or outside its range is malformed too.
 
 A missing or malformed field exits 2 naming it (``optimizer.lr``,
-``model.layers[2].groups``, ``etas[1]``) before any artifact is written.
+``model.layers[2].groups``, ``etas[1]``) before any artifact is written,
+and so does the removed ``force_open`` key: a dense baseline trains as
+``conv`` layers.
 The environment variable CG_THREADS caps BLAS worker threads: each of
 OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
 the cap, and a CG_THREADS that is not a positive integer exits 2.
@@ -143,6 +145,8 @@ def cmd_train(args):
     from .training import LossConfig, Schedule, train_network
 
     cfg = _load_config(args.config)
+    if "force_open" in cfg:   # removed: a dense baseline trains as conv layers
+        raise ConfigurationError("force_open: expected no such key; train conv layers instead")
     seed = _resolve_seed(args, cfg)
     out = _resolve_out(args, cfg)
     config_dir = Path(args.config).parent
@@ -153,8 +157,6 @@ def cmd_train(args):
 
     model = build_model(read_field("model", cfg, dict), np.random.default_rng([seed, 11]))
     _check_data(train_ds, model)
-    if read_field("force_open", cfg, bool, False):
-        model.set_force_open()
 
     loss = read_field("loss", cfg, dict, {})
     kd = read_field("loss.kd", loss, dict, {})
@@ -182,6 +184,12 @@ def cmd_train(args):
         if not loss_cfg.teacher_checkpoint:
             raise ConfigurationError("loss.kd.teacher_checkpoint: required when KD enabled")
         teacher = checkpoint.load_model(config_dir / loss_cfg.teacher_checkpoint)
+        # the student fits the data, so a teacher that fits the student does too
+        if (teacher.input_shape, teacher.num_classes) != (model.input_shape, model.num_classes):
+            raise ConfigurationError(
+                f"loss.kd.teacher_checkpoint: the teacher maps {list(teacher.input_shape)} "
+                f"images to {teacher.num_classes} classes, the student "
+                f"{list(model.input_shape)} to {model.num_classes}")
 
     def log(row):
         print(f"epoch {row['epoch']:3d}  loss {row['train_loss']:.4f}  "
@@ -317,9 +325,9 @@ def cmd_perf(args):
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
     section = read_field("array", cfg, dict, {})
     array = perf.ArrayConfig(
-        rows=read_field("array.rows", section, int, 16),
-        cols=read_field("array.cols", section, int, 16),
-        fill_drain_per_tile=read_field("array.fill_drain_per_tile", section, int, None))
+        rows=read_field("array.rows", section, int, 16, low=1),
+        cols=read_field("array.cols", section, int, 16, low=1),
+        fill_drain_per_tile=read_field("array.fill_drain_per_tile", section, int, None, low=0))
 
     # batched, so memory does not grow with num_inputs
     _, _, records = evaluate(model, *_analyzed_inputs(cfg, val_ds, 32), collect=True)

@@ -71,31 +71,32 @@ class CgLayerConfig:
     band_init: float = 2.0
 
     def __post_init__(self):
+        # each message starts with its field: the builder prefixes the layer
+        c_in, c_out = self.conv.in_channels, self.conv.out_channels
         if self.conv.groups != 1:
-            raise ConfigurationError("CgLayerConfig.conv must describe the dense layer (groups=1)")
+            raise ConfigurationError(f"conv: must have groups=1, got {self.conv.groups}")
         if self.groups < 1:
-            raise ConfigurationError("CgLayerConfig.groups must be >= 1")
-        if self.conv.in_channels % self.groups or self.conv.out_channels % self.groups:
+            raise ConfigurationError(f"groups: must be >= 1, got {self.groups}")
+        if c_in % self.groups or c_out % self.groups:
             raise ConfigurationError(
-                f"channels ({self.conv.in_channels} in, {self.conv.out_channels} out) "
-                f"not divisible by gating groups={self.groups}")
+                f"groups: channels ({c_in} in, {c_out} out) not divisible by {self.groups}")
         if self.activation not in ACTIVATION_KINDS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
+            raise ConfigurationError(f"activation: unknown activation {self.activation!r}")
         if not self.gate:
             self.gate = default_gate_kind(self.activation)
         if self.gate not in GATE_KINDS:
-            raise ConfigurationError(f"unknown gate kind {self.gate!r}")
+            raise ConfigurationError(f"gate: unknown gate kind {self.gate!r}")
         if not 0.0 <= self.tau_c <= 1.0:
-            raise ConfigurationError("tau_c must be in [0,1]")
+            raise ConfigurationError(f"tau_c: must be in [0, 1], got {self.tau_c}")
         if not 0.0 < self.epsilon < np.inf:
-            raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise ConfigurationError(f"epsilon: must be positive and finite, got {self.epsilon}")
         if not np.isfinite(self.band_init):
-            raise ConfigurationError(f"band_init must be finite, got {self.band_init}")
+            raise ConfigurationError(f"band_init: must be finite, got {self.band_init}")
 
 
 @dataclass
 class GateState:
-    """Learnable thresholds of the gate and whether its statistics are frozen.
+    """Learnable thresholds of the gate.
 
     The gate input is the partial sum normalized with BN1's statistics (batch
     statistics in training, BN1's running stats at inference), so the gate
@@ -105,7 +106,6 @@ class GateState:
     delta: np.ndarray
     delta_high: np.ndarray | None = None  # two-sided only
     delta_low: np.ndarray | None = None
-    frozen: bool = False
 
     @classmethod
     def create(cls, cfg: CgLayerConfig):

@@ -27,8 +27,10 @@ speaks one protocol:
 A context lives from one ``forward_train`` to the next, across steps:
 ``apply_sparsity_loss`` reads the gated layers' contexts after ``backward``,
 and freeing them at every step would only fault their pages in again.
-``Network.freeze_gates()`` ends training and drops every context (residual
-blocks and their sublayers included), so a finished model holds no batch.
+``Network.freeze_gates()`` ends training: it drops every context (residual
+blocks and their sublayers included), so a finished model holds no batch,
+and sets ``Network.frozen``, the one record that the gate statistics are
+frozen; loading a checkpoint sets it, ``Network.forward_train()`` clears it.
 
 ``Network.leaves()`` lists the layers in execution order with each residual
 block replaced by its sublayers; the parameter, state and gate walks go
@@ -40,6 +42,7 @@ lists, and checks before inference that the gate statistics are frozen.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 
@@ -148,7 +151,6 @@ class CgConvBlock(Layer):
         self.cfg = cfg
         self.name = name
         self.params = CgBlockParams.init(cfg, rng or np.random.default_rng(0))
-        self.freeze_delta = False
         self.g_w = np.zeros_like(self.params.w)
         self.g_gamma = np.zeros_like(self.params.gamma)
         self.g_beta = np.zeros_like(self.params.beta)
@@ -169,9 +171,8 @@ class CgConvBlock(Layer):
         self.g_w += g.dw
         self.g_gamma += g.dgamma
         self.g_beta += g.dbeta
-        if not self.freeze_delta:
-            for key, g_t in self.g_thresholds.items():
-                g_t += g.dthresholds[key]
+        for key, g_t in self.g_thresholds.items():
+            g_t += g.dthresholds[key]
         return g.dx
 
     def forward_infer(self, x, collect=False, capture=False):
@@ -365,10 +366,12 @@ class Network:
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.config = config or {}
+        self.frozen = False
         self._vel = None
 
     # -- passes ------------------------------------------------------------
     def forward_train(self, x):
+        self.frozen = False   # the pass moves the running statistics
         for layer in self.layers:
             x = layer.forward_train(x)
         return x
@@ -429,13 +432,13 @@ class Network:
         return float(np.concatenate(vals).mean()) if vals else 0.0
 
     def gates_frozen(self):
-        """Whether every gate's statistics are frozen (True without gates)."""
-        return all(layer.params.gate.frozen for layer in self.gated_layers())
+        """Whether no ``forward_train`` moved the gate statistics since they
+        were frozen or loaded frozen; True for a network without gates."""
+        return self.frozen or not self.gated_layers()
 
     def freeze_gates(self):
-        """End training: freeze every gate's statistics and drop the contexts."""
-        for layer in self.gated_layers():
-            layer.params.gate.frozen = True
+        """End training: mark the gate statistics frozen, drop the contexts."""
+        self.frozen = True
         self.drop_contexts()
 
     def drop_contexts(self):
@@ -445,14 +448,11 @@ class Network:
             layer.ctx = None
 
     def set_force_open(self):
-        """Force every gate fully open and stop threshold learning."""
+        """Force every gate fully open, for inference only (the logits are the
+        dense twin's): an open gate's surrogate is saturated, so it learns nothing."""
         for layer in self.gated_layers():
-            gate = layer.params.gate
-            gate.delta[:] = -1e6
-            if gate.delta_high is not None:
-                gate.delta_high[:] = 1e6
-                gate.delta_low[:] = -1e6
-            layer.freeze_delta = True
+            for key, t in layer.params.gate.thresholds():
+                t[:] = 1e6 if key == "delta_high" else -1e6
 
     def set_delta(self, value):
         """Set every gate's one-sided threshold. A two-sided gate thresholds
@@ -502,7 +502,6 @@ class Network:
         if unexpected:
             raise ConfigurationError(
                 f"checkpoint has unexpected tensor(s) {', '.join(map(repr, unexpected))}")
-        frozen = "__frozen__" in tensors and bool(tensors["__frozen__"][0])
         loaded = {}   # id of an array -> name of the record loaded into it
         for name, arr in items:
             if name not in tensors:
@@ -520,7 +519,7 @@ class Network:
             arr[:] = src
         for layer in self.gated_layers():
             layer.load_kernel(tensors)
-            layer.params.gate.frozen = frozen
+        self.frozen = "__frozen__" in tensors and bool(tensors["__frozen__"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +527,14 @@ class Network:
 # ---------------------------------------------------------------------------
 
 def _cg_config(spec, where, sources):
-    return CgLayerConfig(
-        conv=spec,
-        groups=read_field(f"{where}.groups", sources, int, 4),
-        activation=read_field(f"{where}.activation", sources, str, "relu"),
-        gate=read_field(f"{where}.gate", sources, str, ""),
-        tau_c=read_field(f"{where}.tau_c", sources, float, 0.0),
-        epsilon=read_field(f"{where}.epsilon", sources, float, 4.0),
-        shuffle=read_field(f"{where}.shuffle", sources, bool, False),
-        band_init=read_field(f"{where}.band_init", sources, float, 2.0))
+    """A gated layer's config: each ``CgLayerConfig`` field after ``conv`` read
+    as ``where.<field>``, of its default's type; a range error names it too."""
+    fields = {f.name: read_field(f"{where}.{f.name}", sources, type(f.default), f.default)
+              for f in dataclasses.fields(CgLayerConfig)[1:]}
+    try:
+        return CgLayerConfig(spec, **fields)
+    except ConfigurationError as e:   # its messages start with the field's name
+        raise ConfigurationError(f"{where}.{e}") from None
 
 
 def build_model(model_cfg: dict, rng) -> Network:

@@ -43,13 +43,6 @@ class ArrayConfig:
     cols: int = 16
     fill_drain_per_tile: int | None = None   # None -> rows + cols
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigurationError("array dims must be >= 1")
-        if self.fill_drain_per_tile is not None and self.fill_drain_per_tile < 0:
-            raise ConfigurationError(
-                f"array.fill_drain_per_tile: must be >= 0, got {self.fill_drain_per_tile}")
-
     @property
     def fill_drain(self):
         if self.fill_drain_per_tile is None:

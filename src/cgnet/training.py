@@ -71,14 +71,15 @@ class LossConfig:
     teacher_checkpoint: str | None = None
 
     def __post_init__(self):
-        if self.sparsity not in ("target_threshold", "computation_cost", "none"):
-            raise ConfigurationError(f"unknown sparsity mode {self.sparsity!r}")
-        if self.lam < 0:
-            raise ConfigurationError("loss lambda must be >= 0")
-        if not 0.0 <= self.kd_mix <= 1.0:
-            raise ConfigurationError("kd mix must be in [0,1]")
-        if self.kd_temperature <= 0:
-            raise ConfigurationError("kd temperature must be > 0")
+        # one row per field of the config's loss section; NaN fails all
+        modes = ("target_threshold", "computation_cost", "none")
+        for name, value, ok, rule in (
+                ("sparsity", self.sparsity, self.sparsity in modes, f"one of {', '.join(modes)}"),
+                ("lambda", self.lam, self.lam >= 0.0, ">= 0"),
+                ("kd.temperature", self.kd_temperature, self.kd_temperature > 0.0, "> 0"),
+                ("kd.mix", self.kd_mix, 0.0 <= self.kd_mix <= 1.0, "in [0, 1]")):
+            if not ok:
+                raise ConfigurationError(f"loss.{name}: must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -389,9 +390,7 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
     lam = loss_cfg.lam * lam_scale
     if loss_cfg.sparsity == "none" or lam == 0.0:
         return 0.0
-    layers = [l for l in model.gated_layers() if not l.freeze_delta]
-    if not layers:
-        return 0.0
+    layers = model.gated_layers()
     if loss_cfg.sparsity == "target_threshold":
         loss = 0.0
         for layer in layers:

@@ -117,7 +117,6 @@ class TestCountFlops:
         cfg = CgLayerConfig(ConvSpec(4, 8, 3, padding=1), groups=2, activation="tanh",
                             tau_c=tau_c)
         layer = CgConvBlock(cfg, rng)
-        layer.params.gate.frozen = True
         n, h, w = 3, 5, 6
         _, (rec,) = layer.forward_infer(rng.standard_normal((n, 4, h, w)), collect=True)
         assert rec.cfg.gate == "two_sided"
@@ -143,7 +142,6 @@ class TestCountFlops:
         from cgnet.gating import CgBlockParams, CgLayerConfig, cg_block_forward_inference
         cfg = CgLayerConfig(ConvSpec(8, 8, 3, padding=1), groups=4, tau_c=0.1)
         params = CgBlockParams.init(cfg, rng)
-        params.gate.frozen = True
         params.gate.delta[:] = 0.2
         x = rng.standard_normal((4, 8, 6, 6))
         _, dm = cg_block_forward_inference(x, params, cfg)
@@ -167,7 +165,6 @@ class TestCountFlops:
         from cgnet.gating import CgBlockParams, CgLayerConfig, cg_block_forward_inference
         cfg = CgLayerConfig(ConvSpec(8, 8, 3, padding=1), groups=4)
         params = CgBlockParams.init(cfg, rng)
-        params.gate.frozen = True
         x = rng.standard_normal((2, 8, 6, 6))
         prev = 0.0
         for delta in np.linspace(-2, 2, 9):

@@ -124,10 +124,24 @@ class TestModelCheckpoint:
         path = tmp_path / "unfrozen.cgn"
         save_model(path, model)
         back = load_model(path)
-        assert not back.gated_layers()[0].params.gate.frozen
+        assert not back.gates_frozen()
         model.freeze_gates()
         save_model(path, model)
-        assert load_model(path).gated_layers()[0].params.gate.frozen
+        assert load_model(path).gates_frozen()
+
+    def test_training_pass_clears_frozen_flag(self, tmp_path, rng):
+        # a train-mode pass moves BN1/BN2's running stats, so a frozen
+        # model that runs one is frozen no longer, and its checkpoint says so
+        model = build_model(self.model_cfg(), rng)
+        model.freeze_gates()
+        model.forward_train(rng.standard_normal((2, 1, 8, 8)))
+        assert not model.gates_frozen()
+        path = tmp_path / "model.cgn"
+        save_model(path, model)
+        assert read_container(path)["__frozen__"].tolist() == [0]
+        assert not load_model(path).gates_frozen()
+        model.freeze_gates()
+        assert model.gates_frozen()
 
     def test_missing_frozen_flag_loads_unfrozen(self, tmp_path, rng):
         model = build_model(self.model_cfg(), rng)
@@ -137,7 +151,7 @@ class TestModelCheckpoint:
         tensors = read_container(path)
         del tensors["__frozen__"]
         write_container(path, tensors)
-        assert not any(l.params.gate.frozen for l in load_model(path).gated_layers())
+        assert not load_model(path).gates_frozen()
 
     @pytest.mark.parametrize("config", [b"{not json", b"\xff\xfe", b"[1, 2]", b'"text"'])
     def test_config_record_not_a_json_object_rejected(self, tmp_path, rng, config):

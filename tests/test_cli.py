@@ -91,6 +91,61 @@ class TestTrain:
         assert "schema_version" in r.stderr
 
 
+def train_tiny(tmp_path, name, edit=lambda cfg: None):
+    """``cg train`` on an edited copy of the tiny config; (exit code, out dir)."""
+    cfg = json.loads(TINY.read_text())
+    edit(cfg)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    return cli.main(["train", "--config", str(path), "--out", str(out)]), out
+
+
+def dense_teacher(image_size=8, num_classes=2):
+    """An edit making the tiny config a dense network on other data."""
+    def edit(cfg):
+        for layer in cfg["model"]["layers"]:
+            if layer["type"] == "cg_conv":
+                layer["type"] = "conv"
+        cfg["data"].update(image_size=image_size, num_classes=num_classes)
+        cfg["model"]["input_shape"] = [1, image_size, image_size]
+        cfg["model"]["num_classes"] = num_classes
+        cfg["model"]["layers"][-1]["out_features"] = num_classes
+    return edit
+
+
+class TestKnowledgeDistillation:
+    """A gated student trains against a dense teacher's checkpoint; a
+    teacher that does not fit the data or the student fails before
+    training, naming the field."""
+
+    @pytest.mark.parametrize("teacher,message", [
+        (dense_teacher(), None),
+        (dense_teacher(image_size=12),
+         "loss.kd.teacher_checkpoint: the teacher maps [1, 12, 12] images to 2 classes, "
+         "the student [1, 8, 8] to 2"),
+        (dense_teacher(num_classes=3),
+         "loss.kd.teacher_checkpoint: the teacher maps [1, 8, 8] images to 3 classes, "
+         "the student [1, 8, 8] to 2"),
+    ], ids=["fits", "other_image_size", "other_class_count"])
+    def test_student_trains_against_teacher(self, tmp_path, capsys, teacher, message):
+        rc, teacher_out = train_tiny(tmp_path, "teacher", teacher)
+        assert rc == 0
+        capsys.readouterr()
+
+        def student(cfg):
+            cfg["loss"]["kd"].update(enabled=True,
+                                     teacher_checkpoint=str(teacher_out / "checkpoint.cgn"))
+        rc, out = train_tiny(tmp_path, "student", student)
+        if message is None:
+            assert rc == 0
+            assert len((out / "metrics.csv").read_text().splitlines()) == 3
+        else:
+            assert rc == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
+
 def eval_cfg(tiny_run, tmp_path, **extra):
     cfg = {
         "schema_version": 1,
@@ -360,6 +415,8 @@ class TestConfigRanges:
         ("analyze", "etas", [-0.5]),
         # an empty list used to write a header-only correlation.csv
         ("analyze", "etas", []),
+        ("perf", "array.rows", 0),
+        ("perf", "array.cols", -2),
     ])
     def test_out_of_range_rejected(self, tiny_run, tmp_path, capsys, cmd, key, value):
         if cmd == "train":
@@ -368,7 +425,9 @@ class TestConfigRanges:
             path = tmp_path / "train.json"
             path.write_text(json.dumps(cfg))
         else:
-            path = eval_cfg(tiny_run, tmp_path, **{"etas": [0.5, 1.0], key: value})
+            section, _, field = key.partition(".")   # array.rows sits in the array section
+            extra = {section: {field: value}} if field else {key: value}
+            path = eval_cfg(tiny_run, tmp_path, **{"etas": [0.5, 1.0], **extra})
         out = tmp_path / "out"
         assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
         assert f"{key}:" in capsys.readouterr().err
@@ -389,7 +448,8 @@ class TestConfigRanges:
         ("analyze", "etas[1]", {"etas": [0.5, "abc"]}),
         ("analyze", "etas[1]", {"etas": [0.5, True]}),
         ("perf", "array.fill_drain_per_tile", {"array": {"fill_drain_per_tile": "abc"}}),
-        ("train", "force_open", {"force_open": "false"}),
+        # a removed key: the force-open training mode is gone
+        ("train", "force_open", {"force_open": True}),
         ("train", "loss.kd.enabled", {"loss": {"kd": {"enabled": "no"}}}),
         # Python's json reads NaN and Infinity; a gate compared against NaN
         # decides False everywhere and would read as pruning

@@ -116,6 +116,22 @@ def _drop(*path):
      "model.layers[2]: expected an object, got 'maxpool'"),
     (_set("model", "layers", value={"0": {"type": "flatten"}}), "model.layers: expected a list"),
     (_set("model", "cg_defaults", value=[2, 4.0]), "model.cg_defaults: expected an object"),
+    # a gated layer's range errors, from its own fields or cg_defaults
+    (_set("model", "cg_defaults", "groups", value=0), "model.layers[1].groups: must be >= 1, got 0"),
+    (_set("model", "cg_defaults", "groups", value=3),
+     "model.layers[1].groups: channels (4 in, 8 out) not divisible by 3"),
+    (_set("model", "layers", 1, "tau_c", value=2), "model.layers[1].tau_c: must be in [0, 1], got 2.0"),
+    (_set("model", "cg_defaults", "epsilon", value=0),
+     "model.layers[1].epsilon: must be positive and finite, got 0.0"),
+    (_set("model", "layers", 1, "activation", value="foo"),
+     "model.layers[1].activation: unknown activation 'foo'"),
+    (_set("model", "layers", 1, "gate", value="foo"), "model.layers[1].gate: unknown gate kind 'foo'"),
+    # loss section
+    (_set("loss", "lambda", value=-1), "loss.lambda: must be >= 0, got -1.0"),
+    (_set("loss", "kd", "mix", value=2), "loss.kd.mix: must be in [0, 1], got 2.0"),
+    (_set("loss", "kd", "temperature", value=0), "loss.kd.temperature: must be > 0, got 0.0"),
+    (_set("loss", "sparsity", value="foo"),
+     "loss.sparsity: must be one of target_threshold, computation_cost, none, got 'foo'"),
     # data section
     (_set("data", "noise", value=math.nan), "data.noise: expected a finite number, got nan"),
     (_set("data", "num_samples", value="abc"), "data.num_samples: expected int, got 'abc'"),
@@ -142,3 +158,22 @@ def test_train_rejects_malformed_field(tmp_path, capsys, edit, message):
     assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+TRAINING = [p for p in sorted((REPO / "configs").glob("*.json"))
+            if "optimizer" in json.loads(p.read_text())]
+
+
+@pytest.mark.parametrize("path", TRAINING, ids=lambda p: p.name)
+def test_shipped_training_config_trains(tmp_path, capsys, path):
+    """Each bundled training config runs ``cg train`` as shipped, shrunk to
+    64 samples and one epoch: a key the trainer rejects fails here."""
+    cfg = json.loads(path.read_text())
+    cfg["data"]["num_samples"] = 64
+    cfg["optimizer"]["epochs"] = 1
+    small = tmp_path / path.name
+    small.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(small), "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    assert (out / "checkpoint.cgn").exists()

@@ -32,7 +32,6 @@ def make_params(cfg, rng, randomize_stats=True):
             bn.running_var[:] = rng.uniform(0.5, 2.0, len(bn.running_var))
         p.gamma[:] = rng.uniform(0.5, 1.5, len(p.gamma))
         p.beta[:] = rng.standard_normal(len(p.beta)) * 0.2
-    p.gate.frozen = True
     return p
 
 
