@@ -117,15 +117,18 @@ def _drop(*path):
     (_set("model", "layers", value={"0": {"type": "flatten"}}), "model.layers: expected a list"),
     (_set("model", "cg_defaults", value=[2, 4.0]), "model.cg_defaults: expected an object"),
     # a gated layer's range errors, from its own fields or cg_defaults
-    (_set("model", "cg_defaults", "groups", value=0), "model.layers[1].groups: must be >= 1, got 0"),
+    (_set("model", "cg_defaults", "groups", value=0),
+     "model.layers[1].groups: must be >= 1, got 0"),
     (_set("model", "cg_defaults", "groups", value=3),
      "model.layers[1].groups: channels (4 in, 8 out) not divisible by 3"),
-    (_set("model", "layers", 1, "tau_c", value=2), "model.layers[1].tau_c: must be in [0, 1], got 2.0"),
+    (_set("model", "layers", 1, "tau_c", value=2),
+     "model.layers[1].tau_c: must be in [0, 1], got 2.0"),
     (_set("model", "cg_defaults", "epsilon", value=0),
      "model.layers[1].epsilon: must be positive and finite, got 0.0"),
     (_set("model", "layers", 1, "activation", value="foo"),
      "model.layers[1].activation: unknown activation 'foo'"),
-    (_set("model", "layers", 1, "gate", value="foo"), "model.layers[1].gate: unknown gate kind 'foo'"),
+    (_set("model", "layers", 1, "gate", value="foo"),
+     "model.layers[1].gate: unknown gate kind 'foo'"),
     # loss section
     (_set("loss", "lambda", value=-1), "loss.lambda: must be >= 0, got -1.0"),
     (_set("loss", "kd", "mix", value=2), "loss.kd.mix: must be in [0, 1], got 2.0"),
