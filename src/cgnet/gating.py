@@ -71,7 +71,7 @@ class CgLayerConfig:
     band_init: float = 2.0
 
     def __post_init__(self):
-        # each message starts with its field: the builder prefixes the layer
+        # each message starts with its field; build_model prefixes the layer
         c_in, c_out = self.conv.in_channels, self.conv.out_channels
         if self.conv.groups != 1:
             raise ConfigurationError(f"conv: must have groups=1, got {self.conv.groups}")
