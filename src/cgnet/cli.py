@@ -18,8 +18,10 @@ read by ``config.read_field`` under one set of rules:
 
 A missing or malformed field exits 2 naming it (``optimizer.lr``,
 ``model.layers[2].groups``, ``etas[1]``) before any artifact is written,
-and so does the removed ``force_open`` key: a dense baseline trains as
-``conv`` layers.
+and so do the removed keys ``force_open`` (a dense baseline trains as
+``conv`` layers) and ``loss.kd.enabled``: naming a checkpoint in
+``loss.kd.teacher_checkpoint`` turns distillation on, as a nonzero
+``loss.lambda`` turns on the sparsity loss.
 The environment variable CG_THREADS caps BLAS worker threads: each of
 OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
 the cap, and a CG_THREADS that is not a positive integer exits 2.
@@ -100,9 +102,10 @@ def _resolve_seed(args, cfg):
     return seed if args.seed is None else args.seed
 
 
-def _load_data(cfg, seed, config_dir):
+def _load_data(cfg, seed, config_dir, training=False):
     """Dataset from config, split into (train, val) with a derived seed.
-    ``val_fraction`` must lie in [0, 1] and leave a validation sample."""
+    ``val_fraction`` must lie in [0, 1] and leave a validation sample, and a
+    training sample when ``training``."""
     import numpy as np
     from .data import load_dataset, train_val_split
     val_fraction = read_field("val_fraction", cfg, float, 0.1)
@@ -111,9 +114,10 @@ def _load_data(cfg, seed, config_dir):
     ds = load_dataset(read_field("data", cfg, dict), base_dir=config_dir)
     split_rng = np.random.default_rng([seed, 17])
     train_ds, val_ds = train_val_split(ds, val_fraction, split_rng)
-    if not len(val_ds):
-        raise ConfigurationError(
-            f"val_fraction: {val_fraction} of {len(ds)} samples leaves no validation sample")
+    for name, part in (("validation", val_ds), ("training", train_ds))[:1 + training]:
+        if not len(part):
+            raise ConfigurationError(
+                f"val_fraction: {val_fraction} of {len(ds)} samples leaves no {name} sample")
     return train_ds, val_ds
 
 
@@ -150,25 +154,22 @@ def cmd_train(args):
     seed = _resolve_seed(args, cfg)
     out = _resolve_out(args, cfg)
     config_dir = Path(args.config).parent
-    train_ds, val_ds = _load_data(cfg, seed, config_dir)
-    if not len(train_ds):
-        val_fraction = read_field("val_fraction", cfg, float, 0.1)
-        raise ConfigurationError(f"val_fraction: {val_fraction} leaves no training sample")
+    train_ds, val_ds = _load_data(cfg, seed, config_dir, training=True)
 
     model = build_model(read_field("model", cfg, dict), np.random.default_rng([seed, 11]))
     _check_data(train_ds, model)
 
     loss = read_field("loss", cfg, dict, {})
     kd = read_field("loss.kd", loss, dict, {})
+    if "enabled" in kd:   # removed: naming a teacher_checkpoint turns distillation on
+        raise ConfigurationError("loss.kd.enabled: expected no such key; name a teacher instead")
     opt = read_field("optimizer", cfg, dict, {})
     loss_cfg = LossConfig(
         sparsity=read_field("loss.sparsity", loss, str, "target_threshold"),
         lam=read_field("loss.lambda", loss, float, 1e-4),
         target=read_field("loss.target", loss, float, 2.0),
-        kd_enabled=read_field("loss.kd.enabled", kd, bool, False),
         kd_temperature=read_field("loss.kd.temperature", kd, float, 1.0),
-        kd_mix=read_field("loss.kd.mix", kd, float, 0.5),
-        teacher_checkpoint=read_field("loss.kd.teacher_checkpoint", kd, str, None))
+        kd_mix=read_field("loss.kd.mix", kd, float, 0.5))
     schedule = Schedule(
         epochs=read_field("optimizer.epochs", opt, int),
         batch_size=read_field("optimizer.batch_size", opt, int, 64),
@@ -179,17 +180,22 @@ def cmd_train(args):
                                          each=float)),
         lr_decay_factor=read_field("optimizer.lr_decay_factor", opt, float, 0.1),
         lambda_warmup_frac=read_field("optimizer.lambda_warmup_frac", opt, float, 0.1))
+    teacher_path = read_field("loss.kd.teacher_checkpoint", kd, str, None)
     teacher = None
-    if loss_cfg.kd_enabled:
-        if not loss_cfg.teacher_checkpoint:
-            raise ConfigurationError("loss.kd.teacher_checkpoint: required when KD enabled")
-        teacher = checkpoint.load_model(config_dir / loss_cfg.teacher_checkpoint)
+    if teacher_path is not None:   # naming a teacher turns distillation on
+        try:
+            teacher = checkpoint.load_model(config_dir / teacher_path)
+        except (OSError, checkpoint.CheckpointError, ConfigurationError) as e:
+            raise ConfigurationError(f"loss.kd.teacher_checkpoint: {e}") from None
         # the student fits the data, so a teacher that fits the student does too
         if (teacher.input_shape, teacher.num_classes) != (model.input_shape, model.num_classes):
             raise ConfigurationError(
                 f"loss.kd.teacher_checkpoint: the teacher maps {list(teacher.input_shape)} "
                 f"images to {teacher.num_classes} classes, the student "
                 f"{list(model.input_shape)} to {model.num_classes}")
+        if not teacher.gates_frozen():   # its forward_infer would fail at the first batch
+            raise ConfigurationError("loss.kd.teacher_checkpoint: the teacher's gate statistics "
+                                     "are not frozen; name the checkpoint of a finished run")
 
     def log(row):
         print(f"epoch {row['epoch']:3d}  loss {row['train_loss']:.4f}  "
@@ -225,7 +231,10 @@ def _load_eval_model(args, cfg, config_dir):
                        ("delta_shift", model.shift_delta)):
         value = read_field(key, cfg, float, None)
         if value is not None:
-            apply(value)
+            try:
+                apply(value)
+            except ConfigurationError as e:   # the setter's message names no key
+                raise ConfigurationError(f"{key}: {e}") from None
     return model
 
 

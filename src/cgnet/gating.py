@@ -103,18 +103,16 @@ class GateState:
     keeps no normalizer of its own.
     """
 
-    delta: np.ndarray
+    delta: np.ndarray | None = None       # one-sided only
     delta_high: np.ndarray | None = None  # two-sided only
     delta_low: np.ndarray | None = None
 
     @classmethod
     def create(cls, cfg: CgLayerConfig):
         c = cfg.conv.out_channels
-        st = cls(np.zeros(c))
         if cfg.gate == "two_sided":
-            st.delta_high = np.full(c, cfg.band_init)
-            st.delta_low = np.full(c, -cfg.band_init)
-        return st
+            return cls(delta_high=np.full(c, cfg.band_init), delta_low=np.full(c, -cfg.band_init))
+        return cls(np.zeros(c))
 
     def thresholds(self):
         """(name, array) of the learned thresholds: delta, or the band's edges."""
@@ -176,17 +174,17 @@ class CgBlockParams:
         spec = cfg.conv
         G = cfg.groups
         c_in, c_out, k = spec.in_channels, spec.out_channels, spec.kernel_size
-        fan_in = c_in * k * k
-        std = np.sqrt(2.0 / fan_in)
-        # drawing W_p, then W_r, fixes the rng stream of seeded models
-        w_p = rng.normal(0.0, std, (c_out, c_in // G, k, k))
-        w_r = rng.normal(0.0, std, (c_out, c_in - c_in // G, k, k))
-        gamma = np.ones(c_out)
-        beta = np.zeros(c_out)
+        if rng is None:   # zero, for a checkpoint load to fill, as dense layers do
+            w = np.zeros(spec.weight_shape)
+        else:
+            std = np.sqrt(2.0 / (c_in * k * k))
+            # drawing W_p, then W_r, fixes the rng stream of seeded models
+            w = assemble_dense_weight(rng.normal(0.0, std, (c_out, c_in // G, k, k)),
+                                      rng.normal(0.0, std, (c_out, c_in - c_in // G, k, k)), G)
+        gamma, beta = np.ones(c_out), np.zeros(c_out)
         bn1 = BatchNormState(gamma, beta, np.zeros(c_out), np.ones(c_out))
         bn2 = BatchNormState(gamma, beta, np.zeros(c_out), np.ones(c_out))
-        return cls(assemble_dense_weight(w_p, w_r, G), gamma, beta, bn1, bn2,
-                   GateState.create(cfg))
+        return cls(w, gamma, beta, bn1, bn2, GateState.create(cfg))
 
 
 # ---------------------------------------------------------------------------

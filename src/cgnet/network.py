@@ -150,7 +150,7 @@ class CgConvBlock(Layer):
     def __init__(self, cfg: CgLayerConfig, rng=None, name="cg"):
         self.cfg = cfg
         self.name = name
-        self.params = CgBlockParams.init(cfg, rng or np.random.default_rng(0))
+        self.params = CgBlockParams.init(cfg, rng)
         self.g_w = np.zeros_like(self.params.w)
         self.g_gamma = np.zeros_like(self.params.gamma)
         self.g_beta = np.zeros_like(self.params.beta)
@@ -191,9 +191,7 @@ class CgConvBlock(Layer):
                 for key, t in self.params.gate.thresholds()]
 
     def state_items(self):
-        # The format stores W as its (W_p, W_r) split, gate_mean/gate_var
-        # name BN1's arrays a second time and delta is there for both gate
-        # kinds: the records stay for its readers.
+        # for the format's readers: W as its (W_p, W_r) split, BN1's stats twice
         p = self.params
         w_p, w_r = split_dense_weight(p.w, self.cfg.groups)
         return [(f"{self.name}.w_p", w_p),
@@ -205,9 +203,8 @@ class CgConvBlock(Layer):
                 (f"{self.name}.bn2_mean", p.bn2.running_mean),
                 (f"{self.name}.bn2_var", p.bn2.running_var),
                 (f"{self.name}.gate_mean", p.bn1.running_mean),
-                (f"{self.name}.gate_var", p.bn1.running_var),
-                (f"{self.name}.delta", p.gate.delta)] + \
-               [(f"{self.name}.{key}", t) for key, t in p.gate.thresholds() if key != "delta"]
+                (f"{self.name}.gate_var", p.bn1.running_var)] + \
+               [(f"{self.name}.{key}", t) for key, t in p.gate.thresholds()]
 
     def load_kernel(self, tensors):
         """Assemble W from a checkpoint's (W_p, W_r) records."""
@@ -451,8 +448,10 @@ class Network:
         """Force every gate fully open, for inference only (the logits are the
         dense twin's): an open gate's surrogate is saturated, so it learns nothing."""
         for layer in self.gated_layers():
-            for key, t in layer.params.gate.thresholds():
-                t[:] = 1e6 if key == "delta_high" else -1e6
+            lo, hi = layer.params.gate.bounds()
+            lo[:] = -1e6
+            if hi is not None:
+                hi[:] = 1e6
 
     def set_delta(self, value):
         """Set every gate's one-sided threshold. A two-sided gate thresholds
@@ -468,12 +467,12 @@ class Network:
             layer.params.gate.delta[:] = value
 
     def shift_delta(self, offset):
+        """Raise one-sided thresholds by ``offset``; narrow bands by it at each edge."""
         for layer in self.gated_layers():
-            gate = layer.params.gate
-            gate.delta += offset
-            if gate.delta_high is not None:
-                gate.delta_high -= offset
-                gate.delta_low += offset
+            lo, hi = layer.params.gate.bounds()
+            lo += offset
+            if hi is not None:
+                hi -= offset
 
     def set_tau_c(self, value):
         if not 0.0 <= value <= 1.0:

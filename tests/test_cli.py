@@ -115,9 +115,10 @@ def dense_teacher(image_size=8, num_classes=2):
 
 
 class TestKnowledgeDistillation:
-    """A gated student trains against a dense teacher's checkpoint; a
-    teacher that does not fit the data or the student fails before
-    training, naming the field."""
+    """Naming a teacher checkpoint turns distillation on: a gated student
+    trains against a dense teacher; a teacher that does not fit the data or
+    the student, or is not a finished model, fails before training, naming
+    the field."""
 
     @pytest.mark.parametrize("teacher,message", [
         (dense_teacher(), None),
@@ -134,8 +135,7 @@ class TestKnowledgeDistillation:
         capsys.readouterr()
 
         def student(cfg):
-            cfg["loss"]["kd"].update(enabled=True,
-                                     teacher_checkpoint=str(teacher_out / "checkpoint.cgn"))
+            cfg["loss"]["kd"]["teacher_checkpoint"] = str(teacher_out / "checkpoint.cgn")
         rc, out = train_tiny(tmp_path, "student", student)
         if message is None:
             assert rc == 0
@@ -144,6 +144,38 @@ class TestKnowledgeDistillation:
             assert rc == 2
             assert message in capsys.readouterr().err
             assert not out.exists() or not any(out.iterdir())
+
+    def test_naming_a_teacher_distils(self, tmp_path):
+        rc, teacher_out = train_tiny(tmp_path, "teacher", dense_teacher())
+        assert rc == 0
+
+        def student(cfg):
+            cfg["loss"]["kd"].update(mix=1.0,
+                                     teacher_checkpoint=str(teacher_out / "checkpoint.cgn"))
+        runs = [train_tiny(tmp_path, "student", student), train_tiny(tmp_path, "alone")]
+        assert [rc for rc, _ in runs] == [0, 0]
+        student_loss, alone_loss = [
+            [row.split(",")[1] for row in (out / "metrics.csv").read_text().splitlines()[1:]]
+            for _, out in runs]
+        assert student_loss != alone_loss
+
+    @pytest.mark.parametrize("case", ["unfrozen", "missing"])
+    def test_teacher_that_is_no_finished_model_rejected(self, tmp_path, capsys, case):
+        # an unfrozen teacher used to pass every check and then fail at the
+        # first batch without naming the field, a missing file with a traceback
+        from cgnet import checkpoint
+        from cgnet.network import build_model
+        path = tmp_path / "teacher.cgn"
+        if case == "unfrozen":   # a gated model saved before training ends
+            model_cfg = json.loads(TINY.read_text())["model"]
+            checkpoint.save_model(path, build_model(model_cfg, np.random.default_rng(0)))
+        rc, out = train_tiny(tmp_path, "student", lambda cfg: cfg["loss"]["kd"].update(
+            teacher_checkpoint=str(path)))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "loss.kd.teacher_checkpoint: " in err
+        assert ("not frozen" if case == "unfrozen" else "No such file") in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 def eval_cfg(tiny_run, tmp_path, **extra):
@@ -461,6 +493,9 @@ class TestConfigRanges:
         ("train", "loss.lambda", {"loss": {"lambda": float("nan")}}),
         ("train", "optimizer.lr_decay_epochs[0]",
          {"optimizer": {"epochs": 2, "lr": 0.05, "lr_decay_epochs": [float("nan")]}}),
+        # a removed key whatever its value: naming a teacher turns KD on
+        ("train", "loss.kd.enabled", {"loss": {"kd": {"enabled": True}}}),
+        ("train", "loss.kd.enabled", {"loss": {"kd": {"enabled": False}}}),
     ])
     def test_non_numeric_rejected(self, tiny_run, tmp_path, capsys, cmd, key, extra):
         if cmd == "train":
@@ -478,7 +513,20 @@ class TestConfigRanges:
         path = eval_cfg(tiny_run, tmp_path, tau_c_override=5)
         out = tmp_path / "out"
         assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == 2
-        assert "tau_c must be in [0, 1]" in capsys.readouterr().err
+        assert "tau_c_override: tau_c must be in [0, 1], got 5.0" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_delta_override_on_band_rejected(self, tmp_path, capsys):
+        # one delta does not define a two-sided band (tanh gets one)
+        rc, run = train_tiny(tmp_path, "band",
+                             lambda cfg: cfg["model"]["layers"][1].update(activation="tanh"))
+        assert rc == 0
+        capsys.readouterr()
+        path = eval_cfg(run, tmp_path, delta_override=1.0)
+        out = tmp_path / "out"
+        assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == 2
+        assert "delta_override: set_delta sets one-sided thresholds; layer(s) L01" \
+            in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("edit,field", [

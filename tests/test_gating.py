@@ -385,10 +385,11 @@ class TestBlockInferenceOracle:
                             shuffle=shuffle)
         params = make_params(cfg, rng)
         c_out = cfg.conv.out_channels
-        params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
         if gate == "two_sided":
             params.gate.delta_high[:] = np.abs(rng.standard_normal(c_out)) * 0.8
             params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
+        else:
+            params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
         x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
         y, dm = cg_block_forward_inference(x, params, cfg)
         y_ref, dm_ref, cost_ref = dense_masked_block_forward(x, params, cfg)
@@ -412,15 +413,13 @@ class TestBlockInferenceWritesNoInput:
                             activation="tanh" if G == 2 else "relu", gate=gate,
                             tau_c=0.2, shuffle=shuffle)
         p = make_params(cfg, rng)
-        p.gate.delta[:] = rng.standard_normal(8) * 0.5
+        if gate == "single_sided":
+            p.gate.delta[:] = rng.standard_normal(8) * 0.5
         x = rng.standard_normal((2 if several else 1, 8, 5, 5))
         arrays = {"x": x, "w": p.w, "gamma": p.gamma, "beta": p.beta,
                   "bn1_mean": p.bn1.running_mean, "bn1_var": p.bn1.running_var,
                   "bn2_mean": p.bn2.running_mean, "bn2_var": p.bn2.running_var,
-                  "delta": p.gate.delta}
-        if gate == "two_sided":
-            arrays["delta_high"] = p.gate.delta_high
-            arrays["delta_low"] = p.gate.delta_low
+                  **dict(p.gate.thresholds())}
         before = {name: a.copy() for name, a in arrays.items()}
         y, dm = cg_block_forward_inference(x, p, cfg)
         for name, a in arrays.items():

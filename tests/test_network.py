@@ -264,11 +264,13 @@ class TestDenseEquivalence:
         cfg = vgg_ish_cfg()
         cfg["layers"][4]["activation"] = "tanh"  # two-sided gate on L04
         model = build_model(cfg, rng)
-        before = [layer.params.gate.delta.copy() for layer in model.gated_layers()]
+        before = [[t.copy() for _, t in layer.params.gate.thresholds()]
+                  for layer in model.gated_layers()]
         with pytest.raises(ConfigurationError, match="L04"):
             model.set_delta(1e6)
-        for layer, delta in zip(model.gated_layers(), before):
-            np.testing.assert_array_equal(layer.params.gate.delta, delta)
+        for layer, copies in zip(model.gated_layers(), before):
+            for (_, t), old in zip(layer.params.gate.thresholds(), copies):
+                np.testing.assert_array_equal(t, old)
 
 
 class TestGradientChaining:
@@ -379,6 +381,16 @@ class TestStateRoundtrip:
         ya, _ = model.forward_infer(x)
         yb, _ = clone.forward_infer(x)
         np.testing.assert_array_equal(ya, yb)
+
+    def test_unseeded_build_has_zero_kernels(self):
+        # a checkpoint load builds without an rng and overwrites every kernel,
+        # so none is drawn: conv, gated, shortcut and linear layers alike
+        model = build_model(resnet_ish_cfg(), None)
+        kinds = {type(leaf).__name__ for leaf in model.leaves()}
+        assert {"ConvBlock", "CgConvBlock", "LinearHead"} <= kinds
+        kernels = [p for name, p, _, _ in model.param_groups() if name.endswith(".w")]
+        assert len(kernels) == 7   # conv, 2 x (a, b), the shortcut, linear
+        assert all(not k.any() for k in kernels)
 
 
 def layer_objects(model):

@@ -301,10 +301,11 @@ class TestBlockTrainOracle:
         for bn in (params.bn1, params.bn2):
             bn.running_mean[:] = rng.standard_normal(c_out)
             bn.running_var[:] = rng.uniform(0.5, 2.0, c_out)
-        params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
         if gate == "two_sided":
             params.gate.delta_high[:] = np.abs(rng.standard_normal(c_out)) * 0.8
             params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
+        else:
+            params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
         x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
         ho, wo = cfg.conv.out_hw(*hw)
         dy = rng.standard_normal((n, c_out, ho, wo))
@@ -566,7 +567,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "evaluate", checked)
         train_network(model, train.images, train.labels, val.images, val.labels,
-                      LossConfig(sparsity="none"), Schedule(epochs=2, batch_size=32), rng)
+                      LossConfig(lam=0.0), Schedule(epochs=2, batch_size=32), rng)
         assert len(calls) == 2
 
     def test_computation_cost_step_reads_contexts_after_backward(self):
@@ -623,7 +624,7 @@ class TestTrainLoop:
         train, val = train_val_split(ds, 0.25, rng)
         model = build_model(toy_model_cfg(), np.random.default_rng(7))
         train_network(model, train.images, train.labels, val.images, val.labels,
-                      LossConfig(sparsity="none"), Schedule(epochs=1, batch_size=32),
+                      LossConfig(lam=0.0), Schedule(epochs=1, batch_size=32),
                       rng)
         for layer in model.gated_layers():
             assert layer.params.bn1.gamma is layer.params.bn2.gamma
@@ -638,7 +639,7 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(training.TrainingDiverged, match="epoch"):
             train_network(model, train.images, train.labels,
-                          val.images, val.labels, LossConfig(sparsity="none"),
+                          val.images, val.labels, LossConfig(lam=0.0),
                           Schedule(epochs=3, batch_size=32, lr=1e200), rng)
 
     def test_force_open_matches_baseline_trajectory(self):
@@ -652,7 +653,7 @@ class TestTrainLoop:
         dense = m_open.to_dense()
         hist_open, hist_dense = [
             train_network(m, train.images, train.labels, val.images, val.labels,
-                          LossConfig(sparsity="none"),
+                          LossConfig(lam=0.0),
                           Schedule(epochs=3, batch_size=32, lr=0.05), np.random.default_rng(9))
             for m in (m_open, dense)]
         assert len(hist_open) == len(hist_dense) == 3
