@@ -161,7 +161,7 @@ def cost_line(rec: LayerRecord) -> CostLine:
         return CostLine(rec.name, weights * pos, 0, 0, 0, weights, weights)
     base_k = (spec.in_channels // cfg.groups) * k2
     cond_k = spec.in_channels * k2 - base_k
-    comparisons = n * pos * c_out * (2 if cfg.gate == "two_sided" else 1)
+    comparisons = n * pos * c_out * (2 if cfg.two_sided else 1)
     if cfg.tau_c > 0.0:
         comparisons += n * c_out
     return CostLine(

@@ -19,9 +19,9 @@ read by ``config.read_field`` under one set of rules:
 A missing or malformed field exits 2 naming it (``optimizer.lr``,
 ``model.layers[2].groups``, ``etas[1]``) before any artifact is written,
 and so do the removed keys ``force_open`` (a dense baseline trains as
-``conv`` layers) and ``loss.kd.enabled``: naming a checkpoint in
-``loss.kd.teacher_checkpoint`` turns distillation on, as a nonzero
-``loss.lambda`` turns on the sparsity loss.
+``conv`` layers), ``loss.kd.enabled`` (naming a ``loss.kd.teacher_checkpoint``
+turns distillation on, as a nonzero ``loss.lambda`` the sparsity loss) and
+a gated layer's ``gate`` and ``band_init`` (the activation sets the gate kind).
 The environment variable CG_THREADS caps BLAS worker threads: each of
 OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
 the cap, and a CG_THREADS that is not a positive integer exits 2.
@@ -95,6 +95,14 @@ def _resolve_out(args, cfg):
     path = Path(args.out or output_dir or "runs/out")
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _existing_path(field, name, config_dir):
+    """The file ``name`` from the working directory, else from the config's."""
+    for path in (Path(name), config_dir / name):
+        if path.is_file():
+            return path
+    raise ConfigurationError(f"{field}: file not found: {name}")
 
 
 def _resolve_seed(args, cfg):
@@ -183,8 +191,9 @@ def cmd_train(args):
     teacher_path = read_field("loss.kd.teacher_checkpoint", kd, str, None)
     teacher = None
     if teacher_path is not None:   # naming a teacher turns distillation on
+        teacher_path = _existing_path("loss.kd.teacher_checkpoint", teacher_path, config_dir)
         try:
-            teacher = checkpoint.load_model(config_dir / teacher_path)
+            teacher = checkpoint.load_model(teacher_path)
         except (OSError, checkpoint.CheckpointError, ConfigurationError) as e:
             raise ConfigurationError(f"loss.kd.teacher_checkpoint: {e}") from None
         # the student fits the data, so a teacher that fits the student does too
@@ -220,12 +229,7 @@ def _load_eval_model(args, cfg, config_dir):
     ckpt = args.checkpoint or in_config
     if not ckpt:
         raise ConfigurationError("checkpoint: required field missing")
-    path = Path(ckpt)
-    if not path.exists() and not path.is_absolute() and (config_dir / path).exists():
-        path = config_dir / path
-    if not path.exists():
-        raise ConfigurationError(f"checkpoint: file not found: {path}")
-    model = checkpoint.load_model(path)
+    model = checkpoint.load_model(_existing_path("checkpoint", ckpt, config_dir))
     for key, apply in (("delta_override", model.set_delta),
                        ("tau_c_override", model.set_tau_c),
                        ("delta_shift", model.shift_delta)):

@@ -68,15 +68,6 @@ def load_idx_file(path):
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
 
 
-def write_idx_file(path, arr):
-    """Write an unsigned-byte IDX file (fixture/export helper)."""
-    arr = np.ascontiguousarray(arr, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">BBBB", 0, 0, _IDX_UBYTE, arr.ndim))
-        f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        f.write(arr.tobytes())
-
-
 def load_idx_dataset(images_path, labels_path, num_classes=None):
     images = load_idx_file(images_path)
     labels = load_idx_file(labels_path)
@@ -134,23 +125,6 @@ def load_raw_chw(sidecar_path):
     labels = np.frombuffer(lblob, dtype=np.uint8).astype(np.int64)
     num_classes = meta["num_classes"] if "num_classes" in meta else int(labels.max()) + 1
     return Dataset(images, labels, num_classes)
-
-
-def write_raw_chw(sidecar_path, dataset: Dataset, dtype="float32"):
-    sidecar_path = Path(sidecar_path)
-    stem = sidecar_path.stem
-    data_name, labels_name = f"{stem}.images.bin", f"{stem}.labels.bin"
-    n, c, h, w = dataset.images.shape
-    arr = dataset.images.astype("<f4" if dtype == "float32" else "<f8")
-    if dtype == "uint8":
-        arr = np.round(dataset.images * 255.0).astype(np.uint8)
-    (sidecar_path.parent / data_name).write_bytes(np.ascontiguousarray(arr).tobytes())
-    (sidecar_path.parent / labels_name).write_bytes(
-        dataset.labels.astype(np.uint8).tobytes())
-    meta = {"schema_version": 1, "count": n, "channels": c, "height": h,
-            "width": w, "dtype": dtype, "data": data_name, "labels": labels_name,
-            "num_classes": dataset.num_classes}
-    sidecar_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,8 @@ import numpy as np
 from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvCtx, ConvSpec,
                  _batch, _chwn, _per_channel, activation, bn_inference, conv2d_forward)
 
-GATE_KINDS = ("single_sided", "two_sided")
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
-
-
-def default_gate_kind(activation_kind):
-    """Saturating activations get the two-sided gate, ReLU-likes one-sided."""
-    return "two_sided" if activation_kind in TWO_SIDED_ACTIVATIONS else "single_sided"
+BAND_INIT = 2.0   # a band starts as (delta_low, delta_high) = (-BAND_INIT, BAND_INIT)
 
 
 @dataclass
@@ -58,17 +53,15 @@ class CgLayerConfig:
 
     ``conv`` describes the dense shape of the layer (its groups field must
     be 1); ``groups`` is the gating group count G, i.e. the base path sees
-    the fraction eta = 1/G of the input channels.
+    the fraction eta = 1/G of the input channels. The activation sets the gate kind.
     """
 
     conv: ConvSpec
     groups: int = 4
     activation: str = "relu"
-    gate: str = ""
     tau_c: float = 0.0
     epsilon: float = 4.0
     shuffle: bool = False
-    band_init: float = 2.0
 
     def __post_init__(self):
         # each message starts with its field; build_model prefixes the layer
@@ -82,21 +75,20 @@ class CgLayerConfig:
                 f"groups: channels ({c_in} in, {c_out} out) not divisible by {self.groups}")
         if self.activation not in ACTIVATION_KINDS:
             raise ConfigurationError(f"activation: unknown activation {self.activation!r}")
-        if not self.gate:
-            self.gate = default_gate_kind(self.activation)
-        if self.gate not in GATE_KINDS:
-            raise ConfigurationError(f"gate: unknown gate kind {self.gate!r}")
         if not 0.0 <= self.tau_c <= 1.0:
             raise ConfigurationError(f"tau_c: must be in [0, 1], got {self.tau_c}")
         if not 0.0 < self.epsilon < np.inf:
             raise ConfigurationError(f"epsilon: must be positive and finite, got {self.epsilon}")
-        if not np.isfinite(self.band_init):
-            raise ConfigurationError(f"band_init: must be finite, got {self.band_init}")
+
+    @property
+    def two_sided(self):
+        """A band (delta_low, delta_high) for saturating activations, else one delta."""
+        return self.activation in TWO_SIDED_ACTIVATIONS
 
 
 @dataclass
 class GateState:
-    """Learnable thresholds of the gate.
+    """Learnable thresholds of the gate: delta from 0, or a band from +-``BAND_INIT``.
 
     The gate input is the partial sum normalized with BN1's statistics (batch
     statistics in training, BN1's running stats at inference), so the gate
@@ -110,8 +102,8 @@ class GateState:
     @classmethod
     def create(cls, cfg: CgLayerConfig):
         c = cfg.conv.out_channels
-        if cfg.gate == "two_sided":
-            return cls(delta_high=np.full(c, cfg.band_init), delta_low=np.full(c, -cfg.band_init))
+        if cfg.two_sided:
+            return cls(delta_high=np.full(c, BAND_INIT), delta_low=np.full(c, -BAND_INIT))
         return cls(np.zeros(c))
 
     def thresholds(self):

@@ -458,7 +458,7 @@ class Network:
         a band (delta_low, delta_high) that one value does not define, so
         a network with one raises instead of silently ignoring the value."""
         layers = self.gated_layers()
-        two_sided = [layer.name for layer in layers if layer.cfg.gate == "two_sided"]
+        two_sided = [layer.name for layer in layers if layer.cfg.two_sided]
         if two_sided:
             raise ConfigurationError(
                 f"set_delta sets one-sided thresholds; layer(s) {', '.join(two_sided)} "
@@ -528,6 +528,10 @@ class Network:
 def _cg_config(spec, where, sources):
     """A gated layer's config: each ``CgLayerConfig`` field after ``conv`` read
     as ``where.<field>``, of its default's type; a range error names it too."""
+    for key in ("gate", "band_init"):   # removed keys: both follow from the activation
+        if any(key in src for src in sources):
+            raise ConfigurationError(f"{where}.{key}: expected no such key; the activation sets "
+                                     f"the gate kind, and a band starts at +-{gating.BAND_INIT}")
     fields = {f.name: read_field(f"{where}.{f.name}", sources, type(f.default), f.default)
               for f in dataclasses.fields(CgLayerConfig)[1:]}
     try:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .gating import (CgBlockParams, CgLayerConfig, _threshold_decisions,
+from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions,
                      grouped_partial_sums)
 from .nn import (BnCtx, ConfigurationError, ConvCtx, _as_batch, _batch, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward,
@@ -157,10 +157,10 @@ def _surrogate(xhat_g, params: CgBlockParams, cfg: CgLayerConfig):
     the two, and each factor's sigmoid derivative is eps*(1 - t*t)/4."""
     eps = cfg.epsilon
     g = params.gate
-    if cfg.gate == "single_sided":
-        return (_tanh_factor(xhat_g, _per_channel(g.delta), eps),)
-    return (_tanh_factor(_per_channel(g.delta_high), xhat_g, eps),
-            _tanh_factor(xhat_g, _per_channel(g.delta_low), eps))
+    if cfg.two_sided:
+        return (_tanh_factor(_per_channel(g.delta_high), xhat_g, eps),
+                _tanh_factor(xhat_g, _per_channel(g.delta_low), eps))
+    return (_tanh_factor(xhat_g, _per_channel(g.delta), eps),)
 
 
 def _sigmoid_of(t):
@@ -244,7 +244,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     dpre -= dxhat2
     dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
     dbeta = dpre.sum(axis=axes)
-    if cfg.gate == "single_sided":
+    if not cfg.two_sided:
         # d(s~)/d(x^_g) = eps*s~*(1 - s~) = (eps/4)*(1 - t*t)
         (t,) = ts
         t *= t
@@ -322,7 +322,7 @@ def sparsity_loss_flops(ctxs, lam):
     inners, factors, sgrads = [], [], []
     for ctx in ctxs:
         cfg, spec = ctx.cfg, ctx.cfg.conv
-        if cfg.gate != "single_sided":
+        if cfg.two_sided:
             raise ConfigurationError(
                 "loss.sparsity: computation_cost supports single-sided gates only")
         (t,) = _surrogate(ctx.bn1_ctx.xhat, ctx.params, cfg)
@@ -388,11 +388,11 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
         return 0.0
     layers = model.gated_layers()
     if loss_cfg.sparsity == "target_threshold":
+        # a band's edges are pulled inward by T from the initial half-width
+        edge = BAND_INIT - loss_cfg.target
+        targets = {"delta": loss_cfg.target, "delta_high": edge, "delta_low": -edge}
         loss = 0.0
         for layer in layers:
-            # a band's edges are pulled inward by T from the initial half-width
-            edge = layer.cfg.band_init - loss_cfg.target
-            targets = {"delta": loss_cfg.target, "delta_high": edge, "delta_low": -edge}
             part = 0.0   # a per-layer subtotal: train_loss depends on the sum order
             for key, t in layer.params.gate.thresholds():
                 term, g = sparsity_loss_target(t, targets[key], lam)

@@ -230,10 +230,10 @@ def dense_masked_block_forward(x, params, cfg):
     def threshold(delta):
         return (delta * sigma + bn1.running_mean)[:, None, None]
 
-    if cfg.gate == "single_sided":
-        take = p >= threshold(gate.delta)
-    else:
+    if cfg.two_sided:
         take = (p >= threshold(gate.delta_low)) & (p <= threshold(gate.delta_high))
+    else:
+        take = p >= threshold(gate.delta)
     d = take.astype(np.float64)
     if cfg.tau_c > 0.0:
         mask = (d.sum(axis=(2, 3)) >= cfg.tau_c * ho * wo).astype(np.float64)
@@ -251,7 +251,7 @@ def dense_masked_block_forward(x, params, cfg):
     if cfg.shuffle:
         y = gating.channel_shuffle(y, G)
 
-    two = 2 if cfg.gate == "two_sided" else 1
+    two = 2 if cfg.two_sided else 1
     channel = 1 if cfg.tau_c > 0.0 else 0
     k2 = k * k
     base_in, cond_in = c_in // G, c_in - c_in // G
@@ -323,7 +323,7 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
 
     eps = cfg.epsilon
     gate = params.gate
-    if cfg.gate == "single_sided":
+    if not cfg.two_sided:
         d = step(xhat_g - pc(gate.delta))
         s = _masked_sigmoid(eps * (xhat_g - pc(gate.delta)))
         stilde = s
@@ -340,7 +340,7 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     dxhat_p = dpre * (1.0 - mask)
     dxhat_full = dpre * mask
     ds = dpre * (xhat_full - xhat_p)
-    if cfg.gate == "single_sided":
+    if not cfg.two_sided:
         dsig = eps * s * (1.0 - s)
         dxhat_g = ds * dsig
         dthresholds = {"delta": -(ds * dsig).sum(axis=(0, 2, 3))}

@@ -14,16 +14,15 @@ from cgnet.nn import ConfigurationError, ConvSpec
 from _oracles import dense_masked_block_forward, pearson, rel_err
 
 
-def make_record(d, mask=None, c_in=8, groups=4, k=3, tau_c=0.0,
-                gate_kind="single_sided", name="L0"):
-    """A gated layer's record of the (n, c, h, w) decisions ``d``, stored
-    as bool like the gated layers store them."""
+def make_record(d, mask=None, c_in=8, groups=4, k=3, tau_c=0.0, name="L0"):
+    """A one-sided (relu) gated layer's record of the (n, c, h, w)
+    decisions ``d``, stored as bool like the gated layers store them."""
     d = np.asarray(d, dtype=bool)
     n, c_out, h, w = d.shape
     if mask is None:
         mask = np.ones((n, c_out))
     dm = DecisionMap(d, np.asarray(mask, dtype=bool))
-    cfg = CgLayerConfig(ConvSpec(c_in, c_out, k), groups=groups, gate=gate_kind, tau_c=tau_c)
+    cfg = CgLayerConfig(ConvSpec(c_in, c_out, k), groups=groups, tau_c=tau_c)
     return analysis.LayerRecord(name, cfg.conv, h, w, n, cfg, dm)
 
 
@@ -119,7 +118,7 @@ class TestCountFlops:
         layer = CgConvBlock(cfg, rng)
         n, h, w = 3, 5, 6
         _, (rec,) = layer.forward_infer(rng.standard_normal((n, 4, h, w)), collect=True)
-        assert rec.cfg.gate == "two_sided"
+        assert rec.cfg.two_sided
         want = 2 * n * 8 * h * w + (n * 8 if tau_c > 0.0 else 0)
         assert analysis.cost_line(rec).gate_comparisons == want
 

@@ -3,11 +3,12 @@ and every dataclass field has a reader.
 
 A public top-level function or class, or a public method, that neither the
 package nor the benchmark harness uses is either dead or serves only the
-tests; test-only helpers belong in ``tests/_oracles.py``. A top-level name
-counts as used when it appears as a name or an attribute anywhere in
-``src/cgnet`` or ``cgbench``; a method or property only when it is accessed
-as an attribute there, since a local variable of the same name does not call
-it. Its own definition does not count.
+tests; test-only helpers belong under ``tests/``, such as ``_oracles.py``
+or ``_formats.py``. No name is exempt. A top-level name counts as used when
+it appears as a name or an attribute anywhere in ``src/cgnet`` or
+``cgbench``; a method or property only when it is accessed as an attribute
+there, since a local variable of the same name does not call it. Its own
+definition does not count.
 
 A dataclass field counts as read when its name is loaded as an attribute,
 or appears as a string constant (``getattr``), anywhere in ``src/cgnet`` or
@@ -24,10 +25,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "cgnet"
 USERS = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "cgbench").glob("*.py"))
-
-# The format writers sit beside their loaders in cgnet.data and define the
-# on-disk formats the loaders read; the tests round-trip through them.
-EXEMPT = {"write_idx_file", "write_raw_chw"}
 
 
 def public_definitions(path):
@@ -62,8 +59,7 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = [f"{path.stem}.{qual}"
               for path in sorted(PACKAGE.glob("*.py"))
               for qual, name, is_member in public_definitions(path)
-              if name not in (attrs if is_member else names | attrs)
-              and name not in EXEMPT]
+              if name not in (attrs if is_member else names | attrs)]
     assert not unused, f"public names nothing in src/cgnet or cgbench uses: {unused}"
 
 

@@ -63,7 +63,7 @@ class TestTrain:
         # the loss used to skip the two-sided layer, which then trained
         # with no sparsity gradient at all
         cfg = json.loads(TINY.read_text())
-        cfg["model"]["layers"][1].update(activation="tanh", gate="two_sided")
+        cfg["model"]["layers"][1]["activation"] = "tanh"   # a band
         cfg["loss"]["sparsity"] = "computation_cost"
         path = tmp_path / "train.json"
         path.write_text(json.dumps(cfg))
@@ -174,8 +174,38 @@ class TestKnowledgeDistillation:
         assert rc == 2
         err = capsys.readouterr().err
         assert "loss.kd.teacher_checkpoint: " in err
-        assert ("not frozen" if case == "unfrozen" else "No such file") in err
+        assert ("not frozen" if case == "unfrozen" else f"file not found: {path}") in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("named", ["from_working_dir", "from_config_dir"])
+    def test_teacher_path_resolves_like_checkpoint(self, tmp_path, monkeypatch, capsys, named):
+        # the teacher used to be looked up only beside the config, so naming
+        # it as its run's output_dir plus checkpoint.cgn exited 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "configs").mkdir()
+        teacher = json.loads(TINY.read_text())
+        dense_teacher()(teacher)
+        teacher["output_dir"] = "runs/teacher"
+        (tmp_path / "configs" / "teacher.json").write_text(json.dumps(teacher))
+        assert cli.main(["train", "--config", "configs/teacher.json"]) == 0
+        name = "runs/teacher/checkpoint.cgn"
+        if named == "from_config_dir":
+            shutil.copy(name, tmp_path / "configs" / "teacher.cgn")
+            name = "teacher.cgn"
+        student = json.loads(TINY.read_text())
+        student["output_dir"] = "runs/student"
+        student["loss"]["kd"]["teacher_checkpoint"] = name
+        (tmp_path / "configs" / "student.json").write_text(json.dumps(student))
+        assert cli.main(["train", "--config", "configs/student.json"]) == 0, \
+            capsys.readouterr().err
+        assert (tmp_path / "runs" / "student" / "checkpoint.cgn").exists()
+
+        student["loss"]["kd"]["teacher_checkpoint"] = "runs/nowhere.cgn"
+        (tmp_path / "configs" / "student.json").write_text(json.dumps(student))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", "configs/student.json"]) == 2
+        assert "loss.kd.teacher_checkpoint: file not found: runs/nowhere.cgn" in \
+            capsys.readouterr().err
 
 
 def eval_cfg(tiny_run, tmp_path, **extra):
@@ -277,6 +307,13 @@ class TestEval:
         assert r.returncode == 2
         assert "checkpoint" in r.stderr and "not found" in r.stderr
 
+    def test_directory_as_checkpoint_exits_2(self, tiny_run, tmp_path, capsys):
+        # a directory used to pass the existence check and end in a traceback
+        (tmp_path / "run.cgn").mkdir()
+        cfg = eval_cfg(tiny_run, tmp_path, checkpoint=str(tmp_path / "run.cgn"))
+        assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"checkpoint: file not found: {tmp_path / 'run.cgn'}" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("corrupt", ["config", "name"])
     def test_corrupt_checkpoint_exits_2(self, tiny_run, tmp_path, corrupt):
@@ -296,9 +333,29 @@ class TestEval:
         assert "Traceback" not in r.stderr
         assert ("__config__" if corrupt == "config" else "not UTF-8") in r.stderr
 
+    @pytest.mark.parametrize("key,value", [("gate", "two_sided"), ("band_init", 1.0)])
+    def test_checkpoint_config_with_removed_key_exits_2(self, tiny_run, tmp_path, capsys,
+                                                         key, value):
+        # a checkpoint written before the key was removed: its relu layer
+        # must not silently load as a band
+        from cgnet import checkpoint
+        tensors = checkpoint.read_container(tiny_run / "checkpoint.cgn")
+        model_cfg = json.loads(tensors[checkpoint.CONFIG_RECORD].tobytes())
+        model_cfg["layers"][1][key] = value
+        tensors[checkpoint.CONFIG_RECORD] = np.frombuffer(
+            json.dumps(model_cfg).encode(), dtype=np.uint8).copy()
+        ckpt = tmp_path / "old.cgn"
+        checkpoint.write_container(ckpt, tensors)
+        out = tmp_path / "out"
+        cfg = eval_cfg(tiny_run, tmp_path, checkpoint=str(ckpt))
+        assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"model.layers[1].{key}: expected no such key" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("kind", ["idx", "raw_chw"])
     def test_empty_dataset_exits_2(self, tiny_run, tmp_path, kind):
-        from cgnet.data import Dataset, write_idx_file, write_raw_chw
+        from cgnet.data import Dataset
+        from _formats import write_idx_file, write_raw_chw
         if kind == "idx":
             write_idx_file(tmp_path / "img.idx", np.zeros((0, 8, 8), dtype=np.uint8))
             write_idx_file(tmp_path / "lbl.idx", np.zeros(0, dtype=np.uint8))

@@ -127,8 +127,13 @@ def _drop(*path):
      "model.layers[1].epsilon: must be positive and finite, got 0.0"),
     (_set("model", "layers", 1, "activation", value="foo"),
      "model.layers[1].activation: unknown activation 'foo'"),
-    (_set("model", "layers", 1, "gate", value="foo"),
-     "model.layers[1].gate: unknown gate kind 'foo'"),
+    # removed keys, in the layer or in cg_defaults: the activation sets the
+    # gate kind, so a relu layer never silently reads as a band
+    (_set("model", "layers", 1, "gate", value="two_sided"),
+     "model.layers[1].gate: expected no such key; the activation sets the gate kind"),
+    (_set("model", "cg_defaults", "band_init", value=2.0),
+     "model.layers[1].band_init: expected no such key; the activation sets the gate kind, "
+     "and a band starts at +-2.0"),
     # loss section
     (_set("loss", "lambda", value=-1), "loss.lambda: must be >= 0, got -1.0"),
     (_set("loss", "kd", "mix", value=2), "loss.kd.mix: must be in [0, 1], got 2.0"),

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from cgnet.config import ConfigurationError
 from cgnet.data import (DataFormatError, Dataset, load_dataset,
                         load_idx_dataset, load_idx_file, load_raw_chw,
-                        synthetic_dataset, train_val_split, write_idx_file,
-                        write_raw_chw)
+                        synthetic_dataset, train_val_split)
 
+from _formats import write_idx_file, write_raw_chw
 from _oracles import synthetic_dataset_reference
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny_smoke.json"

@@ -12,6 +12,7 @@ from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
                           assemble_dense_weight, channel_gate, channel_shuffle,
                           cg_block_forward_inference, merged_gate,
                           shuffle_permutation, split_dense_weight)
+from cgnet.network import build_model
 from cgnet.nn import ConfigurationError, ConvSpec
 
 from _oracles import (conditional_kernel, dense_masked_block_forward, heaviside,
@@ -165,7 +166,7 @@ class TestMergedGate:
 
     def test_two_sided_band(self, rng):
         cfg = make_cfg(c_in=4, c_out=1, G=1, act="tanh")
-        assert cfg.gate == "two_sided"
+        assert cfg.two_sided
         params = gate_params(cfg)
         params.gate.delta_high[:] = 0.5
         params.gate.delta_low[:] = -0.5
@@ -373,19 +374,19 @@ class TestBlockInferenceOracle:
            stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
            hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
            tau_c=st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
-           gate=st.sampled_from(["single_sided", "two_sided"]),
-           # binary_sign is left out: a 1e-16 change of a pre-activation
-           # near 0 would flip its output by 2
-           act=st.sampled_from(["relu", "tanh", "sigmoid"]), shuffle=st.booleans())
+           # the gate kind follows the activation: relu and identity get one
+           # threshold, tanh and sigmoid a band. binary_sign is left out: a
+           # 1e-16 change of a pre-activation near 0 would flip its output by 2
+           act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
+           shuffle=st.booleans())
     def test_matches_dense_masked_oracle(self, seed, n, G, per_in, per_out, k,
-                                         stride, pad, hw, tau_c, gate, act, shuffle):
+                                         stride, pad, hw, tau_c, act, shuffle):
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
-                            groups=G, activation=act, gate=gate, tau_c=tau_c,
-                            shuffle=shuffle)
+                            groups=G, activation=act, tau_c=tau_c, shuffle=shuffle)
         params = make_params(cfg, rng)
         c_out = cfg.conv.out_channels
-        if gate == "two_sided":
+        if cfg.two_sided:
             params.gate.delta_high[:] = np.abs(rng.standard_normal(c_out)) * 0.8
             params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
         else:
@@ -408,12 +409,12 @@ class TestBlockInferenceWritesNoInput:
     @pytest.mark.parametrize("several", [False, True])   # one sample, or two
     @pytest.mark.parametrize("k", [1, 3])   # with k == 1 im2col returns a view of x
     def test_input_and_params_unchanged(self, G, shuffle, several, k, rng):
-        gate = "two_sided" if G == 2 else "single_sided"
+        # a band for G == 2, one threshold otherwise
         cfg = CgLayerConfig(ConvSpec(8, 8, k, padding=k // 2), groups=G,
-                            activation="tanh" if G == 2 else "relu", gate=gate,
-                            tau_c=0.2, shuffle=shuffle)
+                            activation="tanh" if G == 2 else "relu", tau_c=0.2,
+                            shuffle=shuffle)
         p = make_params(cfg, rng)
-        if gate == "single_sided":
+        if not cfg.two_sided:
             p.gate.delta[:] = rng.standard_normal(8) * 0.5
         x = rng.standard_normal((2 if several else 1, 8, 5, 5))
         arrays = {"x": x, "w": p.w, "gamma": p.gamma, "beta": p.beta,
@@ -450,8 +451,49 @@ class TestPruningRatio:
 class TestLayerConfig:
     @pytest.mark.parametrize("field,value", [
         ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 0.0),
-        ("band_init", float("nan")), ("band_init", float("-inf")),
     ])
     def test_non_finite_or_non_positive_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             CgLayerConfig(ConvSpec(4, 4, 3, padding=1), groups=2, **{field: value})
+
+
+class TestGateKind:
+    """The activation sets the gate kind: a band for the saturating ones,
+    one threshold for the others."""
+
+    @pytest.mark.parametrize("act", nn.ACTIVATION_KINDS)
+    def test_follows_the_activation(self, act, rng):
+        band = act in ("tanh", "sigmoid", "binary_sign")
+        conv = {"type": "cg_conv", "out_channels": 4, "kernel_size": 3, "padding": 1}
+        model = build_model({"input_shape": [4, 5, 6], "num_classes": 2,
+                             "cg_defaults": {"groups": 2},
+                             "layers": [{**conv, "activation": act}, conv, {"type": "flatten"},
+                                        {"type": "linear", "out_features": 2}]}, rng)
+        layer, relu_layer = model.gated_layers()
+        assert layer.cfg.two_sided == band and not relu_layer.cfg.two_sided
+        thresholds = dict(layer.params.gate.thresholds())
+        if band:
+            assert list(thresholds) == ["delta_high", "delta_low"]
+            np.testing.assert_array_equal(thresholds["delta_high"], np.full(4, 2.0))
+            np.testing.assert_array_equal(thresholds["delta_low"], np.full(4, -2.0))
+        else:
+            assert list(thresholds) == ["delta"]
+            np.testing.assert_array_equal(thresholds["delta"], np.zeros(4))
+
+        # a band compares twice per output activation
+        _, (rec,) = layer.forward_infer(rng.standard_normal((3, 4, 5, 6)), collect=True)
+        comparisons = analysis.cost_line(rec).gate_comparisons
+        assert comparisons == (2 if band else 1) * 3 * 4 * 5 * 6
+
+        # set_delta refuses exactly the band layers and then changes nothing
+        if band:
+            before = [t.copy() for _, t in layer.params.gate.thresholds()]
+            with pytest.raises(ConfigurationError, match=r"layer\(s\) L00 have"):
+                model.set_delta(0.5)
+            for (_, t), old in zip(layer.params.gate.thresholds(), before):
+                np.testing.assert_array_equal(t, old)
+            np.testing.assert_array_equal(relu_layer.params.gate.delta, np.zeros(4))
+        else:
+            model.set_delta(0.5)
+            for each in (layer, relu_layer):
+                np.testing.assert_array_equal(each.params.gate.delta, np.full(4, 0.5))

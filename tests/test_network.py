@@ -107,8 +107,10 @@ class TestBuilder:
          "model.layers[1].shuffle: expected true or false"),
         (vgg_ish_cfg, lambda m: m["cg_defaults"].update(epsilon=float("nan")),
          "model.layers[2].epsilon: expected a finite number"),
-        (vgg_ish_cfg, lambda m: m["layers"][4].update(band_init=float("inf")),
-         "model.layers[4].band_init: expected a finite number"),
+        (vgg_ish_cfg, lambda m: m["layers"][4].update(band_init=2.0),
+         "model.layers[4].band_init: expected no such key"),
+        (vgg_ish_cfg, lambda m: m["cg_defaults"].update(gate="two_sided"),
+         "model.layers[2].gate: expected no such key"),
         (vgg_ish_cfg, lambda m: m["layers"][4].update(tau_c=float("-inf")),
          "model.layers[4].tau_c: expected a finite number"),
         (vgg_ish_cfg, lambda m: m["layers"][2].update(out_channels=float("inf")),

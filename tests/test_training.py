@@ -21,10 +21,9 @@ from _oracles import (check_grad, conditional_kernel, finite_difference, heavisi
                       kernel_split, rel_err, stacked_conv_grads, two_conv_block_train)
 
 
-def make_cfg(c_in=4, c_out=4, k=3, G=2, act="identity", pad=1, eps_sharp=4.0,
-             gate=""):
+def make_cfg(c_in=4, c_out=4, k=3, G=2, act="identity", pad=1, eps_sharp=4.0):
     return CgLayerConfig(ConvSpec(c_in, c_out, k, padding=pad), groups=G,
-                         activation=act, epsilon=eps_sharp, gate=gate)
+                         activation=act, epsilon=eps_sharp)
 
 
 def make_params(cfg, rng):
@@ -84,9 +83,9 @@ class TestForwardTrain:
         z = np.where(ctx.d, ctx.bn2_ctx.xhat, ctx.bn1_ctx.xhat)
         np.testing.assert_array_equal(y, nn.activation(affine(params, z), act))
 
-    @pytest.mark.parametrize("gate", ["single_sided", "two_sided"])
-    def test_context_holds_three_output_sized_float_arrays(self, rng, gate):
-        cfg = make_cfg(c_out=8, gate=gate)
+    @pytest.mark.parametrize("act", ["identity", "tanh"], ids=["single_sided", "two_sided"])
+    def test_context_holds_three_output_sized_float_arrays(self, rng, act):
+        cfg = make_cfg(c_out=8, act=act)
         params = make_params(cfg, rng)
         x = rng.standard_normal((3, 4, 5, 5))
         y, ctx = cg_block_forward_train(x, params, cfg)
@@ -150,7 +149,7 @@ class TestBackward:
     def test_soft_gate_finite_difference_two_sided(self, seed):
         rng = np.random.default_rng(seed + 10)
         cfg = make_cfg(act="tanh")
-        assert cfg.gate == "two_sided"
+        assert cfg.two_sided
         params = make_params(cfg, rng)
         params.gate.delta_high[:] = rng.uniform(0.3, 1.0, 4)
         params.gate.delta_low[:] = -rng.uniform(0.3, 1.0, 4)
@@ -178,20 +177,20 @@ class TestBackward:
         g = cg_block_backward(ctx, rng.standard_normal((2, 4, 4, 4)))
         assert np.all(np.abs(g.dthresholds["delta"]) < 1e-6)
 
-    @pytest.mark.parametrize("gate", ["single_sided", "two_sided"])
+    @pytest.mark.parametrize("act", ["relu", "tanh"], ids=["single_sided", "two_sided"])
     @pytest.mark.parametrize("outside", [False, True])
-    def test_surrogate_extremes_stay_finite(self, rng, gate, outside):
+    def test_surrogate_extremes_stay_finite(self, rng, act, outside):
         # eps*|x^_g - delta| reaches ~10^3: the tanh factors saturate at +-1
         # without an overflow, and thresholds outside every normalized sum
         # (|x^_g| <= sqrt(31) here) get exactly no gradient
-        cfg = make_cfg(act="relu", eps_sharp=500.0, gate=gate)
+        cfg = make_cfg(act=act, eps_sharp=500.0)
         params = make_params(cfg, rng)
         edge = 8.0 if outside else 0.0
-        if gate == "single_sided":
-            params.gate.delta[:] = edge
-        else:
+        if cfg.two_sided:
             params.gate.delta_high[:] = edge
             params.gate.delta_low[:] = -edge
+        else:
+            params.gate.delta[:] = edge
         x = rng.standard_normal((2, 4, 4, 4))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _, ctx = cg_block_forward_train(x, params, cfg)
@@ -287,21 +286,21 @@ class TestBlockTrainOracle:
            per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
            stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
            hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
-           gate=st.sampled_from(["single_sided", "two_sided"]),
-           # binary_sign is left out: a 1e-16 change of a pre-activation
-           # near 0 would flip its output by 2
+           # the gate kind follows the activation: relu and identity get one
+           # threshold, tanh and sigmoid a band. binary_sign is left out: a
+           # 1e-16 change of a pre-activation near 0 would flip its output by 2
            act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]))
     def test_matches_two_conv_oracle(self, seed, n, G, per_in, per_out, k,
-                                     stride, pad, hw, gate, act):
+                                     stride, pad, hw, act):
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
-                            groups=G, activation=act, gate=gate)
+                            groups=G, activation=act)
         params = make_params(cfg, rng)
         c_out = cfg.conv.out_channels
         for bn in (params.bn1, params.bn2):
             bn.running_mean[:] = rng.standard_normal(c_out)
             bn.running_var[:] = rng.uniform(0.5, 2.0, c_out)
-        if gate == "two_sided":
+        if cfg.two_sided:
             params.gate.delta_high[:] = np.abs(rng.standard_normal(c_out)) * 0.8
             params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
         else:
@@ -343,17 +342,17 @@ class TestBackwardGemms:
            per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
            stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
            hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
-           gate=st.sampled_from(["single_sided", "two_sided"]))
+           act=st.sampled_from(["relu", "tanh"]))   # one threshold, or a band
     # G == 1, where the one upstream is dfull + dp, and G == c_in (per_in 1)
     @example(seed=3, n=2, G=1, per_in=2, per_out=2, k=3, stride=1, pad=1, hw=(4, 5),
-             gate="single_sided")
+             act="relu")
     @example(seed=4, n=2, G=4, per_in=1, per_out=2, k=3, stride=2, pad=0, hw=(5, 6),
-             gate="two_sided")
+             act="tanh")
     def test_matches_stacked_oracle(self, seed, n, G, per_in, per_out, k, stride, pad,
-                                    hw, gate):
+                                    hw, act):
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
-                            groups=G, activation="relu", gate=gate)
+                            groups=G, activation=act)
         params = make_params(cfg, rng)
         x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
         y, ctx = cg_block_forward_train(x, params, cfg)
@@ -382,11 +381,11 @@ class TestBackwardGemms:
         assert np.linalg.norm(g.dw - dw) <= 1e-12 * np.linalg.norm(dw_abs)
         assert np.linalg.norm(g.dx - dx) <= 1e-12 * np.linalg.norm(dx_abs)
 
-    @pytest.mark.parametrize("G,gate", [(1, "single_sided"), (2, "two_sided"),
-                                        (4, "single_sided")])
-    def test_repeated_backward_is_bitwise_and_leaves_context(self, rng, G, gate):
+    @pytest.mark.parametrize("G,act", [(1, "relu"), (2, "tanh"), (4, "relu")],
+                             ids=["1-single_sided", "2-two_sided", "4-single_sided"])
+    def test_repeated_backward_is_bitwise_and_leaves_context(self, rng, G, act):
         # the fold adds dp into dfull's rows in place and copies them back
-        cfg = make_cfg(c_in=8, c_out=8, G=G, act="relu", gate=gate)
+        cfg = make_cfg(c_in=8, c_out=8, G=G, act=act)
         params = make_params(cfg, rng)
         y, ctx = cg_block_forward_train(rng.standard_normal((3, 8, 5, 5)), params, cfg)
         dy = rng.standard_normal(y.shape)
