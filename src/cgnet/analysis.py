@@ -82,6 +82,11 @@ class CostLine:
     gate_comparisons: int
     weight_values_accessed: int
     weight_values_total: int
+    # (sample, output group, position) triples where any channel of the
+    # group fires, the positions a gather of live outputs has to run, and
+    # the count of all such triples; both 0 for an ungated layer
+    group_positions_live: int = 0
+    group_positions_total: int = 0
 
     @property
     def dense_flops(self):
@@ -125,7 +130,8 @@ class CostReport:
     def to_csv_rows(self):
         header = ["layer", "base_flops", "conditional_flops_executed",
                   "conditional_flops_total", "dense_flops", "gate_comparisons",
-                  "weight_values_accessed", "weight_values_total"]
+                  "weight_values_accessed", "weight_values_total",
+                  "group_positions_live", "group_positions_total"]
         return [header] + [[l.name] + [getattr(l, key) for key in header[1:]]
                            for l in self.lines]
 
@@ -152,6 +158,8 @@ def cost_line(rec: LayerRecord) -> CostLine:
     only where the effective decision is 1; it compares once per output
     activation (twice for a band), plus once per channel with the
     channel-wise gate, and reads W_r only for the channels that gate keeps.
+    A group position is live where any of the output group's c_out/G
+    channels takes the conditional path (decisions in pre-shuffle order).
     """
     spec, cfg = rec.spec, rec.cfg
     k2 = spec.kernel_size ** 2
@@ -164,6 +172,8 @@ def cost_line(rec: LayerRecord) -> CostLine:
     comparisons = n * pos * c_out * (2 if cfg.two_sided else 1)
     if cfg.tau_c > 0.0:
         comparisons += n * c_out
+    G = cfg.groups
+    live = np.count_nonzero(rec.dm.effective().reshape(n, G, c_out // G, pos).any(axis=2))
     return CostLine(
         rec.name,
         base_flops=n * c_out * pos * base_k,
@@ -172,7 +182,9 @@ def cost_line(rec: LayerRecord) -> CostLine:
         gate_comparisons=comparisons,
         weight_values_accessed=(n * c_out * base_k
                                 + int(np.count_nonzero(rec.dm.channel_mask)) * cond_k),
-        weight_values_total=weights)
+        weight_values_total=weights,
+        group_positions_live=int(live),
+        group_positions_total=n * G * pos)
 
 
 def count_flops(records) -> CostReport:

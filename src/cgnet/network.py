@@ -26,7 +26,11 @@ speaks one protocol:
 
 A context lives from one ``forward_train`` to the next, across steps:
 ``apply_sparsity_loss`` reads the gated layers' contexts after ``backward``,
-and freeing them at every step would only fault their pages in again.
+and freeing them at every step would only fault their pages in again. A
+gated layer's ``backward`` consumes its context: its gradients overwrite
+the buffers it no longer needs (``training.cg_block_backward``), so a
+second ``backward`` raises ``StateError`` until the next ``forward_train``.
+What the sparsity loss reads, x^_g and the decisions, survives.
 ``Network.freeze_gates()`` ends training: it drops every context (residual
 blocks and their sublayers included), so a finished model holds no batch,
 and sets ``Network.frozen``, the one record that the gate statistics are
@@ -71,7 +75,7 @@ class Layer:
     def _saved_ctx(self):
         """The context of the last ``forward_train``; ``StateError`` if none."""
         if self.ctx is None:
-            raise StateError(f"{self.name}: backward needs the context of a forward_train "
+            raise StateError(f"{self.name}: no context of a forward_train "
                              f"(freeze_gates releases it)")
         return self.ctx
 
@@ -167,7 +171,10 @@ class CgConvBlock(Layer):
         ctx = self._saved_ctx()
         if self.cfg.shuffle:   # undo the forward's shuffle
             dy = channel_shuffle(dy, self.cfg.conv.out_channels // self.cfg.groups)
-        g = training.cg_block_backward(ctx, dy)
+        try:
+            g = training.cg_block_backward(ctx, dy)
+        except StateError as e:   # a second backward on one context
+            raise StateError(f"{self.name}: {e}") from None
         self.g_w += g.dw
         self.g_gamma += g.dgamma
         self.g_beta += g.dbeta

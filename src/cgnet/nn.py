@@ -71,6 +71,13 @@ def _batch(a, n, h, w):
     return a.reshape(-1, h, w, n).transpose(3, 0, 1, 2)
 
 
+def _gemm_rows(x):
+    """The (c, h*w*n) GEMM operand over the memory of the (n, c, h, w)
+    batch ``x``, the inverse of ``_batch``. Raises rather than copy, since
+    a copy would silently drop what is written into it."""
+    return np.reshape(_chwn(x), (x.shape[1], -1), copy=False)
+
+
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
@@ -134,7 +141,10 @@ def im2col(x, k, stride=1, padding=0):
     returns (c*k*k, ho*wo*n). Rows are ordered (channel, ky, kx), so a
     channel group's rows are a contiguous slice; columns are ordered
     (y, x, sample), so ``W @ cols`` is the (c, h, w, n) memory of the
-    output batch. Padding copies into a zeroed (c, hp, wp, n) buffer."""
+    output batch. Padding copies into a zeroed (c, hp, wp, n) buffer. The
+    columns are always a new array, never a view of ``x``, so their owner
+    may overwrite them (the gated backward writes its column gradients
+    there)."""
     n, c, h, w = x.shape
     xp = _chwn(x)
     if padding:
@@ -145,7 +155,9 @@ def im2col(x, k, stride=1, padding=0):
     sc, sh, sw, sn = xp.strides
     win = as_strided(xp, (c, k, k, ho, wo, n),
                      (sc, sh, sw, stride * sh, stride * sw, sn))
-    return np.ascontiguousarray(win).reshape(c * k * k, ho * wo * n)
+    cols = np.empty((c, k, k, ho, wo, n))
+    np.copyto(cols, win)
+    return cols.reshape(c * k * k, ho * wo * n)
 
 
 def _tap_window(offset, size, out_size, stride, padding):
@@ -313,7 +325,8 @@ def batchnorm_backward(ctx: BnCtx, dy, gamma, out=None):
 
     With s = gamma*inv_std and m elements per channel:
     dx = s * (dy - mean(dy) - xhat*mean(dy*xhat)), written into ``out``
-    when given (a batch that does not overlap ``dy``) and into a new batch
+    when given (a batch that does not overlap ``dy``; it may be ``ctx.xhat``
+    itself, which is read before it is overwritten) and into a new batch
     in xhat's memory order otherwise, with no other temporary.
     dgamma = sum(dy*xhat) and dbeta = sum(dy) per channel.
     """

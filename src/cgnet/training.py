@@ -23,9 +23,19 @@ three float arrays of the output's shape (x^_g and x^_2 inside the two
 backward, gamma folds into each BN backward's final per-channel scale
 gamma/sqrt(var + eps); the elementwise chain before it carries no gamma.
 BN2's backward writes the full sum's upstream gradient dfull and BN1's
-writes p's, dp, each into its own GEMM operand. p reads only W's diagonal
-blocks, so the convolution-gradient GEMMs run once per input group, on dfull
-with dp added into that group's rows: the dense MAC count, no more.
+writes p's, dp. p reads only W's diagonal blocks, so the
+convolution-gradient GEMMs run once per input group, on dfull with dp added
+into that group's rows: the dense MAC count, no more.
+
+The backward consumes its context, as in-place activated batch norm does:
+each gradient goes into a context buffer that is dead by then. dpre
+overwrites ``pre``, dfull overwrites x^_2, d*dpre and then dp take the
+surrogate's first tanh buffer, and the column gradients overwrite the
+im2col columns. So a single-sided gate's backward allocates two
+output-sized batches (the tanh factor and the gate gradient), not five and
+a column-sized dcols, and a second backward on the same context raises
+``StateError``. x^_g and d survive for the computation-cost loss, which
+reads x^_g after the backward.
 
 The gate is not differentiable, so gradients toward the thresholds and the
 gate input use a smooth sigmoid surrogate s~ = sigma(eps*(x^_g - delta))
@@ -51,8 +61,8 @@ import numpy as np
 from . import analysis
 from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions,
                      grouped_partial_sums)
-from .nn import (BnCtx, ConfigurationError, ConvCtx, _as_batch, _batch, _per_channel,
-                 accuracy, activation, activation_grad, batchnorm_backward,
+from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _as_batch, _gemm_rows,
+                 _per_channel, accuracy, activation, activation_grad, batchnorm_backward,
                  bn_forward, col2im, conv2d_forward, cross_entropy, softmax)
 
 
@@ -120,7 +130,9 @@ class CgTrainContext:
 
     Three float arrays of the block output's shape: x^_g and x^_2 inside
     the two ``BnCtx`` and ``pre``. The decisions are bool, and the
-    surrogate is recomputed from x^_g rather than kept.
+    surrogate is recomputed from x^_g rather than kept. The backward
+    consumes the context: it overwrites ``pre``, x^_2 and ``conv.cols``
+    with gradients and sets ``consumed``. x^_g and d stay intact.
     """
 
     cfg: CgLayerConfig
@@ -130,6 +142,7 @@ class CgTrainContext:
     bn2_ctx: BnCtx            # normalization of the full sum: x^_2
     d: np.ndarray             # bool decisions
     pre: np.ndarray           # gamma*z + beta
+    consumed: bool = False    # set by the backward, which overwrites the buffers
 
 
 @dataclass
@@ -217,33 +230,26 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     dfull with dp added into output group h's rows, and one GEMM pair gives
     that group's weight and column gradients:
     dW[:, h]^T = cols_h @ D_h^T, which reads the forward's im2col
-    untransposed, and dcols_h = W[:, h]^T @ D_h. The input gradient runs
-    one col2im.
+    untransposed, and dcols_h = W[:, h]^T @ D_h, written over cols_h. The
+    input gradient runs one col2im.
+    Consumes ``ctx`` (see the module docstring): a second call on the same
+    context raises ``StateError``.
     """
+    if ctx.consumed:
+        raise StateError("cg_block_backward: an earlier backward has overwritten this "
+                         "context with its gradients; run forward_train again")
     cfg, params = ctx.cfg, ctx.params
     eps = cfg.epsilon
     xhat_g, xhat2 = ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat
     gamma = params.gamma
     axes = (0, 2, 3)
-    dpre = _as_batch(dy) * activation_grad(ctx.pre, cfg.activation)
+    # dpre overwrites pre, which f' has read; from here on the context is spent
+    dpre = np.multiply(_as_batch(dy), activation_grad(ctx.pre, cfg.activation), out=ctx.pre)
+    ctx.consumed = True
     ts = _surrogate(xhat_g, params, cfg)
-
-    n, c_out, ho, wo = xhat2.shape
-    cols = ctx.conv.cols
-    kk, m = cols.shape
-    # the upstream gradients of the full sum and of p, as (c_out, ho*wo*n)
-    # GEMM operands
-    dfull, dp = np.empty((c_out, m)), np.empty((c_out, m))
 
     ds = xhat2 - xhat_g
     ds *= dpre
-    # dpre splits into the conditional path's share, d*dpre, and the base
-    # path's, (1 - d)*dpre; sum(dpre*z) is their products with x^_2 and x^_g.
-    # d*dpre lives in dp's buffer until BN1's backward overwrites it.
-    dxhat2 = np.multiply(dpre, ctx.d, out=_batch(dp, n, ho, wo))
-    dpre -= dxhat2
-    dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
-    dbeta = dpre.sum(axis=axes)
     if not cfg.two_sided:
         # d(s~)/d(x^_g) = eps*s~*(1 - s~) = (eps/4)*(1 - t*t)
         (t,) = ts
@@ -264,13 +270,23 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         dthresholds = {
             "delta_high": 0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, (1.0 - ta * ta) * b),
             "delta_low": -0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, a * (1.0 - tb * tb))}
+    # The gate gradient is done with the first tanh factor, whose buffer
+    # takes the conditional path's share of dpre, d*dpre; dpre keeps the
+    # base path's, (1 - d)*dpre. sum(dpre*z) is their products with x^_2
+    # and x^_g.
+    spare = ts[0]
+    dxhat2 = np.multiply(dpre, ctx.d, out=spare)
+    dpre -= dxhat2
+    dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
+    dbeta = dpre.sum(axis=axes)
     # BN1 and the gate share x^_g, so their input gradients add up front
     dxhat_g += dpre
 
-    # each upstream is the gradient with respect to the shared gamma*x^ + beta
-    _, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma,
-                                            out=_batch(dfull, n, ho, wo))
-    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=_batch(dp, n, ho, wo))
+    # each upstream is the gradient with respect to the shared gamma*x^ + beta.
+    # BN2's backward reads x^_2 and writes dfull over it; BN1's then writes
+    # dp over d*dpre, which BN2's backward has read. x^_g and d stay.
+    _, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma, out=xhat2)
+    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=spare)
     dgamma += dgamma2
     dbeta += dbeta2
 
@@ -278,12 +294,16 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     # blocks, and the G GEMM pairs on the D_h do the dense MAC count. D_h is
     # built in dfull's memory: output group h's rows are saved before and
     # copied back after its GEMMs (but for the last group), an exact
-    # restore where a subtract would not be.
+    # restore where a subtract would not be. Each group's dcols GEMM writes
+    # over the rows of cols that its dW GEMM has just read.
+    dfull, dp = _gemm_rows(xhat2), _gemm_rows(spare)
     G, spec = cfg.groups, cfg.conv
+    cols = ctx.conv.cols
+    kk, m = cols.shape
+    c_out = dfull.shape[0]
     w = params.w.reshape(c_out, kk)
     rows_out, rows_in = c_out // G, kk // G
     dwt = np.empty((kk, c_out))
-    dcols = np.empty((kk, m))
     saved = np.empty((rows_out, m)) if G > 1 else None
     for h in range(G):
         own, ins = slice(h * rows_out, (h + 1) * rows_out), slice(h * rows_in, (h + 1) * rows_in)
@@ -292,10 +312,10 @@ def cg_block_backward(ctx: CgTrainContext, dy):
             np.copyto(saved, dfull[own])
         dfull[own] += dp[own]
         np.matmul(cols[ins], dfull.T, out=dwt[ins])
-        np.matmul(w[:, ins].T, dfull, out=dcols[ins])
+        np.matmul(w[:, ins].T, dfull, out=cols[ins])
         if restore:
             np.copyto(dfull[own], saved)
-    dx = col2im(dcols, ctx.conv.x_shape, spec.kernel_size, spec.stride, spec.padding)
+    dx = col2im(cols, ctx.conv.x_shape, spec.kernel_size, spec.stride, spec.padding)
     return CgBlockGrads(dwt.T.reshape(params.w.shape), dgamma, dbeta, dthresholds, dx)
 
 
@@ -317,7 +337,8 @@ def sparsity_loss_flops(ctxs, lam):
     The (J - s~) factor counts gated-off positions, so the term is zero
     when everything takes the conditional path; kept for comparison
     experiments only, single-sided layers only. Per-sample inner sums are
-    averaged over the batch; only the thresholds receive gradients.
+    averaged over the batch; only the thresholds receive gradients. It
+    reads x^_g, which the backward leaves intact, so it runs after it.
     """
     inners, factors, sgrads = [], [], []
     for ctx in ctxs:
@@ -400,7 +421,7 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
                 part += term
             loss += part
         return loss
-    loss, grads = sparsity_loss_flops([l.ctx for l in layers], lam)
+    loss, grads = sparsity_loss_flops([l._saved_ctx() for l in layers], lam)
     for layer, g in zip(layers, grads):
         layer.g_thresholds["delta"] += g
     return loss

@@ -199,6 +199,22 @@ def stacked_conv_grads(cols, w, dfull, dp, G, x_shape, spec):
     return dw[0].reshape(w.shape), dx
 
 
+def group_positions_live(d_eff, G):
+    """(live, total) over the (sample, output group, y, x) triples of the
+    effective decisions ``d_eff``: a triple is live when any channel of
+    the group takes the conditional path there. One triple at a time."""
+    n, c_out, ho, wo = d_eff.shape
+    per = c_out // G
+    live = total = 0
+    for s in range(n):
+        for g in range(G):
+            for y in range(ho):
+                for x in range(wo):
+                    total += 1
+                    live += any(d_eff[s, g * per + j, y, x] != 0 for j in range(per))
+    return live, total
+
+
 def dense_masked_block_forward(x, params, cfg):
     """Gated inference of an (n, c, h, w) batch computed the slow, obvious
     way.
@@ -265,6 +281,8 @@ def dense_masked_block_forward(x, params, cfg):
                                    + int(mask.sum()) * cond_in * k2),
         "weight_values_total": n * c_out * c_in * k2,
     }
+    costs["group_positions_live"], costs["group_positions_total"] = \
+        group_positions_live(d_eff, G)
     return y, gating.DecisionMap(take, mask == 1.0), costs
 
 

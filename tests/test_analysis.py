@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cgnet import analysis, nn, perf
+from cgnet import analysis, gating, nn, perf
 from cgnet.analysis import (CostReport, aggregate_intensity, count_flops,
                             intensity_map, network_pruning_ratio,
                             partial_final_correlation, write_pgm)
@@ -11,7 +12,7 @@ from cgnet.gating import CgLayerConfig, DecisionMap
 from cgnet.network import build_model
 from cgnet.nn import ConfigurationError, ConvSpec
 
-from _oracles import dense_masked_block_forward, pearson, rel_err
+from _oracles import dense_masked_block_forward, group_positions_live, pearson, rel_err
 
 
 def make_record(d, mask=None, c_in=8, groups=4, k=3, tau_c=0.0, name="L0"):
@@ -173,6 +174,32 @@ class TestCountFlops:
             fr = count_flops([rec]).flop_reduction
             assert fr >= prev - 1e-12
             prev = fr
+
+
+class TestGroupPositionsLive:
+    """The group-position live count against one-triple-at-a-time counting."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           G=st.sampled_from([1, 2, 4]), per_out=st.integers(1, 3),
+           hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+           rate=st.floats(0.0, 1.0), tau_c=st.sampled_from([0.0, 0.2, 0.6]))
+    def test_matches_brute_force(self, seed, n, G, per_out, hw, rate, tau_c):
+        rng = np.random.default_rng(seed)
+        d = rng.random((n, G * per_out) + hw) < rate
+        mask = gating.channel_gate(d, tau_c)
+        rec = make_record(d, mask, c_in=2 * G, groups=G, tau_c=tau_c)
+        line = analysis.cost_line(rec)
+        live, total = group_positions_live(rec.dm.effective(), G)
+        assert (line.group_positions_live, line.group_positions_total) == (live, total)
+        assert total == n * G * hw[0] * hw[1]
+
+    def test_ungated_lines_read_zero_and_columns_are_written(self):
+        gated = make_record(np.ones((2, 8, 3, 3)), groups=4)
+        ungated = analysis.LayerRecord("conv", ConvSpec(3, 8, 3), 3, 3, 2)
+        header, *rows = count_flops([gated, ungated]).to_csv_rows()
+        cols = [header.index(k) for k in ("group_positions_live", "group_positions_total")]
+        assert [[row[c] for c in cols] for row in rows] == [[2 * 4 * 9] * 2, [0, 0]]
 
 
 def captured_records(model, x):

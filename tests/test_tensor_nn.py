@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cgnet import nn
 from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
@@ -138,6 +138,23 @@ class TestIm2col:
                 win = xp[:, :, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
                 want[:, ky, kx] = win.transpose(1, 2, 3, 0)
         np.testing.assert_array_equal(cols, want.reshape(c * k * k, ho * wo * n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), c=st.integers(1, 3), k=st.sampled_from([1, 3]),
+           stride=st.integers(1, 2), padding=st.integers(0, 1), whole=st.booleans(),
+           hw=st.tuples(st.integers(1, 5), st.integers(1, 5)), chwn=st.booleans())
+    # a 1x1 window on a (c, h, w, n) batch, and one window over a whole
+    # sample, lay the columns out exactly as x's memory
+    @example(n=2, c=2, k=1, stride=1, padding=0, whole=False, hw=(3, 4), chwn=True)
+    @example(n=1, c=2, k=3, stride=1, padding=0, whole=True, hw=(3, 3), chwn=False)
+    def test_columns_never_share_the_input(self, n, c, k, stride, padding, whole, hw, chwn):
+        # the gated backward overwrites the columns with their gradients
+        h, w = (k - 2 * padding,) * 2 if whole else hw
+        assume(h >= 1 and h + 2 * padding >= k and w + 2 * padding >= k)
+        x = np.arange(n * c * h * w, dtype=np.float64).reshape(n, c, h, w)
+        if chwn:
+            x = sample_innermost(x)
+        assert not np.shares_memory(nn.im2col(x, k, stride, padding), x)
 
     @settings(max_examples=60, deadline=None)
     @given(**im2col_cases)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from cgnet import nn, training
 from cgnet.data import synthetic_dataset, train_val_split
 from cgnet.gating import CgBlockParams, CgLayerConfig
-from cgnet.network import ConvBlock, build_model
+from cgnet.network import CgConvBlock, ConvBlock, build_model
 from cgnet.nn import BatchNormState, ConvSpec
 from cgnet.training import (LossConfig, Schedule, cg_block_backward,
                             cg_block_forward_train, kd_loss,
@@ -356,6 +357,7 @@ class TestBackwardGemms:
         params = make_params(cfg, rng)
         x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
         y, ctx = cg_block_forward_train(x, params, cfg)
+        cols = ctx.conv.cols.copy()   # the backward overwrites them with dcols
         # BN2's backward gives dfull and BN1's dp: record each, copied in
         # the (c_out, ho*wo*n) GEMM layout
         upstream = {}
@@ -371,37 +373,92 @@ class TestBackwardGemms:
             g = cg_block_backward(ctx, rng.standard_normal(y.shape))
         dfull, dp = upstream["full"], upstream["p"]
         args = (G, ctx.conv.x_shape, cfg.conv)
-        dw, dx = stacked_conv_grads(ctx.conv.cols, params.w, dfull, dp, *args)
+        dw, dx = stacked_conv_grads(cols, params.w, dfull, dp, *args)
         # Errors are relative to the sums of the products' magnitudes, the
         # scale of GEMM rounding: with G == 1 and one input tap, BN makes
         # the block invariant to W's scale, so dW is 0 in exact arithmetic
         # and both forms return rounding of O(1) terms.
-        dw_abs, dx_abs = stacked_conv_grads(np.abs(ctx.conv.cols), np.abs(params.w),
+        dw_abs, dx_abs = stacked_conv_grads(np.abs(cols), np.abs(params.w),
                                             np.abs(dfull), np.abs(dp), *args)
         assert np.linalg.norm(g.dw - dw) <= 1e-12 * np.linalg.norm(dw_abs)
         assert np.linalg.norm(g.dx - dx) <= 1e-12 * np.linalg.norm(dx_abs)
 
-    @pytest.mark.parametrize("G,act", [(1, "relu"), (2, "tanh"), (4, "relu")],
-                             ids=["1-single_sided", "2-two_sided", "4-single_sided"])
-    def test_repeated_backward_is_bitwise_and_leaves_context(self, rng, G, act):
-        # the fold adds dp into dfull's rows in place and copies them back
-        cfg = make_cfg(c_in=8, c_out=8, G=G, act=act)
+
+class TestConsumedContext:
+    """The backward writes its gradients into the context's dead buffers."""
+
+    cases = pytest.mark.parametrize(
+        "G,act,k", [(1, "relu", 3), (2, "tanh", 3), (4, "relu", 3), (2, "identity", 1)],
+        ids=["1-single_sided", "2-two_sided", "4-single_sided", "2-one_by_one"])
+
+    @staticmethod
+    def block(rng, G, act, k):
+        """A block, its input in the (c, h, w, n) memory the layers pass
+        (so a 1x1 kernel's windows are that memory itself) and an upstream
+        gradient."""
+        cfg = CgLayerConfig(ConvSpec(8, 8, k, padding=k // 2), groups=G, activation=act)
         params = make_params(cfg, rng)
-        y, ctx = cg_block_forward_train(rng.standard_normal((3, 8, 5, 5)), params, cfg)
-        dy = rng.standard_normal(y.shape)
-        held = {"cols": ctx.conv.cols, "bn1 xhat": ctx.bn1_ctx.xhat,
-                "bn2 xhat": ctx.bn2_ctx.xhat, "pre": ctx.pre, "d": ctx.d}
-        before = {name: a.tobytes() for name, a in held.items()}
-        first = cg_block_backward(ctx, dy)
-        second = cg_block_backward(ctx, dy)
+        x = np.ascontiguousarray(rng.standard_normal((8, 5, 5, 3))).transpose(3, 0, 1, 2)
+        return cfg, params, x, rng.standard_normal((3, 8, 5, 5))
+
+    @staticmethod
+    def assert_grads_bitwise(first, second):
         for f in dataclasses.fields(training.CgBlockGrads):
             a, b = getattr(first, f.name), getattr(second, f.name)
             if isinstance(a, dict):
                 assert a.keys() == b.keys(), f.name
                 a, b = np.stack(list(a.values())), np.stack(list(b.values()))
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+
+    @cases
+    def test_identical_forwards_give_bitwise_gradients(self, rng, G, act, k):
+        cfg, params, x, dy = self.block(rng, G, act, k)
+        twin = copy.deepcopy(params)   # the forward moves the running stats
+        _, ctx = cg_block_forward_train(x, params, cfg)
+        _, ctx_twin = cg_block_forward_train(x, twin, cfg)
+        self.assert_grads_bitwise(cg_block_backward(ctx, dy), cg_block_backward(ctx_twin, dy))
+
+    @cases
+    def test_gate_input_decisions_and_block_input_survive(self, rng, G, act, k):
+        # the computation-cost loss reads x^_g after the backward
+        cfg, params, x, dy = self.block(rng, G, act, k)
+        _, ctx = cg_block_forward_train(x, params, cfg)
+        held = {"bn1 xhat": ctx.bn1_ctx.xhat, "d": ctx.d, "x": x}
+        before = {name: a.tobytes() for name, a in held.items()}
+        cg_block_backward(ctx, dy)
         for name, a in held.items():
             assert a.tobytes() == before[name], name
+
+    @cases
+    def test_second_backward_raises(self, rng, G, act, k):
+        cfg, params, x, dy = self.block(rng, G, act, k)
+        _, ctx = cg_block_forward_train(x, params, cfg)
+        cg_block_backward(ctx, dy)
+        with pytest.raises(nn.StateError, match="forward_train"):
+            cg_block_backward(ctx, dy)
+        layer = CgConvBlock(cfg, rng, name="L07")
+        layer.forward_train(x)
+        layer.backward(dy)
+        with pytest.raises(nn.StateError, match="L07: .*forward_train"):
+            layer.backward(dy)
+
+    def test_backward_allocates_under_four_output_batches(self):
+        # vgg8's first gated layer: five output-sized temporaries and a
+        # column-sized dcols made the peak 10.3 output batches
+        rng = np.random.default_rng(0)
+        cfg = CgLayerConfig(ConvSpec(8, 16, 3, padding=1), groups=4, activation="relu")
+        params = make_params(cfg, rng)
+        x = np.ascontiguousarray(rng.standard_normal((8, 16, 16, 64))).transpose(3, 0, 1, 2)
+        y, ctx = cg_block_forward_train(x, params, cfg)
+        dy = np.empty_like(y)
+        dy[...] = rng.standard_normal(y.shape)
+        tracemalloc.start()
+        try:
+            cg_block_backward(ctx, dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * y.nbytes, peak / y.nbytes
 
 
 class TestSparsityLosses:
@@ -586,6 +643,18 @@ class TestTrainLoop:
         for layer, before in zip(model.gated_layers(), deltas):
             assert not np.array_equal(layer.params.gate.delta, before)
         assert all(layer.ctx is not None for layer in model.layers + model.leaves())
+
+    def test_computation_cost_without_contexts_names_the_layer(self):
+        # before any forward_train, and after freeze_gates drops the contexts
+        model = build_model(toy_model_cfg(), np.random.default_rng(9))
+        loss_cfg = LossConfig(sparsity="computation_cost", lam=1e-9)
+        first = model.gated_layers()[0].name
+        with pytest.raises(nn.StateError, match=f"{first}: .*forward_train"):
+            training.apply_sparsity_loss(model, loss_cfg, 1.0)
+        model.forward_train(np.random.default_rng(8).standard_normal((2, 1, 12, 12)))
+        model.freeze_gates()
+        with pytest.raises(nn.StateError, match=f"{first}: .*forward_train"):
+            training.apply_sparsity_loss(model, loss_cfg, 1.0)
 
     def test_toy_run_reaches_full_accuracy_with_pruning(self):
         rng = np.random.default_rng(3)
