@@ -119,7 +119,10 @@ def read_container(path):
 
 
 def save_model(path, model):
-    """Serialize a network (tensors plus embedded model config)."""
+    """Serialize a network (tensors plus embedded model config); a network
+    without a config raises ``CheckpointError`` and writes nothing."""
+    if not model.config:
+        raise CheckpointError(f"{path}: network has no model config; to_dense() twins have none")
     items = model.state_tensors()
     cfg = json.dumps(model.config, sort_keys=True).encode("utf-8")
     items.append((CONFIG_RECORD, np.frombuffer(cfg, dtype=np.uint8).copy()))

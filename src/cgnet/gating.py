@@ -90,9 +90,13 @@ class CgLayerConfig:
 class GateState:
     """Learnable thresholds of the gate: delta from 0, or a band from +-``BAND_INIT``.
 
-    The gate input is the partial sum normalized with BN1's statistics (batch
-    statistics in training, BN1's running stats at inference), so the gate
-    keeps no normalizer of its own.
+    The gate is a set of one-sided edges (``edges()``): edge (name, sign,
+    delta) passes where sign*(x - delta) >= 0, and the gate fires where
+    every edge passes. A single-sided gate is the edge ("delta", +1); a band
+    is ("delta_high", -1) and ("delta_low", +1). The gate input is the
+    partial sum normalized with BN1's statistics (batch statistics in
+    training, BN1's running stats at inference), so the gate keeps no
+    normalizer of its own.
     """
 
     delta: np.ndarray | None = None       # one-sided only
@@ -106,18 +110,15 @@ class GateState:
             return cls(delta_high=np.full(c, BAND_INIT), delta_low=np.full(c, -BAND_INIT))
         return cls(np.zeros(c))
 
-    def thresholds(self):
-        """(name, array) of the learned thresholds: delta, or the band's edges."""
+    def edges(self):
+        """(name, sign, thresholds) of each edge, in checkpoint record order."""
         if self.delta_high is None:
-            return [("delta", self.delta)]
-        return [("delta_high", self.delta_high), ("delta_low", self.delta_low)]
+            return [("delta", 1, self.delta)]
+        return [("delta_high", -1, self.delta_high), ("delta_low", 1, self.delta_low)]
 
-    def bounds(self):
-        """(lo, hi) thresholds: (delta, None) for the one-sided gate,
-        (delta_low, delta_high) for the two-sided band."""
-        if self.delta_high is None:
-            return self.delta, None
-        return self.delta_low, self.delta_high
+    def thresholds(self):
+        """(name, array) of the learned thresholds, one per edge."""
+        return [(name, t) for name, _, t in self.edges()]
 
     def clamp_band(self):
         """Enforce delta_high >= delta_low after a training step."""
@@ -237,27 +238,28 @@ def split_dense_weight(w, G):
 # Gate functions
 # ---------------------------------------------------------------------------
 
-def _threshold_decisions(x, lo, hi=None):
-    """Boolean decisions x >= lo, and-ed with x <= hi for a band; lo and hi
-    are per-channel thresholds. For finite x this is theta(x - lo) (times
-    theta(hi - x)): the difference of two distinct finite doubles is never
-    0, so it is >= 0 exactly where x >= lo."""
-    d = x >= _per_channel(lo)
-    if hi is not None:
-        d &= x <= _per_channel(hi)
+def _threshold_decisions(x, edges):
+    """Boolean decisions where every (name, sign, thresholds) edge passes,
+    x >= delta for sign +1 and x <= delta for sign -1, per channel. For
+    finite x this is the product of theta(sign*(x - delta)): the difference
+    of two distinct finite doubles is never 0, so it is >= 0 exactly where
+    x >= delta."""
+    d = None
+    for _, sign, t in edges:
+        passes = x >= _per_channel(t) if sign > 0 else x <= _per_channel(t)
+        d = passes if d is None else np.logical_and(d, passes, out=d)
     return d
 
 
 def merged_gate(partial_sum, params: CgBlockParams):
-    """Inference gate with BN1's running stats folded into the thresholds:
-    the bool d = x >= delta*sqrt(Var+eps) + E, per output channel; the
-    edges of a two-sided band fold the same way."""
+    """Inference gate with BN1's running stats folded into each edge's
+    thresholds: for the single-sided gate the bool
+    d = x >= delta*sqrt(Var+eps) + E, per output channel."""
     bn1 = params.bn1
     sigma = np.sqrt(bn1.running_var + bn1.eps)
     mean = bn1.running_mean
-    lo, hi = params.gate.bounds()
-    return _threshold_decisions(partial_sum, lo * sigma + mean,
-                                None if hi is None else hi * sigma + mean)
+    return _threshold_decisions(partial_sum, [(name, sign, t * sigma + mean)
+                                              for name, sign, t in params.gate.edges()])
 
 
 def channel_gate(d, tau_c):

@@ -54,7 +54,7 @@ from . import analysis, gating, training
 from .checkpoint import CONFIG_RECORD
 from .config import read_field
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
-                     channel_shuffle, split_dense_weight)
+                     channel_shuffle, shuffle_permutation, split_dense_weight)
 from .nn import (ACTIVATION_KINDS, ConfigurationError, ConvSpec, BatchNormState,
                  StateError, _batch, _per_channel, activation, activation_grad,
                  batchnorm_backward, bn_forward, bn_inference, conv2d_backward,
@@ -85,13 +85,11 @@ class Layer:
 
 
 class ConvBlock(Layer):
-    """Dense convolution + batch norm + activation (+ optional shuffle)."""
+    """Dense convolution + batch norm + activation."""
 
-    def __init__(self, spec: ConvSpec, act="relu", shuffle_groups=0, rng=None,
-                 name="conv"):
+    def __init__(self, spec: ConvSpec, act="relu", rng=None, name="conv"):
         self.spec = spec
         self.act = act
-        self.shuffle_groups = shuffle_groups
         self.name = name
         k = spec.kernel_size
         fan_in = (spec.in_channels // spec.groups) * k * k
@@ -107,15 +105,10 @@ class ConvBlock(Layer):
         xhat, bn_ctx = bn_forward(y, self.bn, out=y)
         pre = _per_channel(self.bn.gamma) * xhat + _per_channel(self.bn.beta)
         self.ctx = (conv_ctx, bn_ctx, pre)
-        y = activation(pre, self.act)
-        if self.shuffle_groups:
-            y = channel_shuffle(y, self.shuffle_groups)
-        return y
+        return activation(pre, self.act)
 
     def backward(self, dy):
         conv_ctx, bn_ctx, pre = self._saved_ctx()
-        if self.shuffle_groups:   # undo the forward's shuffle
-            dy = channel_shuffle(dy, self.spec.out_channels // self.shuffle_groups)
         dpre = dy * activation_grad(pre, self.act)
         dbn, dgamma, dbeta = batchnorm_backward(bn_ctx, dpre, self.bn.gamma)
         self.g_gamma += dgamma
@@ -128,8 +121,6 @@ class ConvBlock(Layer):
         y, _ = conv2d_forward(x, self.w, self.spec)
         n, _, h_out, w_out = y.shape
         y = activation(bn_inference(y, self.bn, out=y), self.act, out=y)
-        if self.shuffle_groups:
-            y = channel_shuffle(y, self.shuffle_groups)
         if not collect:
             return y, []
         return y, [analysis.LayerRecord(self.name, self.spec, h_out, w_out, n, w=self.w,
@@ -219,12 +210,14 @@ class CgConvBlock(Layer):
             tensors[f"{self.name}.w_p"], tensors[f"{self.name}.w_r"], self.cfg.groups)
 
     def to_dense(self):
-        """Dense equivalent: the all-take path (a copy of W, BN2 stats)."""
+        """Dense equivalent: the all-take path (W, BN2 stats) in the output's channel order."""
         cfg, p = self.cfg, self.params
-        blk = ConvBlock(cfg.conv, cfg.activation, cfg.groups if cfg.shuffle else 0, name=self.name)
-        blk.w = p.w.copy()
-        blk.bn = BatchNormState(p.gamma.copy(), p.beta.copy(), p.bn2.running_mean.copy(),
-                                p.bn2.running_var.copy())
+        c_out = cfg.conv.out_channels
+        order = shuffle_permutation(c_out, cfg.groups) if cfg.shuffle else np.arange(c_out)
+        blk = ConvBlock(cfg.conv, cfg.activation, name=self.name)
+        blk.w = p.w[order]
+        blk.bn = BatchNormState(p.gamma[order], p.beta[order], p.bn2.running_mean[order],
+                                p.bn2.running_var[order])
         return blk
 
 
@@ -431,8 +424,8 @@ class Network:
     def mean_delta(self):
         vals = []
         for layer in self.gated_layers():
-            lo, hi = layer.params.gate.bounds()
-            vals.append(lo if hi is None else 0.5 * (hi - lo))
+            g = layer.params.gate
+            vals.append(g.delta if g.delta_high is None else 0.5 * (g.delta_high - g.delta_low))
         return float(np.concatenate(vals).mean()) if vals else 0.0
 
     def gates_frozen(self):
@@ -455,10 +448,8 @@ class Network:
         """Force every gate fully open, for inference only (the logits are the
         dense twin's): an open gate's surrogate is saturated, so it learns nothing."""
         for layer in self.gated_layers():
-            lo, hi = layer.params.gate.bounds()
-            lo[:] = -1e6
-            if hi is not None:
-                hi[:] = 1e6
+            for _, sign, t in layer.params.gate.edges():
+                t[:] = -sign * 1e6
 
     def set_delta(self, value):
         """Set every gate's one-sided threshold. A two-sided gate thresholds
@@ -474,12 +465,11 @@ class Network:
             layer.params.gate.delta[:] = value
 
     def shift_delta(self, offset):
-        """Raise one-sided thresholds by ``offset``; narrow bands by it at each edge."""
+        """Move every edge inward by ``offset``: raise one-sided thresholds by it,
+        narrow bands by it at each edge."""
         for layer in self.gated_layers():
-            lo, hi = layer.params.gate.bounds()
-            lo += offset
-            if hi is not None:
-                hi -= offset
+            for _, sign, t in layer.params.gate.edges():
+                t += sign * offset
 
     def set_tau_c(self, value):
         if not 0.0 <= value <= 1.0:
@@ -490,9 +480,10 @@ class Network:
 
     # -- conversion / serialization -------------------------------------------
     def to_dense(self):
-        """Network with every gating block replaced by its dense equivalent."""
+        """Network with every gating block replaced by its dense equivalent. It
+        has no config, which describes the gated model: ``save_model`` refuses it."""
         return Network([layer.to_dense() for layer in self.layers],
-                       self.input_shape, self.num_classes, dict(self.config))
+                       self.input_shape, self.num_classes)
 
     def state_tensors(self):
         items = [item for leaf in self.leaves() for item in leaf.state_items()]
@@ -573,8 +564,10 @@ def build_model(model_cfg: dict, rng) -> Network:
                 act = read_field(f"{where}.activation", lc, str, "relu")
                 if act not in ACTIVATION_KINDS:
                     raise ConfigurationError(f"{where}.activation: unknown activation {act!r}")
-                shuffle = read_field(f"{where}.shuffle_groups", lc, int, 0)
-                layers.append(ConvBlock(spec, act, shuffle, rng, name))
+                if "shuffle_groups" in lc:   # removed: only a gated layer shuffles
+                    raise ConfigurationError(f"{where}.shuffle_groups: expected no such key; "
+                                             f"a cg_conv layer's shuffle shuffles its output")
+                layers.append(ConvBlock(spec, act, rng, name))
             else:
                 layers.append(CgConvBlock(_cg_config(spec, where, (lc, defaults)), rng, name))
             try:
@@ -607,12 +600,12 @@ def build_model(model_cfg: dict, rng) -> Network:
                                            ({"activation": "identity"}, lc, defaults)),
                                 rng, f"{name}b")
             else:
-                a = ConvBlock(spec_a, "relu", 0, rng, f"{name}a")
-                b = ConvBlock(spec_b, "identity", 0, rng, f"{name}b")
+                a = ConvBlock(spec_a, "relu", rng, f"{name}a")
+                b = ConvBlock(spec_b, "identity", rng, f"{name}b")
             shortcut = None
             if stride != 1 or out_c != c:
                 shortcut = ConvBlock(ConvSpec(c, out_c, 1, stride, 0),
-                                     "identity", 0, rng, f"{name}sc")
+                                     "identity", rng, f"{name}sc")
             layers.append(ResidualBlock(a, b, shortcut, name))
             h, w = spec_a.out_hw(h, w)
             c = out_c

@@ -29,27 +29,30 @@ into that group's rows: the dense MAC count, no more.
 
 The backward consumes its context, as in-place activated batch norm does:
 each gradient goes into a context buffer that is dead by then. dpre
-overwrites ``pre``, dfull overwrites x^_2, d*dpre and then dp take the
-surrogate's first tanh buffer, and the column gradients overwrite the
-im2col columns. So a single-sided gate's backward allocates two
-output-sized batches (the tanh factor and the gate gradient), not five and
+overwrites ``pre``, dfull overwrites x^_2, each edge's gate gradient its
+own tanh buffer, d*dpre and then dp the buffer of ds~ (below), and the
+column gradients the im2col columns. So a single-sided gate's backward
+allocates two output-sized batches (the tanh factor and ds~), not five and
 a column-sized dcols, and a second backward on the same context raises
 ``StateError``. x^_g and d survive for the computation-cost loss, which
 reads x^_g after the backward.
 
-The gate is not differentiable, so gradients toward the thresholds and the
-gate input use a smooth sigmoid surrogate s~ = sigma(eps*(x^_g - delta))
-(and the product of two such factors for the two-sided gate), which the
-backward recomputes from x^_g. It is built in tanh form: with
-t = tanh(eps*(x^_g - delta)/2), s~ = 1/2 + t/2 and
-eps*s~*(1 - s~) = (eps/4)*(1 - t^2), so one tanh per factor gives both the
-gate value and its derivative, and a saturated t = +-1 gives exactly zero
-gradient with no overflow. Gradients for the two data paths treat d as
-a constant. The hard combine is not differentiable, so the test suite
-checks these surrogate gradients against central differences of the soft
-combine z = x^_g + s~*(x^_2 - x^_g), which exists only in its
-two-convolution oracle (``tests/_oracles.two_conv_block_train``); the block
-here matches that oracle's hard mode.
+The gate is a set of edges (``GateState.edges()``): edge (name, sign,
+delta) passes where sign*(x^_g - delta) >= 0, d is 1 where every edge
+passes, and every routine here walks the edges without asking the gate's
+kind. A single-sided gate is one edge, a band two. The gate is not
+differentiable, so gradients toward the thresholds and the gate input use
+a smooth surrogate, s~ = the product over edges of
+sigma(eps*sign*(x^_g - delta)), recomputed from x^_g in tanh form: with
+t = tanh(eps*sign*(x^_g - delta)/2), the edge's sigmoid is 1/2 + t/2 and
+its derivative (eps/4)*(1 - t^2), so one tanh per edge gives both, and a
+saturated t = +-1 gives exactly zero gradient with no overflow. Gradients
+for the two data paths treat d as a constant. The hard combine is not
+differentiable, so the test suite checks these surrogate gradients against
+central differences of the soft combine z = x^_g + s~*(x^_2 - x^_g), which
+exists only in its two-convolution oracle
+(``tests/_oracles.two_conv_block_train``); the block here matches that
+oracle's hard mode.
 """
 
 from __future__ import annotations
@@ -154,26 +157,16 @@ class CgBlockGrads:
     dx: np.ndarray
 
 
-def _tanh_factor(lhs, rhs, eps):
-    """tanh(eps*(lhs - rhs)/2) in one new batch, in x^_g's memory order."""
-    t = np.subtract(lhs, rhs)
-    t *= 0.5 * eps
-    return np.tanh(t, out=t)
-
-
-def _surrogate(xhat_g, params: CgBlockParams, cfg: CgLayerConfig):
-    """tanh factors of the smooth gate, one new batch each:
-    (t,) with t = tanh(eps*(x^_g - delta)/2) for the single-sided gate,
-    (t_a, t_b) = (tanh(eps*(delta_high - x^_g)/2),
-    tanh(eps*(x^_g - delta_low)/2)) for the band. Each factor's sigmoid is
-    1/2 + t/2 (``_sigmoid_of``), s~ is the sigmoid or the band's product of
-    the two, and each factor's sigmoid derivative is eps*(1 - t*t)/4."""
-    eps = cfg.epsilon
-    g = params.gate
-    if cfg.two_sided:
-        return (_tanh_factor(_per_channel(g.delta_high), xhat_g, eps),
-                _tanh_factor(xhat_g, _per_channel(g.delta_low), eps))
-    return (_tanh_factor(xhat_g, _per_channel(g.delta), eps),)
+def _surrogate(xhat_g, edges, eps):
+    """tanh factors t = tanh(eps*sign*(x^_g - delta)/2) of the smooth gate,
+    one new batch in x^_g's memory order per edge; the edge's sigmoid is
+    1/2 + t/2 (``_sigmoid_of``)."""
+    ts = []
+    for _, sign, delta in edges:
+        t = np.subtract(xhat_g, _per_channel(delta))
+        t *= 0.5 * eps * sign
+        ts.append(np.tanh(t, out=t))
+    return ts
 
 
 def _sigmoid_of(t):
@@ -200,7 +193,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     p = grouped_partial_sums(conv, cfg.groups)
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
     xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
-    d = _threshold_decisions(xhat_g, *params.gate.bounds())
+    d = _threshold_decisions(xhat_g, params.gate.edges())
     pre = np.where(d, xhat2, xhat_g)
     pre *= _per_channel(params.gamma)
     pre += _per_channel(params.beta)
@@ -220,10 +213,11 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     folds into their backward's final per-channel scale gamma*inv_std.
     BN2's upstream is d*dpre, BN1's (1 - d)*dpre plus the gate term. The
     threshold and gate-input gradients come from the surrogate's tanh
-    factors, recomputed from x^_g: with ds~ = dpre*(x^_2 - x^_g),
-    d(x^_g) = -d(delta) per element before the channel reduction, and the
-    threshold gradients, keyed as ``GateState.thresholds()`` names them,
-    take gamma after it.
+    factors, one per edge, recomputed from x^_g: with ds~ = dpre*(x^_2 - x^_g),
+    edge e's share, ds~*sign*(eps/4)*(1 - t_e^2) times the other edges'
+    sigmoids, overwrites t_e. Per element d(x^_g) sums the shares and
+    d(delta_e) is minus e's; the threshold gradients, keyed by edge name,
+    take gamma after the channel reduction.
     BN backward is linear in its upstream gradient, so BN1 and the gate
     input, which share one normalization of p, take one backward call.
     BN2's backward writes dfull and BN1's dp. Per input group h, D_h is
@@ -246,36 +240,35 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     # dpre overwrites pre, which f' has read; from here on the context is spent
     dpre = np.multiply(_as_batch(dy), activation_grad(ctx.pre, cfg.activation), out=ctx.pre)
     ctx.consumed = True
-    ts = _surrogate(xhat_g, params, cfg)
+    edges = params.gate.edges()
+    ts = _surrogate(xhat_g, edges, eps)
 
+    # muls[e] is ds times the sigmoids of the edges but e (ds itself for
+    # one edge); edge e's share of the gate gradient overwrites t_e
     ds = xhat2 - xhat_g
     ds *= dpre
-    if not cfg.two_sided:
-        # d(s~)/d(x^_g) = eps*s~*(1 - s~) = (eps/4)*(1 - t*t)
-        (t,) = ts
+    muls = [ds]
+    for t_prev, t in zip(ts, ts[1:]):
+        mul = _sigmoid_of(t_prev)
+        mul *= muls[-1]
+        s = _sigmoid_of(t)
+        for earlier in muls:
+            earlier *= s
+        muls.append(mul)
+    dthresholds = {}
+    for (key, sign, _), t, mul in zip(edges, ts, muls):
         t *= t
         np.subtract(1.0, t, out=t)
-        ds *= t
-        ds *= 0.25 * eps
-        dxhat_g = ds
-        dthresholds = {"delta": -gamma * dxhat_g.sum(axis=axes)}
-    else:
-        # s~ = a*b with a = 1/2 + t_a/2, b = 1/2 + t_b/2: d(s~)/d(x^_g) =
-        # eps*a*b*(a - b) = (eps/2)*a*b*(t_a - t_b), d(s~)/d(delta_high) =
-        # eps*a*(1 - a)*b = (eps/4)*(1 - t_a^2)*b, d(s~)/d(delta_low) =
-        # -(eps/4)*a*(1 - t_b^2)
-        ta, tb = ts
-        a, b = _sigmoid_of(ta), _sigmoid_of(tb)
-        dxhat_g = ds * (0.5 * eps * a * b * (ta - tb))
-        dthresholds = {
-            "delta_high": 0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, (1.0 - ta * ta) * b),
-            "delta_low": -0.25 * eps * gamma * np.einsum("nchw,nchw->c", ds, a * (1.0 - tb * tb))}
-    # The gate gradient is done with the first tanh factor, whose buffer
-    # takes the conditional path's share of dpre, d*dpre; dpre keeps the
-    # base path's, (1 - d)*dpre. sum(dpre*z) is their products with x^_2
-    # and x^_g.
-    spare = ts[0]
-    dxhat2 = np.multiply(dpre, ctx.d, out=spare)
+        t *= mul
+        t *= 0.25 * eps * sign
+        dthresholds[key] = -gamma * t.sum(axis=axes)
+    dxhat_g = ts[0]
+    for t in ts[1:]:
+        dxhat_g += t
+    # The gate gradient is done with ds, whose buffer takes the conditional
+    # path's share of dpre, d*dpre; dpre keeps the base path's,
+    # (1 - d)*dpre. sum(dpre*z) is their products with x^_2 and x^_g.
+    dxhat2 = np.multiply(dpre, ctx.d, out=ds)
     dpre -= dxhat2
     dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
     dbeta = dpre.sum(axis=axes)
@@ -286,7 +279,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     # BN2's backward reads x^_2 and writes dfull over it; BN1's then writes
     # dp over d*dpre, which BN2's backward has read. x^_g and d stay.
     _, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma, out=xhat2)
-    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=spare)
+    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=ds)
     dgamma += dgamma2
     dbeta += dbeta2
 
@@ -296,7 +289,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     # copied back after its GEMMs (but for the last group), an exact
     # restore where a subtract would not be. Each group's dcols GEMM writes
     # over the rows of cols that its dW GEMM has just read.
-    dfull, dp = _gemm_rows(xhat2), _gemm_rows(spare)
+    dfull, dp = _gemm_rows(xhat2), _gemm_rows(ds)
     G, spec = cfg.groups, cfg.conv
     cols = ctx.conv.cols
     kk, m = cols.shape
@@ -336,32 +329,38 @@ def sparsity_loss_flops(ctxs, lam):
 
     The (J - s~) factor counts gated-off positions, so the term is zero
     when everything takes the conditional path; kept for comparison
-    experiments only, single-sided layers only. Per-sample inner sums are
-    averaged over the batch; only the thresholds receive gradients. It
-    reads x^_g, which the backward leaves intact, so it runs after it.
+    experiments only. Per-sample inner sums are averaged over the batch;
+    only the thresholds receive gradients, keyed by edge name. It reads
+    x^_g, which the backward leaves intact, so it runs after it.
     """
     inners, factors, sgrads = [], [], []
     for ctx in ctxs:
         cfg, spec = ctx.cfg, ctx.cfg.conv
-        if cfg.two_sided:
-            raise ConfigurationError(
-                "loss.sparsity: computation_cost supports single-sided gates only")
-        (t,) = _surrogate(ctx.bn1_ctx.xhat, ctx.params, cfg)
-        n, _, h_out, w_out = t.shape
-        inners.append(float((1.0 - _sigmoid_of(t)).sum()) / n)
-        # d(1-s~)/d(delta) = +eps*s~*(1-s~) = (eps/4)*(1 - t*t), reduced
-        # over batch and positions
-        sgrads.append(0.25 * cfg.epsilon * (1.0 - t * t).sum(axis=(0, 2, 3)) / n)
+        edges = ctx.params.gate.edges()
+        ts = _surrogate(ctx.bn1_ctx.xhat, edges, cfg.epsilon)
+        sigmoids = [_sigmoid_of(t) for t in ts]
+        n, _, h_out, w_out = ts[0].shape
+        inners.append(float((1.0 - np.prod(sigmoids, axis=0)).sum()) / n)
+        # d(1-s~)/d(delta_e) = +sign*(eps/4)*(1 - t_e^2) times the other
+        # edges' sigmoids, reduced over batch and positions
+        grads = {}
+        for i, ((key, sign, _), t) in enumerate(zip(edges, ts)):
+            share = 1.0 - t * t
+            for other in sigmoids[:i] + sigmoids[i + 1:]:
+                share *= other
+            grads[key] = sign * 0.25 * cfg.epsilon * share.sum(axis=(0, 2, 3)) / n
+        sgrads.append(grads)
         # the layer's multiplier eta*c_l*k^2*w'*h'*c_{l+1}
         factors.append((spec.in_channels // cfg.groups) * spec.kernel_size ** 2
                        * w_out * h_out * spec.out_channels)
     total = sum(i * f for i, f in zip(inners, factors))
     loss = lam * total * total
-    grads = [lam * 2.0 * total * f * g for f, g in zip(factors, sgrads)]
+    grads = [{key: lam * 2.0 * total * f * g for key, g in sg.items()}
+             for f, sg in zip(factors, sgrads)]
     return loss, grads
 
 
-def kd_loss(student_logits, teacher_logits, labels, kappa=1.0, lam_kd=0.5):
+def kd_loss(student_logits, teacher_logits, labels, kappa, lam_kd):
     """Distillation loss mixing ground truth with the softened teacher:
     L = -((1-lam)*sum y log P_S + lam*sum P_T log P_S), temperature kappa
     on both distributions, averaged over the batch. Returns (loss, dlogits).
@@ -422,8 +421,9 @@ def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
             loss += part
         return loss
     loss, grads = sparsity_loss_flops([l._saved_ctx() for l in layers], lam)
-    for layer, g in zip(layers, grads):
-        layer.g_thresholds["delta"] += g
+    for layer, layer_grads in zip(layers, grads):
+        for key, g in layer_grads.items():
+            layer.g_thresholds[key] += g
     return loss
 
 

@@ -384,12 +384,12 @@ class TestBoolDecisionMaps:
         model.freeze_gates()
         model.set_tau_c(tau_c)
         for layer in model.gated_layers():
-            lo, hi = layer.params.gate.bounds()
-            if hi is None:
-                lo[:] = rng.normal(0.0, 0.8, lo.shape)
+            gate = layer.params.gate
+            if gate.delta_high is None:
+                gate.delta[:] = rng.normal(0.0, 0.8, gate.delta.shape)
             else:
-                hi[:] = rng.uniform(0.0, 1.0, hi.shape)
-                lo[:] = -rng.uniform(0.0, 1.0, lo.shape)
+                gate.delta_high[:] = rng.uniform(0.0, 1.0, gate.delta_high.shape)
+                gate.delta_low[:] = -rng.uniform(0.0, 1.0, gate.delta_low.shape)
         _, records = model.forward_infer(x, collect=True)
         merged = analysis.merge_layer_records(records, records)
         gated = [r for r in merged if r.gated]

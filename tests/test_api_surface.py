@@ -137,3 +137,15 @@ def test_traced_functions_resolve():
                if not inspect.isfunction(
                    getattr(importlib.import_module(f"cgnet.{module}"), name, None))]
     assert not missing, f"cgbench/tracing.py traces functions cgnet lacks: {missing}"
+
+
+def test_training_reads_no_gate_kind():
+    """The training graph walks the gate's edges (``GateState.edges()``): it
+    reads neither the gate kind nor a band's thresholds by attribute, so a
+    second code path per gate kind fails here."""
+    tree = ast.parse((PACKAGE / "training.py").read_text())
+    forbidden = {"two_sided", "delta_high", "delta_low", "bounds"}
+    read = {node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Load)}
+    assert not read & forbidden, f"src/cgnet/training.py reads {sorted(read & forbidden)}"

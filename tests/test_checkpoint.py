@@ -204,6 +204,15 @@ class TestModelCheckpoint:
         for layer, loaded in zip(model.gated_layers(), back.gated_layers()):
             assert loaded.params.w.tobytes() == layer.params.w.tobytes()
 
+    def test_network_without_config_writes_nothing(self, tmp_path, rng):
+        # a dense twin has none: the gated model's config would make a file
+        # whose dense records load_model rejects
+        dense = build_model(self.model_cfg(), rng).to_dense()
+        path = tmp_path / "dense.cgn"
+        with pytest.raises(CheckpointError, match="no model config"):
+            save_model(path, dense)
+        assert not path.exists()
+
     def test_save_is_deterministic(self, tmp_path, rng):
         model = build_model(self.model_cfg(), rng)
         model.freeze_gates()

@@ -134,6 +134,9 @@ def _drop(*path):
     (_set("model", "cg_defaults", "band_init", value=2.0),
      "model.layers[1].band_init: expected no such key; the activation sets the gate kind, "
      "and a band starts at +-2.0"),
+    # a dense layer does not shuffle
+    (_set("model", "layers", 0, "shuffle_groups", value=2),
+     "model.layers[0].shuffle_groups: expected no such key"),
     # loss section
     (_set("loss", "lambda", value=-1), "loss.lambda: must be >= 0, got -1.0"),
     (_set("loss", "kd", "mix", value=2), "loss.kd.mix: must be in [0, 1], got 2.0"),

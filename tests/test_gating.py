@@ -54,7 +54,7 @@ def gate_params(cfg):
 def train_gate(p, params):
     """Training-mode decisions: batch-normalize p, then threshold."""
     xhat, _ = nn.bn_forward(p, params.bn1)
-    return gating._threshold_decisions(xhat, *params.gate.bounds())
+    return gating._threshold_decisions(xhat, params.gate.edges())
 
 
 def input_channel_kernel(c_out, c_in):

@@ -20,8 +20,7 @@ def vgg_cfg():
         "num_classes": 3,
         "cg_defaults": {"groups": 2, "tau_c": 0.2},
         "layers": [
-            {"type": "conv", "out_channels": 4, "kernel_size": 3, "padding": 1,
-             "shuffle_groups": 2},
+            {"type": "conv", "out_channels": 4, "kernel_size": 3, "padding": 1},
             {"type": "cg_conv", "out_channels": 6, "kernel_size": 3, "padding": 1,
              "shuffle": True},
             {"type": "maxpool", "kernel_size": 2},

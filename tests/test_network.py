@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cgnet import nn
+from cgnet.gating import shuffle_permutation
 from cgnet.network import build_model
 from cgnet.nn import ConfigurationError, StateError
 
@@ -257,7 +258,10 @@ class TestDenseEquivalence:
         twins = {twin.name: twin for twin in model.to_dense().leaves()}
         for layer in model.gated_layers():
             twin = twins[layer.name]
-            np.testing.assert_array_equal(twin.w, layer.params.w)
+            # a shuffled layer's twin holds W's rows in shuffled order
+            c_out, G = layer.cfg.conv.out_channels, layer.cfg.groups
+            order = shuffle_permutation(c_out, G) if layer.cfg.shuffle else np.arange(c_out)
+            np.testing.assert_array_equal(twin.w, layer.params.w[order])
             assert not np.shares_memory(twin.w, layer.params.w)
             twin.w += 1.0
             assert not np.array_equal(twin.w, layer.params.w)

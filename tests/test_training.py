@@ -442,11 +442,11 @@ class TestConsumedContext:
         with pytest.raises(nn.StateError, match="L07: .*forward_train"):
             layer.backward(dy)
 
-    def test_backward_allocates_under_four_output_batches(self):
-        # vgg8's first gated layer: five output-sized temporaries and a
-        # column-sized dcols made the peak 10.3 output batches
+    @staticmethod
+    def backward_peak_in_output_batches(act):
+        """tracemalloc peak of one backward at vgg8's first gated layer."""
         rng = np.random.default_rng(0)
-        cfg = CgLayerConfig(ConvSpec(8, 16, 3, padding=1), groups=4, activation="relu")
+        cfg = CgLayerConfig(ConvSpec(8, 16, 3, padding=1), groups=4, activation=act)
         params = make_params(cfg, rng)
         x = np.ascontiguousarray(rng.standard_normal((8, 16, 16, 64))).transpose(3, 0, 1, 2)
         y, ctx = cg_block_forward_train(x, params, cfg)
@@ -458,7 +458,17 @@ class TestConsumedContext:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * y.nbytes, peak / y.nbytes
+        return peak / y.nbytes
+
+    def test_backward_allocates_under_four_output_batches(self):
+        # five output-sized temporaries and a column-sized dcols made the
+        # peak 10.3 output batches
+        assert self.backward_peak_in_output_batches("relu") < 4
+
+    def test_band_backward_allocates_under_seven_output_batches(self):
+        # building a band's gradients from fresh temporaries made the peak
+        # 8.0 output batches
+        assert self.backward_peak_in_output_batches("tanh") < 7
 
 
 class TestSparsityLosses:
@@ -505,18 +515,25 @@ class TestSparsityLosses:
         assert loss == pytest.approx(want, rel=1e-12)
 
     def test_flops_loss_grad_fd(self, rng):
-        cfg = make_cfg(act="relu", eps_sharp=2.0)
-        params = make_params(cfg, rng)
-        params.gate.delta[:] = rng.standard_normal(4) * 0.3
-        x = rng.standard_normal((2, 4, 4, 4))
+        # one edge (relu) and a band's two (tanh, sigmoid), each edge's
+        # threshold gradient against central differences
+        starts = {"delta": 0.0, "delta_high": 0.8, "delta_low": -0.8}
+        for act in ("relu", "tanh", "sigmoid"):
+            cfg = make_cfg(act=act, eps_sharp=2.0)
+            params = make_params(cfg, rng)
+            for key, t in params.gate.thresholds():
+                t[:] = starts[key] + rng.standard_normal(4) * 0.3
+            x = rng.standard_normal((2, 4, 4, 4))
 
-        def loss():
+            def loss():
+                _, ctx = cg_block_forward_train(x, params, cfg)
+                return sparsity_loss_flops([ctx], 1e-9)[0]
+
             _, ctx = cg_block_forward_train(x, params, cfg)
-            return sparsity_loss_flops([ctx], 1e-9)[0]
-
-        _, ctx = cg_block_forward_train(x, params, cfg)
-        _, (g,) = sparsity_loss_flops([ctx], 1e-9)
-        check_grad(loss, params.gate.delta, g, step=1e-4)
+            _, (g,) = sparsity_loss_flops([ctx], 1e-9)
+            assert list(g) == [key for key, _ in params.gate.thresholds()]
+            for key, t in params.gate.thresholds():
+                check_grad(loss, t, g[key], step=1e-4)
 
 
 class TestKdLoss:
