@@ -20,9 +20,11 @@ A missing or malformed field exits 2 naming it (``optimizer.lr``,
 ``model.layers[2].groups``, ``etas[1]``) before any artifact is written,
 and so do the removed keys ``force_open`` (a dense baseline trains as
 ``conv`` layers), ``loss.kd.enabled`` (naming a ``loss.kd.teacher_checkpoint``
-turns distillation on, as a nonzero ``loss.lambda`` the sparsity loss) and
+turns distillation on, as a nonzero ``loss.lambda`` the sparsity loss),
 a gated layer's ``gate`` and ``band_init`` (the activation sets the gate kind)
-and a conv layer's ``shuffle_groups`` (only a gated layer shuffles).
+and a conv layer's ``shuffle_groups`` (only a gated layer shuffles), and a
+``loss.sparsity`` other than ``target_threshold`` (the computation-cost form
+is gone: its minimum opened every gate).
 The environment variable CG_THREADS caps BLAS worker threads: each of
 OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
 the cap, and a CG_THREADS that is not a positive integer exits 2.

@@ -25,12 +25,12 @@ speaks one protocol:
     statistics, never a context.
 
 A context lives from one ``forward_train`` to the next, across steps:
-``apply_sparsity_loss`` reads the gated layers' contexts after ``backward``,
-and freeing them at every step would only fault their pages in again. A
-gated layer's ``backward`` consumes its context: its gradients overwrite
-the buffers it no longer needs (``training.cg_block_backward``), so a
-second ``backward`` raises ``StateError`` until the next ``forward_train``.
-What the sparsity loss reads, x^_g and the decisions, survives.
+freeing it at every step would only fault its pages in again. A
+convolution layer's ``backward`` consumes its context, and nothing reads a
+context after its layer's ``backward``: the gradients overwrite the buffers
+they are computed from (``training.cg_block_backward``,
+``ConvBlock.backward``), so a second ``backward`` raises ``StateError``
+until the next ``forward_train``.
 ``Network.freeze_gates()`` ends training: it drops every context (residual
 blocks and their sublayers included), so a finished model holds no batch,
 and sets ``Network.frozen``, the one record that the gate statistics are
@@ -55,8 +55,8 @@ from .checkpoint import CONFIG_RECORD
 from .config import read_field
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, shuffle_permutation, split_dense_weight)
-from .nn import (ACTIVATION_KINDS, ConfigurationError, ConvSpec, BatchNormState,
-                 StateError, _batch, _per_channel, activation, activation_grad,
+from .nn import (ACTIVATION_KINDS, BnCtx, ConfigurationError, ConvCtx, ConvSpec,
+                 BatchNormState, StateError, _batch, _per_channel, activation, activation_grad,
                  batchnorm_backward, bn_forward, bn_inference, conv2d_backward,
                  conv2d_forward, linear_backward, linear_forward, maxpool2d,
                  maxpool2d_forward, avgpool2d_forward, pool2d_backward, sgd_step)
@@ -84,6 +84,18 @@ class Layer:
         return copy.deepcopy(self, {id(self.ctx): None})
 
 
+@dataclasses.dataclass
+class ConvBlockContext:
+    """What ``ConvBlock.backward`` needs of one training forward. The
+    backward consumes it: it overwrites ``pre``, ``bn.xhat`` and
+    ``conv.cols`` with gradients and sets ``consumed``."""
+
+    conv: ConvCtx
+    bn: BnCtx
+    pre: np.ndarray           # gamma*x^ + beta
+    consumed: bool = False    # set by the backward, which overwrites the buffers
+
+
 class ConvBlock(Layer):
     """Dense convolution + batch norm + activation."""
 
@@ -103,17 +115,24 @@ class ConvBlock(Layer):
     def forward_train(self, x):
         y, conv_ctx = conv2d_forward(x, self.w, self.spec)
         xhat, bn_ctx = bn_forward(y, self.bn, out=y)
-        pre = _per_channel(self.bn.gamma) * xhat + _per_channel(self.bn.beta)
-        self.ctx = (conv_ctx, bn_ctx, pre)
+        pre = np.multiply(xhat, _per_channel(self.bn.gamma))
+        pre += _per_channel(self.bn.beta)
+        self.ctx = ConvBlockContext(conv_ctx, bn_ctx, pre)
         return activation(pre, self.act)
 
     def backward(self, dy):
-        conv_ctx, bn_ctx, pre = self._saved_ctx()
-        dpre = dy * activation_grad(pre, self.act)
-        dbn, dgamma, dbeta = batchnorm_backward(bn_ctx, dpre, self.bn.gamma)
+        ctx = self._saved_ctx()
+        if ctx.consumed:
+            raise StateError(f"{self.name}: an earlier backward has overwritten this context "
+                             f"with its gradients; run forward_train again")
+        # dpre overwrites pre, which f' has read; BN's backward writes over
+        # x^, and conv2d_backward its column gradients over the columns
+        dpre = np.multiply(dy, activation_grad(ctx.pre, self.act), out=ctx.pre)
+        ctx.consumed = True
+        dbn, dgamma, dbeta = batchnorm_backward(ctx.bn, dpre, self.bn.gamma, out=ctx.bn.xhat)
         self.g_gamma += dgamma
         self.g_beta += dbeta
-        dx, dw = conv2d_backward(conv_ctx, dbn)
+        dx, dw = conv2d_backward(ctx.conv, dbn)
         self.g_w += dw
         return dx
 

@@ -219,16 +219,17 @@ def conv2d(x, w, spec: ConvSpec):
 
 def conv2d_backward(ctx: ConvCtx, dy):
     """Gradients of conv2d; returns (dx, dw). The weight gradient is
-    (cols @ dy^T)^T, which reads the columns untransposed."""
+    (cols @ dy^T)^T, which reads the columns untransposed. The column
+    gradients then overwrite ``ctx.cols`` (im2col's columns are always
+    owned), so the context serves one backward."""
     spec = ctx.spec
     g = spec.groups
     dym = _chwn(np.asarray(dy, dtype=np.float64)).reshape(g, spec.out_channels // g, -1)
-    cols = ctx.cols.reshape(g, -1, ctx.cols.shape[1])
+    cols = np.reshape(ctx.cols, (g, -1, ctx.cols.shape[1]), copy=False)
     wm = ctx.w.reshape(g, spec.out_channels // g, -1)
     dw = np.matmul(cols, dym.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(ctx.w.shape)
-    dx = col2im(np.matmul(wm.transpose(0, 2, 1), dym), ctx.x_shape,
-                spec.kernel_size, spec.stride, spec.padding)
-    return dx, dw
+    np.matmul(wm.transpose(0, 2, 1), dym, out=cols)
+    return col2im(cols, ctx.x_shape, spec.kernel_size, spec.stride, spec.padding), dw
 
 
 # ---------------------------------------------------------------------------

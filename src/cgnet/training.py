@@ -34,8 +34,7 @@ own tanh buffer, d*dpre and then dp the buffer of ds~ (below), and the
 column gradients the im2col columns. So a single-sided gate's backward
 allocates two output-sized batches (the tanh factor and ds~), not five and
 a column-sized dcols, and a second backward on the same context raises
-``StateError``. x^_g and d survive for the computation-cost loss, which
-reads x^_g after the backward.
+``StateError``. Nothing reads the context after its backward.
 
 The gate is a set of edges (``GateState.edges()``): edge (name, sign,
 delta) passes where sign*(x^_g - delta) >= 0, d is 1 where every edge
@@ -75,7 +74,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class LossConfig:
-    sparsity: str = "target_threshold"   # or computation_cost; lam = 0 turns it off
+    sparsity: str = "target_threshold"   # the one form; lam = 0 turns it off
     lam: float = 1e-4
     target: float = 2.0
     kd_temperature: float = 1.0
@@ -83,9 +82,9 @@ class LossConfig:
 
     def __post_init__(self):
         # one row per field of the config's loss section; NaN fails all
-        modes = ("target_threshold", "computation_cost")
         for name, value, ok, rule in (
-                ("sparsity", self.sparsity, self.sparsity in modes, f"one of {', '.join(modes)}"),
+                ("sparsity", self.sparsity, self.sparsity == "target_threshold",
+                 "'target_threshold'"),
                 ("lambda", self.lam, self.lam >= 0.0, ">= 0"),
                 ("kd.temperature", self.kd_temperature, self.kd_temperature > 0.0, "> 0"),
                 ("kd.mix", self.kd_mix, 0.0 <= self.kd_mix <= 1.0, "in [0, 1]")):
@@ -135,7 +134,7 @@ class CgTrainContext:
     the two ``BnCtx`` and ``pre``. The decisions are bool, and the
     surrogate is recomputed from x^_g rather than kept. The backward
     consumes the context: it overwrites ``pre``, x^_2 and ``conv.cols``
-    with gradients and sets ``consumed``. x^_g and d stay intact.
+    with gradients and sets ``consumed``, after which nothing reads it.
     """
 
     cfg: CgLayerConfig
@@ -277,7 +276,7 @@ def cg_block_backward(ctx: CgTrainContext, dy):
 
     # each upstream is the gradient with respect to the shared gamma*x^ + beta.
     # BN2's backward reads x^_2 and writes dfull over it; BN1's then writes
-    # dp over d*dpre, which BN2's backward has read. x^_g and d stay.
+    # dp over d*dpre, which BN2's backward has read.
     _, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma, out=xhat2)
     batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=ds)
     dgamma += dgamma2
@@ -323,43 +322,6 @@ def sparsity_loss_target(delta, target, lam):
     return lam * float((diff * diff).sum()), -2.0 * lam * diff
 
 
-def sparsity_loss_flops(ctxs, lam):
-    """Computation-cost loss, exactly as displayed in its source:
-    lam * ( sum_l (sum_{c,w,h} (J - s~)) * eta*c_l*k^2*w'*h'*c_{l+1} )^2.
-
-    The (J - s~) factor counts gated-off positions, so the term is zero
-    when everything takes the conditional path; kept for comparison
-    experiments only. Per-sample inner sums are averaged over the batch;
-    only the thresholds receive gradients, keyed by edge name. It reads
-    x^_g, which the backward leaves intact, so it runs after it.
-    """
-    inners, factors, sgrads = [], [], []
-    for ctx in ctxs:
-        cfg, spec = ctx.cfg, ctx.cfg.conv
-        edges = ctx.params.gate.edges()
-        ts = _surrogate(ctx.bn1_ctx.xhat, edges, cfg.epsilon)
-        sigmoids = [_sigmoid_of(t) for t in ts]
-        n, _, h_out, w_out = ts[0].shape
-        inners.append(float((1.0 - np.prod(sigmoids, axis=0)).sum()) / n)
-        # d(1-s~)/d(delta_e) = +sign*(eps/4)*(1 - t_e^2) times the other
-        # edges' sigmoids, reduced over batch and positions
-        grads = {}
-        for i, ((key, sign, _), t) in enumerate(zip(edges, ts)):
-            share = 1.0 - t * t
-            for other in sigmoids[:i] + sigmoids[i + 1:]:
-                share *= other
-            grads[key] = sign * 0.25 * cfg.epsilon * share.sum(axis=(0, 2, 3)) / n
-        sgrads.append(grads)
-        # the layer's multiplier eta*c_l*k^2*w'*h'*c_{l+1}
-        factors.append((spec.in_channels // cfg.groups) * spec.kernel_size ** 2
-                       * w_out * h_out * spec.out_channels)
-    total = sum(i * f for i, f in zip(inners, factors))
-    loss = lam * total * total
-    grads = [{key: lam * 2.0 * total * f * g for key, g in sg.items()}
-             for f, sg in zip(factors, sgrads)]
-    return loss, grads
-
-
 def kd_loss(student_logits, teacher_logits, labels, kappa, lam_kd):
     """Distillation loss mixing ground truth with the softened teacher:
     L = -((1-lam)*sum y log P_S + lam*sum P_T log P_S), temperature kappa
@@ -401,29 +363,22 @@ def lr_at(epoch, schedule: Schedule):
 
 
 def apply_sparsity_loss(model, loss_cfg: LossConfig, lam_scale):
-    """Add the configured sparsity gradients into the model's threshold
+    """Add the target-threshold loss's gradients into the model's threshold
     grads; returns the scalar loss value."""
     lam = loss_cfg.lam * lam_scale
     if lam == 0.0:
         return 0.0
-    layers = model.gated_layers()
-    if loss_cfg.sparsity == "target_threshold":
-        # a band's edges are pulled inward by T from the initial half-width
-        edge = BAND_INIT - loss_cfg.target
-        targets = {"delta": loss_cfg.target, "delta_high": edge, "delta_low": -edge}
-        loss = 0.0
-        for layer in layers:
-            part = 0.0   # a per-layer subtotal: train_loss depends on the sum order
-            for key, t in layer.params.gate.thresholds():
-                term, g = sparsity_loss_target(t, targets[key], lam)
-                layer.g_thresholds[key] += g
-                part += term
-            loss += part
-        return loss
-    loss, grads = sparsity_loss_flops([l._saved_ctx() for l in layers], lam)
-    for layer, layer_grads in zip(layers, grads):
-        for key, g in layer_grads.items():
+    # a band's edges are pulled inward by T from the initial half-width
+    edge = BAND_INIT - loss_cfg.target
+    targets = {"delta": loss_cfg.target, "delta_high": edge, "delta_low": -edge}
+    loss = 0.0
+    for layer in model.gated_layers():
+        part = 0.0   # a per-layer subtotal: train_loss depends on the sum order
+        for key, t in layer.params.gate.thresholds():
+            term, g = sparsity_loss_target(t, targets[key], lam)
             layer.g_thresholds[key] += g
+            part += term
+        loss += part
     return loss
 
 

@@ -149,3 +149,23 @@ def test_training_reads_no_gate_kind():
             for node in ast.walk(tree)
             if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Load)}
     assert not read & forbidden, f"src/cgnet/training.py reads {sorted(read & forbidden)}"
+
+
+def test_only_a_backward_reads_a_saved_context():
+    """A layer's ``backward`` consumes its training context: its gradients
+    overwrite the buffers they are computed from. So ``Layer._saved_ctx`` is
+    read only inside methods named ``backward``; a reader anywhere else
+    could run after the backward and read gradients as activations."""
+    def readers(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else "<lambda>" if isinstance(child, ast.Lambda) else func
+            if isinstance(child, ast.Attribute) and child.attr == "_saved_ctx":
+                yield inner, child.lineno
+            yield from readers(child, inner)
+
+    outside = [f"{path.name}:{line} in {func}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for func, line in readers(ast.parse(path.read_text()), "<module>")
+               if func != "backward"]
+    assert not outside, f"Layer._saved_ctx read outside a backward: {outside}"

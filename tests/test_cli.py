@@ -59,18 +59,6 @@ class TestTrain:
         for rel in artifacts + [f"analyze/{name}" for name in pgms]:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
-    def test_computation_cost_loss_trains_a_band(self, tmp_path):
-        # the loss covers each edge of a two-sided gate
-        from cgnet.checkpoint import read_container
-        cfg = json.loads(TINY.read_text())
-        cfg["model"]["layers"][1]["activation"] = "tanh"   # a band
-        cfg["loss"]["sparsity"] = "computation_cost"
-        path = tmp_path / "train.json"
-        path.write_text(json.dumps(cfg))
-        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        tensors = read_container(tmp_path / "o" / "checkpoint.cgn")
-        assert tensors["L01.delta_high"].shape == tensors["L01.delta_low"].shape == (8,)
-
     def test_malformed_config_names_field(self, tmp_path):
         cfg = json.loads(TINY.read_text())
         del cfg["optimizer"]["lr"]

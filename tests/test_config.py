@@ -142,10 +142,13 @@ def _drop(*path):
     (_set("loss", "kd", "mix", value=2), "loss.kd.mix: must be in [0, 1], got 2.0"),
     (_set("loss", "kd", "temperature", value=0), "loss.kd.temperature: must be > 0, got 0.0"),
     (_set("loss", "sparsity", value="foo"),
-     "loss.sparsity: must be one of target_threshold, computation_cost, got 'foo'"),
+     "loss.sparsity: must be 'target_threshold', got 'foo'"),
     # "none" is gone: a lambda of 0 turns the sparsity loss off
     (_set("loss", "sparsity", value="none"),
-     "loss.sparsity: must be one of target_threshold, computation_cost, got 'none'"),
+     "loss.sparsity: must be 'target_threshold', got 'none'"),
+    # the computation-cost form is gone: minimizing it opened every gate
+    (_set("loss", "sparsity", value="computation_cost"),
+     "loss.sparsity: must be 'target_threshold', got 'computation_cost'"),
     # data section
     (_set("data", "noise", value=math.nan), "data.noise: expected a finite number, got nan"),
     (_set("data", "num_samples", value="abc"), "data.num_samples: expected int, got 'abc'"),

@@ -107,8 +107,7 @@ def context_batches(layer):
     if isinstance(layer, CgConvBlock):
         return [("x^_g", ctx.bn1_ctx.xhat), ("x^_2", ctx.bn2_ctx.xhat), ("pre", ctx.pre)]
     if isinstance(layer, ConvBlock):
-        _, bn_ctx, pre = ctx
-        return [("xhat", bn_ctx.xhat), ("pre", pre)]
+        return [("xhat", ctx.bn.xhat), ("pre", ctx.pre)]
     if isinstance(layer, ResidualBlock):
         return [("pre", ctx)]
     if isinstance(layer, MaxPool) and ctx.argmax is not None:

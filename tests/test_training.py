@@ -14,8 +14,7 @@ from cgnet.gating import CgBlockParams, CgLayerConfig
 from cgnet.network import CgConvBlock, ConvBlock, build_model
 from cgnet.nn import BatchNormState, ConvSpec
 from cgnet.training import (LossConfig, Schedule, cg_block_backward,
-                            cg_block_forward_train, kd_loss,
-                            sparsity_loss_flops, sparsity_loss_target,
+                            cg_block_forward_train, kd_loss, sparsity_loss_target,
                             train_network)
 
 from _oracles import (check_grad, conditional_kernel, finite_difference, heaviside,
@@ -419,15 +418,14 @@ class TestConsumedContext:
         self.assert_grads_bitwise(cg_block_backward(ctx, dy), cg_block_backward(ctx_twin, dy))
 
     @cases
-    def test_gate_input_decisions_and_block_input_survive(self, rng, G, act, k):
-        # the computation-cost loss reads x^_g after the backward
+    def test_block_input_survives(self, rng, G, act, k):
+        # the backward overwrites its context only: the previous layer's
+        # output, which a 1x1 kernel's columns read as they are, stays
         cfg, params, x, dy = self.block(rng, G, act, k)
         _, ctx = cg_block_forward_train(x, params, cfg)
-        held = {"bn1 xhat": ctx.bn1_ctx.xhat, "d": ctx.d, "x": x}
-        before = {name: a.tobytes() for name, a in held.items()}
+        before = x.tobytes()
         cg_block_backward(ctx, dy)
-        for name, a in held.items():
-            assert a.tobytes() == before[name], name
+        assert x.tobytes() == before
 
     @cases
     def test_second_backward_raises(self, rng, G, act, k):
@@ -441,6 +439,36 @@ class TestConsumedContext:
         layer.backward(dy)
         with pytest.raises(nn.StateError, match="L07: .*forward_train"):
             layer.backward(dy)
+
+    def test_dense_second_backward_raises_before_any_gradient(self, rng):
+        layer = ConvBlock(ConvSpec(8, 8, 3, padding=1), rng=rng, name="L03")
+        _, _, x, dy = self.block(rng, 1, "relu", 3)
+        layer.forward_train(x)
+        layer.backward(dy)
+        grads = [g.copy() for _, _, g, _ in layer.param_groups()]
+        with pytest.raises(nn.StateError, match="L03: .*forward_train"):
+            layer.backward(dy)
+        for (name, _, g, _), before in zip(layer.param_groups(), grads):
+            assert g.tobytes() == before.tobytes(), name
+
+    @pytest.mark.parametrize("act,stride,groups", [("tanh", 1, 1), ("tanh", 2, 2),
+                                                   ("identity", 1, 2)])
+    def test_dense_gradients_match_central_differences(self, rng, act, stride, groups):
+        # each gradient is written over the context buffer it is computed from
+        layer = ConvBlock(ConvSpec(4, 4, 3, stride, 1, groups), act, rng)
+        layer.bn.gamma[:] = rng.uniform(0.7, 1.3, 4)
+        layer.bn.beta[:] = rng.standard_normal(4) * 0.1
+        x = rng.standard_normal((2, 4, 6, 6))
+        proj = rng.standard_normal(layer.forward_train(x).shape)
+
+        def loss():
+            return float((layer.forward_train(x) * proj).sum())
+
+        layer.forward_train(x)
+        dx = layer.backward(proj)
+        check_grad(loss, x, dx)
+        for _, param, grad, _ in layer.param_groups():
+            check_grad(loss, param, grad)
 
     @staticmethod
     def backward_peak_in_output_batches(act):
@@ -491,49 +519,6 @@ class TestSparsityLosses:
 
         _, g = sparsity_loss_target(delta, 1.5, 0.7)
         check_grad(loss, delta, g)
-
-    def test_flops_loss_zero_when_all_taking(self, rng):
-        cfg = make_cfg(act="relu")
-        params = make_params(cfg, rng)
-        params.gate.delta[:] = -1e6  # s~ == 1 everywhere -> (J - s~) == 0
-        x = rng.standard_normal((2, 4, 4, 4))
-        _, ctx = cg_block_forward_train(x, params, cfg)
-        loss, grads = sparsity_loss_flops([ctx], 1.0)
-        assert loss == 0.0
-
-    def test_flops_loss_hand_arithmetic(self, rng):
-        # all s~ == 0; dims (c_l=8, eta=1/4, k=3, h'=w'=4, c_out=8)
-        cfg = CgLayerConfig(ConvSpec(8, 8, 3, padding=1), groups=4,
-                            activation="relu")
-        params = CgBlockParams.init(cfg, rng)
-        params.gate.delta[:] = 1e6  # s~ == 0 everywhere
-        x = rng.standard_normal((1, 8, 4, 4))
-        _, ctx = cg_block_forward_train(x, params, cfg)
-        loss, _ = sparsity_loss_flops([ctx], 1.0)
-        inner = 8 * 4 * 4
-        want = (inner * 2 * 9 * 4 * 4 * 8) ** 2
-        assert loss == pytest.approx(want, rel=1e-12)
-
-    def test_flops_loss_grad_fd(self, rng):
-        # one edge (relu) and a band's two (tanh, sigmoid), each edge's
-        # threshold gradient against central differences
-        starts = {"delta": 0.0, "delta_high": 0.8, "delta_low": -0.8}
-        for act in ("relu", "tanh", "sigmoid"):
-            cfg = make_cfg(act=act, eps_sharp=2.0)
-            params = make_params(cfg, rng)
-            for key, t in params.gate.thresholds():
-                t[:] = starts[key] + rng.standard_normal(4) * 0.3
-            x = rng.standard_normal((2, 4, 4, 4))
-
-            def loss():
-                _, ctx = cg_block_forward_train(x, params, cfg)
-                return sparsity_loss_flops([ctx], 1e-9)[0]
-
-            _, ctx = cg_block_forward_train(x, params, cfg)
-            _, (g,) = sparsity_loss_flops([ctx], 1e-9)
-            assert list(g) == [key for key, _ in params.gate.thresholds()]
-            for key, t in params.gate.thresholds():
-                check_grad(loss, t, g[key], step=1e-4)
 
 
 class TestKdLoss:
@@ -642,36 +627,6 @@ class TestTrainLoop:
         train_network(model, train.images, train.labels, val.images, val.labels,
                       LossConfig(lam=0.0), Schedule(epochs=2, batch_size=32), rng)
         assert len(calls) == 2
-
-    def test_computation_cost_step_reads_contexts_after_backward(self):
-        # apply_sparsity_loss reads the gated layers' ctx after backward, so
-        # the contexts must outlive the backward pass and the step
-        rng = np.random.default_rng(8)
-        model = build_model(toy_model_cfg(), np.random.default_rng(9))
-        x = rng.standard_normal((6, 1, 12, 12))
-        loss, dlogits = nn.cross_entropy(model.forward_train(x), rng.integers(0, 2, 6))
-        model.zero_grads()
-        model.backward(dlogits)
-        deltas = [layer.params.gate.delta.copy() for layer in model.gated_layers()]
-        loss += training.apply_sparsity_loss(
-            model, LossConfig(sparsity="computation_cost", lam=1e-9), 1.0)
-        model.sgd_step(0.05)
-        assert np.isfinite(loss)
-        for layer, before in zip(model.gated_layers(), deltas):
-            assert not np.array_equal(layer.params.gate.delta, before)
-        assert all(layer.ctx is not None for layer in model.layers + model.leaves())
-
-    def test_computation_cost_without_contexts_names_the_layer(self):
-        # before any forward_train, and after freeze_gates drops the contexts
-        model = build_model(toy_model_cfg(), np.random.default_rng(9))
-        loss_cfg = LossConfig(sparsity="computation_cost", lam=1e-9)
-        first = model.gated_layers()[0].name
-        with pytest.raises(nn.StateError, match=f"{first}: .*forward_train"):
-            training.apply_sparsity_loss(model, loss_cfg, 1.0)
-        model.forward_train(np.random.default_rng(8).standard_normal((2, 1, 12, 12)))
-        model.freeze_gates()
-        with pytest.raises(nn.StateError, match=f"{first}: .*forward_train"):
-            training.apply_sparsity_loss(model, loss_cfg, 1.0)
 
     def test_toy_run_reaches_full_accuracy_with_pruning(self):
         rng = np.random.default_rng(3)
