@@ -155,11 +155,11 @@ def cost_line(rec: LayerRecord) -> CostLine:
 
     An ungated layer runs all its MACs as base work. A gated layer runs its
     base path (c_in/G input channels) everywhere and the other channels
-    only where the effective decision is 1; it compares once per output
-    activation (twice for a band), plus once per channel with the
-    channel-wise gate, and reads W_r only for the channels that gate keeps.
-    A group position is live where any of the output group's c_out/G
-    channels takes the conditional path (decisions in pre-shuffle order).
+    only where the map that ran (``rec.dm.d``) is True; it compares once
+    per output activation (twice for a band), plus once per channel with
+    the channel-wise gate, and reads W_r only for the channels that gate
+    keeps. A group position is live where any of the output group's c_out/G
+    channels ran the conditional path (decisions in pre-shuffle order).
     """
     spec, cfg = rec.spec, rec.cfg
     k2 = spec.kernel_size ** 2
@@ -173,11 +173,11 @@ def cost_line(rec: LayerRecord) -> CostLine:
     if cfg.tau_c > 0.0:
         comparisons += n * c_out
     G = cfg.groups
-    live = np.count_nonzero(rec.dm.effective().reshape(n, G, c_out // G, pos).any(axis=2))
+    live = np.count_nonzero(rec.dm.d.reshape(n, G, c_out // G, pos).any(axis=2))
     return CostLine(
         rec.name,
         base_flops=n * c_out * pos * base_k,
-        conditional_flops_executed=rec.dm.taken() * cond_k,
+        conditional_flops_executed=int(np.count_nonzero(rec.dm.d)) * cond_k,
         conditional_flops_total=n * c_out * pos * cond_k,
         gate_comparisons=comparisons,
         weight_values_accessed=(n * c_out * base_k
@@ -196,13 +196,9 @@ def count_flops(records) -> CostReport:
 
 def network_pruning_ratio(records):
     """Fraction of gated output activations whose conditional path was skipped."""
-    taken = 0
-    total = 0
-    for rec in records:
-        if rec.gated:
-            taken += rec.dm.taken()
-            total += rec.dm.d.size
-    return float(1.0 - taken / total) if total else 0.0
+    maps = [rec.dm.d for rec in records if rec.gated]
+    total = sum(d.size for d in maps)
+    return float(1.0 - sum(int(np.count_nonzero(d)) for d in maps) / total) if total else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +272,10 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
 # ---------------------------------------------------------------------------
 
 def intensity_map(rec: LayerRecord, sample=0):
-    """Per-position mean of one sample's effective decisions over output
-    channels."""
+    """Per-position mean over output channels of one sample's map that ran."""
     if rec.dm is None:
         raise ConfigurationError(f"{rec.name} carries no decision map")
-    return rec.dm.effective()[sample].mean(axis=0)
+    return rec.dm.d[sample].mean(axis=0)
 
 
 def _upsample_nearest(m, hw):

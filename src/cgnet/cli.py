@@ -18,13 +18,13 @@ read by ``config.read_field`` under one set of rules:
 
 A missing or malformed field exits 2 naming it (``optimizer.lr``,
 ``model.layers[2].groups``, ``etas[1]``) before any artifact is written,
-and so do the removed keys ``force_open`` (a dense baseline trains as
-``conv`` layers), ``loss.kd.enabled`` (naming a ``loss.kd.teacher_checkpoint``
-turns distillation on, as a nonzero ``loss.lambda`` the sparsity loss),
-a gated layer's ``gate`` and ``band_init`` (the activation sets the gate kind)
-and a conv layer's ``shuffle_groups`` (only a gated layer shuffles), and a
-``loss.sparsity`` other than ``target_threshold`` (the computation-cost form
-is gone: its minimum opened every gate).
+and so do a key the ``data``, ``loss``, ``loss.kd`` or ``optimizer``
+section does not read (a misspelt ``loss.lamda``, or ``loss.kd.enabled``:
+naming a teacher turns distillation on), ``force_open`` (a dense baseline
+trains as ``conv`` layers), a gated layer's ``gate`` and ``band_init`` (the
+activation sets the gate kind), a conv layer's ``shuffle_groups`` (only a
+gated layer shuffles) and a ``loss.sparsity`` other than
+``target_threshold`` (the computation-cost form opened every gate).
 The environment variable CG_THREADS caps BLAS worker threads: each of
 OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
 the cap, and a CG_THREADS that is not a positive integer exits 2.
@@ -42,9 +42,10 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import ConfigurationError, read_field
+from .config import ConfigurationError, read_field, reject_unknown
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -171,10 +172,11 @@ def cmd_train(args):
     _check_data(train_ds, model)
 
     loss = read_field("loss", cfg, dict, {})
+    reject_unknown("loss", loss, ("sparsity", "lambda", "target", "kd"))
     kd = read_field("loss.kd", loss, dict, {})
-    if "enabled" in kd:   # removed: naming a teacher_checkpoint turns distillation on
-        raise ConfigurationError("loss.kd.enabled: expected no such key; name a teacher instead")
+    reject_unknown("loss.kd", kd, ("temperature", "mix", "teacher_checkpoint"))
     opt = read_field("optimizer", cfg, dict, {})
+    reject_unknown("optimizer", opt, [f.name for f in fields(Schedule)])
     loss_cfg = LossConfig(
         sparsity=read_field("loss.sparsity", loss, str, "target_threshold"),
         lam=read_field("loss.lambda", loss, float, 1e-4),

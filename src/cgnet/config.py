@@ -51,3 +51,10 @@ def read_field(name, sources, kind, default=_MISSING, each=None, low=None):
     if each is None:
         return value
     return [_typed(f"{name}[{i}]", v, each) for i, v in enumerate(value)]
+
+
+def reject_unknown(where, section, known):
+    """Reject the first key of ``section`` not in ``known``, a misspelt one."""
+    for key in section:
+        if key not in known:
+            raise ConfigurationError(f"{where}.{key}: expected no such key")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_field
+from .config import read_field, reject_unknown
 
 
 class DataFormatError(ValueError):
@@ -178,9 +178,9 @@ def train_val_split(ds: Dataset, val_fraction, rng):
 
 
 def load_dataset(data_cfg: dict, base_dir="."):
-    """Dispatch on data.kind: synthetic | idx | raw_chw. Each field is read
-    by ``read_field``, so a malformed one raises ``ConfigurationError``, and
-    so does a synthetic field below its lower bound."""
+    """Dispatch on data.kind: synthetic | idx | raw_chw. A malformed field
+    (each is read by ``read_field``), a synthetic field below its lower
+    bound and a key the kind does not read raise ``ConfigurationError``."""
     kind = read_field("data.kind", data_cfg, str)
     base = Path(base_dir)
     if kind == "synthetic":
@@ -193,11 +193,14 @@ def load_dataset(data_cfg: dict, base_dir="."):
             noise=read_field("data.noise", data_cfg, float, 0.08, low=0.0),
             max_shift=read_field("data.max_shift", data_cfg, int, 2, low=0),
             seed=read_field("data.seed", data_cfg, int, 0, low=0))
+        reject_unknown("data", data_cfg, ("kind", *args))
         return synthetic_dataset(**args)
     if kind == "idx":
+        reject_unknown("data", data_cfg, ("kind", "images", "labels", "num_classes"))
         return load_idx_dataset(base / read_field("data.images", data_cfg, str),
                                 base / read_field("data.labels", data_cfg, str),
                                 read_field("data.num_classes", data_cfg, int, None))
     if kind == "raw_chw":
+        reject_unknown("data", data_cfg, ("kind", "sidecar"))
         return load_raw_chw(base / read_field("data.sidecar", data_cfg, str))
     raise DataFormatError(f"data.kind: unknown dataset kind {kind!r}")

@@ -18,10 +18,9 @@ partial sums a grouped GEMM on its im2col columns. Both GEMMs write
 (c_out, ho*wo*n) rows, the (c, h, w, n) memory of the (n, c, h, w)
 batches the block works on. The epilogue works in place on the two GEMM
 outputs (BN1 on the partial sum, BN2 on the full sum, the selection, the
-activation), so it allocates no float temporaries. The skipped
-conditional MACs are accounted by ``analysis.count_flops`` from the
-decision maps the block returns, which is what the FLOP-reduction figures
-report.
+activation), so it allocates no float temporaries. The selection reads
+``DecisionMap.d``, the map that ran, and every count of the work done
+(``analysis.count_flops`` and the FLOP-reduction figures) reduces it.
 
 Weight layout: a gated layer holds one dense kernel W (c_out, c_in, k, k).
 Output group i's rows over input group i's channels are W_p, the base
@@ -130,20 +129,21 @@ class GateState:
 
 @dataclass
 class DecisionMap:
-    """Gate decisions d over (sample, channel, y, x), plus the channel-wise
-    mask; both are bool."""
+    """The map that ran over (sample, channel, y, x) and the channel-wise
+    mask over (sample, channel), both bool. A firing map is masked here when
+    some channel is dropped, else stored as passed, uncopied, so every
+    producer stores the same map."""
 
-    d: np.ndarray             # (n, c, h, w), True where the gate fired
+    d: np.ndarray             # (n, c, h, w), True where the gate fired in a kept channel
     channel_mask: np.ndarray  # (n, c), True where the channel-wise gate kept the channel
 
-    def effective(self):
-        return self.d & self.channel_mask[..., None, None]
+    def __post_init__(self):
+        if not self.channel_mask.all():
+            self.d = np.logical_and(self.d, self.channel_mask[..., None, None],
+                                    out=np.empty_like(self.d))   # in d's memory order
 
-    def taken(self):
-        """Number of effective decisions that are True, without building
-        the effective map: per channel the fired count, times the mask."""
-        fired = np.count_nonzero(self.d, axis=(2, 3))
-        return int(fired.ravel() @ self.channel_mask.ravel())
+    def effective(self):   # the benchmark harness reads d by this name
+        return self.d
 
 
 @dataclass
@@ -287,8 +287,8 @@ def grouped_partial_sums(conv: ConvCtx, G):
 def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     """Gated inference forward pass.
 
-    Returns (y, DecisionMap). Where the effective decision is 0 the output
-    is f(BN1(base partial sum)); where it is 1 it is f(BN2(full sum)). The
+    Returns (y, DecisionMap). The output is f(BN2(full sum)) where the map
+    that ran (``dm.d``) is True, else f(BN1(base partial sum)). The
     channel-wise gate zeroes whole channels' conditional work and their
     W_r accesses. Decision maps refer to pre-shuffle channel order.
 
@@ -303,18 +303,13 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     """
     full, conv = conv2d_forward(x, params.w, cfg.conv)
     p = grouped_partial_sums(conv, cfg.groups)
-    d = merged_gate(p, params)
-    if cfg.tau_c > 0.0:
-        mask = channel_gate(d, cfg.tau_c)
-        take = d & mask[..., None, None]
-    else:
-        # every channel is kept, so d is already the effective map
-        mask = np.ones(d.shape[:2], dtype=bool)
-        take = d
+    fired = merged_gate(p, params)
+    dm = DecisionMap(fired, channel_gate(fired, cfg.tau_c) if cfg.tau_c > 0.0
+                     else np.ones(fired.shape[:2], dtype=bool))
 
     pre = bn_inference(p, params.bn1, out=p)
-    np.copyto(pre, bn_inference(full, params.bn2, out=full), where=take)
+    np.copyto(pre, bn_inference(full, params.bn2, out=full), where=dm.d)
     y = activation(pre, cfg.activation, out=pre)
     if cfg.shuffle:
         y = channel_shuffle(y, cfg.groups)
-    return y, DecisionMap(d, mask)
+    return y, dm

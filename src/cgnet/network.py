@@ -10,7 +10,7 @@ speaks one protocol:
     holds what its ``backward`` needs;
   * ``backward(dy)`` accumulates into the layer's gradient buffers and
     returns the input gradient; it raises ``StateError`` when ``ctx`` is
-    None;
+    None or spent;
   * ``forward_infer(x, collect, capture)`` returns ``(y, records)``: empty
     unless collecting, else one ``analysis.LayerRecord`` per compute layer
     that references the layer's spec, gate config and kernel and adds its
@@ -29,8 +29,10 @@ freeing it at every step would only fault its pages in again. A
 convolution layer's ``backward`` consumes its context, and nothing reads a
 context after its layer's ``backward``: the gradients overwrite the buffers
 they are computed from (``training.cg_block_backward``,
-``ConvBlock.backward``), so a second ``backward`` raises ``StateError``
-until the next ``forward_train``.
+``ConvBlock.backward``) and set its ``consumed`` flag. One rule covers every
+layer: ``Layer._saved_ctx``, through which each ``backward`` reads its
+context, raises ``StateError`` naming the layer on a missing or spent
+context, so a second ``backward`` fails until the next ``forward_train``.
 ``Network.freeze_gates()`` ends training: it drops every context (residual
 blocks and their sublayers included), so a finished model holds no batch,
 and sets ``Network.frozen``, the one record that the gate statistics are
@@ -73,10 +75,14 @@ class Layer:
     ctx = None
 
     def _saved_ctx(self):
-        """The context of the last ``forward_train``; ``StateError`` if none."""
+        """The context of the last ``forward_train``; ``StateError`` if none,
+        or if a backward has consumed it."""
         if self.ctx is None:
             raise StateError(f"{self.name}: no context of a forward_train "
                              f"(freeze_gates releases it)")
+        if getattr(self.ctx, "consumed", False):
+            raise StateError(f"{self.name}: an earlier backward has overwritten this context "
+                             f"with its gradients; run forward_train again")
         return self.ctx
 
     def to_dense(self):
@@ -122,9 +128,6 @@ class ConvBlock(Layer):
 
     def backward(self, dy):
         ctx = self._saved_ctx()
-        if ctx.consumed:
-            raise StateError(f"{self.name}: an earlier backward has overwritten this context "
-                             f"with its gradients; run forward_train again")
         # dpre overwrites pre, which f' has read; BN's backward writes over
         # x^, and conv2d_backward its column gradients over the columns
         dpre = np.multiply(dy, activation_grad(ctx.pre, self.act), out=ctx.pre)
@@ -181,10 +184,7 @@ class CgConvBlock(Layer):
         ctx = self._saved_ctx()
         if self.cfg.shuffle:   # undo the forward's shuffle
             dy = channel_shuffle(dy, self.cfg.conv.out_channels // self.cfg.groups)
-        try:
-            g = training.cg_block_backward(ctx, dy)
-        except StateError as e:   # a second backward on one context
-            raise StateError(f"{self.name}: {e}") from None
+        g = training.cg_block_backward(ctx, dy)
         self.g_w += g.dw
         self.g_gamma += g.dgamma
         self.g_beta += g.dbeta

@@ -67,19 +67,16 @@ class LayerCycles:
         return self.dense_cycles / self.gated_cycles
 
 
-def _live_lanes(d_eff, cols):
+def _live_lanes(d, cols):
     """Total real lanes of vectors with at least one live lane, for one bool
-    (n,c,h,w) decision stack."""
-    n, c, h, w = d_eff.shape
+    (n,c,h,w) map that ran; a channel's last vector lacks ``short`` of its
+    ``cols`` lanes."""
+    n, c, h, w = d.shape
     pos = h * w
-    n_vec = -(-pos // cols)
-    flat = d_eff.reshape(n, c, pos)
-    padded = np.zeros((n, c, n_vec * cols), dtype=bool)
-    padded[:, :, :pos] = flat
-    live = padded.reshape(n, c, n_vec, cols).any(axis=-1)
-    lanes = np.full(n_vec, cols, dtype=np.int64)
-    lanes[-1] = pos - (n_vec - 1) * cols
-    return int((live * lanes).sum())
+    starts = np.arange(0, pos, cols)
+    live = np.logical_or.reduceat(d.reshape(n, c, pos), starts, axis=2)
+    short = -pos % cols
+    return int(np.count_nonzero(live)) * cols - short * int(np.count_nonzero(live[..., -1]))
 
 
 def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
@@ -100,7 +97,7 @@ def model_layer_cycles(rec: LayerRecord, cfg: ArrayConfig) -> LayerCycles:
     c_in = rec.spec.in_channels
     K_r = (c_in - c_in // rec.cfg.groups) * rec.spec.kernel_size ** 2
     base_cycles = line.base_flops / R + fill
-    gated_cycles = base_cycles + _live_lanes(rec.dm.effective(), cfg.cols) * K_r / R
+    gated_cycles = base_cycles + _live_lanes(rec.dm.d, cfg.cols) * K_r / R
     return LayerCycles(rec.name, dense_cycles, gated_cycles,
                        line.executed_flops / R, line.executed_flops / (gated_cycles * R))
 

@@ -169,3 +169,15 @@ def test_only_a_backward_reads_a_saved_context():
                for func, line in readers(ast.parse(path.read_text()), "<module>")
                if func != "backward"]
     assert not outside, f"Layer._saved_ctx read outside a backward: {outside}"
+
+
+def test_no_reader_rederives_the_map_that_ran():
+    """``DecisionMap.d`` is the map that ran, so every reduction in
+    ``src/cgnet`` reads it directly: nothing calls ``.effective()``, which
+    is kept for the benchmark harness, or a recount such as ``.taken()``."""
+    calls = [f"{path.name}:{node.lineno} .{node.func.attr}()"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("effective", "taken")]
+    assert not calls, f"src/cgnet re-derives the map that ran: {calls}"

@@ -84,6 +84,17 @@ def test_shipped_config_reads(path):
         assert len(load_dataset(data_cfg)) == 8
 
 
+@pytest.mark.parametrize("data_cfg", [
+    {"kind": "synthetic", "num_samples": 8, "image_sise": 8},
+    {"kind": "idx", "images": "img.idx", "labels": "lbl.idx", "image_sise": 8},
+    {"kind": "raw_chw", "sidecar": "set.json", "image_sise": 8},
+], ids=lambda cfg: cfg["kind"])
+def test_dataset_rejects_a_key_its_kind_does_not_read(tmp_path, data_cfg):
+    # raised before any file of the data is opened: none of them exists
+    with pytest.raises(ConfigurationError, match=r"^data\.image_sise: expected no such key$"):
+        load_dataset(data_cfg, base_dir=tmp_path)
+
+
 def _set(*path, value):
     def edit(cfg):
         node = cfg
@@ -149,6 +160,12 @@ def _drop(*path):
     # the computation-cost form is gone: minimizing it opened every gate
     (_set("loss", "sparsity", value="computation_cost"),
      "loss.sparsity: must be 'target_threshold', got 'computation_cost'"),
+    # a misspelt key in a section the trainer reads would read as its default
+    (_set("loss", "lamda", value=0.5), "loss.lamda: expected no such key"),
+    (_set("loss", "kd", "temprature", value=2.0), "loss.kd.temprature: expected no such key"),
+    (_set("optimizer", "lr_decay_epoch", value=[1]),
+     "optimizer.lr_decay_epoch: expected no such key"),
+    (_set("data", "noize", value=0.5), "data.noize: expected no such key"),
     # data section
     (_set("data", "noise", value=math.nan), "data.noise: expected a finite number, got nan"),
     (_set("data", "num_samples", value="abc"), "data.num_samples: expected int, got 'abc'"),

@@ -448,6 +448,38 @@ class TestPruningRatio:
         assert pruning_ratio(DecisionMap(d, mask)) == 0.5
 
 
+class TestDecisionMap:
+    """``d`` is the map that ran, whoever builds the ``DecisionMap``."""
+
+    def test_fires_in_dropped_channels_are_masked(self):
+        # in the (c, h, w, n) memory the gated layers write, which d keeps
+        fired = np.ones((3, 2, 2, 2), dtype=bool).transpose(3, 0, 1, 2)
+        mask = np.array([[True, False, True], [False, True, True]])
+        dm = DecisionMap(fired, mask)
+        # every position fired, so what ran is each channel's mask entry
+        np.testing.assert_array_equal(dm.d, np.broadcast_to(mask[..., None, None], fired.shape))
+        assert dm.d.transpose(1, 2, 3, 0).flags.c_contiguous
+        assert fired.all(), "the firing map passed in is left as it was"
+
+    def test_every_channel_kept_stores_the_map_uncopied(self):
+        fired = np.zeros((1, 2, 3, 3), dtype=bool)
+        fired[0, 1, 1] = True
+        assert DecisionMap(fired, np.ones((1, 2), dtype=bool)).d is fired
+
+    def test_inference_at_tau_c_zero_records_the_gate_map_uncopied(self, rng, monkeypatch):
+        maps = []
+
+        def recorded_gate(p, params):
+            maps.append(merged_gate(p, params))
+            return maps[-1]
+
+        monkeypatch.setattr(gating, "merged_gate", recorded_gate)
+        cfg = make_cfg(tau_c=0.0)
+        _, dm = cg_block_forward_inference(rng.standard_normal((2, 8, 5, 5)),
+                                           make_params(cfg, rng), cfg)
+        assert dm.d is maps[0]
+
+
 class TestLayerConfig:
     @pytest.mark.parametrize("field,value", [
         ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 0.0),

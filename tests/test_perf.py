@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cgnet.analysis import LayerRecord, cost_line
 from cgnet.gating import CgLayerConfig, DecisionMap
 from cgnet.nn import ConvSpec
-from cgnet.perf import (ArrayConfig, model_layer_cycles, model_network_speedup)
+from cgnet.perf import (ArrayConfig, _live_lanes, model_layer_cycles,
+                        model_network_speedup)
 
 
 def make_record(d, c_in=32, groups=4, k=3, tau_c=0.0, name="L"):
@@ -29,6 +30,19 @@ def flop_reduction(rec):
     return dense / (base + executed)
 
 
+def vectors_by_enumeration(d, cols):
+    """(lanes, live) of each vector of the bool (n, c, h, w) map ``d``: a
+    channel's row-major positions cut into runs of ``cols``, one loop step
+    per vector."""
+    n, c_out, h, w = d.shape
+    for s in range(n):
+        for c in range(c_out):
+            flat = d[s, c].ravel()
+            for start in range(0, h * w, cols):
+                chunk = flat[start:start + cols]
+                yield len(chunk), bool(chunk.any())
+
+
 def cycles_by_enumeration(rec, cfg):
     """Independent per-vector loop re-derivation of the modeled cycles."""
     k2 = rec.spec.kernel_size ** 2
@@ -36,22 +50,10 @@ def cycles_by_enumeration(rec, cfg):
     K_p = (rec.spec.in_channels // rec.cfg.groups) * k2
     K_r = K - K_p
     R = cfg.rows * cfg.cols   # one MAC per PE per cycle
-    d = rec.dm.effective()
-    n, c_out, h, w = d.shape
-    pos = h * w
-    lanes_total = 0
-    live_lane_total = 0
-    vectors = 0
-    for s in range(n):
-        for c in range(c_out):
-            flat = d[s, c].ravel()
-            for start in range(0, pos, cfg.cols):
-                chunk = flat[start:start + cfg.cols]
-                vectors += 1
-                lanes_total += len(chunk)
-                if chunk.any():
-                    live_lane_total += len(chunk)
-    tiles = -(-vectors // cfg.rows)
+    vectors = list(vectors_by_enumeration(rec.dm.effective(), cfg.cols))
+    lanes_total = sum(lanes for lanes, _ in vectors)
+    live_lane_total = sum(lanes for lanes, live in vectors if live)
+    tiles = -(-len(vectors) // cfg.rows)
     fill = tiles * cfg.fill_drain
     dense = lanes_total * K / R + fill
     gated = lanes_total * K_p / R + live_lane_total * K_r / R + fill
@@ -168,3 +170,21 @@ def test_inequalities_property(seed, rows, cols, density):
     assert lc.gated_cycles <= lc.dense_cycles + 1e-9
     assert lc.speedup <= flop_reduction(rec) + 1e-9
     assert 0.0 <= lc.utilization <= 1.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 9), st.integers(1, 9), st.integers(1, 40),
+       st.sampled_from([0.0, 0.03, 0.3, 1.0]))
+@example(seed=0, h=2, w=3, cols=16, density=0.1)    # h*w < cols: one short vector
+@example(seed=1, h=5, w=5, cols=4, density=0.1)     # h*w % cols != 0: a short last vector
+@example(seed=2, h=4, w=4, cols=4, density=0.1)     # whole vectors only
+def test_live_lanes_match_enumeration(seed, h, w, cols, density):
+    """``_live_lanes`` counts the lanes of live vectors as the per-vector
+    loop does, on the (c, h, w, n) memory the gated layers write and on a
+    C-ordered map (a merged record's)."""
+    d = np.random.default_rng(seed).random((2, 3, h, w)) < density
+    expected = sum(lanes for lanes, live in vectors_by_enumeration(d, cols) if live)
+    chwn = np.ascontiguousarray(d.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    for layout in (d, chwn):
+        got = _live_lanes(layout, cols)
+        assert type(got) is int and got == expected
