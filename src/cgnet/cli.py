@@ -18,13 +18,16 @@ read by ``config.read_field`` under one set of rules:
 
 A missing or malformed field exits 2 naming it (``optimizer.lr``,
 ``model.layers[2].groups``, ``etas[1]``) before any artifact is written,
-and so do a key the ``data``, ``loss``, ``loss.kd`` or ``optimizer``
-section does not read (a misspelt ``loss.lamda``, or ``loss.kd.enabled``:
-naming a teacher turns distillation on), ``force_open`` (a dense baseline
-trains as ``conv`` layers), a gated layer's ``gate`` and ``band_init`` (the
-activation sets the gate kind), a conv layer's ``shuffle_groups`` (only a
-gated layer shuffles) and a ``loss.sparsity`` other than
-``target_threshold`` (the computation-cost form opened every gate).
+and so does a key that no reader of its section reads: a misspelt
+``loss.lamda``, ``model.layers[1].tau`` or ``tau_c_overide``, or
+``loss.kd.enabled`` (naming a teacher turns distillation on). The top
+level takes the keys of every command, so a training config also serves
+eval, analyze and perf. Removed keys exit 2 with their reason:
+``force_open`` (a dense baseline trains as ``conv`` layers), a gated
+layer's ``gate`` and ``band_init`` (the activation sets the gate kind), a
+conv layer's ``shuffle_groups`` (only a gated layer shuffles) and a
+``loss.sparsity`` other than ``target_threshold`` (the computation-cost
+form opened every gate).
 The environment variable CG_THREADS caps BLAS worker threads: each of
 OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
 the cap, and a CG_THREADS that is not a positive integer exits 2.
@@ -49,6 +52,12 @@ from .config import ConfigurationError, read_field, reject_unknown
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the top-level keys that some command reads: one set for all commands, so
+# that a training config also serves eval, analyze and perf
+CONFIG_KEYS = ("schema_version", "seed", "output_dir", "val_fraction", "data",
+               "model", "loss", "optimizer",                               # train
+               "checkpoint", "delta_override", "tau_c_override", "delta_shift",
+               "num_inputs", "intensity_sample", "etas", "array")          # the others
 
 
 def _positive_int(text):
@@ -91,6 +100,9 @@ def _load_config(path):
     if cfg.get("schema_version") != 1:
         raise ConfigurationError(
             f"schema_version: expected 1, got {cfg.get('schema_version')!r}")
+    if "force_open" in cfg:   # removed: a dense baseline trains as conv layers
+        raise ConfigurationError("force_open: expected no such key; train conv layers instead")
+    reject_unknown(None, cfg, CONFIG_KEYS)
     return cfg
 
 
@@ -161,8 +173,6 @@ def cmd_train(args):
     from .training import LossConfig, Schedule, train_network
 
     cfg = _load_config(args.config)
-    if "force_open" in cfg:   # removed: a dense baseline trains as conv layers
-        raise ConfigurationError("force_open: expected no such key; train conv layers instead")
     seed = _resolve_seed(args, cfg)
     out = _resolve_out(args, cfg)
     config_dir = Path(args.config).parent
@@ -342,6 +352,7 @@ def cmd_perf(args):
     from .training import evaluate
     cfg, out, val_ds, model, frozen = _checkpoint_command(args)
     section = read_field("array", cfg, dict, {})
+    reject_unknown("array", section, [f.name for f in fields(perf.ArrayConfig)])
     array = perf.ArrayConfig(
         rows=read_field("array.rows", section, int, 16, low=1),
         cols=read_field("array.cols", section, int, 16, low=1),

@@ -54,7 +54,9 @@ def read_field(name, sources, kind, default=_MISSING, each=None, low=None):
 
 
 def reject_unknown(where, section, known):
-    """Reject the first key of ``section`` not in ``known``, a misspelt one."""
+    """Reject the first key of ``section`` not in ``known``, a misspelt one;
+    ``where`` is None for the config's top level."""
     for key in section:
         if key not in known:
-            raise ConfigurationError(f"{where}.{key}: expected no such key")
+            name = key if where is None else f"{where}.{key}"
+            raise ConfigurationError(f"{name}: expected no such key")

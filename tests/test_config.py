@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgnet import cli
+from cgnet import checkpoint, cli
 from cgnet.config import ConfigurationError, read_field
 from cgnet.data import load_dataset
 from cgnet.network import build_model
@@ -73,9 +73,12 @@ class TestReadField:
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_shipped_config_reads(path):
-    """Every bundled model section builds and every synthetic data section
-    loads under the reader's rules."""
+    """Every bundled model section builds, every synthetic data section
+    loads and every command config's top level reads under the reader's
+    rules."""
     cfg = json.loads(path.read_text())
+    if "schema_version" in cfg:
+        assert cli._load_config(path) == cfg
     model_cfg = cfg.get("model", cfg if "layers" in cfg else None)
     if model_cfg is not None:
         assert build_model(model_cfg, np.random.default_rng(0)).layers
@@ -93,6 +96,23 @@ def test_dataset_rejects_a_key_its_kind_does_not_read(tmp_path, data_cfg):
     # raised before any file of the data is opened: none of them exists
     with pytest.raises(ConfigurationError, match=r"^data\.image_sise: expected no such key$"):
         load_dataset(data_cfg, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("model,index,key", [
+    ("vgg8_cg.json", 0, "activaton"),   # conv
+    ("vgg8_cg.json", 1, "tau"),         # cg_conv: meant tau_c
+    ("vgg8_cg.json", 2, "stride"),      # maxpool: a pool's stride is its kernel size
+    ("resnet_cg.json", 1, "grups"),     # residual
+    ("resnet_cg.json", 4, "padding"),   # avgpool
+    ("resnet_cg.json", 5, "size"),      # flatten
+    ("resnet_cg.json", 6, "bias"),      # linear
+])
+def test_model_rejects_a_key_its_layer_does_not_read(model, index, key):
+    cfg = json.loads((REPO / "cgbench" / "models" / model).read_text())
+    cfg["layers"][index][key] = 1
+    with pytest.raises(ConfigurationError,
+                       match=rf"^model\.layers\[{index}\]\.{key}: expected no such key$"):
+        build_model(cfg, np.random.default_rng(0))
 
 
 def _set(*path, value):
@@ -166,6 +186,11 @@ def _drop(*path):
     (_set("optimizer", "lr_decay_epoch", value=[1]),
      "optimizer.lr_decay_epoch: expected no such key"),
     (_set("data", "noize", value=0.5), "data.noize: expected no such key"),
+    (_set("model", "layers", 1, "tau", value=0.9), "model.layers[1].tau: expected no such key"),
+    (_set("model", "cg_defaults", "grups", value=2),
+     "model.cg_defaults.grups: expected no such key"),
+    (_set("model", "cg_default", value={"groups": 2}), "model.cg_default: expected no such key"),
+    (_set("val_fracton", value=0.5), "val_fracton: expected no such key"),
     # data section
     (_set("data", "noise", value=math.nan), "data.noise: expected a finite number, got nan"),
     (_set("data", "num_samples", value="abc"), "data.num_samples: expected int, got 'abc'"),
@@ -211,3 +236,33 @@ def test_shipped_training_config_trains(tmp_path, capsys, path):
     assert cli.main(["train", "--config", str(small), "--out", str(out)]) == 0, \
         capsys.readouterr().err
     assert (out / "checkpoint.cgn").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("checkpoint") / "tiny.cgn"
+    model = build_model(json.loads(TINY.read_text())["model"], np.random.default_rng(0))
+    model.freeze_gates()
+    checkpoint.save_model(path, model)
+    return path
+
+
+@pytest.mark.parametrize("cmd,extra,message", [
+    ("eval", {"tau_c_overide": 0.3}, "tau_c_overide: expected no such key"),
+    ("analyze", {"eta": [0.5]}, "eta: expected no such key"),
+    ("perf", {"num_input": 8}, "num_input: expected no such key"),
+    ("perf", {"array": {"row": 8}}, "array.row: expected no such key"),
+])
+def test_checkpoint_command_rejects_unknown_key(tmp_path, capsys, tiny_checkpoint, cmd, extra,
+                                                message):
+    """A misspelt key of eval, analyze or perf would read as its default:
+    ``tau_c_overide`` would evaluate with no override."""
+    cfg = {"schema_version": 1, "seed": 5, "val_fraction": 0.25,
+           "checkpoint": str(tiny_checkpoint), "data": json.loads(TINY.read_text())["data"],
+           **extra}
+    path = tmp_path / f"{cmd}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

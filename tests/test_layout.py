@@ -109,7 +109,7 @@ def context_batches(layer):
     if isinstance(layer, ConvBlock):
         return [("xhat", ctx.bn.xhat), ("pre", ctx.pre)]
     if isinstance(layer, ResidualBlock):
-        return [("pre", ctx)]
+        return [("mask", ctx)]   # the ReLU's
     if isinstance(layer, MaxPool) and ctx.argmax is not None:
         return [("argmax", ctx.argmax)]
     return []
