@@ -28,6 +28,8 @@ layer's ``gate`` and ``band_init`` (the activation sets the gate kind), a
 conv layer's ``shuffle_groups`` (only a gated layer shuffles) and a
 ``loss.sparsity`` other than ``target_threshold`` (the computation-cost
 form opened every gate).
+``tau_c_override`` evaluates a model at a tau_c it was not trained with:
+training runs the channel gate too, so the override changes the model.
 The environment variable CG_THREADS caps BLAS worker threads: each of
 OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
 the cap, and a CG_THREADS that is not a positive integer exits 2.

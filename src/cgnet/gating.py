@@ -7,10 +7,10 @@ kept only at output positions where the gate fires. The gate thresholds
 the normalized base-path partial sum against a learnable
 per-output-channel threshold; at inference the normalizer folds into the
 threshold (the merged gate), so the whole mechanism costs one comparison
-per activation plus one per channel when the channel-wise gate is enabled.
-Decisions and channel masks are bool arrays, the results of those
-comparisons; training casts the decisions to float where it multiplies by
-them.
+per activation plus one per channel when the channel-wise gate (tau_c),
+which ``gate_map`` applies in both passes, is enabled. Decisions and
+channel masks are bool arrays, the results of those comparisons; training
+casts the decisions to float where it multiplies by them.
 
 On the CPU the conditional path is not skipped: the full sum is the dense
 convolution (``nn.conv2d_forward``), selected afterwards, and the base
@@ -53,6 +53,8 @@ class CgLayerConfig:
     ``conv`` describes the dense shape of the layer (its groups field must
     be 1); ``groups`` is the gating group count G, i.e. the base path sees
     the fraction eta = 1/G of the input channels. The activation sets the gate kind.
+    ``tau_c`` drops a (sample, channel) whose fraction of fired activations
+    is below it, in training and at inference alike (``gate_map``).
     """
 
     conv: ConvSpec
@@ -262,11 +264,15 @@ def merged_gate(partial_sum, params: CgBlockParams):
                                               for name, sign, t in params.gate.edges()])
 
 
-def channel_gate(d, tau_c):
-    """Bool (n, c) mask of an (n, c, h, w) decision map: a channel survives
-    iff its taking fraction of activations is >= tau_c (boundary
-    inclusive)."""
-    return np.count_nonzero(d, axis=(2, 3)) >= tau_c * (d.shape[2] * d.shape[3])
+def gate_map(fired, tau_c):
+    """The map that ran, as a ``DecisionMap`` of an (n, c, h, w) firing map
+    whose (n, c) mask keeps a channel iff it fired at >= tau_c of its
+    positions (boundary inclusive); at tau_c = 0 the map is stored uncopied."""
+    if tau_c > 0.0:
+        mask = np.count_nonzero(fired, axis=(2, 3)) >= tau_c * (fired.shape[2] * fired.shape[3])
+    else:
+        mask = np.ones(fired.shape[:2], dtype=bool)
+    return DecisionMap(fired, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +309,7 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     """
     full, conv = conv2d_forward(x, params.w, cfg.conv)
     p = grouped_partial_sums(conv, cfg.groups)
-    fired = merged_gate(p, params)
-    dm = DecisionMap(fired, channel_gate(fired, cfg.tau_c) if cfg.tau_c > 0.0
-                     else np.ones(fired.shape[:2], dtype=bool))
+    dm = gate_map(merged_gate(p, params), cfg.tau_c)
 
     pre = bn_inference(p, params.bn1, out=p)
     np.copyto(pre, bn_inference(full, params.bn2, out=full), where=dm.d)

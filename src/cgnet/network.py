@@ -513,11 +513,8 @@ class Network:
                 t += sign * offset
 
     def set_tau_c(self, value):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError(f"tau_c must be in [0, 1], got {value}")
-        for layer in self.gated_layers():
-            layer.cfg = copy.copy(layer.cfg)   # records of earlier passes keep their tau_c
-            layer.cfg.tau_c = value
+        for layer in self.gated_layers():   # records of earlier passes keep their config
+            layer.cfg = dataclasses.replace(layer.cfg, tau_c=value)
 
     # -- conversion / serialization -------------------------------------------
     def to_dense(self):
@@ -570,13 +567,14 @@ class Network:
 _REMOVED_CG_KEYS = ("gate", "band_init")   # both follow from the activation
 _CG_KEYS = tuple(f.name for f in dataclasses.fields(CgLayerConfig)[1:]) + _REMOVED_CG_KEYS
 _CONV_KEYS = ("type", "out_channels", "kernel_size", "stride", "padding")
+_RESIDUAL_KEYS = ("type", "out_channels", "stride", "cg")   # a dense residual reads only these
 _LAYER_KEYS = {"conv": _CONV_KEYS + ("activation", "shuffle_groups"),
                "cg_conv": _CONV_KEYS + _CG_KEYS,
                "maxpool": ("type", "kernel_size"),
                "avgpool": ("type", "kernel_size"),
                "flatten": ("type",),
                "linear": ("type", "out_features"),
-               "residual": ("type", "out_channels", "stride", "cg") + _CG_KEYS}
+               "residual": _RESIDUAL_KEYS + _CG_KEYS}
 
 
 def _cg_config(spec, where, sources):
@@ -661,6 +659,7 @@ def build_model(model_cfg: dict, rng) -> Network:
                                            ({"activation": "identity"}, lc, defaults)),
                                 rng, f"{name}b")
             else:
+                reject_unknown(where, lc, _RESIDUAL_KEYS)
                 a = ConvBlock(spec_a, "relu", rng, f"{name}a")
                 b = ConvBlock(spec_b, "identity", rng, f"{name}b")
             shortcut = None

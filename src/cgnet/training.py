@@ -8,8 +8,9 @@ decision d:
 
     y = f( (J - d) o BN1(p)  +  d o BN2(p + r) )
 
-with p the base partial sum, r the conditional sum, and d obtained by
-thresholding the affine-free normalization of p. The two batch norms keep
+with p the base partial sum, r the conditional sum, and d the map that ran:
+the affine-free normalization of p thresholded, and channel-gated by tau_c
+as at inference (``gating.gate_map``). The two batch norms keep
 separate statistics but share gamma/beta. The gate input is BN1's
 normalization of p before its affine step, so p is normalized once and
 BN1's running stats are the gate's: there is one copy of them.
@@ -37,21 +38,22 @@ a column-sized dcols, and a second backward on the same context raises
 ``StateError``. Nothing reads the context after its backward.
 
 The gate is a set of edges (``GateState.edges()``): edge (name, sign,
-delta) passes where sign*(x^_g - delta) >= 0, d is 1 where every edge
-passes, and every routine here walks the edges without asking the gate's
+delta) passes where sign*(x^_g - delta) >= 0, the gate fires where every
+edge passes, and every routine here walks the edges without asking the gate's
 kind. A single-sided gate is one edge, a band two. The gate is not
 differentiable, so gradients toward the thresholds and the gate input use
 a smooth surrogate, s~ = the product over edges of
 sigma(eps*sign*(x^_g - delta)), recomputed from x^_g in tanh form: with
 t = tanh(eps*sign*(x^_g - delta)/2), the edge's sigmoid is 1/2 + t/2 and
 its derivative (eps/4)*(1 - t^2), so one tanh per edge gives both, and a
-saturated t = +-1 gives exactly zero gradient with no overflow. Gradients
-for the two data paths treat d as a constant. The hard combine is not
-differentiable, so the test suite checks these surrogate gradients against
-central differences of the soft combine z = x^_g + s~*(x^_2 - x^_g), which
-exists only in its two-convolution oracle
-(``tests/_oracles.two_conv_block_train``); the block here matches that
-oracle's hard mode.
+saturated t = +-1 gives exactly zero gradient with no overflow. The data
+paths treat d, channel mask included, as a constant; the surrogate ignores
+the mask, so a dropped channel keeps its threshold gradients. The hard
+combine is not differentiable, so the test suite checks these surrogate
+gradients against central differences of the soft combine
+z = x^_g + s~*(x^_2 - x^_g), which exists only in its two-convolution
+oracle (``tests/_oracles.two_conv_block_train``); the block here matches
+that oracle's hard mode.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions,
+from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, gate_map,
                      grouped_partial_sums)
 from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _as_batch, _gemm_rows,
                  _per_channel, accuracy, activation, activation_grad, batchnorm_backward,
@@ -142,7 +144,7 @@ class CgTrainContext:
     conv: ConvCtx             # the full sum's: cols feed both paths, w is params.w
     bn1_ctx: BnCtx            # normalization of p: x^_g, the gate input
     bn2_ctx: BnCtx            # normalization of the full sum: x^_2
-    d: np.ndarray             # bool decisions
+    d: np.ndarray             # bool map that ran: the decisions, channel-gated
     pre: np.ndarray           # gamma*z + beta
     consumed: bool = False    # set by the backward, which overwrites the buffers
 
@@ -186,13 +188,13 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     and BN2's running stats: x^_g (p's, also the gate input) and x^_2. The
     paths share gamma/beta, so the combine applies the affine
     once, to the selected normalization: pre = gamma*z + beta with
-    z = where(d, x^_2, x^_g).
+    z = where(d, x^_2, x^_g), d the channel-gated map (``gate_map``).
     """
     full, conv = conv2d_forward(x, params.w, cfg.conv)
     p = grouped_partial_sums(conv, cfg.groups)
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
     xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
-    d = _threshold_decisions(xhat_g, params.gate.edges())
+    d = gate_map(_threshold_decisions(xhat_g, params.gate.edges()), cfg.tau_c).d
     pre = np.where(d, xhat2, xhat_g)
     pre *= _per_channel(params.gamma)
     pre += _per_channel(params.beta)
@@ -203,7 +205,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
 def cg_block_backward(ctx: CgTrainContext, dy):
     """Gradients of the training block.
 
-    The data paths treat the decisions d as a constant. With
+    The data paths treat the map that ran, d, as a constant. With
     pre = gamma*z + beta: dbeta = sum(dpre) and dgamma = sum(dpre*z), the
     base path's share, (1 - d)*dpre against x^_g, summed here and the
     conditional path's, d*dpre against x^_2, returned by BN2's backward.

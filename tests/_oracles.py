@@ -310,9 +310,14 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     running stats of ``params``. Returns (y, d, CgBlockGrads) for upstream
     gradient ``dy``.
 
-    ``soft_gate=True`` combines the two paths through the smooth surrogate
-    s~ instead of d, which makes the block differentiable, so its gradients
-    can be checked against central differences.
+    The hard mode's d is the channel-gated map: where a (sample, channel)
+    fires at fewer than tau_c of its positions, d is 0 there, counted here
+    from the thresholded map. ``soft_gate=True`` combines the two paths
+    through the smooth surrogate s~ instead of d, which makes the block
+    differentiable, so its gradients can be checked against central
+    differences. The soft combine applies no channel gate: the surrogate's
+    threshold gradients, which the hard mode uses too, reach a dropped
+    channel as they reach any other.
     """
     xb = np.asarray(x, dtype=np.float64)
     spec = cfg.conv
@@ -350,6 +355,9 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
         a = _masked_sigmoid(eps * (pc(gate.delta_high) - xhat_g))
         b = _masked_sigmoid(eps * (xhat_g - pc(gate.delta_low)))
         stilde = a * b
+    if cfg.tau_c > 0.0:
+        ho, wo = d.shape[2:]
+        d = d * (d.sum(axis=(2, 3), keepdims=True) >= cfg.tau_c * (ho * wo))
     mask = stilde if soft_gate else d
     pre = (1.0 - mask) * xhat_p + mask * xhat_full
     y = nn.activation(pre, cfg.activation)

@@ -187,7 +187,7 @@ class TestGroupPositionsLive:
     def test_matches_brute_force(self, seed, n, G, per_out, hw, rate, tau_c):
         rng = np.random.default_rng(seed)
         d = rng.random((n, G * per_out) + hw) < rate
-        mask = gating.channel_gate(d, tau_c)
+        mask = gating.gate_map(d, tau_c).channel_mask
         rec = make_record(d, mask, c_in=2 * G, groups=G, tau_c=tau_c)
         line = analysis.cost_line(rec)
         live, total = group_positions_live(rec.dm.effective(), G)

@@ -181,3 +181,26 @@ def test_no_reader_rederives_the_map_that_ran():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("effective", "taken")]
     assert not calls, f"src/cgnet re-derives the map that ran: {calls}"
+
+
+def test_one_routine_builds_the_map_that_ran():
+    """Both forwards build their ``DecisionMap`` through ``gating.gate_map``,
+    and ``analysis.merge_layer_records`` concatenates the maps it built, so
+    nothing else in ``src/cgnet`` constructs one: a second routine could
+    apply the channel gate in one pass and not in the other."""
+    allowed = {("gating", "gate_map"), ("analysis", "merge_layer_records")}
+
+    def builders(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else func
+            if isinstance(child, ast.Call) and "DecisionMap" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                yield inner, child.lineno
+            yield from builders(child, inner)
+
+    outside = [f"{path.name}:{line} in {func}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for func, line in builders(ast.parse(path.read_text()), "<module>")
+               if (path.stem, func) not in allowed]
+    assert not outside, f"DecisionMap built outside gate_map: {outside}"

@@ -559,7 +559,7 @@ class TestConfigRanges:
         path = eval_cfg(tiny_run, tmp_path, tau_c_override=5)
         out = tmp_path / "out"
         assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == 2
-        assert "tau_c_override: tau_c must be in [0, 1], got 5.0" in capsys.readouterr().err
+        assert "tau_c_override: tau_c: must be in [0, 1], got 5.0" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_delta_override_on_band_rejected(self, tmp_path, capsys):

@@ -98,18 +98,26 @@ def test_dataset_rejects_a_key_its_kind_does_not_read(tmp_path, data_cfg):
         load_dataset(data_cfg, base_dir=tmp_path)
 
 
-@pytest.mark.parametrize("model,index,key", [
-    ("vgg8_cg.json", 0, "activaton"),   # conv
-    ("vgg8_cg.json", 1, "tau"),         # cg_conv: meant tau_c
-    ("vgg8_cg.json", 2, "stride"),      # maxpool: a pool's stride is its kernel size
-    ("resnet_cg.json", 1, "grups"),     # residual
-    ("resnet_cg.json", 4, "padding"),   # avgpool
-    ("resnet_cg.json", 5, "size"),      # flatten
-    ("resnet_cg.json", 6, "bias"),      # linear
-])
-def test_model_rejects_a_key_its_layer_does_not_read(model, index, key):
+_LAYER_KEY_ROWS = [   # (model, layer index, key, other edits of that layer)
+    ("vgg8_cg.json", 0, "activaton", {}),   # conv
+    ("vgg8_cg.json", 1, "tau", {}),         # cg_conv: meant tau_c
+    ("vgg8_cg.json", 2, "stride", {}),      # maxpool: a pool's stride is its kernel size
+    ("resnet_cg.json", 1, "grups", {}),     # residual
+    ("resnet_cg.json", 4, "padding", {}),   # avgpool
+    ("resnet_cg.json", 5, "size", {}),      # flatten
+    ("resnet_cg.json", 6, "bias", {}),      # linear
+    # a dense residual reads none of a gated layer's keys
+    ("resnet_cg.json", 1, "groups", {"cg": False}),
+    ("resnet_cg.json", 2, "tau_c", {"cg": False}),
+    ("resnet_cg.json", 3, "shuffle", {"cg": False}),
+]
+
+
+@pytest.mark.parametrize("model,index,key,edits", _LAYER_KEY_ROWS,
+                         ids=["-".join(map(str, row[:3])) for row in _LAYER_KEY_ROWS])
+def test_model_rejects_a_key_its_layer_does_not_read(model, index, key, edits):
     cfg = json.loads((REPO / "cgbench" / "models" / model).read_text())
-    cfg["layers"][index][key] = 1
+    cfg["layers"][index].update(edits, **{key: 1})
     with pytest.raises(ConfigurationError,
                        match=rf"^model\.layers\[{index}\]\.{key}: expected no such key$"):
         build_model(cfg, np.random.default_rng(0))

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cgnet import analysis, gating, nn
 from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
-                          assemble_dense_weight, channel_gate, channel_shuffle,
-                          cg_block_forward_inference, merged_gate,
+                          assemble_dense_weight, channel_shuffle,
+                          cg_block_forward_inference, gate_map, merged_gate,
                           shuffle_permutation, split_dense_weight)
 from cgnet.network import build_model
 from cgnet.nn import ConfigurationError, ConvSpec
@@ -177,25 +177,28 @@ class TestMergedGate:
 
 
 class TestChannelGate:
+    """The channel mask of ``gate_map``, the one routine that builds the map that ran."""
+
     def test_tau_zero_keeps_everything(self):
         d = np.zeros((1, 4, 8, 8), dtype=bool)
-        np.testing.assert_array_equal(channel_gate(d, 0.0), np.ones((1, 4), dtype=bool))
+        np.testing.assert_array_equal(gate_map(d, 0.0).channel_mask, np.ones((1, 4), dtype=bool))
 
     def test_all_zero_decisions_masked(self):
         d = np.zeros((1, 4, 8, 8), dtype=bool)
-        np.testing.assert_array_equal(channel_gate(d, 0.05), np.zeros((1, 4), dtype=bool))
+        np.testing.assert_array_equal(gate_map(d, 0.05).channel_mask,
+                                      np.zeros((1, 4), dtype=bool))
 
     def test_boundary_inclusive_hand_count(self):
         # 8x8 map with exactly 4 ones at tau_c=4/64: sum - tau*64 = 0 -> kept
         d = np.zeros((1, 1, 8, 8), dtype=bool)
         d[0, 0, [0, 1, 2, 3], [0, 1, 2, 3]] = True
         assert d.sum() == 4  # brute-force verified count
-        assert channel_gate(d, 0.0625)[0, 0]
-        assert not channel_gate(d, 0.0625 + 1e-9)[0, 0]
+        assert gate_map(d, 0.0625).channel_mask[0, 0]
+        assert not gate_map(d, 0.0625 + 1e-9).channel_mask[0, 0]
 
     def test_batched(self, rng):
         d = rng.random((5, 3, 4, 4)) < 0.3
-        m = channel_gate(d, 0.25)
+        m = gate_map(d, 0.25).channel_mask
         assert m.shape == (5, 3) and m.dtype == bool
         for n in range(5):
             for c in range(3):

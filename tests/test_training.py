@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cgnet import nn, training
+from cgnet import gating, nn, training
 from cgnet.data import synthetic_dataset, train_val_split
 from cgnet.gating import CgBlockParams, CgLayerConfig
 from cgnet.network import CgConvBlock, ConvBlock, build_model
@@ -109,6 +109,36 @@ class TestForwardTrain:
             xhat = (p[:, c] - mean[c]) / np.sqrt(var[c] + params.bn1.eps)
             want = (xhat >= params.gate.delta[c]).astype(float)
             np.testing.assert_array_equal(ctx.d[:, c], want)
+
+    @pytest.mark.parametrize("act", ["relu", "tanh"], ids=["single_sided", "two_sided"])
+    def test_d_is_the_inference_map_at_the_batch_statistics(self, rng, act):
+        # with BN1's running stats set to the batch's, training and inference
+        # gate the same normalized partial sums, channel gate included
+        cfg = dataclasses.replace(make_cfg(c_in=8, c_out=8, G=4, act=act), tau_c=0.3)
+        params = make_params(cfg, rng)
+        edges = np.linspace(-1.0, 2.0, 8)
+        if cfg.two_sided:
+            params.gate.delta_high[:] = edges + 1.2
+            params.gate.delta_low[:] = -edges - 1.2
+        else:
+            params.gate.delta[:] = edges
+        x = rng.standard_normal((3, 8, 6, 6))
+        _, ctx = cg_block_forward_train(x, params, cfg)
+
+        p = nn.conv2d(x, kernel_split(params.w, 4)[0], ConvSpec(8, 8, 3, padding=1, groups=4))
+        params.bn1.running_mean[:] = p.mean(axis=(0, 2, 3))
+        params.bn1.running_var[:] = p.var(axis=(0, 2, 3))
+        xhat = (p - params.bn1.running_mean[:, None, None]) / np.sqrt(
+            params.bn1.running_var[:, None, None] + params.bn1.eps)
+        for _, _, t in params.gate.edges():   # no comparison within rounding of a tie
+            assert np.abs(xhat - t[:, None, None]).min() > 1e-9
+        _, dm = gating.cg_block_forward_inference(x, params, cfg)
+        at_zero = dataclasses.replace(cfg, tau_c=0.0)
+        fired = gating.cg_block_forward_inference(x, params, at_zero)[1].d
+        dropped = ~dm.channel_mask
+        assert dropped.any() and not dropped.all()
+        assert (fired & dropped[..., None, None]).any(), "a dropped channel fired"
+        np.testing.assert_array_equal(ctx.d, dm.d)
 
     def test_cache_invariant_d_recomputable(self, rng):
         cfg = make_cfg()
@@ -289,12 +319,13 @@ class TestBlockTrainOracle:
            # the gate kind follows the activation: relu and identity get one
            # threshold, tanh and sigmoid a band. binary_sign is left out: a
            # 1e-16 change of a pre-activation near 0 would flip its output by 2
-           act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]))
+           act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
+           tau_c=st.one_of(st.just(0.0), st.floats(0.05, 0.9)))
     def test_matches_two_conv_oracle(self, seed, n, G, per_in, per_out, k,
-                                     stride, pad, hw, act):
+                                     stride, pad, hw, act, tau_c):
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
-                            groups=G, activation=act)
+                            groups=G, activation=act, tau_c=tau_c)
         params = make_params(cfg, rng)
         c_out = cfg.conv.out_channels
         for bn in (params.bn1, params.bn2):
