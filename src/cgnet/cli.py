@@ -251,11 +251,14 @@ def _load_eval_model(args, cfg, config_dir):
                        ("tau_c_override", model.set_tau_c),
                        ("delta_shift", model.shift_delta)):
         value = read_field(key, cfg, float, None)
-        if value is not None:
-            try:
-                apply(value)
-            except ConfigurationError as e:   # the setter's message names no key
-                raise ConfigurationError(f"{key}: {e}") from None
+        if value is None:
+            continue
+        if not model.gated_layers():   # the setters would loop over nothing
+            raise ConfigurationError(f"{key}: the checkpoint has no gated layer to apply it to")
+        try:
+            apply(value)
+        except ConfigurationError as e:   # the setter's message names no key
+            raise ConfigurationError(f"{key}: {e}") from None
     return model
 
 

@@ -285,7 +285,7 @@ def grouped_partial_sums(conv: ConvCtx, G):
     against its input group's rows of ``conv.cols``. Returns p as the
     (n, c_out, ho, wo) batch over the GEMM's (c_out, ho*wo*n) output."""
     kk, m = conv.cols.shape
-    n, _, h, w = conv.x_shape
+    n, _, h, w = conv.x.shape
     p = np.matmul(base_blocks(conv.w, G), conv.cols.reshape(G, kk // G, m))
     return _batch(p, n, *conv.spec.out_hw(h, w))
 

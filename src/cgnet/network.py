@@ -31,12 +31,17 @@ one, across steps, and is released right before the next is built, one
 layer at a time: a residual block releases its own as it starts, and each
 sublayer its own as that sublayer starts. So one layer's context is free
 at a time, and the allocator hands its chunks to the next context of the
-same shape. At batch 64 on vgg8 a step keeps 40.8 MiB of contexts and its
-``forward_train`` peaks at 43.8 MiB, with ~10 pages faulted in per step;
-keeping each stale context until its successor is assigned holds L01's
-two 15.3 MiB contexts at once (a 59.0 MiB peak, ~200 pages). Releasing
-every context at once (``drop_contexts``) lets glibc trim the heap, and
-the next pass faults all of it back in (~7,000 pages).
+same shape. A convolution layer's context keeps its input batch, not the
+im2col columns (nine times its size at k = 3), which its backward
+rebuilds from it; the input is the previous layer's output or the
+caller's batch, so nothing may write to a layer's input before that
+layer's backward. At batch 64 on vgg8 a step keeps 18.1 MiB of contexts,
+its ``forward_train`` peaks at 24.9 MiB and its backward at 24.2 MiB, with
+~1 page faulted in per step; keeping each stale context until its
+successor is assigned holds L01's two 7.3 MiB contexts at once (a 32.1
+MiB peak, ~600 pages per step). Releasing every context at once
+(``drop_contexts``) lets glibc trim the heap, and the next step faults it
+back in (~4,700 pages).
 
 A convolution layer's ``backward`` consumes its context, and nothing reads a
 context after its layer's ``backward``: the gradients overwrite the buffers
@@ -112,11 +117,12 @@ class Layer:
 
 @dataclasses.dataclass
 class ConvBlockContext:
-    """What ``ConvBlock.backward`` needs of one training forward. The
-    backward consumes it: it overwrites ``pre``, ``bn.xhat`` and
-    ``conv.cols`` with gradients and sets ``consumed``."""
+    """What ``ConvBlock.backward`` needs of one training forward. ``conv``
+    keeps the block's input, not its columns, which ``conv2d_backward``
+    rebuilds from it. The backward consumes the context: it overwrites
+    ``pre`` and ``bn.xhat`` with gradients and sets ``consumed``."""
 
-    conv: ConvCtx
+    conv: ConvCtx             # its cols dropped
     bn: BnCtx
     pre: np.ndarray           # gamma*x^ + beta
     consumed: bool = False    # set by the backward, which overwrites the buffers
@@ -140,6 +146,7 @@ class ConvBlock(Layer):
 
     def _forward_train(self, x):
         y, conv_ctx = conv2d_forward(x, self.w, self.spec)
+        conv_ctx.cols = None
         xhat, bn_ctx = bn_forward(y, self.bn, out=y)
         pre = np.multiply(xhat, _per_channel(self.bn.gamma))
         pre += _per_channel(self.bn.beta)
@@ -148,7 +155,7 @@ class ConvBlock(Layer):
     def backward(self, dy):
         ctx = self._saved_ctx()
         # dpre overwrites pre, which f' has read; BN's backward writes over
-        # x^, and conv2d_backward its column gradients over the columns
+        # x^, and conv2d_backward rebuilds the columns from the input
         dpre = np.multiply(dy, activation_grad(ctx.pre, self.act), out=ctx.pre)
         ctx.consumed = True
         dbn, dgamma, dbeta = batchnorm_backward(ctx.bn, dpre, self.bn.gamma, out=ctx.bn.xhat)

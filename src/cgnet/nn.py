@@ -120,10 +120,17 @@ class ConvSpec:
 
 @dataclass
 class ConvCtx:
+    """What ``conv2d_backward`` needs of one ``conv2d_forward``: the input
+    batch ``x``, from which it rebuilds the columns. The context references
+    that batch, so nothing may write to it before the backward. ``cols`` is
+    the forward's im2col of ``x``, for the forward's caller to read (the
+    grouped partial sums do) before it keeps the context; a context that is
+    kept sets it to None, so the columns die with the forward."""
+
     spec: ConvSpec
     w: np.ndarray
-    cols: np.ndarray      # im2col of the input: (c_in*k*k, ho*wo*n)
-    x_shape: tuple
+    x: np.ndarray             # the float64 input batch that im2col read
+    cols: np.ndarray | None   # im2col of x: (c_in*k*k, ho*wo*n), until dropped
 
 
 def _check_conv(x, w, spec):
@@ -135,16 +142,18 @@ def _check_conv(x, w, spec):
             f"weight shape {w.shape} does not match spec {spec.weight_shape}")
 
 
-def im2col(x, k, stride=1, padding=0):
+def im2col(x, k, stride=1, padding=0, out=None):
     """Lay out every k x k window of the (n, c, h, w) batch ``x`` (any
     strides), zero-padded by ``padding`` on each side, as one column:
-    returns (c*k*k, ho*wo*n). Rows are ordered (channel, ky, kx), so a
-    channel group's rows are a contiguous slice; columns are ordered
-    (y, x, sample), so ``W @ cols`` is the (c, h, w, n) memory of the
-    output batch. Padding copies into a zeroed (c, hp, wp, n) buffer. The
-    columns are always a new array, never a view of ``x``, so their owner
-    may overwrite them (the gated backward writes its column gradients
-    there)."""
+    returns (c*k*k, ho*wo*n), written into ``out`` when given. Rows are
+    ordered (channel, ky, kx), so a channel group's rows are a contiguous
+    slice, and ``im2col(x[:, group])`` is that slice of ``im2col(x)``
+    bitwise: a backward rebuilds one input group's columns at a time from
+    the input it kept. Columns are ordered (y, x, sample), so
+    ``W @ cols`` is the (c, h, w, n) memory of the output batch. Padding
+    copies into a zeroed (c, hp, wp, n) buffer. The columns are always a
+    new array (or ``out``), never a view of ``x``, so their owner may
+    overwrite them (the backwards write their column gradients there)."""
     n, c, h, w = x.shape
     xp = _chwn(x)
     if padding:
@@ -155,9 +164,10 @@ def im2col(x, k, stride=1, padding=0):
     sc, sh, sw, sn = xp.strides
     win = as_strided(xp, (c, k, k, ho, wo, n),
                      (sc, sh, sw, stride * sh, stride * sw, sn))
-    cols = np.empty((c, k, k, ho, wo, n))
-    np.copyto(cols, win)
-    return cols.reshape(c * k * k, ho * wo * n)
+    if out is None:
+        out = np.empty((c * k * k, ho * wo * n))
+    np.copyto(np.reshape(out, (c, k, k, ho, wo, n), copy=False), win)
+    return out
 
 
 def _tap_window(offset, size, out_size, stride, padding):
@@ -173,18 +183,26 @@ def _tap_window(offset, size, out_size, stride, padding):
             slice(first, last + 1))
 
 
-def col2im(dcols, x_shape, k, stride=1, padding=0):
+def col2im(dcols, x_shape, k, stride=1, padding=0, out=None):
     """Adjoint of ``im2col``: scatter-add (c*k*k, ho*wo*n) column gradients
-    into a zeroed (c, h, w, n) buffer and return it as the C-contiguous
-    (n, c, h, w) batch they were read from. Each (ky, kx) tap adds into its
-    window of that buffer clipped to the unpadded extent, so what landed in
-    padding is never written; taps add in (ky, kx) order, the order of a
-    scatter into a padded buffer. ``dcols`` may be any array of that
-    shape."""
+    into a zeroed (c, h, w, n) buffer and return it as the (n, c, h, w)
+    batch they were read from. The buffer is ``out``'s memory when given,
+    a C-contiguous array that reshapes to (c, h, w, n), such as one input
+    group's channels of a whole batch's gradient, and a new array
+    otherwise. Each (ky, kx) tap adds into its window of that buffer
+    clipped to the unpadded extent, so what landed in padding is never
+    written; taps add in (ky, kx) order, the order of a scatter into a
+    padded buffer. Each channel's sums read only its own rows, so a
+    group's columns scatter into its channels as they would in the whole.
+    ``dcols`` may be any array of that shape."""
     n, c, h, w = x_shape
     ho = (h + 2 * padding - k) // stride + 1
     wo = (w + 2 * padding - k) // stride + 1
-    dx = np.zeros((c, h, w, n))
+    if out is None:
+        dx = np.zeros((c, h, w, n))
+    else:
+        dx = np.reshape(out, (c, h, w, n), copy=False)
+        dx[...] = 0.0
     dc = dcols.reshape(c, k, k, ho, wo, n)
     y_taps = [_tap_window(i, h, ho, stride, padding) for i in range(k)]
     x_taps = [_tap_window(j, w, wo, stride, padding) for j in range(k)]
@@ -208,7 +226,7 @@ def conv2d_forward(x, w, spec: ConvSpec):
     cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
     y = np.matmul(w.reshape(g, spec.out_channels // g, -1),
                   cols.reshape(g, -1, cols.shape[1]))
-    return _batch(y, n, ho, wo), ConvCtx(spec, w, cols, xb.shape)
+    return _batch(y, n, ho, wo), ConvCtx(spec, w, xb, cols)
 
 
 def conv2d(x, w, spec: ConvSpec):
@@ -218,18 +236,19 @@ def conv2d(x, w, spec: ConvSpec):
 
 
 def conv2d_backward(ctx: ConvCtx, dy):
-    """Gradients of conv2d; returns (dx, dw). The weight gradient is
-    (cols @ dy^T)^T, which reads the columns untransposed. The column
-    gradients then overwrite ``ctx.cols`` (im2col's columns are always
-    owned), so the context serves one backward."""
+    """Gradients of conv2d; returns (dx, dw). The columns are rebuilt from
+    the input batch the context keeps (``ctx.cols`` is not read). The
+    weight gradient is (cols @ dy^T)^T, which reads them untransposed; the
+    column gradients then overwrite them."""
     spec = ctx.spec
     g = spec.groups
     dym = _chwn(np.asarray(dy, dtype=np.float64)).reshape(g, spec.out_channels // g, -1)
-    cols = np.reshape(ctx.cols, (g, -1, ctx.cols.shape[1]), copy=False)
+    cols = im2col(ctx.x, spec.kernel_size, spec.stride, spec.padding)
+    cols = cols.reshape(g, -1, cols.shape[1])
     wm = ctx.w.reshape(g, spec.out_channels // g, -1)
     dw = np.matmul(cols, dym.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(ctx.w.shape)
     np.matmul(wm.transpose(0, 2, 1), dym, out=cols)
-    return col2im(cols, ctx.x_shape, spec.kernel_size, spec.stride, spec.padding), dw
+    return col2im(cols, ctx.x.shape, spec.kernel_size, spec.stride, spec.padding), dw
 
 
 # ---------------------------------------------------------------------------

@@ -20,22 +20,28 @@ combine applies the affine once: pre = gamma*z + beta with
 z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum. Both
 normalizations overwrite their GEMM outputs, so the training context holds
 three float arrays of the output's shape (x^_g and x^_2 inside the two
-``BnCtx``, and ``pre``), the bool d and the full sum's ``ConvCtx``. In the
-backward, gamma folds into each BN backward's final per-channel scale
-gamma/sqrt(var + eps); the elementwise chain before it carries no gamma.
-BN2's backward writes the full sum's upstream gradient dfull and BN1's
-writes p's, dp. p reads only W's diagonal blocks, so the
-convolution-gradient GEMMs run once per input group, on dfull with dp added
-into that group's rows: the dense MAC count, no more.
+``BnCtx``, and ``pre``), the bool d and a reference to the block's input
+x. It keeps no im2col columns, nine times x's size at k = 3: they die
+once the forward has built p, and the backward rebuilds them from x, one
+input group at a time (rematerialisation). So nothing may write to a
+layer's input before that layer's backward. In the backward, gamma folds
+into each BN backward's final per-channel scale gamma/sqrt(var + eps);
+the elementwise chain before it carries no gamma. BN2's backward writes
+the full sum's upstream gradient dfull and BN1's writes p's, dp. p reads
+only W's diagonal blocks, so the convolution-gradient GEMMs run once per
+input group, on that group's columns and on dfull with dp added into the
+group's rows: the dense MAC count, no more.
 
 The backward consumes its context, as in-place activated batch norm does:
 each gradient goes into a context buffer that is dead by then. dpre
-overwrites ``pre``, dfull overwrites x^_2, each edge's gate gradient its
-own tanh buffer, d*dpre and then dp the buffer of ds~ (below), and the
-column gradients the im2col columns. So a single-sided gate's backward
-allocates two output-sized batches (the tanh factor and ds~), not five and
-a column-sized dcols, and a second backward on the same context raises
-``StateError``. Nothing reads the context after its backward.
+overwrites ``pre``, dfull overwrites x^_2, dp overwrites x^_g after its
+last read, and each edge's gate gradient its own tanh buffer. The column
+gradients of one input group overwrite that group's rebuilt columns and
+are scattered straight into its channels of dx. So a single-sided gate's
+backward allocates at most two output-sized batches at once (the tanh
+factor and ds~, below, which die before the columns are rebuilt), then
+one group's columns and dx, and a second backward on the same context
+raises ``StateError``. Nothing reads the context after its backward.
 
 The gate is a set of edges (``GateState.edges()``): edge (name, sign,
 delta) passes where sign*(x^_g - delta) >= 0, the gate fires where every
@@ -65,9 +71,9 @@ import numpy as np
 from . import analysis
 from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, gate_map,
                      grouped_partial_sums)
-from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _as_batch, _gemm_rows,
-                 _per_channel, accuracy, activation, activation_grad, batchnorm_backward,
-                 bn_forward, col2im, conv2d_forward, cross_entropy, softmax)
+from .nn import (BnCtx, ConfigurationError, StateError, _as_batch, _gemm_rows, _per_channel,
+                 accuracy, activation, activation_grad, batchnorm_backward, bn_forward, col2im,
+                 conv2d_forward, cross_entropy, im2col, softmax)
 
 
 class TrainingDiverged(RuntimeError):
@@ -133,15 +139,17 @@ class CgTrainContext:
     """What ``cg_block_backward`` needs of one training forward.
 
     Three float arrays of the block output's shape: x^_g and x^_2 inside
-    the two ``BnCtx`` and ``pre``. The decisions are bool, and the
-    surrogate is recomputed from x^_g rather than kept. The backward
-    consumes the context: it overwrites ``pre``, x^_2 and ``conv.cols``
+    the two ``BnCtx`` and ``pre``, and a reference to the block's input
+    ``x``, from which the backward rebuilds the im2col columns, so nothing
+    may write to that batch before the backward. The decisions are bool,
+    and the surrogate is recomputed from x^_g rather than kept. The
+    backward consumes the context: it overwrites ``pre``, x^_2 and x^_g
     with gradients and sets ``consumed``, after which nothing reads it.
     """
 
     cfg: CgLayerConfig
     params: CgBlockParams
-    conv: ConvCtx             # the full sum's: cols feed both paths, w is params.w
+    x: np.ndarray             # the float64 input batch the forward's im2col read
     bn1_ctx: BnCtx            # normalization of p: x^_g, the gate input
     bn2_ctx: BnCtx            # normalization of the full sum: x^_2
     d: np.ndarray             # bool map that ran: the decisions, channel-gated
@@ -177,75 +185,17 @@ def _sigmoid_of(t):
     return s
 
 
-def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
-    """Training forward pass; returns (y, CgTrainContext).
-
-    The full sum is the dense convolution with W (``nn.conv2d_forward``);
-    the base partial sum p is one batched matmul over W's G diagonal blocks
-    on its im2col columns, which the backward reuses.
-    Both sums are normalized affine-free with batch statistics, in place in
-    their GEMM outputs, which nothing else reads; this also updates BN1's
-    and BN2's running stats: x^_g (p's, also the gate input) and x^_2. The
-    paths share gamma/beta, so the combine applies the affine
-    once, to the selected normalization: pre = gamma*z + beta with
-    z = where(d, x^_2, x^_g), d the channel-gated map (``gate_map``).
-    """
-    full, conv = conv2d_forward(x, params.w, cfg.conv)
-    p = grouped_partial_sums(conv, cfg.groups)
-    xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
-    xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
-    d = gate_map(_threshold_decisions(xhat_g, params.gate.edges()), cfg.tau_c).d
-    pre = np.where(d, xhat2, xhat_g)
-    pre *= _per_channel(params.gamma)
-    pre += _per_channel(params.beta)
-    y = activation(pre, cfg.activation)
-    return y, CgTrainContext(cfg, params, conv, bn1_ctx, bn2_ctx, d, pre)
-
-
-def cg_block_backward(ctx: CgTrainContext, dy):
-    """Gradients of the training block.
-
-    The data paths treat the map that ran, d, as a constant. With
-    pre = gamma*z + beta: dbeta = sum(dpre) and dgamma = sum(dpre*z), the
-    base path's share, (1 - d)*dpre against x^_g, summed here and the
-    conditional path's, d*dpre against x^_2, returned by BN2's backward.
-    The chain below carries no gamma: both BNs take their upstream gradient
-    with respect to the shared affine's output, gamma*x^ + beta, so gamma
-    folds into their backward's final per-channel scale gamma*inv_std.
-    BN2's upstream is d*dpre, BN1's (1 - d)*dpre plus the gate term. The
-    threshold and gate-input gradients come from the surrogate's tanh
-    factors, one per edge, recomputed from x^_g: with ds~ = dpre*(x^_2 - x^_g),
-    edge e's share, ds~*sign*(eps/4)*(1 - t_e^2) times the other edges'
-    sigmoids, overwrites t_e. Per element d(x^_g) sums the shares and
-    d(delta_e) is minus e's; the threshold gradients, keyed by edge name,
-    take gamma after the channel reduction.
-    BN backward is linear in its upstream gradient, so BN1 and the gate
-    input, which share one normalization of p, take one backward call.
-    BN2's backward writes dfull and BN1's dp. Per input group h, D_h is
-    dfull with dp added into output group h's rows, and one GEMM pair gives
-    that group's weight and column gradients:
-    dW[:, h]^T = cols_h @ D_h^T, which reads the forward's im2col
-    untransposed, and dcols_h = W[:, h]^T @ D_h, written over cols_h. The
-    input gradient runs one col2im.
-    Consumes ``ctx`` (see the module docstring): a second call on the same
-    context raises ``StateError``.
-    """
-    if ctx.consumed:
-        raise StateError("cg_block_backward: an earlier backward has overwritten this "
-                         "context with its gradients; run forward_train again")
-    cfg, params = ctx.cfg, ctx.params
-    eps = cfg.epsilon
-    xhat_g, xhat2 = ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat
-    gamma = params.gamma
-    axes = (0, 2, 3)
-    # dpre overwrites pre, which f' has read; from here on the context is spent
-    dpre = np.multiply(_as_batch(dy), activation_grad(ctx.pre, cfg.activation), out=ctx.pre)
-    ctx.consumed = True
-    edges = params.gate.edges()
+def _gate_gradients(dpre, xhat_g, xhat2, edges, eps, gamma):
+    """The surrogate's share of the block's gradients; returns (d(x^_g),
+    the threshold gradients keyed by edge name). With
+    ds~ = dpre*(x^_2 - x^_g), edge e's share of d(x^_g),
+    ds~*sign*(eps/4)*(1 - t_e^2) times the other edges' sigmoids,
+    overwrites its tanh factor t_e; d(x^_g) sums the shares in t_0's
+    buffer, and d(delta_e) is minus e's share, summed per channel and
+    scaled by gamma. Every other temporary dies on return."""
     ts = _surrogate(xhat_g, edges, eps)
-
     # muls[e] is ds times the sigmoids of the edges but e (ds itself for
-    # one edge); edge e's share of the gate gradient overwrites t_e
+    # one edge)
     ds = xhat2 - xhat_g
     ds *= dpre
     muls = [ds]
@@ -262,25 +212,93 @@ def cg_block_backward(ctx: CgTrainContext, dy):
         np.subtract(1.0, t, out=t)
         t *= mul
         t *= 0.25 * eps * sign
-        dthresholds[key] = -gamma * t.sum(axis=axes)
+        dthresholds[key] = -gamma * t.sum(axis=(0, 2, 3))
     dxhat_g = ts[0]
     for t in ts[1:]:
         dxhat_g += t
-    # The gate gradient is done with ds, whose buffer takes the conditional
-    # path's share of dpre, d*dpre; dpre keeps the base path's,
-    # (1 - d)*dpre. sum(dpre*z) is their products with x^_2 and x^_g.
-    dxhat2 = np.multiply(dpre, ctx.d, out=ds)
+    return dxhat_g, dthresholds
+
+
+def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
+    """Training forward pass; returns (y, CgTrainContext).
+
+    The full sum is the dense convolution with W (``nn.conv2d_forward``);
+    the base partial sum p is one batched matmul over W's G diagonal blocks
+    on its im2col columns, which die once p is built: the context keeps the
+    input batch, from which the backward rebuilds them.
+    Both sums are normalized affine-free with batch statistics, in place in
+    their GEMM outputs, which nothing else reads; this also updates BN1's
+    and BN2's running stats: x^_g (p's, also the gate input) and x^_2. The
+    paths share gamma/beta, so the combine applies the affine
+    once, to the selected normalization: pre = gamma*z + beta with
+    z = where(d, x^_2, x^_g), d the channel-gated map (``gate_map``).
+    """
+    full, conv = conv2d_forward(x, params.w, cfg.conv)
+    p = grouped_partial_sums(conv, cfg.groups)
+    conv.cols = None
+    xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
+    xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
+    d = gate_map(_threshold_decisions(xhat_g, params.gate.edges()), cfg.tau_c).d
+    pre = np.where(d, xhat2, xhat_g)
+    pre *= _per_channel(params.gamma)
+    pre += _per_channel(params.beta)
+    y = activation(pre, cfg.activation)
+    return y, CgTrainContext(cfg, params, conv.x, bn1_ctx, bn2_ctx, d, pre)
+
+
+def cg_block_backward(ctx: CgTrainContext, dy):
+    """Gradients of the training block.
+
+    The data paths treat the map that ran, d, as a constant. With
+    pre = gamma*z + beta: dbeta = sum(dpre) and dgamma = sum(dpre*z), the
+    base path's share, (1 - d)*dpre against x^_g, summed here and the
+    conditional path's, d*dpre against x^_2, returned by BN2's backward.
+    The chain below carries no gamma: both BNs take their upstream gradient
+    with respect to the shared affine's output, gamma*x^ + beta, so gamma
+    folds into their backward's final per-channel scale gamma*inv_std.
+    BN2's upstream is d*dpre, BN1's (1 - d)*dpre plus the gate term, whose
+    threshold and gate-input gradients come from the surrogate's tanh
+    factors (``_gate_gradients``).
+    BN backward is linear in its upstream gradient, so BN1 and the gate
+    input, which share one normalization of p, take one backward call.
+    BN2's backward writes dfull and BN1's dp. Per input group h, D_h is
+    dfull with dp added into output group h's rows, cols_h is the group's
+    im2col rebuilt from its channels of x, and one GEMM pair gives that
+    group's weight and column gradients: dW[:, h]^T = cols_h @ D_h^T,
+    which reads cols_h untransposed, and dcols_h = W[:, h]^T @ D_h, written
+    over cols_h. A col2im of dcols_h writes the group's channels of dx.
+    Consumes ``ctx`` (see the module docstring): a second call on the same
+    context raises ``StateError``.
+    """
+    if ctx.consumed:
+        raise StateError("cg_block_backward: an earlier backward has overwritten this "
+                         "context with its gradients; run forward_train again")
+    cfg, params = ctx.cfg, ctx.params
+    xhat_g, xhat2 = ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat
+    gamma = params.gamma
+    # dpre overwrites pre, which f' has read; from here on the context is spent
+    dpre = np.multiply(_as_batch(dy), activation_grad(ctx.pre, cfg.activation), out=ctx.pre)
+    ctx.consumed = True
+    dxhat_g, dthresholds = _gate_gradients(dpre, xhat_g, xhat2, params.gate.edges(),
+                                           cfg.epsilon, gamma)
+    # The conditional path's share of dpre, d*dpre, goes to BN2; dpre keeps
+    # the base path's, (1 - d)*dpre. sum(dpre*z) is their products with x^_2
+    # and x^_g.
+    dxhat2 = np.multiply(dpre, ctx.d)
     dpre -= dxhat2
     dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
-    dbeta = dpre.sum(axis=axes)
+    dbeta = dpre.sum(axis=(0, 2, 3))
     # BN1 and the gate share x^_g, so their input gradients add up front
     dxhat_g += dpre
 
     # each upstream is the gradient with respect to the shared gamma*x^ + beta.
-    # BN2's backward reads x^_2 and writes dfull over it; BN1's then writes
-    # dp over d*dpre, which BN2's backward has read.
+    # BN2's backward reads x^_2 and writes dfull over it, BN1's x^_g and dp;
+    # each upstream is dead after its call, so the columns below take their
+    # memory.
     _, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma, out=xhat2)
-    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=ds)
+    del dxhat2
+    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=xhat_g)
+    del dxhat_g
     dgamma += dgamma2
     dbeta += dbeta2
 
@@ -288,29 +306,36 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     # blocks, and the G GEMM pairs on the D_h do the dense MAC count. D_h is
     # built in dfull's memory: output group h's rows are saved before and
     # copied back after its GEMMs (but for the last group), an exact
-    # restore where a subtract would not be. Each group's dcols GEMM writes
-    # over the rows of cols that its dW GEMM has just read.
-    dfull, dp = _gemm_rows(xhat2), _gemm_rows(ds)
+    # restore where a subtract would not be. Input group h's columns are
+    # rebuilt from x into one buffer, which its dcols GEMM overwrites after
+    # its dW GEMM has read it; col2im scatters that into the group's
+    # channels of dx. So one group's columns live at a time.
+    dfull, dp = _gemm_rows(xhat2), _gemm_rows(xhat_g)
     G, spec = cfg.groups, cfg.conv
-    cols = ctx.conv.cols
-    kk, m = cols.shape
-    c_out = dfull.shape[0]
-    w = params.w.reshape(c_out, kk)
-    rows_out, rows_in = c_out // G, kk // G
-    dwt = np.empty((kk, c_out))
+    k, stride, pad = spec.kernel_size, spec.stride, spec.padding
+    n, c_in, h_in, w_in = ctx.x.shape
+    c_out, m = dfull.shape
+    w = params.w.reshape(c_out, -1)
+    rows_out, rows_in, chans_in = c_out // G, w.shape[1] // G, c_in // G
+    dwt = np.empty((w.shape[1], c_out))
+    cols = np.empty((rows_in, m))
+    dx = np.empty((c_in, h_in, w_in, n))
     saved = np.empty((rows_out, m)) if G > 1 else None
     for h in range(G):
         own, ins = slice(h * rows_out, (h + 1) * rows_out), slice(h * rows_in, (h + 1) * rows_in)
+        chans = slice(h * chans_in, (h + 1) * chans_in)
         restore = h < G - 1
         if restore:
             np.copyto(saved, dfull[own])
         dfull[own] += dp[own]
-        np.matmul(cols[ins], dfull.T, out=dwt[ins])
-        np.matmul(w[:, ins].T, dfull, out=cols[ins])
+        im2col(ctx.x[:, chans], k, stride, pad, out=cols)
+        np.matmul(cols, dfull.T, out=dwt[ins])
+        np.matmul(w[:, ins].T, dfull, out=cols)
+        col2im(cols, (n, chans_in, h_in, w_in), k, stride, pad, out=dx[chans])
         if restore:
             np.copyto(dfull[own], saved)
-    dx = col2im(cols, ctx.conv.x_shape, spec.kernel_size, spec.stride, spec.padding)
-    return CgBlockGrads(dwt.T.reshape(params.w.shape), dgamma, dbeta, dthresholds, dx)
+    return CgBlockGrads(dwt.T.reshape(params.w.shape), dgamma, dbeta, dthresholds,
+                        dx.transpose(3, 0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -575,6 +575,20 @@ class TestConfigRanges:
             in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_override_on_dense_checkpoint_rejected(self, tmp_path, capsys):
+        # with no gated layer to set, an override would change nothing
+        rc, run = train_tiny(tmp_path, "dense", lambda cfg: cfg["model"]["layers"][1].update(
+            type="conv"))
+        assert rc == 0
+        for cmd, key in (("eval", "delta_override"), ("analyze", "tau_c_override"),
+                         ("perf", "delta_shift")):
+            capsys.readouterr()
+            path = eval_cfg(run, tmp_path, **{key: 0.5, "etas": [1.0]})
+            out = tmp_path / f"out_{cmd}"
+            assert cli.main([cmd, "--config", str(path), "--out", str(out)]) == 2, cmd
+            assert f"{key}: the checkpoint has no gated layer" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("edit,field", [
         (lambda m: m["layers"][1].pop("out_channels"), "model.layers[1].out_channels"),
         (lambda m: m["layers"][1].update(out_channels="abc"), "model.layers[1].out_channels"),

@@ -1,6 +1,8 @@
 """Activation memory order: every (n, c, h, w) batch a layer returns, its
 backward's input gradient, every decision map and every batch a training
-context keeps lays its memory out as (c, h, w, n).
+context keeps, layer inputs included, lays its memory out as (c, h, w, n).
+The one exception is the network's input, which the first layer keeps in
+the caller's order.
 
 A stray C-order ``.copy()``, ``np.pad`` or fancy index on the activation
 path still gives correct values, so no numeric test notices it; it only
@@ -105,9 +107,10 @@ def context_batches(layer):
     """(label, array) of the batches a layer's training context keeps."""
     ctx = layer.ctx
     if isinstance(layer, CgConvBlock):
-        return [("x^_g", ctx.bn1_ctx.xhat), ("x^_2", ctx.bn2_ctx.xhat), ("pre", ctx.pre)]
+        return [("x^_g", ctx.bn1_ctx.xhat), ("x^_2", ctx.bn2_ctx.xhat), ("pre", ctx.pre),
+                ("input", ctx.x)]
     if isinstance(layer, ConvBlock):
-        return [("xhat", ctx.bn.xhat), ("pre", ctx.pre)]
+        return [("xhat", ctx.bn.xhat), ("pre", ctx.pre), ("input", ctx.conv.x)]
     if isinstance(layer, ResidualBlock):
         return [("mask", ctx)]   # the ReLU's
     if isinstance(layer, MaxPool) and ctx.argmax is not None:
@@ -126,10 +129,11 @@ def test_training_contexts_and_input_gradients_are_sample_innermost(cfg):
     logits = model.forward_train(x)
     model.backward(rng.standard_normal(logits.shape))
 
+    # the first layer keeps the caller's batch, in the caller's order
     kept = [(f"{layer.name} {label}", a) for layer in layers_of(model)
-            for label, a in context_batches(layer)]
+            for label, a in context_batches(layer) if a is not x]
     kinds = {label.split()[-1] for label, _ in kept}
-    assert {"x^_g", "x^_2", "pre", "xhat"} <= kinds
+    assert {"x^_g", "x^_2", "pre", "xhat", "input"} <= kinds
     assert ("argmax" in kinds) == (cfg is vgg_cfg)
     for name, a in kept:
         assert_sample_innermost(name, a)

@@ -445,11 +445,44 @@ class TestContextLifetime:
         np.testing.assert_array_equal(block.ctx, y > 0)
         assert (y >= 0).all()
 
+    def test_vgg8_step_holds_inputs_not_columns(self):
+        # a vgg8 batch-64 step holds 18.1 MiB of contexts; each layer's
+        # im2col columns, nine times its input at k = 3, made it 40.7 MiB
+        cfg = json.loads(VGG8.read_text())["model"]
+        x = np.random.default_rng(0).random((64, 1, 16, 16))
+        model = build_model(cfg, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model.backward(np.ones_like(model.forward_train(x)))
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held < 18.5 * 2**20, held / 2**20
+
+    def test_step_leaves_every_layer_input_unchanged(self):
+        # a context keeps its layer's input, from which the backward
+        # rebuilds the columns: no forward, backward or SGD step writes to it
+        cfg = json.loads(VGG8.read_text())["model"]
+        model = build_model(cfg, np.random.default_rng(1))
+        x = np.random.default_rng(0).random((8, 1, 16, 16))
+        inputs = []
+        for layer in model.leaves():
+            def record(x, layer=layer, inner=layer._forward_train):
+                inputs.append((layer.name, x, x.tobytes()))
+                return inner(x)
+            layer._forward_train = record
+        model.backward(np.ones_like(model.forward_train(x)))
+        model.sgd_step(0.05, 0.9, 1e-4)
+        assert inputs[0][1] is x and len(inputs) == len(model.leaves())
+        for name, a, before in inputs:
+            assert a.tobytes() == before, name
+
     def test_second_forward_train_peaks_within_one_context_of_the_held_ones(self):
-        # vgg8 at batch 64 holds 40.8 MiB of contexts between steps. Were a
+        # vgg8 at batch 64 holds 18.1 MiB of contexts between steps. Were a
         # layer's stale context kept until its new one was assigned, L01's two
-        # contexts (15.3 MiB each) would be alive at once and the pass would
-        # peak at 59.0 MiB; released first, it peaks at 43.8 MiB
+        # contexts (7.3 MiB each) would be alive at once and the pass would
+        # peak at 32.1 MiB; released first, it peaks at 24.9 MiB
         cfg = json.loads(VGG8.read_text())["model"]
         x = np.random.default_rng(0).random((64, 1, 16, 16))
         model = build_model(cfg, np.random.default_rng(1))
@@ -495,7 +528,7 @@ class TestContextLifetime:
         np.testing.assert_array_equal(early.forward_infer(x)[0], late.forward_infer(x)[0])
 
     def test_frozen_model_holds_no_batch(self):
-        # one vgg8 batch-64 pass leaves 40.8 MiB of contexts; a frozen model
+        # one vgg8 batch-64 pass leaves 18.1 MiB of contexts; a frozen model
         # keeps its parameters, gradients and running statistics only
         cfg = json.loads(VGG8.read_text())["model"]
         x = np.random.default_rng(0).random((64, 1, 16, 16))

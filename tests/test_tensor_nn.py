@@ -157,6 +157,37 @@ class TestIm2col:
         assert not np.shares_memory(nn.im2col(x, k, stride, padding), x)
 
     @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), G=st.sampled_from([1, 2, 3, 4]),
+           per=st.integers(1, 2), h=st.integers(1, 6), w=st.integers(1, 6),
+           k=st.integers(1, 3), stride=st.integers(1, 3), padding=st.integers(0, 2),
+           chwn=st.booleans())
+    def test_a_groups_columns_are_its_rows_of_the_whole(self, seed, n, G, per, h, w, k, stride,
+                                                        padding, chwn):
+        # a backward rebuilds one input group's columns at a time from the
+        # input and scatters their gradients into that group's channels
+        assume(h + 2 * padding >= k and w + 2 * padding >= k)
+        rng = np.random.default_rng(seed)
+        c, rows = G * per, per * k * k
+        x = rng.standard_normal((n, c, h, w))
+        if chwn:
+            x = sample_innermost(x)
+        cols = nn.im2col(x, k, stride, padding)
+        dcols = rng.standard_normal(cols.shape)
+        buf = np.empty((rows, cols.shape[1]))
+        dx = np.empty((c, h, w, n))
+        for g in range(G):
+            chans, ins = slice(g * per, (g + 1) * per), slice(g * rows, (g + 1) * rows)
+            want = cols[ins].view(np.uint64)
+            np.testing.assert_array_equal(nn.im2col(x[:, chans], k, stride, padding)
+                                          .view(np.uint64), want)
+            assert nn.im2col(x[:, chans], k, stride, padding, out=buf) is buf
+            np.testing.assert_array_equal(buf.view(np.uint64), want)
+            nn.col2im(dcols[ins], (n, per, h, w), k, stride, padding, out=dx[chans])
+        whole = nn.col2im(dcols, x.shape, k, stride, padding)
+        np.testing.assert_array_equal(dx.transpose(3, 0, 1, 2).view(np.uint64),
+                                      whole.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
     @given(**im2col_cases)
     def test_col2im_is_the_adjoint(self, seed, n, c, h, w, k, stride, padding):
         assume(h + 2 * padding >= k and w + 2 * padding >= k)
