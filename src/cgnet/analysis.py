@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .gating import CgLayerConfig, DecisionMap, grouped_partial_sums
+from .gating import CgLayerConfig, DecisionMap, base_blocks
 from .nn import ConfigurationError, ConvSpec, _chwn, conv2d_forward
 
 
@@ -229,8 +229,8 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
     left out of the result); that no requested eta admits any layer is an
     error, and so are an empty ``etas`` and an eta outside (0, 1]. Each
     layer's dense convolution runs once, in ``nn.conv2d_forward`` as in the
-    gated layers; only the grouped partial sum on its columns is computed
-    per eta.
+    gated layers, and each eta's grouped partial sum is one more GEMM on
+    each band of its columns.
     Returns {eta: {"layers": {name: r}, "mean": r}}.
     """
     if not etas:
@@ -246,13 +246,16 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
     for rec in records:
         if rec.x_in is None or rec.spec.groups > 1:   # no dense kernel to regroup
             continue
-        final, conv = conv2d_forward(rec.x_in, rec.w, rec.spec)
+        swept = {}
         for eta, G in groups.items():
             if rec.spec.in_channels % G or rec.spec.out_channels % G:
                 warnings.warn(f"{rec.name}: channels not divisible by G={G}; skipped")
-                continue
+            else:
+                swept[eta] = base_blocks(rec.w, G)
+        final, _, *partials = conv2d_forward(rec.x_in, rec.w, rec.spec, tuple(swept.values()))
+        for eta, p in zip(swept, partials):
             # both over their GEMM outputs' (c, h, w, n) memory
-            r = _pearson(_chwn(grouped_partial_sums(conv, G)), _chwn(final))
+            r = _pearson(_chwn(p), _chwn(final))
             if r is None:
                 warnings.warn(f"{rec.name}: zero-variance sums at eta={eta}; skipped")
                 continue

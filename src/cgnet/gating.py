@@ -13,14 +13,17 @@ channel masks are bool arrays, the results of those comparisons; training
 casts the decisions to float where it multiplies by them.
 
 On the CPU the conditional path is not skipped: the full sum is the dense
-convolution (``nn.conv2d_forward``), selected afterwards, and the base
-partial sums a grouped GEMM on its im2col columns. Both GEMMs write
-(c_out, ho*wo*n) rows, the (c, h, w, n) memory of the (n, c, h, w)
-batches the block works on. The epilogue works in place on the two GEMM
-outputs (BN1 on the partial sum, BN2 on the full sum, the selection, the
-activation), so it allocates no float temporaries. The selection reads
-``DecisionMap.d``, the map that ran, and every count of the work done
-(``analysis.count_flops`` and the FLOP-reduction figures) reduces it.
+convolution, selected afterwards, and the base partial sums a grouped
+GEMM on the same im2col columns. One ``nn.conv2d_forward`` call runs
+both: it builds the columns one band of output rows at a time and runs
+both GEMMs on each band while it is in cache, so the layer's whole im2col
+never exists. Both GEMMs write (c_out, ho*wo*n) rows, the (c, h, w, n)
+memory of the (n, c, h, w) batches the block works on. The epilogue works
+in place on the two GEMM outputs (BN1 on the partial sum, BN2 on the full
+sum, the selection, the activation), so it allocates no float
+temporaries. The selection reads ``DecisionMap.d``, the map that ran, and
+every count of the work done (``analysis.count_flops`` and the
+FLOP-reduction figures) reduces it.
 
 Weight layout: a gated layer holds one dense kernel W (c_out, c_in, k, k).
 Output group i's rows over input group i's channels are W_p, the base
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvCtx, ConvSpec,
-                 _batch, _chwn, _per_channel, activation, bn_inference, conv2d_forward)
+from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
+                 _chwn, _per_channel, activation, bn_inference, conv2d_forward)
 
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
 BAND_INIT = 2.0   # a band starts as (delta_low, delta_high) = (-BAND_INIT, BAND_INIT)
@@ -279,17 +282,6 @@ def gate_map(fired, tau_c):
 # Block forward (inference)
 # ---------------------------------------------------------------------------
 
-def grouped_partial_sums(conv: ConvCtx, G):
-    """Base partial sums of the dense convolution whose context is ``conv``:
-    one batched matmul of each output group's W_p block of ``conv.w``
-    against its input group's rows of ``conv.cols``. Returns p as the
-    (n, c_out, ho, wo) batch over the GEMM's (c_out, ho*wo*n) output."""
-    kk, m = conv.cols.shape
-    n, _, h, w = conv.x.shape
-    p = np.matmul(base_blocks(conv.w, G), conv.cols.reshape(G, kk // G, m))
-    return _batch(p, n, *conv.spec.out_hw(h, w))
-
-
 def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     """Gated inference forward pass.
 
@@ -298,17 +290,17 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
     channel-wise gate zeroes whole channels' conditional work and their
     W_r accesses. Decision maps refer to pre-shuffle channel order.
 
-    The full sum is the dense convolution with W (``nn.conv2d_forward``)
-    at every position, selected afterwards: the skipped conditional MACs
-    are accounted by ``analysis.count_flops``, not skipped on the CPU. The
-    base partial sums are a grouped GEMM on its im2col columns. The
+    The full sum is the dense convolution with W at every position,
+    selected afterwards: the skipped conditional MACs are accounted by
+    ``analysis.count_flops``, not skipped on the CPU. The base partial sums
+    are a grouped GEMM over W's diagonal blocks (``base_blocks``) on each
+    band of the same columns, in the same ``nn.conv2d_forward`` call. The
     epilogue works in place on the two GEMM outputs: BN1 on p, BN2 on the
     full sum, the selection and the activation. It runs on whatever
     running stats the block holds; ``Network.forward_infer`` checks that
     they are frozen.
     """
-    full, conv = conv2d_forward(x, params.w, cfg.conv)
-    p = grouped_partial_sums(conv, cfg.groups)
+    full, _, p = conv2d_forward(x, params.w, cfg.conv, (base_blocks(params.w, cfg.groups),))
     dm = gate_map(merged_gate(p, params), cfg.tau_c)
 
     pre = bn_inference(p, params.bn1, out=p)

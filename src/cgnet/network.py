@@ -32,16 +32,17 @@ layer at a time: a residual block releases its own as it starts, and each
 sublayer its own as that sublayer starts. So one layer's context is free
 at a time, and the allocator hands its chunks to the next context of the
 same shape. A convolution layer's context keeps its input batch, not the
-im2col columns (nine times its size at k = 3), which its backward
-rebuilds from it; the input is the previous layer's output or the
-caller's batch, so nothing may write to a layer's input before that
-layer's backward. At batch 64 on vgg8 a step keeps 18.1 MiB of contexts,
-its ``forward_train`` peaks at 24.9 MiB and its backward at 24.2 MiB, with
-~1 page faulted in per step; keeping each stale context until its
-successor is assigned holds L01's two 7.3 MiB contexts at once (a 32.1
-MiB peak, ~600 pages per step). Releasing every context at once
-(``drop_contexts``) lets glibc trim the heap, and the next step faults it
-back in (~4,700 pages).
+im2col columns (nine times its size at k = 3): its forward holds one band
+of them at a time and its backward rebuilds them from the input. The
+input is the previous layer's output or the caller's batch, so nothing
+may write to a layer's input before that layer's backward. At batch 64 on
+vgg8 a step keeps 18.1 MiB of contexts, its backward peaks at 24.2 MiB and
+its ``forward_train`` at 20.8 MiB; keeping each stale context until its
+successor is assigned holds L01's two 7.3 MiB contexts at once (a 27.4
+MiB peak). Releasing every context at once (``drop_contexts``) lets glibc
+trim the heap, and the next step faults it back in (~6,900 pages in a
+fresh process, against ~1,500 for a step that releases them one at a
+time).
 
 A convolution layer's ``backward`` consumes its context, and nothing reads a
 context after its layer's ``backward``: the gradients overwrite the buffers
@@ -118,11 +119,12 @@ class Layer:
 @dataclasses.dataclass
 class ConvBlockContext:
     """What ``ConvBlock.backward`` needs of one training forward. ``conv``
-    keeps the block's input, not its columns, which ``conv2d_backward``
-    rebuilds from it. The backward consumes the context: it overwrites
-    ``pre`` and ``bn.xhat`` with gradients and sets ``consumed``."""
+    keeps the block's input; the forward held one band of its columns at a
+    time, and ``conv2d_backward`` rebuilds them whole from it. The backward
+    consumes the context: it overwrites ``pre`` and ``bn.xhat`` with
+    gradients and sets ``consumed``."""
 
-    conv: ConvCtx             # its cols dropped
+    conv: ConvCtx
     bn: BnCtx
     pre: np.ndarray           # gamma*x^ + beta
     consumed: bool = False    # set by the backward, which overwrites the buffers
@@ -146,7 +148,6 @@ class ConvBlock(Layer):
 
     def _forward_train(self, x):
         y, conv_ctx = conv2d_forward(x, self.w, self.spec)
-        conv_ctx.cols = None
         xhat, bn_ctx = bn_forward(y, self.bn, out=y)
         pre = np.multiply(xhat, _per_channel(self.bn.gamma))
         pre += _per_channel(self.bn.beta)

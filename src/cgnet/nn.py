@@ -14,6 +14,11 @@ Conventions:
     sample index is innermost, so ``_chwn(x)`` is a free C-contiguous view,
     im2col copies whole rows of samples and a GEMM on its columns writes
     the output's memory directly;
+  * the convolution forward never holds a layer's whole im2col: it builds
+    one band of output rows' columns at a time (``BAND_BYTES``) and runs
+    every GEMM that reads them, the kernel's and any block-diagonal
+    kernel's such as a gated layer's base blocks, on the band while it is
+    in cache. The backwards rebuild their columns from the input batch;
   * a temporary the size of a batch is made with ``np.empty_like`` (or
     ``zeros_like``) of a batch, which keeps that (c, h, w, n) order; a
     C-order ``np.empty(shape)`` gives the same values but makes every
@@ -32,6 +37,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,15 +128,11 @@ class ConvSpec:
 class ConvCtx:
     """What ``conv2d_backward`` needs of one ``conv2d_forward``: the input
     batch ``x``, from which it rebuilds the columns. The context references
-    that batch, so nothing may write to it before the backward. ``cols`` is
-    the forward's im2col of ``x``, for the forward's caller to read (the
-    grouped partial sums do) before it keeps the context; a context that is
-    kept sets it to None, so the columns die with the forward."""
+    that batch, so nothing may write to it before the backward."""
 
     spec: ConvSpec
     w: np.ndarray
-    x: np.ndarray             # the float64 input batch that im2col read
-    cols: np.ndarray | None   # im2col of x: (c_in*k*k, ho*wo*n), until dropped
+    x: np.ndarray             # the float64 input batch the forward read
 
 
 def _check_conv(x, w, spec):
@@ -140,6 +142,22 @@ def _check_conv(x, w, spec):
     if w.shape != spec.weight_shape:
         raise ConfigurationError(
             f"weight shape {w.shape} does not match spec {spec.weight_shape}")
+    spec.out_hw(*x.shape[2:])   # raises on an empty output
+
+
+def _windows(x, k, stride, padding):
+    """The (c, k, k, ho, wo, n) strided view of every k x k window of the
+    (n, c, h, w) batch ``x`` (any strides), zero-padded by ``padding`` on
+    each side. Padding copies into a zeroed (c, hp, wp, n) buffer."""
+    n, c, h, w = x.shape
+    xp = _chwn(x)
+    if padding:
+        xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
+        xp[:, padding:padding + h, padding:padding + w] = _chwn(x)
+    _, hp, wp, _ = xp.shape
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    sc, sh, sw, sn = xp.strides
+    return as_strided(xp, (c, k, k, ho, wo, n), (sc, sh, sw, stride * sh, stride * sw, sn))
 
 
 def im2col(x, k, stride=1, padding=0, out=None):
@@ -150,23 +168,15 @@ def im2col(x, k, stride=1, padding=0, out=None):
     slice, and ``im2col(x[:, group])`` is that slice of ``im2col(x)``
     bitwise: a backward rebuilds one input group's columns at a time from
     the input it kept. Columns are ordered (y, x, sample), so
-    ``W @ cols`` is the (c, h, w, n) memory of the output batch. Padding
-    copies into a zeroed (c, hp, wp, n) buffer. The columns are always a
-    new array (or ``out``), never a view of ``x``, so their owner may
-    overwrite them (the backwards write their column gradients there)."""
-    n, c, h, w = x.shape
-    xp = _chwn(x)
-    if padding:
-        xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
-        xp[:, padding:padding + h, padding:padding + w] = _chwn(x)
-    _, hp, wp, _ = xp.shape
-    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
-    sc, sh, sw, sn = xp.strides
-    win = as_strided(xp, (c, k, k, ho, wo, n),
-                     (sc, sh, sw, stride * sh, stride * sw, sn))
+    ``W @ cols`` is the (c, h, w, n) memory of the output batch, and a band
+    of whole output rows is a contiguous slice of columns. The columns are
+    always a new array (or ``out``), never a view of ``x``, so their owner
+    may overwrite them (the backwards write their column gradients there)."""
+    win = _windows(x, k, stride, padding)
+    c, _, _, ho, wo, n = win.shape
     if out is None:
         out = np.empty((c * k * k, ho * wo * n))
-    np.copyto(np.reshape(out, (c, k, k, ho, wo, n), copy=False), win)
+    np.copyto(np.reshape(out, win.shape, copy=False), win)
     return out
 
 
@@ -213,20 +223,83 @@ def col2im(dcols, x_shape, k, stride=1, padding=0, out=None):
     return dx.transpose(3, 0, 1, 2)
 
 
-def conv2d_forward(x, w, spec: ConvSpec):
-    """Grouped 2-D cross-correlation via im2col; returns (y, ctx). The
+# Bytes of im2col columns per band of the forward (``_bands``). The
+# forward im2cols one band of whole output rows at a time into one buffer
+# and runs every GEMM that reads those columns while they are in cache;
+# swept from 128 KiB to 2 MiB on vgg8_cg inference at batch 64 (2 MiB of
+# L2 per core). A band is at least one output row, so at batch 64 every
+# vgg8 and resnet layer (output width >= 2) runs bands of at least 128
+# columns.
+BAND_BYTES = 512 * 1024
+
+# Every band spans a multiple of this many columns; a layer whose column
+# count is not one runs as one band. OpenBLAS 0.3.31 (AVX-512 kernels)
+# runs a GEMM's last w % 8 columns on a narrower kernel when that remainder
+# is 1 to 4, a one-row GEMM (a GEMV) blocks its columns otherwise again,
+# and either rounds differently from the slice of the whole layer's GEMM.
+# Bands of multiples of 64 columns matched the whole GEMM bitwise at every
+# shape tried, with one exception: a GEMM of at most 1e6 multiply-adds
+# runs a small-matrix kernel, which sums a reduction longer than 384 in
+# another order. So a layer whose per-group reduction (c_in/G*k*k) exceeds
+# 384, and whose band GEMM is that small while its whole GEMM is not, can
+# round differently from one band. No shipped config has such a layer.
+_BAND_COLS = 64
+
+
+def _bands(ho, row_cols, rows_k):
+    """The forward's bands of output rows as slices of ``range(ho)``, for an
+    output row of ``row_cols`` columns of ``rows_k`` rows each: as many rows
+    as fill ``BAND_BYTES``, rounded down to a whole number of
+    ``_BAND_COLS`` columns but at least one such step. A layer within the
+    budget, or whose column count is not a multiple of ``_BAND_COLS``, is
+    one band; otherwise ho is a whole number of steps, so the last band,
+    shorter or not, spans a multiple of ``_BAND_COLS`` columns too. So each
+    band's GEMM rounds as its slice of the whole layer's GEMM would, within
+    the limits ``_BAND_COLS`` states."""
+    row_bytes = 8 * rows_k * row_cols
+    step = _BAND_COLS // math.gcd(_BAND_COLS, row_cols)   # rows per multiple of _BAND_COLS
+    if ho * row_bytes <= BAND_BYTES or ho % step:
+        return [slice(0, ho)]
+    rows = max(BAND_BYTES // row_bytes // step, 1) * step
+    return [slice(a, min(a + rows, ho)) for a in range(0, ho, rows)]
+
+
+def conv2d_forward(x, w, spec: ConvSpec, blocks=()):
+    """Grouped 2-D cross-correlation via im2col; returns (y, ctx) followed
+    by one partial-sum batch per kernel in ``blocks``.
+
+    The columns are built one band of whole output rows at a time
+    (``_bands``) into one reused buffer, and every GEMM that reads them
+    runs on the band while it is in cache, writing the band's columns of
+    its (c_out, ho*wo*n) output. Each output column's dot product is the
+    whole layer's, and the bands are cut where the whole layer's GEMM
+    would round each column as the band's does, so the result is bitwise
+    the one-band result (within the limits ``_BAND_COLS`` states). The
     groups run as one batched matmul of each group's kernel rows against
-    its input channels' rows of the columns."""
+    its input channels' rows of the band. ``blocks`` are block-diagonal
+    kernels on the same columns, each a (G, c_out/G, c_in/G*k*k) stack
+    whose block i reads input group i's rows (a gated layer's W_p,
+    ``gating.base_blocks``); each one's sums come back as a batch like y."""
     xb = _as_batch(x)
     w = np.asarray(w, dtype=np.float64)
     _check_conv(xb, w, spec)
-    n, _, h, wd = xb.shape
-    g = spec.groups
-    ho, wo = spec.out_hw(h, wd)
-    cols = im2col(xb, spec.kernel_size, spec.stride, spec.padding)
-    y = np.matmul(w.reshape(g, spec.out_channels // g, -1),
-                  cols.reshape(g, -1, cols.shape[1]))
-    return _batch(y, n, ho, wo), ConvCtx(spec, w, xb, cols)
+    win = _windows(xb, spec.kernel_size, spec.stride, spec.padding)
+    c, k, _, ho, wo, n = win.shape
+    m, kk, row = ho * wo * n, c * k * k, wo * n
+    kernels = [w.reshape(spec.groups, spec.out_channels // spec.groups, -1), *blocks]
+    outs = [np.empty((spec.out_channels, m)) for _ in kernels]
+    bands = _bands(ho, row, kk)
+    buf = np.empty(kk * row * (bands[0].stop - bands[0].start))   # the first band is the longest
+    for band in bands:
+        span = slice(band.start * row, band.stop * row)
+        cols = buf[:kk * (span.stop - span.start)].reshape(kk, -1)
+        np.copyto(cols.reshape(c, k, k, -1, wo, n), win[:, :, :, band])
+        for kernel, out in zip(kernels, outs):
+            g = kernel.shape[0]
+            np.matmul(kernel, cols.reshape(g, -1, cols.shape[1]),
+                      out=out.reshape(g, -1, m)[:, :, span])
+    y, *partials = (_batch(out, n, ho, wo) for out in outs)
+    return (y, ConvCtx(spec, w, xb), *partials)
 
 
 def conv2d(x, w, spec: ConvSpec):
@@ -236,10 +309,10 @@ def conv2d(x, w, spec: ConvSpec):
 
 
 def conv2d_backward(ctx: ConvCtx, dy):
-    """Gradients of conv2d; returns (dx, dw). The columns are rebuilt from
-    the input batch the context keeps (``ctx.cols`` is not read). The
-    weight gradient is (cols @ dy^T)^T, which reads them untransposed; the
-    column gradients then overwrite them."""
+    """Gradients of conv2d; returns (dx, dw). The columns are rebuilt whole
+    from the input batch the context keeps. The weight gradient is
+    (cols @ dy^T)^T, which reads them untransposed; the column gradients
+    then overwrite them."""
     spec = ctx.spec
     g = spec.groups
     dym = _chwn(np.asarray(dy, dtype=np.float64)).reshape(g, spec.out_channels // g, -1)

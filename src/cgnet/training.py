@@ -1,10 +1,10 @@
 """Training-time graph of the gating block and the associated losses.
 
 During training both paths are computed at every position (skipping is an
-inference-time saving). The full sum is the layer's dense convolution
-(``nn.conv2d_forward``), and the base partial sum a grouped GEMM on that
-call's im2col columns. The forward combines them through the hard binary
-decision d:
+inference-time saving). The full sum is the layer's dense convolution,
+and the base partial sum a grouped GEMM on each band of the same im2col
+columns, in the same ``nn.conv2d_forward`` call. The forward combines
+them through the hard binary decision d:
 
     y = f( (J - d) o BN1(p)  +  d o BN2(p + r) )
 
@@ -21,16 +21,17 @@ z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum. Both
 normalizations overwrite their GEMM outputs, so the training context holds
 three float arrays of the output's shape (x^_g and x^_2 inside the two
 ``BnCtx``, and ``pre``), the bool d and a reference to the block's input
-x. It keeps no im2col columns, nine times x's size at k = 3: they die
-once the forward has built p, and the backward rebuilds them from x, one
-input group at a time (rematerialisation). So nothing may write to a
-layer's input before that layer's backward. In the backward, gamma folds
-into each BN backward's final per-channel scale gamma/sqrt(var + eps);
-the elementwise chain before it carries no gamma. BN2's backward writes
-the full sum's upstream gradient dfull and BN1's writes p's, dp. p reads
-only W's diagonal blocks, so the convolution-gradient GEMMs run once per
-input group, on that group's columns and on dfull with dp added into the
-group's rows: the dense MAC count, no more.
+x. It keeps no im2col columns, nine times x's size at k = 3: the forward
+never holds more than one band of them, and the backward rebuilds them
+from x, one input group at a time (rematerialisation). So nothing may
+write to a layer's input before that layer's backward. In the backward,
+gamma folds into each BN backward's final per-channel scale
+gamma/sqrt(var + eps); the elementwise chain before it carries no gamma.
+BN2's backward writes the full sum's upstream gradient dfull and BN1's
+writes p's, dp. p reads only W's diagonal blocks, so the
+convolution-gradient GEMMs run once per input group, on that group's
+columns and on dfull with dp added into the group's rows: the dense MAC
+count, no more.
 
 The backward consumes its context, as in-place activated batch norm does:
 each gradient goes into a context buffer that is dead by then. dpre
@@ -69,8 +70,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, gate_map,
-                     grouped_partial_sums)
+from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, base_blocks,
+                     gate_map)
 from .nn import (BnCtx, ConfigurationError, StateError, _as_batch, _gemm_rows, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward, bn_forward, col2im,
                  conv2d_forward, cross_entropy, im2col, softmax)
@@ -140,16 +141,17 @@ class CgTrainContext:
 
     Three float arrays of the block output's shape: x^_g and x^_2 inside
     the two ``BnCtx`` and ``pre``, and a reference to the block's input
-    ``x``, from which the backward rebuilds the im2col columns, so nothing
-    may write to that batch before the backward. The decisions are bool,
-    and the surrogate is recomputed from x^_g rather than kept. The
+    ``x``, from which the backward rebuilds the im2col columns (the forward
+    held one band of them at a time), so nothing may write to that batch
+    before the backward. The decisions are bool, and the surrogate is
+    recomputed from x^_g rather than kept. The
     backward consumes the context: it overwrites ``pre``, x^_2 and x^_g
     with gradients and sets ``consumed``, after which nothing reads it.
     """
 
     cfg: CgLayerConfig
     params: CgBlockParams
-    x: np.ndarray             # the float64 input batch the forward's im2col read
+    x: np.ndarray             # the float64 input batch the forward read
     bn1_ctx: BnCtx            # normalization of p: x^_g, the gate input
     bn2_ctx: BnCtx            # normalization of the full sum: x^_2
     d: np.ndarray             # bool map that ran: the decisions, channel-gated
@@ -222,10 +224,10 @@ def _gate_gradients(dpre, xhat_g, xhat2, edges, eps, gamma):
 def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     """Training forward pass; returns (y, CgTrainContext).
 
-    The full sum is the dense convolution with W (``nn.conv2d_forward``);
-    the base partial sum p is one batched matmul over W's G diagonal blocks
-    on its im2col columns, which die once p is built: the context keeps the
-    input batch, from which the backward rebuilds them.
+    The full sum is the dense convolution with W and the base partial sum
+    p one batched matmul over W's G diagonal blocks, both run on each band
+    of im2col columns by one ``nn.conv2d_forward`` call: the context keeps
+    the input batch, from which the backward rebuilds the columns.
     Both sums are normalized affine-free with batch statistics, in place in
     their GEMM outputs, which nothing else reads; this also updates BN1's
     and BN2's running stats: x^_g (p's, also the gate input) and x^_2. The
@@ -233,9 +235,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     once, to the selected normalization: pre = gamma*z + beta with
     z = where(d, x^_2, x^_g), d the channel-gated map (``gate_map``).
     """
-    full, conv = conv2d_forward(x, params.w, cfg.conv)
-    p = grouped_partial_sums(conv, cfg.groups)
-    conv.cols = None
+    full, conv, p = conv2d_forward(x, params.w, cfg.conv, (base_blocks(params.w, cfg.groups),))
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
     xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
     d = gate_map(_threshold_decisions(xhat_g, params.gate.edges()), cfg.tau_c).d

@@ -1,11 +1,12 @@
 """Gating block: gate variants, grouping, decision maps, inference path."""
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cgnet import analysis, gating, nn
 from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
@@ -370,20 +371,41 @@ class TestBlockInference:
 class TestBlockInferenceOracle:
     """The shared-im2col inference path against the dense-then-masked oracle."""
 
+    cases = dict(seed=st.integers(0, 2**32 - 1), G=st.sampled_from([1, 2, 4]),
+                 per_in=st.integers(1, 2), per_out=st.integers(1, 2),
+                 k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+                 pad=st.sampled_from([0, 1]),
+                 tau_c=st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
+                 # the gate kind follows the activation: relu and identity get
+                 # one threshold, tanh and sigmoid a band. binary_sign is left
+                 # out: a 1e-16 change of a pre-activation near 0 would flip
+                 # its output by 2
+                 act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
+                 shuffle=st.booleans())
+
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
-           G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 2),
-           per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
-           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
-           hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
-           tau_c=st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
-           # the gate kind follows the activation: relu and identity get one
-           # threshold, tanh and sigmoid a band. binary_sign is left out: a
-           # 1e-16 change of a pre-activation near 0 would flip its output by 2
-           act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
-           shuffle=st.booleans())
+    @given(n=st.integers(1, 3), hw=st.tuples(st.integers(3, 6), st.integers(3, 6)), **cases)
     def test_matches_dense_masked_oracle(self, seed, n, G, per_in, per_out, k,
                                          stride, pad, hw, tau_c, act, shuffle):
+        self.check(None, seed, n, G, per_in, per_out, k, stride, pad, hw, tau_c, act, shuffle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([32, 64]), hw=st.tuples(st.integers(4, 9), st.integers(3, 6)),
+           rows=st.sampled_from([1, 2]), **cases)
+    # 7 rows of 64 samples x 3 columns in bands of 2, 2, 2 and 1 rows
+    @example(seed=5, n=64, hw=(7, 3), rows=2, G=4, per_in=1, per_out=2, k=3, stride=1, pad=1,
+             tau_c=0.3, act="tanh", shuffle=True)
+    def test_several_bands_match_dense_masked_oracle(self, seed, n, G, per_in, per_out, k,
+                                                     stride, pad, hw, rows, tau_c, act, shuffle):
+        # a budget of one or two output rows: several bands of 64 or more
+        # columns wherever the layer spans a multiple of 64 columns
+        self.check(rows, seed, n, G, per_in, per_out, k, stride, pad, hw, tau_c, act, shuffle)
+
+    @staticmethod
+    def check(rows, seed, n, G, per_in, per_out, k, stride, pad, hw, tau_c, act, shuffle):
+        """The block, run with ``nn.BAND_BYTES`` set to ``rows`` output rows
+        of columns (None keeps it), against the oracle run with the module's
+        budget."""
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
                             groups=G, activation=act, tau_c=tau_c, shuffle=shuffle)
@@ -395,7 +417,11 @@ class TestBlockInferenceOracle:
         else:
             params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
         x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
-        y, dm = cg_block_forward_inference(x, params, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                wo = cfg.conv.out_hw(*hw)[1]
+                mp.setattr(nn, "BAND_BYTES", rows * 8 * G * per_in * k * k * wo * n)
+            y, dm = cg_block_forward_inference(x, params, cfg)
         y_ref, dm_ref, cost_ref = dense_masked_block_forward(x, params, cfg)
         assert y.shape == y_ref.shape
         np.testing.assert_allclose(y, y_ref, rtol=0.0, atol=1e-10)
@@ -404,13 +430,39 @@ class TestBlockInferenceOracle:
         assert block_costs(dm, cfg) == cost_ref
 
 
+class TestBlockForwardMemory:
+    """The forward im2cols one band of output rows at a time."""
+
+    def test_holds_at_most_one_band_of_columns(self):
+        # vgg8 L01's shape at batch 64: its whole im2col is 9 MiB, a band
+        # one output row of 1,024 columns (0.56 MiB). The block peaks inside
+        # the convolution, with the full and partial sums, the padded input
+        # and the band alive; the whole im2col made it 13.3 MiB
+        cfg = make_cfg(8, 16, G=4)
+        params = make_params(cfg, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((64, 8, 16, 16))
+        n, c, h, w = x.shape
+        rows = max(b.stop - b.start for b in nn._bands(h, w * n, c * 9))
+        band = 8 * c * 9 * rows * w * n
+        padded = 8 * c * (h + 2) * (w + 2) * n
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            y, _ = cg_block_forward_inference(x, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert rows == 1 and 2 * y.nbytes + padded + band <= peak, peak / 2**20
+        assert peak < 2 * y.nbytes + padded + band + 2**16, peak / 2**20
+
+
 class TestBlockInferenceWritesNoInput:
     """The in-place epilogue writes only arrays the block allocated itself."""
 
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("G", [1, 2, 4])
     @pytest.mark.parametrize("several", [False, True])   # one sample, or two
-    @pytest.mark.parametrize("k", [1, 3])   # with k == 1 im2col returns a view of x
+    @pytest.mark.parametrize("k", [1, 3])   # k == 1 copies x itself, unpadded, into the columns
     def test_input_and_params_unchanged(self, G, shuffle, several, k, rng):
         # a band for G == 2, one threshold otherwise
         cfg = CgLayerConfig(ConvSpec(8, 8, k, padding=k // 2), groups=G,

@@ -460,6 +460,22 @@ class TestContextLifetime:
             tracemalloc.stop()
         assert held < 18.5 * 2**20, held / 2**20
 
+    def test_vgg8_collecting_inference_holds_one_band_of_columns(self):
+        # a collecting forward_infer at batch 128 peaks at 13.7 MiB: each
+        # convolution im2cols one band of output rows at a time. L01's whole
+        # im2col (18 MiB at this batch) made it 28.5 MiB
+        cfg = json.loads(VGG8.read_text())["model"]
+        x = np.random.default_rng(0).random((128, 1, 16, 16))
+        model = build_model(cfg, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model.forward_infer(x, collect=True, require_frozen=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, peak / 2**20
+
     def test_step_leaves_every_layer_input_unchanged(self):
         # a context keeps its layer's input, from which the backward
         # rebuilds the columns: no forward, backward or SGD step writes to it
@@ -482,7 +498,7 @@ class TestContextLifetime:
         # vgg8 at batch 64 holds 18.1 MiB of contexts between steps. Were a
         # layer's stale context kept until its new one was assigned, L01's two
         # contexts (7.3 MiB each) would be alive at once and the pass would
-        # peak at 32.1 MiB; released first, it peaks at 24.9 MiB
+        # peak at 27.4 MiB; released first, it peaks at 20.8 MiB
         cfg = json.loads(VGG8.read_text())["model"]
         x = np.random.default_rng(0).random((64, 1, 16, 16))
         model = build_model(cfg, np.random.default_rng(1))

@@ -1,18 +1,24 @@
 """Numeric substrate: convolution, BN, activations, pooling, FC, SGD."""
 
+import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cgnet import nn
+from cgnet.network import build_model
 from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
                       DegenerateInputError)
 
 from _oracles import (bn_inference_affine, check_grad, col2im_reference,
                       conv2d_reference, finite_difference, maxpool2d_backward_reference,
                       maxpool2d_reference, rel_err)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestConvSpec:
@@ -76,6 +82,11 @@ class TestConv2d:
         with pytest.raises(ConfigurationError):
             nn.conv2d(rng.standard_normal((1, 3, 5, 5)),
                       rng.standard_normal((2, 4, 3, 3)), ConvSpec(4, 2, 3))
+
+    def test_empty_output_is_configuration_error(self, rng):
+        with pytest.raises(ConfigurationError, match="output would be 0x0"):
+            nn.conv2d(rng.standard_normal((1, 1, 2, 2)),
+                      rng.standard_normal((1, 1, 3, 3)), ConvSpec(1, 1, 3))
 
     def test_identity_kernel_backward_alignment(self):
         # dL/dx of a centered identity kernel maps dL/dy straight through
@@ -213,6 +224,126 @@ class TestIm2col:
         dx = nn.col2im(dcols, (n, c, h, w), k, stride, padding)
         want = col2im_reference(dcols, (n, c, h, w), k, stride, padding)
         np.testing.assert_array_equal(dx.view(np.uint64), want.view(np.uint64))
+
+
+def forward_in_bands(budget, x, w, spec, blocks=()):
+    """``nn.conv2d_forward`` with ``BAND_BYTES`` set to ``budget``; 1 gives
+    the fewest rows a band may have."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "BAND_BYTES", budget)
+        return nn.conv2d_forward(x, w, spec, blocks)
+
+
+def row_bytes(x, spec):
+    """Bytes of the im2col columns of one output row of ``x``."""
+    n, c, h, w = x.shape
+    return 8 * c * spec.kernel_size ** 2 * spec.out_hw(h, w)[1] * n
+
+
+def random_blocks(rng, G, spec):
+    """A (G, c_out/G, c_in/G*k*k) block-diagonal kernel stack for ``blocks``."""
+    k = spec.kernel_size
+    return rng.standard_normal((G, spec.out_channels // G, spec.in_channels // G * k * k))
+
+
+class TestBandedForward:
+    """The forward im2cols one band of output rows at a time, and every GEMM
+    that reads the columns runs on the band."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ho=st.integers(1, 40), row_cols=st.integers(1, 300), rows_k=st.integers(1, 600),
+           budget=st.integers(1, 2**22))
+    def test_band_rule(self, ho, row_cols, rows_k, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "BAND_BYTES", budget)
+            bands = nn._bands(ho, row_cols, rows_k)
+        # the bands tile the output rows in order
+        assert [b.start for b in bands] == [0] + [b.stop for b in bands[:-1]]
+        assert bands[-1].stop == ho and all(b.stop > b.start for b in bands)
+        if len(bands) == 1:
+            # a layer that fits, or whose columns are not whole multiples of
+            # 64, is not cut
+            return
+        # every band spans a multiple of 64 columns, so none spans 16 or
+        # fewer (OpenBLAS runs such a GEMM on another kernel); each fills
+        # at most the budget, or the fewest rows that span 64 columns
+        cols = [(b.stop - b.start) * row_cols for b in bands]
+        assert all(c % 64 == 0 for c in cols) and min(cols) > 16
+        step = 64 // math.gcd(64, row_cols)
+        assert all(8 * rows_k * c <= max(budget, 8 * rows_k * row_cols * step) for c in cols)
+        assert 8 * rows_k * row_cols * ho > budget
+
+    @pytest.mark.parametrize("name", ["vgg8_cg", "resnet_cg"])
+    def test_batch_64_bands_are_at_least_128_columns(self, name):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())["model"]
+        model = build_model(cfg, np.random.default_rng(0))
+        widths, bands_rule = [], nn._bands
+
+        def recording(ho, row_cols, rows_k):
+            bands = bands_rule(ho, row_cols, rows_k)
+            widths.extend((b.stop - b.start) * row_cols for b in bands)
+            return bands
+
+        x = np.random.default_rng(1).standard_normal((64, *cfg["input_shape"]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "_bands", recording)
+            model.forward_infer(x, require_frozen=False)
+        assert widths and min(widths) >= 128, min(widths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32]),
+           groups=st.sampled_from([1, 2]), G=st.sampled_from([1, 2, 4]),
+           per_in=st.integers(1, 2), per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           hw=st.tuples(st.integers(1, 8), st.integers(1, 8)), rows=st.sampled_from([1, 2, 4]),
+           chwn=st.booleans())
+    # several bands and a short last one: 7 rows of 16 samples x 4 columns
+    # in bands of 2, 2, 2 and 1 rows; and a grouped kernel on 10 rows of
+    # 16 x 2 columns in bands of 4, 4 and 2 rows
+    @example(seed=1, n=16, groups=1, G=4, per_in=1, per_out=2, k=3, stride=1, pad=1,
+             hw=(7, 4), rows=2, chwn=False)
+    @example(seed=2, n=16, groups=2, G=2, per_in=2, per_out=1, k=3, stride=1, pad=1,
+             hw=(10, 2), rows=4, chwn=True)
+    def test_matches_reference_oracle_in_bands(self, seed, n, groups, G, per_in, per_out, k,
+                                               stride, pad, hw, rows, chwn):
+        # a budget of ``rows`` output rows, rounded down to whole multiples
+        # of 64 columns but at least one
+        assume(hw[0] + 2 * pad >= k and hw[1] + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        c_in, c_out = 2 * G * per_in, 2 * G * per_out
+        spec = ConvSpec(c_in, c_out, k, stride=stride, padding=pad, groups=groups)
+        x = rng.standard_normal((n, c_in, *hw))
+        if chwn:
+            x = sample_innermost(x)
+        w = rng.standard_normal(spec.weight_shape)
+        blocks = random_blocks(rng, G, ConvSpec(c_in, c_out, k))
+        y, _, p = forward_in_bands(rows * row_bytes(x, spec), x, w, spec, (blocks,))
+        assert rel_err(y, conv2d_reference(x, w, spec)) < 1e-12
+        grouped = ConvSpec(c_in, c_out, k, stride=stride, padding=pad, groups=G)
+        want = conv2d_reference(x, blocks.reshape(grouped.weight_shape), grouped)
+        assert rel_err(p, want) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 7, 16, 40, 64]),
+           G=st.sampled_from([1, 2, 4]),
+           per_in=st.integers(1, 3), per_out=st.integers(1, 3), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           hw=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           budget=st.sampled_from([1, 4096, 65536]))
+    def test_band_size_changes_no_bit(self, seed, n, G, per_in, per_out, k, stride, pad, hw,
+                                      budget):
+        # each output column's dot product is the whole layer's, on bands of
+        # any size: the full sum and every block's partial sums
+        assume(hw[0] + 2 * pad >= k and hw[1] + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad)
+        x = rng.standard_normal((n, spec.in_channels, *hw))
+        w = rng.standard_normal(spec.weight_shape)
+        blocks = (random_blocks(rng, G, spec), random_blocks(rng, 1, spec))
+        y, _, *parts = forward_in_bands(budget, x, w, spec, blocks)
+        y1, _, *parts1 = forward_in_bands(2**62, x, w, spec, blocks)
+        for got, want in zip([y, *parts], [y1, *parts1]):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBatchNorm:

@@ -310,19 +310,40 @@ class TestBackward:
 class TestBlockTrainOracle:
     """The shared-im2col training block against the two-convolution oracle."""
 
+    cases = dict(seed=st.integers(0, 2**32 - 1), G=st.sampled_from([1, 2, 4]),
+                 per_in=st.integers(1, 2), per_out=st.integers(1, 2),
+                 k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+                 pad=st.sampled_from([0, 1]),
+                 # the gate kind follows the activation: relu and identity get
+                 # one threshold, tanh and sigmoid a band. binary_sign is left
+                 # out: a 1e-16 change of a pre-activation near 0 would flip
+                 # its output by 2
+                 act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
+                 tau_c=st.one_of(st.just(0.0), st.floats(0.05, 0.9)))
+
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
-           G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 2),
-           per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
-           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
-           hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
-           # the gate kind follows the activation: relu and identity get one
-           # threshold, tanh and sigmoid a band. binary_sign is left out: a
-           # 1e-16 change of a pre-activation near 0 would flip its output by 2
-           act=st.sampled_from(["relu", "tanh", "sigmoid", "identity"]),
-           tau_c=st.one_of(st.just(0.0), st.floats(0.05, 0.9)))
+    @given(n=st.integers(1, 3), hw=st.tuples(st.integers(3, 6), st.integers(3, 6)), **cases)
     def test_matches_two_conv_oracle(self, seed, n, G, per_in, per_out, k,
                                      stride, pad, hw, act, tau_c):
+        self.check(None, seed, n, G, per_in, per_out, k, stride, pad, hw, act, tau_c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([32, 64]), hw=st.tuples(st.integers(4, 9), st.integers(3, 6)),
+           rows=st.sampled_from([1, 2]), **cases)
+    # 7 rows of 64 samples x 3 columns in bands of 2, 2, 2 and 1 rows
+    @example(seed=5, n=64, hw=(7, 3), rows=2, G=4, per_in=1, per_out=2, k=3, stride=1, pad=1,
+             act="tanh", tau_c=0.3)
+    def test_several_bands_match_two_conv_oracle(self, seed, n, G, per_in, per_out, k,
+                                                 stride, pad, hw, rows, act, tau_c):
+        # a budget of one or two output rows: several bands of 64 or more
+        # columns wherever the layer spans a multiple of 64 columns
+        self.check(rows, seed, n, G, per_in, per_out, k, stride, pad, hw, act, tau_c)
+
+    @staticmethod
+    def check(rows, seed, n, G, per_in, per_out, k, stride, pad, hw, act, tau_c):
+        """Forward and backward of the block, its forward run with
+        ``nn.BAND_BYTES`` set to ``rows`` output rows of columns (None keeps
+        it), against the oracle run with the module's budget."""
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
                             groups=G, activation=act, tau_c=tau_c)
@@ -341,7 +362,10 @@ class TestBlockTrainOracle:
         dy = rng.standard_normal((n, c_out, ho, wo))
         ref_params = copy.deepcopy(params)
 
-        y, ctx = cg_block_forward_train(x, params, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(nn, "BAND_BYTES", rows * 8 * G * per_in * k * k * wo * n)
+            y, ctx = cg_block_forward_train(x, params, cfg)
         g = cg_block_backward(ctx, dy)
         y_ref, d_ref, g_ref = two_conv_block_train(x, ref_params, cfg, dy)
         assert y.shape == y_ref.shape
