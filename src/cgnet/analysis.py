@@ -164,7 +164,7 @@ def cost_line(rec: LayerRecord) -> CostLine:
     spec, cfg = rec.spec, rec.cfg
     k2 = spec.kernel_size ** 2
     n, pos, c_out = rec.n_samples, rec.h_out * rec.w_out, spec.out_channels
-    weights = n * c_out * (spec.in_channels // spec.groups) * k2
+    weights = n * c_out * spec.in_channels * k2
     if cfg is None:
         return CostLine(rec.name, weights * pos, 0, 0, 0, weights, weights)
     base_k = (spec.in_channels // cfg.groups) * k2
@@ -244,7 +244,7 @@ def partial_final_correlation(records, etas=(0.125, 0.25, 0.5, 1.0)):
             raise ConfigurationError(f"eta {eta} is not 1/G for integer G")
     per_eta = {eta: {} for eta in etas}
     for rec in records:
-        if rec.x_in is None or rec.spec.groups > 1:   # no dense kernel to regroup
+        if rec.x_in is None:
             continue
         swept = {}
         for eta, G in groups.items():

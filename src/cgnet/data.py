@@ -179,8 +179,8 @@ def train_val_split(ds: Dataset, val_fraction, rng):
 
 def load_dataset(data_cfg: dict, base_dir="."):
     """Dispatch on data.kind: synthetic | idx | raw_chw. A malformed field
-    (each is read by ``read_field``), a synthetic field below its lower
-    bound and a key the kind does not read raise ``ConfigurationError``."""
+    (each is read by ``read_field``), a field below its lower bound and a
+    key the kind does not read raise ``ConfigurationError``."""
     kind = read_field("data.kind", data_cfg, str)
     base = Path(base_dir)
     if kind == "synthetic":
@@ -199,7 +199,7 @@ def load_dataset(data_cfg: dict, base_dir="."):
         reject_unknown("data", data_cfg, ("kind", "images", "labels", "num_classes"))
         return load_idx_dataset(base / read_field("data.images", data_cfg, str),
                                 base / read_field("data.labels", data_cfg, str),
-                                read_field("data.num_classes", data_cfg, int, None))
+                                read_field("data.num_classes", data_cfg, int, None, low=1))
     if kind == "raw_chw":
         reject_unknown("data", data_cfg, ("kind", "sidecar"))
         return load_raw_chw(base / read_field("data.sidecar", data_cfg, str))

@@ -71,7 +71,7 @@ import dataclasses
 import numpy as np
 
 from . import analysis, gating, training
-from .checkpoint import CONFIG_RECORD
+from .checkpoint import CONFIG_RECORD, CheckpointError
 from .config import read_field, reject_unknown
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, shuffle_permutation, split_dense_weight)
@@ -120,7 +120,7 @@ class Layer:
 class ConvBlockContext:
     """What ``ConvBlock.backward`` needs of one training forward. ``conv``
     keeps the block's input; the forward held one band of its columns at a
-    time, and ``conv2d_backward`` rebuilds them whole from it. The backward
+    time, and ``conv2d_backward`` rebuilds them from it. The backward
     consumes the context: it overwrites ``pre`` and ``bn.xhat`` with
     gradients and sets ``consumed``."""
 
@@ -131,14 +131,16 @@ class ConvBlockContext:
 
 
 class ConvBlock(Layer):
-    """Dense convolution + batch norm + activation."""
+    """Dense convolution + batch norm + activation. Its kernel is dense: a
+    grouped ``spec`` raises ``ConfigurationError``."""
 
     def __init__(self, spec: ConvSpec, act="relu", rng=None, name="conv"):
+        if spec.groups != 1:
+            raise ConfigurationError(f"{name}: conv must have groups=1, got {spec.groups}")
         self.spec = spec
         self.act = act
         self.name = name
-        k = spec.kernel_size
-        fan_in = (spec.in_channels // spec.groups) * k * k
+        fan_in = spec.in_channels * spec.kernel_size ** 2
         self.w = _he_init(rng, spec.weight_shape, fan_in) if rng is not None \
             else np.zeros(spec.weight_shape)
         self.bn = BatchNormState.create(spec.out_channels)
@@ -562,7 +564,10 @@ class Network:
             arr[:] = src
         for layer in self.gated_layers():
             layer.load_kernel(tensors)
-        self.frozen = "__frozen__" in tensors and bool(tensors["__frozen__"][0])
+        frozen = tensors.get("__frozen__", np.zeros(1, dtype=np.int64))
+        if frozen.shape != (1,) or frozen[0] not in (0, 1):
+            raise CheckpointError(f"__frozen__ record must hold one 0 or 1, got {frozen!r}")
+        self.frozen = bool(frozen[0])
 
 
 # ---------------------------------------------------------------------------

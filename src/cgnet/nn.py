@@ -1,9 +1,8 @@
 """Minimal numeric substrate for the channel gating engine.
 
-Dense and grouped 2-D convolution via im2col (the test suite checks it
-against a naive direct-loop oracle), batch normalization, activations,
-pooling, fully-connected layers, softmax / cross-entropy, and SGD with
-momentum.
+2-D convolution via im2col (the test suite checks it against a naive
+direct-loop oracle), batch normalization, activations, pooling,
+fully-connected layers, softmax / cross-entropy, and SGD with momentum.
 
 Conventions:
   * everything is float64 numpy;
@@ -18,7 +17,10 @@ Conventions:
     one band of output rows' columns at a time (``BAND_BYTES``) and runs
     every GEMM that reads them, the kernel's and any block-diagonal
     kernel's such as a gated layer's base blocks, on the band while it is
-    in cache. The backwards rebuild their columns from the input batch;
+    in cache. One backward, ``conv2d_backward``, serves every layer, dense
+    or gated: it rebuilds one input group's columns at a time from the
+    input batch. Every layer's kernel is dense: the forward also runs a
+    grouped convolution, for reference computations, but it has no backward;
   * a temporary the size of a batch is made with ``np.empty_like`` (or
     ``zeros_like``) of a batch, which keeps that (c, h, w, n) order; a
     C-order ``np.empty(shape)`` gives the same values but makes every
@@ -77,13 +79,6 @@ def _batch(a, n, h, w):
     return a.reshape(-1, h, w, n).transpose(3, 0, 1, 2)
 
 
-def _gemm_rows(x):
-    """The (c, h*w*n) GEMM operand over the memory of the (n, c, h, w)
-    batch ``x``, the inverse of ``_batch``. Raises rather than copy, since
-    a copy would silently drop what is written into it."""
-    return np.reshape(_chwn(x), (x.shape[1], -1), copy=False)
-
-
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
@@ -126,9 +121,10 @@ class ConvSpec:
 
 @dataclass
 class ConvCtx:
-    """What ``conv2d_backward`` needs of one ``conv2d_forward``: the input
-    batch ``x``, from which it rebuilds the columns. The context references
-    that batch, so nothing may write to it before the backward."""
+    """What ``conv2d_backward`` needs of one ``conv2d_forward``, of a dense
+    or a gated layer: the input batch ``x``, from which it rebuilds the
+    columns one input group at a time. The context references that batch,
+    so nothing may write to it before the backward."""
 
     spec: ConvSpec
     w: np.ndarray
@@ -171,7 +167,7 @@ def im2col(x, k, stride=1, padding=0, out=None):
     ``W @ cols`` is the (c, h, w, n) memory of the output batch, and a band
     of whole output rows is a contiguous slice of columns. The columns are
     always a new array (or ``out``), never a view of ``x``, so their owner
-    may overwrite them (the backwards write their column gradients there)."""
+    may overwrite them (the backward writes its column gradients there)."""
     win = _windows(x, k, stride, padding)
     c, _, _, ho, wo, n = win.shape
     if out is None:
@@ -308,20 +304,56 @@ def conv2d(x, w, spec: ConvSpec):
     return y
 
 
-def conv2d_backward(ctx: ConvCtx, dy):
-    """Gradients of conv2d; returns (dx, dw). The columns are rebuilt whole
-    from the input batch the context keeps. The weight gradient is
-    (cols @ dy^T)^T, which reads them untransposed; the column gradients
-    then overwrite them."""
+def conv2d_backward(ctx: ConvCtx, dy, dp=None, groups=1):
+    """Gradients of ``conv2d_forward(x, w, spec, (base_blocks(w, groups),))``
+    for ``dy`` the gradient of its full sum y and ``dp`` that of its block
+    sums p (none: the dense layer's backward); returns (dx, dw). Both may
+    be batches of any memory order. A grouped convolution's context
+    raises ``ConfigurationError``: every layer's kernel is dense.
+
+    p reads only W's G diagonal blocks, so one GEMM pair per input group h
+    does the dense MAC count: with D_h the (c_out, ho*wo*n) rows of dy
+    plus dp in output group h's rows, and cols_h input group h's columns
+    rebuilt from ``ctx.x``, dW[:, h]^T = cols_h @ D_h^T, which reads
+    cols_h untransposed, and dcols_h = W[:, h]^T @ D_h, written over
+    cols_h; a col2im of dcols_h writes the group's channels of dx. So one
+    group's columns live at a time. With ``dp`` given, D_h is built in
+    dy's memory where dy is a sample-innermost batch, so dy may be left
+    overwritten: output group h's rows are saved before and copied back
+    after its GEMMs (but for the last group's), an exact restore where a
+    subtract would not be."""
     spec = ctx.spec
-    g = spec.groups
-    dym = _chwn(np.asarray(dy, dtype=np.float64)).reshape(g, spec.out_channels // g, -1)
-    cols = im2col(ctx.x, spec.kernel_size, spec.stride, spec.padding)
-    cols = cols.reshape(g, -1, cols.shape[1])
-    wm = ctx.w.reshape(g, spec.out_channels // g, -1)
-    dw = np.matmul(cols, dym.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(ctx.w.shape)
-    np.matmul(wm.transpose(0, 2, 1), dym, out=cols)
-    return col2im(cols, ctx.x.shape, spec.kernel_size, spec.stride, spec.padding), dw
+    if spec.groups != 1:
+        raise ConfigurationError(f"conv2d_backward: a grouped convolution (groups="
+                                 f"{spec.groups}) has no backward; its kernel must be dense")
+    k, stride, pad = spec.kernel_size, spec.stride, spec.padding
+    n, c_in, h_in, w_in = ctx.x.shape
+    c_out = spec.out_channels
+    d = np.reshape(_chwn(np.asarray(dy, dtype=np.float64)), (c_out, -1))
+    w = ctx.w.reshape(c_out, -1)
+    G = groups
+    rows_out, rows_in, chans_in = c_out // G, w.shape[1] // G, c_in // G
+    dwt = np.empty((w.shape[1], c_out))
+    cols = np.empty((rows_in, d.shape[1]))
+    dx = np.empty((c_in, h_in, w_in, n))
+    if dp is not None:
+        dp = np.reshape(_chwn(np.asarray(dp, dtype=np.float64)), (c_out, -1))
+        saved = np.empty((rows_out, d.shape[1])) if G > 1 else None
+    for h in range(G):
+        own, ins = slice(h * rows_out, (h + 1) * rows_out), slice(h * rows_in, (h + 1) * rows_in)
+        chans = slice(h * chans_in, (h + 1) * chans_in)
+        restore = dp is not None and h < G - 1
+        if restore:
+            np.copyto(saved, d[own])
+        if dp is not None:
+            d[own] += dp[own]
+        im2col(ctx.x[:, chans], k, stride, pad, out=cols)
+        np.matmul(cols, d.T, out=dwt[ins])
+        np.matmul(w[:, ins].T, d, out=cols)
+        col2im(cols, (n, chans_in, h_in, w_in), k, stride, pad, out=dx[chans])
+        if restore:
+            np.copyto(d[own], saved)
+    return dx.transpose(3, 0, 1, 2), dwt.T.reshape(ctx.w.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 During training both paths are computed at every position (skipping is an
 inference-time saving). The full sum is the layer's dense convolution,
-and the base partial sum a grouped GEMM on each band of the same im2col
-columns, in the same ``nn.conv2d_forward`` call. The forward combines
-them through the hard binary decision d:
+and the base partial sum a GEMM of W's diagonal blocks on each band of
+the same im2col columns, in the same ``nn.conv2d_forward`` call. The
+forward combines them through the hard binary decision d:
 
     y = f( (J - d) o BN1(p)  +  d o BN2(p + r) )
 
@@ -20,29 +20,25 @@ combine applies the affine once: pre = gamma*z + beta with
 z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum. Both
 normalizations overwrite their GEMM outputs, so the training context holds
 three float arrays of the output's shape (x^_g and x^_2 inside the two
-``BnCtx``, and ``pre``), the bool d and a reference to the block's input
-x. It keeps no im2col columns, nine times x's size at k = 3: the forward
-never holds more than one band of them, and the backward rebuilds them
-from x, one input group at a time (rematerialisation). So nothing may
-write to a layer's input before that layer's backward. In the backward,
-gamma folds into each BN backward's final per-channel scale
-gamma/sqrt(var + eps); the elementwise chain before it carries no gamma.
-BN2's backward writes the full sum's upstream gradient dfull and BN1's
-writes p's, dp. p reads only W's diagonal blocks, so the
-convolution-gradient GEMMs run once per input group, on that group's
-columns and on dfull with dp added into the group's rows: the dense MAC
-count, no more.
+``BnCtx``, and ``pre``), the bool d and the convolution's ``nn.ConvCtx``,
+which references the block's input x: the backward rebuilds the im2col
+columns from it (rematerialisation), so nothing may write to a layer's
+input before that layer's backward. In the backward, gamma folds into each
+BN backward's final per-channel scale gamma/sqrt(var + eps); the
+elementwise chain before it carries no gamma. BN2's backward writes the
+full sum's upstream gradient dfull and BN1's writes p's, dp, and one
+``nn.conv2d_backward`` call, the dense layers' backward, takes both.
 
 The backward consumes its context, as in-place activated batch norm does:
 each gradient goes into a context buffer that is dead by then. dpre
 overwrites ``pre``, dfull overwrites x^_2, dp overwrites x^_g after its
-last read, and each edge's gate gradient its own tanh buffer. The column
-gradients of one input group overwrite that group's rebuilt columns and
-are scattered straight into its channels of dx. So a single-sided gate's
-backward allocates at most two output-sized batches at once (the tanh
-factor and ds~, below, which die before the columns are rebuilt), then
-one group's columns and dx, and a second backward on the same context
-raises ``StateError``. Nothing reads the context after its backward.
+last read, and each edge's gate gradient its own tanh buffer;
+``nn.conv2d_backward`` then builds its upstream in dfull's memory. So a
+single-sided gate's backward allocates at most two output-sized batches
+at once (the tanh factor and ds~, below, which die before the
+convolution's backward), then one input group's columns and dx, and a
+second backward on the same context raises ``StateError``. Nothing reads
+the context after its backward.
 
 The gate is a set of edges (``GateState.edges()``): edge (name, sign,
 delta) passes where sign*(x^_g - delta) >= 0, the gate fires where every
@@ -72,9 +68,9 @@ import numpy as np
 from . import analysis
 from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, base_blocks,
                      gate_map)
-from .nn import (BnCtx, ConfigurationError, StateError, _as_batch, _gemm_rows, _per_channel,
-                 accuracy, activation, activation_grad, batchnorm_backward, bn_forward, col2im,
-                 conv2d_forward, cross_entropy, im2col, softmax)
+from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _as_batch, _per_channel,
+                 accuracy, activation, activation_grad, batchnorm_backward, bn_forward,
+                 conv2d_backward, conv2d_forward, cross_entropy, softmax)
 
 
 class TrainingDiverged(RuntimeError):
@@ -140,18 +136,18 @@ class CgTrainContext:
     """What ``cg_block_backward`` needs of one training forward.
 
     Three float arrays of the block output's shape: x^_g and x^_2 inside
-    the two ``BnCtx`` and ``pre``, and a reference to the block's input
-    ``x``, from which the backward rebuilds the im2col columns (the forward
-    held one band of them at a time), so nothing may write to that batch
+    the two ``BnCtx`` and ``pre``, and the convolution's context ``conv``,
+    as a dense layer's, which references the block's input: the backward
+    rebuilds the im2col columns from it, so nothing may write to that batch
     before the backward. The decisions are bool, and the surrogate is
-    recomputed from x^_g rather than kept. The
-    backward consumes the context: it overwrites ``pre``, x^_2 and x^_g
-    with gradients and sets ``consumed``, after which nothing reads it.
+    recomputed from x^_g rather than kept. The backward consumes the
+    context: it overwrites ``pre``, x^_2 and x^_g with gradients and sets
+    ``consumed``, after which nothing reads it.
     """
 
     cfg: CgLayerConfig
     params: CgBlockParams
-    x: np.ndarray             # the float64 input batch the forward read
+    conv: ConvCtx             # references the input batch the forward read
     bn1_ctx: BnCtx            # normalization of p: x^_g, the gate input
     bn2_ctx: BnCtx            # normalization of the full sum: x^_2
     d: np.ndarray             # bool map that ran: the decisions, channel-gated
@@ -243,7 +239,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     pre *= _per_channel(params.gamma)
     pre += _per_channel(params.beta)
     y = activation(pre, cfg.activation)
-    return y, CgTrainContext(cfg, params, conv.x, bn1_ctx, bn2_ctx, d, pre)
+    return y, CgTrainContext(cfg, params, conv, bn1_ctx, bn2_ctx, d, pre)
 
 
 def cg_block_backward(ctx: CgTrainContext, dy):
@@ -261,12 +257,8 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     factors (``_gate_gradients``).
     BN backward is linear in its upstream gradient, so BN1 and the gate
     input, which share one normalization of p, take one backward call.
-    BN2's backward writes dfull and BN1's dp. Per input group h, D_h is
-    dfull with dp added into output group h's rows, cols_h is the group's
-    im2col rebuilt from its channels of x, and one GEMM pair gives that
-    group's weight and column gradients: dW[:, h]^T = cols_h @ D_h^T,
-    which reads cols_h untransposed, and dcols_h = W[:, h]^T @ D_h, written
-    over cols_h. A col2im of dcols_h writes the group's channels of dx.
+    BN2's backward writes dfull and BN1's dp, and
+    ``nn.conv2d_backward(ctx.conv, dfull, dp, G)`` gives dW and dx.
     Consumes ``ctx`` (see the module docstring): a second call on the same
     context raises ``StateError``.
     """
@@ -293,49 +285,15 @@ def cg_block_backward(ctx: CgTrainContext, dy):
 
     # each upstream is the gradient with respect to the shared gamma*x^ + beta.
     # BN2's backward reads x^_2 and writes dfull over it, BN1's x^_g and dp;
-    # each upstream is dead after its call, so the columns below take their
-    # memory.
-    _, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma, out=xhat2)
+    # each upstream is dead after its call.
+    dfull, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma, out=xhat2)
     del dxhat2
-    batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=xhat_g)
+    dp, _, _ = batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=xhat_g)
     del dxhat_g
     dgamma += dgamma2
     dbeta += dbeta2
-
-    # p = blockdiag(W_p) @ cols, so p's gradient reaches only W's diagonal
-    # blocks, and the G GEMM pairs on the D_h do the dense MAC count. D_h is
-    # built in dfull's memory: output group h's rows are saved before and
-    # copied back after its GEMMs (but for the last group), an exact
-    # restore where a subtract would not be. Input group h's columns are
-    # rebuilt from x into one buffer, which its dcols GEMM overwrites after
-    # its dW GEMM has read it; col2im scatters that into the group's
-    # channels of dx. So one group's columns live at a time.
-    dfull, dp = _gemm_rows(xhat2), _gemm_rows(xhat_g)
-    G, spec = cfg.groups, cfg.conv
-    k, stride, pad = spec.kernel_size, spec.stride, spec.padding
-    n, c_in, h_in, w_in = ctx.x.shape
-    c_out, m = dfull.shape
-    w = params.w.reshape(c_out, -1)
-    rows_out, rows_in, chans_in = c_out // G, w.shape[1] // G, c_in // G
-    dwt = np.empty((w.shape[1], c_out))
-    cols = np.empty((rows_in, m))
-    dx = np.empty((c_in, h_in, w_in, n))
-    saved = np.empty((rows_out, m)) if G > 1 else None
-    for h in range(G):
-        own, ins = slice(h * rows_out, (h + 1) * rows_out), slice(h * rows_in, (h + 1) * rows_in)
-        chans = slice(h * chans_in, (h + 1) * chans_in)
-        restore = h < G - 1
-        if restore:
-            np.copyto(saved, dfull[own])
-        dfull[own] += dp[own]
-        im2col(ctx.x[:, chans], k, stride, pad, out=cols)
-        np.matmul(cols, dfull.T, out=dwt[ins])
-        np.matmul(w[:, ins].T, dfull, out=cols)
-        col2im(cols, (n, chans_in, h_in, w_in), k, stride, pad, out=dx[chans])
-        if restore:
-            np.copyto(dfull[own], saved)
-    return CgBlockGrads(dwt.T.reshape(params.w.shape), dgamma, dbeta, dthresholds,
-                        dx.transpose(3, 0, 1, 2))
+    dx, dw = conv2d_backward(ctx.conv, dfull, dp, cfg.groups)
+    return CgBlockGrads(dw, dgamma, dbeta, dthresholds, dx)
 
 
 # ---------------------------------------------------------------------------

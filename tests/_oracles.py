@@ -299,14 +299,15 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     """Training forward and backward of a gated block, computed with two
     convolutions.
 
-    The base partial sum is a grouped ``conv2d_forward`` on W_p sliced from
-    the dense kernel and the conditional sum a dense one on the kernel with
-    its base blocks zeroed; BN1, BN2 and the gate normalizer each run their
-    own ``bn_forward`` and ``batchnorm_backward``, the gate normalizer on a
-    copy of BN1's state, whose statistics it shares, and without the affine
-    step, which BN1 and BN2 apply here; each convolution has
-    its own ``conv2d_backward``. dW takes its base blocks from the grouped
-    convolution's gradient and the rest from the dense one's. Updates the
+    The base partial sum is a dense ``conv2d_forward`` on the kernel with
+    all but its base blocks zeroed, W minus ``conditional_kernel(W, G)``,
+    and the conditional sum one on ``conditional_kernel(W, G)``; BN1, BN2
+    and the gate normalizer each run their own ``bn_forward`` and
+    ``batchnorm_backward``, the gate normalizer on a copy of BN1's state,
+    whose statistics it shares, and without the affine step, which BN1 and
+    BN2 apply here; each convolution has its own ``conv2d_backward``. dW
+    takes its base blocks from the base convolution's gradient and the
+    rest from the conditional one's. Updates the
     running stats of ``params``. Returns (y, d, CgBlockGrads) for upstream
     gradient ``dy``.
 
@@ -323,11 +324,10 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     spec = cfg.conv
     G = cfg.groups
     c_in = spec.in_channels
-    base_spec = nn.ConvSpec(c_in, spec.out_channels, spec.kernel_size,
-                            spec.stride, spec.padding, groups=G)
-    p, ctx_p = nn.conv2d_forward(xb, kernel_split(params.w, G)[0], base_spec)
+    w_c = conditional_kernel(params.w, G)
+    p, ctx_p = nn.conv2d_forward(xb, params.w - w_c, spec)
     if c_in - c_in // G:
-        r, ctx_r = nn.conv2d_forward(xb, conditional_kernel(params.w, G), spec)
+        r, ctx_r = nn.conv2d_forward(xb, w_c, spec)
     else:
         r, ctx_r = np.zeros_like(p), None
     full = p + r
@@ -385,7 +385,8 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
         dx = dx + dx_cond
     cpo, cpi = spec.out_channels // G, c_in // G
     for i in range(G):
-        dw[i * cpo:(i + 1) * cpo, i * cpi:(i + 1) * cpi] = dw_p[i * cpo:(i + 1) * cpo]
+        block = (slice(i * cpo, (i + 1) * cpo), slice(i * cpi, (i + 1) * cpi))
+        dw[block] = dw_p[block]
     grads = training.CgBlockGrads(dw, dg1 + dg2, db1 + db2, dthresholds, dx)
     return y, d, grads
 

@@ -9,7 +9,7 @@ from cgnet.analysis import (CostReport, aggregate_intensity, count_flops,
                             intensity_map, network_pruning_ratio,
                             partial_final_correlation, write_pgm)
 from cgnet.gating import CgLayerConfig, DecisionMap
-from cgnet.network import build_model
+from cgnet.network import ConvBlock, build_model
 from cgnet.nn import ConfigurationError, ConvSpec
 
 from _oracles import dense_masked_block_forward, group_positions_live, pearson, rel_err
@@ -124,17 +124,10 @@ class TestCountFlops:
         assert analysis.cost_line(rec).gate_comparisons == want
 
     def test_grouped_dense_conv(self, rng):
-        # a grouped convolution reads c_in/groups input channels per output,
-        # and the correlation study, which regroups dense kernels, skips it
-        from cgnet.network import ConvBlock
-        blk = ConvBlock(ConvSpec(8, 8, 3, padding=1, groups=2), rng=rng)
-        _, (rec,) = blk.forward_infer(rng.standard_normal((2, 8, 4, 4)), collect=True,
-                                      capture=True)
-        line = analysis.cost_line(rec)
-        assert line.weight_values_total == 2 * 8 * 4 * 9
-        assert line.base_flops == line.dense_flops == 2 * 8 * 16 * 4 * 9
-        with pytest.raises(ConfigurationError, match="no layer admits regrouping"):
-            partial_final_correlation([rec], etas=(1.0,))
+        # no layer is grouped, so a record's kernel reads all c_in input
+        # channels, and the correlation study can regroup any layer's
+        with pytest.raises(ConfigurationError, match="L02: conv must have groups=1, got 2"):
+            ConvBlock(ConvSpec(8, 8, 3, padding=1, groups=2), rng=rng, name="L02")
 
     def test_matches_block_counters(self, rng):
         # the accounting of the block's decisions and the oracle's own

@@ -153,6 +153,18 @@ class TestModelCheckpoint:
         write_container(path, tensors)
         assert not load_model(path).gates_frozen()
 
+    @pytest.mark.parametrize("frozen", [np.zeros(0, dtype=np.int64), np.array([7]),
+                                        np.array([0, 1]), np.array([-1])],
+                             ids=["empty", "seven", "two_values", "minus_one"])
+    def test_malformed_frozen_flag_rejected(self, tmp_path, rng, frozen):
+        path = tmp_path / "model.cgn"
+        save_model(path, build_model(self.model_cfg(), rng))
+        tensors = read_container(path)
+        tensors["__frozen__"] = frozen
+        write_container(path, tensors)
+        with pytest.raises(CheckpointError, match="__frozen__ record must hold one 0 or 1"):
+            load_model(path)
+
     @pytest.mark.parametrize("config", [b"{not json", b"\xff\xfe", b"[1, 2]", b'"text"'])
     def test_config_record_not_a_json_object_rejected(self, tmp_path, rng, config):
         path = tmp_path / "model.cgn"

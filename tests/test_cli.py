@@ -394,6 +394,19 @@ class TestFrozenFlag:
         header = (tmp_path / "perf" / "perf_breakdown.csv").read_text().splitlines()[0]
         assert " frozen=False " in header
 
+    def test_empty_frozen_record_fails_eval(self, tiny_run, tmp_path):
+        from cgnet import checkpoint
+        tensors = checkpoint.read_container(tiny_run / "checkpoint.cgn")
+        tensors["__frozen__"] = np.zeros(0, dtype=np.int64)
+        ckpt = tmp_path / "empty_frozen.cgn"
+        checkpoint.write_container(ckpt, tensors)
+        cfg = eval_cfg(tiny_run, tmp_path, checkpoint=str(ckpt), num_inputs=16,
+                       etas=[0.5, 1.0])
+        out = tmp_path / "e"
+        r = run_cg(["eval", "--config", str(cfg), "--out", str(out)], cwd=REPO)
+        assert r.returncode == 2, r.stdout
+        assert "__frozen__" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
     def test_nan_kernel_fails_eval(self, tiny_run, tmp_path):
         """eval, analyze and perf all refuse a checkpoint whose kernel holds
         a NaN, before writing any artifact."""

@@ -64,6 +64,13 @@ class TestIdx:
         with pytest.raises(DataFormatError, match=r"labels must lie in \[0, 2\), got 0 to 5"):
             load_idx_dataset(ip, lp, num_classes=2)
 
+    def test_num_classes_below_one_named(self, tmp_path):
+        write_idx_file(tmp_path / "img.idx", np.zeros((3, 6, 6), dtype=np.uint8))
+        write_idx_file(tmp_path / "lbl.idx", np.zeros(3, dtype=np.uint8))
+        with pytest.raises(ConfigurationError, match=r"data\.num_classes: must be >= 1, got 0"):
+            load_dataset({"kind": "idx", "images": "img.idx", "labels": "lbl.idx",
+                          "num_classes": 0}, tmp_path)
+
     def test_truncated_payload(self, tmp_path):
         write_idx_file(tmp_path / "t.idx", np.zeros((4, 4), dtype=np.uint8))
         blob = (tmp_path / "t.idx").read_bytes()

@@ -108,7 +108,7 @@ def context_batches(layer):
     ctx = layer.ctx
     if isinstance(layer, CgConvBlock):
         return [("x^_g", ctx.bn1_ctx.xhat), ("x^_2", ctx.bn2_ctx.xhat), ("pre", ctx.pre),
-                ("input", ctx.x)]
+                ("input", ctx.conv.x)]
     if isinstance(layer, ConvBlock):
         return [("xhat", ctx.bn.xhat), ("pre", ctx.pre), ("input", ctx.conv.x)]
     if isinstance(layer, ResidualBlock):

@@ -9,14 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgnet import nn
+from cgnet import network, nn, training
 from cgnet.gating import shuffle_permutation
-from cgnet.network import build_model
+from cgnet.network import CgConvBlock, ConvBlock, build_model
 from cgnet.nn import ConfigurationError, StateError
 
 from _oracles import check_grad
 
-VGG8 = Path(__file__).resolve().parent.parent / "configs" / "vgg8_cg.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+VGG8 = CONFIGS / "vgg8_cg.json"
 
 
 def vgg_ish_cfg():
@@ -362,6 +363,27 @@ class TestGradientChaining:
         assert all(np.any(g) for _, _, g, _ in model.param_groups())
         model.zero_grads()
         assert all(not np.any(g) for _, _, g, _ in model.param_groups())
+
+    @pytest.mark.parametrize("name", ["vgg8_cg", "resnet_cg"])
+    def test_one_conv_backward_per_conv_layer(self, rng, name):
+        # every conv layer, dense, gated or shortcut, takes its gradients
+        # from one nn.conv2d_backward call on its own forward's context
+        model = build_model(json.loads((CONFIGS / f"{name}.json").read_text())["model"], rng)
+        logits = model.forward_train(rng.standard_normal((2,) + model.input_shape))
+        convs = [leaf for leaf in model.leaves() if isinstance(leaf, (ConvBlock, CgConvBlock))]
+        assert {type(leaf) for leaf in convs} == {ConvBlock, CgConvBlock}
+        assert name == "vgg8_cg" or any(leaf.name.endswith("sc") for leaf in convs)
+        seen, backward = [], nn.conv2d_backward
+
+        def counting(ctx, *args):
+            seen.append(id(ctx))
+            return backward(ctx, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (nn, network, training):
+                mp.setattr(module, "conv2d_backward", counting)
+            model.backward(rng.standard_normal(logits.shape))
+        assert sorted(seen) == sorted(id(leaf.ctx.conv) for leaf in convs)
 
 
 class TestFrozenGuard:

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cgnet import nn
+from cgnet.gating import base_blocks
 from cgnet.network import build_model
 from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
                       DegenerateInputError)
 
 from _oracles import (bn_inference_affine, check_grad, col2im_reference,
                       conv2d_reference, finite_difference, maxpool2d_backward_reference,
-                      maxpool2d_reference, rel_err)
+                      maxpool2d_reference, rel_err, stacked_conv_grads)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -99,21 +100,68 @@ class TestConv2d:
         dx, _ = nn.conv2d_backward(ctx, dy)
         np.testing.assert_array_equal(dx, dy)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_backward_finite_difference(self, seed):
-        rng = np.random.default_rng(seed)
-        spec = ConvSpec(4, 4, 3, stride=1, padding=1, groups=2)
+    @pytest.mark.parametrize("G", [1, 2, 4])
+    def test_backward_finite_difference(self, G):
+        # the full sum's term and the base blocks' sums' term, sum(p * proj_p)
+        rng = np.random.default_rng(G)
+        spec = ConvSpec(4, 4, 3, stride=1, padding=1)
         x = rng.standard_normal((2, 4, 5, 5))
         w = rng.standard_normal(spec.weight_shape)
-        proj = rng.standard_normal((2, 4, 5, 5))
+        proj, proj_p = rng.standard_normal((2, 2, 4, 5, 5))
 
         def loss():
-            return float((nn.conv2d(x, w, spec) * proj).sum())
+            y, _, p = nn.conv2d_forward(x, w, spec, (base_blocks(w, G),))
+            return float((y * proj).sum() + (p * proj_p).sum())
 
         _, ctx = nn.conv2d_forward(x, w, spec)
-        dx, dw = nn.conv2d_backward(ctx, proj)
+        dx, dw = nn.conv2d_backward(ctx, proj.copy(), proj_p, G)
         check_grad(loss, x, dx)
         check_grad(loss, w, dw)
+
+    def test_grouped_backward_is_configuration_error(self, rng):
+        # every layer's kernel is dense: a grouped forward has no backward
+        spec = ConvSpec(4, 4, 3, padding=1, groups=2)
+        y, ctx = nn.conv2d_forward(rng.standard_normal((2, 4, 5, 5)),
+                                   rng.standard_normal(spec.weight_shape), spec)
+        with pytest.raises(ConfigurationError, match="grouped convolution"):
+            nn.conv2d_backward(ctx, np.ones_like(y))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 3),
+           per_out=st.integers(1, 2), k=st.sampled_from([1, 2, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
+           dy_chwn=st.booleans(), dp_chwn=st.one_of(st.none(), st.booleans()))
+    @example(seed=3, n=2, G=4, per_in=1, per_out=2, k=3, stride=2, pad=1, hw=(5, 6),
+             dy_chwn=True, dp_chwn=True)
+    @example(seed=4, n=3, G=2, per_in=2, per_out=1, k=3, stride=1, pad=0, hw=(4, 5),
+             dy_chwn=False, dp_chwn=False)
+    def test_backward_matches_stacked_oracle(self, seed, n, G, per_in, per_out, k, stride,
+                                             pad, hw, dy_chwn, dp_chwn):
+        # dp_chwn None: no block sums, the dense layer's backward. dy and dp
+        # in C order or sample-innermost; the oracle reads copies, since dy's
+        # memory may be overwritten
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad)
+        x = rng.standard_normal((n, spec.in_channels) + hw)
+        w = rng.standard_normal(spec.weight_shape)
+        y, ctx = nn.conv2d_forward(x, w, spec)
+        dy, dp = rng.standard_normal((2,) + y.shape)
+        if dp_chwn is None:
+            dp[...] = 0.0
+        rows = [np.ascontiguousarray(a.transpose(1, 2, 3, 0)).reshape(y.shape[1], -1)
+                for a in (dy, dp)]
+        cols = nn.im2col(x, k, stride, pad)
+        args = (G, x.shape, spec)
+        want_dw, want_dx = stacked_conv_grads(cols, w, *rows, *args)
+        # Errors are relative to the sums of the products' magnitudes, the
+        # scale of GEMM rounding
+        dw_abs, dx_abs = stacked_conv_grads(np.abs(cols), np.abs(w), *map(np.abs, rows), *args)
+        dp_in = None if dp_chwn is None else sample_innermost(dp) if dp_chwn else dp
+        dx, dw = nn.conv2d_backward(ctx, sample_innermost(dy) if dy_chwn else dy, dp_in, G)
+        assert np.linalg.norm(dw - want_dw) <= 1e-12 * np.linalg.norm(dw_abs)
+        assert np.linalg.norm(dx - want_dx) <= 1e-12 * np.linalg.norm(dx_abs)
 
 
 def sample_innermost(x):
