@@ -18,12 +18,16 @@ GEMM on the same im2col columns. One ``nn.conv2d_forward`` call runs
 both: it builds the columns one band of output rows at a time and runs
 both GEMMs on each band while it is in cache, so the layer's whole im2col
 never exists. Both GEMMs write (c_out, ho*wo*n) rows, the (c, h, w, n)
-memory of the (n, c, h, w) batches the block works on. The epilogue works
-in place on the two GEMM outputs (BN1 on the partial sum, BN2 on the full
-sum, the selection, the activation), so it allocates no float
-temporaries. The selection reads ``DecisionMap.d``, the map that ran, and
-every count of the work done (``analysis.count_flops`` and the
-FLOP-reduction figures) reduces it.
+memory of the (n, c, h, w) batches the block works on. BN2 runs inside
+the full sum's GEMM (``conv2d_forward(..., bn=params.bn2)``), so the full
+sum comes back normalized and no pass normalizes the share of it that
+the gate drops; the partial-sum GEMM reads the unscaled kernel, so the
+gate's input and decisions do not depend on the fold. The epilogue works
+in place on the two GEMM outputs (BN1 on the partial sum, the selection,
+the activation), so it allocates no float temporaries. The selection
+reads ``DecisionMap.d``, the map that ran, and every count of the work
+done (``analysis.count_flops`` and the FLOP-reduction figures) reduces
+it.
 
 Weight layout: a gated layer holds one dense kernel W (c_out, c_in, k, k).
 Output group i's rows over input group i's channels are W_p, the base
@@ -149,6 +153,16 @@ class DecisionMap:
 
     def effective(self):   # the benchmark harness reads d by this name
         return self.d
+
+    @classmethod
+    def concatenate(cls, maps):
+        """The maps of consecutive batches as one, their ``d`` and masks
+        concatenated along the samples. Each ``d`` is a map that ran, masked
+        already, so the concatenation is stored as it is, not masked again."""
+        merged = object.__new__(cls)
+        merged.d = np.concatenate([m.d for m in maps])
+        merged.channel_mask = np.concatenate([m.channel_mask for m in maps])
+        return merged
 
 
 @dataclass
@@ -292,19 +306,22 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
 
     The full sum is the dense convolution with W at every position,
     selected afterwards: the skipped conditional MACs are accounted by
-    ``analysis.count_flops``, not skipped on the CPU. The base partial sums
-    are a grouped GEMM over W's diagonal blocks (``base_blocks``) on each
-    band of the same columns, in the same ``nn.conv2d_forward`` call. The
-    epilogue works in place on the two GEMM outputs: BN1 on p, BN2 on the
-    full sum, the selection and the activation. It runs on whatever
-    running stats the block holds; ``Network.forward_infer`` checks that
-    they are frozen.
+    ``analysis.count_flops``, not skipped on the CPU. BN2 is folded into
+    its GEMM (``bn=params.bn2``), the dense twin's computation, so a taken
+    output is BN2(full sum) rounded as a GEMM rounds. The base partial
+    sums are a grouped GEMM over W's diagonal blocks (``base_blocks``) on
+    each band of the same columns, in the same ``nn.conv2d_forward`` call,
+    bitwise as without the fold. The epilogue works in place on the two
+    GEMM outputs: BN1 on p, the selection and the activation. It runs on
+    whatever running stats the block holds; ``Network.forward_infer``
+    checks that they are frozen.
     """
-    full, _, p = conv2d_forward(x, params.w, cfg.conv, (base_blocks(params.w, cfg.groups),))
+    full, _, p = conv2d_forward(x, params.w, cfg.conv, (base_blocks(params.w, cfg.groups),),
+                                bn=params.bn2)
     dm = gate_map(merged_gate(p, params), cfg.tau_c)
 
     pre = bn_inference(p, params.bn1, out=p)
-    np.copyto(pre, bn_inference(full, params.bn2, out=full), where=dm.d)
+    np.copyto(pre, full, where=dm.d)
     y = activation(pre, cfg.activation, out=pre)
     if cfg.shuffle:
         y = channel_shuffle(y, cfg.groups)

@@ -77,7 +77,7 @@ from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, shuffle_permutation, split_dense_weight)
 from .nn import (ACTIVATION_KINDS, BnCtx, ConfigurationError, ConvCtx, ConvSpec,
                  BatchNormState, StateError, _batch, _per_channel, activation, activation_grad,
-                 batchnorm_backward, bn_forward, bn_inference, conv2d_backward,
+                 batchnorm_backward, bn_forward, conv2d_backward,
                  conv2d_forward, linear_backward, linear_forward, maxpool2d,
                  maxpool2d_forward, avgpool2d_forward, pool2d_backward, sgd_step)
 
@@ -169,9 +169,9 @@ class ConvBlock(Layer):
         return dx
 
     def forward_infer(self, x, collect=False, capture=False):
-        y, _ = conv2d_forward(x, self.w, self.spec)
+        y, _ = conv2d_forward(x, self.w, self.spec, bn=self.bn)
         n, _, h_out, w_out = y.shape
-        y = activation(bn_inference(y, self.bn, out=y), self.act, out=y)
+        y = activation(y, self.act, out=y)
         if not collect:
             return y, []
         return y, [analysis.LayerRecord(self.name, self.spec, h_out, w_out, n, w=self.w,

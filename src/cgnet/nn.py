@@ -34,7 +34,13 @@ Conventions:
     rate;
   * conv weights are (out_channel, in_channel/groups, kh, kw), row
     major, so channel groups are contiguous slices;
-  * convolutions carry no bias (batch normalization absorbs it).
+  * convolutions carry no bias (batch normalization absorbs it). At
+    inference a convolution's own batch norm runs inside its GEMM:
+    ``conv2d_forward(..., bn=)`` scales the kernel's rows and adds the
+    shift as one more kernel column against a row of ones, so no pass
+    normalizes the output. ``bn_inference`` stays for a gated layer's
+    partial sum (BN1), whose raw values the gate compares; training
+    normalizes with batch statistics (``bn_forward``).
 """
 
 from __future__ import annotations
@@ -260,7 +266,7 @@ def _bands(ho, row_cols, rows_k):
     return [slice(a, min(a + rows, ho)) for a in range(0, ho, rows)]
 
 
-def conv2d_forward(x, w, spec: ConvSpec, blocks=()):
+def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, bn=None):
     """Grouped 2-D cross-correlation via im2col; returns (y, ctx) followed
     by one partial-sum batch per kernel in ``blocks``.
 
@@ -275,24 +281,49 @@ def conv2d_forward(x, w, spec: ConvSpec, blocks=()):
     its input channels' rows of the band. ``blocks`` are block-diagonal
     kernels on the same columns, each a (G, c_out/G, c_in/G*k*k) stack
     whose block i reads input group i's rows (a gated layer's W_p,
-    ``gating.base_blocks``); each one's sums come back as a batch like y."""
+    ``gating.base_blocks``); each one's sums come back as a batch like y.
+
+    ``bn``, a ``BatchNormState`` whose running statistics are frozen,
+    folds inference batch norm into a dense kernel's GEMM (a grouped spec
+    raises ``ConfigurationError``): y is BN(conv) from W's rows scaled by
+    scale = gamma/sqrt(var + eps) and one more kernel column, the shift
+    beta - mean*scale, which reads a row of ones under each band's
+    columns. So y rounds as a GEMM does, not as ``bn_inference`` of the
+    convolution. The bands are cut from the columns' c*k*k rows alone, and
+    ``blocks`` read those rows against their own, unscaled kernels, so
+    their sums are bitwise the call's without ``bn``. Training passes no
+    ``bn``: ``ctx`` is the convolution's, and its backward knows nothing
+    of a fold."""
     xb = _as_batch(x)
     w = np.asarray(w, dtype=np.float64)
     _check_conv(xb, w, spec)
     win = _windows(xb, spec.kernel_size, spec.stride, spec.padding)
     c, k, _, ho, wo, n = win.shape
     m, kk, row = ho * wo * n, c * k * k, wo * n
-    kernels = [w.reshape(spec.groups, spec.out_channels // spec.groups, -1), *blocks]
+    w_rows = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+    rows = kk   # of the columns: c*k*k, and the row of ones under a fold
+    if bn is not None:
+        if spec.groups != 1:
+            raise ConfigurationError(f"conv2d_forward: batch norm folds into a dense kernel "
+                                     f"only, got groups={spec.groups}")
+        rows = kk + 1
+        scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+        w_rows = np.empty((1, spec.out_channels, rows))
+        np.multiply(w.reshape(1, spec.out_channels, kk), scale[:, None], out=w_rows[:, :, :kk])
+        np.subtract(bn.beta, bn.running_mean * scale, out=w_rows[0, :, kk])
+    kernels = [w_rows, *blocks]
     outs = [np.empty((spec.out_channels, m)) for _ in kernels]
     bands = _bands(ho, row, kk)
-    buf = np.empty(kk * row * (bands[0].stop - bands[0].start))   # the first band is the longest
+    buf = np.empty(rows * row * (bands[0].stop - bands[0].start))   # the first band is the longest
     for band in bands:
         span = slice(band.start * row, band.stop * row)
-        cols = buf[:kk * (span.stop - span.start)].reshape(kk, -1)
-        np.copyto(cols.reshape(c, k, k, -1, wo, n), win[:, :, :, band])
+        cols = buf[:rows * (span.stop - span.start)].reshape(rows, -1)
+        np.copyto(cols[:kk].reshape(c, k, k, -1, wo, n), win[:, :, :, band])
+        cols[kk:] = 1.0
         for kernel, out in zip(kernels, outs):
-            g = kernel.shape[0]
-            np.matmul(kernel, cols.reshape(g, -1, cols.shape[1]),
+            # a kernel of g groups of K columns reads the first g*K rows
+            g, _, cols_k = kernel.shape
+            np.matmul(kernel, cols[:g * cols_k].reshape(g, cols_k, -1),
                       out=out.reshape(g, -1, m)[:, :, span])
     y, *partials = (_batch(out, n, ho, wo) for out in outs)
     return (y, ConvCtx(spec, w, xb), *partials)
@@ -408,7 +439,8 @@ def bn_forward(x, st: BatchNormState, out=None, training=True):
     gamma*x^ + beta and passes gamma to ``batchnorm_backward``. x^ is
     written into ``out`` when given (``out`` may be ``x``).
     ``training=False`` returns ``(bn_inference(x, st, out), None)`` for the
-    benchmark's reference forward; the package calls ``bn_inference``."""
+    benchmark's reference forward; the package calls ``bn_inference`` or
+    folds the frozen statistics into ``conv2d_forward``."""
     xb = _as_batch(x)
     if xb.shape[1] != len(st.gamma):
         raise ConfigurationError(
@@ -435,7 +467,11 @@ def bn_inference(x, st: BatchNormState, out=None):
     """Frozen-statistics batch normalization of (n, c, h, w) ``x``, written
     into ``out`` when given (``out`` may be ``x``): per channel and in
     exactly this order ``(x - mean) * scale + beta``, with
-    ``scale = gamma / sqrt(var + eps)``."""
+    ``scale = gamma / sqrt(var + eps)``. Inference runs it on a gated
+    layer's base partial sum (BN1), whose values the gate compared: the
+    outputs the gate did not take. A convolution's output BN (a dense
+    layer's, and BN2 on a gated layer's full sum) folds into
+    ``conv2d_forward(..., bn=)`` instead."""
     scale = st.gamma / np.sqrt(st.running_var + st.eps)
     y = np.subtract(x, _per_channel(st.running_mean), out=out)
     y *= _per_channel(scale)

@@ -68,7 +68,7 @@ import numpy as np
 from . import analysis
 from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, base_blocks,
                      gate_map)
-from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _as_batch, _per_channel,
+from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _as_batch, _chwn, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward, bn_forward,
                  conv2d_backward, conv2d_forward, cross_entropy, softmax)
 
@@ -176,11 +176,22 @@ def _surrogate(xhat_g, edges, eps):
     return ts
 
 
-def _sigmoid_of(t):
-    """1/2 + t/2, the sigmoid whose tanh factor is t, in a new batch."""
-    s = np.multiply(t, 0.5)
+def _sigmoid_of(t, out=None):
+    """1/2 + t/2, the sigmoid whose tanh factor is t, written into ``out``
+    when given and into a new batch otherwise."""
+    s = np.multiply(t, 0.5, out=out)
     s += 0.5
     return s
+
+
+def _times_sigmoid_of(a, t):
+    """a *= 1/2 + t/2 in place, one channel at a time: the sigmoid of tanh
+    factor t takes one channel of scratch, not a batch, and each element's
+    product is the one a whole-batch sigmoid gives."""
+    a_chwn, t_chwn = _chwn(a), _chwn(t)
+    s = np.empty_like(t_chwn[0])
+    for a_c, t_c in zip(a_chwn, t_chwn):
+        a_c *= _sigmoid_of(t_c, out=s)
 
 
 def _gate_gradients(dpre, xhat_g, xhat2, edges, eps, gamma):
@@ -190,7 +201,10 @@ def _gate_gradients(dpre, xhat_g, xhat2, edges, eps, gamma):
     ds~*sign*(eps/4)*(1 - t_e^2) times the other edges' sigmoids,
     overwrites its tanh factor t_e; d(x^_g) sums the shares in t_0's
     buffer, and d(delta_e) is minus e's share, summed per channel and
-    scaled by gamma. Every other temporary dies on return."""
+    scaled by gamma. A band's second sigmoid multiplies into ds~ in place,
+    one channel at a time (``_times_sigmoid_of``), so its backward holds
+    four batches here: two tanh factors and two sigmoid products. Every
+    other temporary dies on return."""
     ts = _surrogate(xhat_g, edges, eps)
     # muls[e] is ds times the sigmoids of the edges but e (ds itself for
     # one edge)
@@ -200,9 +214,8 @@ def _gate_gradients(dpre, xhat_g, xhat2, edges, eps, gamma):
     for t_prev, t in zip(ts, ts[1:]):
         mul = _sigmoid_of(t_prev)
         mul *= muls[-1]
-        s = _sigmoid_of(t)
         for earlier in muls:
-            earlier *= s
+            _times_sigmoid_of(earlier, t)
         muls.append(mul)
     dthresholds = {}
     for (key, sign, _), t, mul in zip(edges, ts, muls):

@@ -1,5 +1,7 @@
 """Cost accounting: FLOP/weight oracles, correlation, intensity maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +335,29 @@ class TestPruningRatioAggregate:
 
 
 class TestMergeLayerRecords:
+    def test_masked_maps_concatenate_without_a_second_mask(self):
+        # tau_c > 0 drops a channel: each batch's map is masked once, when
+        # its block builds it, and the merge only concatenates (one
+        # full-size bool array, not the concatenation ANDed again)
+        cfg = CgLayerConfig(ConvSpec(4, 4, 3), groups=2, tau_c=0.5)
+        fired = np.zeros((8, 4, 64, 64), dtype=bool)
+        fired[:, :2] = True           # channels 0 and 1 fire everywhere,
+        fired[:, 2, :4] = True        # channel 2 at 1/16 of its positions
+        dm = gating.gate_map(fired, cfg.tau_c)
+        assert not dm.channel_mask.all() and dm.d[:, 2].sum() == 0
+        recs = [[analysis.LayerRecord("L0", cfg.conv, 64, 64, 8, cfg, dm)] for _ in range(2)]
+        tracemalloc.start()
+        try:
+            (merged,) = analysis.merge_layer_records(*recs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(merged.dm.d, np.concatenate([dm.d, dm.d]))
+        np.testing.assert_array_equal(merged.dm.channel_mask,
+                                      np.concatenate([dm.channel_mask] * 2))
+        assert merged.n_samples == 16
+        assert peak < 1.5 * merged.dm.d.nbytes
+
     def test_length_mismatch_rejected(self):
         a = make_record(np.zeros((1, 4, 4, 4)), name="L0")
         b = make_record(np.zeros((1, 4, 4, 4)), name="L1")

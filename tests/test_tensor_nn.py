@@ -20,6 +20,7 @@ from _oracles import (bn_inference_affine, check_grad, col2im_reference,
                       maxpool2d_reference, rel_err, stacked_conv_grads)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+EPS = np.finfo(np.float64).eps
 
 
 class TestConvSpec:
@@ -274,12 +275,12 @@ class TestIm2col:
         np.testing.assert_array_equal(dx.view(np.uint64), want.view(np.uint64))
 
 
-def forward_in_bands(budget, x, w, spec, blocks=()):
+def forward_in_bands(budget, x, w, spec, blocks=(), bn=None):
     """``nn.conv2d_forward`` with ``BAND_BYTES`` set to ``budget``; 1 gives
     the fewest rows a band may have."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "BAND_BYTES", budget)
-        return nn.conv2d_forward(x, w, spec, blocks)
+        return nn.conv2d_forward(x, w, spec, blocks, bn=bn)
 
 
 def row_bytes(x, spec):
@@ -392,6 +393,86 @@ class TestBandedForward:
         y1, _, *parts1 = forward_in_bands(2**62, x, w, spec, blocks)
         for got, want in zip([y, *parts], [y1, *parts1]):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def random_bn(rng, c):
+    """A frozen ``BatchNormState`` of c channels with every statistic drawn,
+    gamma of either sign."""
+    return BatchNormState(rng.uniform(0.5, 2.0, c) * rng.choice([-1.0, 1.0], c),
+                          rng.standard_normal(c), rng.standard_normal(c),
+                          rng.uniform(0.1, 2.0, c))
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+class TestFoldedBatchNorm:
+    """``conv2d_forward(..., bn=)`` runs frozen batch norm inside the GEMM."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 16, 32]),
+           G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 3),
+           per_out=st.integers(1, 2), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           hw=st.tuples(st.integers(1, 7), st.integers(1, 5)),
+           rows=st.sampled_from([None, 1, 2]))
+    # 7 rows of 16 samples x 4 columns in bands of 1 row: 7 bands
+    @example(seed=1, n=16, G=4, per_in=1, per_out=2, k=3, stride=1, pad=1, hw=(7, 4), rows=1)
+    def test_matches_convolution_then_batch_norm(self, seed, n, G, per_in, per_out, k, stride,
+                                                 pad, hw, rows):
+        # rows: a budget of that many output rows of columns (several
+        # bands wherever the layer spans a multiple of 64 columns), or
+        # the module's
+        assume(hw[0] + 2 * pad >= k and hw[1] + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad)
+        x = rng.standard_normal((n, spec.in_channels, *hw))
+        w = rng.standard_normal(spec.weight_shape)
+        st_bn = random_bn(rng, spec.out_channels)
+        budget = nn.BAND_BYTES if rows is None else rows * row_bytes(x, spec)
+        y, _, p = forward_in_bands(budget, x, w, spec, (base_blocks(w, G),), bn=st_bn)
+        # the partial sums do not see the fold
+        _, _, p_plain = forward_in_bands(budget, x, w, spec, (base_blocks(w, G),))
+        np.testing.assert_array_equal(bits(p), bits(p_plain))
+        # y is scale*conv + shift, within GEMM rounding: a few eps of the
+        # sum of its terms' magnitudes, |scale|*conv(|x|, |w|) + |shift|
+        scale, shift = bn_inference_affine(st_bn)
+        want = conv2d_reference(x, w, spec) * scale[:, None, None] + shift[:, None, None]
+        magnitude = (conv2d_reference(np.abs(x), np.abs(w), spec) * np.abs(scale)[:, None, None]
+                     + np.abs(shift)[:, None, None])
+        kk = spec.in_channels * k * k
+        assert np.all(np.abs(y - want) <= 2 * (kk + 2) * EPS * magnitude)
+
+    @pytest.mark.parametrize("name", ["mnist_cg", "vgg8_cg", "resnet_cg"])
+    def test_bands_change_no_bit_at_shipped_shapes(self, name):
+        # every convolution of the shipped models at batch 64, a BN folded
+        # and, in a gated layer, beside its base blocks: the fewest rows a
+        # band may have against one band
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())["model"]
+        rng = np.random.default_rng(2)
+        model = build_model(cfg, rng)
+        x = rng.standard_normal((64, *cfg["input_shape"]))
+        _, records = model.forward_infer(x, collect=True, capture=True, require_frozen=False)
+        convs = 0
+        for rec in records:
+            if rec.x_in is None:
+                continue   # the linear head captures no input
+            blocks = (base_blocks(rec.w, rec.cfg.groups),) if rec.gated else ()
+            bn = random_bn(rng, rec.spec.out_channels)
+            several = forward_in_bands(1, rec.x_in, rec.w, rec.spec, blocks, bn=bn)
+            one = forward_in_bands(2**62, rec.x_in, rec.w, rec.spec, blocks, bn=bn)
+            for got, want in zip(several[:1] + several[2:], one[:1] + one[2:]):
+                np.testing.assert_array_equal(bits(got), bits(want), err_msg=rec.name)
+            convs += 1
+        assert convs >= 3
+
+    def test_grouped_kernel_is_configuration_error(self, rng):
+        spec = ConvSpec(4, 4, 3, padding=1, groups=2)
+        with pytest.raises(ConfigurationError, match="dense kernel"):
+            nn.conv2d_forward(rng.standard_normal((2, 4, 5, 5)),
+                              rng.standard_normal(spec.weight_shape), spec,
+                              bn=BatchNormState.create(4))
 
 
 class TestBatchNorm:

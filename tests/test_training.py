@@ -333,6 +333,9 @@ class TestBlockTrainOracle:
     # 7 rows of 64 samples x 3 columns in bands of 2, 2, 2 and 1 rows
     @example(seed=5, n=64, hw=(7, 3), rows=2, G=4, per_in=1, per_out=2, k=3, stride=1, pad=1,
              act="tanh", tau_c=0.3)
+    # dW cancels to a norm of ~2.4e-3 over ~2,240 O(1) products
+    @example(seed=30, n=64, hw=(5, 3), rows=1, G=2, per_in=1, per_out=1, k=1, stride=1, pad=1,
+             act="identity", tau_c=0.5)
     def test_several_bands_match_two_conv_oracle(self, seed, n, G, per_in, per_out, k,
                                                  stride, pad, hw, rows, act, tau_c):
         # a budget of one or two output rows: several bands of 64 or more
@@ -366,7 +369,17 @@ class TestBlockTrainOracle:
             if rows is not None:
                 mp.setattr(nn, "BAND_BYTES", rows * 8 * G * per_in * k * k * wo * n)
             y, ctx = cg_block_forward_train(x, params, cfg)
-        g = cg_block_backward(ctx, dy)
+        # the convolution backward's upstreams, dfull and dp, copied before
+        # it may overwrite dfull
+        upstream = []
+
+        def recording(conv_ctx, dfull, dp, groups):
+            upstream.extend(np.abs(a) for a in (dfull, dp))
+            return nn.conv2d_backward(conv_ctx, dfull, dp, groups)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "conv2d_backward", recording)
+            g = cg_block_backward(ctx, dy)
         y_ref, d_ref, g_ref = two_conv_block_train(x, ref_params, cfg, dy)
         assert y.shape == y_ref.shape
         assert rel_err(y, y_ref) < 1e-10
@@ -376,12 +389,24 @@ class TestBlockTrainOracle:
         # makes BN scale-invariant in W_p), leaving only rounding of those
         # terms; the 1e-3 floor compares such a field absolutely.
         assert g.dthresholds.keys() == g_ref.dthresholds.keys()
-        pairs = [(name, getattr(g, name), getattr(g_ref, name))
-                 for name in ("dw", "dgamma", "dbeta", "dx")]
+        pairs = [(name, getattr(g, name), getattr(g_ref, name)) for name in ("dgamma", "dbeta")]
         pairs += [(key, g.dthresholds[key], want) for key, want in g_ref.dthresholds.items()]
         for name, got, want in pairs:
             assert got.shape == want.shape, name
             assert rel_err(got, want, floor=1e-3) < 1e-10, name
+        # dW and dx sum products of the columns or the kernel with the
+        # convolution's upstreams, and can cancel far below those products
+        # (dW to a norm of ~2e-3 over ~2,000 O(1) products). Their error is
+        # the rounding of those products, relative to the sums of their
+        # magnitudes as in TestBackwardGemms, plus what the upstreams carry
+        # in from the BN backwards, which the bound above covers
+        abs_ctx = nn.ConvCtx(cfg.conv, np.abs(ref_params.w), np.abs(x))
+        dx_abs, dw_abs = nn.conv2d_backward(abs_ctx, *upstream, G)
+        for name, magnitude in (("dw", dw_abs), ("dx", dx_abs)):
+            got, want = getattr(g, name), getattr(g_ref, name)
+            assert got.shape == want.shape, name
+            bound = 1e-12 * np.linalg.norm(magnitude) + 1e-10 * max(np.linalg.norm(want), 1e-3)
+            assert np.linalg.norm(got - want) <= bound, name
         for bn in ("bn1", "bn2"):
             for stat in ("running_mean", "running_var"):
                 assert rel_err(getattr(getattr(params, bn), stat),
@@ -553,10 +578,12 @@ class TestConsumedContext:
         # end, 7.22
         assert self.footprint_in_output_batches("relu") < 5.5
 
-    def test_band_footprint_under_eight_and_a_half_output_batches(self):
-        # 3.13 held and a 5.0 backward, set by the two edges' surrogate
-        # temporaries; holding the columns made it 13.47
-        assert self.footprint_in_output_batches("tanh") < 8.5
+    def test_band_footprint_under_seven_point_six_output_batches(self):
+        # 3.13 held and a 4.06 backward, set by the two edges' surrogate
+        # batches: two tanh factors, ds~ and the second edge's sigmoid
+        # product, with one channel of sigmoid scratch. A whole-batch
+        # sigmoid made it 8.13, holding the columns 13.47
+        assert self.footprint_in_output_batches("tanh") < 7.6
 
 
 class TestSparsityLosses:
