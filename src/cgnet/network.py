@@ -11,8 +11,12 @@ speaks one protocol:
     implementation: it releases the stale ``ctx``, then calls the layer's
     ``_forward_train(x)``, which returns the output and the new context;
   * ``backward(dy)`` accumulates into the layer's gradient buffers and
-    returns the input gradient; it raises ``StateError`` when ``ctx`` is
-    None or spent;
+    returns the input gradient, a new sample-innermost batch; it raises
+    ``StateError`` when ``ctx`` is None or spent. It may overwrite ``dy``,
+    which its caller passes it to consume: a convolution layer writes
+    dy*f' there (``nn._consumable``). So a caller that reads dy again
+    passes a copy, as ``ResidualBlock.backward`` does for its sublayer b,
+    and ``Network.backward`` leaves the caller's ``dlogits`` as they are;
   * ``forward_infer(x, collect, capture)`` returns ``(y, records)``: empty
     unless collecting, else one ``analysis.LayerRecord`` per compute layer
     that references the layer's spec, gate config and kernel and adds its
@@ -35,22 +39,26 @@ same shape. A convolution layer's context keeps its input batch, not the
 im2col columns (nine times its size at k = 3): its forward holds one band
 of them at a time and its backward rebuilds them from the input. The
 input is the previous layer's output or the caller's batch, so nothing
-may write to a layer's input before that layer's backward. At batch 64 on
-vgg8 a step keeps 18.1 MiB of contexts, its backward peaks at 24.2 MiB and
-its ``forward_train`` at 20.8 MiB; keeping each stale context until its
-successor is assigned holds L01's two 7.3 MiB contexts at once (a 27.4
-MiB peak). Releasing every context at once (``drop_contexts``) lets glibc
-trim the heap, and the next step faults it back in (~6,900 pages in a
-fresh process, against ~1,500 for a step that releases them one at a
-time).
+may write to a layer's input before that layer's backward. Nor does a
+context keep the pre-activation: it keeps f' at its narrowest dtype, a
+bool mask for relu, and the activation runs in place over the
+pre-activation's buffer. At batch 64 on vgg8 a step keeps 13.6 MiB of
+contexts, its backward peaks at 19.6 MiB and its ``forward_train`` at
+16.2 MiB (18.1, 24.2 and 20.8 MiB with float pre-activations kept);
+keeping each stale context until its successor is assigned holds L01's
+two 5.5 MiB contexts at once. Releasing every context at once
+(``drop_contexts``) lets glibc trim the heap, and the next step faults it
+back in (~6,900 pages in a fresh process, against ~2,100 for a step that
+releases them one at a time).
 
 A convolution layer's ``backward`` consumes its context, and nothing reads a
 context after its layer's ``backward``: the gradients overwrite the buffers
-they are computed from (``training.cg_block_backward``,
-``ConvBlock.backward``) and set its ``consumed`` flag. One rule covers every
-layer: ``Layer._saved_ctx``, through which each ``backward`` reads its
-context, raises ``StateError`` naming the layer on a missing or spent
-context, so a second ``backward`` fails until the next ``forward_train``.
+they are computed from, and dy*f' the upstream gradient
+(``training.cg_block_backward``, ``ConvBlock.backward``), and set its
+``consumed`` flag. One rule covers every layer: ``Layer._saved_ctx``,
+through which each ``backward`` reads its context, raises ``StateError``
+naming the layer on a missing or spent context, so a second ``backward``
+fails until the next ``forward_train``.
 ``Network.freeze_gates()`` ends training: it drops every context (residual
 blocks and their sublayers included), so a finished model holds no batch,
 and sets ``Network.frozen``, the one record that the gate statistics are
@@ -76,8 +84,8 @@ from .config import read_field, reject_unknown
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, shuffle_permutation, split_dense_weight)
 from .nn import (ACTIVATION_KINDS, BnCtx, ConfigurationError, ConvCtx, ConvSpec,
-                 BatchNormState, StateError, _batch, _per_channel, activation, activation_grad,
-                 batchnorm_backward, bn_forward, conv2d_backward,
+                 BatchNormState, StateError, _batch, _consumable, _per_channel, activation,
+                 activation_grad, batchnorm_backward, bn_forward, conv2d_backward,
                  conv2d_forward, linear_backward, linear_forward, maxpool2d,
                  maxpool2d_forward, avgpool2d_forward, pool2d_backward, sgd_step)
 
@@ -120,13 +128,15 @@ class Layer:
 class ConvBlockContext:
     """What ``ConvBlock.backward`` needs of one training forward. ``conv``
     keeps the block's input; the forward held one band of its columns at a
-    time, and ``conv2d_backward`` rebuilds them from it. The backward
-    consumes the context: it overwrites ``pre`` and ``bn.xhat`` with
-    gradients and sets ``consumed``."""
+    time, and ``conv2d_backward`` rebuilds them from it. ``fprime`` is the
+    activation's derivative at its narrowest dtype (bool for relu,
+    binary_sign and identity, float for tanh and sigmoid); the activation
+    overwrote the pre-activation. The backward consumes the context: it
+    overwrites ``bn.xhat`` with a gradient and sets ``consumed``."""
 
     conv: ConvCtx
     bn: BnCtx
-    pre: np.ndarray           # gamma*x^ + beta
+    fprime: np.ndarray        # f'(gamma*x^ + beta), bool where f' is 0 or 1
     consumed: bool = False    # set by the backward, which overwrites the buffers
 
 
@@ -153,13 +163,15 @@ class ConvBlock(Layer):
         xhat, bn_ctx = bn_forward(y, self.bn, out=y)
         pre = np.multiply(xhat, _per_channel(self.bn.gamma))
         pre += _per_channel(self.bn.beta)
-        return activation(pre, self.act), ConvBlockContext(conv_ctx, bn_ctx, pre)
+        fprime = activation_grad(pre, self.act)
+        return activation(pre, self.act, out=pre), ConvBlockContext(conv_ctx, bn_ctx, fprime)
 
     def backward(self, dy):
         ctx = self._saved_ctx()
-        # dpre overwrites pre, which f' has read; BN's backward writes over
-        # x^, and conv2d_backward rebuilds the columns from the input
-        dpre = np.multiply(dy, activation_grad(ctx.pre, self.act), out=ctx.pre)
+        # dpre overwrites dy; BN's backward writes over x^, and
+        # conv2d_backward rebuilds the columns from the input
+        dpre = _consumable(dy)
+        dpre *= ctx.fprime
         ctx.consumed = True
         dbn, dgamma, dbeta = batchnorm_backward(ctx.bn, dpre, self.bn.gamma, out=ctx.bn.xhat)
         self.g_gamma += dgamma
@@ -374,11 +386,13 @@ class ResidualBlock(Layer):
         return y, y > 0.0
 
     def backward(self, dy):
-        dpre = dy * self._saved_ctx()   # f' of the ReLU: its bool mask
-        dh = self.b.backward(dpre)
-        dx = self.a.backward(dh)
-        dsc = dpre if self.shortcut is None else self.shortcut.backward(dpre)
-        return dx + dsc
+        mask = self._saved_ctx()   # f' of the ReLU
+        dpre = _consumable(dy)
+        dpre *= mask
+        # b consumes its upstream, and the shortcut reads dpre after it
+        dx = self.a.backward(self.b.backward(dpre.copy(order="K")))
+        dx += dpre if self.shortcut is None else self.shortcut.backward(dpre)
+        return dx
 
     def forward_infer(self, x, collect=False, capture=False):
         h, recs = self.a.forward_infer(x, collect, capture)
@@ -421,7 +435,7 @@ class Network:
         return x
 
     def backward(self, dlogits):
-        d = dlogits
+        d = np.array(dlogits, dtype=np.float64)   # the layers may consume it
         for layer in reversed(self.layers):
             d = layer.backward(d)
         return d

@@ -17,10 +17,13 @@ BN1's running stats are the gate's: there is one copy of them.
 
 Because gamma/beta are shared, both normalizations run affine-free and the
 combine applies the affine once: pre = gamma*z + beta with
-z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum. Both
-normalizations overwrite their GEMM outputs, so the training context holds
-three float arrays of the output's shape (x^_g and x^_2 inside the two
-``BnCtx``, and ``pre``), the bool d and the convolution's ``nn.ConvCtx``,
+z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum, selected
+by ``nn.xor_blend``. Both normalizations overwrite their GEMM outputs, and
+the activation runs in place over pre, whose f' the context keeps instead,
+as in-place activated batch norm keeps only what f' reads: bool for relu,
+binary_sign and identity, float for tanh and sigmoid. So the training
+context holds two float arrays of the output's shape (x^_g and x^_2 inside
+the two ``BnCtx``), f', the bool d and the convolution's ``nn.ConvCtx``,
 which references the block's input x: the backward rebuilds the im2col
 columns from it (rematerialisation), so nothing may write to a layer's
 input before that layer's backward. In the backward, gamma folds into each
@@ -29,16 +32,16 @@ elementwise chain before it carries no gamma. BN2's backward writes the
 full sum's upstream gradient dfull and BN1's writes p's, dp, and one
 ``nn.conv2d_backward`` call, the dense layers' backward, takes both.
 
-The backward consumes its context, as in-place activated batch norm does:
-each gradient goes into a context buffer that is dead by then. dpre
-overwrites ``pre``, dfull overwrites x^_2, dp overwrites x^_g after its
-last read, and each edge's gate gradient its own tanh buffer;
-``nn.conv2d_backward`` then builds its upstream in dfull's memory. So a
-single-sided gate's backward allocates at most two output-sized batches
-at once (the tanh factor and ds~, below, which die before the
-convolution's backward), then one input group's columns and dx, and a
-second backward on the same context raises ``StateError``. Nothing reads
-the context after its backward.
+The backward consumes its context and its upstream gradient dy, as
+in-place activated batch norm does: each gradient goes into a buffer that
+is dead by then. dpre = dy*f' overwrites dy (``nn._consumable``), dfull
+overwrites x^_2, dp overwrites x^_g after its last read, and each edge's
+gate gradient its own tanh buffer; ``nn.conv2d_backward`` then builds its
+upstream in dfull's memory. So a single-sided gate's backward allocates at
+most two output-sized batches at once (the tanh factor and ds~, below,
+which die before the convolution's backward), then one input group's
+columns and dx, and a second backward on the same context raises
+``StateError``. Nothing reads the context after its backward.
 
 The gate is a set of edges (``GateState.edges()``): edge (name, sign,
 delta) passes where sign*(x^_g - delta) >= 0, the gate fires where every
@@ -68,9 +71,9 @@ import numpy as np
 from . import analysis
 from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, base_blocks,
                      gate_map)
-from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _as_batch, _chwn, _per_channel,
+from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _chwn, _consumable, _per_channel,
                  accuracy, activation, activation_grad, batchnorm_backward, bn_forward,
-                 conv2d_backward, conv2d_forward, cross_entropy, softmax)
+                 conv2d_backward, conv2d_forward, cross_entropy, softmax, xor_blend)
 
 
 class TrainingDiverged(RuntimeError):
@@ -135,14 +138,16 @@ class Schedule:
 class CgTrainContext:
     """What ``cg_block_backward`` needs of one training forward.
 
-    Three float arrays of the block output's shape: x^_g and x^_2 inside
-    the two ``BnCtx`` and ``pre``, and the convolution's context ``conv``,
-    as a dense layer's, which references the block's input: the backward
-    rebuilds the im2col columns from it, so nothing may write to that batch
-    before the backward. The decisions are bool, and the surrogate is
-    recomputed from x^_g rather than kept. The backward consumes the
-    context: it overwrites ``pre``, x^_2 and x^_g with gradients and sets
-    ``consumed``, after which nothing reads it.
+    Two float arrays of the block output's shape, x^_g and x^_2 inside the
+    two ``BnCtx``; the activation's derivative ``fprime`` at its narrowest
+    dtype (bool for relu, binary_sign and identity, float for tanh and
+    sigmoid); and the convolution's context ``conv``, as a dense layer's,
+    which references the block's input: the backward rebuilds the im2col
+    columns from it, so nothing may write to that batch before the
+    backward. The decisions are bool, and the surrogate is recomputed from
+    x^_g rather than kept. The backward consumes the context: it overwrites
+    x^_2 and x^_g with gradients and sets ``consumed``, after which nothing
+    reads it.
     """
 
     cfg: CgLayerConfig
@@ -151,7 +156,7 @@ class CgTrainContext:
     bn1_ctx: BnCtx            # normalization of p: x^_g, the gate input
     bn2_ctx: BnCtx            # normalization of the full sum: x^_2
     d: np.ndarray             # bool map that ran: the decisions, channel-gated
-    pre: np.ndarray           # gamma*z + beta
+    fprime: np.ndarray        # f'(gamma*z + beta), bool where f' is 0 or 1
     consumed: bool = False    # set by the backward, which overwrites the buffers
 
 
@@ -242,17 +247,20 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     and BN2's running stats: x^_g (p's, also the gate input) and x^_2. The
     paths share gamma/beta, so the combine applies the affine
     once, to the selected normalization: pre = gamma*z + beta with
-    z = where(d, x^_2, x^_g), d the channel-gated map (``gate_map``).
+    z = where(d, x^_2, x^_g) (``nn.xor_blend``), d the channel-gated map
+    (``gate_map``). The context keeps f'(pre), and the activation
+    overwrites pre, which becomes y.
     """
     full, conv, p = conv2d_forward(x, params.w, cfg.conv, (base_blocks(params.w, cfg.groups),))
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
     xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
     d = gate_map(_threshold_decisions(xhat_g, params.gate.edges()), cfg.tau_c).d
-    pre = np.where(d, xhat2, xhat_g)
+    pre = xor_blend(d, xhat2, xhat_g)
     pre *= _per_channel(params.gamma)
     pre += _per_channel(params.beta)
-    y = activation(pre, cfg.activation)
-    return y, CgTrainContext(cfg, params, conv, bn1_ctx, bn2_ctx, d, pre)
+    fprime = activation_grad(pre, cfg.activation)
+    y = activation(pre, cfg.activation, out=pre)
+    return y, CgTrainContext(cfg, params, conv, bn1_ctx, bn2_ctx, d, fprime)
 
 
 def cg_block_backward(ctx: CgTrainContext, dy):
@@ -272,8 +280,9 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     input, which share one normalization of p, take one backward call.
     BN2's backward writes dfull and BN1's dp, and
     ``nn.conv2d_backward(ctx.conv, dfull, dp, G)`` gives dW and dx.
-    Consumes ``ctx`` (see the module docstring): a second call on the same
-    context raises ``StateError``.
+    Consumes ``ctx`` and, where it is a writable sample-innermost batch,
+    ``dy`` (see the module docstring): a second call on the same context
+    raises ``StateError``.
     """
     if ctx.consumed:
         raise StateError("cg_block_backward: an earlier backward has overwritten this "
@@ -281,8 +290,9 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     cfg, params = ctx.cfg, ctx.params
     xhat_g, xhat2 = ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat
     gamma = params.gamma
-    # dpre overwrites pre, which f' has read; from here on the context is spent
-    dpre = np.multiply(_as_batch(dy), activation_grad(ctx.pre, cfg.activation), out=ctx.pre)
+    # dpre overwrites dy; from here on the context is spent
+    dpre = _consumable(dy)
+    dpre *= ctx.fprime
     ctx.consumed = True
     dxhat_g, dthresholds = _gate_gradients(dpre, xhat_g, xhat2, params.gate.edges(),
                                            cfg.epsilon, gamma)

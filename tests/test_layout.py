@@ -107,10 +107,10 @@ def context_batches(layer):
     """(label, array) of the batches a layer's training context keeps."""
     ctx = layer.ctx
     if isinstance(layer, CgConvBlock):
-        return [("x^_g", ctx.bn1_ctx.xhat), ("x^_2", ctx.bn2_ctx.xhat), ("pre", ctx.pre),
+        return [("x^_g", ctx.bn1_ctx.xhat), ("x^_2", ctx.bn2_ctx.xhat), ("fprime", ctx.fprime),
                 ("input", ctx.conv.x)]
     if isinstance(layer, ConvBlock):
-        return [("xhat", ctx.bn.xhat), ("pre", ctx.pre), ("input", ctx.conv.x)]
+        return [("xhat", ctx.bn.xhat), ("fprime", ctx.fprime), ("input", ctx.conv.x)]
     if isinstance(layer, ResidualBlock):
         return [("mask", ctx)]   # the ReLU's
     if isinstance(layer, MaxPool) and ctx.argmax is not None:
@@ -133,7 +133,7 @@ def test_training_contexts_and_input_gradients_are_sample_innermost(cfg):
     kept = [(f"{layer.name} {label}", a) for layer in layers_of(model)
             for label, a in context_batches(layer) if a is not x]
     kinds = {label.split()[-1] for label, _ in kept}
-    assert {"x^_g", "x^_2", "pre", "xhat", "input"} <= kinds
+    assert {"x^_g", "x^_2", "fprime", "xhat", "input"} <= kinds
     assert ("argmax" in kinds) == (cfg is vgg_cfg)
     for name, a in kept:
         assert_sample_innermost(name, a)

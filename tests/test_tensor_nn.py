@@ -634,6 +634,49 @@ class TestActivations:
         g = nn.activation_grad(np.array([-2.0, -0.5, 0.5, 2.0]), "binary_sign")
         np.testing.assert_array_equal(g, [0.0, 1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("kind", nn.ACTIVATION_KINDS)
+    def test_grad_comes_at_its_narrowest_dtype(self, kind, rng):
+        # a training context keeps f': one byte per element where it is 0 or 1
+        x = np.ascontiguousarray(rng.standard_normal((4, 4, 3, 2))).transpose(3, 0, 1, 2)
+        g = nn.activation_grad(x, kind)
+        assert g.dtype == (np.float64 if kind in ("tanh", "sigmoid") else bool)
+        assert g.transpose(1, 2, 3, 0).flags.c_contiguous
+        if kind == "identity":
+            assert g.all()
+
+
+# bit patterns of +-0, +-inf, quiet and signalling NaNs with payloads and
+# either sign, the smallest subnormal and the largest finite value
+SPECIAL_BITS = [0, -2**63, 0x7FF0000000000000, -0x10000000000000, 0x7FF8000000000000,
+                0x7FF8000000000001, 0x7FF0000000000001, -1, 1, 0x7FEFFFFFFFFFFFFF]
+
+
+class TestXorBlend:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                           st.integers(1, 3), st.integers(1, 3)),
+           orders=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    def test_equals_where_bit_for_bit(self, data, shape, orders):
+        size = math.prod(shape)
+        bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(-2**63, 2**63 - 1))
+
+        def batch(values, dtype, sample_innermost):
+            a = np.array(values, dtype=dtype).reshape(shape)
+            if sample_innermost:   # the layers' (c, h, w, n) memory
+                a = np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+            return a
+
+        a, b = (batch(data.draw(st.lists(bits, min_size=size, max_size=size)), np.int64,
+                      order).view(np.float64) for order in orders[:2])
+        d = batch(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), bool,
+                  orders[2])
+        a_bytes, b_bytes = a.tobytes(), b.tobytes()
+        got = nn.xor_blend(d, a, b)
+        want = np.where(d, a, b)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert got.strides == np.empty_like(b).strides   # b's memory order
+        assert a.tobytes() == a_bytes and b.tobytes() == b_bytes
+
 
 POOL_GRADS = [0.0, -0.0, 1.5, -2.0, np.inf, np.nan]
 

@@ -83,17 +83,25 @@ class TestForwardTrain:
         z = np.where(ctx.d, ctx.bn2_ctx.xhat, ctx.bn1_ctx.xhat)
         np.testing.assert_array_equal(y, nn.activation(affine(params, z), act))
 
-    @pytest.mark.parametrize("act", ["identity", "tanh"], ids=["single_sided", "two_sided"])
-    def test_context_holds_three_output_sized_float_arrays(self, rng, act):
+    @pytest.mark.parametrize("act", ["relu", "identity", "tanh"])
+    def test_context_holds_two_float_batches_and_f_prime(self, rng, act):
+        # f' at its narrowest dtype in place of the pre-activation: a bool
+        # mask where it is 0 or 1, a float batch for tanh
         cfg = make_cfg(c_out=8, act=act)
         params = make_params(cfg, rng)
         x = rng.standard_normal((3, 4, 5, 5))
         y, ctx = cg_block_forward_train(x, params, cfg)
         held = [a for a in context_arrays(ctx)
                 if a.shape == y.shape and a.dtype != bool]
-        assert sorted(map(id, held)) == sorted(map(id, (ctx.bn1_ctx.xhat,
-                                                        ctx.bn2_ctx.xhat, ctx.pre)))
+        floats = [ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat]
+        if act == "tanh":
+            floats.append(ctx.fprime)
+        else:
+            assert ctx.fprime.dtype == bool
+        assert sorted(map(id, held)) == sorted(map(id, floats))
         assert ctx.d.dtype == bool
+        pre = affine(params, np.where(ctx.d, ctx.bn2_ctx.xhat, ctx.bn1_ctx.xhat))
+        np.testing.assert_array_equal(ctx.fprime, nn.activation_grad(pre, act))
 
     def test_decisions_match_scalar_recomputation(self, rng):
         cfg = make_cfg(act="relu")
@@ -251,7 +259,7 @@ class TestBackward:
         x = rng.standard_normal((2, 4, 4, 4))
         proj = rng.standard_normal((2, 4, 4, 4))
         _, ctx = cg_block_forward_train(x, params, cfg)
-        dpre = proj * nn.activation_grad(ctx.pre, cfg.activation)
+        dpre = proj * ctx.fprime
         ds = dpre * (affine(params, ctx.bn2_ctx.xhat) - affine(params, ctx.bn1_ctx.xhat))
         s = nn.sigmoid(cfg.epsilon * (ctx.bn1_ctx.xhat - params.gate.delta[:, None, None]))
         elem = ds * (cfg.epsilon * s * (1.0 - s))
@@ -281,7 +289,7 @@ class TestBackward:
         x = rng.standard_normal((3, 4, 5, 5))
         proj = rng.standard_normal((3, 4, 5, 5))
         _, ctx = cg_block_forward_train(x, params, cfg)
-        g = cg_block_backward(ctx, proj)
+        g = cg_block_backward(ctx, proj.copy())   # the backward may consume it
 
         dense = ConvBlock(ConvSpec(4, 4, 3, padding=1), act="relu", rng=rng)
         dense.w = params.w.copy()
@@ -379,7 +387,7 @@ class TestBlockTrainOracle:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(training, "conv2d_backward", recording)
-            g = cg_block_backward(ctx, dy)
+            g = cg_block_backward(ctx, dy.copy())   # the backward may consume it
         y_ref, d_ref, g_ref = two_conv_block_train(x, ref_params, cfg, dy)
         assert y.shape == y_ref.shape
         assert rel_err(y, y_ref) < 1e-10
@@ -472,13 +480,14 @@ class TestConsumedContext:
 
     @staticmethod
     def block(rng, G, act, k):
-        """A block, its input in the (c, h, w, n) memory the layers pass
-        (so a 1x1 kernel's windows are that memory itself) and an upstream
-        gradient."""
+        """A block, and its input and an upstream gradient in the (c, h, w,
+        n) memory the layers pass (so a 1x1 kernel's windows are that
+        memory itself, and the backward consumes the gradient)."""
         cfg = CgLayerConfig(ConvSpec(8, 8, k, padding=k // 2), groups=G, activation=act)
         params = make_params(cfg, rng)
-        x = np.ascontiguousarray(rng.standard_normal((8, 5, 5, 3))).transpose(3, 0, 1, 2)
-        return cfg, params, x, rng.standard_normal((3, 8, 5, 5))
+        x, dy = (np.ascontiguousarray(rng.standard_normal((8, 5, 5, 3))).transpose(3, 0, 1, 2)
+                 for _ in range(2))
+        return cfg, params, x, dy
 
     @staticmethod
     def assert_grads_bitwise(first, second):
@@ -495,7 +504,22 @@ class TestConsumedContext:
         twin = copy.deepcopy(params)   # the forward moves the running stats
         _, ctx = cg_block_forward_train(x, params, cfg)
         _, ctx_twin = cg_block_forward_train(x, twin, cfg)
-        self.assert_grads_bitwise(cg_block_backward(ctx, dy), cg_block_backward(ctx_twin, dy))
+        # each backward consumes its upstream, so each takes its own copy
+        self.assert_grads_bitwise(cg_block_backward(ctx, dy.copy(order="K")),
+                                  cg_block_backward(ctx_twin, dy.copy(order="K")))
+
+    @cases
+    def test_upstream_in_either_order_gives_bitwise_gradients(self, rng, G, act, k):
+        # the backward writes dy*f' into a sample-innermost dy and into a
+        # copy of one in any other order, which stays as the caller made it
+        cfg, params, x, dy = self.block(rng, G, act, k)
+        twin = copy.deepcopy(params)
+        _, ctx = cg_block_forward_train(x, params, cfg)
+        _, ctx_twin = cg_block_forward_train(x, twin, cfg)
+        dy_c = np.ascontiguousarray(dy)
+        self.assert_grads_bitwise(cg_block_backward(ctx, dy_c),
+                                  cg_block_backward(ctx_twin, dy.copy(order="K")))
+        assert dy_c.tobytes() == np.ascontiguousarray(dy).tobytes()
 
     @cases
     def test_block_input_survives(self, rng, G, act, k):
@@ -544,7 +568,7 @@ class TestConsumedContext:
             return float((layer.forward_train(x) * proj).sum())
 
         layer.forward_train(x)
-        dx = layer.backward(proj)
+        dx = layer.backward(proj.copy())   # the loss reads proj again
         check_grad(loss, x, dx)
         for _, param, grad, _ in layer.param_groups():
             check_grad(loss, param, grad)
@@ -572,17 +596,18 @@ class TestConsumedContext:
         return peak / dy.nbytes
 
     def test_relu_footprint_under_five_and_a_half_output_batches(self):
-        # 3.13 held (x^_g, x^_2, pre and the bool d) and a 2.04 backward.
-        # Holding the im2col columns (4.5 batches) made it 10.47; dp written
+        # 2.25 held (x^_g, x^_2 and the bool f' and d) and a 2.04 backward.
+        # The float pre-activation kept in place of f' made it 5.17, holding
+        # the im2col columns (4.5 batches) as well 10.47; dp written
         # over d*dpre rather than x^_g, with the gate buffers kept to the
         # end, 7.22
         assert self.footprint_in_output_batches("relu") < 5.5
 
     def test_band_footprint_under_seven_point_six_output_batches(self):
-        # 3.13 held and a 4.06 backward, set by the two edges' surrogate
-        # batches: two tanh factors, ds~ and the second edge's sigmoid
-        # product, with one channel of sigmoid scratch. A whole-batch
-        # sigmoid made it 8.13, holding the columns 13.47
+        # 3.13 held (tanh's f' is float) and a 4.06 backward, set by the
+        # two edges' surrogate batches: two tanh factors, ds~ and the second
+        # edge's sigmoid product, with one channel of sigmoid scratch. A
+        # whole-batch sigmoid made it 8.13, holding the columns 13.47
         assert self.footprint_in_output_batches("tanh") < 7.6
 
 
