@@ -18,26 +18,38 @@ GEMM on the same im2col columns. One ``nn.conv2d_forward`` call runs
 both: it builds the columns one band of output rows at a time and runs
 both GEMMs on each band while it is in cache, so the layer's whole im2col
 never exists. Both GEMMs write (c_out, ho*wo*n) rows, the (c, h, w, n)
-memory of the (n, c, h, w) batches the block works on. BN2 runs inside
-the full sum's GEMM (``conv2d_forward(..., bn=params.bn2)``), so the full
-sum comes back normalized and no pass normalizes the share of it that
-the gate drops; the partial-sum GEMM reads the unscaled kernel, so the
-gate's input and decisions do not depend on the fold. The epilogue works
-in place on the two GEMM outputs (BN1 on the partial sum, the selection,
-the activation), so it allocates no float temporaries. The selection
-reads ``DecisionMap.d``, the map that ran, and every count of the work
-done (``analysis.count_flops`` and the FLOP-reduction figures) reduces
-it.
+memory of the (n, c, h, w) batches the block works on.
+
+Inference reads an ``InferencePlan``, built once from the frozen
+parameters (``inference_plan``), as the integer-inference fold builds
+frozen weights: W with BN2 folded in (``nn.fold_bn``), so the full sum
+comes back normalized; the base blocks with output channel c's row scaled
+by a_c = |gamma_c|/sigma1_c > 0 (1/sigma1_c where gamma_c = 0), so the
+base GEMM gives q = a*p; the merged-gate thresholds moved onto q's scale,
+a*(delta*sigma1 + mu1), which keep their direction since a > 0; and BN1's
+shift, so BN1(p) = sign(gamma)*q + shift, one add pass where every gamma
+is positive. A layer (``network.CgConvBlock``) keeps its plan until
+something writes its parameters or statistics; a call without one builds
+one for that call. A taken output is bitwise the dense twin's. An output
+the gate did not take, and the decisions, round as the scaled GEMM does:
+within rounding of BN1 of the unscaled partial sum and of the gate on it.
+The epilogue works in place on the two GEMM outputs (BN1's shift, the
+selection, the activation), so it allocates no float temporaries. The
+selection reads ``DecisionMap.d``, the map that ran, and every count of
+the work done (``analysis.count_flops`` and the FLOP-reduction figures)
+reduces it.
 
 Weight layout: a gated layer holds one dense kernel W (c_out, c_in, k, k).
 Output group i's rows over input group i's channels are W_p, the base
 path's weights; the rest of those rows are W_r, the conditional path's.
 The base GEMM reads W_p through ``base_blocks``, a writable view of W's
-diagonal blocks, and the full sum runs on W itself, so no copy of the
-kernel exists that a weight update could leave stale. Only the checkpoint
-format stores the split: ``<layer>.w_p`` is (c_out, c_in/G, k, k) and
-``<layer>.w_r`` (c_out, c_in - c_in/G, k, k), per output channel the
-complement input channels in ascending group order.
+diagonal blocks, and training's full sum runs on W itself. The inference
+plan's kernels are copies, which the layer drops at every write to W or
+to the statistics (``network`` module), so no copy a weight update could
+leave stale is ever read. Only the checkpoint format stores the split:
+``<layer>.w_p`` is (c_out, c_in/G, k, k) and ``<layer>.w_r``
+(c_out, c_in - c_in/G, k, k), per output channel the complement input
+channels in ascending group order.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
-                 _chwn, _per_channel, activation, bn_inference, conv2d_forward)
+                 _chwn, _per_channel, activation, conv2d_forward, fold_bn)
 
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
 BAND_INIT = 2.0   # a band starts as (delta_low, delta_high) = (-BAND_INIT, BAND_INIT)
@@ -270,15 +282,12 @@ def _threshold_decisions(x, edges):
     return d
 
 
-def merged_gate(partial_sum, params: CgBlockParams):
-    """Inference gate with BN1's running stats folded into each edge's
-    thresholds: for the single-sided gate the bool
-    d = x >= delta*sqrt(Var+eps) + E, per output channel."""
-    bn1 = params.bn1
-    sigma = np.sqrt(bn1.running_var + bn1.eps)
-    mean = bn1.running_mean
-    return _threshold_decisions(partial_sum, [(name, sign, t * sigma + mean)
-                                              for name, sign, t in params.gate.edges()])
+def merged_gate(q, plan):
+    """Inference gate on q = a*p, the base partial sum on the plan's
+    positive per-channel scale, with BN1's running stats folded into each
+    edge's thresholds on that scale: for the single-sided gate the bool
+    d = q >= a*(delta*sqrt(Var+eps) + E), per output channel."""
+    return _threshold_decisions(q, plan.edges)
 
 
 def gate_map(fired, tau_c):
@@ -296,33 +305,68 @@ def gate_map(fired, tau_c):
 # Block forward (inference)
 # ---------------------------------------------------------------------------
 
-def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig):
-    """Gated inference forward pass.
+@dataclass
+class InferencePlan:
+    """What a gated layer's inference reads of its frozen parameters and
+    never changes; ``inference_plan`` builds it."""
+
+    full: np.ndarray          # (c_out, c_in*k*k + 1): W with BN2 folded in
+    blocks: np.ndarray        # (G, c_out/G, c_in/G*k*k): W_p, row c scaled by a_c > 0
+    edges: list               # (name, sign, thresholds on q = a*p), as GateState.edges()
+    shift: np.ndarray         # BN1's shift: beta - gamma*mu1/sigma1
+    sign: np.ndarray | None   # sign(gamma), or None when every gamma is positive
+
+
+def inference_plan(params: CgBlockParams, cfg: CgLayerConfig):
+    """The ``InferencePlan`` of frozen ``params``. With
+    sigma1 = sqrt(var1 + eps) and a = |gamma|/sigma1 (1/sigma1 where
+    gamma = 0), BN1(p) = gamma*(p - mu1)/sigma1 + beta is
+    sign(gamma)*a*p + shift, and a > 0 keeps each edge's direction:
+    p >= t exactly where a*p >= a*t."""
+    bn1, gamma = params.bn1, params.gamma
+    sigma = np.sqrt(bn1.running_var + bn1.eps)
+    a = np.where(gamma == 0.0, 1.0, np.abs(gamma)) / sigma
+    blocks = base_blocks(params.w, cfg.groups) * a.reshape(cfg.groups, -1, 1)
+    edges = [(name, sign, a * (t * sigma + bn1.running_mean))
+             for name, sign, t in params.gate.edges()]
+    shift = params.beta - gamma * bn1.running_mean / sigma
+    sign = None if np.all(gamma > 0.0) else np.sign(gamma)
+    return InferencePlan(fold_bn(params.w, params.bn2), blocks, edges, shift, sign)
+
+
+def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig, plan=None):
+    """Gated inference forward pass on ``plan``, the layer's
+    ``InferencePlan`` of ``params`` (built for this call when None).
 
     Returns (y, DecisionMap). The output is f(BN2(full sum)) where the map
     that ran (``dm.d``) is True, else f(BN1(base partial sum)). The
     channel-wise gate zeroes whole channels' conditional work and their
     W_r accesses. Decision maps refer to pre-shuffle channel order.
 
-    The full sum is the dense convolution with W at every position,
-    selected afterwards: the skipped conditional MACs are accounted by
-    ``analysis.count_flops``, not skipped on the CPU. BN2 is folded into
-    its GEMM (``bn=params.bn2``), the dense twin's computation, so a taken
-    output is BN2(full sum) rounded as a GEMM rounds. The base partial
-    sums are a grouped GEMM over W's diagonal blocks (``base_blocks``) on
-    each band of the same columns, in the same ``nn.conv2d_forward`` call,
-    bitwise as without the fold. The epilogue works in place on the two
-    GEMM outputs: BN1 on p, the selection and the activation. It runs on
-    whatever running stats the block holds; ``Network.forward_infer``
-    checks that they are frozen.
+    The full sum is the dense convolution at every position, selected
+    afterwards: the skipped conditional MACs are accounted by
+    ``analysis.count_flops``, not skipped on the CPU. It runs on the
+    plan's folded kernel, the dense twin's computation, so a taken output
+    is BN2(full sum) rounded as a GEMM rounds, bitwise the twin's. The
+    same ``nn.conv2d_forward`` call runs the plan's scaled base blocks on
+    each band of the same columns, giving q = a*p: the gate compares q
+    (``merged_gate``), and BN1(p) is sign(gamma)*q + shift, so an output
+    the gate did not take, and a decision, rounds as that GEMM does. The
+    epilogue works in place on the two GEMM outputs: BN1's shift, the
+    selection and the activation. It runs on whatever running stats the
+    plan was built from; ``Network.forward_infer`` checks that they are
+    frozen.
     """
-    full, _, p = conv2d_forward(x, params.w, cfg.conv, (base_blocks(params.w, cfg.groups),),
-                                bn=params.bn2)
-    dm = gate_map(merged_gate(p, params), cfg.tau_c)
+    if plan is None:
+        plan = inference_plan(params, cfg)
+    full, _, q = conv2d_forward(x, params.w, cfg.conv, (plan.blocks,), folded=plan.full)
+    dm = gate_map(merged_gate(q, plan), cfg.tau_c)
 
-    pre = bn_inference(p, params.bn1, out=p)
-    np.copyto(pre, full, where=dm.d)
-    y = activation(pre, cfg.activation, out=pre)
+    if plan.sign is not None:
+        q *= _per_channel(plan.sign)
+    q += _per_channel(plan.shift)
+    np.copyto(q, full, where=dm.d)
+    y = activation(q, cfg.activation, out=q)
     if cfg.shuffle:
         y = channel_shuffle(y, cfg.groups)
     return y, dm

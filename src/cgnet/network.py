@@ -20,7 +20,16 @@ speaks one protocol:
   * ``forward_infer(x, collect, capture)`` returns ``(y, records)``: empty
     unless collecting, else one ``analysis.LayerRecord`` per compute layer
     that references the layer's spec, gate config and kernel and adds its
-    output dims, decision maps and, when capturing, its input;
+    output dims, decision maps and, when capturing, its input. A
+    convolution layer runs it on its inference plan, ``plan``: a dense
+    layer's kernel with its BN folded in (``nn.fold_bn``), a gated layer's
+    ``gating.InferencePlan``. The first ``forward_infer`` builds it, and
+    the next ones reuse it until something writes the layer's parameters
+    or statistics: the layer's ``forward_train`` drops it, and so do
+    ``Network.sgd_step``, ``load_state_tensors`` and the gate setters
+    (``Network.drop_plans``). Code that writes a layer's arrays in place
+    by any other way calls ``drop_plans`` itself. A copy (``copy.deepcopy``,
+    ``to_dense``) carries no plan;
   * ``param_groups()`` lists (name, param, grad, weight_decay) and
     ``state_items()`` the (name, array) pairs a checkpoint holds; loading
     writes into those arrays, except that a gated layer's kernel records
@@ -41,10 +50,11 @@ of them at a time and its backward rebuilds them from the input. The
 input is the previous layer's output or the caller's batch, so nothing
 may write to a layer's input before that layer's backward. Nor does a
 context keep the pre-activation: it keeps f' at its narrowest dtype, a
-bool mask for relu, and the activation runs in place over the
-pre-activation's buffer. At batch 64 on vgg8 a step keeps 13.6 MiB of
-contexts, its backward peaks at 19.6 MiB and its ``forward_train`` at
-16.2 MiB (18.1, 24.2 and 20.8 MiB with float pre-activations kept);
+bool mask for relu, and the activation runs once, in place over the
+pre-activation's buffer (``nn.activation_with_grad``). At batch 64 on
+vgg8 a step keeps 13.6 MiB of contexts, its backward peaks at 19.6 MiB
+and its ``forward_train`` at 16.2 MiB (18.1, 24.2 and 20.8 MiB with float
+pre-activations kept);
 keeping each stale context until its successor is assigned holds L01's
 two 5.5 MiB contexts at once. Releasing every context at once
 (``drop_contexts``) lets glibc trim the heap, and the next step faults it
@@ -85,8 +95,8 @@ from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, shuffle_permutation, split_dense_weight)
 from .nn import (ACTIVATION_KINDS, BnCtx, ConfigurationError, ConvCtx, ConvSpec,
                  BatchNormState, StateError, _batch, _consumable, _per_channel, activation,
-                 activation_grad, batchnorm_backward, bn_forward, conv2d_backward,
-                 conv2d_forward, linear_backward, linear_forward, maxpool2d,
+                 activation_with_grad, batchnorm_backward, bn_forward, conv2d_backward,
+                 conv2d_forward, fold_bn, linear_backward, linear_forward, maxpool2d,
                  maxpool2d_forward, avgpool2d_forward, pool2d_backward, sgd_step)
 
 
@@ -101,12 +111,23 @@ class Layer:
 
     ctx = None
 
+    plan = None   # a convolution layer's inference plan; see the module docstring
+
     def forward_train(self, x):
-        """Release the stale context, then run ``_forward_train``, which
+        """Drop the inference plan, whose statistics the pass moves, and
+        release the stale context; then run ``_forward_train``, which
         returns the output and the new context."""
+        self.plan = None
         self.ctx = None
         y, self.ctx = self._forward_train(x)
         return y
+
+    def __getstate__(self):
+        # a copy carries no plan: the original's arrays it was built from
+        # may be written after the copy, and the copy builds its own
+        state = self.__dict__.copy()
+        state.pop("plan", None)
+        return state
 
     def _saved_ctx(self):
         """The context of the last ``forward_train``; ``StateError`` if none,
@@ -163,8 +184,8 @@ class ConvBlock(Layer):
         xhat, bn_ctx = bn_forward(y, self.bn, out=y)
         pre = np.multiply(xhat, _per_channel(self.bn.gamma))
         pre += _per_channel(self.bn.beta)
-        fprime = activation_grad(pre, self.act)
-        return activation(pre, self.act, out=pre), ConvBlockContext(conv_ctx, bn_ctx, fprime)
+        y, fprime = activation_with_grad(pre, self.act)
+        return y, ConvBlockContext(conv_ctx, bn_ctx, fprime)
 
     def backward(self, dy):
         ctx = self._saved_ctx()
@@ -181,7 +202,9 @@ class ConvBlock(Layer):
         return dx
 
     def forward_infer(self, x, collect=False, capture=False):
-        y, _ = conv2d_forward(x, self.w, self.spec, bn=self.bn)
+        if self.plan is None:
+            self.plan = fold_bn(self.w, self.bn)
+        y, _ = conv2d_forward(x, self.w, self.spec, folded=self.plan)
         n, _, h_out, w_out = y.shape
         y = activation(y, self.act, out=y)
         if not collect:
@@ -234,7 +257,9 @@ class CgConvBlock(Layer):
         return g.dx
 
     def forward_infer(self, x, collect=False, capture=False):
-        y, dm = gating.cg_block_forward_inference(x, self.params, self.cfg)
+        if self.plan is None:
+            self.plan = gating.inference_plan(self.params, self.cfg)
+        y, dm = gating.cg_block_forward_inference(x, self.params, self.cfg, self.plan)
         if not collect:
             return y, []
         n, _, h_out, w_out = dm.d.shape
@@ -477,6 +502,7 @@ class Network:
         sgd_step(groups, self._vel, lr, momentum, weight_decay)
         for layer in self.gated_layers():
             layer.params.gate.clamp_band()
+        self.drop_plans()
 
     # -- gating access -------------------------------------------------------
     def gated_layers(self):
@@ -509,9 +535,17 @@ class Network:
         for layer in self.layers + self.leaves():
             layer.ctx = None
 
+    def drop_plans(self):
+        """Drop every layer's inference plan, residual sublayers included, so
+        the next ``forward_infer`` builds each from the arrays as they are
+        now. Every method here that writes parameters or statistics calls it."""
+        for leaf in self.leaves():
+            leaf.plan = None
+
     def set_force_open(self):
         """Force every gate fully open, for inference only (the logits are the
         dense twin's): an open gate's surrogate is saturated, so it learns nothing."""
+        self.drop_plans()
         for layer in self.gated_layers():
             for _, sign, t in layer.params.gate.edges():
                 t[:] = -sign * 1e6
@@ -526,12 +560,14 @@ class Network:
             raise ConfigurationError(
                 f"set_delta sets one-sided thresholds; layer(s) {', '.join(two_sided)} "
                 f"have two-sided gates")
+        self.drop_plans()
         for layer in layers:
             layer.params.gate.delta[:] = value
 
     def shift_delta(self, offset):
         """Move every edge inward by ``offset``: raise one-sided thresholds by it,
         narrow bands by it at each edge."""
+        self.drop_plans()
         for layer in self.gated_layers():
             for _, sign, t in layer.params.gate.edges():
                 t += sign * offset
@@ -553,6 +589,7 @@ class Network:
         return items
 
     def load_state_tensors(self, tensors):
+        self.drop_plans()
         # built once: the kernel records are temporary copies, and the alias
         # check below needs every array alive so that no id is reused
         items = [item for leaf in self.leaves() for item in leaf.state_items()]

@@ -44,11 +44,15 @@ Conventions:
     major, so channel groups are contiguous slices;
   * convolutions carry no bias (batch normalization absorbs it). At
     inference a convolution's own batch norm runs inside its GEMM:
-    ``conv2d_forward(..., bn=)`` scales the kernel's rows and adds the
-    shift as one more kernel column against a row of ones, so no pass
-    normalizes the output. ``bn_inference`` stays for a gated layer's
-    partial sum (BN1), whose raw values the gate compares; training
-    normalizes with batch statistics (``bn_forward``).
+    ``fold_bn`` scales the kernel's rows and adds the shift as one more
+    kernel column, which ``conv2d_forward(..., folded=)`` runs against a
+    row of ones, so no pass normalizes the output. A layer folds once per
+    frozen state, in its inference plan (``network`` module), and a gated
+    layer's plan also scales its base blocks, so the partial sum comes out
+    of its GEMM on BN1's scale (``gating``). So no inference pass
+    normalizes a GEMM's output; ``bn_inference`` is the reference
+    computation of that BN. Training normalizes with batch statistics
+    (``bn_forward``).
 """
 
 from __future__ import annotations
@@ -285,7 +289,21 @@ def _bands(ho, row_cols, rows_k):
     return [slice(a, min(a + rows, ho)) for a in range(0, ho, rows)]
 
 
-def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, bn=None):
+def fold_bn(w, bn: BatchNormState):
+    """Frozen batch norm folded into a dense kernel ``w`` (c_out, c, k, k):
+    the (c_out, c*k*k + 1) kernel whose rows are W's scaled by
+    scale = gamma/sqrt(var + eps) and whose last column is the shift
+    beta - mean*scale, for ``conv2d_forward(..., folded=)``. A layer builds
+    it once per frozen state (its inference plan), not per call."""
+    c_out = w.shape[0]
+    scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+    folded = np.empty((c_out, w[0].size + 1))
+    np.multiply(w.reshape(c_out, -1), scale[:, None], out=folded[:, :-1])
+    np.subtract(bn.beta, bn.running_mean * scale, out=folded[:, -1])
+    return folded
+
+
+def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, folded=None):
     """Grouped 2-D cross-correlation via im2col; returns (y, ctx) followed
     by one partial-sum batch per kernel in ``blocks``.
 
@@ -300,19 +318,19 @@ def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, bn=None):
     its input channels' rows of the band. ``blocks`` are block-diagonal
     kernels on the same columns, each a (G, c_out/G, c_in/G*k*k) stack
     whose block i reads input group i's rows (a gated layer's W_p,
-    ``gating.base_blocks``); each one's sums come back as a batch like y.
+    ``gating.base_blocks``, or the inference plan's scaled copy of it);
+    each one's sums come back as a batch like y.
 
-    ``bn``, a ``BatchNormState`` whose running statistics are frozen,
-    folds inference batch norm into a dense kernel's GEMM (a grouped spec
-    raises ``ConfigurationError``): y is BN(conv) from W's rows scaled by
-    scale = gamma/sqrt(var + eps) and one more kernel column, the shift
-    beta - mean*scale, which reads a row of ones under each band's
-    columns. So y rounds as a GEMM does, not as ``bn_inference`` of the
-    convolution. The bands are cut from the columns' c*k*k rows alone, and
-    ``blocks`` read those rows against their own, unscaled kernels, so
-    their sums are bitwise the call's without ``bn``. Training passes no
-    ``bn``: ``ctx`` is the convolution's, and its backward knows nothing
-    of a fold."""
+    ``folded``, ``fold_bn(w, bn)`` of a dense kernel (a grouped spec
+    raises ``ConfigurationError``), runs inference batch norm inside the
+    GEMM: y is BN(conv) from the folded rows and their shift column, which
+    reads a row of ones under each band's columns. So y rounds as a GEMM
+    does, not as ``bn_inference`` of the convolution. ``w`` stays the
+    dense kernel, which the shape check and ``ctx`` read. The bands are
+    cut from the columns' c*k*k rows alone, and ``blocks`` read only those
+    rows, so their sums do not depend on ``folded``. Training passes no
+    ``folded``: ``ctx`` is the convolution's, and its backward knows
+    nothing of a fold."""
     xb = _as_batch(x)
     w = np.asarray(w, dtype=np.float64)
     _check_conv(xb, w, spec)
@@ -321,15 +339,12 @@ def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, bn=None):
     m, kk, row = ho * wo * n, c * k * k, wo * n
     w_rows = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     rows = kk   # of the columns: c*k*k, and the row of ones under a fold
-    if bn is not None:
+    if folded is not None:
         if spec.groups != 1:
             raise ConfigurationError(f"conv2d_forward: batch norm folds into a dense kernel "
                                      f"only, got groups={spec.groups}")
         rows = kk + 1
-        scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-        w_rows = np.empty((1, spec.out_channels, rows))
-        np.multiply(w.reshape(1, spec.out_channels, kk), scale[:, None], out=w_rows[:, :, :kk])
-        np.subtract(bn.beta, bn.running_mean * scale, out=w_rows[0, :, kk])
+        w_rows = folded.reshape(1, spec.out_channels, rows)
     kernels = [w_rows, *blocks]
     outs = [np.empty((spec.out_channels, m)) for _ in kernels]
     bands = _bands(ho, row, kk)
@@ -458,8 +473,8 @@ def bn_forward(x, st: BatchNormState, out=None, training=True):
     gamma*x^ + beta and passes gamma to ``batchnorm_backward``. x^ is
     written into ``out`` when given (``out`` may be ``x``).
     ``training=False`` returns ``(bn_inference(x, st, out), None)`` for the
-    benchmark's reference forward; the package calls ``bn_inference`` or
-    folds the frozen statistics into ``conv2d_forward``."""
+    benchmark's reference forward; the package folds the frozen statistics
+    into its GEMMs instead (``fold_bn``)."""
     xb = _as_batch(x)
     if xb.shape[1] != len(st.gamma):
         raise ConfigurationError(
@@ -486,11 +501,11 @@ def bn_inference(x, st: BatchNormState, out=None):
     """Frozen-statistics batch normalization of (n, c, h, w) ``x``, written
     into ``out`` when given (``out`` may be ``x``): per channel and in
     exactly this order ``(x - mean) * scale + beta``, with
-    ``scale = gamma / sqrt(var + eps)``. Inference runs it on a gated
-    layer's base partial sum (BN1), whose values the gate compared: the
-    outputs the gate did not take. A convolution's output BN (a dense
-    layer's, and BN2 on a gated layer's full sum) folds into
-    ``conv2d_forward(..., bn=)`` instead."""
+    ``scale = gamma / sqrt(var + eps)``. It is the reference's BN (the
+    benchmark's dense-then-masked forward and the test oracles): the
+    package's inference folds every frozen BN into a GEMM, BN2 and a dense
+    layer's BN through ``fold_bn``, BN1's scale into a gated layer's base
+    blocks (``gating.inference_plan``)."""
     scale = st.gamma / np.sqrt(st.running_var + st.eps)
     y = np.subtract(x, _per_channel(st.running_mean), out=out)
     y *= _per_channel(scale)
@@ -571,28 +586,47 @@ def xor_blend(d, a, b):
     return out
 
 
+_OUTPUT_GRAD_KINDS = ("tanh", "sigmoid")   # f' follows from the output
+
+
+def _grad_from_output(y, kind):
+    """f' of tanh or sigmoid from its output y: 1 - y*y, or (1 - y)*y."""
+    if kind == "tanh":
+        return 1.0 - y * y
+    g = 1.0 - y
+    g *= y
+    return g
+
+
 def activation_grad(pre, kind):
     """f'(pre) at its narrowest dtype. binary_sign uses the straight-through
     clip window |x| <= 1. ReLU's, binary_sign's and identity's derivatives
     are 0 or 1 and come as bool masks (identity's all ones), one byte per
     element, which the chain rule's multiply reads as 1.0 and 0.0; tanh's
-    and sigmoid's are float."""
+    and sigmoid's are float, computed from the activation's output."""
     pre = np.asarray(pre, dtype=np.float64)
+    if kind in _OUTPUT_GRAD_KINDS:
+        return _grad_from_output(activation(pre, kind), kind)
     if kind == "relu":
         return pre > 0.0
-    if kind == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
-    if kind == "sigmoid":
-        s = sigmoid(pre)
-        g = 1.0 - s
-        g *= s
-        return g
     if kind == "binary_sign":
         return np.abs(pre) <= 1.0
     if kind == "identity":
         return np.ones_like(pre, dtype=bool)
     raise ConfigurationError(f"unknown activation kind {kind!r}")
+
+
+def activation_with_grad(pre, kind):
+    """(f(pre), f'(pre)) for a training forward, with the activation run
+    once and in place over ``pre``, a float64 batch its caller owns.
+    tanh's and sigmoid's f' come from the output, 1 - y*y and (1 - y)*y,
+    the arithmetic of ``activation_grad``, so bitwise its result; the
+    other kinds' f' is read from pre before the activation overwrites it."""
+    if kind in _OUTPUT_GRAD_KINDS:
+        y = activation(pre, kind, out=pre)
+        return y, _grad_from_output(y, kind)
+    fprime = activation_grad(pre, kind)
+    return activation(pre, kind, out=pre), fprime
 
 
 # ---------------------------------------------------------------------------

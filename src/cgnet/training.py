@@ -21,7 +21,8 @@ z = where(d, x^_2, x^_g), x^_2 the normalization of the full sum, selected
 by ``nn.xor_blend``. Both normalizations overwrite their GEMM outputs, and
 the activation runs in place over pre, whose f' the context keeps instead,
 as in-place activated batch norm keeps only what f' reads: bool for relu,
-binary_sign and identity, float for tanh and sigmoid. So the training
+binary_sign and identity, float for tanh and sigmoid, whose f' is read
+from the output (``nn.activation_with_grad``). So the training
 context holds two float arrays of the output's shape (x^_g and x^_2 inside
 the two ``BnCtx``), f', the bool d and the convolution's ``nn.ConvCtx``,
 which references the block's input x: the backward rebuilds the im2col
@@ -72,7 +73,7 @@ from . import analysis
 from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, base_blocks,
                      gate_map)
 from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _chwn, _consumable, _per_channel,
-                 accuracy, activation, activation_grad, batchnorm_backward, bn_forward,
+                 accuracy, activation_with_grad, batchnorm_backward, bn_forward,
                  conv2d_backward, conv2d_forward, cross_entropy, softmax, xor_blend)
 
 
@@ -248,8 +249,9 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     paths share gamma/beta, so the combine applies the affine
     once, to the selected normalization: pre = gamma*z + beta with
     z = where(d, x^_2, x^_g) (``nn.xor_blend``), d the channel-gated map
-    (``gate_map``). The context keeps f'(pre), and the activation
-    overwrites pre, which becomes y.
+    (``gate_map``). The activation runs once and overwrites pre, which
+    becomes y, and the context keeps f'(pre) (``nn.activation_with_grad``:
+    tanh's and sigmoid's from y).
     """
     full, conv, p = conv2d_forward(x, params.w, cfg.conv, (base_blocks(params.w, cfg.groups),))
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
@@ -258,8 +260,7 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     pre = xor_blend(d, xhat2, xhat_g)
     pre *= _per_channel(params.gamma)
     pre += _per_channel(params.beta)
-    fprime = activation_grad(pre, cfg.activation)
-    y = activation(pre, cfg.activation, out=pre)
+    y, fprime = activation_with_grad(pre, cfg.activation)
     return y, CgTrainContext(cfg, params, conv, bn1_ctx, bn2_ctx, d, fprime)
 
 

@@ -46,6 +46,47 @@ def check_grad(f, x, analytic, step=1e-3, tol=1e-3):
     return err
 
 
+# ---------------------------------------------------------------------------
+# Exactness tiers of gated outputs: one helper per tier
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def assert_tier_a(got, want):
+    """Tier (a): decisions bitwise equal, for a path whose gate input comes
+    from an unchanged GEMM."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    bad = np.count_nonzero(got != want)
+    assert bad == 0, f"tier (a): {bad} of {want.size} decisions differ"
+
+
+def assert_tier_b(got, want, magnitude, c):
+    """Tier (b): each output within c*eps of the sum of its terms'
+    magnitudes, ``magnitude``. A K-term GEMM checked
+    against a reference that also rounds its sum takes c ~ 2*(K + 2); one
+    whose reference sums exactly, c ~ 4."""
+    err = np.abs(np.asarray(got) - np.asarray(want))
+    bound = c * EPS * np.asarray(magnitude)
+    bad = ~(err <= bound)
+    assert not bad.any(), (f"tier (b): {np.count_nonzero(bad)} outputs exceed {c} eps of their "
+                           f"terms' magnitudes; worst excess {np.max(err - bound):.3e}")
+
+
+def tier_c_flips(got, want, x, threshold, bound):
+    """Tier (c): decisions ``got`` equal ``want`` wherever the gate input
+    ``x`` lies farther than ``bound``, its rounding bound, from its
+    ``threshold`` (both broadcast against x); returns the count of flips
+    inside that margin, which the caller reports."""
+    got, want = np.asarray(got), np.asarray(want)
+    flips = got != want
+    outside = np.abs(np.asarray(x) - threshold) > bound
+    bad = np.count_nonzero(flips & outside)
+    assert bad == 0, f"tier (c): {bad} decisions flipped outside the rounding margin"
+    return int(np.count_nonzero(flips))
+
+
 def heaviside(x):
     """theta(x): 1.0 where x >= 0, else 0.0 (boundary inclusive)."""
     return (np.asarray(x, dtype=np.float64) >= 0.0).astype(np.float64)
@@ -252,7 +293,7 @@ def dense_masked_block_forward(x, params, cfg):
         take = p >= threshold(gate.delta)
     d = take.astype(np.float64)
     if cfg.tau_c > 0.0:
-        mask = (d.sum(axis=(2, 3)) >= cfg.tau_c * ho * wo).astype(np.float64)
+        mask = (d.sum(axis=(2, 3)) >= cfg.tau_c * (ho * wo)).astype(np.float64)
     else:
         mask = np.ones((n, c_out))
     d_eff = d * mask[..., None, None]

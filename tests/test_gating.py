@@ -16,10 +16,9 @@ from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
 from cgnet.network import build_model
 from cgnet.nn import ConfigurationError, ConvSpec
 
-from _oracles import (conditional_kernel, dense_masked_block_forward, heaviside,
-                      kernel_split, pruning_ratio, rel_err)
-
-EPS = np.finfo(np.float64).eps
+from _oracles import (EPS, assert_tier_a, assert_tier_b, conditional_kernel,
+                      dense_masked_block_forward, heaviside, kernel_split, pruning_ratio,
+                      rel_err, tier_c_flips)
 
 
 def make_cfg(c_in=8, c_out=8, k=3, G=4, act="relu", tau_c=0.0, shuffle=False,
@@ -52,6 +51,47 @@ def block_costs(dm, cfg):
 def gate_params(cfg):
     """Block parameters with identity BN stats; the weights are not used."""
     return CgBlockParams.init(cfg, np.random.default_rng(0))
+
+
+def gate_scale(params):
+    """The positive per-channel scale a of the gate input q = a*p:
+    |gamma|/sigma1, and 1/sigma1 where gamma = 0."""
+    sigma = np.sqrt(params.bn1.running_var + params.bn1.eps)
+    return np.where(params.gamma == 0.0, 1.0, np.abs(params.gamma)) / sigma
+
+
+def gate_bound(q, params, a):
+    """A rounding bound of q = a*p against the merged threshold
+    a*(delta*sigma1 + mu1), for tier (c): 4 eps of their magnitudes."""
+    sigma = np.sqrt(params.bn1.running_var + params.bn1.eps)
+    edge = np.max([np.abs(t) for _, t in params.gate.thresholds()], axis=0)
+    threshold = a * (edge * sigma + np.abs(params.bn1.running_mean))
+    return 4 * EPS * (np.abs(q) + threshold[:, None, None])
+
+
+# tier (b)'s and (c)'s constant for make_cfg's base path, whose sums have
+# K = 2 channels x 9 taps = 18 terms: 2*(K + 2) eps covers the block's GEMM
+# and the reference's own sum
+BASE_PATH_C = 2 * (18 + 2)
+
+
+def base_path(x, params, cfg):
+    """The base partial sum p, a grouped ``conv2d`` on W_p sliced from the
+    dense kernel, and the sum of its terms' magnitudes."""
+    spec = cfg.conv
+    grouped = ConvSpec(spec.in_channels, spec.out_channels, spec.kernel_size, spec.stride,
+                       spec.padding, groups=cfg.groups)
+    w_p = kernel_split(params.w, cfg.groups)[0]
+    return nn.conv2d(x, w_p, grouped), nn.conv2d(np.abs(x), np.abs(w_p), grouped)
+
+
+def bn1_magnitude(params, magnitude):
+    """The sum of the magnitudes of BN1(p)'s terms, from those of p's:
+    |gamma|/sigma1*magnitude + |gamma*mu1/sigma1| + |beta|."""
+    bn1 = params.bn1
+    scale = np.abs(params.gamma) / np.sqrt(bn1.running_var + bn1.eps)
+    return (magnitude * scale[:, None, None]
+            + (np.abs(scale * bn1.running_mean) + np.abs(params.beta))[:, None, None])
 
 
 def train_gate(p, params):
@@ -135,12 +175,24 @@ class TestGateForward:
 
 
 class TestMergedGate:
+    """The gate on q = a*p, the partial sum on the plan's positive scale,
+    against the normalize-then-threshold definition on p: tier (c)."""
+
+    @staticmethod
+    def gate(p, params, cfg):
+        """(decisions, q, a) of the merged gate on the partial sums p."""
+        a = gate_scale(params)
+        q = p * a[:, None, None]
+        return merged_gate(q, gating.inference_plan(params, cfg)), q, a
+
     def test_identity_stats(self, rng):
         cfg = make_cfg()
         params = gate_params(cfg)
-        # E=0, Var=1, Delta=0: decisions equal heaviside up to the eps term
+        # E=0, Var=1, Delta=0: the threshold on q is 0, and a > 0 keeps p's
+        # sign, so decisions equal heaviside with a zero margin
         p = rng.standard_normal((1, 8, 6, 6))
-        np.testing.assert_array_equal(merged_gate(p, params), heaviside(p))
+        d, q, _ = self.gate(p, params, cfg)
+        assert tier_c_flips(d, heaviside(p), q, 0.0, 0.0) == 0
 
     def test_hand_evaluation(self):
         cfg = make_cfg(c_in=4, c_out=1, G=1)
@@ -150,7 +202,7 @@ class TestMergedGate:
         params.gate.delta[:] = 1.0
         # theta(4 - 1*2 - 2) = theta(0) = 1 (eps negligible at this magnitude)
         x = np.full((1, 1, 1, 1), 4.0 + 1e-4)
-        assert merged_gate(x, params)[0, 0, 0, 0]
+        assert self.gate(x, params, cfg)[0][0, 0, 0, 0]
 
     def test_equals_normalize_then_threshold(self, rng):
         # two-path equivalence oracle over 10^4 random cases
@@ -160,12 +212,15 @@ class TestMergedGate:
         bn1.running_mean[:] = rng.standard_normal(8)
         bn1.running_var[:] = rng.uniform(0.1, 3.0, 8)
         gate.delta[:] = rng.standard_normal(8)
+        params.gamma[:] = rng.uniform(-1.5, 1.5, 8)
+        params.gamma[0] = 0.0
         x = rng.standard_normal((125, 8, 10, 1)) * 2.0
-        got = merged_gate(x, params)
+        got, q, a = self.gate(x, params, cfg)
         sigma = np.sqrt(bn1.running_var + bn1.eps)
         xhat = (x - bn1.running_mean[:, None, None]) / sigma[:, None, None]
         want = heaviside(xhat - gate.delta[:, None, None])
-        np.testing.assert_array_equal(got, want)
+        threshold = (a * (gate.delta * sigma + bn1.running_mean))[:, None, None]
+        tier_c_flips(got, want, q, threshold, gate_bound(q, params, a))
 
     def test_two_sided_band(self, rng):
         cfg = make_cfg(c_in=4, c_out=1, G=1, act="tanh")
@@ -174,7 +229,7 @@ class TestMergedGate:
         params.gate.delta_high[:] = 0.5
         params.gate.delta_low[:] = -0.5
         x = np.array([[[[-1.0, -0.5, 0.0, 0.5, 1.0]]]] * 1).reshape(1, 1, 1, 5)
-        d = merged_gate(x, params)
+        d = self.gate(x, params, cfg)[0]
         # eps shifts the +/-0.5 thresholds outward by ~2.5e-6, boundaries taken
         np.testing.assert_array_equal(d.ravel(), [0, 1, 1, 1, 0])
 
@@ -356,18 +411,20 @@ class TestBlockInference:
         assert cost0["gate_comparisons"] == 3 * ho * wo * 8
 
     def test_channel_mask_consistency(self, rng):
-        # masked-off channels carry exactly the base-path output
+        # masked-off channels carry the base-path output BN1(p), as the
+        # scaled base GEMM rounds it: tier (b) against BN1 of the grouped
+        # convolution, whose 18-term sums round too
         cfg = make_cfg(tau_c=0.6)
         params = make_params(cfg, rng)
         x = rng.standard_normal((1, 8, 6, 6))
         y, dm = cg_block_forward_inference(x, params, cfg)
-        grouped = nn.conv2d(x, kernel_split(params.w, cfg.groups)[0],
-                            ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
+        grouped, magnitude = base_path(x, params, cfg)
         base = nn.activation(nn.bn_inference(grouped, params.bn1), "relu")
+        magnitude = bn1_magnitude(params, magnitude)
         assert not dm.channel_mask.all(), "test wants at least one masked channel"
         for c in range(8):
             if not dm.channel_mask[0, c]:
-                np.testing.assert_array_equal(y[0, c], base[0, c])
+                assert_tier_b(y[0, c], base[0, c], magnitude[0, c], BASE_PATH_C)
 
     def test_shuffle_applied_to_output(self, rng):
         cfg = make_cfg(shuffle=True)
@@ -412,11 +469,35 @@ class TestBlockInferenceOracle:
         # columns wherever the layer spans a multiple of 64 columns
         self.check(rows, seed, n, G, per_in, per_out, k, stride, pad, hw, tau_c, act, shuffle)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), hw=st.tuples(st.integers(3, 6), st.integers(3, 6)),
+           signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=8, max_size=8), **cases)
+    @example(seed=3, n=2, hw=(5, 4), G=2, per_in=2, per_out=2, k=3, stride=1, pad=1, tau_c=0.0,
+             act="relu", shuffle=False, signs=[0.0, -1.0, 1.0, -1.0, 0, 0, 0, 0])
+    @example(seed=4, n=3, hw=(4, 4), G=4, per_in=1, per_out=2, k=3, stride=1, pad=1, tau_c=0.2,
+             act="tanh", shuffle=True, signs=[-1.0, 0.0, 1.0, 0.0, -1.0, 1.0, 0.0, -1.0])
+    def test_signed_gamma_matches_dense_masked_oracle(self, seed, n, G, per_in, per_out, k,
+                                                      stride, pad, hw, tau_c, act, shuffle,
+                                                      signs):
+        # gamma with negative and zero entries: BN1(p) is sign(gamma)*q +
+        # shift, and a gamma = 0 channel gates on p/sigma1 and outputs beta
+        # wherever the gate does not take
+        y, dm, params, cfg = self.check(None, seed, n, G, per_in, per_out, k, stride, pad, hw,
+                                        tau_c, act, shuffle, signs)
+        if cfg.shuffle:   # back to the decisions' channel order
+            y = channel_shuffle(y, cfg.conv.out_channels // cfg.groups)
+        for c in np.flatnonzero(params.gamma == 0.0):
+            base = y[:, c][~dm.d[:, c]]
+            want = nn.activation(np.full(base.shape, params.beta[c]), cfg.activation)
+            np.testing.assert_array_equal(base, want)
+
     @staticmethod
-    def check(rows, seed, n, G, per_in, per_out, k, stride, pad, hw, tau_c, act, shuffle):
+    def check(rows, seed, n, G, per_in, per_out, k, stride, pad, hw, tau_c, act, shuffle,
+              signs=None):
         """The block, run with ``nn.BAND_BYTES`` set to ``rows`` output rows
         of columns (None keeps it), against the oracle run with the module's
-        budget."""
+        budget; ``signs`` multiply gamma per channel. Returns (y, dm,
+        params, cfg) of the block."""
         rng = np.random.default_rng(seed)
         cfg = CgLayerConfig(ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad),
                             groups=G, activation=act, tau_c=tau_c, shuffle=shuffle)
@@ -427,6 +508,8 @@ class TestBlockInferenceOracle:
             params.gate.delta_low[:] = -np.abs(rng.standard_normal(c_out)) * 0.8
         else:
             params.gate.delta[:] = rng.standard_normal(c_out) * 0.7
+        if signs is not None:
+            params.gamma *= signs[:c_out]
         x = rng.standard_normal((n, cfg.conv.in_channels) + hw)
         with pytest.MonkeyPatch.context() as mp:
             if rows is not None:
@@ -439,6 +522,88 @@ class TestBlockInferenceOracle:
         np.testing.assert_array_equal(dm.d, dm_ref.d)
         np.testing.assert_array_equal(dm.channel_mask, dm_ref.channel_mask)
         assert block_costs(dm, cfg) == cost_ref
+        return y, dm, params, cfg
+
+
+class TestExactnessTiers:
+    """Each exactness tier's helper passes the block as it is and catches a
+    mutation of what that tier checks."""
+
+    @staticmethod
+    def block(rng, tau_c=0.0, act="relu"):
+        cfg = make_cfg(tau_c=tau_c, act=act)
+        params = make_params(cfg, rng)
+        params.gamma[:] = rng.uniform(0.2, 3.0, 8)   # a gate scale far from 1
+        params.gate.delta[:] = rng.standard_normal(8) * 0.5
+        return cfg, params, rng.standard_normal((4, 8, 6, 6))
+
+    @staticmethod
+    def mutate_plan(monkeypatch, edit):
+        """Make every plan the block builds pass through ``edit``."""
+        build = gating.inference_plan
+
+        def mutant(params, cfg):
+            plan = build(params, cfg)
+            edit(plan, params)
+            return plan
+
+        monkeypatch.setattr(gating, "inference_plan", mutant)
+
+    def test_tier_a_catches_a_gate_without_its_channel_mask(self, rng, monkeypatch):
+        # a layer's kept plan and a plan built per call run the same GEMM,
+        # so their decisions agree bitwise
+        cfg, params, x = self.block(rng, tau_c=0.4)
+        _, want = cg_block_forward_inference(x, params, cfg)
+        _, got = cg_block_forward_inference(x, params, cfg, gating.inference_plan(params, cfg))
+        assert not want.channel_mask.all() and want.d.any()
+        assert_tier_a(got.d, want.d)
+        gate_map = gating.gate_map
+        monkeypatch.setattr(gating, "gate_map", lambda fired, tau_c: gate_map(fired, 0.0))
+        _, mutant = cg_block_forward_inference(x, params, cfg)
+        with pytest.raises(AssertionError, match=r"tier \(a\)"):
+            assert_tier_a(mutant.d, want.d)
+
+    def test_tier_b_catches_a_shift_rounded_to_float32(self, rng, monkeypatch):
+        # no gate takes, so every output is BN1(p) from the scaled base GEMM
+        cfg, params, x = self.block(rng, act="identity")
+        params.gate.delta[:] = 1e6
+        y, dm = cg_block_forward_inference(x, params, cfg)
+        assert not dm.d.any()
+        p, magnitude = base_path(x, params, cfg)
+        magnitude = bn1_magnitude(params, magnitude)
+        want = nn.bn_inference(p, params.bn1)
+        assert_tier_b(y, want, magnitude, BASE_PATH_C)
+        self.mutate_plan(monkeypatch, lambda plan, _: setattr(
+            plan, "shift", plan.shift.astype(np.float32).astype(np.float64)))
+        y_mutant, _ = cg_block_forward_inference(x, params, cfg)
+        with pytest.raises(AssertionError, match=r"tier \(b\)"):
+            assert_tier_b(y_mutant, want, magnitude, BASE_PATH_C)
+
+    def test_tier_c_catches_thresholds_left_on_the_scale_of_p(self, rng, monkeypatch):
+        # decisions on q = a*p against the gate on p, outside p's rounding
+        # margin: BASE_PATH_C eps of the terms' and the threshold's magnitudes
+        cfg, params, x = self.block(rng)
+        _, dm = cg_block_forward_inference(x, params, cfg)
+        p, magnitude = base_path(x, params, cfg)
+        bn1 = params.bn1
+        sigma = np.sqrt(bn1.running_var + bn1.eps)
+        threshold = (params.gate.delta * sigma + bn1.running_mean)[:, None, None]
+        bound = BASE_PATH_C * EPS * (magnitude + np.abs(threshold))
+        want = p >= threshold
+        assert 0 < np.count_nonzero(want) < want.size
+        assert tier_c_flips(dm.d, want, p, threshold, bound) == 0
+        self.mutate_plan(monkeypatch, lambda plan, params: plan.edges.__setitem__(
+            0, ("delta", 1, params.gate.delta * sigma + bn1.running_mean)))
+        _, mutant = cg_block_forward_inference(x, params, cfg)
+        with pytest.raises(AssertionError, match=r"tier \(c\)"):
+            tier_c_flips(mutant.d, want, p, threshold, bound)
+
+    def test_tier_c_counts_a_flip_inside_the_margin(self):
+        x = np.array([1.0, 2.0, 3.0])
+        got, want = np.array([True, False, True]), np.array([True, True, True])
+        assert tier_c_flips(got, want, x, 2.0 + 1e-15, 1e-14) == 1
+        with pytest.raises(AssertionError, match=r"tier \(c\)"):
+            tier_c_flips(got, want, x, 2.5, 1e-14)
 
 
 class TestBlockForwardMemory:
@@ -535,8 +700,8 @@ class TestDecisionMap:
     def test_inference_at_tau_c_zero_records_the_gate_map_uncopied(self, rng, monkeypatch):
         maps = []
 
-        def recorded_gate(p, params):
-            maps.append(merged_gate(p, params))
+        def recorded_gate(q, plan):
+            maps.append(merged_gate(q, plan))
             return maps[-1]
 
         monkeypatch.setattr(gating, "merged_gate", recorded_gate)

@@ -1,6 +1,7 @@
 """Model composition: builder, dense conversion, gradient chaining,
 training-context lifetime."""
 
+import copy
 import gc
 import json
 import tracemalloc
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgnet import network, nn, training
+from cgnet import checkpoint, network, nn, training
+from cgnet.analysis import network_pruning_ratio
 from cgnet.gating import shuffle_permutation
 from cgnet.network import CgConvBlock, ConvBlock, build_model
 from cgnet.nn import ConfigurationError, StateError
@@ -674,3 +676,99 @@ class TestContextLifetime:
         for rec in convs:
             assert rec.x_in is None, rec.name
             assert rec.w is kernels[rec.name], rec.name
+
+
+def conv_leaves(model):
+    return [leaf for leaf in model.leaves() if isinstance(leaf, (ConvBlock, CgConvBlock))]
+
+
+class TestInferencePlan:
+    """A convolution layer builds its inference plan on its first
+    ``forward_infer`` and keeps it until something writes its parameters
+    or statistics; what comes out then equals a fresh copy's logits."""
+
+    @staticmethod
+    def frozen(cfg_fn, rng):
+        model = build_model(cfg_fn(), rng)
+        x = rng.standard_normal((6, 1, 16, 16))
+        model.forward_train(x)
+        model.freeze_gates()
+        return model, x
+
+    @staticmethod
+    def fresh_logits(model, cfg_fn, x):
+        """The logits of a model built anew from ``model``'s state tensors."""
+        clone = build_model(cfg_fn(), None)
+        clone.load_state_tensors(dict(model.state_tensors()))
+        return clone.forward_infer(x, require_frozen=False)[0]
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_first_inference_builds_and_later_ones_reuse(self, rng, cfg_fn):
+        model, x = self.frozen(cfg_fn, rng)
+        assert all(leaf.plan is None for leaf in conv_leaves(model))
+        first, _ = model.forward_infer(x)
+        plans = [leaf.plan for leaf in conv_leaves(model)]
+        assert all(plan is not None for plan in plans)
+        again, _ = model.forward_infer(x)
+        assert all(leaf.plan is plan for leaf, plan in zip(conv_leaves(model), plans))
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(first, self.fresh_logits(model, cfg_fn, x))
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_sgd_step_after_an_inference_moves_the_next_logits(self, rng, cfg_fn):
+        # the inference between the backward and the step builds every plan
+        # from the weights the step then writes
+        model, x = self.frozen(cfg_fn, rng)
+        model.backward(np.ones_like(model.forward_train(x)))
+        before, _ = model.forward_infer(x, require_frozen=False)
+        model.sgd_step(0.05, 0.9, 1e-4)
+        after, _ = model.forward_infer(x, require_frozen=False)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, self.fresh_logits(model, cfg_fn, x))
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_forward_train_and_a_state_load_drop_the_plans(self, rng, cfg_fn, tmp_path):
+        model, x = self.frozen(cfg_fn, rng)
+        model.forward_infer(x)
+        model.forward_train(x)
+        assert all(leaf.plan is None for leaf in conv_leaves(model))
+        model.freeze_gates()
+        model.forward_infer(x)
+        other, _ = self.frozen(cfg_fn, np.random.default_rng(5))
+        model.load_state_tensors(dict(other.state_tensors()))
+        assert all(leaf.plan is None for leaf in conv_leaves(model))
+        want, _ = other.forward_infer(x)
+        np.testing.assert_array_equal(model.forward_infer(x)[0], want)
+        # a checkpoint of a model holding plans loads without one
+        checkpoint.save_model(tmp_path / "m.cgn", model)
+        loaded = checkpoint.load_model(tmp_path / "m.cgn")
+        assert all(leaf.plan is None for leaf in conv_leaves(loaded))
+        np.testing.assert_array_equal(loaded.forward_infer(x)[0], want)
+
+    def test_gate_setters_after_an_inference_take_effect(self, rng):
+        model, x = self.frozen(vgg_ish_cfg, rng)
+        _, records = model.forward_infer(x, collect=True)
+        pruned = [network_pruning_ratio(records)]
+        for setter, value in ((model.set_delta, 0.8), (model.shift_delta, 0.5)):
+            setter(value)
+            logits, records = model.forward_infer(x, collect=True)
+            pruned.append(network_pruning_ratio(records))
+            np.testing.assert_array_equal(logits, self.fresh_logits(model, vgg_ish_cfg, x))
+        assert pruned[0] < pruned[1] < pruned[2]
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_a_copy_carries_no_plan_and_forced_open_is_the_dense_twin(self, rng, cfg_fn):
+        # as the benchmark's final check: a deep copy of a model that has
+        # run inference, forced open, gives the dense twin's logits
+        model, x = self.frozen(cfg_fn, rng)
+        model.forward_infer(x)
+        dense = model.to_dense()
+        opened = copy.deepcopy(model)
+        for twin in (dense, opened):
+            assert all(leaf.plan is None for leaf in conv_leaves(twin))
+        assert all(leaf.plan is not None for leaf in conv_leaves(model))
+        want, _ = dense.forward_infer(x)
+        opened.set_force_open()
+        np.testing.assert_array_equal(opened.forward_infer(x)[0], want)
+        model.set_force_open()
+        np.testing.assert_array_equal(model.forward_infer(x)[0], want)

@@ -276,11 +276,13 @@ class TestIm2col:
 
 
 def forward_in_bands(budget, x, w, spec, blocks=(), bn=None):
-    """``nn.conv2d_forward`` with ``BAND_BYTES`` set to ``budget``; 1 gives
-    the fewest rows a band may have."""
+    """``nn.conv2d_forward`` with ``BAND_BYTES`` set to ``budget``, and with
+    ``bn`` folded into the kernel when given; 1 gives the fewest rows a
+    band may have."""
+    folded = None if bn is None else nn.fold_bn(w, bn)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "BAND_BYTES", budget)
-        return nn.conv2d_forward(x, w, spec, blocks, bn=bn)
+        return nn.conv2d_forward(x, w, spec, blocks, folded=folded)
 
 
 def row_bytes(x, spec):
@@ -408,7 +410,8 @@ def bits(a):
 
 
 class TestFoldedBatchNorm:
-    """``conv2d_forward(..., bn=)`` runs frozen batch norm inside the GEMM."""
+    """``conv2d_forward(..., folded=fold_bn(w, bn))`` runs frozen batch
+    norm inside the GEMM."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 16, 32]),
@@ -469,10 +472,10 @@ class TestFoldedBatchNorm:
 
     def test_grouped_kernel_is_configuration_error(self, rng):
         spec = ConvSpec(4, 4, 3, padding=1, groups=2)
+        w = rng.standard_normal(spec.weight_shape)
         with pytest.raises(ConfigurationError, match="dense kernel"):
-            nn.conv2d_forward(rng.standard_normal((2, 4, 5, 5)),
-                              rng.standard_normal(spec.weight_shape), spec,
-                              bn=BatchNormState.create(4))
+            nn.conv2d_forward(rng.standard_normal((2, 4, 5, 5)), w, spec,
+                              folded=nn.fold_bn(w, BatchNormState.create(4)))
 
 
 class TestBatchNorm:
@@ -633,6 +636,24 @@ class TestActivations:
     def test_binary_sign_ste_window(self):
         g = nn.activation_grad(np.array([-2.0, -0.5, 0.5, 2.0]), "binary_sign")
         np.testing.assert_array_equal(g, [0.0, 1.0, 1.0, 0.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(nn.ACTIVATION_KINDS),
+           values=st.lists(st.one_of(st.floats(), st.sampled_from(
+               [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 20.0, -20.0])),
+               min_size=1, max_size=24))
+    def test_with_grad_is_bitwise_the_activation_and_its_grad(self, kind, values):
+        # one activation run in place, f' of tanh and sigmoid from its
+        # output: bit for bit f(pre) and activation_grad(pre), signed
+        # zeros, infinities and NaN payloads included
+        pre = np.array(values)
+        with np.errstate(all="ignore"):
+            want_y, want_g = nn.activation(pre, kind), nn.activation_grad(pre, kind)
+            buf = pre.copy()
+            y, g = nn.activation_with_grad(buf, kind)
+        assert y is buf and g.dtype == want_g.dtype
+        assert y.tobytes() == want_y.tobytes()
+        assert g.tobytes() == want_g.tobytes()
 
     @pytest.mark.parametrize("kind", nn.ACTIVATION_KINDS)
     def test_grad_comes_at_its_narrowest_dtype(self, kind, rng):
