@@ -48,9 +48,10 @@ class LayerRecord:
 
 def merge_layer_records(*record_lists):
     """Concatenate the record lists of consecutive batches into one list.
-    Only the decision maps concatenate (``DecisionMap.concatenate``, which
-    masks nothing again): captured inputs are read from one collecting
-    pass's own records, which are never merged."""
+    Only the decision maps concatenate, each ``d`` and mask along the
+    samples: each ``d`` is a map that ran, which ``gate_map`` masked, so
+    the merged record is built as it is. Captured inputs are read from one
+    collecting pass's own records, which are never merged."""
     first = record_lists[0]
     for other in record_lists[1:]:
         if len(other) != len(first):
@@ -64,7 +65,8 @@ def merge_layer_records(*record_lists):
     for recs in zip(*record_lists):
         m = replace(recs[0], n_samples=sum(r.n_samples for r in recs))
         if m.dm is not None:
-            m.dm = DecisionMap.concatenate([r.dm for r in recs])
+            m.dm = DecisionMap(np.concatenate([r.dm.d for r in recs]),
+                               np.concatenate([r.dm.channel_mask for r in recs]))
         merged.append(m)
     return merged
 

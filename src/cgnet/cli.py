@@ -30,11 +30,9 @@ conv layer's ``shuffle_groups`` (only a gated layer shuffles) and a
 form opened every gate).
 ``tau_c_override`` evaluates a model at a tau_c it was not trained with:
 training runs the channel gate too, so the override changes the model.
-The environment variable CG_THREADS caps BLAS worker threads: each of
-OPENBLAS/OMP/MKL_NUM_THREADS is set to the smaller of its preset value and
-the cap, and a CG_THREADS that is not a positive integer exits 2.
-``--deterministic`` sets all three to 1, whatever was preset, so repeated
-runs are bitwise identical.
+BLAS reads its worker thread count from OPENBLAS/OMP/MKL_NUM_THREADS as
+the user sets them. ``--deterministic`` sets all three to 1, whatever was
+preset, so repeated runs are bitwise identical.
 
 Heavy imports happen inside the command handlers so thread limits can be
 applied before numpy loads.
@@ -62,31 +60,12 @@ CONFIG_KEYS = ("schema_version", "seed", "output_dir", "val_fraction", "data",
                "num_inputs", "intensity_sample", "etas", "array")          # the others
 
 
-def _positive_int(text):
-    """``text`` as a positive int, or None."""
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        return None
-    return value if value > 0 else None
-
-
 def _setup_threads(argv):
-    """Set the BLAS thread variables to the smaller of each preset value
-    and the cap: CG_THREADS, or 1 under ``--deterministic``. With neither
-    they are left alone. A CG_THREADS that is not a positive integer is a
-    ``ConfigurationError``, also under ``--deterministic``."""
-    raw = os.environ.get("CG_THREADS", "")   # set but empty counts as unset
-    cap = _positive_int(raw) if raw else None
-    if raw and cap is None:
-        raise ConfigurationError(f"CG_THREADS: expected a positive integer, got {raw!r}")
+    """Under ``--deterministic``, set every BLAS thread variable to 1;
+    otherwise leave them as the user set them."""
     if "--deterministic" in argv:
-        cap = 1
-    if cap is None:
-        return
-    for var in THREAD_VARS:
-        preset = _positive_int(os.environ.get(var))
-        os.environ[var] = str(cap if preset is None else min(preset, cap))
+        for var in THREAD_VARS:
+            os.environ[var] = "1"
 
 
 def _load_config(path):
@@ -396,11 +375,7 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        _setup_threads(argv)
-    except ConfigurationError as e:
-        print(f"cg: error: {e}", file=sys.stderr)
-        return 2
+    _setup_threads(argv)
     args = build_parser().parse_args(argv)
     from .checkpoint import CheckpointError
     from .data import DataFormatError

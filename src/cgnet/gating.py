@@ -28,9 +28,10 @@ by a_c = |gamma_c|/sigma1_c > 0 (1/sigma1_c where gamma_c = 0), so the
 base GEMM gives q = a*p; the merged-gate thresholds moved onto q's scale,
 a*(delta*sigma1 + mu1), which keep their direction since a > 0; and BN1's
 shift, so BN1(p) = sign(gamma)*q + shift, one add pass where every gamma
-is positive. A layer (``network.CgConvBlock``) keeps its plan until
-something writes its parameters or statistics; a call without one builds
-one for that call. A taken output is bitwise the dense twin's. An output
+is positive. Only a layer (``network.CgConvBlock``) builds a plan, and it
+keeps it until something writes its parameters or statistics.
+``cg_block_forward_inference`` takes the plan it runs on and builds none.
+A taken output is bitwise the dense twin's. An output
 the gate did not take, and the decisions, round as the scaled GEMM does:
 within rounding of BN1 of the unscaled partial sum and of the gate on it.
 The epilogue works in place on the two GEMM outputs (BN1's shift, the
@@ -88,17 +89,25 @@ class CgLayerConfig:
         c_in, c_out = self.conv.in_channels, self.conv.out_channels
         if self.conv.groups != 1:
             raise ConfigurationError(f"conv: must have groups=1, got {self.conv.groups}")
-        if self.groups < 1:
-            raise ConfigurationError(f"groups: must be >= 1, got {self.groups}")
+        self.check_fields(vars(self))
         if c_in % self.groups or c_out % self.groups:
             raise ConfigurationError(
                 f"groups: channels ({c_in} in, {c_out} out) not divisible by {self.groups}")
-        if self.activation not in ACTIVATION_KINDS:
-            raise ConfigurationError(f"activation: unknown activation {self.activation!r}")
-        if not 0.0 <= self.tau_c <= 1.0:
-            raise ConfigurationError(f"tau_c: must be in [0, 1], got {self.tau_c}")
-        if not 0.0 < self.epsilon < np.inf:
-            raise ConfigurationError(f"epsilon: must be positive and finite, got {self.epsilon}")
+
+    @staticmethod
+    def check_fields(fields):
+        """The rules on the fields after ``conv``, given by name in
+        ``fields``; none needs the layer's channels, so ``build_model``
+        checks ``model.cg_defaults`` with them before any layer."""
+        if fields["groups"] < 1:
+            raise ConfigurationError(f"groups: must be >= 1, got {fields['groups']}")
+        if fields["activation"] not in ACTIVATION_KINDS:
+            raise ConfigurationError(f"activation: unknown activation {fields['activation']!r}")
+        if not 0.0 <= fields["tau_c"] <= 1.0:
+            raise ConfigurationError(f"tau_c: must be in [0, 1], got {fields['tau_c']}")
+        if not 0.0 < fields["epsilon"] < np.inf:
+            raise ConfigurationError(
+                f"epsilon: must be positive and finite, got {fields['epsilon']}")
 
     @property
     def two_sided(self):
@@ -151,30 +160,14 @@ class GateState:
 @dataclass
 class DecisionMap:
     """The map that ran over (sample, channel, y, x) and the channel-wise
-    mask over (sample, channel), both bool. A firing map is masked here when
-    some channel is dropped, else stored as passed, uncopied, so every
-    producer stores the same map."""
+    mask over (sample, channel), both bool, as ``gate_map`` built them: a
+    plain record, which masks nothing itself."""
 
     d: np.ndarray             # (n, c, h, w), True where the gate fired in a kept channel
     channel_mask: np.ndarray  # (n, c), True where the channel-wise gate kept the channel
 
-    def __post_init__(self):
-        if not self.channel_mask.all():
-            self.d = np.logical_and(self.d, self.channel_mask[..., None, None],
-                                    out=np.empty_like(self.d))   # in d's memory order
-
     def effective(self):   # the benchmark harness reads d by this name
         return self.d
-
-    @classmethod
-    def concatenate(cls, maps):
-        """The maps of consecutive batches as one, their ``d`` and masks
-        concatenated along the samples. Each ``d`` is a map that ran, masked
-        already, so the concatenation is stored as it is, not masked again."""
-        merged = object.__new__(cls)
-        merged.d = np.concatenate([m.d for m in maps])
-        merged.channel_mask = np.concatenate([m.channel_mask for m in maps])
-        return merged
 
 
 @dataclass
@@ -291,13 +284,17 @@ def merged_gate(q, plan):
 
 
 def gate_map(fired, tau_c):
-    """The map that ran, as a ``DecisionMap`` of an (n, c, h, w) firing map
-    whose (n, c) mask keeps a channel iff it fired at >= tau_c of its
-    positions (boundary inclusive); at tau_c = 0 the map is stored uncopied."""
+    """The map that ran, as a ``DecisionMap`` of an (n, c, h, w) firing map.
+    Its (n, c) mask keeps a channel iff it fired at >= tau_c of its
+    positions (boundary inclusive). Its ``d`` is ``fired`` with the dropped
+    channels cleared, in a copy in fired's memory order when some channel is
+    dropped, else ``fired`` itself, uncopied, as always at tau_c = 0."""
     if tau_c > 0.0:
         mask = np.count_nonzero(fired, axis=(2, 3)) >= tau_c * (fired.shape[2] * fired.shape[3])
     else:
         mask = np.ones(fired.shape[:2], dtype=bool)
+    if not mask.all():
+        fired = np.logical_and(fired, mask[..., None, None], out=np.empty_like(fired))
     return DecisionMap(fired, mask)
 
 
@@ -334,9 +331,10 @@ def inference_plan(params: CgBlockParams, cfg: CgLayerConfig):
     return InferencePlan(fold_bn(params.w, params.bn2), blocks, edges, shift, sign)
 
 
-def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig, plan=None):
-    """Gated inference forward pass on ``plan``, the layer's
-    ``InferencePlan`` of ``params`` (built for this call when None).
+def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
+                               plan: InferencePlan):
+    """Gated inference forward pass on ``plan``, the ``InferencePlan`` that
+    the layer built of ``params``.
 
     Returns (y, DecisionMap). The output is f(BN2(full sum)) where the map
     that ran (``dm.d``) is True, else f(BN1(base partial sum)). The
@@ -357,8 +355,6 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig, pla
     plan was built from; ``Network.forward_infer`` checks that they are
     frozen.
     """
-    if plan is None:
-        plan = inference_plan(params, cfg)
     full, _, q = conv2d_forward(x, params.w, cfg.conv, (plan.blocks,), folded=plan.full)
     dm = gate_map(merged_gate(q, plan), cfg.tau_c)
 

@@ -23,11 +23,11 @@ speaks one protocol:
     output dims, decision maps and, when capturing, its input. A
     convolution layer runs it on its inference plan, ``plan``: a dense
     layer's kernel with its BN folded in (``nn.fold_bn``), a gated layer's
-    ``gating.InferencePlan``. The first ``forward_infer`` builds it, and
-    the next ones reuse it until something writes the layer's parameters
-    or statistics: the layer's ``forward_train`` drops it, and so do
-    ``Network.sgd_step``, ``load_state_tensors`` and the gate setters
-    (``Network.drop_plans``). Code that writes a layer's arrays in place
+    ``gating.InferencePlan``. The layer's first ``forward_infer`` builds it,
+    and nothing else does; the next ones reuse it until something writes
+    the layer's parameters or statistics: the layer's ``forward_train``
+    drops it, and so do ``Network.sgd_step``, ``load_state_tensors`` and
+    the gate setters (``Network.drop_plans``). Code that writes a layer's arrays in place
     by any other way calls ``drop_plans`` itself. A copy (``copy.deepcopy``,
     ``to_dense``) carries no plan;
   * ``param_groups()`` lists (name, param, grad, weight_decay) and
@@ -53,13 +53,11 @@ context keep the pre-activation: it keeps f' at its narrowest dtype, a
 bool mask for relu, and the activation runs once, in place over the
 pre-activation's buffer (``nn.activation_with_grad``). At batch 64 on
 vgg8 a step keeps 13.6 MiB of contexts, its backward peaks at 19.6 MiB
-and its ``forward_train`` at 16.2 MiB (18.1, 24.2 and 20.8 MiB with float
-pre-activations kept);
-keeping each stale context until its successor is assigned holds L01's
-two 5.5 MiB contexts at once. Releasing every context at once
-(``drop_contexts``) lets glibc trim the heap, and the next step faults it
-back in (~6,900 pages in a fresh process, against ~2,100 for a step that
-releases them one at a time).
+and its ``forward_train`` at 16.2 MiB; keeping each stale context until
+its successor is assigned holds L01's two 5.5 MiB contexts at once.
+Releasing every context at once (``drop_contexts``) lets glibc trim the
+heap, and the next step faults it back in (~6,900 pages in a fresh
+process, against ~2,100 for a step that releases them one at a time).
 
 A convolution layer's ``backward`` consumes its context, and nothing reads a
 context after its layer's ``backward``: the gradients overwrite the buffers
@@ -643,7 +641,9 @@ _LAYER_KEYS = {"conv": _CONV_KEYS + ("activation", "shuffle_groups"),
 
 def _cg_config(spec, where, sources):
     """A gated layer's config: each ``CgLayerConfig`` field after ``conv`` read
-    as ``where.<field>``, of its default's type; a range error names it too."""
+    as ``where.<field>``, of its default's type; a range error names it too.
+    With ``spec`` None, as for ``model.cg_defaults``, only the rules that need
+    no channel counts are checked, and nothing is returned."""
     for key in _REMOVED_CG_KEYS:
         if any(key in src for src in sources):
             raise ConfigurationError(f"{where}.{key}: expected no such key; the activation sets "
@@ -651,6 +651,8 @@ def _cg_config(spec, where, sources):
     fields = {f.name: read_field(f"{where}.{f.name}", sources, type(f.default), f.default)
               for f in dataclasses.fields(CgLayerConfig)[1:]}
     try:
+        if spec is None:
+            return CgLayerConfig.check_fields(fields)
         return CgLayerConfig(spec, **fields)
     except ConfigurationError as e:   # its messages start with the field's name
         raise ConfigurationError(f"{where}.{e}") from None
@@ -659,7 +661,9 @@ def _cg_config(spec, where, sources):
 def build_model(model_cfg: dict, rng) -> Network:
     """Construct a Network from the config's model section; a missing,
     malformed or unknown field raises ``ConfigurationError`` naming it. A
-    gated layer's fields fall back to ``cg_defaults``."""
+    gated layer's fields fall back to ``cg_defaults``, which is checked once,
+    gated layers or not, and named ``model.cg_defaults.<key>``; only a
+    channel-divisibility error of a default names the layer."""
     reject_unknown("model", model_cfg, ("input_shape", "num_classes", "cg_defaults", "layers"))
     input_shape = read_field("model.input_shape", model_cfg, list)
     num_classes = read_field("model.num_classes", model_cfg, int)
@@ -669,6 +673,8 @@ def build_model(model_cfg: dict, rng) -> Network:
     input_shape = tuple(input_shape)
     defaults = read_field("model.cg_defaults", model_cfg, dict, {})
     reject_unknown("model.cg_defaults", defaults, _CG_KEYS)
+    # checked once here, so a gated layer's error names what the layer sets
+    _cg_config(None, "model.cg_defaults", (defaults,))
     c, h, w = input_shape
     layers = []
     for i, lc in enumerate(layer_specs):

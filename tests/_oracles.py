@@ -256,6 +256,12 @@ def group_positions_live(d_eff, G):
     return live, total
 
 
+def block_inference(x, params, cfg):
+    """``gating.cg_block_forward_inference`` on a plan built for this call,
+    as a gated layer builds its own on its first ``forward_infer``."""
+    return gating.cg_block_forward_inference(x, params, cfg, gating.inference_plan(params, cfg))
+
+
 def dense_masked_block_forward(x, params, cfg):
     """Gated inference of an (n, c, h, w) batch computed the slow, obvious
     way.
@@ -324,7 +330,7 @@ def dense_masked_block_forward(x, params, cfg):
     }
     costs["group_positions_live"], costs["group_positions_total"] = \
         group_positions_live(d_eff, G)
-    return y, gating.DecisionMap(take, mask == 1.0), costs
+    return y, gating.DecisionMap(d_eff == 1.0, mask == 1.0), costs
 
 
 def _masked_sigmoid(z):

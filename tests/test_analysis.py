@@ -14,7 +14,8 @@ from cgnet.gating import CgLayerConfig, DecisionMap
 from cgnet.network import ConvBlock, build_model
 from cgnet.nn import ConfigurationError, ConvSpec
 
-from _oracles import dense_masked_block_forward, group_positions_live, pearson, rel_err
+from _oracles import (block_inference, dense_masked_block_forward, group_positions_live, pearson,
+                      rel_err)
 
 
 def make_record(d, mask=None, c_in=8, groups=4, k=3, tau_c=0.0, name="L0"):
@@ -24,7 +25,8 @@ def make_record(d, mask=None, c_in=8, groups=4, k=3, tau_c=0.0, name="L0"):
     n, c_out, h, w = d.shape
     if mask is None:
         mask = np.ones((n, c_out))
-    dm = DecisionMap(d, np.asarray(mask, dtype=bool))
+    mask = np.asarray(mask, dtype=bool)
+    dm = DecisionMap(d & mask[..., None, None], mask)   # the map that ran, as gate_map masks it
     cfg = CgLayerConfig(ConvSpec(c_in, c_out, k), groups=groups, tau_c=tau_c)
     return analysis.LayerRecord(name, cfg.conv, h, w, n, cfg, dm)
 
@@ -134,12 +136,12 @@ class TestCountFlops:
     def test_matches_block_counters(self, rng):
         # the accounting of the block's decisions and the oracle's own
         # count of the same block must agree
-        from cgnet.gating import CgBlockParams, CgLayerConfig, cg_block_forward_inference
+        from cgnet.gating import CgBlockParams, CgLayerConfig
         cfg = CgLayerConfig(ConvSpec(8, 8, 3, padding=1), groups=4, tau_c=0.1)
         params = CgBlockParams.init(cfg, rng)
         params.gate.delta[:] = 0.2
         x = rng.standard_normal((4, 8, 6, 6))
-        _, dm = cg_block_forward_inference(x, params, cfg)
+        _, dm = block_inference(x, params, cfg)
         _, _, cost = dense_masked_block_forward(x, params, cfg)
         rec = make_record(dm.d, dm.channel_mask, c_in=8, groups=4, tau_c=0.1)
         line = count_flops([rec]).lines[0]
@@ -157,14 +159,14 @@ class TestCountFlops:
         assert report2.weight_access_reduction == 4.0  # = G
 
     def test_flop_reduction_monotone_in_delta(self, rng):
-        from cgnet.gating import CgBlockParams, CgLayerConfig, cg_block_forward_inference
+        from cgnet.gating import CgBlockParams, CgLayerConfig
         cfg = CgLayerConfig(ConvSpec(8, 8, 3, padding=1), groups=4)
         params = CgBlockParams.init(cfg, rng)
         x = rng.standard_normal((2, 8, 6, 6))
         prev = 0.0
         for delta in np.linspace(-2, 2, 9):
             params.gate.delta[:] = delta
-            _, dm = cg_block_forward_inference(x, params, cfg)
+            _, dm = block_inference(x, params, cfg)
             rec = make_record(dm.d, dm.channel_mask, c_in=8, groups=4)
             fr = count_flops([rec]).flop_reduction
             assert fr >= prev - 1e-12

@@ -204,3 +204,28 @@ def test_one_routine_builds_the_map_that_ran():
                for func, line in builders(ast.parse(path.read_text()), "<module>")
                if (path.stem, func) not in allowed]
     assert not outside, f"DecisionMap built outside gate_map: {outside}"
+
+
+def test_only_a_layer_builds_its_inference_plan():
+    """A convolution layer builds its inference plan in ``forward_infer`` and
+    keeps it until something writes its arrays, so in ``src/cgnet``
+    ``gating.inference_plan`` and ``nn.fold_bn`` are called only from
+    ``network.py``'s layer classes, and ``fold_bn`` also from the gated
+    plan's builder: a plan built anywhere else could outlive the arrays it
+    was built from."""
+    def callers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in ("inference_plan", "fold_bn"):
+                    yield name, ".".join(scope)
+            yield from callers(child, inner)
+
+    calls = {(path.stem, where, name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name, where in callers(ast.parse(path.read_text()), ())}
+    assert calls == {("network", "ConvBlock.forward_infer", "fold_bn"),
+                     ("network", "CgConvBlock.forward_infer", "inference_plan"),
+                     ("gating", "inference_plan", "fold_bn")}, calls

@@ -214,9 +214,9 @@ def eval_cfg(tiny_run, tmp_path, **extra):
 class TestThreads:
     @pytest.fixture
     def env(self, monkeypatch):
-        """An environment without CG_THREADS or any BLAS thread variable;
-        every change to them is undone after the test."""
-        for var in ("CG_THREADS",) + cli.THREAD_VARS:
+        """An environment without any BLAS thread variable; every change to
+        them is undone after the test."""
+        for var in cli.THREAD_VARS:
             monkeypatch.setenv(var, "0")
             monkeypatch.delenv(var)
         return monkeypatch
@@ -226,28 +226,14 @@ class TestThreads:
 
     def test_deterministic_overrides_presets(self, env):
         env.setenv("OPENBLAS_NUM_THREADS", "4")
-        env.setenv("CG_THREADS", "3")
         cli._setup_threads(["train", "--config", "c.json", "--deterministic"])
         assert self.threads() == ["1", "1", "1"]
 
-    def test_cap_lowers_presets_above_it(self, env):
-        env.setenv("CG_THREADS", "2")
-        env.setenv("OPENBLAS_NUM_THREADS", "4")
-        env.setenv("OMP_NUM_THREADS", "1")
-        cli._setup_threads(["train", "--config", "c.json"])
-        assert self.threads() == ["2", "1", "2"]
-
     def test_no_cap_leaves_presets(self, env):
+        # without --deterministic the variables reach BLAS as the user set them
         env.setenv("OPENBLAS_NUM_THREADS", "4")
         cli._setup_threads(["train", "--config", "c.json"])
         assert self.threads() == ["4", None, None]
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5"])
-    def test_malformed_cap_exits_2(self, env, capsys, bad):
-        env.setenv("CG_THREADS", bad)
-        assert cli.main(["train", "--config", str(TINY), "--deterministic"]) == 2
-        assert "CG_THREADS" in capsys.readouterr().err
-        assert self.threads() == [None, None, None]
 
 
 class TestEval:
@@ -605,10 +591,12 @@ class TestConfigRanges:
     @pytest.mark.parametrize("edit,field", [
         (lambda m: m["layers"][1].pop("out_channels"), "model.layers[1].out_channels"),
         (lambda m: m["layers"][1].update(out_channels="abc"), "model.layers[1].out_channels"),
-        (lambda m: m["cg_defaults"].update(groups="four"), "model.layers[1].groups"),
+        (lambda m: m["layers"][1].update(groups="four"), "model.layers[1].groups"),
         (lambda m: m["layers"][1].update(shuffle="false"), "model.layers[1].shuffle"),
         (lambda m: m.update(input_shape=[1, 8]), "model.input_shape"),
-        (lambda m: m["cg_defaults"].update(epsilon=float("nan")), "model.layers[1].epsilon"),
+        (lambda m: m["layers"][1].update(epsilon=float("nan")), "model.layers[1].epsilon"),
+        # a default is named where it is set, not in the layer that reads it
+        (lambda m: m["cg_defaults"].update(tau_c="x"), "model.cg_defaults.tau_c"),
     ])
     def test_malformed_model_section_rejected(self, tmp_path, capsys, edit, field):
         cfg = json.loads(TINY.read_text())

@@ -155,14 +155,15 @@ def _drop(*path):
      "model.layers[2]: expected an object, got 'maxpool'"),
     (_set("model", "layers", value={"0": {"type": "flatten"}}), "model.layers: expected a list"),
     (_set("model", "cg_defaults", value=[2, 4.0]), "model.cg_defaults: expected an object"),
-    # a gated layer's range errors, from its own fields or cg_defaults
-    (_set("model", "cg_defaults", "groups", value=0),
+    # a gated layer's range errors name the layer, and a default's
+    # divisibility error names the layer that cannot take it
+    (_set("model", "layers", 1, "groups", value=0),
      "model.layers[1].groups: must be >= 1, got 0"),
     (_set("model", "cg_defaults", "groups", value=3),
      "model.layers[1].groups: channels (4 in, 8 out) not divisible by 3"),
     (_set("model", "layers", 1, "tau_c", value=2),
      "model.layers[1].tau_c: must be in [0, 1], got 2.0"),
-    (_set("model", "cg_defaults", "epsilon", value=0),
+    (_set("model", "layers", 1, "epsilon", value=0),
      "model.layers[1].epsilon: must be positive and finite, got 0.0"),
     (_set("model", "layers", 1, "activation", value="foo"),
      "model.layers[1].activation: unknown activation 'foo'"),
@@ -170,8 +171,11 @@ def _drop(*path):
     # gate kind, so a relu layer never silently reads as a band
     (_set("model", "layers", 1, "gate", value="two_sided"),
      "model.layers[1].gate: expected no such key; the activation sets the gate kind"),
-    (_set("model", "cg_defaults", "band_init", value=2.0),
+    (_set("model", "layers", 1, "band_init", value=2.0),
      "model.layers[1].band_init: expected no such key; the activation sets the gate kind, "
+     "and a band starts at +-2.0"),
+    (_set("model", "cg_defaults", "band_init", value=2.0),
+     "model.cg_defaults.band_init: expected no such key; the activation sets the gate kind, "
      "and a band starts at +-2.0"),
     # a dense layer does not shuffle
     (_set("model", "layers", 0, "shuffle_groups", value=2),

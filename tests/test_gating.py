@@ -10,13 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from cgnet import analysis, gating, nn
 from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
-                          assemble_dense_weight, channel_shuffle,
-                          cg_block_forward_inference, gate_map, merged_gate,
+                          assemble_dense_weight, channel_shuffle, gate_map, merged_gate,
                           shuffle_permutation, split_dense_weight)
 from cgnet.network import build_model
 from cgnet.nn import ConfigurationError, ConvSpec
 
-from _oracles import (EPS, assert_tier_a, assert_tier_b, conditional_kernel,
+from _oracles import (EPS, assert_tier_a, assert_tier_b, block_inference, conditional_kernel,
                       dense_masked_block_forward, heaviside, kernel_split, pruning_ratio,
                       rel_err, tier_c_flips)
 
@@ -305,7 +304,7 @@ class TestBlockInference:
         params = make_params(cfg, rng)
         params.gate.delta[:] = -1e6
         x = rng.standard_normal((2, 8, 6, 6))
-        y, dm = cg_block_forward_inference(x, params, cfg)
+        y, dm = block_inference(x, params, cfg)
         full = nn.conv2d(x, params.w, cfg.conv)
         ref = nn.bn_inference(full, params.bn2)
         ref = nn.activation(ref, "relu")
@@ -321,7 +320,7 @@ class TestBlockInference:
         params = make_params(cfg, rng)
         params.gate.delta[:] = 1e6
         x = rng.standard_normal((2, 8, 6, 6))
-        y, dm = cg_block_forward_inference(x, params, cfg)
+        y, dm = block_inference(x, params, cfg)
         grouped = nn.conv2d(x, kernel_split(params.w, cfg.groups)[0],
                             ConvSpec(8, 8, 3, padding=1, groups=cfg.groups))
         ref = nn.activation(nn.bn_inference(grouped, params.bn1), "relu")
@@ -344,7 +343,7 @@ class TestBlockInference:
         params.w[:] = rng.integers(-3, 4, params.w.shape)
         params.gate.delta[:] = rng.standard_normal(4) * 0.5
         x = rng.integers(-3, 4, (1, 4, 5, 5)).astype(float)
-        y, dm = cg_block_forward_inference(x, params, cfg)
+        y, dm = block_inference(x, params, cfg)
         spec = cfg.conv
         ho, wo = spec.out_hw(5, 5)
         taken = 0
@@ -390,7 +389,7 @@ class TestBlockInference:
         prev = -1.0
         for shift in np.linspace(-3, 3, 13):
             params.gate.delta[:] = shift
-            _, dm = cg_block_forward_inference(x, params, cfg)
+            _, dm = block_inference(x, params, cfg)
             pr = pruning_ratio(dm)
             assert pr >= prev - 1e-12
             prev = pr
@@ -399,13 +398,13 @@ class TestBlockInference:
         cfg = make_cfg(tau_c=0.1)
         params = make_params(cfg, rng)
         x = rng.standard_normal((3, 8, 6, 6))
-        _, dm = cg_block_forward_inference(x, params, cfg)
+        _, dm = block_inference(x, params, cfg)
         ho = wo = 6
         cost = block_costs(dm, cfg)
         assert cost == dense_masked_block_forward(x, params, cfg)[2]
         assert cost["gate_comparisons"] == 3 * (ho * wo + 1) * 8
         cfg0 = make_cfg(tau_c=0.0)
-        _, dm0 = cg_block_forward_inference(x, params, cfg0)
+        _, dm0 = block_inference(x, params, cfg0)
         cost0 = block_costs(dm0, cfg0)
         assert cost0 == dense_masked_block_forward(x, params, cfg0)[2]
         assert cost0["gate_comparisons"] == 3 * ho * wo * 8
@@ -417,7 +416,7 @@ class TestBlockInference:
         cfg = make_cfg(tau_c=0.6)
         params = make_params(cfg, rng)
         x = rng.standard_normal((1, 8, 6, 6))
-        y, dm = cg_block_forward_inference(x, params, cfg)
+        y, dm = block_inference(x, params, cfg)
         grouped, magnitude = base_path(x, params, cfg)
         base = nn.activation(nn.bn_inference(grouped, params.bn1), "relu")
         magnitude = bn1_magnitude(params, magnitude)
@@ -430,9 +429,9 @@ class TestBlockInference:
         cfg = make_cfg(shuffle=True)
         params = make_params(cfg, rng)
         x = rng.standard_normal((1, 8, 6, 6))
-        y, _ = cg_block_forward_inference(x, params, cfg)
+        y, _ = block_inference(x, params, cfg)
         cfg_ns = make_cfg(shuffle=False)
-        y_ns, _ = cg_block_forward_inference(x, params, cfg_ns)
+        y_ns, _ = block_inference(x, params, cfg_ns)
         np.testing.assert_array_equal(y, y_ns[:, shuffle_permutation(8, 4)])
 
 
@@ -515,7 +514,7 @@ class TestBlockInferenceOracle:
             if rows is not None:
                 wo = cfg.conv.out_hw(*hw)[1]
                 mp.setattr(nn, "BAND_BYTES", rows * 8 * G * per_in * k * k * wo * n)
-            y, dm = cg_block_forward_inference(x, params, cfg)
+            y, dm = block_inference(x, params, cfg)
         y_ref, dm_ref, cost_ref = dense_masked_block_forward(x, params, cfg)
         assert y.shape == y_ref.shape
         np.testing.assert_allclose(y, y_ref, rtol=0.0, atol=1e-10)
@@ -550,16 +549,16 @@ class TestExactnessTiers:
         monkeypatch.setattr(gating, "inference_plan", mutant)
 
     def test_tier_a_catches_a_gate_without_its_channel_mask(self, rng, monkeypatch):
-        # a layer's kept plan and a plan built per call run the same GEMM,
-        # so their decisions agree bitwise
+        # two plans built of the same parameters run the same GEMM, so
+        # their decisions agree bitwise
         cfg, params, x = self.block(rng, tau_c=0.4)
-        _, want = cg_block_forward_inference(x, params, cfg)
-        _, got = cg_block_forward_inference(x, params, cfg, gating.inference_plan(params, cfg))
+        _, want = block_inference(x, params, cfg)
+        _, got = block_inference(x, params, cfg)
         assert not want.channel_mask.all() and want.d.any()
         assert_tier_a(got.d, want.d)
         gate_map = gating.gate_map
         monkeypatch.setattr(gating, "gate_map", lambda fired, tau_c: gate_map(fired, 0.0))
-        _, mutant = cg_block_forward_inference(x, params, cfg)
+        _, mutant = block_inference(x, params, cfg)
         with pytest.raises(AssertionError, match=r"tier \(a\)"):
             assert_tier_a(mutant.d, want.d)
 
@@ -567,7 +566,7 @@ class TestExactnessTiers:
         # no gate takes, so every output is BN1(p) from the scaled base GEMM
         cfg, params, x = self.block(rng, act="identity")
         params.gate.delta[:] = 1e6
-        y, dm = cg_block_forward_inference(x, params, cfg)
+        y, dm = block_inference(x, params, cfg)
         assert not dm.d.any()
         p, magnitude = base_path(x, params, cfg)
         magnitude = bn1_magnitude(params, magnitude)
@@ -575,7 +574,7 @@ class TestExactnessTiers:
         assert_tier_b(y, want, magnitude, BASE_PATH_C)
         self.mutate_plan(monkeypatch, lambda plan, _: setattr(
             plan, "shift", plan.shift.astype(np.float32).astype(np.float64)))
-        y_mutant, _ = cg_block_forward_inference(x, params, cfg)
+        y_mutant, _ = block_inference(x, params, cfg)
         with pytest.raises(AssertionError, match=r"tier \(b\)"):
             assert_tier_b(y_mutant, want, magnitude, BASE_PATH_C)
 
@@ -583,7 +582,7 @@ class TestExactnessTiers:
         # decisions on q = a*p against the gate on p, outside p's rounding
         # margin: BASE_PATH_C eps of the terms' and the threshold's magnitudes
         cfg, params, x = self.block(rng)
-        _, dm = cg_block_forward_inference(x, params, cfg)
+        _, dm = block_inference(x, params, cfg)
         p, magnitude = base_path(x, params, cfg)
         bn1 = params.bn1
         sigma = np.sqrt(bn1.running_var + bn1.eps)
@@ -594,7 +593,7 @@ class TestExactnessTiers:
         assert tier_c_flips(dm.d, want, p, threshold, bound) == 0
         self.mutate_plan(monkeypatch, lambda plan, params: plan.edges.__setitem__(
             0, ("delta", 1, params.gate.delta * sigma + bn1.running_mean)))
-        _, mutant = cg_block_forward_inference(x, params, cfg)
+        _, mutant = block_inference(x, params, cfg)
         with pytest.raises(AssertionError, match=r"tier \(c\)"):
             tier_c_flips(mutant.d, want, p, threshold, bound)
 
@@ -624,7 +623,7 @@ class TestBlockForwardMemory:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            y, _ = cg_block_forward_inference(x, params, cfg)
+            y, _ = block_inference(x, params, cfg)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -653,7 +652,7 @@ class TestBlockInferenceWritesNoInput:
                   "bn2_mean": p.bn2.running_mean, "bn2_var": p.bn2.running_var,
                   **dict(p.gate.thresholds())}
         before = {name: a.copy() for name, a in arrays.items()}
-        y, dm = cg_block_forward_inference(x, p, cfg)
+        y, dm = block_inference(x, p, cfg)
         for name, a in arrays.items():
             assert a.tobytes() == before[name].tobytes(), name
             assert not np.shares_memory(y, a), name
@@ -675,27 +674,39 @@ class TestPruningRatio:
 
     def test_channel_mask_zeroes_count_as_pruned(self):
         d = np.ones((1, 2, 4, 4), dtype=bool)
-        mask = np.array([[True, False]])
-        assert pruning_ratio(DecisionMap(d, mask)) == 0.5
+        d[0, 1, 1:] = False   # channel 1 fires at 4 of 16 positions, below tau_c
+        assert pruning_ratio(gate_map(d, 0.5)) == 0.5
 
 
 class TestDecisionMap:
-    """``d`` is the map that ran, whoever builds the ``DecisionMap``."""
+    """``d`` is the map that ran: ``gate_map`` masks it, and the
+    ``DecisionMap`` record stores what it is given."""
 
     def test_fires_in_dropped_channels_are_masked(self):
         # in the (c, h, w, n) memory the gated layers write, which d keeps
         fired = np.ones((3, 2, 2, 2), dtype=bool).transpose(3, 0, 1, 2)
+        fired[0, 1, 1] = False   # sample 0's channel 1 and sample 1's channel 0
+        fired[1, 0, 1] = False   # fire at 2 of 4 positions, below tau_c
+        before = fired.copy()
+        dm = gate_map(fired, 0.75)
         mask = np.array([[True, False, True], [False, True, True]])
-        dm = DecisionMap(fired, mask)
-        # every position fired, so what ran is each channel's mask entry
-        np.testing.assert_array_equal(dm.d, np.broadcast_to(mask[..., None, None], fired.shape))
+        np.testing.assert_array_equal(dm.channel_mask, mask)
+        np.testing.assert_array_equal(dm.d, fired & mask[..., None, None])
+        assert not dm.d[0, 1].any() and not dm.d[1, 0].any()
         assert dm.d.transpose(1, 2, 3, 0).flags.c_contiguous
-        assert fired.all(), "the firing map passed in is left as it was"
+        np.testing.assert_array_equal(fired, before)   # the firing map passed in is left as it was
 
     def test_every_channel_kept_stores_the_map_uncopied(self):
         fired = np.zeros((1, 2, 3, 3), dtype=bool)
-        fired[0, 1, 1] = True
-        assert DecisionMap(fired, np.ones((1, 2), dtype=bool)).d is fired
+        fired[0, :, 1] = True   # each channel fires at 3 of its 9 positions
+        for tau_c in (0.0, 0.3):
+            dm = gate_map(fired, tau_c)
+            assert dm.channel_mask.all() and dm.d is fired
+
+    def test_the_record_masks_nothing(self):
+        fired = np.ones((1, 2, 3, 3), dtype=bool)
+        dm = DecisionMap(fired, np.array([[True, False]]))
+        assert dm.d is fired and dm.d.all()
 
     def test_inference_at_tau_c_zero_records_the_gate_map_uncopied(self, rng, monkeypatch):
         maps = []
@@ -706,8 +717,7 @@ class TestDecisionMap:
 
         monkeypatch.setattr(gating, "merged_gate", recorded_gate)
         cfg = make_cfg(tau_c=0.0)
-        _, dm = cg_block_forward_inference(rng.standard_normal((2, 8, 5, 5)),
-                                           make_params(cfg, rng), cfg)
+        _, dm = block_inference(rng.standard_normal((2, 8, 5, 5)), make_params(cfg, rng), cfg)
         assert dm.d is maps[0]
 
 

@@ -96,7 +96,7 @@ class TestBuilder:
          "model.layers[2].out_channels: expected int"),
         (vgg_ish_cfg, lambda m: m["layers"][7].update(out_features="four"),
          "model.layers[7].out_features: expected int"),
-        (vgg_ish_cfg, lambda m: m["cg_defaults"].update(groups="four"),
+        (vgg_ish_cfg, lambda m: m["layers"][2].update(groups="four"),
          "model.layers[2].groups: expected int"),
         (vgg_ish_cfg, lambda m: m["layers"][2].update(shuffle="false"),
          "model.layers[2].shuffle: expected true or false"),
@@ -107,13 +107,13 @@ class TestBuilder:
          "model.layers[1].out_channels: required"),
         (resnet_ish_cfg, lambda m: m["layers"][1].update(cg="false"),
          "model.layers[1].cg: expected true or false"),
-        (resnet_ish_cfg, lambda m: m["cg_defaults"].update(shuffle=1),
+        (resnet_ish_cfg, lambda m: m["layers"][1].update(shuffle=1),
          "model.layers[1].shuffle: expected true or false"),
-        (vgg_ish_cfg, lambda m: m["cg_defaults"].update(epsilon=float("nan")),
+        (vgg_ish_cfg, lambda m: m["layers"][2].update(epsilon=float("nan")),
          "model.layers[2].epsilon: expected a finite number"),
         (vgg_ish_cfg, lambda m: m["layers"][4].update(band_init=2.0),
          "model.layers[4].band_init: expected no such key"),
-        (vgg_ish_cfg, lambda m: m["cg_defaults"].update(gate="two_sided"),
+        (vgg_ish_cfg, lambda m: m["layers"][2].update(gate="two_sided"),
          "model.layers[2].gate: expected no such key"),
         (vgg_ish_cfg, lambda m: m["layers"][4].update(tau_c=float("-inf")),
          "model.layers[4].tau_c: expected a finite number"),
@@ -148,6 +148,36 @@ class TestBuilder:
         with pytest.raises(ConfigurationError) as err:
             build_model(cfg, rng)
         assert field in str(err.value)
+
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("default,message", [
+        ({"gate": "x"}, "model.cg_defaults.gate: expected no such key"),
+        ({"groups": "abc"}, "model.cg_defaults.groups: expected int, got 'abc'"),
+        ({"tau_c": 7.0}, "model.cg_defaults.tau_c: must be in [0, 1], got 7.0"),
+        ({"tau_c": "x"}, "model.cg_defaults.tau_c: expected a number, got 'x'"),
+        ({"activation": "nope"}, "model.cg_defaults.activation: unknown activation 'nope'"),
+        ({"epsilon": -1.0}, "model.cg_defaults.epsilon: must be positive and finite, got -1.0"),
+    ])
+    def test_cg_defaults_checked_once_under_their_own_name(self, rng, gated, default, message):
+        # with no gated layer nothing reads the defaults, yet they are
+        # checked; with one, the error names the default, not the layer
+        cfg = vgg_ish_cfg()
+        if not gated:
+            for layer in cfg["layers"]:
+                if layer["type"] == "cg_conv":
+                    layer["type"] = "conv"
+                    layer.pop("shuffle", None)
+        cfg["cg_defaults"].update(default)
+        with pytest.raises(ConfigurationError) as err:
+            build_model(cfg, rng)
+        assert str(err.value).startswith(message)
+
+    def test_a_default_the_channels_cannot_take_names_the_layer(self, rng):
+        cfg = vgg_ish_cfg()
+        cfg["cg_defaults"]["groups"] = 3
+        with pytest.raises(ConfigurationError, match=r"^model\.layers\[2\]\.groups: channels "
+                                                     r"\(8 in, 16 out\) not divisible by 3"):
+            build_model(cfg, rng)
 
     def test_unknown_dense_activation_rejected_at_build(self, rng):
         cfg = vgg_ish_cfg()
@@ -755,6 +785,24 @@ class TestInferencePlan:
             pruned.append(network_pruning_ratio(records))
             np.testing.assert_array_equal(logits, self.fresh_logits(model, vgg_ish_cfg, x))
         assert pruned[0] < pruned[1] < pruned[2]
+
+    @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
+    def test_the_plan_holds_nothing_tau_c_decides(self, rng, cfg_fn):
+        # set_tau_c drops no plan: the channel gate reads the layer's config
+        # on each pass, after the plan's GEMMs
+        model, x = self.frozen(cfg_fn, rng)
+        _, before = model.forward_infer(x, collect=True)
+        plans = [leaf.plan for leaf in conv_leaves(model)]
+        model.set_tau_c(0.5)
+        logits, after = model.forward_infer(x, collect=True)
+        assert all(leaf.plan is plan for leaf, plan in zip(conv_leaves(model), plans))
+        assert any(not np.array_equal(a.dm.d, b.dm.d)
+                   for a, b in zip(after, before) if a.gated)
+        assert network_pruning_ratio(after) > network_pruning_ratio(before)
+        clone = build_model(cfg_fn(), None)
+        clone.load_state_tensors(dict(model.state_tensors()))
+        clone.set_tau_c(0.5)
+        np.testing.assert_array_equal(logits, clone.forward_infer(x, require_frozen=False)[0])
 
     @pytest.mark.parametrize("cfg_fn", [vgg_ish_cfg, resnet_ish_cfg])
     def test_a_copy_carries_no_plan_and_forced_open_is_the_dense_twin(self, rng, cfg_fn):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cgnet import gating, nn, training
+from cgnet import nn, training
 from cgnet.data import synthetic_dataset, train_val_split
 from cgnet.gating import CgBlockParams, CgLayerConfig
 from cgnet.network import CgConvBlock, ConvBlock, build_model
@@ -17,8 +17,8 @@ from cgnet.training import (LossConfig, Schedule, cg_block_backward,
                             cg_block_forward_train, kd_loss, sparsity_loss_target,
                             train_network)
 
-from _oracles import (check_grad, conditional_kernel, finite_difference, heaviside,
-                      kernel_split, rel_err, stacked_conv_grads, two_conv_block_train)
+from _oracles import (block_inference, check_grad, conditional_kernel, finite_difference,
+                      heaviside, kernel_split, rel_err, stacked_conv_grads, two_conv_block_train)
 
 
 def make_cfg(c_in=4, c_out=4, k=3, G=2, act="identity", pad=1, eps_sharp=4.0):
@@ -140,9 +140,9 @@ class TestForwardTrain:
             params.bn1.running_var[:, None, None] + params.bn1.eps)
         for _, _, t in params.gate.edges():   # no comparison within rounding of a tie
             assert np.abs(xhat - t[:, None, None]).min() > 1e-9
-        _, dm = gating.cg_block_forward_inference(x, params, cfg)
+        _, dm = block_inference(x, params, cfg)
         at_zero = dataclasses.replace(cfg, tau_c=0.0)
-        fired = gating.cg_block_forward_inference(x, params, at_zero)[1].d
+        fired = block_inference(x, params, at_zero)[1].d
         dropped = ~dm.channel_mask
         assert dropped.any() and not dropped.all()
         assert (fired & dropped[..., None, None]).any(), "a dropped channel fired"
