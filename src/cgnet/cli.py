@@ -22,17 +22,16 @@ and so does a key that no reader of its section reads: a misspelt
 ``loss.lamda``, ``model.layers[1].tau`` or ``tau_c_overide``, or
 ``loss.kd.enabled`` (naming a teacher turns distillation on). The top
 level takes the keys of every command, so a training config also serves
-eval, analyze and perf. Removed keys exit 2 with their reason:
-``force_open`` (a dense baseline trains as ``conv`` layers), a gated
-layer's ``gate`` and ``band_init`` (the activation sets the gate kind), a
-conv layer's ``shuffle_groups`` (only a gated layer shuffles) and a
-``loss.sparsity`` other than ``target_threshold`` (the computation-cost
-form opened every gate).
+eval, analyze and perf. A removed key, such as ``force_open`` or a gated
+layer's ``gate``, exits 2 as an unknown one. Removed values exit 2 with
+their reason: a ``loss.sparsity`` other than ``target_threshold`` (the
+computation-cost form opened every gate).
 ``tau_c_override`` evaluates a model at a tau_c it was not trained with:
 training runs the channel gate too, so the override changes the model.
 BLAS reads its worker thread count from OPENBLAS/OMP/MKL_NUM_THREADS as
-the user sets them. ``--deterministic`` sets all three to 1, whatever was
-preset, so repeated runs are bitwise identical.
+the user sets them. ``--deterministic``, read from the parsed arguments
+like every flag, sets all three to 1, whatever was preset, so repeated
+runs are bitwise identical.
 
 Heavy imports happen inside the command handlers so thread limits can be
 applied before numpy loads.
@@ -60,10 +59,10 @@ CONFIG_KEYS = ("schema_version", "seed", "output_dir", "val_fraction", "data",
                "num_inputs", "intensity_sample", "etas", "array")          # the others
 
 
-def _setup_threads(argv):
-    """Under ``--deterministic``, set every BLAS thread variable to 1;
-    otherwise leave them as the user set them."""
-    if "--deterministic" in argv:
+def _setup_threads(args):
+    """Under the parsed ``--deterministic`` flag, set every BLAS thread
+    variable to 1; otherwise leave them as the user set them."""
+    if args.deterministic:
         for var in THREAD_VARS:
             os.environ[var] = "1"
 
@@ -81,8 +80,6 @@ def _load_config(path):
     if cfg.get("schema_version") != 1:
         raise ConfigurationError(
             f"schema_version: expected 1, got {cfg.get('schema_version')!r}")
-    if "force_open" in cfg:   # removed: a dense baseline trains as conv layers
-        raise ConfigurationError("force_open: expected no such key; train conv layers instead")
     reject_unknown(None, cfg, CONFIG_KEYS)
     return cfg
 
@@ -374,9 +371,8 @@ def build_parser():
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    _setup_threads(argv)
     args = build_parser().parse_args(argv)
+    _setup_threads(args)
     from .checkpoint import CheckpointError
     from .data import DataFormatError
     from .nn import StateError

@@ -623,14 +623,12 @@ class Network:
 # Builder
 # ---------------------------------------------------------------------------
 
-# the keys each reader below reads: any other key is a misspelling and is
-# rejected by name. ``gate``, ``band_init`` and ``shuffle_groups`` are removed
-# keys, listed so that their readers reject them with the reason.
-_REMOVED_CG_KEYS = ("gate", "band_init")   # both follow from the activation
-_CG_KEYS = tuple(f.name for f in dataclasses.fields(CgLayerConfig)[1:]) + _REMOVED_CG_KEYS
+# the keys each reader below reads: any other key, a misspelt or a removed
+# one, is rejected by name
+_CG_KEYS = tuple(f.name for f in dataclasses.fields(CgLayerConfig)[1:])
 _CONV_KEYS = ("type", "out_channels", "kernel_size", "stride", "padding")
 _RESIDUAL_KEYS = ("type", "out_channels", "stride", "cg")   # a dense residual reads only these
-_LAYER_KEYS = {"conv": _CONV_KEYS + ("activation", "shuffle_groups"),
+_LAYER_KEYS = {"conv": _CONV_KEYS + ("activation",),
                "cg_conv": _CONV_KEYS + _CG_KEYS,
                "maxpool": ("type", "kernel_size"),
                "avgpool": ("type", "kernel_size"),
@@ -644,10 +642,6 @@ def _cg_config(spec, where, sources):
     as ``where.<field>``, of its default's type; a range error names it too.
     With ``spec`` None, as for ``model.cg_defaults``, only the rules that need
     no channel counts are checked, and nothing is returned."""
-    for key in _REMOVED_CG_KEYS:
-        if any(key in src for src in sources):
-            raise ConfigurationError(f"{where}.{key}: expected no such key; the activation sets "
-                                     f"the gate kind, and a band starts at +-{gating.BAND_INIT}")
     fields = {f.name: read_field(f"{where}.{f.name}", sources, type(f.default), f.default)
               for f in dataclasses.fields(CgLayerConfig)[1:]}
     try:
@@ -693,9 +687,6 @@ def build_model(model_cfg: dict, rng) -> Network:
                 act = read_field(f"{where}.activation", lc, str, "relu")
                 if act not in ACTIVATION_KINDS:
                     raise ConfigurationError(f"{where}.activation: unknown activation {act!r}")
-                if "shuffle_groups" in lc:   # removed: only a gated layer shuffles
-                    raise ConfigurationError(f"{where}.shuffle_groups: expected no such key; "
-                                             f"a cg_conv layer's shuffle shuffles its output")
                 layers.append(ConvBlock(spec, act, rng, name))
             else:
                 layers.append(CgConvBlock(_cg_config(spec, where, (lc, defaults)), rng, name))

@@ -224,16 +224,38 @@ class TestThreads:
     def threads(self):
         return [os.environ.get(var) for var in cli.THREAD_VARS]
 
+    def parsed(self, *flags):
+        return cli.build_parser().parse_args(["train", "--config", "c.json", *flags])
+
     def test_deterministic_overrides_presets(self, env):
         env.setenv("OPENBLAS_NUM_THREADS", "4")
-        cli._setup_threads(["train", "--config", "c.json", "--deterministic"])
+        cli._setup_threads(self.parsed("--deterministic"))
         assert self.threads() == ["1", "1", "1"]
 
     def test_no_cap_leaves_presets(self, env):
         # without --deterministic the variables reach BLAS as the user set them
         env.setenv("OPENBLAS_NUM_THREADS", "4")
-        cli._setup_threads(["train", "--config", "c.json"])
+        cli._setup_threads(self.parsed())
         assert self.threads() == ["4", None, None]
+
+    def test_an_abbreviated_flag_pins_the_threads(self, env, tmp_path):
+        # argparse takes any unambiguous prefix of a flag, so the threads
+        # follow the parsed flag, not its spelling in argv
+        cli._setup_threads(self.parsed("--determ"))
+        assert self.threads() == ["1", "1", "1"]
+        for var in cli.THREAD_VARS:
+            env.delenv(var)
+        missing = str(tmp_path / "missing.json")   # exits 2 after the threads are set
+        assert cli.main(["train", "--config", missing, "--determ"]) == 2
+        assert self.threads() == ["1", "1", "1"]
+
+    def test_parsing_the_flag_loads_no_numpy(self):
+        # BLAS reads its thread variables once, when numpy loads
+        code = ("import sys; from cgnet import cli; "
+                "args = cli.build_parser().parse_args(['train', '--config', 'c.json']); "
+                "cli._setup_threads(args); print('numpy' in sys.modules)")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.stdout.strip() == "False", r.stderr
 
 
 class TestEval:

@@ -167,16 +167,16 @@ def _drop(*path):
      "model.layers[1].epsilon: must be positive and finite, got 0.0"),
     (_set("model", "layers", 1, "activation", value="foo"),
      "model.layers[1].activation: unknown activation 'foo'"),
-    # removed keys, in the layer or in cg_defaults: the activation sets the
-    # gate kind, so a relu layer never silently reads as a band
+    # removed keys, in the layer or in cg_defaults, fail as unknown ones: the
+    # activation sets the gate kind, so a relu layer never silently reads as a band
     (_set("model", "layers", 1, "gate", value="two_sided"),
-     "model.layers[1].gate: expected no such key; the activation sets the gate kind"),
+     "model.layers[1].gate: expected no such key\n"),
     (_set("model", "layers", 1, "band_init", value=2.0),
-     "model.layers[1].band_init: expected no such key; the activation sets the gate kind, "
-     "and a band starts at +-2.0"),
+     "model.layers[1].band_init: expected no such key\n"),
     (_set("model", "cg_defaults", "band_init", value=2.0),
-     "model.cg_defaults.band_init: expected no such key; the activation sets the gate kind, "
-     "and a band starts at +-2.0"),
+     "model.cg_defaults.band_init: expected no such key\n"),
+    (_set("model", "cg_defaults", "gate", value="two_sided"),
+     "model.cg_defaults.gate: expected no such key\n"),
     # a dense layer does not shuffle
     (_set("model", "layers", 0, "shuffle_groups", value=2),
      "model.layers[0].shuffle_groups: expected no such key"),
