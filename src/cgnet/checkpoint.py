@@ -108,7 +108,11 @@ def read_container(path):
             if len(payload) != nbytes:
                 raise CheckpointError(f"{path}: truncated payload for {name!r}")
             off += nbytes
-            out[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
+            try:
+                out[name] = np.frombuffer(payload, dtype=dt).reshape(shape).copy()
+            except ValueError:   # the rank field holds up to 255, numpy arrays fewer
+                raise CheckpointError(f"{path}: record {name!r} declares rank {ndim}, "
+                                      f"more than numpy holds") from None
     except struct.error as e:
         raise CheckpointError(f"{path}: truncated checkpoint ({e})") from None
     except UnicodeDecodeError as e:

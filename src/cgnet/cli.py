@@ -28,10 +28,17 @@ their reason: a ``loss.sparsity`` other than ``target_threshold`` (the
 computation-cost form opened every gate).
 ``tau_c_override`` evaluates a model at a tau_c it was not trained with:
 training runs the channel gate too, so the override changes the model.
-BLAS reads its worker thread count from OPENBLAS/OMP/MKL_NUM_THREADS as
-the user sets them. ``--deterministic``, read from the parsed arguments
-like every flag, sets all three to 1, whatever was preset, so repeated
-runs are bitwise identical.
+A run uses the CPUs of the process's affinity mask. BLAS takes its
+threads per call from OPENBLAS/OMP/MKL_NUM_THREADS, the first one set to
+a positive integer, and every CPU when none is; a convolution runs its
+bands of output rows on as many threads as that share fits into the
+CPUs (``nn.conv2d_forward``). So with the variables unset the bands run
+on the calling thread alone, and with BLAS pinned to one thread they run
+on every CPU. ``taskset`` narrows the mask, and so caps both.
+``--deterministic``, read from the parsed arguments like every flag, sets
+all three variables to 1, whatever was preset, so repeated runs are
+bitwise identical. A band's arithmetic is the same on any thread, so the
+artifacts do not depend on how many threads run the bands either.
 
 Heavy imports happen inside the command handlers so thread limits can be
 applied before numpy loads.
@@ -47,10 +54,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import ConfigurationError, read_field, reject_unknown
+from .config import THREAD_VARS, ConfigurationError, read_field, reject_unknown
 
-
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the top-level keys that some command reads: one set for all commands, so
 # that a training config also serves eval, analyze and perf
 CONFIG_KEYS = ("schema_version", "seed", "output_dir", "val_fraction", "data",

@@ -6,6 +6,11 @@ from __future__ import annotations
 
 import math
 
+# The BLAS thread variables: the command line pins them before numpy
+# loads, and ``nn`` takes the first one set to a positive integer as
+# BLAS's threads per call
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 _MISSING = object()
 _KIND_NAMES = {int: "int", float: "a number", bool: "true or false",
                str: "a string", list: "a list", dict: "an object"}

@@ -17,10 +17,15 @@ Conventions:
     one band of output rows' columns at a time (``BAND_BYTES``) and runs
     every GEMM that reads them, the kernel's and any block-diagonal
     kernel's such as a gated layer's base blocks, on the band while it is
-    in cache. One backward, ``conv2d_backward``, serves every layer, dense
-    or gated: it rebuilds one input group's columns at a time from the
-    input batch. Every layer's kernel is dense: the forward also runs a
-    grouped convolution, for reference computations, but it has no backward;
+    in cache. The bands run on a persistent pool of threads beside the
+    calling one (``_band_workers``: the CPUs left over by BLAS's threads
+    per call), each thread into its own band buffer. The pool's threads
+    run only the band loop's numpy calls, never a function the package
+    exports, so a tracer that wraps those sees every call on one stack.
+    One backward, ``conv2d_backward``, serves every layer, dense or gated:
+    it rebuilds one input group's columns at a time from the input batch.
+    Every layer's kernel is dense: the forward also runs a grouped
+    convolution, for reference computations, but it has no backward;
   * a temporary the size of a batch is made with ``np.empty_like`` (or
     ``zeros_like``) of a batch, which keeps that (c, h, w, n) order; a
     C-order ``np.empty(shape)`` gives the same values but makes every
@@ -57,13 +62,17 @@ Conventions:
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .config import ConfigurationError
+from .config import THREAD_VARS, ConfigurationError
 
 
 class DegenerateInputError(ValueError):
@@ -289,6 +298,62 @@ def _bands(ho, row_cols, rows_k):
     return [slice(a, min(a + rows, ho)) for a in range(0, ho, rows)]
 
 
+def _band_workers():
+    """How many threads run a convolution's bands: the CPUs of the process's
+    affinity mask (``os.cpu_count()`` where there is none) divided by BLAS's
+    threads per call, the first of ``THREAD_VARS`` set to a positive
+    integer, else the CPU count; at least one. So with the variables unset
+    BLAS takes every CPU and the bands run on the calling thread, and with
+    them pinned to 1 the bands run on every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(cpus // blas, 1)
+
+
+@functools.cache
+def _band_pool():
+    """(workers, pool): ``_band_workers()``, read once per process, and a
+    persistent pool of workers - 1 threads beside the calling one, or None
+    at one worker. A forked child drops the parent's pool, whose threads it
+    does not have, and builds its own on first use."""
+    workers = _band_workers()
+    if workers == 1:
+        return 1, None
+    return workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="cgnet-bands")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_band_pool.cache_clear)
+
+
+def _run_on_threads(run, bands, pool, threads):
+    """``run(todo)`` on the calling thread and on threads - 1 of ``pool``'s,
+    each ``todo`` an iterator that pops ``bands`` from one deque, so every
+    band runs once, on whichever thread is free first (a deque's pops are
+    thread-safe). Returns once every thread is done, and re-raises the
+    exception of a thread that raised."""
+    todo = collections.deque(bands + [None] * threads)   # an end mark per thread
+    helpers = [pool.submit(run, iter(todo.popleft, None)) for _ in range(threads - 1)]
+    try:
+        run(iter(todo.popleft, None))
+    finally:
+        for helper in helpers:
+            helper.exception()   # waits: no thread writes the outputs after this call
+    for helper in helpers:
+        helper.result()
+
+
 def fold_bn(w, bn: BatchNormState):
     """Frozen batch norm folded into a dense kernel ``w`` (c_out, c, k, k):
     the (c_out, c*k*k + 1) kernel whose rows are W's scaled by
@@ -308,12 +373,19 @@ def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, folded=None):
     by one partial-sum batch per kernel in ``blocks``.
 
     The columns are built one band of whole output rows at a time
-    (``_bands``) into one reused buffer, and every GEMM that reads them
-    runs on the band while it is in cache, writing the band's columns of
-    its (c_out, ho*wo*n) output. Each output column's dot product is the
-    whole layer's, and the bands are cut where the whole layer's GEMM
-    would round each column as the band's does, so the result is bitwise
-    the one-band result (within the limits ``_BAND_COLS`` states). The
+    (``_bands``), and every GEMM that reads them runs on the band while it
+    is in cache, writing the band's columns of its (c_out, ho*wo*n)
+    output. Each output column's dot product is the whole layer's, and the
+    bands are cut where the whole layer's GEMM would round each column as
+    the band's does, so the result is bitwise the one-band result (within
+    the limits ``_BAND_COLS`` states). The calling thread and up to
+    ``_band_workers() - 1`` threads of a persistent pool (``_band_pool``)
+    claim bands one at a time, each into a buffer of its own, and the
+    pool's threads run only numpy calls. Each band writes only its own
+    columns and runs the same arithmetic on any thread, so the outputs do
+    not depend on the thread count. A layer of one band runs on the
+    calling thread. The call returns, or raises a thread's exception, once
+    every thread is done with its bands. The
     groups run as one batched matmul of each group's kernel rows against
     its input channels' rows of the band. ``blocks`` are block-diagonal
     kernels on the same columns, each a (G, c_out/G, c_in/G*k*k) stack
@@ -348,17 +420,27 @@ def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, folded=None):
     kernels = [w_rows, *blocks]
     outs = [np.empty((spec.out_channels, m)) for _ in kernels]
     bands = _bands(ho, row, kk)
-    buf = np.empty(rows * row * (bands[0].stop - bands[0].start))   # the first band is the longest
-    for band in bands:
-        span = slice(band.start * row, band.stop * row)
-        cols = buf[:rows * (span.stop - span.start)].reshape(rows, -1)
-        np.copyto(cols[:kk].reshape(c, k, k, -1, wo, n), win[:, :, :, band])
-        cols[kk:] = 1.0
-        for kernel, out in zip(kernels, outs):
-            # a kernel of g groups of K columns reads the first g*K rows
-            g, _, cols_k = kernel.shape
-            np.matmul(kernel, cols[:g * cols_k].reshape(g, cols_k, -1),
-                      out=out.reshape(g, -1, m)[:, :, span])
+    size = rows * row * (bands[0].stop - bands[0].start)   # the first band is the longest
+
+    def run_bands(todo):
+        buf = np.empty(size)   # this thread's own
+        for band in todo:
+            span = slice(band.start * row, band.stop * row)
+            cols = buf[:rows * (span.stop - span.start)].reshape(rows, -1)
+            np.copyto(cols[:kk].reshape(c, k, k, -1, wo, n), win[:, :, :, band])
+            cols[kk:] = 1.0
+            for kernel, out in zip(kernels, outs):
+                # a kernel of g groups of K columns reads the first g*K rows
+                g, _, cols_k = kernel.shape
+                np.matmul(kernel, cols[:g * cols_k].reshape(g, cols_k, -1),
+                          out=out.reshape(g, -1, m)[:, :, span])
+
+    workers, pool = _band_pool()
+    threads = min(workers, len(bands))
+    if threads == 1:   # without the hand-out, ~3 us less per call on a batch of one
+        run_bands(bands)
+    else:
+        _run_on_threads(run_bands, bands, pool, threads)
     y, *partials = (_batch(out, n, ho, wo) for out in outs)
     return (y, ConvCtx(spec, w, xb), *partials)
 

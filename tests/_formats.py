@@ -1,4 +1,5 @@
-"""Writers of the on-disk dataset formats that ``cgnet.data`` loads.
+"""Writers of the on-disk dataset formats that ``cgnet.data`` loads, and
+of a checkpoint record that ``cgnet.checkpoint`` cannot write.
 
 The package only reads these formats; the tests build their fixtures with
 these writers and round-trip them through the loaders.
@@ -39,3 +40,12 @@ def write_raw_chw(sidecar_path, dataset, dtype="float32"):
             "width": w, "dtype": dtype, "data": data_name, "labels": labels_name,
             "num_classes": dataset.num_classes}
     sidecar_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def write_deep_record(path, name, rank):
+    """Write a CGN1 container of one float64 record of shape (1,) * rank:
+    the rank field holds up to 255, a numpy array at most 64."""
+    nb = name.encode("utf-8")
+    Path(path).write_bytes(b"CGN1" + struct.pack("<IH", 1, len(nb)) + nb
+                           + struct.pack(f"<BB{rank}I", 0, rank, *[1] * rank)
+                           + struct.pack("<d", 1.0))

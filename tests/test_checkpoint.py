@@ -11,6 +11,7 @@ from cgnet.checkpoint import (CheckpointError, load_model, read_container,
 from cgnet.network import build_model
 from cgnet.nn import ConfigurationError
 
+from _formats import write_deep_record
 from _oracles import kernel_split
 
 
@@ -83,6 +84,15 @@ class TestContainer:
         blob[10:12] = b"\xff\xfe"   # the name's two bytes
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="not UTF-8"):
+            read_container(path)
+
+    @pytest.mark.parametrize("rank", [65, 255])
+    def test_rank_numpy_cannot_hold_rejected(self, tmp_path, rank):
+        # one float64 record of shape (1,) * rank: the rank field holds it,
+        # a numpy array does not
+        path = tmp_path / "deep.cgn"
+        write_deep_record(path, "deep", rank)
+        with pytest.raises(CheckpointError, match=f"record 'deep' declares rank {rank}"):
             read_container(path)
 
     def test_duplicate_name_rejected(self, tmp_path):

@@ -12,6 +12,8 @@ import pytest
 
 from cgnet import cli
 
+from _workers import band_workers
+
 REPO = Path(__file__).resolve().parent.parent
 TINY = REPO / "configs" / "tiny_smoke.json"
 
@@ -58,6 +60,25 @@ class TestTrain:
         assert "intensity_aggregate.pgm" in pgms and len(pgms) >= 2
         for rel in artifacts + [f"analyze/{name}" for name in pgms]:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+    def test_deterministic_train_does_not_depend_on_band_workers(self, tmp_path, monkeypatch):
+        # mnist_cg's model and loss, on fewer samples and epochs
+        cfg = json.loads((REPO / "configs" / "mnist_cg.json").read_text())
+        cfg["data"]["num_samples"] = 640
+        cfg["optimizer"].update(epochs=2, lr_decay_epochs=[1])
+        path = tmp_path / "mnist_cg.json"
+        path.write_text(json.dumps(cfg))
+        for var in cli.THREAD_VARS:   # --deterministic sets them; undone after the test
+            monkeypatch.setenv(var, "0")
+            monkeypatch.delenv(var)
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            with band_workers(workers):
+                assert cli.main(["train", "--config", str(path), "--out", str(out),
+                                 "--deterministic"]) == 0
+            runs.append([(out / name).read_bytes() for name in ("checkpoint.cgn", "metrics.csv")])
+        assert runs[1] == runs[0]
 
     def test_malformed_config_names_field(self, tmp_path):
         cfg = json.loads(TINY.read_text())
@@ -329,6 +350,15 @@ class TestEval:
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
         assert ("__config__" if corrupt == "config" else "not UTF-8") in r.stderr
+
+    def test_checkpoint_of_a_rank_numpy_cannot_hold_exits_2(self, tiny_run, tmp_path, capsys):
+        # numpy's own error used to end the command in a traceback
+        from _formats import write_deep_record
+        ckpt = tmp_path / "deep.cgn"
+        write_deep_record(ckpt, "deep", 65)
+        cfg = eval_cfg(tiny_run, tmp_path, checkpoint=str(ckpt))
+        assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"{ckpt}: record 'deep' declares rank 65" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("gate", "two_sided"), ("band_init", 1.0)])
     def test_checkpoint_config_with_removed_key_exits_2(self, tiny_run, tmp_path, capsys,

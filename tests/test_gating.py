@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cgnet import analysis, gating, nn
+from cgnet import analysis, gating, nn, training
 from cgnet.gating import (CgBlockParams, CgLayerConfig, DecisionMap,
                           assemble_dense_weight, channel_shuffle, gate_map, merged_gate,
                           shuffle_permutation, split_dense_weight)
@@ -18,6 +18,7 @@ from cgnet.nn import ConfigurationError, ConvSpec
 from _oracles import (EPS, assert_tier_a, assert_tier_b, block_inference, conditional_kernel,
                       dense_masked_block_forward, heaviside, kernel_split, pruning_ratio,
                       rel_err, tier_c_flips)
+from _workers import band_workers
 
 
 def make_cfg(c_in=8, c_out=8, k=3, G=4, act="relu", tau_c=0.0, shuffle=False,
@@ -606,29 +607,63 @@ class TestExactnessTiers:
 
 
 class TestBlockForwardMemory:
-    """The forward im2cols one band of output rows at a time."""
+    """The forward im2cols one band of output rows at a time on each of its
+    band workers."""
 
-    def test_holds_at_most_one_band_of_columns(self):
-        # vgg8 L01's shape at batch 64: its whole im2col is 9 MiB, a band
-        # one output row of 1,024 columns (0.56 MiB). The block peaks inside
-        # the convolution, with the full and partial sums, the padded input
-        # and the band alive; the whole im2col made it 13.3 MiB
+    def peak(self, workers):
+        """(tracemalloc peak, y, the padded input's and one band's bytes) of
+        vgg8 L01's shape at batch 64 on ``workers`` threads: its whole
+        im2col is 9 MiB, a band one output row of 1,024 columns (0.56 MiB)."""
         cfg = make_cfg(8, 16, G=4)
         params = make_params(cfg, np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((64, 8, 16, 16))
         n, c, h, w = x.shape
         rows = max(b.stop - b.start for b in nn._bands(h, w * n, c * 9))
+        assert rows == 1
         band = 8 * c * 9 * rows * w * n
         padded = 8 * c * (h + 2) * (w + 2) * n
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            y, _ = block_inference(x, params, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert rows == 1 and 2 * y.nbytes + padded + band <= peak, peak / 2**20
+        with band_workers(workers):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                y, _ = block_inference(x, params, cfg)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        return peak, y, padded, band
+
+    def test_holds_at_most_one_band_of_columns(self):
+        # the block peaks inside the convolution, with the full and partial
+        # sums, the padded input and the band alive; the whole im2col made
+        # it 13.3 MiB
+        peak, y, padded, band = self.peak(1)
+        assert 2 * y.nbytes + padded + band <= peak, peak / 2**20
         assert peak < 2 * y.nbytes + padded + band + 2**16, peak / 2**20
+
+    def test_two_workers_hold_at_most_two_bands(self):
+        # each worker fills its own band buffer
+        peak, y, padded, band = self.peak(2)
+        assert 2 * y.nbytes + padded + band <= peak, peak / 2**20
+        assert peak < 2 * y.nbytes + padded + 2 * band + 2**16, peak / 2**20
+
+
+class TestBandWorkers:
+    def test_vgg8_l01_forwards_bitwise_at_every_worker_count(self):
+        # gated inference and the training forward, with the statistics
+        # training folds into the running stats
+        cfg = make_cfg(8, 16, G=4)
+        x = np.random.default_rng(1).standard_normal((64, 8, 16, 16))
+        outs = []
+        for workers in (1, 2, 3):
+            params = make_params(cfg, np.random.default_rng(0))
+            with band_workers(workers):
+                y_inf, dm = block_inference(x, params, cfg)
+                y, ctx = training.cg_block_forward_train(x, params, cfg)
+            arrays = (y_inf, dm.d, y, ctx.d, ctx.fprime, ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat,
+                      params.bn1.running_mean, params.bn1.running_var,
+                      params.bn2.running_mean, params.bn2.running_var)
+            outs.append([a.tobytes() for a in arrays])
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 class TestBlockInferenceWritesNoInput:

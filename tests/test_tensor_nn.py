@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
 from _oracles import (bn_inference_affine, check_grad, col2im_reference,
                       conv2d_reference, finite_difference, maxpool2d_backward_reference,
                       maxpool2d_reference, rel_err, stacked_conv_grads)
+from _workers import band_workers
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EPS = np.finfo(np.float64).eps
@@ -476,6 +479,116 @@ class TestFoldedBatchNorm:
         with pytest.raises(ConfigurationError, match="dense kernel"):
             nn.conv2d_forward(rng.standard_normal((2, 4, 5, 5)), w, spec,
                               folded=nn.fold_bn(w, BatchNormState.create(4)))
+
+
+class TestBandWorkers:
+    """A convolution runs its bands on ``nn._band_workers()`` threads, the
+    calling one among them."""
+
+    @pytest.fixture
+    def host(self, monkeypatch):
+        """Sets the affinity mask's CPU count and the BLAS thread
+        variables, the others unset."""
+        def use(cpus, **env):
+            monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            for var in nn.THREAD_VARS:
+                monkeypatch.delenv(var, raising=False)
+            for var, value in env.items():
+                monkeypatch.setenv(var, value)
+            return nn._band_workers()
+        return use
+
+    def test_rule(self, host):
+        # BLAS takes every CPU unless a variable caps it; the bands take
+        # the rest
+        assert host(2) == 1
+        assert host(2, OPENBLAS_NUM_THREADS="1") == 2
+        assert host(2, OMP_NUM_THREADS="2") == 1
+        assert host(8, MKL_NUM_THREADS="3") == 2
+        assert host(2, OMP_NUM_THREADS="4") == 1   # at least one
+        # the first variable set to a positive integer counts
+        assert host(4, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="1") == 2
+        for ignored in ("two", "", "0", "-1", "1.5"):
+            assert host(2, OPENBLAS_NUM_THREADS=ignored) == 1, ignored
+            assert host(2, OPENBLAS_NUM_THREADS=ignored, OMP_NUM_THREADS="1") == 2, ignored
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(nn.os, "sched_getaffinity")
+        monkeypatch.setattr(nn.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert nn._band_workers() == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 16, 32, 64]),
+           G=st.sampled_from([1, 2, 4]), per_in=st.integers(1, 3), per_out=st.integers(1, 2),
+           k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           pad=st.sampled_from([0, 1]), hw=st.tuples(st.integers(1, 9), st.integers(1, 6)),
+           rows=st.sampled_from([1, 2, 3]), fold=st.booleans())
+    # 7 rows of 16 samples x 4 columns in bands of 2, 2, 2 and 1 rows:
+    # uneven bands, more than any worker count
+    @example(seed=1, n=16, G=4, per_in=1, per_out=2, k=3, stride=1, pad=1, hw=(7, 4), rows=2,
+             fold=True)
+    def test_worker_count_changes_no_bit(self, seed, n, G, per_in, per_out, k, stride, pad, hw,
+                                         rows, fold):
+        # y, its fold and every block's partial sums, at 1, 2 and 3 workers
+        assume(hw[0] + 2 * pad >= k and hw[1] + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad)
+        x = rng.standard_normal((n, spec.in_channels, *hw))
+        w = rng.standard_normal(spec.weight_shape)
+        blocks = (random_blocks(rng, G, spec), random_blocks(rng, 1, spec))
+        bn = random_bn(rng, spec.out_channels) if fold else None
+        outs = []
+        for workers in (1, 2, 3):
+            with band_workers(workers):
+                y, _, *parts = forward_in_bands(rows * row_bytes(x, spec), x, w, spec, blocks,
+                                                bn=bn)
+            outs.append([bits(a).tobytes() for a in (y, *parts)])
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_more_workers_than_cores_claim_every_band_once(self, rng):
+        # 5 threads switching every microsecond on 32 bands of one row: a
+        # band claimed twice or never leaves its columns of the fresh
+        # outputs unwritten or races, and the bytes differ
+        spec = ConvSpec(4, 8, 3, padding=1)
+        x = rng.standard_normal((16, 4, 32, 4))
+        w = rng.standard_normal(spec.weight_shape)
+        blocks = (random_blocks(rng, 2, spec),)
+        with band_workers(1):
+            want = [bits(a).tobytes() for a in forward_in_bands(1, x, w, spec, blocks)[::2]]
+        got = []
+
+        def calls():
+            with band_workers(5):
+                for _ in range(20):
+                    y, _, p = forward_in_bands(1, x, w, spec, blocks)
+                    got.append([bits(y).tobytes(), bits(p).tobytes()])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=calls, daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert len(got) == 20 and all(g == want for g in got)
+
+    def test_a_band_error_reaches_the_caller(self, rng):
+        # every band raises, on each thread; the pool still serves the next
+        # call
+        spec = ConvSpec(4, 4, 3, padding=1)
+        x = rng.standard_normal((16, 4, 8, 8))
+        w = rng.standard_normal(spec.weight_shape)
+        bad = rng.standard_normal((3, 1, 12))   # 3 groups of 4 output channels
+        with band_workers(2):
+            with pytest.raises(ValueError):
+                forward_in_bands(1, x, w, spec, (bad,))
+            y, _ = forward_in_bands(1, x, w, spec)
+        with band_workers(1):
+            y1, _ = forward_in_bands(1, x, w, spec)
+        np.testing.assert_array_equal(bits(y), bits(y1))
 
 
 class TestBatchNorm:
