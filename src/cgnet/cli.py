@@ -31,14 +31,19 @@ training runs the channel gate too, so the override changes the model.
 A run uses the CPUs of the process's affinity mask. BLAS takes its
 threads per call from OPENBLAS/OMP/MKL_NUM_THREADS, the first one set to
 a positive integer, and every CPU when none is; a convolution runs its
-bands of output rows on as many threads as that share fits into the
-CPUs (``nn.conv2d_forward``). So with the variables unset the bands run
-on the calling thread alone, and with BLAS pinned to one thread they run
-on every CPU. ``taskset`` narrows the mask, and so caps both.
+forward's bands of output rows and its backward's input groups on as
+many threads as that share fits into the CPUs (``nn.conv2d_forward``,
+``nn.conv2d_backward``). So with the variables unset they run on the
+calling thread alone, and with BLAS pinned to one thread on every CPU.
+``taskset`` narrows the mask, and so caps both. The extra threads run
+only numpy and ``nn.im2col``/``nn.col2im``, no function a tracer wraps;
+the backward's calling thread builds each group's upstream gradient in
+dy's memory and each other thread in its own copy of dy.
 ``--deterministic``, read from the parsed arguments like every flag, sets
 all three variables to 1, whatever was preset, so repeated runs are
-bitwise identical. A band's arithmetic is the same on any thread, so the
-artifacts do not depend on how many threads run the bands either.
+bitwise identical. A band's or group's arithmetic is the same on any
+thread, so the artifacts do not depend on how many threads run them
+either.
 
 Heavy imports happen inside the command handlers so thread limits can be
 applied before numpy loads.

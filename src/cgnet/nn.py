@@ -17,15 +17,22 @@ Conventions:
     one band of output rows' columns at a time (``BAND_BYTES``) and runs
     every GEMM that reads them, the kernel's and any block-diagonal
     kernel's such as a gated layer's base blocks, on the band while it is
-    in cache. The bands run on a persistent pool of threads beside the
-    calling one (``_band_workers``: the CPUs left over by BLAS's threads
-    per call), each thread into its own band buffer. The pool's threads
-    run only the band loop's numpy calls, never a function the package
-    exports, so a tracer that wraps those sees every call on one stack.
-    One backward, ``conv2d_backward``, serves every layer, dense or gated:
-    it rebuilds one input group's columns at a time from the input batch.
-    Every layer's kernel is dense: the forward also runs a grouped
-    convolution, for reference computations, but it has no backward;
+    in cache. One backward, ``conv2d_backward``, serves every layer, dense
+    or gated: it rebuilds one input group's columns at a time from the
+    input batch. Every layer's kernel is dense: the forward also runs a
+    grouped convolution, for reference computations, but it has no
+    backward;
+  * the forward's bands and the backward's input groups run on a
+    persistent pool of threads beside the calling one (``_band_workers``:
+    the CPUs left over by BLAS's threads per call), each thread into its
+    own column buffer. The backward's calling thread builds each group's
+    upstream gradient in dy's memory and each pool thread in its own copy
+    of dy. The pool's threads run numpy calls, ``im2col`` and ``col2im``
+    only, never one of the entry points a tracer wraps (the convolution,
+    batch norm and SGD functions), so the tracer sees every call on one
+    stack. Every band and group runs the same arithmetic on any thread and
+    writes only its own part of the outputs, so no result depends on the
+    worker count;
   * a temporary the size of a batch is made with ``np.empty_like`` (or
     ``zeros_like``) of a batch, which keeps that (c, h, w, n) order; a
     C-order ``np.empty(shape)`` gives the same values but makes every
@@ -70,7 +77,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .config import THREAD_VARS, ConfigurationError
 
@@ -182,16 +188,24 @@ def _check_conv(x, w, spec):
 def _windows(x, k, stride, padding):
     """The (c, k, k, ho, wo, n) strided view of every k x k window of the
     (n, c, h, w) batch ``x`` (any strides), zero-padded by ``padding`` on
-    each side. Padding copies into a zeroed (c, hp, wp, n) buffer."""
+    each side, over a C-contiguous (c, hp, wp, n) buffer: x's own memory
+    where it is an unpadded sample-innermost batch, else a copy. Padding
+    copies x into the middle of a new buffer and zeroes only its border."""
     n, c, h, w = x.shape
+    p = padding
     xp = _chwn(x)
-    if padding:
-        xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
-        xp[:, padding:padding + h, padding:padding + w] = _chwn(x)
+    if p:
+        xp = np.empty((c, h + 2 * p, w + 2 * p, n))
+        xp[:, :p] = xp[:, p + h:] = 0.0
+        xp[:, p:p + h, :p] = xp[:, p:p + h, p + w:] = 0.0
+        xp[:, p:p + h, p:p + w] = _chwn(x)
+    elif not xp.flags.c_contiguous:
+        xp = np.ascontiguousarray(xp)
     _, hp, wp, _ = xp.shape
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     sc, sh, sw, sn = xp.strides
-    return as_strided(xp, (c, k, k, ho, wo, n), (sc, sh, sw, stride * sh, stride * sw, sn))
+    return np.ndarray((c, k, k, ho, wo, n), xp.dtype, xp,
+                      strides=(sc, sh, sw, stride * sh, stride * sw, sn))
 
 
 def im2col(x, k, stride=1, padding=0, out=None):
@@ -337,16 +351,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_band_pool.cache_clear)
 
 
-def _run_on_threads(run, bands, pool, threads):
-    """``run(todo)`` on the calling thread and on threads - 1 of ``pool``'s,
-    each ``todo`` an iterator that pops ``bands`` from one deque, so every
-    band runs once, on whichever thread is free first (a deque's pops are
-    thread-safe). Returns once every thread is done, and re-raises the
-    exception of a thread that raised."""
-    todo = collections.deque(bands + [None] * threads)   # an end mark per thread
-    helpers = [pool.submit(run, iter(todo.popleft, None)) for _ in range(threads - 1)]
+def _run_on_threads(runs, items, pool):
+    """``runs[0](todo)`` on the calling thread and each other ``runs[i](todo)``
+    on a thread of ``pool``'s, each ``todo`` an iterator that pops ``items``
+    (the forward's bands, the backward's input groups) in order from one
+    deque, so every item runs once, on whichever thread is free first (a
+    deque's pops are thread-safe), and a thread that pops the last item
+    pops no other after it. Returns once every thread is done, and
+    re-raises the exception of a thread that raised."""
+    todo = collections.deque([*items] + [None] * len(runs))   # an end mark per thread
+    helpers = [pool.submit(run, iter(todo.popleft, None)) for run in runs[1:]]
     try:
-        run(iter(todo.popleft, None))
+        runs[0](iter(todo.popleft, None))
     finally:
         for helper in helpers:
             helper.exception()   # waits: no thread writes the outputs after this call
@@ -440,7 +456,7 @@ def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, folded=None):
     if threads == 1:   # without the hand-out, ~3 us less per call on a batch of one
         run_bands(bands)
     else:
-        _run_on_threads(run_bands, bands, pool, threads)
+        _run_on_threads([run_bands] * threads, bands, pool)
     y, *partials = (_batch(out, n, ho, wo) for out in outs)
     return (y, ConvCtx(spec, w, xb), *partials)
 
@@ -464,11 +480,21 @@ def conv2d_backward(ctx: ConvCtx, dy, dp=None, groups=1):
     rebuilt from ``ctx.x``, dW[:, h]^T = cols_h @ D_h^T, which reads
     cols_h untransposed, and dcols_h = W[:, h]^T @ D_h, written over
     cols_h; a col2im of dcols_h writes the group's channels of dx. So one
-    group's columns live at a time. With ``dp`` given, D_h is built in
-    dy's memory where dy is a sample-innermost batch, so dy may be left
-    overwritten: output group h's rows are saved before and copied back
-    after its GEMMs (but for the last group's), an exact restore where a
-    subtract would not be."""
+    group's columns live at a time on each thread.
+
+    The calling thread and up to ``_band_workers() - 1`` threads of the
+    band pool claim the groups one at a time (``_run_on_threads``), each
+    into a column buffer of its own. Each group writes only its own rows
+    of dW^T and its own channels of dx and runs the same arithmetic on
+    any thread, so dx and dw do not depend on the thread count. The pool's
+    threads run numpy, ``im2col`` and ``col2im`` only. With ``dp`` given,
+    the calling thread builds D_h in dy's memory (``_consumable``), so dy
+    may be left overwritten: output group h's rows are saved before and
+    copied back after its GEMMs (but for the last group's), an exact
+    restore where a subtract would not be. Each pool thread builds D_h in
+    its own copy of dy, made before any group starts, and copies group
+    h's rows back from dy, which only group h's thread edits. A layer of
+    one group, or at one worker, runs on the calling thread alone."""
     spec = ctx.spec
     if spec.groups != 1:
         raise ConfigurationError(f"conv2d_backward: a grouped convolution (groups="
@@ -476,30 +502,46 @@ def conv2d_backward(ctx: ConvCtx, dy, dp=None, groups=1):
     k, stride, pad = spec.kernel_size, spec.stride, spec.padding
     n, c_in, h_in, w_in = ctx.x.shape
     c_out = spec.out_channels
-    d = np.reshape(_chwn(np.asarray(dy, dtype=np.float64)), (c_out, -1))
+    d = _chwn(_consumable(dy)).reshape(c_out, -1)
     w = ctx.w.reshape(c_out, -1)
     G = groups
     rows_out, rows_in, chans_in = c_out // G, w.shape[1] // G, c_in // G
     dwt = np.empty((w.shape[1], c_out))
-    cols = np.empty((rows_in, d.shape[1]))
     dx = np.empty((c_in, h_in, w_in, n))
     if dp is not None:
         dp = np.reshape(_chwn(np.asarray(dp, dtype=np.float64)), (c_out, -1))
-        saved = np.empty((rows_out, d.shape[1])) if G > 1 else None
-    for h in range(G):
-        own, ins = slice(h * rows_out, (h + 1) * rows_out), slice(h * rows_in, (h + 1) * rows_in)
-        chans = slice(h * chans_in, (h + 1) * chans_in)
-        restore = dp is not None and h < G - 1
-        if restore:
-            np.copyto(saved, d[own])
-        if dp is not None:
-            d[own] += dp[own]
-        im2col(ctx.x[:, chans], k, stride, pad, out=cols)
-        np.matmul(cols, d.T, out=dwt[ins])
-        np.matmul(w[:, ins].T, d, out=cols)
-        col2im(cols, (n, chans_in, h_in, w_in), k, stride, pad, out=dx[chans])
-        if restore:
-            np.copyto(d[own], saved)
+
+    def run_groups(todo, d_h):
+        # d_h: this thread's D_h buffer, d itself on the calling thread
+        cols = np.empty((rows_in, d.shape[1]))
+        in_dy = d_h is d
+        saved = np.empty((rows_out, d.shape[1])) if in_dy and dp is not None and G > 1 else None
+        for h in todo:
+            own, ins = slice(h * rows_out, (h + 1) * rows_out), slice(h * rows_in, (h + 1) * rows_in)
+            chans = slice(h * chans_in, (h + 1) * chans_in)
+            restore = dp is not None and h < G - 1   # the last group runs last on its thread
+            if restore and in_dy:
+                np.copyto(saved, d[own])
+            if dp is not None:
+                np.add(d[own], dp[own], out=d_h[own])
+            im2col(ctx.x[:, chans], k, stride, pad, out=cols)
+            # np.dot, not matmul: numpy's matmul keeps the GIL on a small
+            # output such as vgg8 L01's 18 x 16, so the threads would take
+            # turns; both call the same dgemm, so the sums are bitwise equal
+            np.dot(cols, d_h.T, out=dwt[ins])
+            np.matmul(w[:, ins].T, d_h, out=cols)
+            col2im(cols, (n, chans_in, h_in, w_in), k, stride, pad, out=dx[chans])
+            if restore:
+                np.copyto(d_h[own], saved if in_dy else d[own])
+
+    workers, pool = _band_pool()
+    threads = min(workers, G)
+    if threads == 1:
+        run_groups(range(G), d)
+    else:
+        # each copy is made before the calling thread edits d
+        copies = [d if dp is None else d.copy() for _ in range(threads - 1)]
+        _run_on_threads([functools.partial(run_groups, d_h=b) for b in [d, *copies]], range(G), pool)
     return dx.transpose(3, 0, 1, 2), dwt.T.reshape(ctx.w.shape)
 
 

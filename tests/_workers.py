@@ -1,5 +1,6 @@
-"""How many threads run a convolution's bands, set by a test whatever the
-machine's CPU count and thread variables."""
+"""How many threads run a convolution's forward bands and backward input
+groups, set by a test whatever the machine's CPU count and thread
+variables."""
 
 import contextlib
 
@@ -10,8 +11,9 @@ from cgnet import nn
 
 @contextlib.contextmanager
 def band_workers(k):
-    """Inside the block a convolution runs its bands on ``k`` threads; the
-    process's own pool is rebuilt from its rule after the block."""
+    """Inside the block a convolution runs its bands and its backward's
+    groups on ``k`` threads; the process's own pool is rebuilt from its
+    rule after the block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "_band_workers", lambda: k)
         nn._band_pool.cache_clear()

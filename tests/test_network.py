@@ -12,11 +12,13 @@ import pytest
 
 from cgnet import checkpoint, network, nn, training
 from cgnet.analysis import network_pruning_ratio
+from cgnet.data import synthetic_dataset
 from cgnet.gating import shuffle_permutation
 from cgnet.network import CgConvBlock, ConvBlock, build_model
 from cgnet.nn import ConfigurationError, StateError
 
 from _oracles import check_grad
+from _workers import band_workers
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 VGG8 = CONFIGS / "vgg8_cg.json"
@@ -601,21 +603,38 @@ class TestContextLifetime:
         for name, a, before in inputs:
             assert a.tobytes() == before, name
 
+    @staticmethod
+    def vgg8_step_peak(workers):
+        """The tracemalloc peak of a vgg8 batch-64 forward_train and backward
+        with the convolutions on ``workers`` threads."""
+        cfg = json.loads(VGG8.read_text())["model"]
+        x = np.random.default_rng(0).random((64, 1, 16, 16))
+        model = build_model(cfg, np.random.default_rng(1))
+        with band_workers(workers):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                model.backward(np.ones_like(model.forward_train(x)))
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        return peak
+
     def test_vgg8_step_peaks_under_twenty_and_a_half_mib(self):
         # a vgg8 batch-64 step peaks in its backward at 19.6 MiB. Contexts
         # that kept the float pre-activation, with the backward writing dy*f'
         # over it rather than over dy, made it 24.2 MiB
-        cfg = json.loads(VGG8.read_text())["model"]
-        x = np.random.default_rng(0).random((64, 1, 16, 16))
-        model = build_model(cfg, np.random.default_rng(1))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            model.backward(np.ones_like(model.forward_train(x)))
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        peak = self.vgg8_step_peak(1)
         assert peak < 20.5 * 2**20, peak / 2**20
+
+    def test_vgg8_step_at_two_workers_adds_one_d_h_and_column_buffer(self):
+        # the step peaks in L01's backward, where the pool thread holds its
+        # own D_h (16 x 16 x 16 x 64), its column buffer (18 rows of
+        # 16 x 16 x 64 columns) and its padded input group (2 channels of
+        # 18 x 18 x 64), plus 64 KiB of slack: 19.6 -> 24.2 MiB
+        one, two = self.vgg8_step_peak(1), self.vgg8_step_peak(2)
+        extra = 8 * (16 * 16 * 16 * 64 + 18 * 16 * 16 * 64 + 2 * 18 * 18 * 64) + 2**16
+        assert one < two < one + extra, (one / 2**20, two / 2**20)
 
     def test_second_forward_train_peaks_within_one_context_of_the_held_ones(self):
         # vgg8 at batch 64 holds 13.6 MiB of contexts between steps. Were a
@@ -710,6 +729,30 @@ class TestContextLifetime:
 
 def conv_leaves(model):
     return [leaf for leaf in model.leaves() if isinstance(leaf, (ConvBlock, CgConvBlock))]
+
+
+class TestBandWorkers:
+    def test_ten_vgg8_steps_leave_the_same_state_at_every_worker_count(self):
+        # forward_train, cross-entropy, backward, the target-threshold
+        # sparsity loss and SGD with momentum at batch 64: every parameter,
+        # running statistic and threshold byte-equal at 1, 2 and 3 workers
+        cfg = json.loads(VGG8.read_text())["model"]
+        ds = synthetic_dataset(128, num_classes=cfg["num_classes"], seed=3)
+        loss_cfg = training.LossConfig(sparsity="target_threshold", lam=5e-4, target=2.0)
+        states = []
+        for workers in (1, 2, 3):
+            model = build_model(copy.deepcopy(cfg), np.random.default_rng(1))
+            with band_workers(workers):
+                for i in range(10):
+                    batch = slice(64 * (i % 2), 64 * (i % 2 + 1))
+                    _, dlogits = nn.cross_entropy(model.forward_train(ds.images[batch]),
+                                                  ds.labels[batch])
+                    model.zero_grads()
+                    model.backward(dlogits)
+                    training.apply_sparsity_loss(model, loss_cfg, 1.0)
+                    model.sgd_step(0.05, 0.9, 1e-4)
+            states.append([(name, a.tobytes()) for name, a in model.state_tensors()])
+        assert states[1] == states[0] and states[2] == states[0]
 
 
 class TestInferencePlan:

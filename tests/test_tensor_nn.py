@@ -122,6 +122,21 @@ class TestConv2d:
         check_grad(loss, x, dx)
         check_grad(loss, w, dw)
 
+    def test_read_only_upstream_gives_the_bytes_of_a_writable_copy(self, rng):
+        # a read-only sample-innermost dy is copied, not written: building
+        # D_h in its memory raised numpy's "output array is read-only"
+        spec = ConvSpec(8, 8, 3, padding=1)
+        x = sample_innermost(rng.standard_normal((4, 8, 6, 6)))
+        w = rng.standard_normal(spec.weight_shape)
+        y, ctx = nn.conv2d_forward(x, w, spec)
+        dy, dp = (sample_innermost(a) for a in rng.standard_normal((2,) + y.shape))
+        want = nn.conv2d_backward(ctx, dy.copy(order="K"), dp, 4)
+        dy.flags.writeable = False
+        before = dy.tobytes()
+        got = nn.conv2d_backward(ctx, dy, dp, 4)
+        assert [bits(a).tobytes() for a in got] == [bits(a).tobytes() for a in want]
+        assert dy.tobytes() == before
+
     def test_grouped_backward_is_configuration_error(self, rng):
         # every layer's kernel is dense: a grouped forward has no backward
         spec = ConvSpec(4, 4, 3, padding=1, groups=2)
@@ -589,6 +604,87 @@ class TestBandWorkers:
         with band_workers(1):
             y1, _ = forward_in_bands(1, x, w, spec)
         np.testing.assert_array_equal(bits(y), bits(y1))
+
+    @staticmethod
+    def backward_bytes(ctx, dy, dp, G):
+        """dx's and dw's bytes from one backward on a copy of ``dy`` in its
+        own memory order (the backward may overwrite dy)."""
+        dx, dw = nn.conv2d_backward(ctx, dy.copy(order="K"), dp, G)
+        return [bits(dx).tobytes(), bits(dw).tobytes()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 16]),
+           G=st.sampled_from([1, 2, 4, 8]), per_in=st.integers(1, 2), per_out=st.integers(1, 2),
+           k=st.sampled_from([1, 2, 3]), stride=st.sampled_from([1, 2]),
+           pad=st.sampled_from([0, 1]), hw=st.tuples(st.integers(1, 9), st.integers(1, 6)),
+           with_dp=st.booleans(), x_chwn=st.booleans(),
+           dy_order=st.sampled_from(["chwn", "C", "read-only"]))
+    # vgg8 L01's channels: more groups than any worker count
+    @example(seed=2, n=16, G=4, per_in=2, per_out=4, k=3, stride=1, pad=1, hw=(8, 8),
+             with_dp=True, x_chwn=True, dy_order="chwn")
+    def test_backward_worker_count_changes_no_bit(self, seed, n, G, per_in, per_out, k, stride,
+                                                  pad, hw, with_dp, x_chwn, dy_order):
+        # dx and dw at 1, 2 and 3 workers, dp absent or given, for a dy
+        # the backward consumes, one it copies, and a read-only one
+        assume(hw[0] + 2 * pad >= k and hw[1] + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(G * per_in, G * per_out, k, stride=stride, padding=pad)
+        x = rng.standard_normal((n, spec.in_channels, *hw))
+        x = sample_innermost(x) if x_chwn else x
+        w = rng.standard_normal(spec.weight_shape)
+        y, ctx = nn.conv2d_forward(x, w, spec)
+        dy, dp = rng.standard_normal((2,) + y.shape)
+        dy = dy if dy_order == "C" else sample_innermost(dy)
+        if dy_order == "read-only":
+            dy.flags.writeable = False
+        outs = []
+        for workers in (1, 2, 3):
+            with band_workers(workers):
+                outs.append(self.backward_bytes(ctx, dy, dp if with_dp else None, G))
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_more_workers_than_cores_run_every_group_once(self, rng):
+        # 5 threads switching every microsecond on 8 groups: a group run
+        # twice or never, or a pool thread reading dy while the calling
+        # thread builds D_h in it, changes the bytes
+        spec = ConvSpec(8, 16, 3, padding=1)
+        x = sample_innermost(rng.standard_normal((16, 8, 8, 8)))
+        _, ctx = nn.conv2d_forward(x, rng.standard_normal(spec.weight_shape), spec)
+        dy, dp = (sample_innermost(a) for a in rng.standard_normal((2, 16, 16, 8, 8)))
+        with band_workers(1):
+            want = self.backward_bytes(ctx, dy, dp, 8)
+        got = []
+
+        def calls():
+            with band_workers(5):
+                for _ in range(20):
+                    got.append(self.backward_bytes(ctx, dy, dp, 8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=calls, daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert len(got) == 20 and all(g == want for g in got)
+
+    def test_a_group_error_reaches_the_caller(self, rng):
+        # a dp one column too wide makes every group's D_h raise, on each
+        # thread; the pool still serves the next call
+        spec = ConvSpec(8, 8, 3, padding=1)
+        x = sample_innermost(rng.standard_normal((4, 8, 6, 6)))
+        _, ctx = nn.conv2d_forward(x, rng.standard_normal(spec.weight_shape), spec)
+        dy, dp = (sample_innermost(a) for a in rng.standard_normal((2, 4, 8, 6, 6)))
+        bad = sample_innermost(rng.standard_normal((4, 8, 6, 7)))
+        with band_workers(2):
+            with pytest.raises(ValueError):
+                self.backward_bytes(ctx, dy, bad, 4)
+            got = self.backward_bytes(ctx, dy, dp, 4)
+        with band_workers(1):
+            assert got == self.backward_bytes(ctx, dy, dp, 4)
 
 
 class TestBatchNorm:

@@ -19,6 +19,7 @@ from cgnet.training import (LossConfig, Schedule, cg_block_backward,
 
 from _oracles import (block_inference, check_grad, conditional_kernel, finite_difference,
                       heaviside, kernel_split, rel_err, stacked_conv_grads, two_conv_block_train)
+from _workers import band_workers
 
 
 def make_cfg(c_in=4, c_out=4, k=3, G=2, act="identity", pad=1, eps_sharp=4.0):
@@ -574,25 +575,26 @@ class TestConsumedContext:
             check_grad(loss, param, grad)
 
     @staticmethod
-    def footprint_in_output_batches(act):
+    def footprint_in_output_batches(act, workers=1):
         """The context one forward leaves at vgg8's first gated layer plus
-        the peak of its backward, in batches of the block's output: the
-        tracemalloc peak from the forward's start, with the output freed
-        and the input and upstream gradient made before."""
+        the peak of its backward on ``workers`` threads, in batches of the
+        block's output: the tracemalloc peak from the forward's start, with
+        the output freed and the input and upstream gradient made before."""
         rng = np.random.default_rng(0)
         cfg = CgLayerConfig(ConvSpec(8, 16, 3, padding=1), groups=4, activation=act)
         params = make_params(cfg, rng)
         x = np.ascontiguousarray(rng.standard_normal((8, 16, 16, 64))).transpose(3, 0, 1, 2)
         dy = np.ascontiguousarray(rng.standard_normal((16, 16, 16, 64))).transpose(3, 0, 1, 2)
-        tracemalloc.start()
-        try:
-            y, ctx = cg_block_forward_train(x, params, cfg)
-            del y
-            tracemalloc.reset_peak()
-            cg_block_backward(ctx, dy)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with band_workers(workers):
+            tracemalloc.start()
+            try:
+                y, ctx = cg_block_forward_train(x, params, cfg)
+                del y
+                tracemalloc.reset_peak()
+                cg_block_backward(ctx, dy)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         return peak / dy.nbytes
 
     def test_relu_footprint_under_five_and_a_half_output_batches(self):
@@ -609,6 +611,18 @@ class TestConsumedContext:
         # edge's sigmoid product, with one channel of sigmoid scratch. A
         # whole-batch sigmoid made it 8.13, holding the columns 13.47
         assert self.footprint_in_output_batches("tanh") < 7.6
+
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_two_workers_add_at_most_a_copy_of_dy_and_a_column_buffer(self, act):
+        # the pool thread's own D_h (one batch), its column buffer (18 rows
+        # of 16 x 16 x 64 columns, 1.125 batches) and its padded input group
+        # (2 channels of 18 x 18 x 64, 0.158 batches), plus 64 KiB of slack.
+        # relu read 4.29 -> 6.42, tanh 7.19 -> 7.29, whose peak is outside
+        # the convolution's backward
+        one, two = (self.footprint_in_output_batches(act, k) for k in (1, 2))
+        batch = 16 * 16 * 16 * 64 * 8
+        extra = batch + 8 * 18 * 16 * 16 * 64 + 8 * 2 * 18 * 18 * 64 + 2**16
+        assert two < one + extra / batch, (one, two)
 
 
 class TestSparsityLosses:
