@@ -28,6 +28,8 @@ their reason: a ``loss.sparsity`` other than ``target_threshold`` (the
 computation-cost form opened every gate).
 ``tau_c_override`` evaluates a model at a tau_c it was not trained with:
 training runs the channel gate too, so the override changes the model.
+eval, analyze and perf take an ungated checkpoint too; analyze then
+writes no intensity map, since only a gated layer has one.
 A run uses the CPUs of the process's affinity mask. BLAS takes its
 threads per call from OPENBLAS/OMP/MKL_NUM_THREADS, the first one set to
 a positive integer, and every CPU when none is; a convolution runs its
@@ -176,21 +178,23 @@ def cmd_train(args):
     opt = read_field("optimizer", cfg, dict, {})
     reject_unknown("optimizer", opt, [f.name for f in fields(Schedule)])
     loss_cfg = LossConfig(
-        sparsity=read_field("loss.sparsity", loss, str, "target_threshold"),
-        lam=read_field("loss.lambda", loss, float, 1e-4),
-        target=read_field("loss.target", loss, float, 2.0),
-        kd_temperature=read_field("loss.kd.temperature", kd, float, 1.0),
-        kd_mix=read_field("loss.kd.mix", kd, float, 0.5))
+        sparsity=read_field("loss.sparsity", loss, str, LossConfig.sparsity),
+        lam=read_field("loss.lambda", loss, float, LossConfig.lam),
+        target=read_field("loss.target", loss, float, LossConfig.target),
+        kd_temperature=read_field("loss.kd.temperature", kd, float, LossConfig.kd_temperature),
+        kd_mix=read_field("loss.kd.mix", kd, float, LossConfig.kd_mix))
     schedule = Schedule(
         epochs=read_field("optimizer.epochs", opt, int),
-        batch_size=read_field("optimizer.batch_size", opt, int, 64),
+        batch_size=read_field("optimizer.batch_size", opt, int, Schedule.batch_size),
         lr=read_field("optimizer.lr", opt, float),
-        momentum=read_field("optimizer.momentum", opt, float, 0.9),
-        weight_decay=read_field("optimizer.weight_decay", opt, float, 1e-4),
-        lr_decay_epochs=tuple(read_field("optimizer.lr_decay_epochs", opt, list, [],
-                                         each=float)),
-        lr_decay_factor=read_field("optimizer.lr_decay_factor", opt, float, 0.1),
-        lambda_warmup_frac=read_field("optimizer.lambda_warmup_frac", opt, float, 0.1))
+        momentum=read_field("optimizer.momentum", opt, float, Schedule.momentum),
+        weight_decay=read_field("optimizer.weight_decay", opt, float, Schedule.weight_decay),
+        lr_decay_epochs=tuple(read_field("optimizer.lr_decay_epochs", opt, list,
+                                         list(Schedule.lr_decay_epochs), each=float)),
+        lr_decay_factor=read_field("optimizer.lr_decay_factor", opt, float,
+                                   Schedule.lr_decay_factor),
+        lambda_warmup_frac=read_field("optimizer.lambda_warmup_frac", opt, float,
+                                      Schedule.lambda_warmup_frac))
     teacher_path = read_field("loss.kd.teacher_checkpoint", kd, str, None)
     teacher = None
     if teacher_path is not None:   # naming a teacher turns distillation on
@@ -320,9 +324,9 @@ def cmd_analyze(args):
     for rec in gated:
         analysis.write_pgm(out / f"intensity_{rec.name}.pgm",
                            analysis.intensity_map(rec, sample))
-    input_hw = tuple(model.input_shape[1:])
-    analysis.write_pgm(out / "intensity_aggregate.pgm",
-                       analysis.aggregate_intensity(gated, input_hw, sample))
+    if gated:   # an ungated model has no intensity map
+        analysis.write_pgm(out / "intensity_aggregate.pgm", analysis.aggregate_intensity(
+            gated, tuple(model.input_shape[1:]), sample))
 
     analysis.write_correlation_csv(out / "correlation.csv", corr)
 
@@ -334,7 +338,8 @@ def cmd_analyze(args):
     for e in corr:
         print(f"eta {e:.3f}: mean partial/final correlation {corr[e]['mean']:.4f}")
     print(f"weight_access_reduction {report.weight_access_reduction:.3f}x")
-    print(f"wrote intensity maps, correlation.csv and cost_report.csv to {out}")
+    print(f"wrote {'intensity maps, ' if gated else ''}correlation.csv and cost_report.csv "
+          f"to {out}")
     return 0
 
 
@@ -345,9 +350,10 @@ def cmd_perf(args):
     section = read_field("array", cfg, dict, {})
     reject_unknown("array", section, [f.name for f in fields(perf.ArrayConfig)])
     array = perf.ArrayConfig(
-        rows=read_field("array.rows", section, int, 16, low=1),
-        cols=read_field("array.cols", section, int, 16, low=1),
-        fill_drain_per_tile=read_field("array.fill_drain_per_tile", section, int, None, low=0))
+        rows=read_field("array.rows", section, int, perf.ArrayConfig.rows, low=1),
+        cols=read_field("array.cols", section, int, perf.ArrayConfig.cols, low=1),
+        fill_drain_per_tile=read_field("array.fill_drain_per_tile", section, int,
+                                       perf.ArrayConfig.fill_drain_per_tile, low=0))
 
     # batched, so memory does not grow with num_inputs
     _, _, records = evaluate(model, *_analyzed_inputs(cfg, val_ds, 32), collect=True)

@@ -657,7 +657,9 @@ def build_model(model_cfg: dict, rng) -> Network:
     malformed or unknown field raises ``ConfigurationError`` naming it. A
     gated layer's fields fall back to ``cg_defaults``, which is checked once,
     gated layers or not, and named ``model.cg_defaults.<key>``; only a
-    channel-divisibility error of a default names the layer."""
+    channel-divisibility error of a default names the layer. A linear takes
+    the flat output of a flatten or a linear, every other layer an (n, c,
+    h, w) batch; another order raises naming ``model.layers[i]``."""
     reject_unknown("model", model_cfg, ("input_shape", "num_classes", "cg_defaults", "layers"))
     input_shape = read_field("model.input_shape", model_cfg, list)
     num_classes = read_field("model.num_classes", model_cfg, int)
@@ -670,6 +672,7 @@ def build_model(model_cfg: dict, rng) -> Network:
     # checked once here, so a gated layer's error names what the layer sets
     _cg_config(None, "model.cg_defaults", (defaults,))
     c, h, w = input_shape
+    flat = False   # whether the running output is an (n, features) batch
     layers = []
     for i, lc in enumerate(layer_specs):
         name = f"L{i:02d}"
@@ -678,6 +681,11 @@ def build_model(model_cfg: dict, rng) -> Network:
         if kind not in _LAYER_KEYS:
             raise ConfigurationError(f"{where}.type: unknown layer type {kind!r}")
         reject_unknown(where, lc, _LAYER_KEYS[kind])
+        if flat != (kind == "linear"):
+            need = ("a flatten or a linear before it" if kind == "linear"
+                    else "an (n, c, h, w) input, not the flat output of the layer before it")
+            raise ConfigurationError(f"{where}: {kind} needs {need}")
+        flat = kind in ("flatten", "linear")
         if kind in ("conv", "cg_conv"):
             spec = ConvSpec(c, read_field(f"{where}.out_channels", lc, int, low=1),
                             read_field(f"{where}.kernel_size", lc, int, low=1),
@@ -705,8 +713,7 @@ def build_model(model_cfg: dict, rng) -> Network:
         elif kind == "flatten":
             layers.append(Flatten(name))
         elif kind == "linear":
-            feat = c * h * w if layers and isinstance(layers[-1], Flatten) else c
-            layers.append(LinearHead(feat, read_field(f"{where}.out_features", lc, int),
+            layers.append(LinearHead(c * h * w, read_field(f"{where}.out_features", lc, int),
                                      rng, name))
             c, h, w = layers[-1].out_features, 1, 1
         else:   # residual

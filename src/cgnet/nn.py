@@ -25,9 +25,9 @@ Conventions:
   * the forward's bands and the backward's input groups run on a
     persistent pool of threads beside the calling one (``_band_workers``:
     the CPUs left over by BLAS's threads per call), each thread into its
-    own column buffer. The backward's calling thread builds each group's
-    upstream gradient in dy's memory and each pool thread in its own copy
-    of dy. The pool's threads run numpy calls, ``im2col`` and ``col2im``
+    own column buffer, handed out by one routine, ``_run_on_threads``.
+    The backward's calling thread builds each group's upstream gradient in
+    dy's memory and each pool thread in its own copy of dy. The pool's threads run numpy calls, ``im2col`` and ``col2im``
     only, never one of the entry points a tracer wraps (the convolution,
     batch norm and SGD functions), so the tracer sees every call on one
     stack. Every band and group runs the same arithmetic on any thread and
@@ -351,14 +351,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_band_pool.cache_clear)
 
 
-def _run_on_threads(runs, items, pool):
-    """``runs[0](todo)`` on the calling thread and each other ``runs[i](todo)``
-    on a thread of ``pool``'s, each ``todo`` an iterator that pops ``items``
-    (the forward's bands, the backward's input groups) in order from one
-    deque, so every item runs once, on whichever thread is free first (a
-    deque's pops are thread-safe), and a thread that pops the last item
-    pops no other after it. Returns once every thread is done, and
-    re-raises the exception of a thread that raised."""
+def _run_on_threads(make_run, items):
+    """Runs ``items`` (the forward's bands, the backward's input groups) on
+    min(workers, len(items)) threads of ``_band_pool()``, the calling one
+    first; ``make_run(i)`` is thread i's run, and every run is built before
+    any starts (so a run's own copy of an input precedes the caller's
+    edits). One thread runs ``run(items)`` with no hand-out (~3 us less per
+    call at batch 1). Otherwise each thread runs ``run(todo)``, todo an
+    iterator popping the items in order from one deque (thread-safe pops),
+    so each item runs once, on whichever thread is free first, and the
+    thread that pops the last item pops no other. Returns once every
+    thread is done, re-raising a thread's exception."""
+    workers, pool = _band_pool()
+    threads = min(workers, len(items))
+    if threads == 1:
+        make_run(0)(items)
+        return
+    runs = [make_run(i) for i in range(threads)]
     todo = collections.deque([*items] + [None] * len(runs))   # an end mark per thread
     helpers = [pool.submit(run, iter(todo.popleft, None)) for run in runs[1:]]
     try:
@@ -395,13 +404,13 @@ def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, folded=None):
     bands are cut where the whole layer's GEMM would round each column as
     the band's does, so the result is bitwise the one-band result (within
     the limits ``_BAND_COLS`` states). The calling thread and up to
-    ``_band_workers() - 1`` threads of a persistent pool (``_band_pool``)
-    claim bands one at a time, each into a buffer of its own, and the
+    ``_band_workers() - 1`` threads of the band pool claim bands one at a
+    time (``_run_on_threads``), each into a buffer of its own, and the
     pool's threads run only numpy calls. Each band writes only its own
     columns and runs the same arithmetic on any thread, so the outputs do
-    not depend on the thread count. A layer of one band runs on the
-    calling thread. The call returns, or raises a thread's exception, once
-    every thread is done with its bands. The
+    not depend on the thread count. A layer of one band, or at one
+    worker, runs on the calling thread alone. The call returns, or raises
+    a thread's exception, once every thread is done with its bands. The
     groups run as one batched matmul of each group's kernel rows against
     its input channels' rows of the band. ``blocks`` are block-diagonal
     kernels on the same columns, each a (G, c_out/G, c_in/G*k*k) stack
@@ -451,12 +460,7 @@ def conv2d_forward(x, w, spec: ConvSpec, blocks=(), *, folded=None):
                 np.matmul(kernel, cols[:g * cols_k].reshape(g, cols_k, -1),
                           out=out.reshape(g, -1, m)[:, :, span])
 
-    workers, pool = _band_pool()
-    threads = min(workers, len(bands))
-    if threads == 1:   # without the hand-out, ~3 us less per call on a batch of one
-        run_bands(bands)
-    else:
-        _run_on_threads([run_bands] * threads, bands, pool)
+    _run_on_threads(lambda i: run_bands, bands)
     y, *partials = (_batch(out, n, ho, wo) for out in outs)
     return (y, ConvCtx(spec, w, xb), *partials)
 
@@ -492,9 +496,10 @@ def conv2d_backward(ctx: ConvCtx, dy, dp=None, groups=1):
     may be left overwritten: output group h's rows are saved before and
     copied back after its GEMMs (but for the last group's), an exact
     restore where a subtract would not be. Each pool thread builds D_h in
-    its own copy of dy, made before any group starts, and copies group
-    h's rows back from dy, which only group h's thread edits. A layer of
-    one group, or at one worker, runs on the calling thread alone."""
+    its own copy of dy, which ``_run_on_threads`` has it make before any
+    group starts, and copies group h's rows back from dy, which only group
+    h's thread edits. A layer of one group, or at one worker, runs on the
+    calling thread alone, with no copy."""
     spec = ctx.spec
     if spec.groups != 1:
         raise ConfigurationError(f"conv2d_backward: a grouped convolution (groups="
@@ -534,14 +539,9 @@ def conv2d_backward(ctx: ConvCtx, dy, dp=None, groups=1):
             if restore:
                 np.copyto(d_h[own], saved if in_dy else d[own])
 
-    workers, pool = _band_pool()
-    threads = min(workers, G)
-    if threads == 1:
-        run_groups(range(G), d)
-    else:
-        # each copy is made before the calling thread edits d
-        copies = [d if dp is None else d.copy() for _ in range(threads - 1)]
-        _run_on_threads([functools.partial(run_groups, d_h=b) for b in [d, *copies]], range(G), pool)
+    # a pool thread's copy of d is made before the calling thread edits d
+    _run_on_threads(lambda i: functools.partial(
+        run_groups, d_h=d if i == 0 or dp is None else d.copy()), range(G))
     return dx.transpose(3, 0, 1, 2), dwt.T.reshape(ctx.w.shape)
 
 
@@ -710,46 +710,28 @@ def xor_blend(d, a, b):
     return out
 
 
-_OUTPUT_GRAD_KINDS = ("tanh", "sigmoid")   # f' follows from the output
-
-
-def _grad_from_output(y, kind):
-    """f' of tanh or sigmoid from its output y: 1 - y*y, or (1 - y)*y."""
-    if kind == "tanh":
-        return 1.0 - y * y
-    g = 1.0 - y
-    g *= y
-    return g
-
-
-def activation_grad(pre, kind):
-    """f'(pre) at its narrowest dtype. binary_sign uses the straight-through
-    clip window |x| <= 1. ReLU's, binary_sign's and identity's derivatives
-    are 0 or 1 and come as bool masks (identity's all ones), one byte per
-    element, which the chain rule's multiply reads as 1.0 and 0.0; tanh's
-    and sigmoid's are float, computed from the activation's output."""
-    pre = np.asarray(pre, dtype=np.float64)
-    if kind in _OUTPUT_GRAD_KINDS:
-        return _grad_from_output(activation(pre, kind), kind)
-    if kind == "relu":
-        return pre > 0.0
-    if kind == "binary_sign":
-        return np.abs(pre) <= 1.0
-    if kind == "identity":
-        return np.ones_like(pre, dtype=bool)
-    raise ConfigurationError(f"unknown activation kind {kind!r}")
-
-
 def activation_with_grad(pre, kind):
     """(f(pre), f'(pre)) for a training forward, with the activation run
-    once and in place over ``pre``, a float64 batch its caller owns.
-    tanh's and sigmoid's f' come from the output, 1 - y*y and (1 - y)*y,
-    the arithmetic of ``activation_grad``, so bitwise its result; the
-    other kinds' f' is read from pre before the activation overwrites it."""
-    if kind in _OUTPUT_GRAD_KINDS:
+    once and in place over ``pre``, a float64 batch its caller owns, and
+    f' at its narrowest dtype. ReLU's, binary_sign's and identity's f' is
+    0 or 1 and comes as a bool mask read from pre before the activation
+    overwrites it: pre > 0, binary_sign's straight-through clip window
+    |pre| <= 1, and all ones. One byte per element, which the chain rule's
+    multiply reads as 1.0 and 0.0. tanh's and sigmoid's f' is float and
+    comes from the output y: 1 - y*y and (1 - y)*y."""
+    if kind == "relu":
+        fprime = pre > 0.0
+    elif kind == "binary_sign":
+        fprime = np.abs(pre) <= 1.0
+    elif kind == "identity":
+        fprime = np.ones_like(pre, dtype=bool)
+    else:   # tanh or sigmoid; ``activation`` raises on any other kind
         y = activation(pre, kind, out=pre)
-        return y, _grad_from_output(y, kind)
-    fprime = activation_grad(pre, kind)
+        if kind == "tanh":
+            return y, 1.0 - y * y
+        g = 1.0 - y
+        g *= y
+        return y, g
     return activation(pre, kind, out=pre), fprime
 
 

@@ -41,8 +41,8 @@ gate gradient its own tanh buffer; ``nn.conv2d_backward`` then builds its
 upstream in dfull's memory. So a single-sided gate's backward allocates at
 most two output-sized batches at once (the tanh factor and ds~, below,
 which die before the convolution's backward), then one input group's
-columns and dx, and a second backward on the same context raises
-``StateError``. Nothing reads the context after its backward.
+columns and dx. The layer refuses a second backward on a spent context
+(``network.Layer._saved_ctx``), and nothing reads it after its backward.
 
 The gate is a set of edges (``GateState.edges()``): edge (name, sign,
 delta) passes where sign*(x^_g - delta) >= 0, the gate fires where every
@@ -72,8 +72,8 @@ import numpy as np
 from . import analysis
 from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, base_blocks,
                      gate_map)
-from .nn import (BnCtx, ConfigurationError, ConvCtx, StateError, _chwn, _consumable, _per_channel,
-                 accuracy, activation_with_grad, batchnorm_backward, bn_forward,
+from .nn import (BnCtx, ConfigurationError, ConvCtx, _chwn, _consumable, _per_channel, accuracy,
+                 activation_with_grad, batchnorm_backward, bn_forward,
                  conv2d_backward, conv2d_forward, cross_entropy, softmax, xor_blend)
 
 
@@ -282,12 +282,9 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     BN2's backward writes dfull and BN1's dp, and
     ``nn.conv2d_backward(ctx.conv, dfull, dp, G)`` gives dW and dx.
     Consumes ``ctx`` and, where it is a writable sample-innermost batch,
-    ``dy`` (see the module docstring): a second call on the same context
-    raises ``StateError``.
+    ``dy`` (see the module docstring), and sets ``ctx.consumed``, on which
+    the layer's ``Layer._saved_ctx`` refuses a second backward.
     """
-    if ctx.consumed:
-        raise StateError("cg_block_backward: an earlier backward has overwritten this "
-                         "context with its gradients; run forward_train again")
     cfg, params = ctx.cfg, ctx.params
     xhat_g, xhat2 = ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat
     gamma = params.gamma

@@ -333,6 +333,26 @@ def dense_masked_block_forward(x, params, cfg):
     return y, gating.DecisionMap(d_eff == 1.0, mask == 1.0), costs
 
 
+def activation_fprime(pre, kind):
+    """f'(pre) of ``nn.activation``'s kinds, from pre: bool masks where f'
+    is 0 or 1 (binary_sign's straight-through window |pre| <= 1), and for
+    tanh and sigmoid 1 - t^2 and (1 - s)*s of their outputs, with sigmoid
+    written 0.5 + 0.5*tanh(pre/2) as ``nn.sigmoid`` computes it."""
+    pre = np.asarray(pre, dtype=np.float64)
+    if kind == "relu":
+        return pre > 0.0
+    if kind == "binary_sign":
+        return np.abs(pre) <= 1.0
+    if kind == "identity":
+        return np.ones(pre.shape, dtype=bool)
+    if kind == "tanh":
+        t = np.tanh(pre)
+        return 1.0 - t * t
+    assert kind == "sigmoid", kind
+    s = 0.5 + 0.5 * np.tanh(0.5 * pre)
+    return (1.0 - s) * s
+
+
 def _masked_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -409,7 +429,7 @@ def two_conv_block_train(x, params, cfg, dy, soft_gate=False):
     pre = (1.0 - mask) * xhat_p + mask * xhat_full
     y = nn.activation(pre, cfg.activation)
 
-    dpre = np.asarray(dy, dtype=np.float64) * nn.activation_grad(pre, cfg.activation)
+    dpre = np.asarray(dy, dtype=np.float64) * activation_fprime(pre, cfg.activation)
     dxhat_p = dpre * (1.0 - mask)
     dxhat_full = dpre * mask
     ds = dpre * (xhat_full - xhat_p)

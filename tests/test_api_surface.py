@@ -229,3 +229,23 @@ def test_only_a_layer_builds_its_inference_plan():
     assert calls == {("network", "ConvBlock.forward_infer", "fold_bn"),
                      ("network", "CgConvBlock.forward_infer", "inference_plan"),
                      ("gating", "inference_plan", "fold_bn")}, calls
+
+
+def test_one_routine_hands_out_the_convolution_threads():
+    """``nn._run_on_threads`` reads the band pool and hands a convolution's
+    bands or groups to its threads, so nothing else in ``src/cgnet`` calls
+    ``nn._band_pool``: a second hand-out could start a thread before the
+    runs it needs are built, or fork on the thread count itself."""
+    def callers(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else func
+            if isinstance(child, ast.Call) and "_band_pool" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                yield inner
+            yield from callers(child, inner)
+
+    calls = [(path.stem, func)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func in callers(ast.parse(path.read_text()), "<module>")]
+    assert calls == [("nn", "_run_on_threads")], calls

@@ -90,6 +90,30 @@ class TestTrain:
         assert r.returncode == 2
         assert "optimizer.lr" in r.stderr
 
+    def test_omitted_fields_take_the_dataclass_defaults(self, tmp_path, monkeypatch):
+        # cmd_train states no default of its own: what it passes for an
+        # omitted loss or optimizer field is the dataclass's
+        from cgnet import training
+        seen = []
+        monkeypatch.setattr(training, "train_network",
+                            lambda *args, **kwargs: seen.append(args[5:7]) or [])
+
+        def bare(cfg):
+            cfg["loss"] = {}
+            cfg["optimizer"] = {"epochs": 1, "lr": 0.05}
+        assert train_tiny(tmp_path, "bare", bare)[0] == 0
+        assert seen == [(training.LossConfig(), training.Schedule(epochs=1, lr=0.05))]
+
+    def test_a_layer_order_that_cannot_run_exits_2(self, tmp_path, capsys):
+        # a second flatten used to train forward and end in a traceback in
+        # the backward's first batch
+        rc, out = train_tiny(tmp_path, "flat", lambda cfg: cfg["model"]["layers"].insert(
+            4, {"type": "flatten"}))
+        assert rc == 2
+        assert "model.layers[4]: flatten needs an (n, c, h, w) input" in \
+            capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_bad_schema_version(self, tmp_path):
         cfg = json.loads(TINY.read_text())
         cfg["schema_version"] = 99
@@ -508,6 +532,38 @@ class TestAnalyzePerf:
         assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         assert len(calls) == 1
         assert calls[0]["collect"] and calls[0]["capture"]
+
+    def test_analyze_takes_an_ungated_checkpoint(self, tmp_path, capsys):
+        # it used to exit 2 with "no gated layers to aggregate" and write
+        # nothing, though eval and perf take the same checkpoint
+        rc, run = train_tiny(tmp_path, "dense", dense_teacher())
+        assert rc == 0
+        cfg = eval_cfg(run, tmp_path, num_inputs=16, etas=[0.5, 1.0])
+        out = tmp_path / "a"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "analyze_summary.json", "correlation.csv", "cost_report.csv"]
+        corr = (out / "correlation.csv").read_text().splitlines()
+        assert corr[0] == "eta,layer,pearson_r" and any("__mean__" in line for line in corr)
+        summary = json.loads((out / "analyze_summary.json").read_text())
+        assert summary["flop_reduction"] == 1.0
+        assert sorted(summary["correlation_means"]) == ["0.5", "1.0"]
+        assert f"wrote correlation.csv and cost_report.csv to {out}" in capsys.readouterr().out
+
+    def test_perf_without_an_array_section_models_the_default_array(self, tiny_run, tmp_path,
+                                                                      monkeypatch):
+        from cgnet import perf
+        seen = []
+        model_network_speedup = perf.model_network_speedup
+
+        def spy(records, array):
+            seen.append(array)
+            return model_network_speedup(records, array)
+
+        monkeypatch.setattr(perf, "model_network_speedup", spy)
+        cfg = eval_cfg(tiny_run, tmp_path, num_inputs=16)
+        assert cli.main(["perf", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+        assert seen == [perf.ArrayConfig()]
 
     def test_perf_writes_breakdown(self, tiny_run, tmp_path):
         cfg = eval_cfg(tiny_run, tmp_path, num_inputs=16,

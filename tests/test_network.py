@@ -4,11 +4,13 @@ training-context lifetime."""
 import copy
 import gc
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgnet import checkpoint, network, nn, training
 from cgnet.analysis import network_pruning_ratio
@@ -57,6 +59,20 @@ def resnet_ish_cfg():
             {"type": "linear", "out_features": 4},
         ],
     }
+
+
+# one layer of each type, for the builder's layer-order tests; a shape one
+# cannot take (a conv of stride 2 and no padding shrinks 8x8 to 3x3 to 1x1,
+# a pool halves it) names its layer too
+ORDER_LAYERS = {
+    "conv": {"type": "conv", "out_channels": 2, "kernel_size": 3, "stride": 2},
+    "cg_conv": {"type": "cg_conv", "out_channels": 2, "kernel_size": 3, "padding": 1},
+    "maxpool": {"type": "maxpool", "kernel_size": 2},
+    "avgpool": {"type": "avgpool", "kernel_size": 2},
+    "flatten": {"type": "flatten"},
+    "linear": {"type": "linear", "out_features": 3},
+    "residual": {"type": "residual", "out_channels": 2, "stride": 2},
+}
 
 
 class TestBuilder:
@@ -187,6 +203,58 @@ class TestBuilder:
         with pytest.raises(ConfigurationError,
                            match=r"model\.layers\[0\]\.activation: unknown activation 'bogus'"):
             build_model(cfg, rng)
+
+    @pytest.mark.parametrize("kinds,message", [
+        # the backward used to unpack a flat batch as (n, c, h, w)
+        (["conv", "flatten", "flatten"], "model.layers[2]: flatten needs an (n, c, h, w)"),
+        # a linear used to read c features of an (n, c, h, w) batch
+        (["conv"], "model.layers[1]: linear needs a flatten or a linear before it"),
+        ([], "model.layers[0]: linear needs a flatten or a linear before it"),
+        (["flatten", "conv"], "model.layers[1]: conv needs an (n, c, h, w)"),
+        (["flatten", "linear", "cg_conv"], "model.layers[2]: cg_conv needs"),
+        (["flatten", "maxpool"], "model.layers[1]: maxpool needs"),
+        (["conv", "flatten", "avgpool"], "model.layers[2]: avgpool needs"),
+        (["flatten", "residual"], "model.layers[1]: residual needs"),
+    ])
+    def test_a_layer_order_that_cannot_run_is_named(self, rng, kinds, message):
+        cfg = {"input_shape": [4, 4, 4], "num_classes": 2, "cg_defaults": {"groups": 2},
+               "layers": [ORDER_LAYERS[kind] for kind in kinds]
+               + [{"type": "linear", "out_features": 2}]}
+        with pytest.raises(ConfigurationError) as err:
+            build_model(cfg, rng)
+        assert str(err.value).startswith(message)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(sorted(ORDER_LAYERS)), max_size=5),
+           tail=st.sampled_from([[], ["flatten"]]), seed=st.integers(0, 2**32 - 1))
+    def test_every_layer_order_builds_and_runs_or_is_named(self, kinds, tail, seed):
+        # a model build_model returns runs a training step and a frozen
+        # forward at batch 2; any other order raises naming the layer. The
+        # head of num_classes outputs comes last, after a flatten or not
+        kinds = kinds + tail
+        cfg = {"input_shape": [1, 8, 8], "num_classes": 2, "cg_defaults": {"groups": 1},
+               "layers": [ORDER_LAYERS[kind] for kind in kinds]
+               + [{"type": "linear", "out_features": 2}]}
+        kinds = kinds + ["linear"]
+        flat = [False] + [kind in ("flatten", "linear") for kind in kinds]
+        first_misplaced = next((i for i, kind in enumerate(kinds)
+                                if flat[i] != (kind == "linear")), None)
+        rng = np.random.default_rng(seed)
+        try:
+            model = build_model(cfg, rng)
+        except ConfigurationError as e:
+            at = re.match(r"model\.layers\[(\d+)\]", str(e))
+            assert at, str(e)
+            assert first_misplaced is None or int(at[1]) <= first_misplaced, (str(e), kinds)
+            return
+        assert first_misplaced is None, kinds
+        x = rng.standard_normal((2, 1, 8, 8))
+        logits = model.forward_train(x)
+        assert logits.shape == (2, 2)
+        assert model.backward(np.ones_like(logits)).shape == x.shape
+        model.freeze_gates()
+        logits, _ = model.forward_infer(x)
+        assert logits.shape == (2, 2) and np.isfinite(logits).all()
 
     def test_set_tau_c_out_of_range_writes_no_layer(self, rng):
         model = build_model(vgg_ish_cfg(), rng)

@@ -17,7 +17,7 @@ from cgnet.network import build_model
 from cgnet.nn import (BatchNormState, ConfigurationError, ConvSpec,
                       DegenerateInputError)
 
-from _oracles import (bn_inference_affine, check_grad, col2im_reference,
+from _oracles import (activation_fprime, bn_inference_affine, check_grad, col2im_reference,
                       conv2d_reference, finite_difference, maxpool2d_backward_reference,
                       maxpool2d_reference, rel_err, stacked_conv_grads)
 from _workers import band_workers
@@ -686,6 +686,31 @@ class TestBandWorkers:
         with band_workers(1):
             assert got == self.backward_bytes(ctx, dy, dp, 4)
 
+    class RefusingPool:
+        """A band pool that fails a call which hands it any work."""
+
+        def submit(self, *args):
+            raise AssertionError("a call on one thread handed work to the pool")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_thread_runs_without_the_pool(self, rng, monkeypatch, workers):
+        # at one worker a layer of 8 bands (rows of 16 samples x 4 columns)
+        # and 4 groups, and at two a layer of one band and one group, run
+        # on the calling thread alone
+        spec = ConvSpec(8, 8, 3, padding=1)
+        x = sample_innermost(rng.standard_normal((16, 8, 8, 4)))
+        w = rng.standard_normal(spec.weight_shape)
+        dy, dp = (sample_innermost(a) for a in rng.standard_normal((2, 16, 8, 8, 4)))
+        budget, G = (1, 4) if workers == 1 else (nn.BAND_BYTES, 1)
+        blocks = (random_blocks(rng, G, spec),)
+        with band_workers(1):
+            y, ctx, p = forward_in_bands(budget, x, w, spec, blocks)
+            want = [bits(y).tobytes(), bits(p).tobytes(), *self.backward_bytes(ctx, dy, dp, G)]
+        monkeypatch.setattr(nn, "_band_pool", lambda: (workers, self.RefusingPool()))
+        y, ctx, p = forward_in_bands(budget, x, w, spec, blocks)
+        got = [bits(y).tobytes(), bits(p).tobytes(), *self.backward_bytes(ctx, dy, dp, G)]
+        assert got == want
+
 
 class TestBatchNorm:
     def test_normalizes_to_zero_mean_unit_var(self, rng):
@@ -816,6 +841,11 @@ class TestActivations:
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
+    @staticmethod
+    def fprime(x, kind):
+        """f'(x) from ``activation_with_grad``, run on a copy of x."""
+        return nn.activation_with_grad(x.copy(), kind)[1]
+
     @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid", "identity"])
     def test_grad_finite_difference(self, rng, kind):
         # draw away from relu's kink so central differences are valid
@@ -826,14 +856,13 @@ class TestActivations:
         def loss():
             return float((nn.activation(x, kind) * proj).sum())
 
-        check_grad(loss, x, proj * nn.activation_grad(x, kind))
+        check_grad(loss, x, proj * self.fprime(x, kind))
 
     def test_sigmoid_saturates_without_overflow(self):
         x = np.array([-1000.0, 1000.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = nn.activation(x, "sigmoid")
-            g = nn.activation_grad(x, "sigmoid")
+            y, g = nn.activation_with_grad(x.copy(), "sigmoid")
         np.testing.assert_array_equal(y, [0.0, 1.0])
         np.testing.assert_array_equal(g, [0.0, 0.0])
 
@@ -843,8 +872,8 @@ class TestActivations:
                                    rtol=0.0, atol=1e-15)
 
     def test_binary_sign_ste_window(self):
-        g = nn.activation_grad(np.array([-2.0, -0.5, 0.5, 2.0]), "binary_sign")
-        np.testing.assert_array_equal(g, [0.0, 1.0, 1.0, 0.0])
+        g = self.fprime(np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]), "binary_sign")
+        np.testing.assert_array_equal(g, [False, True, True, True, True, False])
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(nn.ACTIVATION_KINDS),
@@ -853,11 +882,11 @@ class TestActivations:
                min_size=1, max_size=24))
     def test_with_grad_is_bitwise_the_activation_and_its_grad(self, kind, values):
         # one activation run in place, f' of tanh and sigmoid from its
-        # output: bit for bit f(pre) and activation_grad(pre), signed
-        # zeros, infinities and NaN payloads included
+        # output: bit for bit f(pre) and the oracle's f'(pre), computed from
+        # pre, signed zeros, infinities and NaN payloads included
         pre = np.array(values)
         with np.errstate(all="ignore"):
-            want_y, want_g = nn.activation(pre, kind), nn.activation_grad(pre, kind)
+            want_y, want_g = nn.activation(pre, kind), activation_fprime(pre, kind)
             buf = pre.copy()
             y, g = nn.activation_with_grad(buf, kind)
         assert y is buf and g.dtype == want_g.dtype
@@ -868,11 +897,15 @@ class TestActivations:
     def test_grad_comes_at_its_narrowest_dtype(self, kind, rng):
         # a training context keeps f': one byte per element where it is 0 or 1
         x = np.ascontiguousarray(rng.standard_normal((4, 4, 3, 2))).transpose(3, 0, 1, 2)
-        g = nn.activation_grad(x, kind)
+        g = nn.activation_with_grad(x, kind)[1]
         assert g.dtype == (np.float64 if kind in ("tanh", "sigmoid") else bool)
         assert g.transpose(1, 2, 3, 0).flags.c_contiguous
         if kind == "identity":
             assert g.all()
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown activation"):
+            nn.activation_with_grad(np.zeros(3), "softsign")
 
 
 # bit patterns of +-0, +-inf, quiet and signalling NaNs with payloads and
