@@ -35,7 +35,8 @@ A taken output is bitwise the dense twin's. An output
 the gate did not take, and the decisions, round as the scaled GEMM does:
 within rounding of BN1 of the unscaled partial sum and of the gate on it.
 The epilogue works in place on the two GEMM outputs (BN1's shift, the
-selection, the activation), so it allocates no float temporaries. The
+selection, the activation), so it allocates no float temporaries, and it
+runs one slab of channels at a time on the band pool. The
 selection reads ``DecisionMap.d``, the map that ran, and every count of
 the work done (``analysis.count_flops`` and the FLOP-reduction figures)
 reduces it.
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (ACTIVATION_KINDS, BatchNormState, ConfigurationError, ConvSpec,
-                 _chwn, _per_channel, activation, conv2d_forward, fold_bn)
+                 _chwn, _per_channel, _run_slabs, activation, conv2d_forward, fold_bn)
 
 TWO_SIDED_ACTIVATIONS = ("tanh", "sigmoid", "binary_sign")
 BAND_INIT = 2.0   # a band starts as (delta_low, delta_high) = (-BAND_INIT, BAND_INIT)
@@ -262,16 +263,19 @@ def split_dense_weight(w, G):
 # Gate functions
 # ---------------------------------------------------------------------------
 
-def _threshold_decisions(x, edges):
+def _threshold_decisions(x, edges, out=None):
     """Boolean decisions where every (name, sign, thresholds) edge passes,
-    x >= delta for sign +1 and x <= delta for sign -1, per channel. For
-    finite x this is the product of theta(sign*(x - delta)): the difference
-    of two distinct finite doubles is never 0, so it is >= 0 exactly where
-    x >= delta."""
+    x >= delta for sign +1 and x <= delta for sign -1, per channel,
+    written into ``out`` when given. For finite x this is the product of
+    theta(sign*(x - delta)): the difference of two distinct finite doubles
+    is never 0, so it is >= 0 exactly where x >= delta."""
     d = None
     for _, sign, t in edges:
-        passes = x >= _per_channel(t) if sign > 0 else x <= _per_channel(t)
-        d = passes if d is None else np.logical_and(d, passes, out=d)
+        compare = np.greater_equal if sign > 0 else np.less_equal
+        if d is None:
+            d = compare(x, _per_channel(t), out=out)
+        else:
+            np.logical_and(d, compare(x, _per_channel(t)), out=d)
     return d
 
 
@@ -350,19 +354,25 @@ def cg_block_forward_inference(x, params: CgBlockParams, cfg: CgLayerConfig,
     each band of the same columns, giving q = a*p: the gate compares q
     (``merged_gate``), and BN1(p) is sign(gamma)*q + shift, so an output
     the gate did not take, and a decision, rounds as that GEMM does. The
-    epilogue works in place on the two GEMM outputs: BN1's shift, the
-    selection and the activation. It runs on whatever running stats the
-    plan was built from; ``Network.forward_infer`` checks that they are
-    frozen.
+    gate and the channel mask run on the calling thread; the epilogue after
+    them works in place on the two GEMM outputs, BN1's shift, the selection
+    and the activation, one slab of channels at a time on the band pool
+    (``nn._run_slabs``). It runs on whatever running stats the plan was
+    built from; ``Network.forward_infer`` checks that they are frozen.
     """
     full, _, q = conv2d_forward(x, params.w, cfg.conv, (plan.blocks,), folded=plan.full)
     dm = gate_map(merged_gate(q, plan), cfg.tau_c)
 
-    if plan.sign is not None:
-        q *= _per_channel(plan.sign)
-    q += _per_channel(plan.shift)
-    np.copyto(q, full, where=dm.d)
-    y = activation(q, cfg.activation, out=q)
+    def run(s):
+        q_s = q[:, s]
+        if plan.sign is not None:
+            q_s *= _per_channel(plan.sign[s])
+        q_s += _per_channel(plan.shift[s])
+        np.copyto(q_s, full[:, s], where=dm.d[:, s])
+        activation(q_s, cfg.activation, out=q_s)
+
+    _run_slabs(run, q, full)
+    y = q
     if cfg.shuffle:
         y = channel_shuffle(y, cfg.groups)
     return y, dm

@@ -92,7 +92,8 @@ from .config import read_field, reject_unknown
 from .gating import (CgBlockParams, CgLayerConfig, assemble_dense_weight,
                      channel_shuffle, shuffle_permutation, split_dense_weight)
 from .nn import (ACTIVATION_KINDS, BnCtx, ConfigurationError, ConvCtx, ConvSpec,
-                 BatchNormState, StateError, _batch, _consumable, _per_channel, activation,
+                 BatchNormState, StateError, _batch, _consumable, _fprime_like, _per_channel,
+                 _run_slabs, activation,
                  activation_with_grad, batchnorm_backward, bn_forward, conv2d_backward,
                  conv2d_forward, fold_bn, linear_backward, linear_forward, maxpool2d,
                  maxpool2d_forward, avgpool2d_forward, pool2d_backward, sgd_step)
@@ -180,10 +181,17 @@ class ConvBlock(Layer):
     def _forward_train(self, x):
         y, conv_ctx = conv2d_forward(x, self.w, self.spec)
         xhat, bn_ctx = bn_forward(y, self.bn, out=y)
-        pre = np.multiply(xhat, _per_channel(self.bn.gamma))
-        pre += _per_channel(self.bn.beta)
-        y, fprime = activation_with_grad(pre, self.act)
-        return y, ConvBlockContext(conv_ctx, bn_ctx, fprime)
+        pre = np.empty_like(xhat)
+        fprime = _fprime_like(pre, self.act)
+        gamma, beta = self.bn.gamma, self.bn.beta
+
+        def run(s):   # the affine and f', one slab of channels at a time
+            pre_s = np.multiply(xhat[:, s], _per_channel(gamma[s]), out=pre[:, s])
+            pre_s += _per_channel(beta[s])
+            activation_with_grad(pre_s, self.act, out=fprime[:, s])
+
+        _run_slabs(run, xhat)
+        return pre, ConvBlockContext(conv_ctx, bn_ctx, fprime)
 
     def backward(self, dy):
         ctx = self._saved_ctx()

@@ -35,13 +35,17 @@ full sum's upstream gradient dfull and BN1's writes p's, dp, and one
 
 The backward consumes its context and its upstream gradient dy, as
 in-place activated batch norm does: each gradient goes into a buffer that
-is dead by then. dpre = dy*f' overwrites dy (``nn._consumable``), dfull
-overwrites x^_2, dp overwrites x^_g after its last read, and each edge's
-gate gradient its own tanh buffer; ``nn.conv2d_backward`` then builds its
-upstream in dfull's memory. So a single-sided gate's backward allocates at
-most two output-sized batches at once (the tanh factor and ds~, below,
-which die before the convolution's backward), then one input group's
-columns and dx. The layer refuses a second backward on a spent context
+is dead by then. dpre = dy*f' overwrites dy (``nn._consumable``), and so
+does BN2's upstream d*dpre after it; dfull overwrites x^_2, dp overwrites
+x^_g after its last read, and d(x^_g) the first edge's tanh buffer;
+``nn.conv2d_backward`` then builds its upstream in dfull's memory. Every
+pass between the batch norms and the activation reads one channel's
+values only, so the forward's and the backward's run one slab of
+channels at a time on the band pool (``nn._run_slabs``), into those
+buffers. So a single-sided gate's backward allocates one output-sized
+batch, d(x^_g), and per slab ds~ and d*dpre (below), which die before the
+convolution's backward, then one input group's columns and dx. The layer
+refuses a second backward on a spent context
 (``network.Layer._saved_ctx``), and nothing reads it after its backward.
 
 The gate is a set of edges (``GateState.edges()``): edge (name, sign,
@@ -72,9 +76,9 @@ import numpy as np
 from . import analysis
 from .gating import (BAND_INIT, CgBlockParams, CgLayerConfig, _threshold_decisions, base_blocks,
                      gate_map)
-from .nn import (BnCtx, ConfigurationError, ConvCtx, _chwn, _consumable, _per_channel, accuracy,
-                 activation_with_grad, batchnorm_backward, bn_forward,
-                 conv2d_backward, conv2d_forward, cross_entropy, softmax, xor_blend)
+from .nn import (BnCtx, ConfigurationError, ConvCtx, _chwn, _consumable, _fprime_like,
+                 _per_channel, _run_slabs, accuracy, activation_with_grad, batchnorm_backward,
+                 bn_forward, conv2d_backward, conv2d_forward, cross_entropy, softmax, xor_blend)
 
 
 class TrainingDiverged(RuntimeError):
@@ -170,13 +174,14 @@ class CgBlockGrads:
     dx: np.ndarray
 
 
-def _surrogate(xhat_g, edges, eps):
+def _surrogate(xhat_g, edges, eps, out=None):
     """tanh factors t = tanh(eps*sign*(x^_g - delta)/2) of the smooth gate,
-    one new batch in x^_g's memory order per edge; the edge's sigmoid is
-    1/2 + t/2 (``_sigmoid_of``)."""
+    one per edge, the first written into ``out`` when given, every other
+    a new batch in x^_g's memory order; the edge's sigmoid is 1/2 + t/2
+    (``_sigmoid_of``)."""
     ts = []
     for _, sign, delta in edges:
-        t = np.subtract(xhat_g, _per_channel(delta))
+        t = np.subtract(xhat_g, _per_channel(delta), out=None if ts else out)
         t *= 0.5 * eps * sign
         ts.append(np.tanh(t, out=t))
     return ts
@@ -200,18 +205,25 @@ def _times_sigmoid_of(a, t):
         a_c *= _sigmoid_of(t_c, out=s)
 
 
-def _gate_gradients(dpre, xhat_g, xhat2, edges, eps, gamma):
-    """The surrogate's share of the block's gradients; returns (d(x^_g),
-    the threshold gradients keyed by edge name). With
+def _slab_edges(edges, s):
+    """The gate's (name, sign, thresholds) edges restricted to slab s of
+    the channels."""
+    return [(name, sign, t[s]) for name, sign, t in edges]
+
+
+def _gate_gradients(dpre, xhat_g, xhat2, edges, eps, gamma, dxhat_g, dthresholds):
+    """The surrogate's share of the block's gradients, for a batch or a
+    slab of its channels: writes d(x^_g) into ``dxhat_g`` and each edge's
+    threshold gradient into ``dthresholds[name]``. With
     ds~ = dpre*(x^_2 - x^_g), edge e's share of d(x^_g),
     ds~*sign*(eps/4)*(1 - t_e^2) times the other edges' sigmoids,
-    overwrites its tanh factor t_e; d(x^_g) sums the shares in t_0's
-    buffer, and d(delta_e) is minus e's share, summed per channel and
+    overwrites its tanh factor t_e, t_0 in dxhat_g; d(x^_g) sums the
+    shares there, and d(delta_e) is minus e's share, summed per channel and
     scaled by gamma. A band's second sigmoid multiplies into ds~ in place,
     one channel at a time (``_times_sigmoid_of``), so its backward holds
-    four batches here: two tanh factors and two sigmoid products. Every
-    other temporary dies on return."""
-    ts = _surrogate(xhat_g, edges, eps)
+    four arrays of the slab's shape here: two tanh factors and two sigmoid
+    products. Every other temporary dies on return."""
+    ts = _surrogate(xhat_g, edges, eps, out=dxhat_g)
     # muls[e] is ds times the sigmoids of the edges but e (ds itself for
     # one edge)
     ds = xhat2 - xhat_g
@@ -223,17 +235,14 @@ def _gate_gradients(dpre, xhat_g, xhat2, edges, eps, gamma):
         for earlier in muls:
             _times_sigmoid_of(earlier, t)
         muls.append(mul)
-    dthresholds = {}
     for (key, sign, _), t, mul in zip(edges, ts, muls):
         t *= t
         np.subtract(1.0, t, out=t)
         t *= mul
         t *= 0.25 * eps * sign
-        dthresholds[key] = -gamma * t.sum(axis=(0, 2, 3))
-    dxhat_g = ts[0]
+        dthresholds[key][...] = -gamma * t.sum(axis=(0, 2, 3))
     for t in ts[1:]:
         dxhat_g += t
-    return dxhat_g, dthresholds
 
 
 def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
@@ -251,17 +260,32 @@ def cg_block_forward_train(x, params: CgBlockParams, cfg: CgLayerConfig):
     z = where(d, x^_2, x^_g) (``nn.xor_blend``), d the channel-gated map
     (``gate_map``). The activation runs once and overwrites pre, which
     becomes y, and the context keeps f'(pre) (``nn.activation_with_grad``:
-    tanh's and sigmoid's from y).
+    tanh's and sigmoid's from y). Every step after the batch norms reads
+    only its own channel's values, so that chain, from the thresholds to
+    f', runs one slab of channels at a time on the band pool
+    (``nn._run_slabs``) into the whole batch's d, y and f'; each batch
+    norm hands out its own slabs.
     """
     full, conv, p = conv2d_forward(x, params.w, cfg.conv, (base_blocks(params.w, cfg.groups),))
     xhat_g, bn1_ctx = bn_forward(p, params.bn1, out=p)
     xhat2, bn2_ctx = bn_forward(full, params.bn2, out=full)
-    d = gate_map(_threshold_decisions(xhat_g, params.gate.edges()), cfg.tau_c).d
-    pre = xor_blend(d, xhat2, xhat_g)
-    pre *= _per_channel(params.gamma)
-    pre += _per_channel(params.beta)
-    y, fprime = activation_with_grad(pre, cfg.activation)
-    return y, CgTrainContext(cfg, params, conv, bn1_ctx, bn2_ctx, d, fprime)
+    edges = params.gate.edges()
+    d = np.empty_like(xhat_g, dtype=bool)
+    pre = np.empty_like(xhat_g)
+    fprime = _fprime_like(pre, cfg.activation)
+
+    def run(s):
+        fired = _threshold_decisions(xhat_g[:, s], _slab_edges(edges, s), out=d[:, s])
+        ran = gate_map(fired, cfg.tau_c).d
+        if ran is not fired:
+            np.copyto(fired, ran)
+        pre_s = xor_blend(fired, xhat2[:, s], xhat_g[:, s], out=pre[:, s])
+        pre_s *= _per_channel(params.gamma[s])
+        pre_s += _per_channel(params.beta[s])
+        activation_with_grad(pre_s, cfg.activation, out=fprime[:, s])
+
+    _run_slabs(run, xhat_g, xhat2)
+    return pre, CgTrainContext(cfg, params, conv, bn1_ctx, bn2_ctx, d, fprime)
 
 
 def cg_block_backward(ctx: CgTrainContext, dy):
@@ -279,36 +303,52 @@ def cg_block_backward(ctx: CgTrainContext, dy):
     factors (``_gate_gradients``).
     BN backward is linear in its upstream gradient, so BN1 and the gate
     input, which share one normalization of p, take one backward call.
-    BN2's backward writes dfull and BN1's dp, and
-    ``nn.conv2d_backward(ctx.conv, dfull, dp, G)`` gives dW and dx.
-    Consumes ``ctx`` and, where it is a writable sample-innermost batch,
+    Every step before the batch norms' backward, dpre = dy*f', the gate
+    gradients, the split of dpre and the base path's dgamma and dbeta,
+    reads only its own channel's values, so it runs one slab of channels
+    at a time on the band pool (``nn._run_slabs``): d*dpre lands in dy's
+    memory and d(x^_g) in the first tanh factor's batch. BN2's backward
+    writes dfull over x^_2 and BN1's dp over x^_g, each handing out its own
+    slabs, and ``nn.conv2d_backward(ctx.conv, dfull, dp, G)`` gives dW and
+    dx. Consumes ``ctx`` and, where it is a writable sample-innermost batch,
     ``dy`` (see the module docstring), and sets ``ctx.consumed``, on which
     the layer's ``Layer._saved_ctx`` refuses a second backward.
     """
     cfg, params = ctx.cfg, ctx.params
     xhat_g, xhat2 = ctx.bn1_ctx.xhat, ctx.bn2_ctx.xhat
     gamma = params.gamma
+    c = len(gamma)
     # dpre overwrites dy; from here on the context is spent
     dpre = _consumable(dy)
-    dpre *= ctx.fprime
     ctx.consumed = True
-    dxhat_g, dthresholds = _gate_gradients(dpre, xhat_g, xhat2, params.gate.edges(),
-                                           cfg.epsilon, gamma)
-    # The conditional path's share of dpre, d*dpre, goes to BN2; dpre keeps
-    # the base path's, (1 - d)*dpre. sum(dpre*z) is their products with x^_2
-    # and x^_g.
-    dxhat2 = np.multiply(dpre, ctx.d)
-    dpre -= dxhat2
-    dgamma = np.einsum("nchw,nchw->c", dpre, xhat_g)
-    dbeta = dpre.sum(axis=(0, 2, 3))
-    # BN1 and the gate share x^_g, so their input gradients add up front
-    dxhat_g += dpre
+    edges = params.gate.edges()
+    dxhat_g = np.empty_like(xhat_g)   # the first tanh factor's batch
+    dthresholds = {key: np.empty(c) for key, _, _ in edges}
+    dgamma, dbeta = np.empty(c), np.empty(c)
 
+    def run(s):
+        dpre_s, xhat_g_s = dpre[:, s], xhat_g[:, s]
+        dpre_s *= ctx.fprime[:, s]
+        _gate_gradients(dpre_s, xhat_g_s, xhat2[:, s], _slab_edges(edges, s), cfg.epsilon,
+                        gamma[s], dxhat_g[:, s], {key: g[s] for key, g in dthresholds.items()})
+        # The conditional path's share of dpre, d*dpre, goes to BN2; dpre
+        # keeps the base path's, (1 - d)*dpre, until its sums are taken and
+        # it is added into d(x^_g), then takes d*dpre. sum(dpre*z) is their
+        # products with x^_2 and x^_g.
+        dcond = np.multiply(dpre_s, ctx.d[:, s])
+        dpre_s -= dcond
+        dgamma[s] = np.einsum("nchw,nchw->c", dpre_s, xhat_g_s)
+        dbeta[s] = dpre_s.sum(axis=(0, 2, 3))
+        # BN1 and the gate share x^_g, so their input gradients add up front
+        dxhat_g[:, s] += dpre_s
+        np.copyto(dpre_s, dcond)
+
+    _run_slabs(run, dpre, xhat_g, xhat2)
     # each upstream is the gradient with respect to the shared gamma*x^ + beta.
     # BN2's backward reads x^_2 and writes dfull over it, BN1's x^_g and dp;
     # each upstream is dead after its call.
-    dfull, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dxhat2, gamma, out=xhat2)
-    del dxhat2
+    dfull, dgamma2, dbeta2 = batchnorm_backward(ctx.bn2_ctx, dpre, gamma, out=xhat2)
+    del dpre
     dp, _, _ = batchnorm_backward(ctx.bn1_ctx, dxhat_g, gamma, out=xhat_g)
     del dxhat_g
     dgamma += dgamma2

@@ -233,9 +233,11 @@ def test_only_a_layer_builds_its_inference_plan():
 
 def test_one_routine_hands_out_the_convolution_threads():
     """``nn._run_on_threads`` reads the band pool and hands a convolution's
-    bands or groups to its threads, so nothing else in ``src/cgnet`` calls
-    ``nn._band_pool``: a second hand-out could start a thread before the
-    runs it needs are built, or fork on the thread count itself."""
+    bands or groups, and a per-channel pass's channel slabs
+    (``nn._run_slabs``), to its threads, so nothing else in ``src/cgnet``
+    calls ``nn._band_pool``: a second hand-out could start a thread before
+    the runs it needs are built, or fork on the thread count itself; the
+    slab cut reads no worker count."""
     def callers(node, func):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \

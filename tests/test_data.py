@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cgnet import data
 from cgnet.config import ConfigurationError
 from cgnet.data import (DataFormatError, Dataset, load_dataset,
                         load_idx_dataset, load_idx_file, load_raw_chw,
@@ -165,6 +166,22 @@ class TestSynthetic:
         assert len(ds) == 10
         with pytest.raises(DataFormatError, match="kind"):
             load_dataset({"kind": "parquet"})
+
+    def test_omitted_fields_take_the_generator_defaults(self, monkeypatch):
+        # the defaults are read from synthetic_dataset's signature, not restated
+        want = synthetic_dataset(12)
+        got = load_dataset({"kind": "synthetic", "num_samples": 12})
+        assert got.images.tobytes() == want.images.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        calls = []
+
+        def generator(num_samples, num_classes=3, image_size=5, channels=2, noise=0.5,
+                      max_shift=1, seed=9):
+            calls.append((num_samples, num_classes, image_size, channels, noise, max_shift, seed))
+
+        monkeypatch.setattr(data, "synthetic_dataset", generator)
+        load_dataset({"kind": "synthetic", "num_samples": 4, "seed": 2})
+        assert calls == [(4, 3, 5, 2, 0.5, 1, 2)]
 
     @pytest.mark.parametrize("key,value,rule", [
         ("num_samples", -5, ">= 1"), ("num_samples", 0, ">= 1"),

@@ -3,8 +3,12 @@ training-context lifetime."""
 
 import copy
 import gc
+import importlib
 import json
+import pkgutil
 import re
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cgnet
 from cgnet import checkpoint, network, nn, training
 from cgnet.analysis import network_pruning_ratio
 from cgnet.data import synthetic_dataset
@@ -800,6 +805,66 @@ def conv_leaves(model):
 
 
 class TestBandWorkers:
+    # what cgbench's tracer wraps (TRACED_FUNCTIONS in cgbench/tracing.py)
+    TRACED_FUNCTIONS = (
+        ("nn", "conv2d"), ("nn", "conv2d_forward"), ("nn", "conv2d_backward"),
+        ("nn", "bn_forward"), ("nn", "batchnorm_backward"), ("nn", "sgd_step"),
+        ("training", "cg_block_forward_train"), ("training", "cg_block_backward"),
+        ("training", "apply_sparsity_loss"), ("training", "evaluate"),
+        ("gating", "cg_block_forward_inference"), ("gating", "merged_gate"),
+        ("analysis", "merge_layer_records"), ("analysis", "count_flops"),
+        ("analysis", "network_pruning_ratio"), ("checkpoint", "load_model"),
+        ("data", "load_dataset"))
+
+    def test_traced_functions_run_on_the_calling_thread(self, monkeypatch):
+        # the tracer keeps one stack of spans and is not thread-safe: with
+        # every per-channel pass cut into slabs of two channels on two
+        # workers, each function it wraps still runs once per call on the
+        # calling thread, and only untraced helpers run on the pool
+        modules = [importlib.import_module(f"cgnet.{m.name}")
+                   for m in pkgutil.iter_modules(cgnet.__path__)]
+        threads = {}
+        for mod_name, attr in self.TRACED_FUNCTIONS:
+            orig = getattr(importlib.import_module(f"cgnet.{mod_name}"), attr)
+
+            def wrapped(*args, _orig=orig, _name=f"{mod_name}.{attr}", **kwargs):
+                threads.setdefault(_name, set()).add(threading.get_ident())
+                return _orig(*args, **kwargs)
+
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, wrapped)
+        helpers = set()
+        xor_blend = training.xor_blend
+
+        def slow_blend(*args, **kwargs):
+            # a pause that releases the GIL, so the pool thread claims slabs
+            helpers.add(threading.get_ident())
+            time.sleep(0.002)
+            return xor_blend(*args, **kwargs)
+
+        monkeypatch.setattr(training, "xor_blend", slow_blend)
+        monkeypatch.setattr(nn, "SLAB_BYTES", 1)
+        cfg = json.loads(VGG8.read_text())["model"]
+        model = build_model(cfg, np.random.default_rng(1))
+        ds = synthetic_dataset(16, num_classes=cfg["num_classes"], seed=3)
+        with band_workers(2):
+            _, dlogits = nn.cross_entropy(model.forward_train(ds.images), ds.labels)
+            model.zero_grads()
+            model.backward(dlogits)
+            training.apply_sparsity_loss(model, training.LossConfig(), 1.0)
+            model.sgd_step(0.05, 0.9, 1e-4)
+            model.freeze_gates()
+            model.forward_infer(ds.images)
+        caller = threading.get_ident()
+        assert {"nn.bn_forward", "nn.batchnorm_backward", "nn.conv2d_forward",
+                "nn.conv2d_backward", "training.cg_block_forward_train",
+                "training.cg_block_backward", "gating.cg_block_forward_inference",
+                "gating.merged_gate"} <= set(threads), sorted(threads)
+        assert all(ids == {caller} for ids in threads.values()), threads
+        assert helpers - {caller}, "no slab ran on the pool"
+
     def test_ten_vgg8_steps_leave_the_same_state_at_every_worker_count(self):
         # forward_train, cross-entropy, backward, the target-threshold
         # sparsity loss and SGD with momentum at batch 64: every parameter,

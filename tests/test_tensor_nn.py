@@ -712,6 +712,138 @@ class TestBandWorkers:
         assert got == want
 
 
+def at_slab_budget(budget, workers, run):
+    """``run()`` with ``nn.SLAB_BYTES`` set to ``budget`` on ``workers``
+    threads."""
+    with band_workers(workers), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "SLAB_BYTES", budget)
+        return run()
+
+
+class TestGroupFloor:
+    """A backward whose input groups' columns fall below half of
+    ``nn.SLAB_BYTES`` runs its groups on the calling thread."""
+
+    def test_small_groups_stay_on_the_calling_thread(self, rng, monkeypatch):
+        # vgg8's 32 -> 64 layer at 2 x 2: 72 rows of 2 x 2 x 64 columns,
+        # 144 KiB a group; at the parent's hand-out two threads ran it
+        # 1.05-1.21x slower than one
+        spec = ConvSpec(32, 64, 3, padding=1)
+        x = sample_innermost(rng.standard_normal((64, 32, 2, 2)))
+        _, ctx = nn.conv2d_forward(x, rng.standard_normal(spec.weight_shape), spec)
+        dy, dp = (sample_innermost(a) for a in rng.standard_normal((2, 64, 64, 2, 2)))
+        assert 8 * 72 * 2 * 2 * 64 < nn.SLAB_BYTES // 2
+        with band_workers(1):
+            want = TestBandWorkers.backward_bytes(ctx, dy, dp, 4)
+        monkeypatch.setattr(nn, "_band_pool", lambda: (2, TestBandWorkers.RefusingPool()))
+        assert TestBandWorkers.backward_bytes(ctx, dy, dp, 4) == want
+        monkeypatch.setattr(nn, "SLAB_BYTES", 2 * 8 * 72 * 2 * 2 * 64)   # at the floor
+        with pytest.raises(AssertionError, match="handed work to the pool"):
+            TestBandWorkers.backward_bytes(ctx, dy, dp, 4)
+
+
+class TestChannelSlabs:
+    """A per-channel pass (batch norm, its backward, pooling's backward)
+    runs one slab of whole channels at a time (``nn._slabs``) on the band
+    pool, and no bit depends on the cut or on the worker count."""
+
+    @staticmethod
+    def cut(c, per, chwn=True):
+        """The slabs of a (2, c, 2, 2) batch at a budget of ``per``
+        channels."""
+        x = np.zeros((2, c, 2, 2))
+        x = sample_innermost(x) if chwn else x
+        return at_slab_budget(per * 8 * 2 * 2 * 2, 1, lambda: nn._slabs(x))
+
+    def test_cut(self):
+        assert self.cut(3, 3) == [slice(0, 3)]                  # within the budget
+        assert self.cut(7, 3) == [slice(0, 3), slice(3, 7)]     # a single last channel joins
+        assert self.cut(8, 3) == [slice(0, 3), slice(3, 6), slice(6, 8)]
+        assert self.cut(5, 1) == [slice(0, 2), slice(2, 5)]     # at least two channels
+        assert self.cut(1, 0) == [slice(0, 1)]
+        assert self.cut(7, 3, chwn=False) == [slice(0, 7)]      # a channel is not contiguous
+        mixed = at_slab_budget(8 * 2 * 2 * 2, 1, lambda: nn._slabs(
+            sample_innermost(np.zeros((2, 7, 2, 2))), np.zeros((2, 7, 2, 2))))
+        assert mixed == [slice(0, 7)]
+
+    @staticmethod
+    def passes(x, dy, xp, st_arrays):
+        """The bytes of a batch norm forward (x^, 1/sigma, running stats),
+        its backward (dx, dgamma, dbeta) and a max pooling's forward and
+        backward."""
+        gamma, beta, mean, var = (a.copy() for a in st_arrays)
+        st_ = BatchNormState(gamma, beta, mean, var)
+        xhat, ctx = nn.bn_forward(x, st_)
+        out = [xhat, ctx.inv_std, st_.running_mean, st_.running_var]
+        out += nn.batchnorm_backward(ctx, dy, gamma)
+        y, pctx = nn.maxpool2d_forward(xp)
+        out += [y, pctx.argmax, nn.pool2d_backward(pctx, sample_innermost(np.cos(y)))]
+        return [a.tobytes() for a in out]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 9), h=st.integers(1, 5),
+           w=st.integers(1, 5), n=st.sampled_from([1, 3, 16, 64]), per=st.integers(0, 4))
+    # 16 x 16 x 64 channels, odd, in slabs of two and three: slabs of one
+    # would round einsum's sums otherwise
+    @example(seed=3, c=7, h=16, w=16, n=64, per=2)
+    @example(seed=4, c=5, h=16, w=16, n=64, per=1)
+    def test_worker_count_changes_no_bit(self, seed, c, h, w, n, per):
+        rng = np.random.default_rng(seed)
+        x, dy = (sample_innermost(3.0 * rng.standard_normal((n, c, h, w)) + 1.0)
+                 for _ in range(2))
+        xp = sample_innermost(rng.standard_normal((n, c, 2 * h, 2 * w)))
+        st_arrays = (rng.uniform(-2.0, 2.0, c), rng.standard_normal(c),
+                     rng.standard_normal(c), rng.uniform(0.1, 2.0, c))
+        want = at_slab_budget(2**62, 1, lambda: self.passes(x, dy, xp, st_arrays))
+        budget = per * 8 * n * h * w
+        for workers in (1, 2, 3):
+            got = at_slab_budget(budget, workers, lambda: self.passes(x, dy, xp, st_arrays))
+            assert got == want, workers
+
+    def test_more_workers_than_cores_run_every_slab_once(self, rng):
+        # 5 threads switching every microsecond on 16 slabs of two
+        # channels: a slab run twice or never, or a write outside its own
+        # channels, changes the bytes
+        x, dy = (sample_innermost(rng.standard_normal((16, 32, 4, 4))) for _ in range(2))
+        xp = sample_innermost(rng.standard_normal((16, 32, 8, 8)))
+        st_arrays = (rng.uniform(0.5, 2.0, 32), rng.standard_normal(32),
+                     rng.standard_normal(32), rng.uniform(0.1, 2.0, 32))
+        want = at_slab_budget(2**62, 1, lambda: self.passes(x, dy, xp, st_arrays))
+        got = []
+
+        def calls():
+            for _ in range(20):
+                got.append(at_slab_budget(1, 5, lambda: self.passes(x, dy, xp, st_arrays)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=calls, daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert len(got) == 20 and all(g == want for g in got)
+
+    def test_a_slab_is_never_a_single_channel_of_a_larger_batch(self, rng):
+        # one channel's einsum("nchw,nchw->c") at 16 x 16 x 64 rounds
+        # otherwise than the same channel's in a larger batch: a slab of
+        # one channel would change dgamma. _slabs gives every slab two
+        gamma = np.ones(5)
+        x, dy = (sample_innermost(rng.standard_normal((64, 5, 16, 16))) for _ in range(2))
+        xhat, ctx = nn.bn_forward(x, BatchNormState.create(5))
+        whole = np.einsum("nchw,nchw->c", dy, xhat)
+        single = [np.einsum("nchw,nchw->c", dy[:, i:i + 1], xhat[:, i:i + 1])[0]
+                  for i in range(5)]
+        assert np.array(single).tobytes() != whole.tobytes()
+        want = [a.tobytes() for a in
+                at_slab_budget(2**62, 1, lambda: nn.batchnorm_backward(ctx, dy, gamma))]
+        assert at_slab_budget(1, 2, lambda: nn._slabs(dy, xhat)) == [slice(0, 2), slice(2, 5)]
+        got = at_slab_budget(1, 2, lambda: nn.batchnorm_backward(ctx, dy, gamma))
+        assert [a.tobytes() for a in got] == want
+
+
 class TestBatchNorm:
     def test_normalizes_to_zero_mean_unit_var(self, rng):
         x = 5.0 + 2.0 * rng.standard_normal((8, 3, 6, 6))

@@ -622,6 +622,76 @@ class TestConsumedContext:
         assert two < one + extra / batch, (one, two)
 
 
+class TestChannelSlabs:
+    """The gated block's chain after its batch norms, its backward's chain
+    before them, the dense block's affine and f', and gated inference's
+    epilogue run one slab of channels at a time on the band pool
+    (``nn._run_slabs``); no bit depends on the cut or on the worker
+    count."""
+
+    @staticmethod
+    def gated_outputs(x, dy, params, cfg):
+        """The bytes of a training forward (y, d, f', the running stats),
+        its backward (dx, dW, dgamma, dbeta, every threshold gradient) and
+        gated inference (y and both decision maps), on a copy of
+        ``params``."""
+        params = copy.deepcopy(params)
+        y, ctx = cg_block_forward_train(x, params, cfg)
+        out = [y, ctx.d, ctx.fprime]
+        g = cg_block_backward(ctx, dy.copy(order="K"))
+        out += [g.dx, g.dw, g.dgamma, g.dbeta, *g.dthresholds.values()]
+        out += [params.bn1.running_mean, params.bn1.running_var,
+                params.bn2.running_mean, params.bn2.running_var]
+        y, dm = block_inference(x, params, cfg)
+        out += [y, dm.d, dm.channel_mask]
+        return [a.tobytes() for a in out]
+
+    @staticmethod
+    def dense_outputs(x, dy, layer):
+        layer = copy.deepcopy(layer)
+        y = layer.forward_train(x)
+        out = [y, layer.ctx.fprime, layer.backward(dy.copy(order="K")), layer.g_w,
+               layer.g_gamma, layer.g_beta, layer.bn.running_mean, layer.bn.running_var,
+               layer.forward_infer(x)[0]]
+        return [a.tobytes() for a in out]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 9), three_groups=st.booleans(),
+           hw=st.tuples(st.integers(1, 5), st.integers(1, 5)), n=st.sampled_from([1, 3, 16]),
+           tau_c=st.sampled_from([0.0, 0.3, 0.7]), act=st.sampled_from(["relu", "tanh"]),
+           per=st.integers(0, 3))
+    # vgg8's first gated layer's shape at batch 64: in slabs of three
+    # channels, and of two and three, where a slab of one would round
+    # einsum's sums otherwise
+    @example(seed=5, c=6, three_groups=True, hw=(16, 16), n=64, tau_c=0.3, act="tanh", per=3)
+    @example(seed=6, c=5, three_groups=False, hw=(16, 16), n=64, tau_c=0.0, act="relu", per=1)
+    def test_worker_count_changes_no_bit(self, seed, c, three_groups, hw, n, tau_c, act, per):
+        rng = np.random.default_rng(seed)
+        G = 3 if three_groups and c % 3 == 0 else 1
+        cfg = CgLayerConfig(ConvSpec(G, c, 3, padding=1), groups=G, activation=act,
+                            tau_c=tau_c)
+        params = make_params(cfg, rng)
+        params.gamma *= rng.choice([-1.0, 1.0], c)
+        for _, t in params.gate.thresholds():
+            t += 0.5 * rng.standard_normal(c)
+        params.bn1.running_var[:] = rng.uniform(0.5, 2.0, c)
+        x = np.ascontiguousarray(rng.standard_normal((G, *hw, n))).transpose(3, 0, 1, 2)
+        dy = np.ascontiguousarray(rng.standard_normal((c, *hw, n))).transpose(3, 0, 1, 2)
+        dense = ConvBlock(ConvSpec(G, c, 3, padding=1), act, rng)
+
+        def outputs():
+            return self.gated_outputs(x, dy, params, cfg) + self.dense_outputs(x, dy, dense)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "SLAB_BYTES", 2**62)
+            with band_workers(1):
+                want = outputs()
+            mp.setattr(nn, "SLAB_BYTES", per * 8 * n * hw[0] * hw[1])
+            for workers in (1, 2, 3):
+                with band_workers(workers):
+                    assert outputs() == want, workers
+
+
 class TestSparsityLosses:
     def test_target_loss_at_target(self):
         loss, g = sparsity_loss_target(np.full(5, 2.0), 2.0, 1.0)
