@@ -178,12 +178,6 @@ def train_val_split(ds: Dataset, val_fraction, rng):
             Dataset(ds.images[val_idx], ds.labels[val_idx], ds.num_classes))
 
 
-# the lowest value of each defaulted parameter of ``synthetic_dataset``;
-# below 3 px the template window is empty and every class is noise
-_SYNTHETIC_LOW = {"num_classes": 1, "image_size": 3, "channels": 1, "noise": 0.0,
-                  "max_shift": 0, "seed": 0}
-
-
 def load_dataset(data_cfg: dict, base_dir="."):
     """Dispatch on data.kind: synthetic | idx | raw_chw. A malformed field
     (each is read by ``read_field``), a field below its lower bound and a
@@ -191,12 +185,19 @@ def load_dataset(data_cfg: dict, base_dir="."):
     kind = read_field("data.kind", data_cfg, str)
     base = Path(base_dir)
     if kind == "synthetic":
-        # each omitted field takes the generator's own default, of its type
-        params = inspect.signature(synthetic_dataset).parameters
-        args = {"num_samples": read_field("data.num_samples", data_cfg, int, low=1)}
-        for name, low in _SYNTHETIC_LOW.items():
-            default = params[name].default
-            args[name] = read_field(f"data.{name}", data_cfg, type(default), default, low=low)
+        # an omitted field takes the generator's own default; below 3 px
+        # the template window is empty and every class is noise
+        default = {name: p.default for name, p in
+                   inspect.signature(synthetic_dataset).parameters.items()}
+        args = dict(
+            num_samples=read_field("data.num_samples", data_cfg, int, low=1),
+            num_classes=read_field("data.num_classes", data_cfg, int, default["num_classes"],
+                                   low=1),
+            image_size=read_field("data.image_size", data_cfg, int, default["image_size"], low=3),
+            channels=read_field("data.channels", data_cfg, int, default["channels"], low=1),
+            noise=read_field("data.noise", data_cfg, float, default["noise"], low=0.0),
+            max_shift=read_field("data.max_shift", data_cfg, int, default["max_shift"], low=0),
+            seed=read_field("data.seed", data_cfg, int, default["seed"], low=0))
         reject_unknown("data", data_cfg, ("kind", *args))
         return synthetic_dataset(**args)
     if kind == "idx":

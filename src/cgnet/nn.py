@@ -31,12 +31,12 @@ Conventions:
     dy's memory and each pool thread in its own copy of dy. A per-channel
     pass (batch norm and its backward, the gated block's chain, the
     affine and f', max pooling's backward, the gated inference epilogue)
-    reads only each
-    channel's (h, w, n) block, contiguous in the (c, h, w, n) memory, so
-    it runs one slab of whole channels at a time (``_slabs``:
-    ``SLAB_BYTES`` of a batch's channels, at least two channels, a batch
-    within the budget being one slab on the calling thread), and a slab's
-    sums are the whole batch's, bit for bit. The pool's threads run numpy
+    reads only each channel's (h, w, n) block, contiguous in the
+    (c, h, w, n) memory, so it runs one slab of whole channels at a time
+    (``_slabs``: ``SLAB_BYTES`` of a batch's channels, at least two
+    channels, a batch within the budget being one slab on the calling
+    thread), and a slab's sums are the whole batch's, bit for bit; at one
+    worker the whole batch runs in one pass. The pool's threads run numpy
     calls and untraced helpers only, never one of the entry points a
     tracer wraps (the convolution, batch norm and SGD functions, the block
     passes, ``gating.merged_gate``): each of those is one call per layer
@@ -292,8 +292,8 @@ def col2im(dcols, x_shape, k, stride=1, padding=0, out=None):
 BAND_BYTES = 512 * 1024
 
 # Bytes of a batch's channels per slab of a per-channel pass (``_slabs``);
-# half of it is the floor on a backward input group's columns below which
-# ``conv2d_backward`` keeps its groups on the calling thread. With less
+# half of it is ``_run_on_threads``'s floor on the bytes one item works on,
+# below which every item runs on the calling thread. With less
 # work per hand-out two threads lose to one: they take turns on the GIL
 # between numpy calls (vgg8 at batch 64, one BLAS thread: the gated
 # chain's backward at 64 channels of 2 x 2 ran 0.25 ms on one thread and
@@ -395,21 +395,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_band_pool.cache_clear)
 
 
-def _run_on_threads(make_run, items):
+def _run_on_threads(make_run, items, item_bytes=None):
     """Runs ``items`` (the forward's bands, the backward's input groups, a
     per-channel pass's slabs) on min(workers, len(items)) threads of
     ``_band_pool()``, the calling one first; ``make_run(i)`` is thread i's
     run, and every run is built before any starts (so a run's own copy of
-    an input precedes the caller's edits). One thread runs ``run(items)``
-    with no hand-out (~3 us less per call at batch 1). Otherwise each
-    thread runs ``run(todo)``, todo an iterator popping the items in order
-    from one deque (thread-safe pops), so each item runs once, on
-    whichever thread is free first, and the thread that pops the last item
-    pops no other. Returns once every thread is done, re-raising a
-    thread's exception."""
+    an input precedes the caller's edits). One thread runs ``run(items)``,
+    the list itself, with no hand-out (~3 us less per call at batch 1);
+    so does a call whose ``item_bytes``, the bytes one item works on, is
+    below half of ``SLAB_BYTES``: two threads would take turns on the GIL
+    over so little work. Otherwise each thread runs ``run(todo)``, todo an
+    iterator popping the items in order from one deque (thread-safe pops),
+    so each item runs once, on whichever thread is free first, and the
+    thread that pops the last item pops no other. Returns once every
+    thread is done, re-raising a thread's exception."""
     workers, pool = _band_pool()
     threads = min(workers, len(items))
-    if threads == 1:
+    if threads == 1 or (item_bytes is not None and item_bytes < SLAB_BYTES // 2):
         make_run(0)(items)
         return
     runs = [make_run(i) for i in range(threads)]
@@ -426,13 +428,20 @@ def _run_on_threads(make_run, items):
 
 def _run_slabs(run, x, *more):
     """``run(s)`` for every slab ``s`` of ``_slabs(x, *more)``, through
-    ``_run_on_threads``: one slab runs on the calling thread with no
-    hand-out. ``run`` writes only slab s of its outputs."""
+    ``_run_on_threads``. Where that runs one thread, ``run`` takes the
+    whole batch, ``slice(0, c)``, in one pass, as a batch within the
+    budget does: slabs exist to share a pass among threads. ``run`` writes
+    only slab s of its outputs."""
+    slabs = _slabs(x, *more)
+
     def run_slabs(todo):
+        if todo is slabs:   # one thread
+            run(slice(0, x.shape[1]))
+            return
         for s in todo:
             run(s)
 
-    _run_on_threads(lambda i: run_slabs, _slabs(x, *more))
+    _run_on_threads(lambda i: run_slabs, slabs)
 
 
 def fold_bn(w, bn: BatchNormState):
@@ -556,8 +565,7 @@ def conv2d_backward(ctx: ConvCtx, dy, dp=None, groups=1):
     group starts, and copies group h's rows back from dy, which only group
     h's thread edits. A layer of one group, or at one worker, runs on the
     calling thread alone, with no copy, and so does a layer whose groups'
-    columns (c_in/G*k*k rows) are below half of ``SLAB_BYTES``: two threads
-    would take turns on so little work."""
+    columns (c_in/G*k*k rows) are below ``_run_on_threads``'s floor."""
     spec = ctx.spec
     if spec.groups != 1:
         raise ConfigurationError(f"conv2d_backward: a grouped convolution (groups="
@@ -597,11 +605,10 @@ def conv2d_backward(ctx: ConvCtx, dy, dp=None, groups=1):
             if restore:
                 np.copyto(d_h[own], saved if in_dy else d[own])
 
-    if 8 * rows_in * d.shape[1] < SLAB_BYTES // 2:   # too little per group for two threads
-        run_groups(range(G), d_h=d)
-    else:   # a pool thread's copy of d is made before the calling thread edits d
-        _run_on_threads(lambda i: functools.partial(
-            run_groups, d_h=d if i == 0 or dp is None else d.copy()), range(G))
+    # a pool thread's copy of d is made before the calling thread edits d
+    _run_on_threads(lambda i: functools.partial(
+        run_groups, d_h=d if i == 0 or dp is None else d.copy()), range(G),
+        item_bytes=8 * rows_in * d.shape[1])
     return dx.transpose(3, 0, 1, 2), dwt.T.reshape(ctx.w.shape)
 
 

@@ -766,6 +766,14 @@ class TestChannelSlabs:
             sample_innermost(np.zeros((2, 7, 2, 2))), np.zeros((2, 7, 2, 2))))
         assert mixed == [slice(0, 7)]
 
+    def test_one_worker_runs_the_whole_batch_in_one_pass(self):
+        # at one worker a pass runs once over the whole batch
+        x = sample_innermost(np.zeros((2, 7, 2, 2)))
+        for workers, want in ((1, [slice(0, 7)]), (2, [slice(0, 3), slice(3, 7)])):
+            seen = []
+            at_slab_budget(3 * 8 * 2 * 2 * 2, workers, lambda: nn._run_slabs(seen.append, x))
+            assert sorted(seen, key=lambda s: s.start) == want, workers
+
     @staticmethod
     def passes(x, dy, xp, st_arrays):
         """The bytes of a batch norm forward (x^, 1/sigma, running stats),
